@@ -17,6 +17,14 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// Sentinel distance/parent value: "not reached by this BFS".
 const UNREACHED: u32 = u32::MAX;
 
+/// [`PairTable`] entry: the pair's distance is not known yet. Pairs at
+/// [`PAIR_UNREACHABLE`] hops or more keep this value for good, so the
+/// cone merge recomputes them exactly on every query.
+const PAIR_UNKNOWN: u8 = u8::MAX;
+
+/// [`PairTable`] entry: no valley-free path joins the pair.
+const PAIR_UNREACHABLE: u8 = u8::MAX - 1;
+
 /// Lazily-caching oracle answering hop-distance and path queries over an
 /// [`AsGraph`].
 ///
@@ -27,10 +35,15 @@ const UNREACHED: u32 = u32::MAX;
 /// ([`AsGraph::dense`]): cones are sparse entry lists sorted by
 /// [`NodeId`] (an AS's transitive provider set is a handful of nodes even
 /// at 100 k ASes, so per-cone memory is O(cone), not O(graph)), cached
-/// behind `Arc` so a cache hit clones a pointer, never a map. Batch
-/// queries ([`PathOracle::pairwise_distances`],
-/// [`PathOracle::mean_pairwise_distance`]) compute each endpoint's cone
-/// exactly once and intersect cones with sorted merges.
+/// behind `Arc` so a cache hit clones a pointer, never a map.
+///
+/// Batch queries ([`PathOracle::pairwise_distances`],
+/// [`PathOracle::mean_pairwise_distance`]) read a second cache, the
+/// pair-distance table: one byte per pair of endpoints any batch query
+/// has seen, filled on first use. Each distinct pair is intersected once
+/// per oracle, not once per call, and cones are only fetched for the
+/// pairs a call finds missing. With `m` distinct endpoints seen, the
+/// table holds `m(m−1)/2` bytes (about 100 KiB at 454 endpoints).
 ///
 /// # Example
 ///
@@ -56,6 +69,63 @@ pub struct PathOracle<'g> {
     /// sharded model-fitting executor; a racing recompute inserts the
     /// identical cone, so caching stays pure. Hits clone the `Arc` only.
     uphill: RwLock<HashMap<u32, Arc<UphillCone>>>,
+    /// Valley-free distances between endpoints of batch queries, under the
+    /// same lock discipline: a racing fill stores the identical byte.
+    pairs: RwLock<PairTable>,
+}
+
+/// Triangular pair-distance table over dense endpoint *slots*. An AS
+/// gets the next slot the first time a batch query sees it; the pair of
+/// slots `a < b` lives at byte `b(b−1)/2 + a`, so a new slot only
+/// appends its row. A byte holds the distance (0–253),
+/// [`PAIR_UNREACHABLE`] or [`PAIR_UNKNOWN`].
+#[derive(Debug, Default)]
+struct PairTable {
+    /// Dense node id → slot.
+    slots: HashMap<u32, u32>,
+    dist: Vec<u8>,
+}
+
+impl PairTable {
+    /// Byte offset of the pair of two *distinct* slots.
+    fn index(a: u32, b: u32) -> usize {
+        debug_assert_ne!(a, b, "a pair needs two distinct slots");
+        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
+        hi * (hi - 1) / 2 + lo
+    }
+
+    /// The slot of `node`, assigning the next one on first sight. The
+    /// row grows before the slot is published, so a panic in between
+    /// leaves spare bytes, never a slot past the end of the table.
+    fn slot(&mut self, node: u32) -> u32 {
+        if let Some(&s) = self.slots.get(&node) {
+            return s;
+        }
+        let s = self.slots.len();
+        self.dist.resize(s * (s + 1) / 2, PAIR_UNKNOWN);
+        self.slots.insert(node, s as u32);
+        s as u32
+    }
+
+    /// `None` when the pair is not known; else its distance.
+    fn get(&self, a: u32, b: u32) -> Option<Option<u32>> {
+        match self.dist[Self::index(a, b)] {
+            PAIR_UNKNOWN => None,
+            PAIR_UNREACHABLE => Some(None),
+            d => Some(Some(u32::from(d))),
+        }
+    }
+
+    /// Records a computed distance. Distances that do not fit below the
+    /// sentinels are left unknown rather than truncated.
+    fn set(&mut self, a: u32, b: u32, d: Option<u32>) {
+        let byte = match d {
+            None => PAIR_UNREACHABLE,
+            Some(d) if d < u32::from(PAIR_UNREACHABLE) => d as u8,
+            Some(_) => return,
+        };
+        self.dist[Self::index(a, b)] = byte;
+    }
 }
 
 /// An uphill BFS cone in sparse form: one entry per *reached* node,
@@ -102,7 +172,12 @@ impl<'g> PathOracle<'g> {
     /// cones per endpoint, so reuse one oracle for many queries.
     pub fn new(graph: &'g AsGraph) -> Self {
         let dense = graph.dense();
-        PathOracle { graph, dense, uphill: RwLock::new(HashMap::new()) }
+        PathOracle {
+            graph,
+            dense,
+            uphill: RwLock::new(HashMap::new()),
+            pairs: RwLock::new(PairTable::default()),
+        }
     }
 
     /// The underlying graph.
@@ -270,41 +345,96 @@ impl<'g> PathOracle<'g> {
         best
     }
 
-    /// Batched valley-free distances over a set of ASes: computes each
-    /// distinct endpoint's uphill cone exactly once (via the shared cone
-    /// cache) and intersects cones pairwise with linear array scans.
+    /// The pair-table slots of `ids`, assigning slots to endpoints seen
+    /// for the first time (under the write lock, only when one is new).
+    fn pair_slots(&self, ids: &[NodeId]) -> Vec<u32> {
+        let known: Option<Vec<u32>> = {
+            let table = self.pairs.read().unwrap_or_else(PoisonError::into_inner);
+            ids.iter().map(|n| table.slots.get(&n.0).copied()).collect()
+        };
+        known.unwrap_or_else(|| {
+            let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
+            ids.iter().map(|n| table.slot(n.0)).collect()
+        })
+    }
+
+    /// Calls `f(i, j, hop distance)` once for every pair `i < j` of the
+    /// *distinct* endpoints `ids`, in no fixed order. Known pairs come
+    /// from the pair table under one read lock; the misses are computed
+    /// by [`PathOracle::cone_distance`] outside any lock, fetching each
+    /// endpoint's cone at most once, and then recorded under one write
+    /// lock. Poison recovery follows [`PathOracle::cone`]: every table
+    /// update is a single byte store or an append-then-publish slot, and
+    /// entries are pure, so a poisoned table is still a correct one.
+    fn for_each_pair(&self, ids: &[NodeId], mut f: impl FnMut(usize, usize, Option<u32>)) {
+        let slots = self.pair_slots(ids);
+        let mut misses: Vec<(usize, usize)> = Vec::new();
+        {
+            let table = self.pairs.read().unwrap_or_else(PoisonError::into_inner);
+            for j in 1..ids.len() {
+                for i in 0..j {
+                    match table.get(slots[i], slots[j]) {
+                        Some(d) => f(i, j, d),
+                        None => misses.push((i, j)),
+                    }
+                }
+            }
+        }
+        if misses.is_empty() {
+            return;
+        }
+        let mut cones: Vec<Option<Arc<UphillCone>>> = vec![None; ids.len()];
+        for &(i, j) in &misses {
+            for x in [i, j] {
+                cones[x].get_or_insert_with(|| self.cone(ids[x]));
+            }
+        }
+        let cone = |x: usize| cones[x].as_deref().expect("fetched above");
+        let computed: Vec<Option<u32>> =
+            misses.iter().map(|&(i, j)| self.cone_distance(cone(i), cone(j))).collect();
+        {
+            let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
+            for (&(i, j), &d) in misses.iter().zip(&computed) {
+                table.set(slots[i], slots[j], d);
+            }
+        }
+        for (&(i, j), d) in misses.iter().zip(computed) {
+            f(i, j, d);
+        }
+    }
+
+    /// Batched valley-free distances over a set of ASes, read from the
+    /// oracle's pair-distance table (see [`PathOracle`]); pairs the table
+    /// lacks are computed from the cached cones once and recorded.
     ///
     /// `result[i][j]` equals `hop_distance(asns[i], asns[j])`: the matrix
     /// is symmetric, the diagonal is `Some(0)` for known ASes, and rows
-    /// and columns of unknown ASes are all `None`. Repeated ASNs are
-    /// memoized per distinct pair, so a `k`-element query costs
-    /// O(k · BFS + k² · n) instead of the O(k² · cone-merge) the per-pair
-    /// loop paid.
+    /// and columns of unknown ASes are all `None`. Repeated ASNs collapse
+    /// to one endpoint, so a `k`-element query over `u` distinct known
+    /// ASes looks up `u(u−1)/2` pairs and fills the `k²` matrix from them.
     pub fn pairwise_distances(&self, asns: &[Asn]) -> Vec<Vec<Option<u32>>> {
-        let k = asns.len();
         let ids: Vec<Option<NodeId>> = asns.iter().map(|a| self.dense.node_id(*a)).collect();
-        let mut out = vec![vec![None; k]; k];
-        let mut memo: HashMap<(u32, u32), Option<u32>> = HashMap::new();
-        for i in 0..k {
-            let Some(ni) = ids[i] else { continue };
-            out[i][i] = Some(0);
-            for j in (i + 1)..k {
-                let Some(nj) = ids[j] else { continue };
-                let d = if ni == nj {
-                    Some(0)
-                } else {
-                    let key = if ni.0 <= nj.0 { (ni.0, nj.0) } else { (nj.0, ni.0) };
-                    *memo.entry(key).or_insert_with(|| {
-                        let ca = self.cone(ni);
-                        let cb = self.cone(nj);
-                        self.cone_distance(&ca, &cb)
+        let mut distinct: Vec<NodeId> = ids.iter().flatten().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let u = distinct.len();
+        let mut local = vec![Some(0); u * u];
+        self.for_each_pair(&distinct, |i, j, d| {
+            local[i * u + j] = d;
+            local[j * u + i] = d;
+        });
+        let pos: Vec<Option<usize>> =
+            ids.iter().map(|id| id.and_then(|n| distinct.binary_search(&n).ok())).collect();
+        pos.iter()
+            .map(|pi| {
+                pos.iter()
+                    .map(|pj| match (pi, pj) {
+                        (Some(a), Some(b)) => local[a * u + b],
+                        _ => None,
                     })
-                };
-                out[i][j] = d;
-                out[j][i] = d;
-            }
-        }
-        out
+                    .collect()
+            })
+            .collect()
     }
 
     /// Downhill BFS from `start` over provider→customer edges: flat
@@ -445,10 +575,12 @@ impl<'g> PathOracle<'g> {
     ///
     /// The input collapses to unique ASNs with multiplicities: every
     /// ordered pair of distinct values `x ≠ y` in the naive `i < j` loop
-    /// contributes `c_x · c_y` occurrences of the same distance, and the
-    /// integer accumulator is order-independent, so the collapsed loop
-    /// reproduces the per-occurrence result bit for bit while computing
-    /// each cone and each distinct-pair intersection exactly once.
+    /// contributes `c_x · c_y` occurrences of the same distance. Each
+    /// distinct pair's distance comes from the oracle's pair-distance
+    /// table (computed once per oracle, see [`PathOracle`]), and the
+    /// totals are exact `u64` sums, which no visiting order can change,
+    /// so the result is bit-identical to the per-occurrence loop on a
+    /// cold, warm or shared oracle alike.
     pub fn mean_pairwise_distance(&self, asns: &[Asn]) -> f64 {
         let mut uniq: Vec<(Asn, u64)> = Vec::new();
         for a in asns {
@@ -457,22 +589,17 @@ impl<'g> PathOracle<'g> {
                 Err(i) => uniq.insert(i, (*a, 1)),
             }
         }
-        let ids: Vec<Option<NodeId>> = uniq.iter().map(|(a, _)| self.dense.node_id(*a)).collect();
+        let (ids, counts): (Vec<NodeId>, Vec<u64>) =
+            uniq.iter().filter_map(|&(a, c)| Some((self.dense.node_id(a)?, c))).unzip();
         let mut total = 0u64;
         let mut count = 0u64;
-        for i in 0..uniq.len() {
-            let Some(ni) = ids[i] else { continue };
-            let ca = self.cone(ni);
-            for j in (i + 1)..uniq.len() {
-                let Some(nj) = ids[j] else { continue };
-                let cb = self.cone(nj);
-                if let Some(d) = self.cone_distance(&ca, &cb) {
-                    let pairs = uniq[i].1 * uniq[j].1;
-                    total += d as u64 * pairs;
-                    count += pairs;
-                }
+        self.for_each_pair(&ids, |i, j, d| {
+            if let Some(d) = d {
+                let pairs = counts[i] * counts[j];
+                total += u64::from(d) * pairs;
+                count += pairs;
             }
-        }
+        });
         if count == 0 {
             0.0
         } else {
@@ -822,6 +949,86 @@ mod tests {
         assert_eq!(o.path(Asn(5), Asn(6)).unwrap().len(), 6);
         o.warm(&[Asn(1), Asn(2)]);
         assert!(o.mean_pairwise_distance(&[Asn(5), Asn(6)]) > 0.0);
+
+        // Poison the pair table the same way, once it holds entries.
+        let batch = [Asn(1), Asn(3), Asn(5), Asn(6)];
+        let matrix = o.pairwise_distances(&batch);
+        let mean = o.mean_pairwise_distance(&batch);
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = o.pairs.write().unwrap();
+            panic!("simulated pair-table panic");
+        }));
+        assert!(poison.is_err());
+        assert!(o.pairs.is_poisoned());
+        // Cached pairs, new endpoints (slot assignment) and fresh fills.
+        assert_eq!(o.pairwise_distances(&batch), matrix);
+        assert_eq!(o.mean_pairwise_distance(&batch).to_bits(), mean.to_bits());
+        assert_eq!(o.pairwise_distances(&[Asn(2), Asn(4), Asn(6)])[0][2], Some(2));
+        assert_eq!(o.mean_pairwise_distance(&[Asn(4), Asn(5)]), 4.0);
+    }
+
+    /// Two customer chains of `len` ASes hanging off one tier-1 AS: the
+    /// `k`-th AS down one chain is `ASN 1000 + k`, down the other
+    /// `ASN 2000 + k`, and the two are `k + k'` valley-free hops apart.
+    fn twin_chains(len: u32) -> AsGraph {
+        let mut g = AsGraph::new();
+        g.add_as(Asn(1), Tier::Tier1, 0);
+        for base in [1000, 2000] {
+            let mut up = Asn(1);
+            for k in 1..=len {
+                let asn = Asn(base + k);
+                g.add_as(asn, if k == len { Tier::Stub } else { Tier::Tier2 }, 0);
+                g.add_edge(up, asn, Relationship::Customer).unwrap();
+                up = asn;
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn long_distances_come_back_exact_not_truncated() {
+        let g = twin_chains(130);
+        let o = PathOracle::new(&g);
+        let (a126, a127, a130) = (Asn(1126), Asn(1127), Asn(1130));
+        let (b127, b130) = (Asn(2127), Asn(2130));
+        let batch = [a126, a127, a130, b127, b130];
+        let expected: Vec<Vec<Option<u32>>> =
+            batch.iter().map(|a| batch.iter().map(|b| o.hop_distance(*a, *b)).collect()).collect();
+        assert_eq!(expected[0][3], Some(253));
+        assert_eq!(expected[1][3], Some(254));
+        assert_eq!(expected[2][4], Some(260));
+        // A cold table and a table that has seen the batch agree.
+        for _ in 0..2 {
+            assert_eq!(o.pairwise_distances(&batch), expected);
+            assert_eq!(o.mean_pairwise_distance(&[a130, b130]), 260.0);
+        }
+        // 253 hops fits below the sentinels and is stored; 254 and more
+        // stay unknown, recomputed by the cone merge on every query.
+        let table = o.pairs.read().unwrap();
+        let slot = |a: Asn| table.slots[&g.dense().node_id(a).unwrap().0];
+        assert_eq!(table.get(slot(a126), slot(b127)), Some(Some(253)));
+        assert_eq!(table.get(slot(a127), slot(b127)), None);
+        assert_eq!(table.get(slot(a130), slot(b130)), None);
+        assert_eq!(table.get(slot(a126), slot(a130)), Some(Some(4)));
+    }
+
+    #[test]
+    fn unreachable_pairs_are_stored_as_unreachable() {
+        let mut g = twin_chains(2);
+        g.add_as(Asn(9), Tier::Tier1, 0);
+        g.add_as(Asn(10), Tier::Stub, 0);
+        g.add_edge(Asn(9), Asn(10), Relationship::Customer).unwrap();
+        let o = PathOracle::new(&g);
+        let batch = [Asn(1002), Asn(10), Asn(2002)];
+        for _ in 0..2 {
+            let m = o.pairwise_distances(&batch);
+            assert_eq!((m[0][1], m[0][2], m[1][2]), (None, Some(4), None));
+            assert_eq!(o.mean_pairwise_distance(&batch), 4.0);
+        }
+        let table = o.pairs.read().unwrap();
+        let slot = |a: Asn| table.slots[&g.dense().node_id(a).unwrap().0];
+        assert_eq!(table.get(slot(Asn(1002)), slot(Asn(10))), Some(None));
+        assert_eq!(table.dist.len(), 3);
     }
 
     #[test]

@@ -109,8 +109,10 @@ proptest! {
     }
 
     /// Concurrent batched queries through the deterministic sharded
-    /// executor return bit-for-bit the same matrices as serial calls:
-    /// the Arc-cached cones behave as pure values under racing recompute.
+    /// executor return bit-for-bit the same answers as serial calls: the
+    /// Arc-cached cones and the pair-distance table behave as pure values
+    /// under racing fills. Even batches ask for the matrix, odd ones for
+    /// the Eq. 4 mean, so both batch queries share one oracle's table.
     #[test]
     fn concurrent_batched_queries_match_serial(config in arb_config(), seed in 0u64..200) {
         let topo = TopologyGenerator::new(config, seed).generate().unwrap();
@@ -118,19 +120,72 @@ proptest! {
         let batches: Vec<Vec<Asn>> = (0..8)
             .map(|k| stubs.iter().skip(k).step_by(2).copied().take(8).collect())
             .collect();
+        let query = |oracle: &PathOracle, k: usize, b: &[Asn]| {
+            if k.is_multiple_of(2) {
+                (oracle.pairwise_distances(b), 0)
+            } else {
+                (Vec::new(), oracle.mean_pairwise_distance(b).to_bits())
+            }
+        };
 
-        // Serial reference on a fresh oracle (cold cone cache).
+        // Serial reference on a fresh oracle (cold caches).
         let serial_oracle = PathOracle::new(&topo);
         let serial: Vec<_> =
-            batches.iter().map(|b| serial_oracle.pairwise_distances(b)).collect();
+            batches.iter().enumerate().map(|(k, b)| query(&serial_oracle, k, b)).collect();
 
-        // Concurrent run on another fresh oracle: the shared cone cache is
-        // populated by racing workers.
-        let shared_oracle = PathOracle::new(&topo);
-        let concurrent = ddos_stats::exec::map_indexed(&batches, Some(4), |_, b| {
-            shared_oracle.pairwise_distances(b)
-        });
-        prop_assert_eq!(serial, concurrent);
+        // Concurrent runs, each on another fresh oracle: the shared caches
+        // are populated by racing workers.
+        for workers in [1, 2, 4] {
+            let shared_oracle = PathOracle::new(&topo);
+            let concurrent = ddos_stats::exec::map_indexed(&batches, Some(workers), |k, b| {
+                query(&shared_oracle, k, b)
+            });
+            prop_assert_eq!(&serial, &concurrent);
+        }
+    }
+
+    /// The table-backed Eq. 4 mean equals, bit for bit, the brute-force
+    /// mean of per-pair `hop_distance` over every `i < j` pair of distinct
+    /// ASNs, on random multisets with repeats and unknown ASNs — whether
+    /// the oracle is cold, warmed, or already holds the answer.
+    #[test]
+    fn mean_pairwise_distance_matches_brute_force(
+        config in arb_config(),
+        seed in 0u64..500,
+        picks in proptest::collection::vec(0usize..64, 0..24),
+    ) {
+        let topo = TopologyGenerator::new(config, seed).generate().unwrap();
+        let known: Vec<Asn> = topo.asns().collect();
+        // Picks past the topology's size stand for ASNs it has never seen.
+        let asns: Vec<Asn> = picks
+            .iter()
+            .map(|&p| known.get(p).copied().unwrap_or(Asn(u32::MAX - p as u32)))
+            .collect();
+        let reference = PathOracle::new(&topo);
+        let (mut total, mut count) = (0u64, 0u64);
+        for (i, a) in asns.iter().enumerate() {
+            for b in &asns[i + 1..] {
+                if a != b {
+                    if let Some(d) = reference.hop_distance(*a, *b) {
+                        total += u64::from(d);
+                        count += 1;
+                    }
+                }
+            }
+        }
+        let brute = if count == 0 { 0.0 } else { total as f64 / count as f64 };
+
+        let cold = PathOracle::new(&topo);
+        prop_assert_eq!(cold.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
+        let warmed = PathOracle::new(&topo);
+        warmed.warm(&asns);
+        prop_assert_eq!(warmed.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
+        // Reused: the table already holds every pair, some of them filled
+        // by the other batch query.
+        let reused = PathOracle::new(&topo);
+        reused.pairwise_distances(&asns[..asns.len() / 2]);
+        reused.mean_pairwise_distance(&asns);
+        prop_assert_eq!(reused.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
     }
 
     /// LPM ignores addresses outside every allocation.

@@ -142,7 +142,8 @@ impl FamilyAttributor {
             .iter()
             .map(|p| (p.family, total_variation(&attack_shares, &p.shares)))
             .collect();
-        ranking.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
+        // NaN distances (NaN profile shares) rank after every real one.
+        ranking.sort_by(|a, b| a.1.is_nan().cmp(&b.1.is_nan()).then(a.1.total_cmp(&b.1)));
         Ok(Attribution { ranking })
     }
 
@@ -224,6 +225,25 @@ mod tests {
         }
         assert!(v.margin() >= 0.0);
         assert_eq!(v.best(), v.ranking[0].0);
+    }
+
+    #[test]
+    fn nan_profile_ranks_last_instead_of_panicking() {
+        let c = corpus();
+        let (train, test) = c.split(0.8).unwrap();
+        let mut at = FamilyAttributor::fit(train).unwrap();
+        let real = at.attribute(&test[0]).unwrap();
+        let mut broken = at.profiles[0].clone();
+        broken.family = FamilyId(usize::MAX);
+        for share in broken.shares.values_mut() {
+            *share = f64::NAN;
+        }
+        at.profiles.insert(0, broken);
+        let ranked = at.attribute(&test[0]).unwrap();
+        assert_eq!(ranked.best(), real.best());
+        let (last, d) = *ranked.ranking.last().unwrap();
+        assert_eq!(last, FamilyId(usize::MAX));
+        assert!(d.is_nan());
     }
 
     #[test]

@@ -152,7 +152,8 @@ impl RmseTable {
         self.rows
             .iter()
             .filter(|r| r.scope == scope && r.feature == feature)
-            .min_by(|a, b| a.rmse.partial_cmp(&b.rmse).expect("finite rmse"))
+            // A NaN RMSE never beats a real one.
+            .min_by(|a, b| a.rmse.is_nan().cmp(&b.rmse.is_nan()).then(a.rmse.total_cmp(&b.rmse)))
     }
 
     /// Whether `model` wins (strictly or ties) every scope/feature cell it
@@ -205,6 +206,16 @@ pub fn check_aligned(a: &[f64], b: &[f64]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nan_rmse_never_wins_a_cell() {
+        let mut t = RmseTable::new();
+        t.push("all", "count", "broken", f64::NAN);
+        t.push("all", "count", "arima", 2.0);
+        t.push("all", "count", "mean", 3.0);
+        t.push("all", "count", "negated", -f64::NAN);
+        assert_eq!(t.winner("all", "count").unwrap().model, "arima");
+    }
 
     #[test]
     fn series_evaluation_basics() {

@@ -1032,7 +1032,7 @@ fn median(v: &[f64]) -> f64 {
         return 0.0;
     }
     let mut s = v.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("finite gaps"));
+    s.sort_by(f64::total_cmp);
     s[s.len() / 2]
 }
 
@@ -1046,6 +1046,13 @@ mod tests {
     use super::*;
     use ddos_stats::metrics::rmse;
     use ddos_trace::{CorpusConfig, TraceGenerator};
+
+    #[test]
+    fn median_orders_nan_instead_of_panicking() {
+        assert_eq!(median(&[]), 0.0);
+        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&[f64::NAN, 1.0, 3.0]), 3.0);
+    }
 
     fn fitted() -> (ddos_trace::Corpus, SpatioTemporalModel) {
         let corpus = TraceGenerator::new(CorpusConfig::small(), 121).generate().unwrap();

@@ -18,6 +18,13 @@ use ddos_astopo::Asn;
 use ddos_trace::AttackRecord;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+
+/// Ranks `(asn, predicted share)` pairs by share, highest first, ties by
+/// ASN; NaN shares rank after every real one instead of panicking.
+fn by_predicted_share(a: &(Asn, f64), b: &(Asn, f64)) -> Ordering {
+    a.1.is_nan().cmp(&b.1.is_nan()).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0))
+}
 
 /// Outcome of replaying one attack against a set of AS filter rules.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,7 +57,7 @@ impl AsFilteringSimulator {
         attack: &AttackRecord,
     ) -> FilteringOutcome {
         let mut ranked: Vec<(Asn, f64)> = predicted.to_vec();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite shares").then(a.0.cmp(&b.0)));
+        ranked.sort_by(by_predicted_share);
         let rules: Vec<Asn> = ranked.into_iter().take(k).map(|(a, _)| a).collect();
         self.replay(&rules, attack)
     }
@@ -242,7 +249,7 @@ impl TakedownSimulator {
         elapsed_secs: u64,
     ) -> TakedownOutcome {
         let mut ranked: Vec<(Asn, f64)> = predicted.to_vec();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite shares").then(a.0.cmp(&b.0)));
+        ranked.sort_by(by_predicted_share);
         let targets: Vec<Asn> = ranked.into_iter().take(k).map(|(a, _)| a).collect();
         self.apply(attack, &targets, elapsed_secs)
     }
@@ -299,6 +306,27 @@ mod tests {
             predicted_out.coverage > random_cov,
             "predicted {} vs random {random_cov}",
             predicted_out.coverage
+        );
+    }
+
+    #[test]
+    fn nan_predicted_shares_rank_last_instead_of_panicking() {
+        let attack = sample_attack();
+        let mut predicted: Vec<(Asn, f64)> = attack
+            .asn_histogram()
+            .iter()
+            .map(|(a, n)| (*a, *n as f64 / attack.magnitude() as f64))
+            .collect();
+        let k = predicted.len();
+        let clean = AsFilteringSimulator::new().apply_predicted(&predicted, k, &attack);
+        predicted.insert(0, (Asn(u32::MAX), f64::NAN));
+        predicted.push((Asn(u32::MAX - 1), -f64::NAN));
+        let out = AsFilteringSimulator::new().apply_predicted(&predicted, k, &attack);
+        assert_eq!(out.filtered_asns, clean.filtered_asns);
+        let takedown = TakedownSimulator::default();
+        assert_eq!(
+            takedown.apply_predicted(&predicted, k, &attack, 0),
+            takedown.apply_predicted(&predicted[1..predicted.len() - 1], k, &attack, 0)
         );
     }
 

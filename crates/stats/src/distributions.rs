@@ -196,7 +196,8 @@ impl Zipf {
     ///
     /// # Errors
     ///
-    /// Returns [`StatsError::InvalidParameter`] when `n == 0` or `s < 0`.
+    /// Returns [`StatsError::InvalidParameter`] when `n == 0` or `s` is
+    /// negative or NaN.
     pub fn new(n: usize, s: f64) -> Result<Self> {
         if n == 0 {
             return Err(StatsError::InvalidParameter {
@@ -204,7 +205,9 @@ impl Zipf {
                 detail: "support size must be nonzero".to_string(),
             });
         }
-        if s < 0.0 {
+        // A NaN exponent would make every CDF entry NaN and panic the
+        // sampler's search.
+        if s.is_nan() || s < 0.0 {
             return Err(StatsError::InvalidParameter {
                 name: "s",
                 detail: format!("exponent must be nonnegative, got {s}"),
@@ -520,6 +523,7 @@ mod tests {
     fn zipf_rejects_bad_params() {
         assert!(Zipf::new(0, 1.0).is_err());
         assert!(Zipf::new(3, -0.5).is_err());
+        assert!(Zipf::new(3, f64::NAN).is_err());
     }
 
     #[test]

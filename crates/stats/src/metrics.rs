@@ -132,15 +132,28 @@ pub fn coefficient_of_variation(values: &[f64]) -> Result<f64> {
 ///
 /// # Errors
 ///
-/// Returns [`StatsError::EmptyInput`] for an empty slice.
+/// * [`StatsError::EmptyInput`] for an empty slice.
+/// * [`StatsError::NonFiniteInput`] when any value is NaN.
 pub fn median(values: &[f64]) -> Result<f64> {
+    let sorted = sorted_copy(values)?;
+    let n = sorted.len();
+    Ok(if n % 2 == 1 { sorted[n / 2] } else { (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0 })
+}
+
+/// An ascending copy of a nonempty, NaN-free sample. With NaN rejected up
+/// front `partial_cmp` is total, and unlike `total_cmp` it keeps
+/// -0.0 == 0.0 as a tie, so the stable sort order is the one the
+/// order statistics have always used.
+fn sorted_copy(values: &[f64]) -> Result<Vec<f64>> {
     if values.is_empty() {
         return Err(StatsError::EmptyInput);
     }
+    if values.iter().any(|v| v.is_nan()) {
+        return Err(StatsError::NonFiniteInput);
+    }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-finite value in median input"));
-    let n = sorted.len();
-    Ok(if n % 2 == 1 { sorted[n / 2] } else { (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0 })
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    Ok(sorted)
 }
 
 /// Empirical quantile via linear interpolation, `q ∈ [0, 1]`.
@@ -149,6 +162,7 @@ pub fn median(values: &[f64]) -> Result<f64> {
 ///
 /// * [`StatsError::EmptyInput`] for an empty slice.
 /// * [`StatsError::InvalidParameter`] when `q` is outside `[0, 1]`.
+/// * [`StatsError::NonFiniteInput`] when any value is NaN.
 pub fn quantile(values: &[f64], q: f64) -> Result<f64> {
     if values.is_empty() {
         return Err(StatsError::EmptyInput);
@@ -159,8 +173,7 @@ pub fn quantile(values: &[f64], q: f64) -> Result<f64> {
             detail: format!("quantile must lie in [0, 1], got {q}"),
         });
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-finite value in quantile input"));
+    let sorted = sorted_copy(values)?;
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -316,6 +329,16 @@ mod tests {
         assert_eq!(quantile(&v, 1.0).unwrap(), 4.0);
         assert_eq!(quantile(&v, 0.5).unwrap(), 2.5);
         assert!(quantile(&v, 1.5).is_err());
+    }
+
+    #[test]
+    fn nan_input_is_a_typed_error_not_a_panic() {
+        let v = [3.0, f64::NAN, 1.0];
+        assert!(matches!(median(&v), Err(StatsError::NonFiniteInput)));
+        assert!(matches!(quantile(&v, 0.5), Err(StatsError::NonFiniteInput)));
+        // Infinities still order and answer as before.
+        assert_eq!(median(&[f64::INFINITY, 1.0, 2.0]).unwrap(), 2.0);
+        assert_eq!(quantile(&[f64::NEG_INFINITY, 1.0], 1.0).unwrap(), 1.0);
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub struct HuberModel {
 /// Median of a scratch copy of `vals` (mean of the middle pair for even
 /// lengths). `vals` must be nonempty.
 fn median_scratch(vals: &mut [f64]) -> f64 {
-    vals.sort_by(|a, b| a.partial_cmp(b).expect("finite residuals"));
+    vals.sort_by(f64::total_cmp);
     let n = vals.len();
     if n % 2 == 1 {
         vals[n / 2]
@@ -367,6 +367,12 @@ impl FittedModel<[Vec<f64>]> for HuberModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_scratch_orders_nan_instead_of_panicking() {
+        assert_eq!(median_scratch(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median_scratch(&mut [4.0, f64::NAN, 1.0]), 4.0);
+    }
 
     fn quadratic_design() -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> =

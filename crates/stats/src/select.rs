@@ -124,7 +124,9 @@ pub fn search(series: &[f64], config: SearchConfig) -> Result<SearchOutcome> {
     let Some((_, _, model)) = best else {
         return Err(StatsError::TooShort { required: 8, actual: series.len() });
     };
-    table.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
+    // Non-finite scores were skipped above; `total_cmp` keeps the sort
+    // panic-free regardless.
+    table.sort_by(|a, b| a.1.total_cmp(&b.1));
     Ok(SearchOutcome { model, table })
 }
 
@@ -133,6 +135,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn nan_series_is_an_error_not_a_panic() {
+        let mut series = ar_series(0.6, 120, 3);
+        series[40] = f64::NAN;
+        assert!(search(&series, SearchConfig::default()).is_err());
+    }
 
     fn ar_series(phi: f64, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
