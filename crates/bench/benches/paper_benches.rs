@@ -382,7 +382,8 @@ fn bench_flat_hot_paths(c: &mut Criterion) {
 /// Tentpole (PR 4): presorted CART growth. One row per leaf kind on the
 /// standard spatiotemporal training design (the real §VI workload), plus
 /// a larger synthetic design that exposes the O(n log n)-per-node sort
-/// the presorted grower removes. Before/after medians are recorded in
+/// the presorted grower removes, plus the spatiotemporal model's eight
+/// trees grown from one shared design. Before/after medians are recorded in
 /// `BENCH_features.json`; outputs are bit-identical across the change
 /// (the `cart_fit_*` / `pipeline_spatiotemporal` goldencheck lines are
 /// the oracle).
@@ -405,6 +406,24 @@ fn bench_cart_fit(c: &mut Criterion) {
             b.iter(|| RegressionTree::fit(black_box(&xs), black_box(&hours), &cfg).unwrap())
         });
     }
+    // The spatiotemporal model's whole tree step: four targets, each grown
+    // once for both leaf kinds, on one presorted design.
+    let targets: Vec<Vec<f64>> = (0..4).map(|t| labels.iter().map(|l| l[t]).collect()).collect();
+    g.bench_function("st_design_8_trees_shared_grower", |b| {
+        use ddos_cart::leaf::LeafKind;
+        use ddos_cart::tree::PresortedDesign;
+        b.iter(|| {
+            let design = PresortedDesign::new(black_box(&xs)).unwrap();
+            targets
+                .iter()
+                .map(|ys| {
+                    design
+                        .fit_leaf_kinds(ys, &st_cfg.tree, [LeafKind::Linear, LeafKind::Constant])
+                        .unwrap()
+                })
+                .collect::<Vec<_>>()
+        })
+    });
     // Synthetic 4000×13 design: same width as the spatiotemporal one but
     // deep enough that per-node work dominates setup.
     use rand::{Rng, SeedableRng};
@@ -716,7 +735,8 @@ fn bench_tanh_kernel(c: &mut Criterion) {
 /// cell solved through the per-node allocating path (`fit_indexed`:
 /// gather + finiteness rescan + fresh QR buffers) and through the
 /// prepared path the grower now uses (`fit_prepared`: contiguous design
-/// segment + reused QR scratch). Bit-identical outputs (the cart
+/// segment + reused QR scratch), plus a tall leaf where the row-pass
+/// Householder kernel dominates. Bit-identical outputs (the cart
 /// goldencheck lines and `fit_prepared_matches_fit_indexed_bitwise`
 /// tests are the oracle); `cart_fit/st_design_mlr_leaves` shows the
 /// end-to-end effect.
@@ -744,6 +764,17 @@ fn bench_qr_reuse(c: &mut Criterion) {
     let mut scratch = OlsScratch::default();
     g.bench_function("fit_prepared_64x14", |b| {
         b.iter(|| LinearModel::fit_prepared(black_box(&design), &ys, p, &mut scratch).unwrap())
+    });
+    // A tall 14-column leaf, the shape of the upper nodes of a tree on the
+    // spatiotemporal design: here the row-pass QR kernel dominates.
+    let tall = 4096usize;
+    let tall_design: Vec<f64> =
+        (0..tall * p).map(|k| if k % p == 0 { 1.0 } else { rng.gen::<f64>() * 24.0 }).collect();
+    let tall_ys: Vec<f64> = (0..tall).map(|_| rng.gen::<f64>() * 10.0).collect();
+    g.bench_function("fit_prepared_4096x14", |b| {
+        b.iter(|| {
+            LinearModel::fit_prepared(black_box(&tall_design), &tall_ys, p, &mut scratch).unwrap()
+        })
     });
     g.finish();
 }

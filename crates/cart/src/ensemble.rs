@@ -23,7 +23,7 @@
 //! what lets the ensembles sit under the goldencheck fingerprint gate
 //! and the serve determinism suite unchanged.
 
-use crate::tree::{PredictScratch, RegressionTree, TreeConfig};
+use crate::tree::{PredictScratch, PresortedDesign, RegressionTree, TreeConfig};
 use crate::{CartError, Result};
 use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
 use ddos_stats::exec::map_indexed_with;
@@ -414,6 +414,9 @@ impl BoostedTrees {
         }
         let (train_xs, hold_xs) = xs.split_at(n_train);
         let (train_ys, hold_ys) = ys.split_at(n_train);
+        // Every round grows on the same (already validated) rows: prepare
+        // them once.
+        let design = PresortedDesign::build(train_xs, n_features);
 
         let f0 = train_ys.iter().sum::<f64>() / n_train as f64;
         let mut fit_train = vec![f0; n_train];
@@ -433,7 +436,7 @@ impl BoostedTrees {
             for (r, (y, f)) in residuals.iter_mut().zip(train_ys.iter().zip(&fit_train)) {
                 *r = y - f;
             }
-            let tree = RegressionTree::fit(train_xs, &residuals, &config.tree)?;
+            let tree = design.fit(&residuals, &config.tree)?;
             tree.predict_many_with(train_xs, &mut scratch.tree, &mut scratch.buf)?;
             for (f, p) in fit_train.iter_mut().zip(&scratch.buf) {
                 *f += config.shrinkage * p;

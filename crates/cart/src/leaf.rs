@@ -120,9 +120,9 @@ impl LeafModel {
     /// Fits a leaf from a pre-assembled design segment: `rows` is the
     /// cell's row-major design with the leading `1.0` intercept column
     /// already in place (width `p`), `ys` the cell's targets in the same
-    /// order. This is the presorted grower's hot path — the design rows of
-    /// a parent node are stable-partitioned in place, so each child fits
-    /// straight from its contiguous segment with zero gathering.
+    /// order. This is the presorted grower's hot path — each node gathers
+    /// its rows once from the shared design and fits every requested
+    /// leaf kind from that one contiguous cell.
     ///
     /// Bit-identical to [`LeafModel::fit_indexed`] on the indices the
     /// segment was assembled from: the mean reduction and every OLS

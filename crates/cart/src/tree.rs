@@ -5,17 +5,23 @@
 //! every midpoint between consecutive sorted values — the exact CART
 //! procedure.
 //!
-//! Growth is the classic *presorted* CART algorithm: each feature column
-//! is sorted once at the root, and recursion threads per-feature sorted
-//! index segments downward via stable partitions, so split search is
-//! O(n·width) per node instead of O(n log n·width), with zero per-node
-//! allocations (one shared scratch arena) and zero row clones (leaf
-//! models fit through `(xs, ys, indices)` views). The grower is
+//! Growth is the classic *presorted* CART algorithm. A
+//! [`PresortedDesign`] validates the features once, transposes them and
+//! sorts each feature column once; every growth on that design copies
+//! the sort orders and threads per-feature sorted index segments
+//! downward via stable partitions, so split search is O(n·width) per
+//! node instead of O(n log n·width), with no per-node working buffers
+//! (one shared scratch arena: each node gathers its leaf-fit rows from
+//! the design's prepared `[1, x…]` rows into one reused cell buffer).
+//! Splits depend only on the targets,
+//! never on the leaf kind, so one growth fits every requested leaf kind
+//! at each node and returns one tree per kind. The grower is
 //! bit-identical to the retained reference implementation in
 //! [`crate::reference`]: stable partitions preserve the reference's
 //! stable-sort tie order, and every floating-point reduction (node
 //! statistics, prefix-sum threshold scan, leaf fits) runs in the same
-//! order over the same values. See DESIGN.md §10 for the full argument.
+//! order over the same values. See DESIGN.md §10 and §18 for the full
+//! argument.
 
 use crate::leaf::{LeafKind, LeafModel};
 use crate::{CartError, Result};
@@ -240,12 +246,13 @@ impl RegressionTree {
     /// * [`CartError::ShapeMismatch`] for ragged rows or length mismatch.
     /// * [`CartError::NonFiniteInput`] for NaN/∞ values.
     /// * [`CartError::InvalidParameter`] for degenerate configuration.
+    ///
+    /// This is the one-kind call of the presorted grower; to grow several
+    /// trees on one design, build a [`PresortedDesign`] once instead.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], config: &TreeConfig) -> Result<Self> {
         let width = validate(xs, ys, config)?;
-        let ctx = GrowCtx { xs, ys, config };
-        let mut scratch = Scratch::new(xs, ys, width);
-        let root = grow(&ctx, &mut scratch, 0, xs.len(), 0)?;
-        Ok(RegressionTree { root, n_features: width, config: *config })
+        let [tree] = PresortedDesign::build(xs, width).grow(ys, config, [config.leaf_kind])?;
+        Ok(tree)
     }
 
     /// Predicts for one feature row.
@@ -453,6 +460,21 @@ impl FittedModel<[Vec<f64>]> for RegressionTree {
 /// width. Shared by the presorted grower and [`crate::reference`], so
 /// both accept and reject exactly the same inputs.
 pub(crate) fn validate(xs: &[Vec<f64>], ys: &[f64], config: &TreeConfig) -> Result<usize> {
+    validate_config(config)?;
+    if xs.is_empty() || ys.is_empty() {
+        return Err(CartError::EmptyTrainingSet);
+    }
+    if xs.len() != ys.len() {
+        return Err(CartError::ShapeMismatch {
+            detail: format!("{} rows vs {} targets", xs.len(), ys.len()),
+        });
+    }
+    let width = validate_features(xs)?;
+    validate_targets(ys)?;
+    Ok(width)
+}
+
+fn validate_config(config: &TreeConfig) -> Result<()> {
     if config.max_depth < 1 {
         return Err(CartError::InvalidParameter {
             name: "max_depth",
@@ -480,15 +502,20 @@ pub(crate) fn validate(xs: &[Vec<f64>], ys: &[f64], config: &TreeConfig) -> Resu
             ),
         });
     }
-    if xs.is_empty() || ys.is_empty() {
+    Ok(())
+}
+
+/// Checks a non-empty feature matrix, returning its width.
+fn validate_features(xs: &[Vec<f64>]) -> Result<usize> {
+    let Some(first) = xs.first() else {
         return Err(CartError::EmptyTrainingSet);
-    }
-    if xs.len() != ys.len() {
+    };
+    if RowId::try_from(xs.len()).is_err() {
         return Err(CartError::ShapeMismatch {
-            detail: format!("{} rows vs {} targets", xs.len(), ys.len()),
+            detail: format!("{} rows exceed the {} a design can index", xs.len(), RowId::MAX),
         });
     }
-    let width = xs[0].len();
+    let width = first.len();
     if width == 0 {
         return Err(CartError::ShapeMismatch { detail: "zero-width features".to_string() });
     }
@@ -499,27 +526,58 @@ pub(crate) fn validate(xs: &[Vec<f64>], ys: &[f64], config: &TreeConfig) -> Resu
             });
         }
     }
-    if xs.iter().flatten().any(|v| !v.is_finite()) || ys.iter().any(|v| !v.is_finite()) {
+    if xs.iter().flatten().any(|v| !v.is_finite()) {
         return Err(CartError::NonFiniteInput);
     }
     Ok(width)
 }
 
-/// Borrowed growth inputs, threaded through the recursion.
-struct GrowCtx<'a> {
-    xs: &'a [Vec<f64>],
-    ys: &'a [f64],
-    config: &'a TreeConfig,
+fn validate_targets(ys: &[f64]) -> Result<()> {
+    if ys.iter().any(|v| !v.is_finite()) {
+        return Err(CartError::NonFiniteInput);
+    }
+    Ok(())
 }
 
-/// The presorted-growth arena, allocated once per [`RegressionTree::fit`].
+/// A row index within a [`PresortedDesign`]. Growth stores one per row
+/// per feature, so a 32-bit index halves its largest buffers.
+type RowId = u32;
+
+/// A training design prepared once for any number of tree growths.
 ///
-/// A node owns the segment `[lo, hi)` of `idx` and of every feature's
-/// region of `sorted`; splitting stable-partitions those segments in
-/// place, so recursion never allocates.
-struct Scratch {
-    /// Row count of the training set (stride of `cols` and `sorted`).
+/// Construction validates the features and builds everything growth
+/// reads but never changes: the column-major features, the per-feature
+/// sort orders and the `[1, x…]` leaf-fit rows. Each growth copies the
+/// sort orders (its partitions permute them) and reads the rest in
+/// place, so growing several trees on one design — several targets,
+/// several leaf kinds, several boosting rounds — validates, transposes
+/// and sorts once instead of once per tree. Trees grown here are
+/// identical to [`RegressionTree::fit`] on the same rows.
+///
+/// # Example
+///
+/// ```
+/// use ddos_cart::leaf::LeafKind;
+/// use ddos_cart::tree::{PresortedDesign, RegressionTree, TreeConfig};
+///
+/// # fn main() -> Result<(), ddos_cart::CartError> {
+/// let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 5) as f64]).collect();
+/// let ys: Vec<f64> = xs.iter().map(|r| if r[0] < 20.0 { r[1] } else { 9.0 - r[1] }).collect();
+/// let design = PresortedDesign::new(&xs)?;
+/// let config = TreeConfig::default();
+/// let [linear, constant] =
+///     design.fit_leaf_kinds(&ys, &config, [LeafKind::Linear, LeafKind::Constant])?;
+/// assert_eq!(linear, RegressionTree::fit(&xs, &ys, &config)?);
+/// assert_eq!(linear.n_leaves(), constant.n_leaves());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct PresortedDesign {
+    /// Row count (stride of `cols` and `sorted`).
     n: usize,
+    /// Feature width.
+    width: usize,
     /// Column-major copy of the features: `cols[f * n + i] = xs[i][f]`.
     /// Split search touches one feature at a time; the transposed layout
     /// makes both the threshold scan and the partition predicate walk
@@ -528,41 +586,28 @@ struct Scratch {
     /// Per-feature sort orders (feature-major segments of length `n`):
     /// `sorted[f * n..][..n]` holds row indices ordered by feature `f`,
     /// ties by ascending row index — exactly the order the reference
-    /// grower's per-node stable sort produces, maintained under recursion
-    /// by stable partitioning.
-    sorted: Vec<usize>,
-    /// Node sample indices in ascending row order (the reference grower's
-    /// `indices` list); leaf fits and node statistics iterate this to
-    /// keep reduction order identical.
-    idx: Vec<usize>,
-    /// Spill buffer for the stable partitions.
-    spill: Vec<usize>,
-    /// Prefix sums of targets over a node's sorted order (`len + 1` used).
-    prefix_sum: Vec<f64>,
-    /// Prefix sums of squared targets.
-    prefix_sq: Vec<f64>,
-    /// OLS design width: feature width plus the intercept column.
-    p: usize,
-    /// Row-major OLS design rows in `idx` order, each row
-    /// `[1.0, xs[idx[k]]...]` of width `p`. Assembled once at the root
-    /// and stable-partitioned in lockstep with `idx`, so every node's
-    /// leaf fit reads its design from the contiguous segment
-    /// `design[lo*p..hi*p]` — the per-node gather (and the per-node
-    /// finiteness rescan inside the generic OLS entry points) disappears.
-    design: Vec<f64>,
-    /// Targets in `idx` order (`ys_ord[k] = ys[idx[k]]`), partitioned in
-    /// lockstep with `idx` for contiguous leaf-fit reductions.
-    ys_ord: Vec<f64>,
-    /// Spill buffer for partitioning `design` (capacity `n * p`).
-    spill_rows: Vec<f64>,
-    /// Spill buffer for partitioning `ys_ord`.
-    spill_ys: Vec<f64>,
-    /// Reused QR/OLS working memory for every node's leaf fit.
-    ols: OlsScratch,
+    /// grower's per-node stable sort produces.
+    sorted: Vec<RowId>,
+    /// Row-major leaf-fit rows `[1.0, xs[i]...]` of width `width + 1`,
+    /// the OLS design with its intercept column in place.
+    rows: Vec<f64>,
 }
 
-impl Scratch {
-    fn new(xs: &[Vec<f64>], ys: &[f64], width: usize) -> Self {
+impl PresortedDesign {
+    /// Validates `xs` and prepares it for growth.
+    ///
+    /// # Errors
+    ///
+    /// * [`CartError::EmptyTrainingSet`] for no rows.
+    /// * [`CartError::ShapeMismatch`] for zero-width or ragged rows.
+    /// * [`CartError::NonFiniteInput`] for NaN/∞ values.
+    pub fn new(xs: &[Vec<f64>]) -> Result<Self> {
+        let width = validate_features(xs)?;
+        Ok(Self::build(xs, width))
+    }
+
+    /// Prepares already-validated rows of width `width`.
+    pub(crate) fn build(xs: &[Vec<f64>], width: usize) -> Self {
         let n = xs.len();
         let mut cols = vec![0.0; width * n];
         for (i, row) in xs.iter().enumerate() {
@@ -570,60 +615,126 @@ impl Scratch {
                 cols[f * n + i] = *v;
             }
         }
-        let mut sorted = vec![0usize; width * n];
-        for f in 0..width {
-            let col = &cols[f * n..(f + 1) * n];
-            let seg = &mut sorted[f * n..(f + 1) * n];
-            for (k, s) in seg.iter_mut().enumerate() {
+        let mut sorted: Vec<RowId> = vec![0; width * n];
+        for (col, seg) in cols.chunks_exact(n).zip(sorted.chunks_exact_mut(n)) {
+            for (k, s) in (0..).zip(seg.iter_mut()) {
                 *s = k;
             }
             // Stable sort by feature value; ties keep ascending row index.
             // `partial_cmp` cannot observe NaN (inputs are validated
             // finite), and unlike `total_cmp` it keeps -0.0 == 0.0 as a
             // tie, matching the reference sort order exactly.
-            seg.sort_by(|&a, &b| col[a].partial_cmp(&col[b]).unwrap_or(std::cmp::Ordering::Equal));
+            seg.sort_by(|&a, &b| {
+                col[a as usize].partial_cmp(&col[b as usize]).unwrap_or(std::cmp::Ordering::Equal)
+            });
         }
-        let p = width + 1;
-        // Root design in row order (= initial `idx` order), leading
-        // intercept column in place — exactly the rows `fit_indexed`
-        // would assemble per node.
-        let mut design = Vec::with_capacity(n * p);
+        let mut rows = Vec::with_capacity(n * (width + 1));
         for row in xs {
-            design.push(1.0);
-            design.extend_from_slice(row);
+            rows.push(1.0);
+            rows.extend_from_slice(row);
         }
-        Scratch {
-            n,
-            cols,
-            sorted,
-            idx: (0..n).collect(),
+        PresortedDesign { n, width, cols, sorted, rows }
+    }
+
+    /// Grows one tree with `config.leaf_kind` leaves on targets `ys`.
+    /// Identical to [`RegressionTree::fit`] on the design's rows.
+    ///
+    /// # Errors
+    ///
+    /// * [`CartError::InvalidParameter`] for degenerate configuration.
+    /// * [`CartError::EmptyTrainingSet`] for empty `ys`.
+    /// * [`CartError::ShapeMismatch`] when `ys` and the design differ in
+    ///   length.
+    /// * [`CartError::NonFiniteInput`] for NaN/∞ targets.
+    pub fn fit(&self, ys: &[f64], config: &TreeConfig) -> Result<RegressionTree> {
+        let [tree] = self.fit_leaf_kinds(ys, config, [config.leaf_kind])?;
+        Ok(tree)
+    }
+
+    /// Grows once on targets `ys` and returns one tree per entry of
+    /// `kinds`, in order. Splits never depend on the leaf kind, so the
+    /// trees share their structure; each carries leaves of its kind and
+    /// equals [`RegressionTree::fit`] with `leaf_kind` set to that kind
+    /// (`config.leaf_kind` itself is ignored).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PresortedDesign::fit`].
+    pub fn fit_leaf_kinds<const K: usize>(
+        &self,
+        ys: &[f64],
+        config: &TreeConfig,
+        kinds: [LeafKind; K],
+    ) -> Result<[RegressionTree; K]> {
+        validate_config(config)?;
+        if ys.is_empty() {
+            return Err(CartError::EmptyTrainingSet);
+        }
+        if ys.len() != self.n {
+            return Err(CartError::ShapeMismatch {
+                detail: format!("{} rows vs {} targets", self.n, ys.len()),
+            });
+        }
+        validate_targets(ys)?;
+        self.grow(ys, config, kinds)
+    }
+
+    /// The grower proper, on validated targets and configuration.
+    fn grow<const K: usize>(
+        &self,
+        ys: &[f64],
+        config: &TreeConfig,
+        kinds: [LeafKind; K],
+    ) -> Result<[RegressionTree; K]> {
+        let n = self.n;
+        let mut growth = Growth {
+            design: self,
+            ys,
+            config,
+            kinds: &kinds,
+            sorted: self.sorted.clone(),
+            idx: (0..).take(n).collect(),
             spill: vec![0; n],
             prefix_sum: vec![0.0; n + 1],
             prefix_sq: vec![0.0; n + 1],
-            p,
-            design,
-            ys_ord: ys.to_vec(),
-            spill_rows: vec![0.0; n * p],
-            spill_ys: vec![0.0; n],
+            cell_rows: Vec::with_capacity(n * (self.width + 1)),
+            cell_ys: Vec::with_capacity(n),
             ols: OlsScratch::default(),
+        };
+        let roots = growth.grow(0, n, 0)?;
+        debug_assert_eq!(roots.len(), K, "one root per leaf kind");
+        // A stand-in root per kind, each replaced by its grown root below.
+        let mut trees = kinds.map(|leaf_kind| RegressionTree {
+            root: Node::Leaf {
+                model: LeafModel::Constant { mean: 0.0 },
+                n: 0,
+                std_dev: 0.0,
+                resid_std: 0.0,
+            },
+            n_features: self.width,
+            config: TreeConfig { leaf_kind, ..*config },
+        });
+        for (tree, root) in trees.iter_mut().zip(roots) {
+            tree.root = root;
         }
+        Ok(trees)
     }
 }
 
 /// Node target statistics `(sse, std_dev)` over the ascending index view
 /// (same reduction order as the reference grower's `stats`).
-fn node_stats(ys: &[f64], indices: &[usize]) -> (f64, f64) {
+fn node_stats(ys: &[f64], indices: &[RowId]) -> (f64, f64) {
     let n = indices.len() as f64;
-    let sum: f64 = indices.iter().map(|&i| ys[i]).sum();
+    let sum: f64 = indices.iter().map(|&i| ys[i as usize]).sum();
     let mean = sum / n;
-    let sse: f64 = indices.iter().map(|&i| (ys[i] - mean).powi(2)).sum();
+    let sse: f64 = indices.iter().map(|&i| (ys[i as usize] - mean).powi(2)).sum();
     (sse, (sse / n).sqrt())
 }
 
 /// Stable in-place partition of `seg` by `pred` (true-goers first, both
 /// sides keeping their relative order) using `spill` as the bounce
 /// buffer. Returns the number of true-goers.
-fn stable_partition(seg: &mut [usize], spill: &mut [usize], pred: impl Fn(usize) -> bool) -> usize {
+fn stable_partition<T: Copy>(seg: &mut [T], spill: &mut [T], pred: impl Fn(T) -> bool) -> usize {
     let mut kept = 0;
     let mut spilled = 0;
     for k in 0..seg.len() {
@@ -640,65 +751,105 @@ fn stable_partition(seg: &mut [usize], spill: &mut [usize], pred: impl Fn(usize)
     kept
 }
 
-/// Grows the node owning segment `[lo, hi)` of the scratch arena.
-fn grow(
-    ctx: &GrowCtx<'_>,
-    scratch: &mut Scratch,
-    lo: usize,
-    hi: usize,
-    depth: usize,
-) -> Result<Node> {
-    let config = ctx.config;
-    let len = hi - lo;
-    let (node_sse, node_std) = node_stats(ctx.ys, &scratch.idx[lo..hi]);
-    // One leaf model per node, fit up front: it becomes the node's own
-    // model if growth stops here and the pruning fallback (`collapsed`)
-    // if the node splits — the reference grower fits exactly one of the
-    // two on the same cell, so the work and the result are identical.
-    // The fit reads this node's contiguous design segment (partitioned
-    // in lockstep with `idx`), so no per-node gather or QR workspace
-    // allocation happens; see `Scratch::design`.
-    let (model, resid_std) = {
-        let Scratch { p, design, ys_ord, ols, .. } = &mut *scratch;
-        let rows = &design[lo * *p..hi * *p];
-        let yseg = &ys_ord[lo..hi];
-        let model = LeafModel::fit_prepared(config.leaf_kind, rows, *p, yseg, ols)?;
-        let resid_std = residual_std_prepared(&model, rows, *p, yseg)?;
-        (model, resid_std)
-    };
+/// One growth's working state over a shared [`PresortedDesign`].
+///
+/// A node owns the segment `[lo, hi)` of `idx` and of every feature's
+/// region of `sorted`; splitting stable-partitions those segments in
+/// place, so recursion allocates no working buffers.
+struct Growth<'a> {
+    design: &'a PresortedDesign,
+    ys: &'a [f64],
+    config: &'a TreeConfig,
+    /// Leaf kinds to fit at every node; `grow` returns one node per kind.
+    kinds: &'a [LeafKind],
+    /// This growth's copy of the design's sort orders, partitioned in
+    /// place as the recursion descends.
+    sorted: Vec<RowId>,
+    /// Node sample indices in ascending row order (the reference grower's
+    /// `indices` list); leaf fits and node statistics iterate this to
+    /// keep reduction order identical.
+    idx: Vec<RowId>,
+    /// Spill buffer for the stable partitions.
+    spill: Vec<RowId>,
+    /// Prefix sums of targets over a node's sorted order (`len + 1` used).
+    prefix_sum: Vec<f64>,
+    /// Prefix sums of squared targets.
+    prefix_sq: Vec<f64>,
+    /// The node's leaf-fit rows, gathered from the design in `idx` order
+    /// — exactly the rows `fit_indexed` would assemble.
+    cell_rows: Vec<f64>,
+    /// The node's targets in `idx` order.
+    cell_ys: Vec<f64>,
+    /// Reused QR/OLS working memory for every node's leaf fits.
+    ols: OlsScratch,
+}
 
-    let msl = config.min_samples_leaf;
-    if depth >= config.max_depth
-        || len < config.min_samples_split
-        || node_sse <= f64::EPSILON
-        // No cut can give both children `min_samples_leaf` samples. This
-        // also guards the `len - min_samples_leaf` underflow the
-        // pre-presorting grower hit when `min_samples_leaf > len`.
-        || msl.saturating_mul(2) > len
-    {
-        return Ok(Node::Leaf { model, n: len, std_dev: node_std, resid_std });
-    }
+impl Growth<'_> {
+    /// Grows the node owning segment `[lo, hi)`, returning one node per
+    /// entry of `kinds`.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> Result<Vec<Node>> {
+        let config = self.config;
+        let len = hi - lo;
+        let (node_sse, node_std) = node_stats(self.ys, &self.idx[lo..hi]);
+        // One leaf model per kind per node, fit up front: it becomes the
+        // node's own model if growth stops here and the pruning fallback
+        // (`collapsed`) if the node splits — the reference grower fits
+        // exactly one of the two on the same cell, so the work and the
+        // result are identical.
+        let fits = {
+            let p = self.design.width + 1;
+            self.cell_rows.clear();
+            self.cell_ys.clear();
+            for &i in &self.idx[lo..hi] {
+                let i = i as usize;
+                self.cell_rows.extend_from_slice(&self.design.rows[i * p..(i + 1) * p]);
+                self.cell_ys.push(self.ys[i]);
+            }
+            let (rows, yseg) = (&self.cell_rows, &self.cell_ys);
+            let mut fits = Vec::with_capacity(self.kinds.len());
+            for &kind in self.kinds {
+                let model = LeafModel::fit_prepared(kind, rows, p, yseg, &mut self.ols)?;
+                let resid_std = residual_std_prepared(&model, rows, p, yseg)?;
+                fits.push((model, resid_std));
+            }
+            fits
+        };
+        let leaves = |fits: Vec<(LeafModel, f64)>| {
+            let leaf =
+                |(model, resid_std)| Node::Leaf { model, n: len, std_dev: node_std, resid_std };
+            Ok(fits.into_iter().map(leaf).collect())
+        };
 
-    // Exhaustive best-split scan over the presorted per-feature orders.
-    let n = scratch.n;
-    let width = ctx.xs[0].len();
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, child_sse)
-    {
-        let Scratch { cols, sorted, prefix_sum, prefix_sq, .. } = &mut *scratch;
-        for feature in 0..width {
-            let col = &cols[feature * n..(feature + 1) * n];
-            let order = &sorted[feature * n + lo..feature * n + hi];
+        let msl = config.min_samples_leaf;
+        if depth >= config.max_depth
+            || len < config.min_samples_split
+            || node_sse <= f64::EPSILON
+            // No cut can give both children `min_samples_leaf` samples. This
+            // also guards the `len - min_samples_leaf` underflow the
+            // pre-presorting grower hit when `min_samples_leaf > len`.
+            || msl.saturating_mul(2) > len
+        {
+            return leaves(fits);
+        }
+
+        // Exhaustive best-split scan over the presorted per-feature orders.
+        let n = self.design.n;
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, child_sse)
+        let (prefix_sum, prefix_sq) = (&mut self.prefix_sum, &mut self.prefix_sq);
+        let features = self.design.cols.chunks_exact(n).zip(self.sorted.chunks_exact(n));
+        for (feature, (col, sorted)) in features.enumerate() {
+            let order = &sorted[lo..hi];
             // Prefix sums over the sorted order for the O(n) threshold
             // scan, accumulated in the reference order (index 0 stays 0.0
             // from allocation; entries past `len` are stale but unread).
             for (k, &i) in order.iter().enumerate() {
-                let v = ctx.ys[i];
+                let v = self.ys[i as usize];
                 prefix_sum[k + 1] = prefix_sum[k] + v;
                 prefix_sq[k + 1] = prefix_sq[k] + v * v;
             }
             for cut in msl..=(len - msl) {
-                let fv_left = col[order[cut - 1]];
-                let fv_right = col[order[cut]];
+                let fv_left = col[order[cut - 1] as usize];
+                let fv_right = col[order[cut] as usize];
                 if fv_left == fv_right {
                     continue; // cannot split between equal values
                 }
@@ -714,70 +865,40 @@ fn grow(
                 }
             }
         }
-    }
 
-    let Some((feature, threshold, child_sse)) = best else {
-        return Ok(Node::Leaf { model, n: len, std_dev: node_std, resid_std });
-    };
-    let decrease = node_sse - child_sse;
-    if decrease < config.min_impurity_decrease * node_sse.max(f64::EPSILON) {
-        return Ok(Node::Leaf { model, n: len, std_dev: node_std, resid_std });
-    }
-
-    // Stable partition of the ascending index list and of every feature's
-    // sorted segment: both sides keep their relative order, so each child
-    // inherits exactly the orders a per-node stable sort would rebuild.
-    let n_left = {
-        let Scratch { cols, sorted, idx, spill, p, design, ys_ord, spill_rows, spill_ys, .. } =
-            &mut *scratch;
-        let col = &cols[feature * n..(feature + 1) * n];
-        // Stable-partition the design rows and ordered targets in lockstep
-        // with `idx`: position k of the segment belongs to row `idx[lo+k]`,
-        // so the predicate is read from the *old* `idx` order before `idx`
-        // itself is permuted below.
-        {
-            let p = *p;
-            let seg = &idx[lo..hi];
-            let rows = &mut design[lo * p..hi * p];
-            let yseg = &mut ys_ord[lo..hi];
-            let mut kept = 0;
-            let mut spilled = 0;
-            for (k, &i) in seg.iter().enumerate() {
-                if col[i] <= threshold {
-                    rows.copy_within(k * p..(k + 1) * p, kept * p);
-                    yseg[kept] = yseg[k];
-                    kept += 1;
-                } else {
-                    spill_rows[spilled * p..(spilled + 1) * p]
-                        .copy_from_slice(&rows[k * p..(k + 1) * p]);
-                    spill_ys[spilled] = yseg[k];
-                    spilled += 1;
-                }
-            }
-            rows[kept * p..].copy_from_slice(&spill_rows[..spilled * p]);
-            yseg[kept..].copy_from_slice(&spill_ys[..spilled]);
+        let Some((feature, threshold, child_sse)) = best else {
+            return leaves(fits);
+        };
+        let decrease = node_sse - child_sse;
+        if decrease < config.min_impurity_decrease * node_sse.max(f64::EPSILON) {
+            return leaves(fits);
         }
-        let n_left = stable_partition(&mut idx[lo..hi], spill, |i| col[i] <= threshold);
-        for f in 0..width {
-            let seg = &mut sorted[f * n + lo..f * n + hi];
-            let nl = stable_partition(seg, spill, |i| col[i] <= threshold);
+
+        // Stable partition of the ascending index list and of every feature's
+        // sorted segment: both sides keep their relative order, so each child
+        // inherits exactly the orders a per-node stable sort would rebuild.
+        let col = &self.design.cols[feature * n..(feature + 1) * n];
+        let goes_left = |i: RowId| col[i as usize] <= threshold;
+        let n_left = stable_partition(&mut self.idx[lo..hi], &mut self.spill, goes_left);
+        for sorted in self.sorted.chunks_exact_mut(n) {
+            let nl = stable_partition(&mut sorted[lo..hi], &mut self.spill, goes_left);
             debug_assert_eq!(nl, n_left, "inconsistent partition across sort orders");
         }
-        n_left
-    };
-    let left = grow(ctx, scratch, lo, lo + n_left, depth + 1)?;
-    let right = grow(ctx, scratch, lo + n_left, hi, depth + 1)?;
-    Ok(Node::Internal {
-        feature,
-        threshold,
-        left: Box::new(left),
-        right: Box::new(right),
-        n: len,
-        std_dev: node_std,
-        collapsed_resid_std: resid_std,
-        impurity_decrease: decrease,
-        collapsed: model,
-    })
+        let left = self.grow(lo, lo + n_left, depth + 1)?;
+        let right = self.grow(lo + n_left, hi, depth + 1)?;
+        let internal = |(((collapsed, collapsed_resid_std), left), right)| Node::Internal {
+            feature,
+            threshold,
+            left: Box::new(left),
+            right: Box::new(right),
+            n: len,
+            std_dev: node_std,
+            collapsed_resid_std,
+            impurity_decrease: decrease,
+            collapsed,
+        };
+        Ok(fits.into_iter().zip(left).zip(right).map(internal).collect())
+    }
 }
 
 /// Residual standard deviation of a fitted leaf model over a prepared

@@ -6,7 +6,7 @@ use ddos_cart::ensemble::{
 use ddos_cart::leaf::LeafKind;
 use ddos_cart::prune::{prune, prune_holdout};
 use ddos_cart::reference::fit_reference;
-use ddos_cart::tree::{RegressionTree, TreeConfig};
+use ddos_cart::tree::{PresortedDesign, RegressionTree, TreeConfig};
 use proptest::prelude::*;
 
 fn dataset(xs: &[f64]) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -240,6 +240,59 @@ proptest! {
                 presorted.predict(&p).unwrap().to_bits(),
                 reference.predict(&p).unwrap().to_bits()
             );
+        }
+    }
+
+    /// One growth for several leaf kinds, on one presorted design reused
+    /// across several targets: each returned tree is structurally equal
+    /// to the reference grower's tree for its leaf kind and predicts
+    /// bit-identically, and every tree equals a fresh fit on its own.
+    #[test]
+    fn shared_grower_matches_reference_per_leaf_kind(
+        points in proptest::collection::vec(
+            (-50.0f64..50.0, -50.0f64..50.0, 0u8..4), 8..40),
+        max_depth in 1usize..7,
+        min_samples_split in 2usize..12,
+        min_samples_leaf in 1usize..6,
+        min_impurity_decrease in 0.0f64..0.05,
+    ) {
+        let rows: Vec<Vec<f64>> =
+            points.iter().map(|(a, b, c)| vec![*a, *b, *c as f64]).collect();
+        let targets: [Vec<f64>; 3] = [
+            points
+                .iter()
+                .map(|(a, b, c)| if *a < 0.0 { a * 2.0 + b } else { 10.0 - b + *c as f64 })
+                .collect(),
+            points.iter().map(|(a, b, _)| a * b * 0.01).collect(),
+            points.iter().map(|(_, _, c)| (*c as f64).powi(2)).collect(),
+        ];
+        let cfg = TreeConfig {
+            max_depth,
+            min_samples_split,
+            min_samples_leaf,
+            min_impurity_decrease,
+            leaf_kind: LeafKind::Linear,
+        };
+        let design = PresortedDesign::new(&rows).unwrap();
+        let kinds = [LeafKind::Linear, LeafKind::Constant];
+        for ys in &targets {
+            let trees = design.fit_leaf_kinds(ys, &cfg, kinds).unwrap();
+            let fresh =
+                PresortedDesign::new(&rows).unwrap().fit_leaf_kinds(ys, &cfg, kinds).unwrap();
+            prop_assert_eq!(&trees, &fresh);
+            for (tree, leaf_kind) in trees.iter().zip(kinds) {
+                let kind_cfg = TreeConfig { leaf_kind, ..cfg };
+                let reference = fit_reference(&rows, ys, &kind_cfg).unwrap();
+                prop_assert_eq!(tree, &reference);
+                prop_assert_eq!(tree, &RegressionTree::fit(&rows, ys, &kind_cfg).unwrap());
+                prop_assert_eq!(tree, &design.fit(ys, &kind_cfg).unwrap());
+                for row in &rows {
+                    prop_assert_eq!(
+                        tree.predict(row).unwrap().to_bits(),
+                        reference.predict(row).unwrap().to_bits()
+                    );
+                }
+            }
         }
     }
 

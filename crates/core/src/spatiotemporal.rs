@@ -18,8 +18,9 @@ use ddos_astopo::Asn;
 use ddos_cart::ensemble::{
     derive_seed, BaggedForest, BoostConfig, BoostedTrees, EnsembleScratch, ForestConfig, Regressor,
 };
+use ddos_cart::leaf::LeafKind;
 use ddos_cart::prune::prune_holdout;
-use ddos_cart::tree::{RegressionTree, TreeConfig};
+use ddos_cart::tree::{PresortedDesign, RegressionTree, TreeConfig};
 use ddos_stats::arima::{Arima, ArimaOrder};
 use ddos_stats::codec::{CodecResult, Reader, Writer};
 use ddos_trace::{AttackRecord, Corpus};
@@ -443,67 +444,74 @@ impl SpatioTemporalModel {
         // holdout decides per corpus instead of hard-coding either.
         let grow_n = (xs.len() as f64 * 0.85) as usize;
         let grow_n = grow_n.clamp(20, xs.len());
-        let fit_tree = |labels: &[f64]| -> Result<RegressionTree> {
-            match config.prune_retention {
-                Some(retention) => {
-                    let mut best: Option<(f64, RegressionTree)> = None;
-                    for leaf_kind in
-                        [ddos_cart::leaf::LeafKind::Linear, ddos_cart::leaf::LeafKind::Constant]
-                    {
-                        let tree_cfg = TreeConfig { leaf_kind, ..config.tree };
-                        let mut tree =
-                            RegressionTree::fit(&xs[..grow_n], &labels[..grow_n], &tree_cfg)?;
-                        prune_holdout(&mut tree, &xs[grow_n..], &labels[grow_n..], retention)?;
-                        let mut sse = 0.0;
-                        for (row, y) in xs[grow_n..].iter().zip(&labels[grow_n..]) {
-                            let e = tree.predict(row)? - y;
-                            sse += e * e;
-                        }
-                        if best.as_ref().is_none_or(|(s, _)| sse < *s) {
-                            best = Some((sse, tree));
-                        }
-                    }
-                    Ok(best.expect("both leaf kinds fit").1)
+        // Splits never depend on the leaf kind, so one growth yields both
+        // candidate trees for a target.
+        let fit_tree = |design: &PresortedDesign, labels: &[f64]| -> Result<RegressionTree> {
+            let Some(retention) = config.prune_retention else {
+                return Ok(design.fit(labels, &config.tree)?);
+            };
+            let pruned = |mut tree: RegressionTree| -> Result<(f64, RegressionTree)> {
+                prune_holdout(&mut tree, &xs[grow_n..], &labels[grow_n..], retention)?;
+                let mut sse = 0.0;
+                for (row, y) in xs[grow_n..].iter().zip(&labels[grow_n..]) {
+                    let e = tree.predict(row)? - y;
+                    sse += e * e;
                 }
-                None => Ok(RegressionTree::fit(&xs, labels, &config.tree)?),
-            }
+                Ok((sse, tree))
+            };
+            let [linear, constant] = design.fit_leaf_kinds(
+                &labels[..grow_n],
+                &config.tree,
+                [LeafKind::Linear, LeafKind::Constant],
+            )?;
+            let (linear_sse, linear) = pruned(linear)?;
+            let (constant_sse, constant) = pruned(constant)?;
+            // Constant leaves must win outright: the paper's MLR leaves
+            // keep a tie.
+            Ok(if constant_sse < linear_sse { constant } else { linear })
         };
         // Dispatch per learner. The tree path above is untouched (its
         // float-op order is pinned by golden fingerprints); the ensemble
         // learners train on the full design and control capacity their
         // own way — forests by averaging, boosting by early stopping on
         // its own chronological holdout tail.
-        let fit_target = |idx: u64, labels: &[f64]| -> Result<Regressor> {
-            match config.learner {
-                LearnerKind::Tree => Ok(Regressor::Tree(fit_tree(labels)?)),
-                LearnerKind::Forest { n_trees } => {
-                    let forest_config = ForestConfig {
-                        n_trees,
-                        tree: config.tree,
-                        // One decorrelated cell seed per target keeps the
-                        // four forests' bootstrap streams independent.
-                        seed: derive_seed(seed, idx),
-                        parallelism: None,
-                    };
-                    Ok(Regressor::Forest(BaggedForest::fit(&xs, labels, &forest_config)?))
-                }
-                LearnerKind::Boosted { rounds, shrinkage } => {
-                    let boost_config = BoostConfig {
-                        // Boosting wants weak stage learners: cap depth
-                        // well below the single-tree default.
-                        tree: TreeConfig { max_depth: 4, ..config.tree },
-                        rounds,
-                        shrinkage,
-                        ..BoostConfig::default()
-                    };
-                    Ok(Regressor::Boosted(BoostedTrees::fit(&xs, labels, &boost_config)?))
-                }
+        let models: [Result<Regressor>; 4] = match config.learner {
+            LearnerKind::Tree => {
+                // One presorted design serves all four targets.
+                let rows = if config.prune_retention.is_some() { &xs[..grow_n] } else { &xs[..] };
+                let design = PresortedDesign::new(rows)?;
+                std::array::from_fn(|idx| Ok(Regressor::Tree(fit_tree(&design, &label(idx))?)))
+            }
+            LearnerKind::Forest { n_trees } => std::array::from_fn(|idx| {
+                let forest_config = ForestConfig {
+                    n_trees,
+                    tree: config.tree,
+                    // One decorrelated cell seed per target keeps the
+                    // four forests' bootstrap streams independent.
+                    seed: derive_seed(seed, idx as u64),
+                    parallelism: None,
+                };
+                Ok(Regressor::Forest(BaggedForest::fit(&xs, &label(idx), &forest_config)?))
+            }),
+            LearnerKind::Boosted { rounds, shrinkage } => {
+                let boost_config = BoostConfig {
+                    // Boosting wants weak stage learners: cap depth
+                    // well below the single-tree default.
+                    tree: TreeConfig { max_depth: 4, ..config.tree },
+                    rounds,
+                    shrinkage,
+                    ..BoostConfig::default()
+                };
+                std::array::from_fn(|idx| {
+                    Ok(Regressor::Boosted(BoostedTrees::fit(&xs, &label(idx), &boost_config)?))
+                })
             }
         };
-        shell.hour_model = fit_target(0, &label(0))?;
-        shell.day_model = fit_target(1, &label(1))?;
-        shell.magnitude_model = fit_target(2, &label(2))?;
-        shell.duration_model = fit_target(3, &label(3))?;
+        let [hour, day, magnitude, duration] = models;
+        shell.hour_model = hour?;
+        shell.day_model = day?;
+        shell.magnitude_model = magnitude?;
+        shell.duration_model = duration?;
         let _ = corpus; // corpus-level context reserved for future features
         Ok(shell)
     }

@@ -13,7 +13,7 @@ use ddos_core::spatiotemporal::SpatioTemporalModel;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Source of fitted spatiotemporal models, addressed by string key.
 ///
@@ -45,7 +45,7 @@ pub struct DirModelStore {
 
 impl fmt::Debug for DirModelStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cached = self.cache.lock().map(|c| c.len()).unwrap_or(0);
+        let cached = self.cache().len();
         f.debug_struct("DirModelStore").field("dir", &self.dir).field("cached", &cached).finish()
     }
 }
@@ -60,6 +60,14 @@ impl DirModelStore {
     /// The directory this store reads.
     pub fn dir(&self) -> &std::path::Path {
         &self.dir
+    }
+
+    /// The decode cache. A panic on another thread while it held the lock
+    /// cannot leave the map half-updated (every access is one lookup or
+    /// one insert of a fully decoded model), so a poisoned lock is
+    /// recovered rather than propagated.
+    fn cache(&self) -> MutexGuard<'_, HashMap<String, Arc<SpatioTemporalModel>>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn path_for(&self, key: &str) -> PathBuf {
@@ -85,7 +93,7 @@ impl DirModelStore {
             }
             // The freshly decoded model is authoritative either way;
             // warm the cache with it.
-            self.cache.lock().expect("store cache poisoned").insert(key, Arc::new(model));
+            self.cache().insert(key, Arc::new(model));
         }
         debug_assert!(migrated.iter().all(|(_, v)| *v != SCHEMA_VERSION));
         Ok(migrated)
@@ -94,7 +102,7 @@ impl DirModelStore {
 
 impl ModelStore for DirModelStore {
     fn load(&self, key: &str) -> Result<Arc<SpatioTemporalModel>> {
-        if let Some(model) = self.cache.lock().expect("store cache poisoned").get(key) {
+        if let Some(model) = self.cache().get(key) {
             return Ok(Arc::clone(model));
         }
         let path = self.path_for(key);
@@ -102,10 +110,7 @@ impl ModelStore for DirModelStore {
             return Err(ServeError::ModelNotFound { key: key.to_string() });
         }
         let model = Arc::new(SpatioTemporalModel::load_artifact(&path)?);
-        self.cache
-            .lock()
-            .expect("store cache poisoned")
-            .insert(key.to_string(), Arc::clone(&model));
+        self.cache().insert(key.to_string(), Arc::clone(&model));
         Ok(model)
     }
 
@@ -150,24 +155,76 @@ impl MemoryModelStore {
 
     /// Registers `model` under `key`, replacing any previous entry.
     pub fn insert(&self, key: impl Into<String>, model: SpatioTemporalModel) {
-        self.models.lock().expect("registry poisoned").insert(key.into(), Arc::new(model));
+        self.models().insert(key.into(), Arc::new(model));
+    }
+
+    /// The registry, recovered from poisoning for the same reason as
+    /// [`DirModelStore`]'s cache: each access is one lookup or one insert.
+    fn models(&self) -> MutexGuard<'_, HashMap<String, Arc<SpatioTemporalModel>>> {
+        self.models.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl ModelStore for MemoryModelStore {
     fn load(&self, key: &str) -> Result<Arc<SpatioTemporalModel>> {
-        self.models
-            .lock()
-            .expect("registry poisoned")
+        self.models()
             .get(key)
             .map(Arc::clone)
             .ok_or_else(|| ServeError::ModelNotFound { key: key.to_string() })
     }
 
     fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> =
-            self.models.lock().expect("registry poisoned").keys().cloned().collect();
+        let mut keys: Vec<String> = self.models().keys().cloned().collect();
         keys.sort();
         keys
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddos_core::spatiotemporal::SpatioTemporalConfig;
+    use ddos_trace::{CorpusConfig, TraceGenerator};
+
+    /// Panics on another thread while holding `lock`, leaving it poisoned.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        let held = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = lock.lock();
+                panic!("a store user panicked while holding the lock");
+            })
+            .join()
+        });
+        assert!(held.is_err());
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_locks_still_publish_and_load() {
+        let corpus = TraceGenerator::new(CorpusConfig::small(), 300).generate().unwrap();
+        let (train, _) = corpus.split(0.8).unwrap();
+        let model =
+            SpatioTemporalModel::fit(&corpus, train, &SpatioTemporalConfig::fast(), 5).unwrap();
+        let bytes = model.to_artifact_bytes();
+
+        let memory = MemoryModelStore::new();
+        poison(&memory.models);
+        memory.insert("st", SpatioTemporalModel::from_artifact_bytes(&bytes).unwrap());
+        assert_eq!(memory.keys(), ["st"]);
+        assert_eq!(memory.load("st").unwrap().to_artifact_bytes(), bytes);
+
+        let dir = std::env::temp_dir().join(format!("ddos-serve-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        model.save_artifact(&dir.join("st.mdl")).unwrap();
+        let store = DirModelStore::open(&dir);
+        poison(&store.cache);
+        let loaded = store.load("st").unwrap();
+        assert_eq!(loaded.to_artifact_bytes(), bytes);
+        // The recovered cache still caches: a second load shares the model.
+        assert!(Arc::ptr_eq(&loaded, &store.load("st").unwrap()));
+        assert!(store.migrate_all().unwrap().is_empty());
+        assert!(format!("{store:?}").contains("cached: 1"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
