@@ -707,17 +707,23 @@ fn bench_serve_service(c: &mut Criterion) {
 /// hidden-layer stripe and a full-epoch pre-activation buffer). The
 /// `tanh_kernel` medians recorded in `BENCH_features.json` are the
 /// microscopic half of the story; `nar_train_120_epochs` is the
-/// end-to-end half. Accuracy is pinned by the tanh_kernel proptests
-/// (|error| ≤ 1e-12) and the `_libm` goldencheck lines.
+/// end-to-end half. Accuracy is pinned by the tanh_kernel tests
+/// (|error| ≤ 1e-12 against `f64::tanh`). The libm baseline is an
+/// inline `f64::tanh` loop: the library has no libm path to call.
 fn bench_tanh_kernel(c: &mut Criterion) {
-    use ddos_neural::kernel::{tanh_fast_slice, tanh_libm_slice};
+    use ddos_neural::kernel::tanh_fast_slice;
+    fn libm_slice(xs: &mut [f64]) {
+        for x in xs {
+            *x = x.tanh();
+        }
+    }
     let mut g = c.benchmark_group("tanh_kernel");
     // Pre-activations sampled like a scaled NAR hidden layer sees them:
     // mostly in the curved region, a tail into saturation.
     let src: Vec<f64> = (0..4096).map(|i| ((i as f64) * 0.37).sin() * 6.0).collect();
     let mut buf = vec![0.0f64; src.len()];
     for (name, f) in [
-        ("libm_slice_4096", tanh_libm_slice as fn(&mut [f64])),
+        ("libm_slice_4096", libm_slice as fn(&mut [f64])),
         ("fast_slice_4096", tanh_fast_slice as fn(&mut [f64])),
     ] {
         g.bench_function(name, |b| {

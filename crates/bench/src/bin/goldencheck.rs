@@ -33,7 +33,6 @@ use ddos_core::artifact::ModelArtifact;
 use ddos_core::attribution::FamilyAttributor;
 use ddos_core::features::FeatureExtractor;
 use ddos_core::spatiotemporal::{InstanceFeatures, SpatioTemporalConfig, SpatioTemporalModel};
-use ddos_neural::kernel::{set_tanh_path, TanhPath};
 use ddos_neural::nar::{NarConfig, NarModel};
 use ddos_neural::train::TrainConfig;
 use ddos_serve::{BatchPolicy, ForecastRequest, ForecastService, ServeConfig};
@@ -76,28 +75,6 @@ impl<'a> Fnv<'a> {
     }
 }
 
-/// Fingerprint lines whose values moved when the batched fast-tanh kernel
-/// replaced scalar libm tanh in NAR training and rolling prediction (the
-/// recorded migration of that optimization). Each of these lines is
-/// computed twice — on the fast path under its own name, and on the
-/// retained libm path as `<name>_libm` — so the pre-kernel behavior stays
-/// pinned in the golden file forever. Lines *not* listed here must be
-/// byte-identical across both paths (tanh never reaches them), which the
-/// golden file enforces by recording a single hash.
-const MIGRATED_LINES: &[&str] = &[
-    "nar_fit_rolling_forecast",
-    "pipeline_spatial_dist",
-    "spatiotemporal_design",
-    "cart_fit_mlr_leaves",
-    "pipeline_spatiotemporal",
-    "spatiotemporal_artifact",
-    "spatiotemporal_artifact_v2",
-    "spatiotemporal_artifact_v1",
-    "batched_tree_predictions",
-    "serve_micro_batched",
-    "drift_report",
-];
-
 /// Fingerprints the full observable surface of a fitted tree: shape,
 /// root statistics, importances, and predictions over the training rows
 /// plus an off-grid probe lattice.
@@ -128,33 +105,8 @@ fn main() {
         Some(other) => panic!("unknown argument {other:?}; usage: goldencheck [--check <file>]"),
         None => None,
     };
-    // The harness pins the tanh path explicitly for each pass, so the
-    // output is identical whether or not the build enabled `libm-tanh`.
     let mut report = Report { lines: Vec::new() };
-    set_tanh_path(TanhPath::Fast);
     run(&mut report);
-    let mut libm_report = Report { lines: Vec::new() };
-    set_tanh_path(TanhPath::Libm);
-    run(&mut libm_report);
-
-    // Any line that differs between the two paths must be a recorded
-    // migration; an unlisted difference means tanh leaked into a surface
-    // the migration ledger doesn't cover.
-    for ((name, fast), (libm_name, libm)) in report.lines.iter().zip(&libm_report.lines) {
-        assert_eq!(name, libm_name, "fast and libm passes computed different line sets");
-        if fast != libm && !MIGRATED_LINES.contains(&name.as_str()) {
-            eprintln!(
-                "UNRECORDED MIGRATION {name}: fast {fast:016x} != libm {libm:016x} \
-                 but the line is not in MIGRATED_LINES"
-            );
-            std::process::exit(1);
-        }
-    }
-    for (name, hash) in libm_report.lines {
-        if MIGRATED_LINES.contains(&name.as_str()) {
-            report.lines.push((format!("{name}_libm"), hash));
-        }
-    }
     for (name, hash) in &report.lines {
         println!("{name:<32} {hash:016x}");
     }
@@ -168,15 +120,6 @@ fn main() {
             let mut it = line.split_whitespace();
             let (name, hash) = (it.next().unwrap(), it.next().expect("golden line: name hash"));
             expected.insert(name.to_string(), hash.to_string());
-        }
-        // Migration ledger: every migrated line must keep its pre-kernel
-        // libm hash pinned alongside the new one. A golden file that
-        // drops a `_libm` pin silently un-records the migration.
-        for name in MIGRATED_LINES {
-            if !expected.contains_key(&format!("{name}_libm")) {
-                eprintln!("LEDGER {name}: migrated line has no {name}_libm pin in {path}");
-                failures += 1;
-            }
         }
         for (name, hash) in &report.lines {
             match expected.remove(name) {
@@ -380,28 +323,11 @@ fn run(report: &mut Report) {
     // every byte of the envelope + payload. Artifacts are deterministic,
     // so a stable line proves serialization didn't drift (a reloaded
     // model serving different bits would trip the lines above instead).
-    // Three lines: the current (v3, lane-hash guard) envelope, the v2 (FNV-1a)
-    // envelope — which must keep the hash the pre-v3 golden file
-    // recorded for `spatiotemporal_artifact`, pinning that v3 changed
-    // only the checksum, never the payload bytes — and the legacy v1
-    // envelope, which pins the same for the v1→v2 swap before it.
     let artifact = st_model.to_artifact_bytes();
     let mut h = Fnv::new(report);
     h.word(artifact.len() as u64);
     h.bytes(&artifact);
     h.done("spatiotemporal_artifact");
-
-    let artifact_v2 = st_model.to_artifact_bytes_v2();
-    let mut h = Fnv::new(report);
-    h.word(artifact_v2.len() as u64);
-    h.bytes(&artifact_v2);
-    h.done("spatiotemporal_artifact_v2");
-
-    let artifact_v1 = st_model.to_artifact_bytes_v1();
-    let mut h = Fnv::new(report);
-    h.word(artifact_v1.len() as u64);
-    h.bytes(&artifact_v1);
-    h.done("spatiotemporal_artifact_v1");
 
     // Batched serving: the level-order `predict_many` kernel over the
     // real training design, on the served model's hour and day trees.
@@ -498,11 +424,10 @@ fn run(report: &mut Report) {
     h.done("columnar_trace");
 
     // Forecaster zoo: bagged-forest and boosted-model-tree fits on a
-    // synthetic integer-derived design. The ensembles never touch the
-    // neural kernel, so these lines must be identical across both tanh
-    // passes (the harness enforces it by recording a single hash). Folds
-    // the bootstrap stream of the first tree, per-tree shape, batched
-    // predictions, and the full v3 artifact byte stream of each kind.
+    // synthetic integer-derived design; the ensembles never touch the
+    // neural kernel. Folds the bootstrap stream of the first tree,
+    // per-tree shape, batched predictions, and the full v3 artifact byte
+    // stream of each kind.
     let zoo_xs: Vec<Vec<f64>> = (0..160)
         .map(|i| (0..5).map(|f| ((i * 37 + f * 11) % 97) as f64 / 9.7 - 5.0).collect())
         .collect();
@@ -585,8 +510,7 @@ fn run(report: &mut Report) {
 
     // Drift evaluation report bytes: the full three-point protocol (corpus
     // generation, signal extraction, boundary choice, five forecaster
-    // fits) folded through the versioned codec. NAR sits on the ladder,
-    // so this line is tanh-path dependent and carries a `_libm` twin.
+    // fits) folded through the versioned codec.
     let drift_report = ddos_core::drift::run(&ddos_core::drift::DriftConfig::small(
         ddos_trace::ScenarioPolicy::RotationBurst,
         42,

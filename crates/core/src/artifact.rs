@@ -20,20 +20,14 @@
 //! | 21..29 | payload checksum | four-lane guard hash (`u64`) over the payload |
 //! | 29.. | payload | model-specific, see [`ModelArtifact`] |
 //!
-//! Schema v2 added the payload guard (length + checksum) so a long-lived
-//! serving process can cheaply reject a torn or bit-flipped artifact
-//! *before* attempting the structured decode — but computed it with a
-//! byte-at-a-time FNV-1a loop whose serial multiply chain dominated
-//! encode/decode (~95/103 µs on the standard spatiotemporal artifact).
-//! Schema v3 keeps the identical envelope layout and swaps the guard for
-//! a four-lane multiply–rotate hash ([`guard64`]-style, xxHash64
-//! primes): 32 bytes per step across four independent dependency
-//! chains, which restores encode/decode to near the pre-checksum cost
-//! in fully safe, platform-independent code. Schema v1 (no guard) and
-//! v2 artifacts remain readable: the decoder dispatches on the version
-//! field — verifying v2 guards with FNV-1a, v3 with the lane hash — and
-//! [`migrate_artifact_file`] / [`migrate_to_current`] rewrite stale files
-//! at the current version.
+//! The length + checksum guard lets a long-lived serving process cheaply
+//! reject a torn or bit-flipped artifact *before* attempting the
+//! structured decode. The checksum is a four-lane multiply–rotate hash
+//! ([`guard64`]-style, xxHash64 primes): 32 bytes per step across four
+//! independent dependency chains, in fully safe, platform-independent
+//! code. v3 is the only envelope this crate reads or writes: an artifact
+//! stamped with any other version, the retired v1 and v2 included
+//! (DESIGN.md §12), is an [`ArtifactError::UnsupportedVersion`].
 //!
 //! All floating-point state inside payloads is written via
 //! [`f64::to_bits`], so encode→decode is the *identity* on the model —
@@ -51,30 +45,6 @@ pub const MAGIC: [u8; 8] = *b"DDOSMDL\0";
 
 /// Current artifact schema version. Bump when any payload layout changes.
 pub const SCHEMA_VERSION: u32 = 3;
-
-/// The first guarded schema version: identical envelope layout to v3 but
-/// with an FNV-1a payload checksum. Still decodable (the guard is
-/// verified with FNV-1a); see [`migrate_to_current`].
-pub const SCHEMA_V2: u32 = 2;
-
-/// The legacy schema version: the same envelope without the payload
-/// guard. Still decodable; see [`migrate_to_current`].
-pub const SCHEMA_V1: u32 = 1;
-
-/// FNV-1a 64-bit hash — the payload checksum of the **v2** envelope (and
-/// the same function the goldencheck gate uses for fingerprints). Each
-/// step multiplies the running hash, so the loop is a serial dependency
-/// chain one byte long per byte — which is why v3 replaced it on the
-/// artifact hot path. Kept for decoding v2 artifacts and writing v2
-/// fixtures.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The xxHash64 prime constants, reused for the v3 guard's lane mixing.
 const GUARD_P1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -224,8 +194,8 @@ pub enum ArtifactError {
         tag: u8,
     },
     /// The payload guard did not match: the payload bytes hash to a
-    /// different value (v3: lane hash, v2: FNV-1a) than the envelope
-    /// recorded (torn write or bit rot).
+    /// different value than the envelope recorded (torn write or bit
+    /// rot).
     ChecksumMismatch {
         /// Checksum recorded in the envelope.
         expected: u64,
@@ -245,8 +215,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported artifact schema version {found} \
-                     (supported: {SCHEMA_V1}..={SCHEMA_VERSION})"
+                    "unsupported artifact schema version {found} (supported: {SCHEMA_VERSION})"
                 )
             }
             ArtifactError::WrongKind { expected, found } => {
@@ -359,44 +328,8 @@ pub trait ModelArtifact: Sized {
         w.into_bytes()
     }
 
-    /// Serializes the model at the **v2** envelope: identical layout to
-    /// v3 but with the FNV-1a payload guard. Kept so fixtures for the
-    /// v2→v3 migration path can be written and the fingerprint swap
-    /// verified; new artifacts are always written by
-    /// [`to_artifact_bytes`](Self::to_artifact_bytes) at the current
-    /// version.
-    fn to_artifact_bytes_v2(&self) -> Vec<u8> {
-        let mut pw = Writer::new();
-        self.encode_payload(&mut pw);
-        let payload = pw.into_bytes();
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u32(SCHEMA_V2);
-        w.u8(self.artifact_kind().tag());
-        w.usize(payload.len());
-        w.u64(fnv1a(&payload));
-        w.bytes(&payload);
-        w.into_bytes()
-    }
-
-    /// Serializes the model at the **legacy v1** envelope (no payload
-    /// guard). Kept so fixtures for the v1→current migration path can be
-    /// written and the fingerprint swaps verified; new artifacts are
-    /// always written by [`to_artifact_bytes`](Self::to_artifact_bytes)
-    /// at the current version.
-    fn to_artifact_bytes_v1(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u32(SCHEMA_V1);
-        w.u8(self.artifact_kind().tag());
-        self.encode_payload(&mut w);
-        w.into_bytes()
-    }
-
-    /// Deserializes a model from artifact bytes, validating the envelope.
-    /// Accepts every supported schema version: v3/v2 verify the payload
-    /// guard (lane hash / FNV-1a respectively) before decoding, v1 decodes
-    /// the bare payload directly.
+    /// Deserializes a model from artifact bytes, validating the envelope
+    /// and verifying the payload guard before decoding.
     ///
     /// # Errors
     ///
@@ -405,7 +338,7 @@ pub trait ModelArtifact: Sized {
     /// * [`ArtifactError::UnknownKind`] / [`ArtifactError::WrongKind`]
     ///   when the kind tag is unrecognised or names a model this family
     ///   does not [`accept`](ModelArtifact::accepts).
-    /// * [`ArtifactError::ChecksumMismatch`] when the v3/v2 payload guard
+    /// * [`ArtifactError::ChecksumMismatch`] when the payload guard
     ///   disagrees with the payload bytes.
     /// * [`ArtifactError::Corrupt`] when the payload fails to decode or
     ///   leaves trailing bytes.
@@ -416,7 +349,7 @@ pub trait ModelArtifact: Sized {
             return Err(ArtifactError::BadMagic);
         }
         let version = r.u32()?;
-        if !(SCHEMA_V1..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(ArtifactError::UnsupportedVersion { found: version });
         }
         let tag = r.u8()?;
@@ -424,16 +357,11 @@ pub trait ModelArtifact: Sized {
         if !Self::accepts(kind) {
             return Err(ArtifactError::WrongKind { expected: Self::KIND, found: kind });
         }
-        if version == SCHEMA_V1 {
-            let model = Self::decode_payload_as(kind, &mut r)?;
-            r.finish()?;
-            return Ok(model);
-        }
         let len = r.usize()?;
         let expected = r.u64()?;
         let payload = r.bytes(len)?;
         r.finish()?;
-        let actual = if version == SCHEMA_V2 { fnv1a(payload) } else { guard64(payload) };
+        let actual = guard64(payload);
         if actual != expected {
             return Err(ArtifactError::ChecksumMismatch { expected, actual });
         }
@@ -465,64 +393,6 @@ pub trait ModelArtifact: Sized {
             .map_err(|e| ArtifactError::Io(format!("{}: {e}", path.display())))?;
         Self::from_artifact_bytes(&bytes)
     }
-}
-
-/// Reads just the schema version out of an artifact's envelope, without
-/// decoding the payload. This is how migration tooling decides whether a
-/// file is stale.
-///
-/// # Errors
-///
-/// * [`ArtifactError::BadMagic`] when the magic prefix is absent.
-/// * [`ArtifactError::Corrupt`] when the version field is truncated.
-pub fn artifact_version(bytes: &[u8]) -> std::result::Result<u32, ArtifactError> {
-    let mut r = Reader::new(bytes);
-    let magic = r.bytes(MAGIC.len()).map_err(|_| ArtifactError::BadMagic)?;
-    if magic != MAGIC {
-        return Err(ArtifactError::BadMagic);
-    }
-    Ok(r.u32()?)
-}
-
-/// Decodes artifact bytes at whatever supported version they carry and
-/// reports whether they are stale: `(model, needs_rewrite)`. A caller
-/// holding a `true` flag re-encodes with
-/// [`ModelArtifact::to_artifact_bytes`] to produce current-version bytes
-/// — the decode is bit-exact, so the migrated artifact serves the exact
-/// predictions the v1 artifact did.
-///
-/// # Errors
-///
-/// Everything [`ModelArtifact::from_artifact_bytes`] can produce.
-pub fn migrate_to_current<M: ModelArtifact>(
-    bytes: &[u8],
-) -> std::result::Result<(M, bool), ArtifactError> {
-    let from = artifact_version(bytes)?;
-    let model = M::from_artifact_bytes(bytes)?;
-    Ok((model, from != SCHEMA_VERSION))
-}
-
-/// Migrates an artifact file in place: reads it at any supported schema
-/// version and, when stale, atomically rewrites it at the current
-/// version. Returns the decoded model, the version found on disk, and
-/// whether the file was rewritten.
-///
-/// # Errors
-///
-/// [`ArtifactError::Io`] on read/write failures, plus every decode error
-/// [`ModelArtifact::from_artifact_bytes`] can produce.
-pub fn migrate_artifact_file<M: ModelArtifact>(
-    path: &Path,
-) -> std::result::Result<(M, u32, bool), ArtifactError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| ArtifactError::Io(format!("{}: {e}", path.display())))?;
-    let from = artifact_version(&bytes)?;
-    let model = M::from_artifact_bytes(&bytes)?;
-    let migrated = from != SCHEMA_VERSION;
-    if migrated {
-        save_bytes(path, &model.to_artifact_bytes())?;
-    }
-    Ok((model, from, migrated))
 }
 
 /// Writes `bytes` to `path` via a sibling temp file + rename, so a
@@ -598,12 +468,39 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u32(SCHEMA_VERSION + 1);
-        w.u8(ArtifactKind::Temporal.tag());
-        let err = Toy::from_artifact_bytes(&w.into_bytes()).unwrap_err();
-        assert_eq!(err, ArtifactError::UnsupportedVersion { found: SCHEMA_VERSION + 1 });
+        // A well-formed artifact stamped with any other version is
+        // refused before the payload is looked at.
+        let bytes = Toy { weights: vec![1.5, -0.0] }.to_artifact_bytes();
+        for version in [0, SCHEMA_VERSION + 1, u32::MAX] {
+            let mut stamped = bytes.clone();
+            stamped[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = Toy::from_artifact_bytes(&stamped).unwrap_err();
+            assert_eq!(err, ArtifactError::UnsupportedVersion { found: version });
+        }
+    }
+
+    #[test]
+    fn v1_artifacts_are_rejected() {
+        // The retired v1 envelope: magic, version, kind tag, then the bare
+        // payload — no length and no guard.
+        let v3 = Toy { weights: vec![1.5, -0.0, 3.25e300] }.to_artifact_bytes();
+        let mut v1 = Vec::with_capacity(v3.len() - 16);
+        v1.extend_from_slice(&MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.push(v3[12]);
+        v1.extend_from_slice(&v3[29..]);
+        let err = Toy::from_artifact_bytes(&v1).unwrap_err();
+        assert_eq!(err, ArtifactError::UnsupportedVersion { found: 1 });
+    }
+
+    #[test]
+    fn v2_artifacts_are_rejected() {
+        // The retired v2 envelope shares the v3 layout (only its guard hash
+        // differed), so a v3 artifact stamped 2 has a v2 artifact's shape.
+        let mut v2 = Toy { weights: vec![1.5, -0.0, 3.25e300] }.to_artifact_bytes();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = Toy::from_artifact_bytes(&v2).unwrap_err();
+        assert_eq!(err, ArtifactError::UnsupportedVersion { found: 2 });
     }
 
     #[test]
@@ -670,51 +567,13 @@ mod tests {
         // happens to share a prefix still changes the guard.
         let data: Vec<u8> = vec![0; 64];
         assert_ne!(guard64(&data), guard64(&data[..32]));
-        // And the two guard hashes genuinely differ (version dispatch
-        // matters).
-        assert_ne!(guard64(b"123456789"), fnv1a(b"123456789"));
-    }
-
-    #[test]
-    fn v1_artifacts_still_decode() {
-        let toy = Toy { weights: vec![1.5, -0.0, 3.25e300] };
-        let v1 = toy.to_artifact_bytes_v1();
-        assert_eq!(artifact_version(&v1).unwrap(), SCHEMA_V1);
-        let back = Toy::from_artifact_bytes(&v1).unwrap();
-        for (a, b) in toy.weights.iter().zip(&back.weights) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn v2_artifacts_still_decode_with_fnv_guard() {
-        let toy = Toy { weights: vec![1.5, -0.0, 3.25e300] };
-        let v2 = toy.to_artifact_bytes_v2();
-        assert_eq!(artifact_version(&v2).unwrap(), SCHEMA_V2);
-        let back = Toy::from_artifact_bytes(&v2).unwrap();
-        assert_eq!(back, toy);
-        // The v2 guard is still enforced — with FNV-1a, not the lane hash.
-        let mut corrupt = v2.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x01;
-        assert!(matches!(
-            Toy::from_artifact_bytes(&corrupt),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
-        // v2 and v3 bytes differ only in the version field and checksum.
-        let v3 = toy.to_artifact_bytes();
-        assert_eq!(v2.len(), v3.len());
-        assert_eq!(v2[..8], v3[..8]);
-        assert_eq!(v2[12..21], v3[12..21]);
-        assert_ne!(v2[21..29], v3[21..29]);
-        assert_eq!(v2[29..], v3[29..]);
     }
 
     #[test]
     fn v3_envelope_carries_checksum_guard() {
         let toy = Toy { weights: vec![2.0, 4.0] };
         let bytes = toy.to_artifact_bytes();
-        assert_eq!(artifact_version(&bytes).unwrap(), SCHEMA_VERSION);
+        assert_eq!(bytes[8..12], SCHEMA_VERSION.to_le_bytes());
         // Flip one payload byte: the guard catches it before decode.
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 1;
@@ -723,49 +582,6 @@ mod tests {
             Toy::from_artifact_bytes(&corrupt),
             Err(ArtifactError::ChecksumMismatch { .. })
         ));
-        // The v1 envelope has no guard, so the same flip reaches the
-        // payload decoder (here: silently flips a weight bit — exactly
-        // the exposure the guarded envelopes close).
-        let v1 = toy.to_artifact_bytes_v1();
-        let mut v1_corrupt = v1.clone();
-        let last = v1_corrupt.len() - 1;
-        v1_corrupt[last] ^= 0x01;
-        assert!(Toy::from_artifact_bytes(&v1_corrupt).is_ok());
-    }
-
-    #[test]
-    fn migrate_to_current_flags_stale_bytes() {
-        let toy = Toy { weights: vec![0.5, 7.0] };
-        let (m1, stale) = migrate_to_current::<Toy>(&toy.to_artifact_bytes_v1()).unwrap();
-        assert!(stale);
-        assert_eq!(m1, toy);
-        let (m15, stale) = migrate_to_current::<Toy>(&toy.to_artifact_bytes_v2()).unwrap();
-        assert!(stale, "v2 artifacts are stale under the v3 schema");
-        assert_eq!(m15, toy);
-        let (m2, stale) = migrate_to_current::<Toy>(&toy.to_artifact_bytes()).unwrap();
-        assert!(!stale);
-        assert_eq!(m2, toy);
-    }
-
-    #[test]
-    fn migrate_artifact_file_rewrites_v1_in_place() {
-        let dir = std::env::temp_dir().join("ddos-core-artifact-migrate-test");
-        let path = dir.join("toy_v1.mdl");
-        let toy = Toy { weights: vec![0.125, -9.75] };
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, toy.to_artifact_bytes_v1()).unwrap();
-
-        let (model, from, migrated) = migrate_artifact_file::<Toy>(&path).unwrap();
-        assert_eq!((from, migrated), (SCHEMA_V1, true));
-        assert_eq!(model, toy);
-        // On disk the file is now current-version, and a second migration
-        // is a no-op.
-        let on_disk = std::fs::read(&path).unwrap();
-        assert_eq!(artifact_version(&on_disk).unwrap(), SCHEMA_VERSION);
-        assert_eq!(on_disk, toy.to_artifact_bytes());
-        let (_, from, migrated) = migrate_artifact_file::<Toy>(&path).unwrap();
-        assert_eq!((from, migrated), (SCHEMA_VERSION, false));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -233,7 +233,19 @@ impl InstanceFeatures {
     /// Flattens into the tree's input row. Keep in sync with
     /// [`InstanceFeatures::FEATURE_NAMES`].
     pub fn to_row(self) -> Vec<f64> {
-        vec![
+        self.to_array().to_vec()
+    }
+
+    /// Whether every feature is finite (no NaN, no ±∞). Serving admission
+    /// requires it: the tree walk would carry a non-finite feature
+    /// through to a NaN forecast.
+    pub fn is_finite(self) -> bool {
+        self.to_array().iter().all(|v| v.is_finite())
+    }
+
+    /// The features in [`InstanceFeatures::FEATURE_NAMES`] order.
+    fn to_array(self) -> [f64; 13] {
+        [
             self.tmp_hour,
             self.spa_hour,
             self.interval_secs,

@@ -28,12 +28,12 @@ pub enum Activation {
 impl Activation {
     /// Applies the function.
     ///
-    /// `TanSig` dispatches through [`crate::kernel::tanh_one`], so scalar
-    /// and batched ([`Activation::apply_slice`]) call sites see the same
-    /// bits for the same input, on either tanh path.
+    /// `TanSig` is [`crate::kernel::tanh_fast`], so scalar and batched
+    /// ([`Activation::apply_slice`]) call sites see the same bits for the
+    /// same input.
     pub fn apply(self, x: f64) -> f64 {
         match self {
-            Activation::TanSig => kernel::tanh_one(x),
+            Activation::TanSig => kernel::tanh_fast(x),
             Activation::LogSig => 1.0 / (1.0 + (-x).exp()),
             Activation::Linear => x,
             Activation::Elliott => x / (1.0 + x.abs()),
@@ -42,11 +42,11 @@ impl Activation {
 
     /// Applies the function elementwise in place — the batched form hot
     /// loops use. For `TanSig` this is the vectorized kernel
-    /// ([`crate::kernel::tanh_slice`]); for every variant the result is
+    /// ([`crate::kernel::tanh_fast_slice`]); for every variant the result is
     /// bit-identical to mapping [`Activation::apply`] over the slice.
     pub fn apply_slice(self, xs: &mut [f64]) {
         match self {
-            Activation::TanSig => kernel::tanh_slice(xs),
+            Activation::TanSig => kernel::tanh_fast_slice(xs),
             Activation::LogSig => {
                 for x in xs {
                     *x = 1.0 / (1.0 + (-*x).exp());

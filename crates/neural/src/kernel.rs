@@ -17,114 +17,20 @@
 //! every ISA (fused instruction or soft-float fallback), so results are
 //! bit-identical across targets.
 //!
-//! # The two paths and the fingerprint migration
-//!
-//! Swapping libm's `tanh` for this kernel necessarily moves float bits,
-//! so the switch landed as a *recorded fingerprint migration* (DESIGN.md
-//! §14): the affected goldencheck lines carry new hashes, and the old
-//! hashes are pinned forever as `*_libm` lines computed over the
-//! reference path. Both paths stay compiled and tested:
-//!
-//! * [`TanhPath::Fast`] — the polynomial kernel (default);
-//! * [`TanhPath::Libm`] — scalar `f64::tanh`, the historical reference.
-//!
-//! The process-wide default flips to `Libm` under the `libm-tanh` cargo
-//! feature, and can be overridden at runtime with [`set_tanh_path`] /
-//! [`with_tanh_path`] (used by goldencheck to emit both fingerprint
-//! families from one binary). The switch is **process-global**: flip it
-//! only from single-threaded contexts (binaries, dedicated serial
-//! tests), never from library code.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Which `tanh` implementation the dispatched entry points use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TanhPath {
-    /// The batched polynomial kernel (this module).
-    Fast,
-    /// Scalar libm `f64::tanh` — the pre-migration reference path.
-    Libm,
-}
+//! Swapping libm's `tanh` for this kernel moved float bits, so it landed
+//! as a recorded fingerprint migration (DESIGN.md §14). It is the only
+//! `tanh`: every `TanSig` activation runs through [`tanh_fast`] /
+//! [`tanh_fast_slice`], and the accuracy tests use `f64::tanh` as the
+//! oracle.
 
 /// Saturation cutoff: for `|x| ≥ SATURATION` the kernel returns exactly
 /// ±1.0. `1 − tanh(19) ≈ 6.3e-17`, under one ulp of 1.0, so the clamp
 /// sits below the 1e-12 accuracy budget by four orders of magnitude.
 pub const SATURATION: f64 = 19.0;
 
-/// Process-wide path selector; `true` = libm. The default follows the
-/// `libm-tanh` cargo feature so the legacy path is what a feature build
-/// exercises end to end.
-static USE_LIBM: AtomicBool = AtomicBool::new(cfg!(feature = "libm-tanh"));
-
-/// Returns the currently selected [`TanhPath`].
-pub fn tanh_path() -> TanhPath {
-    if USE_LIBM.load(Ordering::Relaxed) {
-        TanhPath::Libm
-    } else {
-        TanhPath::Fast
-    }
-}
-
-/// Selects the process-wide [`TanhPath`].
-///
-/// Process-global: affects every thread, including executor shards.
-/// Call it only from single-threaded setup code (goldencheck does, to
-/// compute the `*_libm` reference fingerprints); library code must not.
-pub fn set_tanh_path(path: TanhPath) {
-    USE_LIBM.store(path == TanhPath::Libm, Ordering::Relaxed);
-}
-
-/// Runs `f` with the process-wide path set to `path`, restoring the
-/// previous selection afterwards (also on panic). Same global-state
-/// caveat as [`set_tanh_path`].
-pub fn with_tanh_path<R>(path: TanhPath, f: impl FnOnce() -> R) -> R {
-    struct Restore(TanhPath);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_tanh_path(self.0);
-        }
-    }
-    let _restore = Restore(tanh_path());
-    set_tanh_path(path);
-    f()
-}
-
-/// Dispatched scalar `tanh` — the single-value form of [`tanh_slice`],
-/// bit-identical to it on every input.
-#[inline]
-pub fn tanh_one(x: f64) -> f64 {
-    match tanh_path() {
-        TanhPath::Fast => tanh_fast(x),
-        TanhPath::Libm => x.tanh(),
-    }
-}
-
-/// Applies `tanh` elementwise in place over the selected path.
-pub fn tanh_slice(xs: &mut [f64]) {
-    match tanh_path() {
-        TanhPath::Fast => tanh_fast_slice(xs),
-        TanhPath::Libm => tanh_libm_slice(xs),
-    }
-}
-
-/// Applies `tanh` elementwise from `src` into `dst` (cleared first)
-/// over the selected path.
-pub fn tanh_slice_into(src: &[f64], dst: &mut Vec<f64>) {
-    dst.clear();
-    dst.extend_from_slice(src);
-    tanh_slice(dst);
-}
-
-/// The reference path: scalar libm `tanh` over a slice.
-pub fn tanh_libm_slice(xs: &mut [f64]) {
-    for x in xs {
-        *x = x.tanh();
-    }
-}
-
-/// The fast path over a slice, chunked so the branch-free scalar core
-/// vectorizes. Each lane is independent, so the chunk width cannot
-/// change values — `tanh_fast_slice` ≡ mapping [`tanh_fast`].
+/// [`tanh_fast`] over a slice in place, chunked so the branch-free
+/// scalar core vectorizes. Each lane is independent, so the chunk width
+/// cannot change values — `tanh_fast_slice` ≡ mapping [`tanh_fast`].
 pub fn tanh_fast_slice(xs: &mut [f64]) {
     const CHUNK: usize = 8;
     let mut chunks = xs.chunks_exact_mut(CHUNK);
@@ -258,28 +164,5 @@ mod tests {
         for (&x, &b) in src.iter().zip(&batched) {
             assert_eq!(b.to_bits(), tanh_fast(x).to_bits());
         }
-    }
-
-    #[test]
-    fn dispatch_honours_path_override() {
-        // Default-path-independent: pin each path explicitly.
-        let x = 0.731;
-        let fast = with_tanh_path(TanhPath::Fast, || tanh_one(x));
-        let libm = with_tanh_path(TanhPath::Libm, || tanh_one(x));
-        assert_eq!(fast.to_bits(), tanh_fast(x).to_bits());
-        assert_eq!(libm.to_bits(), x.tanh().to_bits());
-        let mut a = vec![x; 9];
-        with_tanh_path(TanhPath::Libm, || tanh_slice(&mut a));
-        assert!(a.iter().all(|v| v.to_bits() == x.tanh().to_bits()));
-    }
-
-    #[test]
-    fn into_form_matches_in_place() {
-        let src: Vec<f64> = (0..33).map(|i| i as f64 * 0.7 - 11.0).collect();
-        let mut dst = vec![123.0; 4]; // stale contents must be discarded
-        tanh_slice_into(&src, &mut dst);
-        let mut inplace = src.clone();
-        tanh_slice(&mut inplace);
-        assert_eq!(dst, inplace);
     }
 }

@@ -7,6 +7,8 @@
 //! else. See DESIGN.md §14.
 
 use ddos_neural::kernel::{tanh_fast, tanh_fast_slice, SATURATION};
+use ddos_neural::nar::{NarConfig, NarModel};
+use ddos_neural::train::TrainConfig;
 use proptest::prelude::*;
 
 const MAX_ABS_ERR: f64 = 1e-12;
@@ -78,4 +80,40 @@ fn dense_grid_worst_case_error() {
         }
     }
     assert!(worst <= MAX_ABS_ERR, "worst-case |error| {worst:e} exceeds 1e-12");
+}
+
+/// The end-to-end bound the per-call budget buys: a §VII-A style NAR fit
+/// plus rolling evaluation lands within 1e-6 RMSE of the same run on
+/// scalar libm tanh. The libm run's RMSE is frozen as a literal, so the
+/// bound holds without a libm network path.
+#[test]
+fn nar_rolling_rmse_within_1e_6_of_frozen_libm_run() {
+    // Rolling RMSE of this exact run with every tanh on `f64::tanh`,
+    // recorded at commit 9ff334b, the last with a libm network path.
+    const LIBM_RMSE: f64 = f64::from_bits(0x3fc4_19ff_981f_8348);
+
+    // Deterministic synthetic attack-intensity series (AR(2) with a
+    // forced seasonal term), long enough for the paper's 80/20 split.
+    let mut s = vec![50.0, 52.0];
+    for t in 2..240 {
+        let v = 0.9 * s[t - 1] - 0.35 * s[t - 2] + ((t as f64) * 0.29).sin() * 6.0 + 24.0;
+        s.push(v.clamp(0.0, 1e6));
+    }
+    let cut = s.len() * 8 / 10;
+    let config = NarConfig {
+        delays: 3,
+        hidden: 6,
+        train: TrainConfig { max_epochs: 120, patience: 120, ..Default::default() },
+        ..Default::default()
+    };
+    let model = NarModel::fit(&s[..cut], config, 7).unwrap();
+    let preds = model.predict_rolling(&s[..cut], &s[cut..]).unwrap();
+    let sse: f64 = s[cut..].iter().zip(&preds).map(|(t, p)| (t - p) * (t - p)).sum();
+    let rmse = (sse / preds.len() as f64).sqrt();
+    assert!(rmse.is_finite() && rmse > 0.0, "the model must learn something: {rmse}");
+    assert!(
+        (rmse - LIBM_RMSE).abs() < 1e-6,
+        "RMSE moved by {:e} (fast {rmse}, frozen libm {LIBM_RMSE})",
+        (rmse - LIBM_RMSE).abs()
+    );
 }

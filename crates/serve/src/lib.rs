@@ -50,3 +50,35 @@ pub use service::{
     ServeConfig, ServeHandle, ServeStats,
 };
 pub use store::{DirModelStore, MemoryModelStore, ModelStore};
+
+/// Fixtures shared by the unit tests of this crate's modules.
+#[cfg(test)]
+mod test_support {
+    use ddos_core::spatiotemporal::{SpatioTemporalConfig, SpatioTemporalModel};
+    use ddos_trace::{CorpusConfig, TraceGenerator};
+    use std::sync::{Arc, Mutex, OnceLock};
+
+    /// A spatiotemporal model fitted once on the small corpus.
+    pub(crate) fn fitted() -> &'static Arc<SpatioTemporalModel> {
+        static CELL: OnceLock<Arc<SpatioTemporalModel>> = OnceLock::new();
+        CELL.get_or_init(|| {
+            let corpus = TraceGenerator::new(CorpusConfig::small(), 300).generate().unwrap();
+            let (train, _) = corpus.split(0.8).unwrap();
+            let config = SpatioTemporalConfig::fast();
+            Arc::new(SpatioTemporalModel::fit(&corpus, train, &config, 5).unwrap())
+        })
+    }
+
+    /// Panics on another thread while holding `lock`, leaving it poisoned.
+    pub(crate) fn poison<T: Send>(lock: &Mutex<T>) {
+        let held = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = lock.lock();
+                panic!("a lock holder panicked");
+            })
+            .join()
+        });
+        assert!(held.is_err());
+        assert!(lock.is_poisoned());
+    }
+}

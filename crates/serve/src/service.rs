@@ -13,21 +13,28 @@
 //! the replies are bit-identical to serial scoring at *any* batch
 //! split and worker count (the determinism proptest pins this).
 //!
-//! Admission is controlled at the front: an atomic in-flight depth
+//! Admission is controlled at the front: a request with a NaN or
+//! infinite feature is refused outright, an atomic in-flight depth
 //! counter bounds the queue (typed [`ServeError::Overloaded`] when
 //! full) and a sliding-window per-source [`RateLimiter`] sheds abusive
 //! sources before their requests cost any scoring work.
+//!
+//! Every lock here guards state that is either updated in one step (the
+//! admission gate, the rate limiter) or cleared before each use (the
+//! worker scratch), so a lock poisoned by a panicking thread is
+//! recovered rather than propagated to every later caller.
 
 use crate::error::{Result, ServeError};
 use crate::rate::{default_windows, RateLimiter, RateWindow};
 use crate::store::ModelStore;
 use ddos_astopo::Asn;
+use ddos_cart::CartError;
 use ddos_core::spatiotemporal::{
     AttackForecast, ForecastScratch, InstanceFeatures, SpatioTemporalModel,
 };
 use ddos_stats::exec::{map_indexed, resolve_parallelism};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -253,7 +260,7 @@ impl ServeHandle {
     fn close(&self) {
         // Dropping the sender disconnects the channel; the dispatcher
         // flushes what it holds and exits.
-        self.shared.tx.lock().expect("admission gate poisoned").take();
+        self.shared.tx.lock().unwrap_or_else(PoisonError::into_inner).take();
     }
 }
 
@@ -277,8 +284,9 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`], [`ServeError::RateLimited`], or
-    /// [`ServeError::ShuttingDown`].
+    /// [`ServeError::Cart`]`(`[`CartError::NonFiniteInput`]`)` when a
+    /// feature is NaN or infinite, [`ServeError::Overloaded`],
+    /// [`ServeError::RateLimited`], or [`ServeError::ShuttingDown`].
     pub fn submit(&self, request: ForecastRequest) -> Result<ForecastTicket> {
         let now = self.shared.epoch.elapsed().as_millis() as u64;
         self.submit_at(request, now)
@@ -292,10 +300,13 @@ impl ServeClient {
     ///
     /// As [`submit`](ServeClient::submit).
     pub fn submit_at(&self, request: ForecastRequest, now_millis: u64) -> Result<ForecastTicket> {
+        finite(&request)?;
         self.admit_depth(1)?;
         if let Some(rate) = &self.shared.rate {
-            let admitted =
-                rate.lock().expect("rate limiter poisoned").admit(request.source, now_millis);
+            let admitted = rate
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .admit(request.source, now_millis);
             if let Err(e) = admitted {
                 self.shared.depth.fetch_sub(1, Ordering::AcqRel);
                 self.shared.rejected_rate.fetch_add(1, Ordering::Relaxed);
@@ -313,12 +324,15 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] or [`ServeError::ShuttingDown`]; on
-    /// error no request from the batch is in flight.
+    /// [`ServeError::Cart`]`(`[`CartError::NonFiniteInput`]`)` when any
+    /// request has a NaN or infinite feature (the batch is refused
+    /// whole), [`ServeError::Overloaded`] or [`ServeError::ShuttingDown`];
+    /// on error no request from the batch is in flight.
     pub fn submit_batch(&self, requests: &[ForecastRequest]) -> Result<Vec<ForecastTicket>> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
+        requests.iter().try_for_each(finite)?;
         self.admit_depth(requests.len())?;
         let mut tickets = Vec::with_capacity(requests.len());
         for (i, request) in requests.iter().enumerate() {
@@ -355,7 +369,7 @@ impl ServeClient {
         let (reply_tx, reply_rx) = mpsc::channel();
         let envelope =
             Envelope { seq, target: request.target, features: request.features, reply: reply_tx };
-        let gate = self.shared.tx.lock().expect("admission gate poisoned");
+        let gate = self.shared.tx.lock().unwrap_or_else(PoisonError::into_inner);
         match gate.as_ref() {
             Some(tx) => {
                 tx.send(envelope).map_err(|_| ServeError::ShuttingDown)?;
@@ -363,6 +377,16 @@ impl ServeClient {
             }
             None => Err(ServeError::ShuttingDown),
         }
+    }
+}
+
+/// Refuses a request with a NaN or infinite feature before it costs any
+/// admission or scoring work.
+fn finite(request: &ForecastRequest) -> Result<()> {
+    if request.features.is_finite() {
+        Ok(())
+    } else {
+        Err(ServeError::Cart(CartError::NonFiniteInput))
     }
 }
 
@@ -460,7 +484,7 @@ fn flush(
 
     let scored: Vec<Result<Vec<AttackForecast>>> =
         map_indexed(&chunks, Some(workers), |i, &(lo, hi)| {
-            let mut slot = pool.slots[i].lock().expect("worker scratch poisoned");
+            let mut slot = pool.slots[i].lock().unwrap_or_else(PoisonError::into_inner);
             let (scratch, out) = &mut *slot;
             model.forecast_rows_into(&rows[lo..hi], scratch, out)?;
             Ok(out.clone())
@@ -495,5 +519,31 @@ fn flush(
     }
     if failure.is_none() {
         stats.served += n;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::{fitted, poison};
+
+    #[test]
+    fn poisoned_locks_still_admit_and_answer() {
+        let model = fitted();
+        let handle = ForecastService::start_with_model(
+            Arc::clone(model),
+            ServeConfig { workers: Some(1), ..ServeConfig::default() },
+        );
+        poison(handle.shared.rate.as_ref().expect("default config rate-limits"));
+        poison(&handle.shared.tx);
+
+        let features = InstanceFeatures::from_row(&[1.0; 13]).unwrap();
+        let request = ForecastRequest { source: 7, target: Asn(7), features };
+        let got = handle.client().submit(request).unwrap().wait().unwrap().forecast;
+        let want = model.forecast_features(&[features]).unwrap()[0];
+        assert_eq!(got.hour.to_bits(), want.hour.to_bits());
+        assert_eq!(got.duration_secs.to_bits(), want.duration_secs.to_bits());
+        // Shutdown takes the recovered admission gate too.
+        assert_eq!(handle.shutdown().unwrap().served, 1);
     }
 }

@@ -8,7 +8,7 @@
 //! the ~20 µs artifact decode once per key, not per request.
 
 use crate::error::{Result, ServeError};
-use ddos_core::artifact::{migrate_artifact_file, ModelArtifact, SCHEMA_VERSION};
+use ddos_core::artifact::ModelArtifact;
 use ddos_core::spatiotemporal::SpatioTemporalModel;
 use std::collections::HashMap;
 use std::fmt;
@@ -35,9 +35,9 @@ pub trait ModelStore: Send + Sync {
 
 /// A directory of `<key>.mdl` artifact files with a decode cache.
 ///
-/// Artifacts at any supported schema version are served: the decoder
-/// accepts v1 and v2 envelopes alike, and [`DirModelStore::migrate_all`]
-/// rewrites stale files at the current version in place.
+/// Only current-version artifacts are served: a file stamped with any
+/// other schema version fails its `load` with
+/// [`ServeError::Artifact`] (`UnsupportedVersion`) and is never cached.
 pub struct DirModelStore {
     dir: PathBuf,
     cache: Mutex<HashMap<String, Arc<SpatioTemporalModel>>>,
@@ -72,31 +72,6 @@ impl DirModelStore {
 
     fn path_for(&self, key: &str) -> PathBuf {
         self.dir.join(format!("{key}.mdl"))
-    }
-
-    /// Rewrites every artifact file not at the current schema version,
-    /// returning `(key, version_found)` for each migrated file. Decode →
-    /// re-encode is bit-exact on the model, so a migrated artifact serves
-    /// the exact predictions the original did.
-    ///
-    /// # Errors
-    ///
-    /// First I/O or decode failure encountered, keyed in the error.
-    pub fn migrate_all(&self) -> Result<Vec<(String, u32)>> {
-        let mut migrated = Vec::new();
-        for key in self.keys() {
-            let path = self.path_for(&key);
-            let (model, from, rewritten) =
-                migrate_artifact_file::<SpatioTemporalModel>(&path).map_err(ServeError::from)?;
-            if rewritten {
-                migrated.push((key.clone(), from));
-            }
-            // The freshly decoded model is authoritative either way;
-            // warm the cache with it.
-            self.cache().insert(key, Arc::new(model));
-        }
-        debug_assert!(migrated.iter().all(|(_, v)| *v != SCHEMA_VERSION));
-        Ok(migrated)
     }
 }
 
@@ -183,28 +158,11 @@ impl ModelStore for MemoryModelStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddos_core::spatiotemporal::SpatioTemporalConfig;
-    use ddos_trace::{CorpusConfig, TraceGenerator};
-
-    /// Panics on another thread while holding `lock`, leaving it poisoned.
-    fn poison<T: Send>(lock: &Mutex<T>) {
-        let held = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = lock.lock();
-                panic!("a store user panicked while holding the lock");
-            })
-            .join()
-        });
-        assert!(held.is_err());
-        assert!(lock.is_poisoned());
-    }
+    use crate::test_support::{fitted, poison};
 
     #[test]
     fn poisoned_locks_still_publish_and_load() {
-        let corpus = TraceGenerator::new(CorpusConfig::small(), 300).generate().unwrap();
-        let (train, _) = corpus.split(0.8).unwrap();
-        let model =
-            SpatioTemporalModel::fit(&corpus, train, &SpatioTemporalConfig::fast(), 5).unwrap();
+        let model = fitted();
         let bytes = model.to_artifact_bytes();
 
         let memory = MemoryModelStore::new();
@@ -223,7 +181,6 @@ mod tests {
         assert_eq!(loaded.to_artifact_bytes(), bytes);
         // The recovered cache still caches: a second load shares the model.
         assert!(Arc::ptr_eq(&loaded, &store.load("st").unwrap()));
-        assert!(store.migrate_all().unwrap().is_empty());
         assert!(format!("{store:?}").contains("cached: 1"));
         let _ = std::fs::remove_dir_all(&dir);
     }

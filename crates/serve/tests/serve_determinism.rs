@@ -4,6 +4,7 @@
 //! admission-control and drain-on-shutdown behaviors around it.
 
 use ddos_astopo::Asn;
+use ddos_cart::CartError;
 use ddos_core::spatiotemporal::{InstanceFeatures, SpatioTemporalConfig, SpatioTemporalModel};
 use ddos_serve::{
     BatchPolicy, ForecastRequest, ForecastService, RateWindow, ServeConfig, ServeError,
@@ -203,6 +204,41 @@ fn rate_limiting_is_per_source_and_deterministic() {
     let stats = handle.shutdown().unwrap();
     assert_eq!(stats.served, 5);
     assert_eq!(stats.rejected_rate, 1);
+}
+
+/// A NaN or infinite feature, at any position, is refused at admission
+/// with the typed `NonFiniteInput` — alone or inside a batch, which is
+/// refused whole — leaving nothing in flight; valid requests after it are
+/// answered with the serial bits.
+#[test]
+fn non_finite_features_are_refused_at_admission() {
+    let (model, features) = fixture();
+    let handle = ForecastService::start_with_model(
+        Arc::clone(model),
+        config(2, 8, Duration::from_micros(200)),
+    );
+    let client = handle.client();
+    let non_finite = Some(ServeError::Cart(CartError::NonFiniteInput));
+    let row = features[0].to_row();
+    for pos in 0..row.len() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut dirty = row.clone();
+            dirty[pos] = bad;
+            let poisoned = request(pos, InstanceFeatures::from_row(&dirty).unwrap());
+            assert_eq!(client.submit_at(poisoned, 0).err(), non_finite);
+            let batch = [request(0, features[0]), poisoned, request(1, features[1])];
+            assert_eq!(client.submit_batch(&batch).err(), non_finite);
+            assert_eq!(client.in_flight(), 0, "feature {pos} = {bad}");
+        }
+    }
+    let serial = model.forecast_features(&features[..2]).unwrap();
+    let batch = [request(0, features[0]), request(1, features[1])];
+    for (ticket, want) in client.submit_batch(&batch).unwrap().into_iter().zip(&serial) {
+        assert_eq!(ticket.wait().unwrap().forecast.hour.to_bits(), want.hour.to_bits());
+    }
+    let got = client.submit(request(2, features[0])).unwrap().wait().unwrap().forecast;
+    assert_eq!(got.duration_secs.to_bits(), serial[0].duration_secs.to_bits());
+    assert_eq!(handle.shutdown().unwrap().served, 3);
 }
 
 /// Size-triggered flushes under a long deadline produce exactly full

@@ -1,7 +1,7 @@
-//! `ModelStore` behavior: decode-caching, schema-version tolerance and
-//! in-place migration of a directory of artifacts.
+//! `ModelStore` behavior: decode-caching, typed errors for missing keys
+//! and stale schema versions, and ensemble-backed models end to end.
 
-use ddos_core::artifact::{artifact_version, ModelArtifact, SCHEMA_VERSION};
+use ddos_core::artifact::{ArtifactError, ModelArtifact};
 use ddos_core::spatiotemporal::{SpatioTemporalConfig, SpatioTemporalModel};
 use ddos_serve::{DirModelStore, MemoryModelStore, ModelStore, ServeError};
 use ddos_trace::{CorpusConfig, TraceGenerator};
@@ -47,28 +47,25 @@ fn dir_store_decode_caches_and_types_missing_keys() {
 }
 
 #[test]
-fn dir_store_serves_v1_artifacts_and_migrates_in_place() {
-    let dir = scratch_dir("migrate");
-    let model = fitted();
-    std::fs::write(dir.join("legacy.mdl"), model.to_artifact_bytes_v1()).unwrap();
-    std::fs::write(dir.join("current.mdl"), model.to_artifact_bytes()).unwrap();
+fn dir_store_rejects_v1_stamped_artifacts_and_serves_current_ones() {
+    let dir = scratch_dir("stale");
+    let current = fitted().to_artifact_bytes();
+    let mut stale = current.clone();
+    stale[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(dir.join("legacy.mdl"), stale).unwrap();
+    std::fs::write(dir.join("current.mdl"), &current).unwrap();
 
-    // A v1 file is served as-is (the decoder is version-tolerant)...
     let store = DirModelStore::open(&dir);
-    let served = store.load("legacy").unwrap();
-    assert_eq!(
-        served.to_artifact_bytes(),
-        model.to_artifact_bytes(),
-        "v1-decoded model must re-encode to the exact current-version bytes"
-    );
-
-    // ...and migrate_all rewrites exactly the stale file, reporting the
-    // version it came from.
-    let migrated = DirModelStore::open(&dir).migrate_all().unwrap();
-    assert_eq!(migrated, vec![("legacy".to_string(), 1)]);
-    let rewritten = std::fs::read(dir.join("legacy.mdl")).unwrap();
-    assert_eq!(artifact_version(&rewritten).unwrap(), SCHEMA_VERSION);
-    assert_eq!(rewritten, model.to_artifact_bytes());
+    assert_eq!(store.keys(), vec!["current".to_string(), "legacy".to_string()]);
+    match store.load("legacy") {
+        Err(ServeError::Artifact(ArtifactError::UnsupportedVersion { found: 1 })) => {}
+        Err(other) => panic!("expected UnsupportedVersion {{ found: 1 }}, got {other:?}"),
+        Ok(_) => panic!("a v1-stamped artifact must not be served"),
+    }
+    // The stale file poisons nothing: the current key still loads, and
+    // serves the exact bytes it was written from.
+    assert_eq!(store.load("current").unwrap().to_artifact_bytes(), current);
+    assert!(store.load("legacy").is_err(), "a failed decode is never cached");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
