@@ -893,6 +893,51 @@ fn bench_scenario(c: &mut Criterion) {
                 .unwrap()
         })
     });
+
+    // The layers beneath `scenario-stream`: the participant sampler on a
+    // DirtJumper-sized pool (9,000 bots) at burst engagement, and the
+    // encode of one full row group.
+    {
+        use ddos_astopo::gen::{TopologyConfig, TopologyGenerator};
+        use ddos_astopo::ipmap::PrefixAllocator;
+        use ddos_trace::bots::{BotPool, SamplerScratch};
+        use ddos_trace::{ColumnarWriter, FamilyCatalog};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let topology = TopologyGenerator::new(TopologyConfig::small(), 42).generate().unwrap();
+        let (_, allocations) = PrefixAllocator::new().allocate_for(&topology).unwrap();
+        let catalog = FamilyCatalog::icdcs2017();
+        let dirtjumper = catalog.profile(catalog.by_name("DirtJumper").unwrap()).unwrap();
+        let mut rng = StdRng::seed_from_u64(42);
+        let pool = BotPool::recruit(&topology, &allocations, dirtjumper, 5, &mut rng).unwrap();
+        // RotationBurst's burst regime: a 1.3x window and magnitudes well
+        // above the calibrated mean.
+        let burst =
+            ddos_trace::RegimeParams { pool_engagement: 1.3, ..dirtjumper.stationary_regime() };
+        let magnitude = 2 * dirtjumper.mean_magnitude as usize;
+        let mut scratch = SamplerScratch::default();
+        let mut day = 0u32;
+        g.bench_function("participants_burst", |b| {
+            b.iter(|| {
+                day = (day + 1) % 220;
+                pool.participants_in_regime(&burst, day, magnitude, &mut scratch, &mut rng)
+            })
+        });
+
+        // Cloning the records into the writer is part of the measured
+        // loop, as in `columnar::write_corpus`.
+        let group: Vec<_> = small_corpus().attacks().iter().cycle().take(4_096).cloned().collect();
+        g.bench_function("columnar_encode_group", |b| {
+            b.iter(|| {
+                let mut w = ColumnarWriter::with_group_size(Vec::new(), 4_096).unwrap();
+                for a in black_box(&group) {
+                    w.push(a.clone()).unwrap();
+                }
+                w.finish().unwrap()
+            })
+        });
+    }
     g.finish();
 }
 

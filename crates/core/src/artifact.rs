@@ -35,7 +35,7 @@
 //! to the last bit. Decoding never panics: corrupt, truncated or
 //! wrong-version input yields a typed [`ArtifactError`].
 
-use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
+use ddos_stats::codec::{guard64, CodecError, CodecResult, Reader, Writer};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -45,61 +45,6 @@ pub const MAGIC: [u8; 8] = *b"DDOSMDL\0";
 
 /// Current artifact schema version. Bump when any payload layout changes.
 pub const SCHEMA_VERSION: u32 = 3;
-
-/// The xxHash64 prime constants, reused for the v3 guard's lane mixing.
-const GUARD_P1: u64 = 0x9E37_79B1_85EB_CA87;
-const GUARD_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const GUARD_P3: u64 = 0x1656_67B1_9E37_79F9;
-
-/// The v3 payload guard: a four-lane multiply–rotate hash over 32-byte
-/// blocks, xxHash64-style.
-///
-/// FNV-1a's one-byte-per-multiply serial chain made the v2 guard the
-/// dominant cost of encode/decode. Here each 32-byte block feeds four
-/// *independent* accumulator chains (xor → odd-multiply → rotate), so
-/// the CPU overlaps four multiplies instead of waiting on one — about
-/// an order of magnitude faster on the ~60 KB spatiotemporal payload,
-/// in fully safe, table-free, platform-independent integer code.
-///
-/// Detection guarantee: every per-lane step is a bijection on `u64`
-/// (xor with a constant, multiply by an odd constant, rotate), so any
-/// corruption confined to a single 8-byte word *always* changes that
-/// lane — and the other three lanes are untouched, so the final combine
-/// cannot cancel it. The exhaustive every-byte-flip artifact tests pin
-/// this down; corruption spanning multiple words is caught with
-/// probability ~1 − 2⁻⁶⁴ via the avalanche finalizer.
-fn guard64(bytes: &[u8]) -> u64 {
-    let mut acc = [GUARD_P1, GUARD_P2, GUARD_P3, GUARD_P1 ^ GUARD_P2];
-    let (blocks, rem) = bytes.as_chunks::<32>();
-    for block in blocks {
-        // Fixed four-word unroll: the lane updates carry no dependency on
-        // each other, so the four multiplies overlap in the pipeline.
-        let (words, _) = block.as_chunks::<8>();
-        let [w0, w1, w2, w3] = words else { continue };
-        acc[0] = (acc[0] ^ u64::from_le_bytes(*w0)).wrapping_mul(GUARD_P1).rotate_left(31);
-        acc[1] = (acc[1] ^ u64::from_le_bytes(*w1)).wrapping_mul(GUARD_P1).rotate_left(31);
-        acc[2] = (acc[2] ^ u64::from_le_bytes(*w2)).wrapping_mul(GUARD_P1).rotate_left(31);
-        acc[3] = (acc[3] ^ u64::from_le_bytes(*w3)).wrapping_mul(GUARD_P1).rotate_left(31);
-    }
-    let mut h = acc[0].rotate_left(1)
-        ^ acc[1].rotate_left(7)
-        ^ acc[2].rotate_left(12)
-        ^ acc[3].rotate_left(18);
-    let (words, tail) = rem.as_chunks::<8>();
-    for word in words {
-        h = (h ^ u64::from_le_bytes(*word)).wrapping_mul(GUARD_P2).rotate_left(29);
-    }
-    for &b in tail {
-        h = (h ^ b as u64).wrapping_mul(GUARD_P3).rotate_left(11);
-    }
-    h ^= bytes.len() as u64;
-    h ^= h >> 33;
-    h = h.wrapping_mul(GUARD_P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(GUARD_P3);
-    h ^= h >> 32;
-    h
-}
 
 /// Which model family an artifact holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -544,29 +489,6 @@ mod tests {
             Toy::from_artifact_bytes(&padded),
             Err(ArtifactError::Corrupt(CodecError::Invalid { .. }))
         ));
-    }
-
-    #[test]
-    fn guard64_detects_every_word_confined_corruption() {
-        // The documented guarantee: corruption confined to one 8-byte
-        // word always changes the guard. Exercise every word position on
-        // lengths straddling the 32-byte block and 8-byte tail chunking,
-        // with single-bit, single-byte and full-word damage.
-        for len in [1usize, 7, 8, 9, 31, 32, 33, 40, 63, 64, 65, 200] {
-            let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let clean = guard64(&data);
-            for pos in 0..len {
-                for flip in [0x01u8, 0x80, 0xFF] {
-                    let mut dirty = data.clone();
-                    dirty[pos] ^= flip;
-                    assert_ne!(guard64(&dirty), clean, "len={len} pos={pos} flip={flip:#x}");
-                }
-            }
-        }
-        // Length is mixed into the finalizer, so a truncated payload that
-        // happens to share a prefix still changes the guard.
-        let data: Vec<u8> = vec![0; 64];
-        assert_ne!(guard64(&data), guard64(&data[..32]));
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! set of source ASes drifts slowly across the trace: "the bots involved in
 //! an attack may rotate or shift" (§III-B1). That drift is precisely the
 //! signal the temporal `A^s` series and the spatial model consume.
+//!
+//! Trace generation costs per sampled bot, not per attack: a 200-day
+//! rotation-burst pass over the full catalog draws ~14.5 M participants
+//! for ~53 k attacks. The sampler is therefore a partial Fisher–Yates on
+//! a dense, reusable slot permutation ([`SamplerScratch`]) that each
+//! call restores to the identity by undoing only the slots it drew —
+//! O(count) per call, one array read and two writes per bot, and
+//! draw-for-draw identical to shuffling a dense copy of the window
+//! (DESIGN.md §19).
 
 use crate::attack::BotObservation;
 use crate::family::FamilyProfile;
@@ -138,19 +147,18 @@ impl BotPool {
     /// `day`. When `count` exceeds the day's active window, the whole
     /// window participates.
     ///
-    /// The sample reproduces a partial Fisher–Yates shuffle of the window
-    /// draw-for-draw, but through a sparse swap overlay instead of
-    /// materializing the O(pool) window per call — the generator invokes
-    /// this once per attack, so at internet scale the dense copy dominated
-    /// the whole pipeline. Outputs are bit-identical to the dense shuffle
-    /// (pinned by `overlay_sampling_matches_dense_shuffle`).
+    /// The sample is a partial Fisher–Yates shuffle of the window, run on
+    /// `scratch`'s reusable permutation so a call costs O(`count`), not
+    /// O(window). See [`SamplerScratch`] for why the result is
+    /// draw-for-draw identical to shuffling a dense copy of the window.
     pub fn participants<R: Rng + ?Sized>(
         &self,
         day: u32,
         count: usize,
+        scratch: &mut SamplerScratch,
         rng: &mut R,
     ) -> Vec<BotObservation> {
-        self.participants_engaged(1.0, day, count, rng)
+        self.participants_engaged(1.0, day, count, scratch, rng)
     }
 
     /// [`BotPool::participants`] under a regime view: the active window is
@@ -163,9 +171,10 @@ impl BotPool {
         params: &crate::scenario::RegimeParams,
         day: u32,
         count: usize,
+        scratch: &mut SamplerScratch,
         rng: &mut R,
     ) -> Vec<BotObservation> {
-        self.participants_engaged(params.pool_engagement, day, count, rng)
+        self.participants_engaged(params.pool_engagement, day, count, scratch, rng)
     }
 
     fn participants_engaged<R: Rng + ?Sized>(
@@ -173,30 +182,63 @@ impl BotPool {
         engagement: f64,
         day: u32,
         count: usize,
+        scratch: &mut SamplerScratch,
         rng: &mut R,
     ) -> Vec<BotObservation> {
         let Some((window, start)) = self.window_bounds(day, engagement) else { return Vec::new() };
         let n = self.bots.len();
-        let at = |i: usize| self.bots[(start + i) % n];
+        // `start < n` and `slot < window <= n`, so one conditional
+        // subtract is the exact `(start + slot) % n`.
+        let at = |slot: u32| {
+            let k = start + slot as usize;
+            self.bots[if k >= n { k - n } else { k }]
+        };
         if count >= window {
-            return (0..window).map(at).collect();
+            return (0..window as u32).map(at).collect();
         }
-        // Sparse partial Fisher–Yates: overlay[k] holds the value a dense
-        // shuffle would have swapped into window slot k. Slot i is fixed
-        // after iteration i (later draws only touch j ≥ i' > i), so its
-        // final value goes straight into the output.
-        let mut overlay: std::collections::HashMap<usize, BotObservation> =
-            std::collections::HashMap::with_capacity(count.saturating_mul(2));
+        let SamplerScratch { perm, drawn } = scratch;
+        // Grow the identity permutation to cover this pool's window. The
+        // validated pool size bounds `window` by `u32::MAX`.
+        if perm.len() < window {
+            perm.extend(perm.len() as u32..window as u32);
+        }
         let mut out = Vec::with_capacity(count);
         for i in 0..count {
             let j = rng.gen_range(i..window);
-            let vj = overlay.get(&j).copied().unwrap_or_else(|| at(j));
-            let vi = overlay.get(&i).copied().unwrap_or_else(|| at(i));
-            overlay.insert(j, vi);
-            out.push(vj);
+            // Slot i is final after this step (later draws only touch
+            // slots > i), so only slot j needs the swapped-out value.
+            out.push(at(perm[j]));
+            perm[j] = perm[i];
+            drawn.push(j as u32);
+        }
+        // Every write above went to a drawn slot j, so resetting those
+        // slots restores the identity for the next call.
+        for j in drawn.drain(..) {
+            perm[j as usize] = j;
         }
         out
     }
+}
+
+/// Reusable scratch for [`BotPool::participants`]: a permutation over
+/// window slots kept at the identity between calls, plus the slots the
+/// current call drew.
+///
+/// A partial Fisher–Yates over a dense window copy swaps `w[i]` and
+/// `w[j]` for `i < count`. The sampler runs the same swaps on slot
+/// indices instead of bots: at step `i`, `perm[i]` still holds the slot
+/// the dense shuffle would have at `w[i]` (a slot is written only when it
+/// is a draw `j`, and every earlier draw was `≥` its own step, so a write
+/// to `perm[i]` before step `i` is exactly the dense swap). The emitted
+/// bot is `w[perm[j]]`, the `gen_range(i..window)` calls are the same and
+/// in the same order, so participants and the RNG stream position match
+/// the dense shuffle exactly, while a call touches only O(`count`)
+/// memory. One scratch serves pools of any size: the permutation grows to
+/// the largest window it has seen and is never shrunk.
+#[derive(Debug, Default)]
+pub struct SamplerScratch {
+    perm: Vec<u32>,
+    drawn: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -205,6 +247,7 @@ mod tests {
     use crate::family::FamilyCatalog;
     use ddos_astopo::gen::{TopologyConfig, TopologyGenerator};
     use ddos_astopo::ipmap::PrefixAllocator;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -289,7 +332,7 @@ mod tests {
     fn participants_are_distinct_and_from_window() {
         let p = pool(5);
         let mut rng = StdRng::seed_from_u64(6);
-        let picks = p.participants(10, 50, &mut rng);
+        let picks = p.participants(10, 50, &mut SamplerScratch::default(), &mut rng);
         assert_eq!(picks.len(), 50);
         let ips: BTreeSet<u32> = picks.iter().map(|b| b.ip).collect();
         assert_eq!(ips.len(), 50, "participants repeat");
@@ -301,40 +344,110 @@ mod tests {
     fn oversized_request_returns_whole_window() {
         let p = pool(7);
         let mut rng = StdRng::seed_from_u64(8);
-        let picks = p.participants(0, p.len() * 2, &mut rng);
+        let picks = p.participants(0, p.len() * 2, &mut SamplerScratch::default(), &mut rng);
         assert_eq!(picks.len(), p.active_window(0).len());
     }
 
-    #[test]
-    fn overlay_sampling_matches_dense_shuffle() {
-        // The sparse-overlay sampler must reproduce the dense partial
-        // Fisher–Yates bit-for-bit: same RNG draws, same participants,
-        // same order — the generator's draw stream depends on it.
-        let p = pool(11);
-        for (day, count, seed) in
-            [(0u32, 1usize, 21u64), (3, 17, 22), (10, 200, 23), (40, 1, 24), (7, 0, 25)]
-        {
+    /// The reference the sampler must reproduce: a partial Fisher–Yates
+    /// over a dense copy of the engaged window.
+    fn dense_shuffle(
+        p: &BotPool,
+        engagement: f64,
+        day: u32,
+        count: usize,
+        rng: &mut StdRng,
+    ) -> Vec<BotObservation> {
+        let Some((window, start)) = p.window_bounds(day, engagement) else { return Vec::new() };
+        let mut w: Vec<BotObservation> =
+            (0..window).map(|i| p.bots()[(start + i) % p.len()]).collect();
+        if count >= w.len() {
+            return w;
+        }
+        for i in 0..count {
+            let j = rng.gen_range(i..w.len());
+            w.swap(i, j);
+        }
+        w.truncate(count);
+        w
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Same participants, same order, same RNG stream position as the
+        /// dense shuffle, at any day and engagement (lulls, the calibrated
+        /// 1.0, bursts) and at the boundary counts 0, 1, window − 1,
+        /// window and beyond.
+        #[test]
+        fn sampling_matches_dense_shuffle(
+            day in 0u32..400,
+            engagement_kind in 0usize..4,
+            free_engagement in 0.5f64..1.6,
+            count_kind in 0usize..6,
+            small in 2usize..200,
+            seed in 0u64..u64::MAX,
+        ) {
+            let p = pool(11);
+            let engagement = [1.0, 1.3, 0.8, free_engagement][engagement_kind];
+            let (window, _) = p.window_bounds(day, engagement).unwrap();
+            let count = match count_kind {
+                0 => 0,
+                1 => 1,
+                2 => window - 1,
+                3 => window,
+                4 => window + small,
+                _ => small.min(window),
+            };
+            let mut scratch = SamplerScratch::default();
             let mut rng = StdRng::seed_from_u64(seed);
-            let fast = p.participants(day, count, &mut rng);
+            let fast = p.participants_engaged(engagement, day, count, &mut scratch, &mut rng);
             let after_fast: u64 = rng.gen();
 
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut w = p.active_window(day);
-            let dense = if count >= w.len() {
-                w
-            } else {
-                for i in 0..count {
-                    let j = rng.gen_range(i..w.len());
-                    w.swap(i, j);
-                }
-                w.truncate(count);
-                w
-            };
+            let dense = dense_shuffle(&p, engagement, day, count, &mut rng);
             let after_dense: u64 = rng.gen();
 
-            assert_eq!(fast, dense, "day {day} count {count}");
-            assert_eq!(after_fast, after_dense, "RNG stream diverged");
+            prop_assert!(fast == dense, "day {day} engagement {engagement} count {count}");
+            prop_assert!(after_fast == after_dense, "RNG stream diverged at count {count}");
+            // The scratch is back at the identity for the next call.
+            prop_assert!(scratch.perm.iter().enumerate().all(|(k, &v)| v as usize == k));
+            prop_assert!(scratch.drawn.is_empty());
         }
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_across_pool_sizes() {
+        // One scratch shared by a large and a small pool, alternating,
+        // must give exactly what a fresh scratch gives on every call.
+        let (g, allocs) = setup();
+        let cat = FamilyCatalog::small();
+        let big = pool(12);
+        let mut profile = cat.profile(crate::family::FamilyId(1)).unwrap().clone();
+        profile.pool_size = 97;
+        profile.mean_magnitude = 10.0;
+        let mut rng = StdRng::seed_from_u64(13);
+        let small = BotPool::recruit(&g, &allocs, &profile, 1, &mut rng).unwrap();
+        assert!(small.len() < big.len());
+
+        let mut shared = SamplerScratch::default();
+        let mut rng_shared = StdRng::seed_from_u64(14);
+        let mut rng_fresh = StdRng::seed_from_u64(14);
+        for (call, day) in (0u32..40).enumerate() {
+            let p = if call % 2 == 0 { &small } else { &big };
+            let count = [1usize, 5, 30, 48, 200][call % 5];
+            let engagement = [1.0, 1.3, 0.8][call % 3];
+            let reused =
+                p.participants_engaged(engagement, day, count, &mut shared, &mut rng_shared);
+            let fresh = p.participants_engaged(
+                engagement,
+                day,
+                count,
+                &mut SamplerScratch::default(),
+                &mut rng_fresh,
+            );
+            assert_eq!(reused, fresh, "call {call}");
+        }
+        assert_eq!(rng_shared.gen::<u64>(), rng_fresh.gen::<u64>());
     }
 
     #[test]

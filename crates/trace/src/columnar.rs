@@ -3,16 +3,20 @@
 //! Attack records serialize into per-column blocks grouped into row
 //! groups, wrapped in the same envelope discipline as the artifact
 //! format: a magic + version header, length-prefixed tagged sections,
-//! and a footer carrying the row/group counts and an FNV-1a checksum
-//! over every group payload. Encoding rides on the bit-exact
+//! and a footer carrying the row/group counts and a checksum chained
+//! over the group payloads with [`ddos_stats::codec::guard64`], the same
+//! guard hash the model artifacts use. Encoding rides on the bit-exact
 //! [`ddos_stats::codec`] primitives, so the byte stream is stable across
 //! platforms and releases — it is pinned by a golden fingerprint.
 //!
 //! The writer accepts records one at a time (from a
 //! [`crate::stream::CorpusStream`] or any other source) and flushes a
 //! group whenever `rows_per_group` accumulate, so an Internet-scale
-//! corpus encodes in constant memory. The reader mirrors that: one row
-//! group is resident at a time.
+//! corpus encodes in constant memory. Each group is encoded into one
+//! buffer allocated at its exact payload length (the hourly and bot
+//! totals are summed first), and the checksum chain carries one `u64`
+//! of state from group to group (DESIGN.md §19). The reader mirrors
+//! that: one row group is resident at a time.
 //!
 //! Every failure mode is a typed [`TraceError`] — truncated files,
 //! flipped bytes, alien tags and range violations all surface as errors,
@@ -24,13 +28,14 @@ use crate::targets::TargetId;
 use crate::time::Timestamp;
 use crate::{Result, TraceError};
 use ddos_astopo::Asn;
-use ddos_stats::codec::{CodecError, Reader, Writer};
+use ddos_stats::codec::{guard64, CodecError, Reader, Writer};
 use std::io::{Read, Write};
 
 /// File magic, 8 bytes.
 pub const MAGIC: [u8; 8] = *b"DDOSCOL\0";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version. Version 1 (FNV-1a footer checksum) is
+/// retired: the reader refuses it like any other unknown version.
+pub const VERSION: u32 = 2;
 /// Default rows per row group.
 pub const DEFAULT_ROWS_PER_GROUP: usize = 4_096;
 
@@ -44,17 +49,22 @@ const TAG_FOOTER: u8 = 2;
 /// columns. Used to reject absurd row counts before allocating.
 const MIN_ROW_BYTES: usize = 42;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(state, |h, b| (h ^ *b as u64).wrapping_mul(FNV_PRIME))
+/// Bytes of one row group payload holding `rows` records with `hourly`
+/// hourly counts and `bots` bot observations in total: the row count,
+/// the fixed-width columns, two offsets columns (length + `rows + 1`
+/// entries each) and the variable-length values.
+fn group_payload_len(rows: usize, hourly: usize, bots: usize) -> usize {
+    8 + MIN_ROW_BYTES * rows + 2 * (8 + 8 * (rows + 1)) + 4 * hourly + 8 * bots
 }
 
 /// Encodes one row group into a codec payload: the row count, then each
-/// column in full, variable-length columns as offsets + values.
+/// column in full, variable-length columns as offsets + values. The
+/// buffer is sized once, up front, to the exact payload length.
 fn encode_group(records: &[AttackRecord]) -> Vec<u8> {
-    let mut w = Writer::new();
+    let hourly: usize = records.iter().map(|a| a.hourly_bot_counts.len()).sum();
+    let bots: usize = records.iter().map(|a| a.bots().len()).sum();
+    let len = group_payload_len(records.len(), hourly, bots);
+    let mut w = Writer::with_capacity(len);
     w.usize(records.len());
     for a in records {
         w.u64(a.id.0);
@@ -80,15 +90,13 @@ fn encode_group(records: &[AttackRecord]) -> Vec<u8> {
     for a in records {
         w.u8(a.vector.index() as u8);
     }
-    let hourly_offsets: Vec<usize> = offsets(records, |a| a.hourly_bot_counts.len());
-    w.usize_seq(&hourly_offsets);
+    write_offsets(&mut w, records, |a| a.hourly_bot_counts.len());
     for a in records {
         for c in &a.hourly_bot_counts {
             w.u32(*c);
         }
     }
-    let bot_offsets: Vec<usize> = offsets(records, |a| a.bots().len());
-    w.usize_seq(&bot_offsets);
+    write_offsets(&mut w, records, |a| a.bots().len());
     for a in records {
         for b in a.bots() {
             w.u32(b.ip);
@@ -99,20 +107,30 @@ fn encode_group(records: &[AttackRecord]) -> Vec<u8> {
             w.u32(b.asn.0);
         }
     }
+    debug_assert_eq!(w.len(), len, "row group payload length");
     w.into_bytes()
 }
 
-/// Exclusive prefix sums of a per-record length, `records.len() + 1`
-/// entries starting at 0.
-fn offsets(records: &[AttackRecord], len: impl Fn(&AttackRecord) -> usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(records.len() + 1);
+/// Writes the exclusive prefix sums of a per-record length as a
+/// length-prefixed `usize` sequence: `records.len() + 1` entries from 0.
+fn write_offsets(w: &mut Writer, records: &[AttackRecord], len: impl Fn(&AttackRecord) -> usize) {
+    w.usize(records.len() + 1);
     let mut acc = 0usize;
-    out.push(0);
+    w.usize(acc);
     for a in records {
         acc += len(a);
-        out.push(acc);
+        w.usize(acc);
     }
-    out
+}
+
+/// Folds one row group payload into the footer checksum chain:
+/// `guard64(state_le ‖ guard64(payload)_le)`. Constant memory at any
+/// file length; a chain over no groups is 0.
+fn chain_checksum(state: u64, payload: &[u8]) -> u64 {
+    let mut link = [0u8; 16];
+    link[..8].copy_from_slice(&state.to_le_bytes());
+    link[8..].copy_from_slice(&guard64(payload).to_le_bytes());
+    guard64(&link)
 }
 
 /// Validates an offsets column: `n + 1` entries, starting at zero,
@@ -255,7 +273,7 @@ impl<W: Write> ColumnarWriter<W> {
             rows_per_group,
             n_groups: 0,
             n_rows: 0,
-            checksum: FNV_OFFSET,
+            checksum: 0,
         })
     }
 
@@ -277,7 +295,7 @@ impl<W: Write> ColumnarWriter<W> {
             return Ok(());
         }
         let payload = encode_group(&self.buf);
-        self.checksum = fnv1a(self.checksum, &payload);
+        self.checksum = chain_checksum(self.checksum, &payload);
         self.n_groups += 1;
         self.n_rows += self.buf.len() as u64;
         self.buf.clear();
@@ -356,7 +374,7 @@ impl<R: Read> ColumnarReader<R> {
                 detail: format!("unsupported version {version} (have {VERSION})"),
             });
         }
-        Ok(ColumnarReader { source, n_groups: 0, n_rows: 0, checksum: FNV_OFFSET, finished: false })
+        Ok(ColumnarReader { source, n_groups: 0, n_rows: 0, checksum: 0, finished: false })
     }
 
     /// Reads the next row group, or `Ok(None)` after the validated footer.
@@ -396,7 +414,7 @@ impl<R: Read> ColumnarReader<R> {
         }
         match tag[0] {
             TAG_ROW_GROUP => {
-                self.checksum = fnv1a(self.checksum, &payload);
+                self.checksum = chain_checksum(self.checksum, &payload);
                 let records = decode_group(&payload)?;
                 self.n_groups += 1;
                 self.n_rows += records.len() as u64;
@@ -558,10 +576,75 @@ mod tests {
         let mut future = Vec::from(MAGIC);
         future.extend_from_slice(&99u32.to_le_bytes());
         assert!(ColumnarReader::new(&future[..]).is_err());
+        // Version 1 (FNV-1a footer) is retired, not read.
+        let mut v1 = Vec::from(MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            ColumnarReader::new(&v1[..]),
+            Err(TraceError::Format { ref detail }) if detail.contains("unsupported version 1")
+        ));
         // Unfinished file: header only, no footer.
         let mut header = Vec::from(MAGIC);
         header.extend_from_slice(&VERSION.to_le_bytes());
         let mut r = ColumnarReader::new(&header[..]).unwrap();
         assert!(r.next_group().is_err());
+    }
+
+    /// Byte offsets of each row-group section in an encoded file.
+    fn group_sections(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut at = MAGIC.len() + 4;
+        let mut out = Vec::new();
+        while bytes[at] == TAG_ROW_GROUP {
+            let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+            out.push(at..at + 9 + len);
+            at += 9 + len;
+        }
+        out
+    }
+
+    #[test]
+    fn encoded_groups_have_the_presized_length() {
+        let c = corpus();
+        let records = &c.attacks()[..100];
+        let hourly: usize = records.iter().map(|a| a.hourly_bot_counts.len()).sum();
+        let bots: usize = records.iter().map(|a| a.bots().len()).sum();
+        let payload = encode_group(records);
+        assert_eq!(payload.len(), group_payload_len(records.len(), hourly, bots));
+        assert_eq!(payload.capacity(), payload.len(), "payload buffer reallocated or overshot");
+        assert_eq!(encode_group(&[]).len(), group_payload_len(0, 0, 0));
+    }
+
+    #[test]
+    fn checksum_chain_catches_decodable_corruption_and_reordering() {
+        let c = corpus();
+        let bytes = encode(&c, 100);
+        let read_all = |b: &[u8]| -> Result<Vec<AttackRecord>> {
+            ColumnarReader::new(b)?.into_records().collect()
+        };
+        let sections = group_sections(&bytes);
+        assert!(sections.len() >= 2);
+
+        // A flipped bot IP (the last byte of the first group) still
+        // decodes; only the footer checksum sees it.
+        let mut flipped = bytes.clone();
+        flipped[sections[0].end - 1] ^= 0x40;
+        let err = read_all(&flipped).unwrap_err();
+        assert!(
+            matches!(err, TraceError::Format { ref detail } if detail.contains("checksum")),
+            "{err}"
+        );
+
+        // Two groups swapped keep every count; the chain is
+        // order-sensitive, so the footer still rejects the file.
+        let (a, b) = (sections[0].clone(), sections[1].clone());
+        let mut swapped = bytes[..a.start].to_vec();
+        swapped.extend_from_slice(&bytes[b.clone()]);
+        swapped.extend_from_slice(&bytes[a.clone()]);
+        swapped.extend_from_slice(&bytes[b.end..]);
+        let err = read_all(&swapped).unwrap_err();
+        assert!(
+            matches!(err, TraceError::Format { ref detail } if detail.contains("checksum")),
+            "{err}"
+        );
     }
 }

@@ -145,7 +145,7 @@ impl FamilyProfile {
         ((self.diurnal_peak as u16 + params.diurnal_shift as u16) % 24) as u8
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let bad = |detail: String| Err(TraceError::InvalidConfig { detail });
         if self.avg_attacks_per_day <= 0.0 {
             return bad(format!("{}: avg_attacks_per_day must be positive", self.name));
@@ -159,8 +159,13 @@ impl FamilyProfile {
         if self.diurnal_peak >= 24 || !(0.0..1.0).contains(&self.diurnal_amplitude) {
             return bad(format!("{}: bad diurnal parameters", self.name));
         }
-        if self.pool_size == 0 || self.mean_magnitude <= 0.0 {
-            return bad(format!("{}: pool/magnitude must be positive", self.name));
+        // Attacks draw at least 3 bots, and the sampler indexes window
+        // slots as `u32`.
+        if !(3..=u32::MAX as usize).contains(&self.pool_size) {
+            return bad(format!("{}: pool_size must lie in [3, 2^32 - 1]", self.name));
+        }
+        if self.mean_magnitude <= 0.0 {
+            return bad(format!("{}: mean magnitude must be positive", self.name));
         }
         if self.mean_magnitude > self.pool_size as f64 {
             return bad(format!("{}: mean magnitude exceeds pool size", self.name));
@@ -483,6 +488,40 @@ mod tests {
         assert!(FamilyCatalog::new(vec![p]).is_err());
 
         assert!(FamilyCatalog::new(vec![]).is_err());
+    }
+
+    #[test]
+    fn pools_smaller_than_the_minimum_magnitude_are_rejected() {
+        // Every attack draws at least 3 bots, so a 1- or 2-bot pool must
+        // be a typed config error, not a clamp panic at generation time.
+        for pool_size in [1usize, 2] {
+            let mut p = FamilyCatalog::icdcs2017().profile(FamilyId(0)).unwrap().clone();
+            p.pool_size = pool_size;
+            p.mean_magnitude = 1.0;
+            assert!(
+                matches!(
+                    FamilyCatalog::new(vec![p]),
+                    Err(TraceError::InvalidConfig { ref detail }) if detail.contains("pool_size")
+                ),
+                "pool_size {pool_size} accepted"
+            );
+        }
+        let mut p = FamilyCatalog::icdcs2017().profile(FamilyId(0)).unwrap().clone();
+        p.pool_size = 3;
+        p.mean_magnitude = 1.0;
+        assert!(FamilyCatalog::new(vec![p.clone()]).is_ok());
+
+        // A catalog that skipped `new` (as a deserialized one does) is
+        // still refused before generation starts.
+        p.pool_size = 2;
+        let config = crate::CorpusConfig {
+            catalog: FamilyCatalog { families: vec![p] },
+            ..crate::CorpusConfig::small()
+        };
+        assert!(matches!(
+            crate::TraceGenerator::new(config, 1).generate(),
+            Err(TraceError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

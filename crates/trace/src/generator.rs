@@ -2,7 +2,7 @@
 
 use crate::arrival::{place_within_day_in_regime, ArrivalSchedule};
 use crate::attack::{AttackId, AttackRecord};
-use crate::bots::BotPool;
+use crate::bots::{BotPool, SamplerScratch};
 use crate::dataset::Corpus;
 use crate::family::{FamilyCatalog, FamilyId};
 use crate::scenario::{RegimeParams, RegimeSchedule, ScenarioPolicy};
@@ -103,6 +103,10 @@ impl CorpusConfig {
             return Err(TraceError::InvalidConfig {
                 detail: "need at least one target".to_string(),
             });
+        }
+        // A deserialized catalog never went through `FamilyCatalog::new`.
+        for (_, profile) in self.catalog.iter() {
+            profile.validate()?;
         }
         Ok(())
     }
@@ -229,6 +233,7 @@ impl TraceGenerator {
                 slot,
             );
             let pool = BotPool::recruit(&topology, &allocations, profile, slot, &mut rng)?;
+            let mut sampler = SamplerScratch::default();
             let schedule = ArrivalSchedule::generate_in_scenario(
                 profile,
                 self.config.days,
@@ -277,6 +282,7 @@ impl TraceGenerator {
                         profile,
                         &params,
                         &pool,
+                        &mut sampler,
                         target_id,
                         target.asn,
                         start,
@@ -419,6 +425,7 @@ pub(crate) fn build_attack<R: Rng + ?Sized>(
     profile: &crate::family::FamilyProfile,
     params: &RegimeParams,
     pool: &BotPool,
+    sampler: &mut SamplerScratch,
     target: TargetId,
     target_asn: ddos_astopo::Asn,
     start: Timestamp,
@@ -435,7 +442,7 @@ pub(crate) fn build_attack<R: Rng + ?Sized>(
     let mu = profile.mean_magnitude.ln() - sigma * sigma / 2.0;
     let raw = log_normal(rng, mu, sigma).map_err(TraceError::Stats)? * activity;
     let magnitude = (raw.round() as usize).clamp(3, pool.len());
-    let bots = pool.participants_in_regime(params, start.day(), magnitude, rng);
+    let bots = pool.participants_in_regime(params, start.day(), magnitude, sampler, rng);
     let magnitude = bots.len();
 
     // Duration: per-(family, target) AR(1) in log space around the

@@ -19,7 +19,7 @@
 
 use crate::arrival::{place_within_day_in_regime, ArrivalSchedule, DayPlan};
 use crate::attack::{AttackId, AttackRecord};
-use crate::bots::BotPool;
+use crate::bots::{BotPool, SamplerScratch};
 use crate::family::{FamilyCatalog, FamilyId, FamilyProfile};
 use crate::generator::{
     build_attack, build_substrate, family_pickers, family_seed, pick_target, preferred_launch,
@@ -49,6 +49,7 @@ pub(crate) struct FamilyGen {
     profile: FamilyProfile,
     days: u32,
     pool: BotPool,
+    sampler: SamplerScratch,
     schedule: ArrivalSchedule,
     next_plan: usize,
     /// Precomputed regime timeline: a pure function of `(policy, profile,
@@ -93,6 +94,7 @@ impl FamilyGen {
             profile,
             days: config.days,
             pool,
+            sampler: SamplerScratch::default(),
             schedule,
             next_plan: 0,
             regimes,
@@ -163,6 +165,7 @@ impl FamilyGen {
                     &self.profile,
                     &params,
                     &self.pool,
+                    &mut self.sampler,
                     target_id,
                     target.asn,
                     start,
