@@ -243,8 +243,9 @@ impl InstanceFeatures {
         self.to_array().iter().all(|v| v.is_finite())
     }
 
-    /// The features in [`InstanceFeatures::FEATURE_NAMES`] order.
-    fn to_array(self) -> [f64; 13] {
+    /// The features in [`InstanceFeatures::FEATURE_NAMES`] order, without
+    /// allocating: the form a reused row buffer is overwritten from.
+    pub fn to_array(self) -> [f64; 13] {
         [
             self.tmp_hour,
             self.spa_hour,

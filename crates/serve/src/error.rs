@@ -44,9 +44,13 @@ pub enum ServeError {
         /// The key that was probed.
         key: String,
     },
-    /// The worker disappeared without answering (it panicked or the
-    /// service was torn down while the request was in flight).
+    /// The dispatcher disappeared without answering (the service was torn
+    /// down while the request was in flight).
     Disconnected,
+    /// Scoring panicked while this request's micro-batch was being
+    /// scored. Every request of that batch gets this error; the service
+    /// keeps serving later batches.
+    ScoringPanicked,
     /// Loading or decoding a model artifact failed.
     Artifact(ArtifactError),
     /// Tree scoring failed (e.g. a malformed feature row).
@@ -73,6 +77,9 @@ impl fmt::Display for ServeError {
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
             ServeError::ModelNotFound { key } => write!(f, "no model artifact under key {key:?}"),
             ServeError::Disconnected => write!(f, "serving worker disconnected before answering"),
+            ServeError::ScoringPanicked => {
+                write!(f, "scoring panicked; this request's batch was not scored")
+            }
             ServeError::Artifact(e) => write!(f, "artifact error: {e}"),
             ServeError::Cart(e) => write!(f, "regression-tree error: {e}"),
             ServeError::Stats(e) => write!(f, "stats error: {e}"),
@@ -148,5 +155,6 @@ mod tests {
         let e = ServeError::Artifact(ArtifactError::BadMagic);
         assert!(Error::source(&e).is_some());
         assert!(Error::source(&ServeError::ShuttingDown).is_none());
+        assert!(ServeError::ScoringPanicked.to_string().contains("panicked"));
     }
 }

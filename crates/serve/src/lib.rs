@@ -4,13 +4,15 @@
 //! The fitting pipeline (`ddos-core`) produces versioned model
 //! artifacts; this crate is the other half of the split: a serving
 //! process that decode-caches those artifacts behind a [`ModelStore`],
-//! accepts [`ForecastRequest`]s on an MPSC front end, accumulates them
-//! into micro-batches (flushed on size or deadline), fans each batch
-//! across the deterministic sharded executor, and returns
-//! [`ForecastResponse`]s — with typed admission control (bounded
-//! in-flight depth → [`ServeError::Overloaded`]) and multi-horizon
-//! sliding-window per-source rate accounting
-//! ([`ServeError::RateLimited`]).
+//! accepts [`ForecastRequest`]s onto one locked batch queue,
+//! accumulates them into micro-batches (flushed on size or deadline),
+//! fans each batch across the deterministic sharded executor, and
+//! answers each [`ForecastTicket`] through a reusable reply slab — with
+//! typed admission control (bounded in-flight depth →
+//! [`ServeError::Overloaded`]) and multi-horizon sliding-window
+//! per-source rate accounting ([`ServeError::RateLimited`]). Queue,
+//! slab and flush buffers are allocated once per service, not per
+//! request.
 //!
 //! The load-bearing property is *bit-identity*: concurrent micro-batched
 //! serving returns, for every request, exactly the `f64` bits that a

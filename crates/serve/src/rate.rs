@@ -41,12 +41,18 @@ pub fn default_windows() -> Vec<RateWindow> {
 /// (milliseconds); a new request is admitted only if *every* configured
 /// window still has headroom, and admission records the timestamp.
 /// Timestamps older than the longest window are evicted on the way in,
-/// so memory per source is bounded by the largest limit.
+/// so memory per source is bounded by the largest limit; once per
+/// horizon of logical time, sources left with no live stamp are dropped,
+/// so memory across sources is bounded by the sources seen within the
+/// last two horizons.
 #[derive(Debug, Clone)]
 pub struct RateLimiter {
     windows: Vec<RateWindow>,
     horizon_millis: u64,
     per_source: HashMap<u64, VecDeque<u64>>,
+    /// Logical time at or after which the next admission sweeps out
+    /// sources with no live stamp.
+    next_sweep_millis: u64,
 }
 
 impl RateLimiter {
@@ -55,7 +61,7 @@ impl RateLimiter {
     pub fn new(mut windows: Vec<RateWindow>) -> Self {
         windows.sort_by_key(|w| w.secs);
         let horizon_millis = windows.last().map(|w| w.secs.saturating_mul(1_000)).unwrap_or(0);
-        RateLimiter { windows, horizon_millis, per_source: HashMap::new() }
+        RateLimiter { windows, horizon_millis, per_source: HashMap::new(), next_sweep_millis: 0 }
     }
 
     /// Attempts to admit one request from `source` at `now_millis`
@@ -70,9 +76,17 @@ impl RateLimiter {
         if self.windows.is_empty() {
             return Ok(());
         }
+        let horizon_cutoff = now_millis.saturating_sub(self.horizon_millis);
+        if now_millis >= self.next_sweep_millis {
+            // Logical time does not run backwards, so a source whose
+            // newest stamp is past the horizon would have every stamp
+            // evicted on its next admission: forgetting it changes no
+            // decision.
+            self.per_source.retain(|_, stamps| stamps.back().is_some_and(|&t| t >= horizon_cutoff));
+            self.next_sweep_millis = now_millis.saturating_add(self.horizon_millis.max(1));
+        }
         let stamps = self.per_source.entry(source).or_default();
         // Evict everything past the longest horizon.
-        let horizon_cutoff = now_millis.saturating_sub(self.horizon_millis);
         while stamps.front().is_some_and(|&t| t < horizon_cutoff) {
             stamps.pop_front();
         }
@@ -93,8 +107,10 @@ impl RateLimiter {
         Ok(())
     }
 
-    /// Sources currently tracked (post-eviction bookkeeping is lazy, so
-    /// this includes sources whose stamps have all aged out).
+    /// Sources currently tracked: every source with a stamp inside the
+    /// longest window, plus sources whose stamps aged out since the last
+    /// sweep (sweeps run at most one horizon of logical time apart, on
+    /// admission).
     pub fn tracked_sources(&self) -> usize {
         self.per_source.len()
     }
@@ -170,5 +186,23 @@ mod tests {
         assert_eq!(rl.tracked_sources(), 1);
         let stamps = rl.per_source.get(&42).unwrap();
         assert!(stamps.len() <= 101, "eviction keeps only the live horizon, got {}", stamps.len());
+    }
+
+    #[test]
+    fn sweep_forgets_sources_with_no_live_stamp() {
+        let mut rl = RateLimiter::new(vec![RateWindow::new(1, 5), RateWindow::new(10, 20)]);
+        for source in 0..10_000u64 {
+            rl.admit(source, source / 100).unwrap();
+        }
+        assert_eq!(rl.tracked_sources(), 10_000);
+        // Past the 10 s horizon of every stamp, one admission sweeps the
+        // rest away.
+        rl.admit(u64::MAX, 10_000 + 100).unwrap();
+        assert_eq!(rl.tracked_sources(), 1);
+        // A source swept away starts over with its full budget.
+        for t in 0..5 {
+            rl.admit(7, 10_200 + t).unwrap();
+        }
+        assert!(rl.admit(7, 10_205).is_err());
     }
 }

@@ -1,12 +1,15 @@
 //! The long-lived micro-batching forecast service.
 //!
-//! One dispatcher thread owns an MPSC receiver. Clients submit
-//! [`ForecastRequest`]s through cheap cloneable [`ServeClient`] handles
-//! and get back [`ForecastTicket`]s they can block on. The dispatcher
-//! accumulates requests into a micro-batch and flushes when either the
-//! batch is full ([`BatchPolicy::max_batch`]) or the oldest queued
-//! request has waited [`BatchPolicy::max_delay`]. Each flush flattens
-//! the batch into design rows and fans contiguous chunks across the
+//! Clients submit [`ForecastRequest`]s through cheap cloneable
+//! [`ServeClient`] handles and get back [`ForecastTicket`]s they can
+//! block on. Everything between them and the one dispatcher thread is
+//! allocated once per service: a locked batch queue that clients push
+//! request envelopes onto, and a reply slab of ticket slots that the
+//! dispatcher fills in place. The dispatcher accumulates requests into a
+//! micro-batch and flushes when either the batch is full
+//! ([`BatchPolicy::max_batch`]) or the oldest queued request has waited
+//! [`BatchPolicy::max_delay`]. Each flush overwrites reused design rows
+//! with the batch's features and fans contiguous chunks across the
 //! deterministic sharded executor, so a batch of n requests costs the
 //! same tree walks as n serial calls but amortizes dispatch and runs on
 //! every core — and, because each row's score depends only on that row,
@@ -17,12 +20,16 @@
 //! infinite feature is refused outright, an atomic in-flight depth
 //! counter bounds the queue (typed [`ServeError::Overloaded`] when
 //! full) and a sliding-window per-source [`RateLimiter`] sheds abusive
-//! sources before their requests cost any scoring work.
+//! sources before their requests cost any scoring work. The queue lock
+//! is the admission gate: sequence numbers are taken under it, so
+//! admission order is queue order, and shutdown closes it.
 //!
 //! Every lock here guards state that is either updated in one step (the
-//! admission gate, the rate limiter) or cleared before each use (the
-//! worker scratch), so a lock poisoned by a panicking thread is
-//! recovered rather than propagated to every later caller.
+//! queue, the reply slab, the rate limiter) or cleared before each use
+//! (the worker scratch), so a lock poisoned by a panicking thread is
+//! recovered rather than propagated to every later caller. A scorer that
+//! panics costs only its own batch: those tickets get
+//! [`ServeError::ScoringPanicked`] and later batches are served.
 
 use crate::error::{Result, ServeError};
 use crate::rate::{default_windows, RateLimiter, RateWindow};
@@ -33,11 +40,12 @@ use ddos_core::spatiotemporal::{
     AttackForecast, ForecastScratch, InstanceFeatures, SpatioTemporalModel,
 };
 use ddos_stats::exec::{map_indexed, resolve_parallelism};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
 /// When the dispatcher flushes an accumulating micro-batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
@@ -119,9 +127,13 @@ pub struct ForecastResponse {
 }
 
 /// A claim on one in-flight forecast; redeem with [`ForecastTicket::wait`].
+///
+/// Dropping a ticket unredeemed gives its reply slot back to the service.
 #[derive(Debug)]
 pub struct ForecastTicket {
-    rx: mpsc::Receiver<Result<ForecastResponse>>,
+    shared: Arc<Shared>,
+    /// The ticket's reply slot; `None` once redeemed.
+    slot: Option<usize>,
     seq: u64,
 }
 
@@ -137,24 +149,145 @@ impl ForecastTicket {
     ///
     /// Whatever scoring error the batch hit, or
     /// [`ServeError::Disconnected`] if the service died first.
-    pub fn wait(self) -> Result<ForecastResponse> {
-        self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
+    pub fn wait(mut self) -> Result<ForecastResponse> {
+        match self.slot.take() {
+            Some(slot) => self.shared.redeem(slot),
+            None => Err(ServeError::Disconnected),
+        }
+    }
+}
+
+impl Drop for ForecastTicket {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            self.shared.abandon(slot);
+        }
     }
 }
 
 /// One queued request travelling dispatcher-ward.
+#[derive(Debug)]
 struct Envelope {
+    /// The reply slot the answer goes to.
+    slot: usize,
     seq: u64,
     target: Asn,
     features: InstanceFeatures,
-    reply: mpsc::Sender<Result<ForecastResponse>>,
 }
 
-/// State shared between clients, the handle and the dispatcher.
+/// The batch queue. Its lock is also the admission gate.
+#[derive(Debug)]
+struct Queue {
+    /// `false` once shutdown has begun: nothing more is admitted.
+    open: bool,
+    /// Admitted envelopes in admission order. A deque, so a flush that
+    /// takes one batch off the front of a deep queue moves only that
+    /// batch.
+    pending: VecDeque<Envelope>,
+    /// When the current batch started accumulating: the 0→1 transition,
+    /// or the flush that left the remainder behind. Read only while
+    /// `pending` is non-empty.
+    since: Instant,
+    /// The next admission sequence number.
+    next_seq: u64,
+}
+
+/// One reply slot's state.
+#[derive(Debug)]
+enum Slot {
+    /// On the free list.
+    Free,
+    /// Held by a live ticket; not answered yet.
+    Waiting,
+    /// Its ticket was dropped unredeemed; the answer frees it.
+    Abandoned,
+    /// Answered; the ticket has not redeemed it yet.
+    Ready(Result<ForecastResponse>),
+}
+
+/// The reply slab: one slot per live ticket, reused through a free list.
+///
+/// Slots that are `Waiting` or `Abandoned` belong to requests admitted
+/// and not yet answered, of which there are at most `queue_capacity`,
+/// so the slab outgrows its presized capacity only while callers hold
+/// answered tickets they have not redeemed.
+#[derive(Debug)]
+struct Replies {
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    /// Set once the dispatcher thread has exited, so a ticket that would
+    /// otherwise wait forever gets [`ServeError::Disconnected`].
+    dead: bool,
+}
+
+/// The largest reply slab presized up front. A larger `queue_capacity`
+/// still admits that many requests; the slab grows to meet them.
+const MAX_PRESIZED_SLOTS: usize = 1 << 16;
+
+impl Replies {
+    fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.min(MAX_PRESIZED_SLOTS);
+        Replies {
+            slots: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            dead: false,
+        }
+    }
+
+    /// A slot for a new ticket, from the free list when it has one.
+    fn claim(&mut self) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Slot::Waiting;
+                slot
+            }
+            None => {
+                self.slots.push(Slot::Waiting);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.slots[slot] = Slot::Free;
+        self.free.push(slot);
+    }
+
+    /// Stores `answer` for its ticket, or frees the slot if the ticket is gone.
+    fn answer(&mut self, slot: usize, answer: Result<ForecastResponse>) {
+        match self.slots[slot] {
+            Slot::Abandoned => self.release(slot),
+            _ => self.slots[slot] = Slot::Ready(answer),
+        }
+    }
+
+    /// Takes the answer in `slot` and frees it, if it has been answered.
+    fn take(&mut self, slot: usize) -> Option<Result<ForecastResponse>> {
+        match std::mem::replace(&mut self.slots[slot], Slot::Free) {
+            Slot::Ready(answer) => {
+                self.free.push(slot);
+                Some(answer)
+            }
+            unanswered => {
+                self.slots[slot] = unanswered;
+                None
+            }
+        }
+    }
+}
+
+/// State shared between clients, tickets, the handle and the dispatcher.
 #[derive(Debug)]
 struct Shared {
-    /// `None` once shutdown has begun; taking it closes the channel.
-    tx: Mutex<Option<mpsc::Sender<Envelope>>>,
+    queue: Mutex<Queue>,
+    /// Wakes the dispatcher: when the queue leaves empty, when it reaches
+    /// a full batch, and at close.
+    queued: Condvar,
+    replies: Mutex<Replies>,
+    /// Wakes ticket waiters, once per answered batch and when the
+    /// dispatcher exits.
+    answered: Condvar,
+    max_batch: usize,
     /// Requests admitted but not yet answered.
     depth: AtomicUsize,
     capacity: usize,
@@ -162,9 +295,86 @@ struct Shared {
     rate: Option<Mutex<RateLimiter>>,
     /// Origin for wall-clock logical time fed to the rate limiter.
     epoch: Instant,
-    seq: AtomicU64,
     rejected_overload: AtomicUsize,
     rejected_rate: AtomicUsize,
+}
+
+/// Locks `mutex`, recovering it if a panicking holder poisoned it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Shared {
+    /// Runs `push` under the queue lock if the queue is still open, with
+    /// the reply slab locked for claiming slots, then wakes the
+    /// dispatcher if the queue left empty or reached a full batch.
+    fn enqueue<T>(&self, push: impl FnOnce(&mut Queue, &mut Replies) -> T) -> Result<T> {
+        let mut queue = lock(&self.queue);
+        if !queue.open {
+            return Err(ServeError::ShuttingDown);
+        }
+        let before = queue.pending.len();
+        if before == 0 {
+            queue.since = Instant::now();
+        }
+        let pushed = push(&mut queue, &mut lock(&self.replies));
+        let after = queue.pending.len();
+        drop(queue);
+        if before == 0 || (before < self.max_batch && after >= self.max_batch) {
+            self.queued.notify_one();
+        }
+        Ok(pushed)
+    }
+
+    /// Queues one request and returns its ticket; called inside
+    /// [`enqueue`](Shared::enqueue).
+    fn push(
+        self: &Arc<Self>,
+        queue: &mut Queue,
+        replies: &mut Replies,
+        request: &ForecastRequest,
+    ) -> ForecastTicket {
+        let seq = queue.next_seq;
+        queue.next_seq += 1;
+        let slot = replies.claim();
+        queue.pending.push_back(Envelope {
+            slot,
+            seq,
+            target: request.target,
+            features: request.features,
+        });
+        ForecastTicket { shared: Arc::clone(self), slot: Some(slot), seq }
+    }
+
+    /// Blocks until `slot` is answered, then takes the answer.
+    fn redeem(&self, slot: usize) -> Result<ForecastResponse> {
+        let mut replies = lock(&self.replies);
+        loop {
+            if let Some(answer) = replies.take(slot) {
+                return answer;
+            }
+            if replies.dead {
+                replies.release(slot);
+                return Err(ServeError::Disconnected);
+            }
+            replies = self.answered.wait(replies).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Gives back the slot of a ticket dropped unredeemed.
+    fn abandon(&self, slot: usize) {
+        let mut replies = lock(&self.replies);
+        match replies.slots[slot] {
+            Slot::Waiting if !replies.dead => replies.slots[slot] = Slot::Abandoned,
+            _ => replies.release(slot),
+        }
+    }
+
+    /// Closes admission and wakes the dispatcher to drain and exit.
+    fn close(&self) {
+        lock(&self.queue).open = false;
+        self.queued.notify_one();
+    }
 }
 
 /// Counters the dispatcher reports at shutdown.
@@ -205,25 +415,50 @@ impl ForecastService {
 
     /// Spawns the dispatcher over an already-resolved model.
     pub fn start_with_model(model: Arc<SpatioTemporalModel>, config: ServeConfig) -> ServeHandle {
-        let (tx, rx) = mpsc::channel::<Envelope>();
-        let rate = (!config.rate_windows.is_empty())
-            .then(|| Mutex::new(RateLimiter::new(config.rate_windows.clone())));
-        let shared = Arc::new(Shared {
-            tx: Mutex::new(Some(tx)),
-            depth: AtomicUsize::new(0),
-            capacity: config.queue_capacity.max(1),
-            rate,
-            epoch: Instant::now(),
-            seq: AtomicU64::new(0),
-            rejected_overload: AtomicUsize::new(0),
-            rejected_rate: AtomicUsize::new(0),
-        });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatch_loop(&model, &config, &shared, &rx))
-        };
-        ServeHandle { shared, dispatcher: Some(dispatcher) }
+        start_scored(model, config, SpatioTemporalModel::forecast_rows_into)
     }
+}
+
+/// How a flush scores one chunk of rows: the model's batch kernel in
+/// service, a deliberately failing stand-in under test.
+type Scorer = fn(
+    &SpatioTemporalModel,
+    &[Vec<f64>],
+    &mut ForecastScratch,
+    &mut Vec<AttackForecast>,
+) -> ddos_core::Result<()>;
+
+fn start_scored(
+    model: Arc<SpatioTemporalModel>,
+    config: ServeConfig,
+    score: Scorer,
+) -> ServeHandle {
+    let rate = (!config.rate_windows.is_empty())
+        .then(|| Mutex::new(RateLimiter::new(config.rate_windows.clone())));
+    let capacity = config.queue_capacity.max(1);
+    let shared = Arc::new(Shared {
+        queue: Mutex::new(Queue {
+            open: true,
+            pending: VecDeque::new(),
+            since: Instant::now(),
+            next_seq: 0,
+        }),
+        queued: Condvar::new(),
+        replies: Mutex::new(Replies::with_capacity(capacity)),
+        answered: Condvar::new(),
+        max_batch: config.batch.max_batch.max(1),
+        depth: AtomicUsize::new(0),
+        capacity,
+        rate,
+        epoch: Instant::now(),
+        rejected_overload: AtomicUsize::new(0),
+        rejected_rate: AtomicUsize::new(0),
+    });
+    let dispatcher = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || dispatch_loop(&model, &config, &shared, score))
+    };
+    ServeHandle { shared, dispatcher: Some(dispatcher) }
 }
 
 /// The owning handle: mints clients, and its [`shutdown`](ServeHandle::shutdown)
@@ -243,13 +478,15 @@ impl ServeHandle {
     }
 
     /// Closes admission, waits for the dispatcher to drain and answer
-    /// every queued request, and returns its counters.
+    /// every queued request, and returns its counters. Live clients do
+    /// not hold the service open: their later submissions get
+    /// [`ServeError::ShuttingDown`].
     ///
     /// # Errors
     ///
     /// [`ServeError::Disconnected`] if the dispatcher panicked.
     pub fn shutdown(mut self) -> Result<ServeStats> {
-        self.close();
+        self.shared.close();
         let handle = self.dispatcher.take().expect("dispatcher already joined");
         let mut stats = handle.join().map_err(|_| ServeError::Disconnected)?;
         stats.rejected_overload = self.shared.rejected_overload.load(Ordering::Relaxed);
@@ -257,16 +494,17 @@ impl ServeHandle {
         Ok(stats)
     }
 
-    fn close(&self) {
-        // Dropping the sender disconnects the channel; the dispatcher
-        // flushes what it holds and exits.
-        self.shared.tx.lock().unwrap_or_else(PoisonError::into_inner).take();
+    /// Reply slots the slab holds, and how many of them are free.
+    #[cfg(test)]
+    fn slab(&self) -> (usize, usize) {
+        let replies = lock(&self.shared.replies);
+        (replies.slots.len(), replies.free.len())
     }
 }
 
 impl Drop for ServeHandle {
     fn drop(&mut self) {
-        self.close();
+        self.shared.close();
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
         }
@@ -303,24 +541,22 @@ impl ServeClient {
         finite(&request)?;
         self.admit_depth(1)?;
         if let Some(rate) = &self.shared.rate {
-            let admitted = rate
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .admit(request.source, now_millis);
-            if let Err(e) = admitted {
+            if let Err(e) = lock(rate).admit(request.source, now_millis) {
                 self.shared.depth.fetch_sub(1, Ordering::AcqRel);
                 self.shared.rejected_rate.fetch_add(1, Ordering::Relaxed);
                 return Err(e);
             }
         }
-        self.enqueue(request).inspect_err(|_| {
-            self.shared.depth.fetch_sub(1, Ordering::AcqRel);
+        let shared = &self.shared;
+        shared.enqueue(|queue, replies| shared.push(queue, replies, &request)).inspect_err(|_| {
+            shared.depth.fetch_sub(1, Ordering::AcqRel);
         })
     }
 
     /// Submits a batch all-or-nothing: either every request is admitted
     /// (one depth reservation, skipping per-source rate accounting) and
-    /// tickets come back in order, or nothing is enqueued.
+    /// tickets come back in order with contiguous sequence numbers, or
+    /// nothing is enqueued.
     ///
     /// # Errors
     ///
@@ -334,19 +570,14 @@ impl ServeClient {
         }
         requests.iter().try_for_each(finite)?;
         self.admit_depth(requests.len())?;
-        let mut tickets = Vec::with_capacity(requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            match self.enqueue(*request) {
-                Ok(t) => tickets.push(t),
-                Err(e) => {
-                    // Already-enqueued requests will still be answered;
-                    // release only the unenqueued remainder.
-                    self.shared.depth.fetch_sub(requests.len() - i, Ordering::AcqRel);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(tickets)
+        let shared = &self.shared;
+        shared
+            .enqueue(|queue, replies| {
+                requests.iter().map(|request| shared.push(queue, replies, request)).collect()
+            })
+            .inspect_err(|_| {
+                shared.depth.fetch_sub(requests.len(), Ordering::AcqRel);
+            })
     }
 
     /// Requests currently in flight (admitted, not yet answered).
@@ -363,21 +594,6 @@ impl ServeClient {
         }
         Ok(())
     }
-
-    fn enqueue(&self, request: ForecastRequest) -> Result<ForecastTicket> {
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let envelope =
-            Envelope { seq, target: request.target, features: request.features, reply: reply_tx };
-        let gate = self.shared.tx.lock().unwrap_or_else(PoisonError::into_inner);
-        match gate.as_ref() {
-            Some(tx) => {
-                tx.send(envelope).map_err(|_| ServeError::ShuttingDown)?;
-                Ok(ForecastTicket { rx: reply_rx, seq })
-            }
-            None => Err(ServeError::ShuttingDown),
-        }
-    }
 }
 
 /// Refuses a request with a NaN or infinite feature before it costs any
@@ -390,18 +606,31 @@ fn finite(request: &ForecastRequest) -> Result<()> {
     }
 }
 
-/// Per-worker reusable buffers: one traversal scratch and one output
-/// vector per executor slot, reused across every flush of the service's
+/// One executor slot's reusable buffers — traversal scratch, output
+/// vector, and the outcome of its last chunk — kept for the service's
 /// lifetime.
-struct WorkerPool {
-    slots: Vec<Mutex<(ForecastScratch, Vec<AttackForecast>)>>,
+struct Worker {
+    scratch: ForecastScratch,
+    out: Vec<AttackForecast>,
+    scored: Result<()>,
 }
 
-impl WorkerPool {
-    fn new(workers: usize) -> Self {
-        let mut slots = Vec::with_capacity(workers);
-        slots.resize_with(workers, || Mutex::new((ForecastScratch::default(), Vec::new())));
-        WorkerPool { slots }
+impl Worker {
+    fn new() -> Mutex<Self> {
+        Mutex::new(Worker { scratch: ForecastScratch::default(), out: Vec::new(), scored: Ok(()) })
+    }
+}
+
+/// Marks the service dead when the dispatcher thread exits, by return or
+/// by unwinding: admission closes and every ticket still waiting is
+/// woken to get [`ServeError::Disconnected`] instead of hanging.
+struct ExitGuard<'a>(&'a Shared);
+
+impl Drop for ExitGuard<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.queue).open = false;
+        lock(&self.0.replies).dead = true;
+        self.0.answered.notify_all();
     }
 }
 
@@ -409,114 +638,127 @@ fn dispatch_loop(
     model: &SpatioTemporalModel,
     config: &ServeConfig,
     shared: &Shared,
-    rx: &mpsc::Receiver<Envelope>,
+    score: Scorer,
 ) -> ServeStats {
-    let max_batch = config.batch.max_batch.max(1);
-    let workers = resolve_parallelism(config.workers);
-    let pool = WorkerPool::new(workers);
+    let _exit = ExitGuard(shared);
+    let mut pool: Vec<Mutex<Worker>> = Vec::new();
+    pool.resize_with(resolve_parallelism(config.workers), Worker::new);
     let mut stats = ServeStats::default();
-    let mut pending: Vec<Envelope> = Vec::with_capacity(max_batch);
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(max_batch);
-    let mut deadline: Option<Instant> = None;
-    let mut open = true;
-
-    while open {
-        // Blocking receive when idle; deadline-bounded while a batch is
-        // accumulating.
-        let received = match deadline {
-            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-            Some(d) => {
-                let budget = d.saturating_duration_since(Instant::now());
-                rx.recv_timeout(budget)
-            }
-        };
-        match received {
-            Ok(envelope) => {
-                if pending.is_empty() {
-                    deadline = Some(Instant::now() + config.batch.max_delay);
-                }
-                pending.push(envelope);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                flush(model, &pool, workers, &mut pending, &mut rows, shared, &mut stats);
-                deadline = None;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
-        }
-        if pending.len() >= max_batch {
-            flush(model, &pool, workers, &mut pending, &mut rows, shared, &mut stats);
-            deadline = None;
-        }
+    let mut batch: Vec<Envelope> = Vec::with_capacity(shared.max_batch);
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(shared.max_batch);
+    while next_batch(shared, config.batch.max_delay, &mut batch) {
+        flush(model, score, &pool, &mut batch, &mut rows, shared, &mut stats);
     }
-    // Admission is closed; drain whatever remains so every ticket
-    // resolves before shutdown returns.
-    flush(model, &pool, workers, &mut pending, &mut rows, shared, &mut stats);
     stats
 }
 
-/// Scores `pending` as one micro-batch and answers every envelope.
+/// Blocks until a batch is due — `max_batch` are pending, the batch has
+/// waited `max_delay`, or admission has closed — and moves up to
+/// `max_batch` envelopes into `batch`. Returns `false` once the queue is
+/// closed and drained.
+fn next_batch(shared: &Shared, max_delay: Duration, batch: &mut Vec<Envelope>) -> bool {
+    let mut queue = lock(&shared.queue);
+    loop {
+        let pending = queue.pending.len();
+        if pending >= shared.max_batch || (pending > 0 && !queue.open) {
+            break;
+        }
+        if !queue.open {
+            return false;
+        }
+        queue = if pending == 0 {
+            shared.queued.wait(queue).unwrap_or_else(PoisonError::into_inner)
+        } else {
+            let waited = queue.since.elapsed();
+            if waited >= max_delay {
+                break;
+            }
+            let timed = shared.queued.wait_timeout(queue, max_delay - waited);
+            timed.unwrap_or_else(PoisonError::into_inner).0
+        };
+    }
+    let take = queue.pending.len().min(shared.max_batch);
+    batch.extend(queue.pending.drain(..take));
+    if !queue.pending.is_empty() {
+        queue.since = Instant::now();
+    }
+    true
+}
+
+/// Scores `batch` as one micro-batch and answers every envelope.
 ///
-/// The batch is cut into `workers` contiguous chunk ranges fanned across
-/// [`map_indexed`]; each chunk is scored with that executor slot's
-/// long-lived scratch. Chunk boundaries cannot affect values — every
-/// row's score is a pure function of that row — so this is bit-identical
-/// to one serial `forecast_rows_into` over the whole batch.
+/// The batch is cut into at most one contiguous chunk per worker, fanned
+/// across [`map_indexed`]; each chunk is scored with that executor
+/// slot's long-lived buffers. Chunk boundaries cannot affect values —
+/// every row's score is a pure function of that row — so this is
+/// bit-identical to one serial `forecast_rows_into` over the whole
+/// batch. The rows are overwritten in place and the answers are written
+/// straight from each slot's output into the reply slab under one lock,
+/// so a flush allocates nothing once the buffers have grown.
 fn flush(
     model: &SpatioTemporalModel,
-    pool: &WorkerPool,
-    workers: usize,
-    pending: &mut Vec<Envelope>,
+    score: Scorer,
+    pool: &[Mutex<Worker>],
+    batch: &mut Vec<Envelope>,
     rows: &mut Vec<Vec<f64>>,
     shared: &Shared,
     stats: &mut ServeStats,
 ) {
-    if pending.is_empty() {
-        return;
+    let n = batch.len();
+    if rows.len() < n {
+        rows.resize_with(n, Vec::new);
     }
-    let n = pending.len();
-    rows.clear();
-    rows.extend(pending.iter().map(|e| e.features.to_row()));
+    for (row, envelope) in rows.iter_mut().zip(batch.iter()) {
+        row.clear();
+        row.extend_from_slice(&envelope.features.to_array());
+    }
+    let rows = &rows[..n];
+    let chunk_len = n.div_ceil(pool.len());
+    let pool = &pool[..n.div_ceil(chunk_len)];
 
-    let workers = workers.min(n).max(1);
-    let chunk_len = n.div_ceil(workers);
-    let chunks: Vec<(usize, usize)> =
-        (0..workers).map(|w| ((w * chunk_len).min(n), ((w + 1) * chunk_len).min(n))).collect();
-
-    let scored: Vec<Result<Vec<AttackForecast>>> =
-        map_indexed(&chunks, Some(workers), |i, &(lo, hi)| {
-            let mut slot = pool.slots[i].lock().unwrap_or_else(PoisonError::into_inner);
-            let (scratch, out) = &mut *slot;
-            model.forecast_rows_into(&rows[lo..hi], scratch, out)?;
-            Ok(out.clone())
+    let scored = catch_unwind(AssertUnwindSafe(|| {
+        map_indexed(pool, Some(pool.len()), |w, worker| {
+            let chunk = &rows[w * chunk_len..((w + 1) * chunk_len).min(n)];
+            let Worker { scratch, out, scored } = &mut *lock(worker);
+            *scored = score(model, chunk, scratch, out).map_err(ServeError::from);
         });
+    }));
+    let failure = match scored {
+        Ok(()) => pool.iter().find_map(|worker| lock(worker).scored.clone().err()),
+        Err(_) => Some(ServeError::ScoringPanicked),
+    };
 
-    let mut forecasts: Vec<AttackForecast> = Vec::with_capacity(n);
-    let mut failure: Option<ServeError> = None;
-    for chunk in scored {
-        match chunk {
-            Ok(mut part) => forecasts.append(&mut part),
-            Err(e) => {
-                failure = Some(e);
-                break;
+    let mut replies = lock(&shared.replies);
+    match &failure {
+        None => {
+            for (envelopes, worker) in batch.chunks(chunk_len).zip(pool) {
+                let worker = lock(worker);
+                for (j, envelope) in envelopes.iter().enumerate() {
+                    let response = ForecastResponse {
+                        target: envelope.target,
+                        forecast: worker.out[j],
+                        batch_len: n,
+                        seq: envelope.seq,
+                    };
+                    replies.answer(envelope.slot, Ok(response));
+                }
+            }
+        }
+        Some(e) => {
+            for envelope in batch.iter() {
+                replies.answer(envelope.slot, Err(e.clone()));
             }
         }
     }
+    // Under the slab lock, so a redeemed answer is never still counted
+    // in flight.
+    shared.depth.fetch_sub(n, Ordering::AcqRel);
+    drop(replies);
+    shared.answered.notify_all();
+    batch.clear();
 
     stats.batches += 1;
     stats.max_batch_len = stats.max_batch_len.max(n);
-    for (j, envelope) in pending.drain(..).enumerate() {
-        let answer = match &failure {
-            None => Ok(ForecastResponse {
-                target: envelope.target,
-                forecast: forecasts[j],
-                batch_len: n,
-                seq: envelope.seq,
-            }),
-            Some(e) => Err(e.clone()),
-        };
-        let _ = envelope.reply.send(answer);
-        shared.depth.fetch_sub(1, Ordering::AcqRel);
-    }
     if failure.is_none() {
         stats.served += n;
     }
@@ -527,6 +769,17 @@ mod tests {
     use super::*;
     use crate::test_support::{fitted, poison};
 
+    fn request(features: InstanceFeatures) -> ForecastRequest {
+        ForecastRequest { source: 7, target: Asn(7), features }
+    }
+
+    fn assert_same_bits(got: &AttackForecast, want: &AttackForecast) {
+        assert_eq!(got.hour.to_bits(), want.hour.to_bits());
+        assert_eq!(got.day.to_bits(), want.day.to_bits());
+        assert_eq!(got.magnitude.to_bits(), want.magnitude.to_bits());
+        assert_eq!(got.duration_secs.to_bits(), want.duration_secs.to_bits());
+    }
+
     #[test]
     fn poisoned_locks_still_admit_and_answer() {
         let model = fitted();
@@ -535,15 +788,92 @@ mod tests {
             ServeConfig { workers: Some(1), ..ServeConfig::default() },
         );
         poison(handle.shared.rate.as_ref().expect("default config rate-limits"));
-        poison(&handle.shared.tx);
+        poison(&handle.shared.queue);
+        poison(&handle.shared.replies);
 
         let features = InstanceFeatures::from_row(&[1.0; 13]).unwrap();
-        let request = ForecastRequest { source: 7, target: Asn(7), features };
-        let got = handle.client().submit(request).unwrap().wait().unwrap().forecast;
-        let want = model.forecast_features(&[features]).unwrap()[0];
-        assert_eq!(got.hour.to_bits(), want.hour.to_bits());
-        assert_eq!(got.duration_secs.to_bits(), want.duration_secs.to_bits());
+        let got = handle.client().submit(request(features)).unwrap().wait().unwrap().forecast;
+        assert_same_bits(&got, &model.forecast_features(&[features]).unwrap()[0]);
         // Shutdown takes the recovered admission gate too.
         assert_eq!(handle.shutdown().unwrap().served, 1);
+    }
+
+    /// The first feature of a row the test scorer refuses to score.
+    const PANIC_MARKER: f64 = -4_242.0;
+
+    fn panics_on_marker(
+        model: &SpatioTemporalModel,
+        rows: &[Vec<f64>],
+        scratch: &mut ForecastScratch,
+        out: &mut Vec<AttackForecast>,
+    ) -> ddos_core::Result<()> {
+        assert!(rows.iter().all(|row| row[0] != PANIC_MARKER), "a scorer panicked on purpose");
+        model.forecast_rows_into(rows, scratch, out)
+    }
+
+    #[test]
+    fn panicking_scorer_answers_its_batch_with_a_typed_error() {
+        let model = fitted();
+        let config = ServeConfig {
+            batch: BatchPolicy { max_batch: 4, max_delay: Duration::from_secs(5) },
+            workers: Some(2),
+            ..ServeConfig::unlimited()
+        };
+        let handle = start_scored(Arc::clone(model), config, panics_on_marker);
+        let client = handle.client();
+        let clean: Vec<InstanceFeatures> =
+            (0..4).map(|i| InstanceFeatures::from_row(&[f64::from(i); 13]).unwrap()).collect();
+        let mut marked = clean.clone();
+        marked[3] = InstanceFeatures::from_row(&[PANIC_MARKER; 13]).unwrap();
+
+        let batch: Vec<_> = marked.iter().copied().map(request).collect();
+        for ticket in client.submit_batch(&batch).unwrap() {
+            assert_eq!(ticket.wait().unwrap_err(), ServeError::ScoringPanicked);
+        }
+        assert_eq!(client.in_flight(), 0);
+
+        // The dispatcher survived: the next batch gets the serial bits.
+        let serial = model.forecast_features(&clean).unwrap();
+        let batch: Vec<_> = clean.iter().copied().map(request).collect();
+        for (ticket, want) in client.submit_batch(&batch).unwrap().into_iter().zip(&serial) {
+            assert_same_bits(&ticket.wait().unwrap().forecast, want);
+        }
+        let stats = handle.shutdown().unwrap();
+        assert_eq!((stats.served, stats.batches), (4, 2));
+    }
+
+    #[test]
+    fn dropped_tickets_keep_the_slab_within_capacity() {
+        const CAPACITY: usize = 8;
+        let config = ServeConfig {
+            batch: BatchPolicy { max_batch: 3, max_delay: Duration::from_micros(100) },
+            queue_capacity: CAPACITY,
+            workers: Some(1),
+            ..ServeConfig::unlimited()
+        };
+        let handle = ForecastService::start_with_model(Arc::clone(fitted()), config);
+        let client = handle.client();
+        let idle = || {
+            while client.in_flight() > 0 {
+                std::thread::yield_now();
+            }
+        };
+        let features = InstanceFeatures::from_row(&[1.0; 13]).unwrap();
+        let batch = [request(features); CAPACITY];
+        for round in 0..10 {
+            let tickets = client.submit_batch(&batch).unwrap();
+            // Even rounds drop tickets before their answers arrive (the
+            // dispatcher frees those slots), odd rounds after (the drop
+            // frees them).
+            if round % 2 == 1 {
+                idle();
+            }
+            drop(tickets);
+            idle();
+        }
+        let (slots, free) = handle.slab();
+        assert!(slots <= CAPACITY, "the slab grew to {slots} slots");
+        assert_eq!(free, slots, "every slot is free again");
+        assert_eq!(handle.shutdown().unwrap().served, 10 * CAPACITY);
     }
 }

@@ -11,7 +11,7 @@ use ddos_serve::{
 };
 use ddos_trace::{CorpusConfig, TraceGenerator};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::Duration;
 
 /// One fitted model plus its training instances as typed features —
@@ -280,4 +280,127 @@ fn shutdown_drains_then_refuses() {
     assert_eq!(stats.served, 20);
     assert!(matches!(client.submit(request(0, features[0])), Err(ServeError::ShuttingDown)));
     assert_eq!(client.in_flight(), 0);
+}
+
+/// A live client does not hold the service open: `shutdown` drains and
+/// returns while another thread still owns a client clone, and that
+/// clone's later submissions get `ShuttingDown`.
+#[test]
+fn shutdown_returns_while_a_client_clone_is_alive() {
+    let (model, features) = fixture();
+    let serial = model.forecast_features(&features[..8]).unwrap();
+    let handle =
+        ForecastService::start_with_model(Arc::clone(model), config(2, 64, Duration::from_secs(5)));
+    let client = handle.client();
+    // Eight requests, fewer than a batch under a long deadline: only the
+    // shutdown drain answers them.
+    let tickets: Vec<_> = (0..8).map(|i| client.submit(request(i, features[i])).unwrap()).collect();
+    let gate = Arc::new(Barrier::new(2));
+    let holder = std::thread::spawn({
+        let (clone, gate) = (client.clone(), Arc::clone(&gate));
+        move || {
+            gate.wait();
+            (clone.submit(request(0, features[0])).err(), clone.in_flight())
+        }
+    });
+    let stats = handle.shutdown().unwrap();
+    assert_eq!((stats.served, stats.batches), (8, 1));
+    for (ticket, want) in tickets.into_iter().zip(&serial) {
+        assert_eq!(ticket.wait().unwrap().forecast.hour.to_bits(), want.hour.to_bits());
+    }
+    gate.wait();
+    assert_eq!(holder.join().unwrap(), (Some(ServeError::ShuttingDown), 0));
+    let batch = [request(1, features[1])];
+    assert!(matches!(client.submit_batch(&batch), Err(ServeError::ShuttingDown)));
+    assert_eq!(client.in_flight(), 0);
+}
+
+/// Producers that drop half their tickets unredeemed still get the
+/// serial bits on the other half, and every request is served.
+#[test]
+fn producers_dropping_tickets_still_get_serial_bits() {
+    let (model, features) = fixture();
+    let serial = model.forecast_features(features).unwrap();
+    let handle = ForecastService::start_with_model(
+        Arc::clone(model),
+        config(2, 5, Duration::from_micros(100)),
+    );
+
+    const PRODUCERS: usize = 4;
+    const ROUNDS: usize = 5;
+    let serial = &serial;
+    std::thread::scope(|scope| {
+        for p in 0..PRODUCERS {
+            let client = handle.client();
+            scope.spawn(move || {
+                for _ in 0..ROUNDS {
+                    let tickets: Vec<_> = (p..features.len())
+                        .step_by(PRODUCERS)
+                        .map(|i| (i, client.submit(request(i, features[i])).unwrap()))
+                        .collect();
+                    for (k, (i, ticket)) in tickets.into_iter().enumerate() {
+                        if k % 2 == 0 {
+                            drop(ticket);
+                            continue;
+                        }
+                        let got = ticket.wait().unwrap().forecast;
+                        assert_eq!(got.hour.to_bits(), serial[i].hour.to_bits());
+                        assert_eq!(got.day.to_bits(), serial[i].day.to_bits());
+                        assert_eq!(got.magnitude.to_bits(), serial[i].magnitude.to_bits());
+                        assert_eq!(got.duration_secs.to_bits(), serial[i].duration_secs.to_bits());
+                    }
+                }
+            });
+        }
+    });
+    let client = handle.client();
+    let stats = handle.shutdown().unwrap();
+    assert_eq!(stats.served, ROUNDS * features.len());
+    assert_eq!(client.in_flight(), 0);
+}
+
+/// Sequence numbers are taken under the queue lock: each `submit_batch`
+/// gets a contiguous run, one producer's runs increase, and the runs of
+/// racing producers tile `0..total` exactly.
+#[test]
+fn batch_seqs_are_contiguous_and_admission_ordered() {
+    let (model, features) = fixture();
+    let handle = ForecastService::start_with_model(
+        Arc::clone(model),
+        config(2, 7, Duration::from_micros(100)),
+    );
+
+    const PRODUCERS: usize = 4;
+    const ROUNDS: usize = 10;
+    const BATCH: usize = 6;
+    let runs: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let client = handle.client();
+                scope.spawn(move || {
+                    let batch: Vec<_> = (0..BATCH).map(|i| request(p, features[i])).collect();
+                    let mut firsts = Vec::new();
+                    for _ in 0..ROUNDS {
+                        let tickets = client.submit_batch(&batch).unwrap();
+                        let first = tickets[0].seq();
+                        for (k, ticket) in tickets.into_iter().enumerate() {
+                            assert_eq!(ticket.seq(), first + k as u64);
+                            assert_eq!(ticket.wait().unwrap().seq, first + k as u64);
+                        }
+                        firsts.push(first);
+                    }
+                    firsts
+                })
+            })
+            .collect();
+        producers.into_iter().map(|p| p.join().unwrap()).collect()
+    });
+    for firsts in &runs {
+        assert!(firsts.windows(2).all(|w| w[0] < w[1]), "runs out of admission order: {firsts:?}");
+    }
+    let mut firsts: Vec<u64> = runs.concat();
+    firsts.sort_unstable();
+    let tiling: Vec<u64> = (0..PRODUCERS * ROUNDS).map(|r| (r * BATCH) as u64).collect();
+    assert_eq!(firsts, tiling);
+    assert_eq!(handle.shutdown().unwrap().served, PRODUCERS * ROUNDS * BATCH);
 }
