@@ -360,12 +360,7 @@ fn bench_flat_hot_paths(c: &mut Criterion) {
         b.iter(|| oracle.pairwise_distances(black_box(&stubs)))
     });
     let durations = duration_series();
-    let fixed_epochs = TrainConfig {
-        max_epochs: 120,
-        patience: 120,
-        validation_fraction: 0.2,
-        ..Default::default()
-    };
+    let fixed_epochs = TrainConfig { max_epochs: 120, patience: 120, validation_fraction: 0.2 };
     g.bench_function("nar_train_120_epochs", |b| {
         b.iter(|| {
             NarModel::fit(
@@ -785,43 +780,6 @@ fn bench_qr_reuse(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ablation: exponential smoothing as the middle comparator between the
-/// naive baselines and ARIMA on the magnitude series.
-fn bench_ablation_smoothing(c: &mut Criterion) {
-    use ddos_stats::smoothing::{HoltModel, SesModel};
-    let series = magnitude_series();
-    let cut = series.len() * 8 / 10;
-    let (train, test) = series.split_at(cut);
-    // Accuracy headline across the comparator ladder.
-    let arima_rmse = {
-        let m = Arima::fit(train, ArimaOrder::new(2, 0, 1)).unwrap();
-        let p = m.predict_rolling(test).unwrap();
-        ddos_stats::metrics::rmse(&p, test).unwrap()
-    };
-    let holt_rmse = {
-        let mut m = HoltModel::fit_auto(train).unwrap();
-        let p = m.predict_rolling(test);
-        ddos_stats::metrics::rmse(&p, test).unwrap()
-    };
-    let ses_rmse = {
-        let mut m = SesModel::fit(train, 0.3).unwrap();
-        let p = m.predict_rolling(test);
-        ddos_stats::metrics::rmse(&p, test).unwrap()
-    };
-    eprintln!(
-        "[ablation smoothing] magnitude RMSE: ARIMA {arima_rmse:.2} | Holt {holt_rmse:.2} | SES {ses_rmse:.2}"
-    );
-    let mut g = c.benchmark_group("ablation_smoothing");
-    g.bench_function("ses_fit", |b| b.iter(|| SesModel::fit(black_box(train), 0.3).unwrap()));
-    g.bench_function("holt_fit_auto", |b| {
-        b.iter(|| HoltModel::fit_auto(black_box(train)).unwrap())
-    });
-    g.bench_function("arima_fit_201", |b| {
-        b.iter(|| Arima::fit(black_box(train), ArimaOrder::new(2, 0, 1)).unwrap())
-    });
-    g.finish();
-}
-
 /// Tentpole (PR 7): topology operations at internet scale. One 100 k-AS
 /// tiered topology ([`TopologyConfig::internet`]) is generated once in
 /// setup; each row then measures a paper-relevant operation on it: the
@@ -966,7 +924,6 @@ criterion_group!(
     bench_serve_service,
     bench_attribution,
     bench_entropy_detection,
-    bench_ablation_smoothing,
     bench_topo_100k,
     bench_scenario,
 );

@@ -14,7 +14,10 @@
 //!
 //! With `--check <file>` the computed fingerprints are compared against a
 //! recorded golden file (one `name hash` pair per line) and the process
-//! exits non-zero on any mismatch — this is the CI bit-identity gate:
+//! exits 1 on any mismatch — this is the CI bit-identity gate. A bad
+//! argument or an unreadable or malformed golden file is reported on
+//! stderr with the usage line, before any fingerprint is computed, and
+//! exits 2:
 //!
 //! ```sh
 //! cargo run --release -p ddos-bench --bin goldencheck -- \
@@ -96,31 +99,54 @@ fn hash_tree(h: &mut Fnv<'_>, tree: &RegressionTree, xs: &[Vec<f64>]) {
     }
 }
 
+const USAGE: &str = "usage: goldencheck [--check <golden-file>]";
+
+/// Reports a usage or input error on stderr and exits with status 2
+/// (status 1 is reserved for fingerprint mismatches).
+fn usage_error(message: &str) -> ! {
+    eprintln!("goldencheck: {message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2)
+}
+
+/// Reads a golden file into `name → hash`, skipping blank and `#` lines.
+fn read_golden(path: &str) -> Result<std::collections::BTreeMap<String, String>, String> {
+    let golden = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read golden file {path}: {e}"))?;
+    let mut expected = std::collections::BTreeMap::new();
+    for (n, line) in golden.lines().enumerate() {
+        if line.trim().is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut it = line.split_whitespace();
+        let (Some(name), Some(hash)) = (it.next(), it.next()) else {
+            return Err(format!("{path}:{}: expected `name hash`, got {line:?}", n + 1));
+        };
+        expected.insert(name.to_string(), hash.to_string());
+    }
+    Ok(expected)
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let check_path = match args.next().as_deref() {
         Some("--check") => {
-            Some(args.next().unwrap_or_else(|| panic!("--check requires a golden file path")))
+            Some(args.next().unwrap_or_else(|| usage_error("--check requires a golden file path")))
         }
-        Some(other) => panic!("unknown argument {other:?}; usage: goldencheck [--check <file>]"),
+        Some(other) => usage_error(&format!("unknown argument {other:?}")),
         None => None,
     };
+    // Read the golden file before the long run so a bad path fails fast.
+    let expected =
+        check_path.as_deref().map(|path| read_golden(path).unwrap_or_else(|e| usage_error(&e)));
     let mut report = Report { lines: Vec::new() };
     run(&mut report);
     for (name, hash) in &report.lines {
         println!("{name:<32} {hash:016x}");
     }
 
-    if let Some(path) = check_path {
-        let golden = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read golden file {path}: {e}"));
+    if let Some(mut expected) = expected {
         let mut failures = 0;
-        let mut expected = std::collections::BTreeMap::new();
-        for line in golden.lines().filter(|l| !l.trim().is_empty() && !l.starts_with('#')) {
-            let mut it = line.split_whitespace();
-            let (name, hash) = (it.next().unwrap(), it.next().expect("golden line: name hash"));
-            expected.insert(name.to_string(), hash.to_string());
-        }
         for (name, hash) in &report.lines {
             match expected.remove(name) {
                 Some(want) if want == format!("{hash:016x}") => {}

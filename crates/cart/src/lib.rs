@@ -12,9 +12,11 @@
 //! * [`prune`] — bottom-up standard-deviation-retention pruning;
 //! * [`importance`] — per-feature variance-reduction importances;
 //! * [`ensemble`] — deterministic bagged forests and gradient-boosted
-//!   model trees over the same grower (the forecaster zoo);
-//! * [`reference`] — the original per-node-sort grower, retained as the
-//!   bit-identity oracle for the property-based suite.
+//!   model trees over the same grower (the forecaster zoo).
+//!
+//! The original per-node-sort grower survives only as a test-only
+//! module (`reference`), the bit-identity oracle for the presorted
+//! grower's property tests.
 //!
 //! # Example
 //!
@@ -39,8 +41,10 @@ pub mod ensemble;
 pub mod importance;
 pub mod leaf;
 pub mod prune;
-pub mod reference;
 pub mod tree;
+
+#[cfg(test)]
+mod reference;
 
 mod error;
 

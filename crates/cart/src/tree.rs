@@ -905,8 +905,9 @@ impl Growth<'_> {
 /// contiguous cell: `rows` is the node's design segment (leading `1.0`
 /// intercept column, width `p`), `ys` its targets in the same order.
 /// Each prediction goes through the identical [`LeafModel::predict`] on
-/// the row's feature part, so this is bit-identical to
-/// [`residual_std_indexed`] over the indices the segment was built from.
+/// the row's feature part, so this is bit-identical to the reference
+/// grower's per-index residual pass over the cell the segment was built
+/// from.
 fn residual_std_prepared(model: &LeafModel, rows: &[f64], p: usize, ys: &[f64]) -> Result<f64> {
     let mut sse = 0.0;
     for (row, &y) in rows.chunks_exact(p).zip(ys) {
@@ -914,23 +915,6 @@ fn residual_std_prepared(model: &LeafModel, rows: &[f64], p: usize, ys: &[f64]) 
         sse += e * e;
     }
     Ok((sse / ys.len() as f64).sqrt())
-}
-
-/// Residual standard deviation of a fitted leaf model on the cell
-/// described by `indices` (same reduction order as evaluating a gathered
-/// cell).
-pub(crate) fn residual_std_indexed(
-    model: &LeafModel,
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    indices: &[usize],
-) -> Result<f64> {
-    let mut sse = 0.0;
-    for &i in indices {
-        let e = model.predict(&xs[i])? - ys[i];
-        sse += e * e;
-    }
-    Ok((sse / indices.len() as f64).sqrt())
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@ use ddos_cart::ensemble::{
 };
 use ddos_cart::leaf::LeafKind;
 use ddos_cart::prune::{prune, prune_holdout};
-use ddos_cart::reference::fit_reference;
-use ddos_cart::tree::{PresortedDesign, RegressionTree, TreeConfig};
+use ddos_cart::tree::{RegressionTree, TreeConfig};
 use proptest::prelude::*;
 
 fn dataset(xs: &[f64]) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -185,153 +184,5 @@ proptest! {
         for (row, p) in rows.iter().zip(&batch) {
             prop_assert_eq!(a.predict(row).unwrap().to_bits(), p.to_bits());
         }
-    }
-}
-
-// The reference-grower comparisons fit every case twice, once with the
-// retained O(n log n · width)-per-node reference implementation — by far
-// the most expensive properties in the workspace. Their case counts and
-// design sizes are capped separately so the oracle keeps real coverage
-// without dominating CI wall-clock (the cost gate the roadmap calls for).
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The presorted grower is bit-identical to the retained reference
-    /// grower: structurally equal trees (same splits, thresholds, leaf
-    /// models, and node statistics — `RegressionTree` derives a full
-    /// structural `PartialEq`) and bit-equal predictions, across random
-    /// designs (including a low-cardinality feature that forces sort
-    /// ties) and random growth configurations.
-    #[test]
-    fn presorted_grow_matches_reference_grow(
-        points in proptest::collection::vec(
-            (-50.0f64..50.0, -50.0f64..50.0, 0u8..4), 8..40),
-        max_depth in 1usize..7,
-        min_samples_split in 2usize..12,
-        min_samples_leaf in 1usize..6,
-        min_impurity_decrease in 0.0f64..0.05,
-        mlr in 0u8..2,
-    ) {
-        let rows: Vec<Vec<f64>> =
-            points.iter().map(|(a, b, c)| vec![*a, *b, *c as f64]).collect();
-        let ys: Vec<f64> = points
-            .iter()
-            .map(|(a, b, c)| if *a < 0.0 { a * 2.0 + b } else { 10.0 - b + *c as f64 })
-            .collect();
-        let cfg = TreeConfig {
-            max_depth,
-            min_samples_split,
-            min_samples_leaf,
-            min_impurity_decrease,
-            leaf_kind: if mlr == 1 { LeafKind::Linear } else { LeafKind::Constant },
-        };
-        let presorted = RegressionTree::fit(&rows, &ys, &cfg).unwrap();
-        let reference = fit_reference(&rows, &ys, &cfg).unwrap();
-        prop_assert_eq!(&presorted, &reference);
-        for row in &rows {
-            prop_assert_eq!(
-                presorted.predict(row).unwrap().to_bits(),
-                reference.predict(row).unwrap().to_bits()
-            );
-        }
-        for probe in [-75.0, -1.0, 0.0, 3.5, 60.0] {
-            let p = vec![probe, -probe * 0.7, 2.0];
-            prop_assert_eq!(
-                presorted.predict(&p).unwrap().to_bits(),
-                reference.predict(&p).unwrap().to_bits()
-            );
-        }
-    }
-
-    /// One growth for several leaf kinds, on one presorted design reused
-    /// across several targets: each returned tree is structurally equal
-    /// to the reference grower's tree for its leaf kind and predicts
-    /// bit-identically, and every tree equals a fresh fit on its own.
-    #[test]
-    fn shared_grower_matches_reference_per_leaf_kind(
-        points in proptest::collection::vec(
-            (-50.0f64..50.0, -50.0f64..50.0, 0u8..4), 8..40),
-        max_depth in 1usize..7,
-        min_samples_split in 2usize..12,
-        min_samples_leaf in 1usize..6,
-        min_impurity_decrease in 0.0f64..0.05,
-    ) {
-        let rows: Vec<Vec<f64>> =
-            points.iter().map(|(a, b, c)| vec![*a, *b, *c as f64]).collect();
-        let targets: [Vec<f64>; 3] = [
-            points
-                .iter()
-                .map(|(a, b, c)| if *a < 0.0 { a * 2.0 + b } else { 10.0 - b + *c as f64 })
-                .collect(),
-            points.iter().map(|(a, b, _)| a * b * 0.01).collect(),
-            points.iter().map(|(_, _, c)| (*c as f64).powi(2)).collect(),
-        ];
-        let cfg = TreeConfig {
-            max_depth,
-            min_samples_split,
-            min_samples_leaf,
-            min_impurity_decrease,
-            leaf_kind: LeafKind::Linear,
-        };
-        let design = PresortedDesign::new(&rows).unwrap();
-        let kinds = [LeafKind::Linear, LeafKind::Constant];
-        for ys in &targets {
-            let trees = design.fit_leaf_kinds(ys, &cfg, kinds).unwrap();
-            let fresh =
-                PresortedDesign::new(&rows).unwrap().fit_leaf_kinds(ys, &cfg, kinds).unwrap();
-            prop_assert_eq!(&trees, &fresh);
-            for (tree, leaf_kind) in trees.iter().zip(kinds) {
-                let kind_cfg = TreeConfig { leaf_kind, ..cfg };
-                let reference = fit_reference(&rows, ys, &kind_cfg).unwrap();
-                prop_assert_eq!(tree, &reference);
-                prop_assert_eq!(tree, &RegressionTree::fit(&rows, ys, &kind_cfg).unwrap());
-                prop_assert_eq!(tree, &design.fit(ys, &kind_cfg).unwrap());
-                for row in &rows {
-                    prop_assert_eq!(
-                        tree.predict(row).unwrap().to_bits(),
-                        reference.predict(row).unwrap().to_bits()
-                    );
-                }
-            }
-        }
-    }
-
-    /// Pruning (both the std-retention rule and holdout reduced-error
-    /// pruning) collapses exactly the same nodes on a presorted tree as
-    /// on the reference tree: the prune statistics (`collapsed` models
-    /// and residual stds) are part of the bit-identity contract.
-    #[test]
-    fn prune_after_fit_matches_reference(
-        points in proptest::collection::vec(
-            (-30.0f64..30.0, 0u8..6), 16..48),
-        retention in 0.5f64..1.0,
-        mlr in 0u8..2,
-    ) {
-        let rows: Vec<Vec<f64>> = points.iter().map(|(a, c)| vec![*a, *c as f64]).collect();
-        let ys: Vec<f64> = points
-            .iter()
-            .map(|(a, c)| (*c as f64) * 3.0 + if *a < 0.0 { -5.0 } else { 5.0 })
-            .collect();
-        let cfg = TreeConfig {
-            min_impurity_decrease: 0.0,
-            leaf_kind: if mlr == 1 { LeafKind::Linear } else { LeafKind::Constant },
-            ..Default::default()
-        };
-        let mut presorted = RegressionTree::fit(&rows, &ys, &cfg).unwrap();
-        let mut reference = fit_reference(&rows, &ys, &cfg).unwrap();
-        let collapsed_p = prune(&mut presorted, retention).unwrap();
-        let collapsed_r = prune(&mut reference, retention).unwrap();
-        prop_assert_eq!(collapsed_p, collapsed_r);
-        prop_assert_eq!(&presorted, &reference);
-
-        let mut presorted_h = RegressionTree::fit(&rows, &ys, &cfg).unwrap();
-        let mut reference_h = fit_reference(&rows, &ys, &cfg).unwrap();
-        let holdout_n = rows.len() / 3;
-        let collapsed_p = prune_holdout(
-            &mut presorted_h, &rows[..holdout_n], &ys[..holdout_n], retention).unwrap();
-        let collapsed_r = prune_holdout(
-            &mut reference_h, &rows[..holdout_n], &ys[..holdout_n], retention).unwrap();
-        prop_assert_eq!(collapsed_p, collapsed_r);
-        prop_assert_eq!(&presorted_h, &reference_h);
     }
 }

@@ -1039,6 +1039,22 @@ mod tests {
     }
 
     #[test]
+    fn one_attack_corpus_is_an_error_not_a_panic() {
+        let c = corpus();
+        let one = Corpus::new(
+            c.attacks()[..1].to_vec(),
+            c.catalog().clone(),
+            c.topology().clone(),
+            c.ip_map().clone(),
+            c.targets().clone(),
+            c.days(),
+        )
+        .unwrap();
+        let p = Pipeline::new(PipelineConfig::fast(), 1);
+        assert!(p.run_temporal(&one).is_err());
+    }
+
+    #[test]
     fn spatial_report_distributions_normalized() {
         let c = corpus();
         let p = Pipeline::new(PipelineConfig::fast(), 2);

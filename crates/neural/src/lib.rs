@@ -9,8 +9,8 @@
 //!   (the three the paper lists as the common options);
 //! * [`scale`] — min–max normalization to the sigmoid's linear range;
 //! * [`network`] — a one-hidden-layer multilayer perceptron;
-//! * [`train`] — batch RPROP (default) and SGD-with-momentum training with
-//!   early stopping on a validation split;
+//! * [`train`] — batch iRPROP− training with early stopping on a
+//!   validation split;
 //! * [`nar`] — the NAR wrapper: lagged-input construction, one-step and
 //!   recursive forecasting (Eq. 6: `T_{j+1} = f(T_j, …, T_{j−q}) + ε`);
 //! * [`grid`] — grid search over (delays × hidden nodes), as in §V-A.

@@ -1,30 +1,15 @@
 //! Batch training with early stopping.
 //!
-//! Two optimizers are provided: **RPROP** (resilient backpropagation,
-//! the default — robust on the small per-target datasets the spatial model
-//! sees, with no learning rate to tune) and plain **SGD with momentum**.
-//! Training stops early when the validation error has not improved for
-//! `patience` epochs, the standard guard against overfitting tiny series.
+//! The optimizer is **iRPROP−** (resilient backpropagation: robust on the
+//! small per-target datasets the spatial model sees, with no learning rate
+//! to tune). Training stops early when the validation error has not
+//! improved for `patience` epochs, the standard guard against overfitting
+//! tiny series.
 
 use crate::network::Mlp;
 use crate::{NeuralError, Result};
 use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
 use serde::{Deserialize, Serialize};
-
-/// Which optimizer drives training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub enum Optimizer {
-    /// Resilient backpropagation (sign-based adaptive step sizes).
-    #[default]
-    Rprop,
-    /// Stochastic gradient descent with momentum (full-batch here).
-    Sgd {
-        /// Learning rate.
-        learning_rate: f64,
-        /// Momentum coefficient in `[0, 1)`.
-        momentum: f64,
-    },
-}
 
 /// Training configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,52 +22,39 @@ pub struct TrainConfig {
     pub validation_fraction: f64,
     /// Epochs without validation improvement before stopping.
     pub patience: usize,
-    /// Optimizer.
-    pub optimizer: Optimizer,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        TrainConfig {
-            max_epochs: 300,
-            validation_fraction: 0.2,
-            patience: 25,
-            optimizer: Optimizer::Rprop,
-        }
+        TrainConfig { max_epochs: 300, validation_fraction: 0.2, patience: 25 }
     }
 }
 
 impl TrainConfig {
-    /// Encodes the configuration (artifact payload fragment).
+    /// Encodes the configuration (artifact payload fragment). It ends with
+    /// the optimizer tag byte `0` (RPROP, the only optimizer), which keeps
+    /// the artifact format unchanged.
     pub fn encode(&self, w: &mut Writer) {
         w.usize(self.max_epochs);
         w.f64(self.validation_fraction);
         w.usize(self.patience);
-        match self.optimizer {
-            Optimizer::Rprop => w.u8(0),
-            Optimizer::Sgd { learning_rate, momentum } => {
-                w.u8(1);
-                w.f64(learning_rate);
-                w.f64(momentum);
-            }
-        }
+        w.u8(0);
     }
 
     /// Decodes a configuration encoded by [`TrainConfig::encode`].
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on truncated input or unknown optimizer tags.
+    /// [`CodecError`] on truncated input or an optimizer tag other than
+    /// `0`.
     pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
         let max_epochs = r.usize()?;
         let validation_fraction = r.f64()?;
         let patience = r.usize()?;
-        let optimizer = match r.u8()? {
-            0 => Optimizer::Rprop,
-            1 => Optimizer::Sgd { learning_rate: r.f64()?, momentum: r.f64()? },
-            t => return Err(CodecError::BadTag { context: "Optimizer", tag: t as u64 }),
-        };
-        Ok(TrainConfig { max_epochs, validation_fraction, patience, optimizer })
+        match r.u8()? {
+            0 => Ok(TrainConfig { max_epochs, validation_fraction, patience }),
+            t => Err(CodecError::BadTag { context: "Optimizer", tag: t as u64 }),
+        }
     }
 }
 
@@ -136,7 +108,6 @@ pub struct TrainScratch {
     grad: Vec<f64>,
     prev_grad: Vec<f64>,
     step: Vec<f64>,
-    velocity: Vec<f64>,
     moves: Vec<f64>,
     w1t: Vec<f64>,
     gw1t: Vec<f64>,
@@ -244,16 +215,13 @@ pub fn train_with(
     // All per-epoch scratch comes from the arena, (re)initialized to
     // exactly the state a fresh allocation would have: the epoch body
     // performs no heap allocation and reuse cannot change a single bit.
-    let TrainScratch { grad, prev_grad, step, velocity, moves, w1t, gw1t, z, hidden, best: kept } =
-        scratch;
+    let TrainScratch { grad, prev_grad, step, moves, w1t, gw1t, z, hidden, best: kept } = scratch;
     grad.clear();
     grad.resize(n_params, 0.0);
     prev_grad.clear();
     prev_grad.resize(n_params, 0.0);
     step.clear();
     step.resize(n_params, 0.05); // RPROP initial step
-    velocity.clear();
-    velocity.resize(n_params, 0.0);
     moves.clear();
     moves.resize(n_params, 0.0);
     hidden.clear();
@@ -302,40 +270,29 @@ pub fn train_with(
         network.fold_transposed_grad(gw1t, grad);
         train_mse = sse / n_train as f64;
 
-        match config.optimizer {
-            Optimizer::Rprop => {
-                // iRPROP−: adapt per-parameter steps by gradient sign
-                // agreement; on sign flip, shrink the step and skip the move.
-                const ETA_PLUS: f64 = 1.2;
-                const ETA_MINUS: f64 = 0.5;
-                const STEP_MAX: f64 = 5.0;
-                const STEP_MIN: f64 = 1e-9;
-                for i in 0..n_params {
-                    let g = grad[i];
-                    let prod = g * prev_grad[i];
-                    if prod > 0.0 {
-                        step[i] = (step[i] * ETA_PLUS).min(STEP_MAX);
-                        moves[i] = -g.signum() * step[i];
-                        prev_grad[i] = g;
-                    } else if prod < 0.0 {
-                        step[i] = (step[i] * ETA_MINUS).max(STEP_MIN);
-                        moves[i] = 0.0;
-                        prev_grad[i] = 0.0;
-                    } else {
-                        moves[i] = -g.signum() * step[i];
-                        prev_grad[i] = g;
-                    }
-                }
-                network.apply_update(|i, v| v + moves[i]);
-            }
-            Optimizer::Sgd { learning_rate, momentum } => {
-                let scale = learning_rate / n_train as f64;
-                for i in 0..n_params {
-                    velocity[i] = momentum * velocity[i] - scale * grad[i];
-                }
-                network.apply_update(|i, v| v + velocity[i]);
+        // iRPROP−: adapt per-parameter steps by gradient sign
+        // agreement; on sign flip, shrink the step and skip the move.
+        const ETA_PLUS: f64 = 1.2;
+        const ETA_MINUS: f64 = 0.5;
+        const STEP_MAX: f64 = 5.0;
+        const STEP_MIN: f64 = 1e-9;
+        for i in 0..n_params {
+            let g = grad[i];
+            let prod = g * prev_grad[i];
+            if prod > 0.0 {
+                step[i] = (step[i] * ETA_PLUS).min(STEP_MAX);
+                moves[i] = -g.signum() * step[i];
+                prev_grad[i] = g;
+            } else if prod < 0.0 {
+                step[i] = (step[i] * ETA_MINUS).max(STEP_MIN);
+                moves[i] = 0.0;
+                prev_grad[i] = 0.0;
+            } else {
+                moves[i] = -g.signum() * step[i];
+                prev_grad[i] = g;
             }
         }
+        network.apply_update(|i, v| v + moves[i]);
 
         // Validation / early stopping.
         let val_mse = if n_val > 0 {
@@ -394,12 +351,7 @@ mod tests {
             &mut net,
             &xs,
             &ys,
-            &TrainConfig {
-                max_epochs: 500,
-                validation_fraction: 0.0,
-                patience: 100,
-                ..Default::default()
-            },
+            &TrainConfig { max_epochs: 500, validation_fraction: 0.0, patience: 100 },
         )
         .unwrap();
         assert!(report.train_mse < 0.01, "train MSE {}", report.train_mse);
@@ -409,25 +361,35 @@ mod tests {
     }
 
     #[test]
-    fn sgd_also_reduces_error() {
-        let (xs, ys) = xor_like();
-        let mut net = Mlp::new(2, 8, Activation::TanSig, 12).unwrap();
-        let initial_mse: f64 =
-            xs.iter().zip(&ys).map(|(x, y)| (net.predict(x).unwrap() - y).powi(2)).sum::<f64>()
-                / xs.len() as f64;
-        let report = train(
-            &mut net,
-            &xs,
-            &ys,
-            &TrainConfig {
-                max_epochs: 400,
-                validation_fraction: 0.0,
-                patience: 400,
-                optimizer: Optimizer::Sgd { learning_rate: 0.5, momentum: 0.9 },
-            },
-        )
-        .unwrap();
-        assert!(report.train_mse < initial_mse * 0.5, "{} vs {initial_mse}", report.train_mse);
+    fn optimizer_tag_zero_round_trips_to_the_same_bytes() {
+        let config = TrainConfig { max_epochs: 120, validation_fraction: 0.25, patience: 9 };
+        let mut w = Writer::new();
+        config.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.last(), Some(&0), "the optimizer tag closes the payload");
+        let decoded = TrainConfig::decode(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(decoded, config);
+        let mut again = Writer::new();
+        decoded.encode(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn retired_sgd_optimizer_tag_is_a_bad_tag() {
+        // The payload an SGD configuration used to write: tag 1 followed
+        // by its learning rate and momentum.
+        let mut w = Writer::new();
+        w.usize(400);
+        w.f64(0.0);
+        w.usize(400);
+        w.u8(1);
+        w.f64(0.5);
+        w.f64(0.9);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            TrainConfig::decode(&mut Reader::new(&bytes)),
+            Err(CodecError::BadTag { context: "Optimizer", tag: 1 })
+        ));
     }
 
     #[test]
@@ -474,12 +436,7 @@ mod tests {
             &mut net,
             &xs,
             &ys,
-            &TrainConfig {
-                max_epochs: 300,
-                validation_fraction: 0.25,
-                patience: 30,
-                ..Default::default()
-            },
+            &TrainConfig { max_epochs: 300, validation_fraction: 0.25, patience: 30 },
         )
         .unwrap();
         // Recompute validation error of the returned network: must equal

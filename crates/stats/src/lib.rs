@@ -15,8 +15,6 @@
 //! * [`metrics`] — forecast-accuracy metrics (RMSE, MAE, MAPE, CV, …).
 //! * [`distributions`] — seedable samplers (Poisson, log-normal, exponential,
 //!   Pareto, categorical, diurnal cycles) used by the trace generator.
-//! * [`smoothing`] — simple and Holt exponential smoothing (the
-//!   middle-ground comparators between the naive baselines and ARIMA).
 //! * [`exec`] — deterministic sharded parallel executor backing the
 //!   model-fitting hot paths (same outputs at any thread count).
 //! * [`forecast`] — the train/serve split: `Forecaster` (fit) and
@@ -56,7 +54,6 @@ pub mod metrics;
 pub mod ols;
 pub mod regress;
 pub mod select;
-pub mod smoothing;
 
 mod error;
 

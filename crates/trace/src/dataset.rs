@@ -158,12 +158,19 @@ impl Corpus {
     /// 40,563 training and 10,141 testing attacks). Test data strictly
     /// follows training data in time, so it "has no effect on training".
     ///
+    /// Both halves hold at least one attack.
+    ///
     /// # Errors
     ///
-    /// Returns [`TraceError::BadSplit`] unless `0 < fraction < 1`.
+    /// * [`TraceError::BadSplit`] unless `0 < fraction < 1`.
+    /// * [`TraceError::TooFewAttacks`] when the corpus holds one attack,
+    ///   which cannot fill both halves.
     pub fn split(&self, fraction: f64) -> Result<(&[AttackRecord], &[AttackRecord])> {
         if !(fraction > 0.0 && fraction < 1.0) {
             return Err(TraceError::BadSplit(fraction));
+        }
+        if self.attacks.len() < 2 {
+            return Err(TraceError::TooFewAttacks { required: 2, actual: self.attacks.len() });
         }
         let cut = ((self.attacks.len() as f64) * fraction).round() as usize;
         let cut = cut.clamp(1, self.attacks.len() - 1);
@@ -279,6 +286,26 @@ mod tests {
         assert!(matches!(c.split(0.0), Err(TraceError::BadSplit(_))));
         assert!(matches!(c.split(1.0), Err(TraceError::BadSplit(_))));
         assert!(matches!(c.split(-0.3), Err(TraceError::BadSplit(_))));
+    }
+
+    #[test]
+    fn split_of_a_one_attack_corpus_is_a_typed_error() {
+        let c = corpus();
+        let prefix = |n: usize| {
+            Corpus::new(
+                c.attacks()[..n].to_vec(),
+                c.catalog().clone(),
+                c.topology().clone(),
+                c.ip_map().clone(),
+                c.targets().clone(),
+                c.days(),
+            )
+            .unwrap()
+        };
+        assert_eq!(prefix(1).split(0.8), Err(TraceError::TooFewAttacks { required: 2, actual: 1 }));
+        let two = prefix(2);
+        let (train, test) = two.split(0.8).unwrap();
+        assert_eq!((train.len(), test.len()), (1, 1));
     }
 
     #[test]

@@ -18,6 +18,13 @@ pub enum TraceError {
     EmptyCorpus,
     /// A split fraction was outside (0, 1).
     BadSplit(f64),
+    /// The corpus has fewer attacks than the operation needs.
+    TooFewAttacks {
+        /// Attacks the operation needs.
+        required: usize,
+        /// Attacks the corpus holds.
+        actual: usize,
+    },
     /// An underlying topology operation failed.
     Topology(ddos_astopo::TopoError),
     /// An underlying statistical operation failed.
@@ -53,6 +60,9 @@ impl fmt::Display for TraceError {
             TraceError::EmptyCorpus => write!(f, "corpus contains no attacks"),
             TraceError::BadSplit(frac) => {
                 write!(f, "split fraction {frac} must lie strictly between 0 and 1")
+            }
+            TraceError::TooFewAttacks { required, actual } => {
+                write!(f, "corpus holds {actual} attack(s), {required} required")
             }
             TraceError::Topology(e) => write!(f, "topology error: {e}"),
             TraceError::Stats(e) => write!(f, "stats error: {e}"),

@@ -1,11 +1,20 @@
 //! The end-to-end trace engine: topology → pools → schedules → attacks.
+//!
+//! [`TraceGenerator`] builds the substrate (synthetic Internet, address
+//! plan, targets) and then runs one `FamilyGen` (in [`crate::stream`]) per
+//! family — the crate's only per-day attack loop. Its two entry points
+//! differ only in where each family's RNG comes from:
+//! [`TraceGenerator::generate`] threads the corpus's one main RNG through
+//! the families in catalog order, and
+//! [`TraceGenerator::generate_partitioned`] gives every family its own
+//! `family_seed` stream, as [`crate::stream::CorpusStream`] does.
 
-use crate::arrival::{place_within_day_in_regime, ArrivalSchedule};
 use crate::attack::{AttackId, AttackRecord};
 use crate::bots::{BotPool, SamplerScratch};
 use crate::dataset::Corpus;
 use crate::family::{FamilyCatalog, FamilyId};
-use crate::scenario::{RegimeParams, RegimeSchedule, ScenarioPolicy};
+use crate::scenario::{RegimeParams, ScenarioPolicy};
+use crate::stream::FamilyGen;
 use crate::targets::{TargetId, TargetPopulation};
 use crate::time::{Timestamp, DAY, HOUR};
 use crate::{Result, TraceError};
@@ -16,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of a corpus generation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -145,7 +155,7 @@ pub(crate) type DurationState = HashMap<(FamilyId, TargetId), f64>;
 /// finalizer, so partitioned generation gives every family its own
 /// statistically independent RNG stream. Used by the family-partitioned
 /// paths ([`TraceGenerator::generate_partitioned`] and
-/// [`crate::stream::CorpusStream`]); the legacy single-stream
+/// [`crate::stream::CorpusStream`]); the single-stream
 /// [`TraceGenerator::generate`] never calls this.
 pub(crate) fn family_seed(seed: u64, slot: usize) -> u64 {
     let mut z = seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -165,8 +175,9 @@ pub(crate) struct Substrate {
 
 /// Builds the substrate exactly as [`TraceGenerator::generate`] does: the
 /// topology from `seed ^ 0xA5`, the RNG-free address plan, and the target
-/// spread as the first consumer of the caller's main RNG. Both generation
-/// paths share this, which is what makes their substrates bit-identical.
+/// spread as the first consumer of the caller's main RNG. Both generators
+/// and the stream share this, which is what makes their substrates
+/// bit-identical.
 pub(crate) fn build_substrate<R: Rng + ?Sized>(
     config: &CorpusConfig,
     seed: u64,
@@ -207,110 +218,15 @@ impl TraceGenerator {
         &self.config
     }
 
-    /// Generates the corpus.
+    /// Generates the corpus: the substrate, then every family in catalog
+    /// order drawing from the one main RNG, which each family takes over
+    /// and hands on to the next.
     ///
     /// # Errors
     ///
     /// Propagates configuration, topology and sampling errors.
     pub fn generate(&self) -> Result<Corpus> {
-        self.config.validate()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
-
-        // Substrate: Internet, address plan, targets.
-        let Substrate { topology, ipmap, allocations, targets } =
-            build_substrate(&self.config, self.seed, &mut rng)?;
-
-        let mut attacks: Vec<AttackRecord> = Vec::new();
-        let mut duration_state: DurationState = HashMap::new();
-
-        for (family_id, profile) in self.config.catalog.iter() {
-            let slot = family_id.0;
-            let regimes = RegimeSchedule::generate(
-                self.config.scenario,
-                profile,
-                self.config.days,
-                self.seed,
-                slot,
-            );
-            let pool = BotPool::recruit(&topology, &allocations, profile, slot, &mut rng)?;
-            let mut sampler = SamplerScratch::default();
-            let schedule = ArrivalSchedule::generate_in_scenario(
-                profile,
-                self.config.days,
-                slot,
-                &regimes,
-                &mut rng,
-            )?;
-
-            let mut regime_idx = 0usize;
-            let (mut target_picker, mut vector_picker) =
-                family_pickers(profile, slot, &targets, &regimes.regimes()[0].params)?;
-
-            let mut prev: Option<(TargetId, Timestamp)> = None;
-            for plan in schedule.days() {
-                // Plans are chronological, so the regime cursor only moves
-                // forward; pickers rebuild exactly once per boundary.
-                let idx = regimes.index_at(plan.day);
-                if idx != regime_idx {
-                    regime_idx = idx;
-                    let params = &regimes.regimes()[idx].params;
-                    (target_picker, vector_picker) =
-                        family_pickers(profile, slot, &targets, params)?;
-                }
-                let params = regimes.regimes()[regime_idx].params;
-                let launches =
-                    place_within_day_in_regime(plan.day, plan.count, profile, &params, &mut rng)?;
-                // Activity multiplier couples magnitudes to the day's latent
-                // rate, giving the temporal model real structure.
-                let activity = (plan.rate / profile.avg_attacks_per_day).powf(0.8);
-                for ts in launches {
-                    let (target_id, mut start, multistage) = pick_target(
-                        self.config.days,
-                        profile.multistage_prob,
-                        &prev,
-                        ts,
-                        &target_picker,
-                        &mut rng,
-                    )?;
-                    if !multistage && rng.gen_bool(profile.hour_affinity) {
-                        start = preferred_launch(start, target_id, profile, &params, &mut rng);
-                    }
-                    let target = targets.target(target_id)?;
-                    let vector = crate::attack::AttackVector::ALL[vector_picker.sample(&mut rng)];
-                    let record = build_attack(
-                        family_id,
-                        profile,
-                        &params,
-                        &pool,
-                        &mut sampler,
-                        target_id,
-                        target.asn,
-                        start,
-                        activity,
-                        multistage,
-                        vector,
-                        &mut duration_state,
-                        &mut rng,
-                    )?;
-                    prev = Some((target_id, start));
-                    attacks.push(record);
-                }
-            }
-        }
-
-        // Chronological ordering and dense DDoS IDs.
-        attacks.sort_by_key(|a| (a.start, a.family, a.target));
-        for (i, a) in attacks.iter_mut().enumerate() {
-            a.id = AttackId(i as u64);
-        }
-        Corpus::new(
-            attacks,
-            self.config.catalog.clone(),
-            topology,
-            ipmap,
-            targets,
-            self.config.days,
-        )
+        self.generate_families(true)
     }
 
     /// Generates the corpus with per-family RNG streams — the in-RAM
@@ -318,40 +234,59 @@ impl TraceGenerator {
     ///
     /// Each family draws from its own [`family_seed`]-derived stream, so
     /// families are independent and the result is invariant to execution
-    /// order; records are globally sorted and densely re-identified exactly
-    /// as [`TraceGenerator::generate`] does. The statistical model is
-    /// identical to `generate`, but the draw *sequence* differs, so the two
-    /// paths produce different (equally valid) corpora for the same seed.
+    /// order. The statistical model and the per-day loop are those of
+    /// [`TraceGenerator::generate`], but the draw *sequence* differs, so
+    /// the two paths produce different (equally valid) corpora for the
+    /// same seed.
     ///
     /// # Errors
     ///
     /// Propagates configuration, topology and sampling errors.
     pub fn generate_partitioned(&self) -> Result<Corpus> {
+        self.generate_families(false)
+    }
+
+    /// Builds the substrate from the main RNG, runs each family's
+    /// [`FamilyGen`] over the whole window, then sorts stably by
+    /// `(start, family, target)` and assigns dense chronological ids. With
+    /// `shared_rng` every family continues the main RNG where the previous
+    /// one left it; otherwise each family seeds its own [`family_seed`]
+    /// stream. That RNG source is the only difference between the two
+    /// public generators.
+    fn generate_families(&self, shared_rng: bool) -> Result<Corpus> {
         self.config.validate()?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let Substrate { topology, ipmap, allocations, targets } =
             build_substrate(&self.config, self.seed, &mut rng)?;
-        let targets = std::sync::Arc::new(targets);
+        let targets = Arc::new(targets);
+        let mut main_rng = shared_rng.then_some(rng);
 
         let mut attacks: Vec<AttackRecord> = Vec::new();
         for (family_id, profile) in self.config.catalog.iter() {
-            let mut fam = crate::stream::FamilyGen::new(
+            let family_rng = main_rng
+                .take()
+                .unwrap_or_else(|| StdRng::seed_from_u64(family_seed(self.seed, family_id.0)));
+            let mut fam = FamilyGen::new(
                 family_id,
                 profile.clone(),
                 &self.config,
                 self.seed,
                 &topology,
                 &allocations,
-                std::sync::Arc::clone(&targets),
+                Arc::clone(&targets),
+                family_rng,
             )?;
             fam.advance(self.config.days, &mut attacks)?;
+            if shared_rng {
+                main_rng = Some(fam.into_rng());
+            }
         }
 
         attacks.sort_by_key(|a| (a.start, a.family, a.target));
         for (i, a) in attacks.iter_mut().enumerate() {
             a.id = AttackId(i as u64);
         }
-        let targets = std::sync::Arc::try_unwrap(targets).unwrap_or_else(|arc| (*arc).clone());
+        let targets = Arc::try_unwrap(targets).unwrap_or_else(|arc| (*arc).clone());
         Corpus::new(
             attacks,
             self.config.catalog.clone(),

@@ -12,6 +12,11 @@
 //! results in index order, so parallelism is a throughput knob, not a
 //! semantic one.
 //!
+//! Each family advances through `FamilyGen`, the per-day attack loop
+//! that [`crate::TraceGenerator`] also runs for both of its generators;
+//! the stream adds only the day windows, the fan-out and the reorder
+//! buffer.
+//!
 //! Memory is bounded by the substrate (topology, address plan, bot pools)
 //! plus the reorder buffer, whose size is governed by the chunk width and
 //! the 24-hour multistage band — not by the corpus length. That is what
@@ -37,13 +42,18 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Resumable single-family generation state.
+/// Resumable single-family generation state: the crate's one per-day
+/// attack loop.
 ///
-/// Runs the same per-day loop as the legacy generator, but against a
-/// family-private RNG, so it can be advanced in day windows and in any
-/// interleaving with other families without changing its output. Records
-/// leave with their per-family sequence number stashed in `id`; the
-/// consumer re-assigns dense global ids after the merge sort.
+/// The family owns the RNG it was built with. Given a family-private
+/// [`family_seed`] stream it can be advanced in day windows and in any
+/// interleaving with other families without changing its output (the
+/// stream and [`crate::TraceGenerator::generate_partitioned`]); given the
+/// corpus's main RNG, advanced to the end and handed back through
+/// [`FamilyGen::into_rng`], it is one step of the single-stream
+/// [`crate::TraceGenerator::generate`]. Records leave with their
+/// per-family sequence number stashed in `id`; the consumer re-assigns
+/// dense global ids after the merge sort.
 pub(crate) struct FamilyGen {
     family: FamilyId,
     profile: FamilyProfile,
@@ -67,8 +77,10 @@ pub(crate) struct FamilyGen {
 }
 
 impl FamilyGen {
-    /// Builds the family's pool, schedule and pickers from its derived
-    /// seed. Does not touch the caller's RNG.
+    /// Builds the family's pool, schedule and pickers, drawing from `rng`,
+    /// which the family then owns for every later draw (see
+    /// [`FamilyGen::into_rng`] to take it back).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         family: FamilyId,
         profile: FamilyProfile,
@@ -77,13 +89,13 @@ impl FamilyGen {
         topology: &AsGraph,
         allocations: &BTreeMap<Asn, Vec<Prefix>>,
         targets: Arc<TargetPopulation>,
+        mut rng: StdRng,
     ) -> Result<Self> {
         let slot = family.0;
         // The regime timeline draws from its own splitmix64 stream, never
         // from the family RNG, so the policy cannot shift generation draws
         // it does not parameterize.
         let regimes = RegimeSchedule::generate(config.scenario, &profile, config.days, seed, slot);
-        let mut rng = StdRng::seed_from_u64(family_seed(seed, slot));
         let pool = BotPool::recruit(topology, allocations, &profile, slot, &mut rng)?;
         let schedule =
             ArrivalSchedule::generate_in_scenario(&profile, config.days, slot, &regimes, &mut rng)?;
@@ -143,6 +155,8 @@ impl FamilyGen {
                 &params,
                 &mut self.rng,
             )?;
+            // The activity multiplier couples magnitudes to the day's latent
+            // rate, giving the temporal model real structure.
             let activity = (plan.rate / self.profile.avg_attacks_per_day).powf(0.8);
             for ts in launches {
                 let (target_id, mut start, multistage) = pick_target(
@@ -182,6 +196,11 @@ impl FamilyGen {
             }
         }
         Ok(())
+    }
+
+    /// Hands back the RNG, positioned after every draw this family made.
+    pub(crate) fn into_rng(self) -> StdRng {
+        self.rng
     }
 
     /// A lower bound (seconds) on the start of any attack this family can
@@ -296,6 +315,7 @@ impl CorpusStream {
                     &topology,
                     &allocations,
                     Arc::clone(&targets),
+                    StdRng::seed_from_u64(family_seed(seed, family_id.0)),
                 )
                 .map(Mutex::new)
             })
