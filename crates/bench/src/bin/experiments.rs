@@ -19,6 +19,21 @@ use ddos_bench::{
     zoo, Scale,
 };
 
+/// Every experiment name `main` dispatches on.
+const EXPERIMENTS: [&str; 11] = [
+    "table1",
+    "cdf",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "comparison",
+    "zoo",
+    "drift",
+    "usecases",
+    "all",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut what = "all".to_string();
@@ -57,6 +72,11 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+
+    // Refuse a misspelt experiment before paying for the corpus.
+    if !EXPERIMENTS.contains(&what.as_str()) {
+        unknown_experiment(&what);
     }
 
     eprintln!("generating corpus (scale {scale:?}, seed {seed})...");
@@ -101,11 +121,11 @@ fn main() {
             run("drift", drift(seed));
             run("usecases", usecases(&c, seed));
         }
-        other => {
-            eprintln!(
-                "unknown experiment {other:?}; use table1|cdf|fig1|fig2|fig3|comparison|zoo|drift|usecases|all"
-            );
-            std::process::exit(2);
-        }
+        other => unknown_experiment(other),
     }
+}
+
+fn unknown_experiment(name: &str) -> ! {
+    eprintln!("unknown experiment {name:?}; use {}", EXPERIMENTS.join("|"));
+    std::process::exit(2)
 }

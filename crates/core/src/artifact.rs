@@ -6,7 +6,7 @@
 //! on-disk form so a model can be fit once and served many times — across
 //! processes and across releases — with **bit-identical** predictions.
 //!
-//! # Envelope (schema v3, current)
+//! # Envelope (schema v4, current)
 //!
 //! Every artifact starts with the same envelope, followed by a
 //! model-specific payload:
@@ -14,7 +14,7 @@
 //! | bytes | field | value |
 //! |---|---|---|
 //! | 0..8 | magic | `b"DDOSMDL\0"` |
-//! | 8..12 | schema version | little-endian `u32`, currently `3` |
+//! | 8..12 | schema version | little-endian `u32`, currently `4` |
 //! | 12 | kind tag | [`ArtifactKind`] discriminant |
 //! | 13..21 | payload length | little-endian `u64` |
 //! | 21..29 | payload checksum | four-lane guard hash (`u64`) over the payload |
@@ -25,9 +25,10 @@
 //! structured decode. The checksum is a four-lane multiply–rotate hash
 //! ([`guard64`]-style, xxHash64 primes): 32 bytes per step across four
 //! independent dependency chains, in fully safe, platform-independent
-//! code. v3 is the only envelope this crate reads or writes: an artifact
-//! stamped with any other version, the retired v1 and v2 included
-//! (DESIGN.md §12), is an [`ArtifactError::UnsupportedVersion`].
+//! code. Each model family has exactly one kind tag and one payload
+//! layout. v4 is the only schema this crate reads or writes: an artifact
+//! stamped with any other version, the retired v1–v3 included
+//! (DESIGN.md §12, §22), is an [`ArtifactError::UnsupportedVersion`].
 //!
 //! All floating-point state inside payloads is written via
 //! [`f64::to_bits`], so encode→decode is the *identity* on the model —
@@ -44,7 +45,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"DDOSMDL\0";
 
 /// Current artifact schema version. Bump when any payload layout changes.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Which model family an artifact holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +55,8 @@ pub enum ArtifactKind {
     Temporal,
     /// A per-network spatial model (NAR bundle, §V).
     Spatial,
-    /// The corpus-wide spatiotemporal model (regression trees, §VI).
+    /// The corpus-wide spatiotemporal model (regression trees or
+    /// ensembles over the component outputs, §VI).
     SpatioTemporal,
     /// The source-distribution model (per-AS share ARIMAs, §IV-B).
     SourceDistribution,
@@ -62,11 +64,6 @@ pub enum ArtifactKind {
     Forest,
     /// A standalone gradient-boosted model-tree ensemble (forecaster zoo).
     Boosted,
-    /// A spatiotemporal model whose per-target learners are ensemble
-    /// regressors rather than single trees. Distinct from
-    /// [`ArtifactKind::SpatioTemporal`] so single-tree artifacts keep
-    /// their historical payload byte-for-byte.
-    SpatioTemporalZoo,
 }
 
 impl ArtifactKind {
@@ -78,7 +75,6 @@ impl ArtifactKind {
             ArtifactKind::SourceDistribution => 4,
             ArtifactKind::Forest => 5,
             ArtifactKind::Boosted => 6,
-            ArtifactKind::SpatioTemporalZoo => 7,
         }
     }
 
@@ -90,7 +86,6 @@ impl ArtifactKind {
             4 => Some(ArtifactKind::SourceDistribution),
             5 => Some(ArtifactKind::Forest),
             6 => Some(ArtifactKind::Boosted),
-            7 => Some(ArtifactKind::SpatioTemporalZoo),
             _ => None,
         }
     }
@@ -105,7 +100,6 @@ impl fmt::Display for ArtifactKind {
             ArtifactKind::SourceDistribution => "source-distribution",
             ArtifactKind::Forest => "forest",
             ArtifactKind::Boosted => "boosted",
-            ArtifactKind::SpatioTemporalZoo => "spatiotemporal-zoo",
         };
         f.write_str(name)
     }
@@ -211,24 +205,10 @@ impl From<CodecError> for ArtifactError {
 /// therefore store state verbatim (`f64::to_bits`) and never re-derive
 /// anything lossy at decode time.
 pub trait ModelArtifact: Sized {
-    /// The canonical kind tag of this model family — what
-    /// [`accepts`](ModelArtifact::accepts) admits by default and what
-    /// [`WrongKind`](ArtifactError::WrongKind) reports as expected.
+    /// The kind tag stamped into the envelope and the only one
+    /// [`from_artifact_bytes`](ModelArtifact::from_artifact_bytes)
+    /// accepts.
     const KIND: ArtifactKind;
-
-    /// The kind tag stamped into the envelope for *this* value. Defaults
-    /// to [`Self::KIND`]; multi-kind families (the spatiotemporal model,
-    /// whose learner may be a single tree or an ensemble) override it to
-    /// pick the tag per instance.
-    fn artifact_kind(&self) -> ArtifactKind {
-        Self::KIND
-    }
-
-    /// Whether this model family can decode an artifact of `kind`.
-    /// Defaults to exactly [`Self::KIND`]; multi-kind families widen it.
-    fn accepts(kind: ArtifactKind) -> bool {
-        kind == Self::KIND
-    }
 
     /// Appends the model-specific payload to `w`.
     fn encode_payload(&self, w: &mut Writer);
@@ -243,21 +223,8 @@ pub trait ModelArtifact: Sized {
     /// bounds) so a corrupt artifact can never panic at predict time.
     fn decode_payload(r: &mut Reader<'_>) -> CodecResult<Self>;
 
-    /// Reconstructs the model from a payload whose envelope carried
-    /// `kind`. Defaults to ignoring `kind` and calling
-    /// [`decode_payload`](ModelArtifact::decode_payload); multi-kind
-    /// families dispatch on it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`decode_payload`](ModelArtifact::decode_payload).
-    fn decode_payload_as(kind: ArtifactKind, r: &mut Reader<'_>) -> CodecResult<Self> {
-        let _ = kind;
-        Self::decode_payload(r)
-    }
-
     /// Serializes the model into a self-describing artifact at the
-    /// current schema version (v3: payload length + guard-hash checksum
+    /// current schema version (payload length + guard-hash checksum
     /// guard the payload).
     fn to_artifact_bytes(&self) -> Vec<u8> {
         let mut pw = Writer::new();
@@ -266,7 +233,7 @@ pub trait ModelArtifact: Sized {
         let mut w = Writer::new();
         w.bytes(&MAGIC);
         w.u32(SCHEMA_VERSION);
-        w.u8(self.artifact_kind().tag());
+        w.u8(Self::KIND.tag());
         w.usize(payload.len());
         w.u64(guard64(&payload));
         w.bytes(&payload);
@@ -281,8 +248,7 @@ pub trait ModelArtifact: Sized {
     /// * [`ArtifactError::BadMagic`] when the magic prefix is absent.
     /// * [`ArtifactError::UnsupportedVersion`] for other schema versions.
     /// * [`ArtifactError::UnknownKind`] / [`ArtifactError::WrongKind`]
-    ///   when the kind tag is unrecognised or names a model this family
-    ///   does not [`accept`](ModelArtifact::accepts).
+    ///   when the kind tag is unrecognised or is not [`Self::KIND`].
     /// * [`ArtifactError::ChecksumMismatch`] when the payload guard
     ///   disagrees with the payload bytes.
     /// * [`ArtifactError::Corrupt`] when the payload fails to decode or
@@ -299,7 +265,7 @@ pub trait ModelArtifact: Sized {
         }
         let tag = r.u8()?;
         let kind = ArtifactKind::from_tag(tag).ok_or(ArtifactError::UnknownKind { tag })?;
-        if !Self::accepts(kind) {
+        if kind != Self::KIND {
             return Err(ArtifactError::WrongKind { expected: Self::KIND, found: kind });
         }
         let len = r.usize()?;
@@ -311,7 +277,7 @@ pub trait ModelArtifact: Sized {
             return Err(ArtifactError::ChecksumMismatch { expected, actual });
         }
         let mut pr = Reader::new(payload);
-        let model = Self::decode_payload_as(kind, &mut pr)?;
+        let model = Self::decode_payload(&mut pr)?;
         pr.finish()?;
         Ok(model)
     }
@@ -416,7 +382,7 @@ mod tests {
         // A well-formed artifact stamped with any other version is
         // refused before the payload is looked at.
         let bytes = Toy { weights: vec![1.5, -0.0] }.to_artifact_bytes();
-        for version in [0, SCHEMA_VERSION + 1, u32::MAX] {
+        for version in [0, 3, SCHEMA_VERSION + 1, u32::MAX] {
             let mut stamped = bytes.clone();
             stamped[8..12].copy_from_slice(&version.to_le_bytes());
             let err = Toy::from_artifact_bytes(&stamped).unwrap_err();
@@ -428,20 +394,21 @@ mod tests {
     fn v1_artifacts_are_rejected() {
         // The retired v1 envelope: magic, version, kind tag, then the bare
         // payload — no length and no guard.
-        let v3 = Toy { weights: vec![1.5, -0.0, 3.25e300] }.to_artifact_bytes();
-        let mut v1 = Vec::with_capacity(v3.len() - 16);
+        let current = Toy { weights: vec![1.5, -0.0, 3.25e300] }.to_artifact_bytes();
+        let mut v1 = Vec::with_capacity(current.len() - 16);
         v1.extend_from_slice(&MAGIC);
         v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.push(v3[12]);
-        v1.extend_from_slice(&v3[29..]);
+        v1.push(current[12]);
+        v1.extend_from_slice(&current[29..]);
         let err = Toy::from_artifact_bytes(&v1).unwrap_err();
         assert_eq!(err, ArtifactError::UnsupportedVersion { found: 1 });
     }
 
     #[test]
     fn v2_artifacts_are_rejected() {
-        // The retired v2 envelope shares the v3 layout (only its guard hash
-        // differed), so a v3 artifact stamped 2 has a v2 artifact's shape.
+        // The retired v2 envelope shares the current layout (only its guard
+        // hash differed), so a current artifact stamped 2 has a v2
+        // artifact's shape.
         let mut v2 = Toy { weights: vec![1.5, -0.0, 3.25e300] }.to_artifact_bytes();
         v2[8..12].copy_from_slice(&2u32.to_le_bytes());
         let err = Toy::from_artifact_bytes(&v2).unwrap_err();

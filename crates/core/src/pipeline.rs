@@ -21,9 +21,10 @@ use crate::spatiotemporal::{SpatioTemporalConfig, SpatioTemporalModel, StPredict
 use crate::temporal::{TemporalConfig, TemporalModel};
 use crate::{ModelError, Result};
 use ddos_neural::nar::NarModel;
+use ddos_stats::codec::{guard64, Writer};
 use ddos_stats::exec::map_indexed;
 use ddos_stats::metrics::rmse;
-use ddos_trace::{AttackRecord, Corpus, FamilyId};
+use ddos_trace::{AttackRecord, Corpus, FamilyId, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::PathBuf;
@@ -452,25 +453,16 @@ impl Pipeline {
         SpatialConfig { parallelism: self.config.parallelism, ..self.config.spatial.clone() }
     }
 
-    fn family_split<'c>(
-        &self,
-        corpus: &'c Corpus,
-        family: FamilyId,
-    ) -> Result<(Vec<&'c AttackRecord>, Vec<&'c AttackRecord>)> {
-        // The split is global-chronological (as in the paper), then
-        // restricted per family.
-        let (train, test) = corpus.split(self.config.split)?;
-        let cut_time = test.first().expect("nonempty test").start;
-        let fam = corpus.family_attacks(family);
-        if fam.is_empty() {
-            return Err(ModelError::NoAttacksForFamily(family));
-        }
-        let train_fam: Vec<&AttackRecord> =
-            fam.iter().copied().filter(|a| a.start < cut_time).collect();
-        let test_fam: Vec<&AttackRecord> =
-            fam.iter().copied().filter(|a| a.start >= cut_time).collect();
-        let _ = train;
-        Ok((train_fam, test_fam))
+    /// The global-chronological train/test cut (as in the paper): the
+    /// launch time of the first test attack. Runners compute it once and
+    /// restrict it per family or per network.
+    fn cut_time(&self, corpus: &Corpus) -> Result<Timestamp> {
+        let (_, test) = corpus.split(self.config.split)?;
+        test.first().map(|a| a.start).ok_or_else(|| ModelError::NotEnoughHistory {
+            context: "chronological test split".to_string(),
+            required: 1,
+            actual: 0,
+        })
     }
 
     /// Fit stage of the Fig. 1 experiment: trains one per-family temporal
@@ -485,10 +477,11 @@ impl Pipeline {
     pub fn fit_temporal(&self, corpus: &Corpus) -> Result<Vec<TemporalModel>> {
         let fx = FeatureExtractor::new(corpus);
         let families = self.families(corpus);
+        let cut = self.cut_time(corpus)?;
         // Each family's ARIMA stack fits on its own shard; the in-order
         // reduction keeps the model list identical at any worker count.
         let fitted = map_indexed(&families, self.config.parallelism, |_, &family| {
-            let Ok((train, test)) = self.family_split(corpus, family) else {
+            let Ok((train, test)) = family_split(corpus, family, cut) else {
                 return None;
             };
             if test.is_empty() {
@@ -514,10 +507,11 @@ impl Pipeline {
         models: &[TemporalModel],
     ) -> Result<TemporalReport> {
         let fx = FeatureExtractor::new(corpus);
+        let cut = self.cut_time(corpus)?;
         let mut per_family = Vec::new();
         for model in models {
             let family = model.family();
-            let Ok((_, test)) = self.family_split(corpus, family) else { continue };
+            let Ok((_, test)) = family_split(corpus, family, cut) else { continue };
             if test.is_empty() {
                 continue;
             }
@@ -566,10 +560,11 @@ impl Pipeline {
     ) -> Result<Vec<(FamilyId, SourceDistributionModel)>> {
         let families = self.families(corpus);
         let spatial = self.spatial_config();
+        let cut = self.cut_time(corpus)?;
         // One shard per family; reduce in family order for a worker-count
         // independent model list.
         let fitted = map_indexed(&families, self.config.parallelism, |_, &family| {
-            let Ok((train, test)) = self.family_split(corpus, family) else {
+            let Ok((train, test)) = family_split(corpus, family, cut) else {
                 return None;
             };
             if test.is_empty() {
@@ -592,9 +587,10 @@ impl Pipeline {
         corpus: &Corpus,
         models: &[(FamilyId, SourceDistributionModel)],
     ) -> Result<SpatialDistReport> {
+        let cut = self.cut_time(corpus)?;
         let mut per_family = Vec::new();
         for (family, model) in models {
-            let Ok((_, test)) = self.family_split(corpus, *family) else { continue };
+            let Ok((_, test)) = family_split(corpus, *family, cut) else { continue };
             if test.is_empty() {
                 continue;
             }
@@ -675,8 +671,7 @@ impl Pipeline {
         corpus: &Corpus,
         max_networks: usize,
     ) -> Result<Vec<SpatialModel>> {
-        let (_, test_all) = corpus.split(self.config.split)?;
-        let cut_time = test_all.first().expect("nonempty test").start;
+        let cut = self.cut_time(corpus)?;
         let networks = corpus.hottest_target_asns(max_networks);
         let spatial = self.spatial_config();
         // One shard per victim network, hottest first; each network's NAR
@@ -685,8 +680,8 @@ impl Pipeline {
         let fitted = map_indexed(&networks, self.config.parallelism, |_, &(asn, _)| {
             let attacks = corpus.attacks_on_asn(asn);
             let train: Vec<&AttackRecord> =
-                attacks.iter().copied().filter(|a| a.start < cut_time).collect();
-            let n_test = attacks.iter().filter(|a| a.start >= cut_time).count();
+                attacks.iter().copied().filter(|a| a.start < cut).collect();
+            let n_test = attacks.iter().filter(|a| a.start >= cut).count();
             if train.len() < spatial.min_attacks || n_test < 3 {
                 return None;
             }
@@ -708,16 +703,15 @@ impl Pipeline {
         corpus: &Corpus,
         models: &[SpatialModel],
     ) -> Result<SpatialDurationReport> {
-        let (_, test_all) = corpus.split(self.config.split)?;
-        let cut_time = test_all.first().expect("nonempty test").start;
+        let cut = self.cut_time(corpus)?;
         let mut per_network = Vec::new();
         for model in models {
             let asn = model.asn();
             let attacks = corpus.attacks_on_asn(asn);
             let train: Vec<&AttackRecord> =
-                attacks.iter().copied().filter(|a| a.start < cut_time).collect();
+                attacks.iter().copied().filter(|a| a.start < cut).collect();
             let test: Vec<&AttackRecord> =
-                attacks.iter().copied().filter(|a| a.start >= cut_time).collect();
+                attacks.iter().copied().filter(|a| a.start >= cut).collect();
             if test.len() < 3 {
                 continue;
             }
@@ -783,10 +777,10 @@ impl Pipeline {
     /// [`Pipeline::fit_spatiotemporal`] that additionally reports what
     /// the artifact cache did — in particular [`CacheStatus::Invalid`]
     /// when a cache file existed but could not be decoded (corruption,
-    /// truncation, version skew beyond migration), which previously
-    /// triggered a *silent* refit. Callers that must not serve from a
-    /// possibly-tampered cache directory inspect the status instead of
-    /// relying on the stderr warning.
+    /// truncation, checksum mismatch, unsupported schema version), which
+    /// previously triggered a *silent* refit. Callers that must not
+    /// serve from a possibly-tampered cache directory inspect the status
+    /// instead of relying on the stderr warning.
     ///
     /// # Errors
     ///
@@ -861,6 +855,7 @@ impl Pipeline {
     /// Propagates model errors.
     pub fn run_baseline_comparison(&self, corpus: &Corpus) -> Result<RmseTable> {
         let fx = FeatureExtractor::new(corpus);
+        let cut = self.cut_time(corpus)?;
         let mut table = RmseTable::new();
         let mut evaluated = 0usize;
         // Walk the activity ranking and keep the five most active families
@@ -870,7 +865,7 @@ impl Pipeline {
             if evaluated >= 5 {
                 break;
             }
-            let Ok((train, test)) = self.family_split(corpus, family) else { continue };
+            let Ok((train, test)) = family_split(corpus, family, cut) else { continue };
             if train.len() < 30 || test.len() < 5 {
                 continue;
             }
@@ -963,40 +958,25 @@ impl Pipeline {
         crate::drift::run(&crate::drift::DriftConfig::small(policy, self.seed))
     }
 
-    /// Cache key for a spatiotemporal fit: FNV-1a over the seed, split,
-    /// encoded configuration and the identifying fields of every training
-    /// attack. Any change to what the fit would see produces a new key, so
-    /// a stale artifact can never be served against fresh data.
+    /// Cache key for a spatiotemporal fit: the artifact guard hash over
+    /// the seed, split, encoded configuration (learner included) and the
+    /// identifying fields of every training attack. Any change to what
+    /// the fit would see produces a new key, so a stale artifact can
+    /// never be served against fresh data.
     fn spatiotemporal_key(&self, train: &[AttackRecord]) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-            }
-        };
-        eat(self.seed);
-        eat(self.config.split.to_bits());
-        let mut cfg = ddos_stats::codec::Writer::new();
-        // Extended encoding: the learner choice changes what a fit would
-        // produce, so it must change the key too.
-        self.config.spatiotemporal.encode_extended(&mut cfg);
-        let cfg_bytes = cfg.into_bytes();
-        for chunk in cfg_bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            eat(u64::from_le_bytes(word));
-        }
-        eat(train.len() as u64);
+        let mut w = Writer::new();
+        w.u64(self.seed);
+        w.f64(self.config.split);
+        self.config.spatiotemporal.encode(&mut w);
+        w.usize(train.len());
         for a in train {
-            eat(a.id.0);
-            eat(a.target_asn.0.into());
-            eat(a.start.0);
-            eat(a.duration_secs);
-            eat(a.magnitude() as u64);
+            w.u64(a.id.0);
+            w.u32(a.target_asn.0);
+            w.u64(a.start.0);
+            w.u64(a.duration_secs);
+            w.u64(a.magnitude() as u64);
         }
-        h
+        guard64(&w.into_bytes())
     }
 
     fn push_baselines(
@@ -1013,6 +993,21 @@ impl Pipeline {
         }
         Ok(())
     }
+}
+
+/// One family's attacks on each side of the chronological cut.
+fn family_split(
+    corpus: &Corpus,
+    family: FamilyId,
+    cut: Timestamp,
+) -> Result<(Vec<&AttackRecord>, Vec<&AttackRecord>)> {
+    let fam = corpus.family_attacks(family);
+    if fam.is_empty() {
+        return Err(ModelError::NoAttacksForFamily(family));
+    }
+    let train = fam.iter().copied().filter(|a| a.start < cut).collect();
+    let test = fam.iter().copied().filter(|a| a.start >= cut).collect();
+    Ok((train, test))
 }
 
 #[cfg(test)]

@@ -131,11 +131,7 @@ impl SpatioTemporalConfig {
         SpatioTemporalConfig { history_per_group: 8, max_spatial_models: 4, ..Default::default() }
     }
 
-    /// Encodes the configuration's **legacy** fields — everything except
-    /// [`learner`](SpatioTemporalConfig::learner). This is the layout
-    /// every [`ArtifactKind::SpatioTemporal`] payload ever written uses,
-    /// so it must stay byte-stable; tree-learner artifacts keep encoding
-    /// through it (goldencheck pins the bytes).
+    /// Encodes the configuration, learner choice last.
     pub fn encode(&self, w: &mut Writer) {
         w.usize(self.history_per_group);
         self.tree.encode(w);
@@ -145,47 +141,23 @@ impl SpatioTemporalConfig {
         }
         self.spatial.encode(w);
         w.usize(self.max_spatial_models);
-    }
-
-    /// Encodes the full configuration: the legacy fields plus the learner
-    /// choice. The [`ArtifactKind::SpatioTemporalZoo`] payload layout.
-    pub fn encode_extended(&self, w: &mut Writer) {
-        self.encode(w);
         self.learner.encode(w);
     }
 
-    /// Decodes a configuration written by [`SpatioTemporalConfig::encode`]
-    /// (the learner defaults to [`LearnerKind::Tree`]).
+    /// Decodes a configuration written by [`SpatioTemporalConfig::encode`].
     ///
     /// # Errors
     ///
     /// [`ddos_stats::codec::CodecError`] on truncated or malformed input.
     pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let history_per_group = r.usize()?;
-        let tree = TreeConfig::decode(r)?;
-        let prune_retention = if r.bool()? { Some(r.f64()?) } else { None };
-        let spatial = SpatialConfig::decode(r)?;
-        let max_spatial_models = r.usize()?;
         Ok(SpatioTemporalConfig {
-            history_per_group,
-            tree,
-            prune_retention,
-            spatial,
-            max_spatial_models,
-            learner: LearnerKind::Tree,
+            history_per_group: r.usize()?,
+            tree: TreeConfig::decode(r)?,
+            prune_retention: if r.bool()? { Some(r.f64()?) } else { None },
+            spatial: SpatialConfig::decode(r)?,
+            max_spatial_models: r.usize()?,
+            learner: LearnerKind::decode(r)?,
         })
-    }
-
-    /// Decodes a configuration written by
-    /// [`SpatioTemporalConfig::encode_extended`].
-    ///
-    /// # Errors
-    ///
-    /// [`ddos_stats::codec::CodecError`] on truncated or malformed input.
-    pub fn decode_extended(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let mut config = Self::decode(r)?;
-        config.learner = LearnerKind::decode(r)?;
-        Ok(config)
     }
 }
 
@@ -400,188 +372,48 @@ pub struct ForecastScratch {
 /// its `[hour, day, magnitude, duration]` label vector.
 pub type TrainingDesign = (Vec<Vec<f64>>, Vec<[f64; 4]>);
 
-/// One training instance before flattening: structured features plus the
-/// `[hour, day, magnitude, duration]` labels.
+/// One prediction instance: structured features plus the
+/// `[hour, day, magnitude, duration]` of the attack it predicts.
 type Instance = (InstanceFeatures, [f64; 4]);
 
-/// The fitted spatiotemporal model.
-pub struct SpatioTemporalModel {
-    config: SpatioTemporalConfig,
+/// The feature side of the model: the temporal (ARIMA) and spatial (NAR)
+/// components whose outputs become each instance's features.
+struct Components {
     /// Global temporal components (fit on all training attacks).
     hour_arima: Arima,
     day_arima: Arima,
     gap_arima: Arima,
     /// Per-AS spatial components for the hottest victim networks.
     spatial: BTreeMap<Asn, SpatialModel>,
-    /// The four per-target regressors (single trees or ensembles,
-    /// per `config.learner`).
-    hour_model: Regressor,
-    day_model: Regressor,
-    magnitude_model: Regressor,
-    duration_model: Regressor,
 }
 
-impl SpatioTemporalModel {
-    /// Fits the model: temporal components on the full training stream,
-    /// spatial components per hot victim AS, then the four trees on every
-    /// training instance with sufficient history.
-    ///
-    /// # Errors
-    ///
-    /// * [`ModelError::NotEnoughHistory`] when fewer than ~30 usable
-    ///   training instances exist.
-    /// * Propagates component errors.
-    pub fn fit(
-        corpus: &Corpus,
-        train: &[AttackRecord],
-        config: &SpatioTemporalConfig,
-        seed: u64,
-    ) -> Result<Self> {
-        let (mut shell, instances) = Self::fitted_components(train, config, seed)?;
-        if instances.len() < 30 {
-            return Err(ModelError::NotEnoughHistory {
-                context: "spatiotemporal training instances".to_string(),
-                required: 30,
-                actual: instances.len(),
-            });
-        }
-        let xs: Vec<Vec<f64>> = instances.iter().map(|(f, _)| f.to_row()).collect();
-        let label = |idx: usize| -> Vec<f64> { instances.iter().map(|(_, l)| l[idx]).collect() };
-
-        // Grow on the head of the instance stream, prune against the
-        // chronological tail (reduced-error pruning with the paper's
-        // retention factor), and pick each tree's leaf kind by holdout
-        // RMSE: periodic targets (hour) usually prefer constant leaves
-        // (MLR leaves extrapolate across the 0/24 wrap) while
-        // near-identity targets (day) prefer the paper's MLR leaves — the
-        // holdout decides per corpus instead of hard-coding either.
-        let grow_n = (xs.len() as f64 * 0.85) as usize;
-        let grow_n = grow_n.clamp(20, xs.len());
-        // Splits never depend on the leaf kind, so one growth yields both
-        // candidate trees for a target.
-        let fit_tree = |design: &PresortedDesign, labels: &[f64]| -> Result<RegressionTree> {
-            let Some(retention) = config.prune_retention else {
-                return Ok(design.fit(labels, &config.tree)?);
-            };
-            let pruned = |mut tree: RegressionTree| -> Result<(f64, RegressionTree)> {
-                prune_holdout(&mut tree, &xs[grow_n..], &labels[grow_n..], retention)?;
-                let mut sse = 0.0;
-                for (row, y) in xs[grow_n..].iter().zip(&labels[grow_n..]) {
-                    let e = tree.predict(row)? - y;
-                    sse += e * e;
-                }
-                Ok((sse, tree))
-            };
-            let [linear, constant] = design.fit_leaf_kinds(
-                &labels[..grow_n],
-                &config.tree,
-                [LeafKind::Linear, LeafKind::Constant],
-            )?;
-            let (linear_sse, linear) = pruned(linear)?;
-            let (constant_sse, constant) = pruned(constant)?;
-            // Constant leaves must win outright: the paper's MLR leaves
-            // keep a tie.
-            Ok(if constant_sse < linear_sse { constant } else { linear })
-        };
-        // Dispatch per learner. The tree path above is untouched (its
-        // float-op order is pinned by golden fingerprints); the ensemble
-        // learners train on the full design and control capacity their
-        // own way — forests by averaging, boosting by early stopping on
-        // its own chronological holdout tail.
-        let models: [Result<Regressor>; 4] = match config.learner {
-            LearnerKind::Tree => {
-                // One presorted design serves all four targets.
-                let rows = if config.prune_retention.is_some() { &xs[..grow_n] } else { &xs[..] };
-                let design = PresortedDesign::new(rows)?;
-                std::array::from_fn(|idx| Ok(Regressor::Tree(fit_tree(&design, &label(idx))?)))
-            }
-            LearnerKind::Forest { n_trees } => std::array::from_fn(|idx| {
-                let forest_config = ForestConfig {
-                    n_trees,
-                    tree: config.tree,
-                    // One decorrelated cell seed per target keeps the
-                    // four forests' bootstrap streams independent.
-                    seed: derive_seed(seed, idx as u64),
-                    parallelism: None,
-                };
-                Ok(Regressor::Forest(BaggedForest::fit(&xs, &label(idx), &forest_config)?))
-            }),
-            LearnerKind::Boosted { rounds, shrinkage } => {
-                let boost_config = BoostConfig {
-                    // Boosting wants weak stage learners: cap depth
-                    // well below the single-tree default.
-                    tree: TreeConfig { max_depth: 4, ..config.tree },
-                    rounds,
-                    shrinkage,
-                    ..BoostConfig::default()
-                };
-                std::array::from_fn(|idx| {
-                    Ok(Regressor::Boosted(BoostedTrees::fit(&xs, &label(idx), &boost_config)?))
-                })
-            }
-        };
-        let [hour, day, magnitude, duration] = models;
-        shell.hour_model = hour?;
-        shell.day_model = day?;
-        shell.magnitude_model = magnitude?;
-        shell.duration_model = duration?;
-        let _ = corpus; // corpus-level context reserved for future features
-        Ok(shell)
-    }
-
-    /// The raw tree design the model trains on: one `(features, labels)`
-    /// row per training instance with sufficient history, where labels are
-    /// `[hour, day, magnitude, duration]` of the predicted attack. This is
-    /// the "standard spatiotemporal training set" the CART benches and the
-    /// goldencheck fingerprints run against.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SpatioTemporalModel::fit`], except the minimum
-    /// instance count is not enforced (an empty design is returned as-is).
-    pub fn training_design(
-        train: &[AttackRecord],
-        config: &SpatioTemporalConfig,
-        seed: u64,
-    ) -> Result<TrainingDesign> {
-        let (_, instances) = Self::fitted_components(train, config, seed)?;
-        let xs = instances.iter().map(|(f, _)| f.to_row()).collect();
-        let labels = instances.iter().map(|(_, l)| *l).collect();
-        Ok((xs, labels))
-    }
-
-    /// Fits the temporal and spatial components, returning a shell model
-    /// (placeholder trees) plus the training instances its components
-    /// generate.
-    fn fitted_components(
-        train: &[AttackRecord],
-        config: &SpatioTemporalConfig,
-        seed: u64,
-    ) -> Result<(Self, Vec<Instance>)> {
-        let train_refs: Vec<&AttackRecord> = train.iter().collect();
+impl Components {
+    /// Fits the temporal components on the full training stream and the
+    /// spatial components per hot victim AS.
+    fn fit(train: &[&AttackRecord], config: &SpatioTemporalConfig, seed: u64) -> Result<Self> {
         let h = config.history_per_group;
-        if train_refs.len() < h * 4 {
+        if train.len() < h * 4 {
             return Err(ModelError::NotEnoughHistory {
                 context: "spatiotemporal training stream".to_string(),
                 required: h * 4,
-                actual: train_refs.len(),
+                actual: train.len(),
             });
         }
 
         // Global temporal components. Fixed small AR orders keep this
         // robust on arbitrary corpora; the per-family temporal model of
         // §IV handles order search.
-        let hours: Vec<f64> = train_refs.iter().map(|a| a.start.hour() as f64).collect();
-        let days: Vec<f64> = train_refs.iter().map(|a| a.start.day_of_month() as f64).collect();
+        let hours: Vec<f64> = train.iter().map(|a| a.start.hour() as f64).collect();
+        let days: Vec<f64> = train.iter().map(|a| a.start.day_of_month() as f64).collect();
         let gaps: Vec<f64> =
-            train_refs.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
+            train.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
         let hour_arima = Arima::fit(&hours, ArimaOrder::new(2, 0, 1))?;
         let day_arima = Arima::fit(&days, ArimaOrder::new(2, 0, 0))?;
         let gap_arima = Arima::fit(&gaps, ArimaOrder::new(2, 0, 1))?;
 
         // Spatial components for the hottest victim ASes (within train).
         let mut per_asn: BTreeMap<Asn, Vec<&AttackRecord>> = BTreeMap::new();
-        for a in &train_refs {
+        for a in train {
             per_asn.entry(a.target_asn).or_default().push(a);
         }
         let mut hot: Vec<(Asn, usize)> = per_asn.iter().map(|(asn, v)| (*asn, v.len())).collect();
@@ -594,77 +426,23 @@ impl SpatioTemporalModel {
                 spatial.insert(asn, model);
             }
         }
-
-        // Training instances.
-        let shell = SpatioTemporalModel {
-            config: config.clone(),
-            hour_arima,
-            day_arima,
-            gap_arima,
-            spatial,
-            // Placeholder regressors, replaced by the caller.
-            hour_model: Regressor::Tree(trivial_tree()?),
-            day_model: Regressor::Tree(trivial_tree()?),
-            magnitude_model: Regressor::Tree(trivial_tree()?),
-            duration_model: Regressor::Tree(trivial_tree()?),
-        };
-        let instances = shell.build_instances(&train_refs, h);
-        Ok((shell, instances))
+        Ok(Components { hour_arima, day_arima, gap_arima, spatial })
     }
 
-    /// The configuration used at fit time.
-    pub fn config(&self) -> &SpatioTemporalConfig {
-        &self.config
-    }
-
-    /// The fitted hour regressor (single tree or ensemble).
-    pub fn hour_model(&self) -> &Regressor {
-        &self.hour_model
-    }
-
-    /// The fitted day regressor.
-    pub fn day_model(&self) -> &Regressor {
-        &self.day_model
-    }
-
-    /// The fitted magnitude regressor.
-    pub fn magnitude_model(&self) -> &Regressor {
-        &self.magnitude_model
-    }
-
-    /// The fitted duration regressor.
-    pub fn duration_model(&self) -> &Regressor {
-        &self.duration_model
-    }
-
-    /// The fitted hour tree, when the learner is a single tree (for
-    /// importance inspection).
-    pub fn hour_tree(&self) -> Option<&RegressionTree> {
-        self.hour_model.as_tree()
-    }
-
-    /// The fitted day tree, when the learner is a single tree.
-    pub fn day_tree(&self) -> Option<&RegressionTree> {
-        self.day_model.as_tree()
-    }
-
-    /// Builds `(features, labels)` instances over a chronological attack
-    /// stream; labels are `[hour, day, magnitude, duration]` of the
-    /// predicted attack.
-    fn build_instances(
-        &self,
-        stream: &[&AttackRecord],
-        h: usize,
-    ) -> Vec<(InstanceFeatures, [f64; 4])> {
+    /// Walks a chronological attack stream and emits one instance for
+    /// every position `k >= from` with at least `h` attacks before it, `h`
+    /// of them on its target AS. Attacks before `from` only feed the
+    /// histories.
+    fn instances(&self, stream: &[&AttackRecord], from: usize, h: usize) -> Vec<Instance> {
         let mut per_asn: HashMap<Asn, Vec<usize>> = HashMap::new();
         let mut out = Vec::new();
         for (k, attack) in stream.iter().enumerate() {
             let asn_history = per_asn.entry(attack.target_asn).or_default();
-            if k >= h && asn_history.len() >= h {
-                let recent: Vec<&AttackRecord> = stream[k - h..k].to_vec();
+            if k >= from && k >= h && asn_history.len() >= h {
+                let recent = &stream[k - h..k];
                 let same_as: Vec<&AttackRecord> =
                     asn_history[asn_history.len() - h..].iter().map(|&i| stream[i]).collect();
-                if let Some(features) = self.features_for(&recent, &same_as) {
+                if let Some(features) = self.features_for(recent, &same_as) {
                     out.push((
                         features,
                         [
@@ -676,7 +454,7 @@ impl SpatioTemporalModel {
                     ));
                 }
             }
-            per_asn.get_mut(&attack.target_asn).expect("just inserted").push(k);
+            asn_history.push(k);
         }
         out
     }
@@ -771,17 +549,223 @@ impl SpatioTemporalModel {
         })
     }
 
+    fn encode(&self, w: &mut Writer) {
+        self.hour_arima.encode(w);
+        self.day_arima.encode(w);
+        self.gap_arima.encode(w);
+        // The per-AS spatial models; each payload starts with its own ASN,
+        // so the map keys are recovered from the payloads.
+        w.usize(self.spatial.len());
+        for model in self.spatial.values() {
+            model.encode_payload(w);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
+        let hour_arima = Arima::decode(r)?;
+        let day_arima = Arima::decode(r)?;
+        let gap_arima = Arima::decode(r)?;
+        let n = r.len(4)?;
+        let mut spatial = BTreeMap::new();
+        for _ in 0..n {
+            let model = SpatialModel::decode_payload(r)?;
+            spatial.insert(model.asn(), model);
+        }
+        Ok(Components { hour_arima, day_arima, gap_arima, spatial })
+    }
+}
+
+/// The fitted spatiotemporal model.
+pub struct SpatioTemporalModel {
+    config: SpatioTemporalConfig,
+    components: Components,
+    /// The four per-target regressors (single trees or ensembles,
+    /// per `config.learner`).
+    hour_model: Regressor,
+    day_model: Regressor,
+    magnitude_model: Regressor,
+    duration_model: Regressor,
+}
+
+impl SpatioTemporalModel {
+    /// Fits the model: temporal components on the full training stream,
+    /// spatial components per hot victim AS, then the four trees on every
+    /// training instance with sufficient history.
+    ///
+    /// # Errors
+    ///
+    /// * [`ModelError::NotEnoughHistory`] when fewer than ~30 usable
+    ///   training instances exist.
+    /// * Propagates component errors.
+    pub fn fit(
+        corpus: &Corpus,
+        train: &[AttackRecord],
+        config: &SpatioTemporalConfig,
+        seed: u64,
+    ) -> Result<Self> {
+        let stream: Vec<&AttackRecord> = train.iter().collect();
+        let components = Components::fit(&stream, config, seed)?;
+        let instances = components.instances(&stream, 0, config.history_per_group);
+        if instances.len() < 30 {
+            return Err(ModelError::NotEnoughHistory {
+                context: "spatiotemporal training instances".to_string(),
+                required: 30,
+                actual: instances.len(),
+            });
+        }
+        let xs: Vec<Vec<f64>> = instances.iter().map(|(f, _)| f.to_row()).collect();
+        let label = |idx: usize| -> Vec<f64> { instances.iter().map(|(_, l)| l[idx]).collect() };
+        // Grow on the head of the instance stream, prune against the
+        // chronological tail (reduced-error pruning with the paper's
+        // retention factor), and pick each tree's leaf kind by holdout
+        // RMSE: periodic targets (hour) usually prefer constant leaves
+        // (MLR leaves extrapolate across the 0/24 wrap) while
+        // near-identity targets (day) prefer the paper's MLR leaves — the
+        // holdout decides per corpus instead of hard-coding either.
+        let grow_n = (xs.len() as f64 * 0.85) as usize;
+        let grow_n = grow_n.clamp(20, xs.len());
+        // Splits never depend on the leaf kind, so one growth yields both
+        // candidate trees for a target.
+        let fit_tree = |design: &PresortedDesign, labels: &[f64]| -> Result<RegressionTree> {
+            let Some(retention) = config.prune_retention else {
+                return Ok(design.fit(labels, &config.tree)?);
+            };
+            let pruned = |mut tree: RegressionTree| -> Result<(f64, RegressionTree)> {
+                prune_holdout(&mut tree, &xs[grow_n..], &labels[grow_n..], retention)?;
+                let mut sse = 0.0;
+                for (row, y) in xs[grow_n..].iter().zip(&labels[grow_n..]) {
+                    let e = tree.predict(row)? - y;
+                    sse += e * e;
+                }
+                Ok((sse, tree))
+            };
+            let [linear, constant] = design.fit_leaf_kinds(
+                &labels[..grow_n],
+                &config.tree,
+                [LeafKind::Linear, LeafKind::Constant],
+            )?;
+            let (linear_sse, linear) = pruned(linear)?;
+            let (constant_sse, constant) = pruned(constant)?;
+            // Constant leaves must win outright: the paper's MLR leaves
+            // keep a tie.
+            Ok(if constant_sse < linear_sse { constant } else { linear })
+        };
+        // Dispatch per learner. The tree path above is untouched (its
+        // float-op order is pinned by golden fingerprints); the ensemble
+        // learners train on the full design and control capacity their
+        // own way — forests by averaging, boosting by early stopping on
+        // its own chronological holdout tail.
+        let models: [Result<Regressor>; 4] = match config.learner {
+            LearnerKind::Tree => {
+                // One presorted design serves all four targets.
+                let rows = if config.prune_retention.is_some() { &xs[..grow_n] } else { &xs[..] };
+                let design = PresortedDesign::new(rows)?;
+                std::array::from_fn(|idx| Ok(Regressor::Tree(fit_tree(&design, &label(idx))?)))
+            }
+            LearnerKind::Forest { n_trees } => std::array::from_fn(|idx| {
+                let forest_config = ForestConfig {
+                    n_trees,
+                    tree: config.tree,
+                    // One decorrelated cell seed per target keeps the
+                    // four forests' bootstrap streams independent.
+                    seed: derive_seed(seed, idx as u64),
+                    parallelism: None,
+                };
+                Ok(Regressor::Forest(BaggedForest::fit(&xs, &label(idx), &forest_config)?))
+            }),
+            LearnerKind::Boosted { rounds, shrinkage } => {
+                let boost_config = BoostConfig {
+                    // Boosting wants weak stage learners: cap depth
+                    // well below the single-tree default.
+                    tree: TreeConfig { max_depth: 4, ..config.tree },
+                    rounds,
+                    shrinkage,
+                    ..BoostConfig::default()
+                };
+                std::array::from_fn(|idx| {
+                    Ok(Regressor::Boosted(BoostedTrees::fit(&xs, &label(idx), &boost_config)?))
+                })
+            }
+        };
+        let [hour, day, magnitude, duration] = models;
+        let _ = corpus; // corpus-level context reserved for future features
+        Ok(SpatioTemporalModel {
+            config: config.clone(),
+            components,
+            hour_model: hour?,
+            day_model: day?,
+            magnitude_model: magnitude?,
+            duration_model: duration?,
+        })
+    }
+
+    /// The raw tree design the model trains on: one `(features, labels)`
+    /// row per training instance with sufficient history, where labels are
+    /// `[hour, day, magnitude, duration]` of the predicted attack. This is
+    /// the "standard spatiotemporal training set" the CART benches and the
+    /// goldencheck fingerprints run against.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SpatioTemporalModel::fit`], except the minimum
+    /// instance count is not enforced (an empty design is returned as-is).
+    pub fn training_design(
+        train: &[AttackRecord],
+        config: &SpatioTemporalConfig,
+        seed: u64,
+    ) -> Result<TrainingDesign> {
+        let stream: Vec<&AttackRecord> = train.iter().collect();
+        let components = Components::fit(&stream, config, seed)?;
+        let instances = components.instances(&stream, 0, config.history_per_group);
+        Ok(instances.into_iter().map(|(f, l)| (f.to_row(), l)).unzip())
+    }
+
+    /// The configuration used at fit time.
+    pub fn config(&self) -> &SpatioTemporalConfig {
+        &self.config
+    }
+
+    /// The fitted hour regressor (single tree or ensemble).
+    pub fn hour_model(&self) -> &Regressor {
+        &self.hour_model
+    }
+
+    /// The fitted day regressor.
+    pub fn day_model(&self) -> &Regressor {
+        &self.day_model
+    }
+
+    /// The fitted magnitude regressor.
+    pub fn magnitude_model(&self) -> &Regressor {
+        &self.magnitude_model
+    }
+
+    /// The fitted duration regressor.
+    pub fn duration_model(&self) -> &Regressor {
+        &self.duration_model
+    }
+
+    /// The fitted hour tree, when the learner is a single tree (for
+    /// importance inspection).
+    pub fn hour_tree(&self) -> Option<&RegressionTree> {
+        self.hour_model.as_tree()
+    }
+
+    /// The fitted day tree, when the learner is a single tree.
+    pub fn day_tree(&self) -> Option<&RegressionTree> {
+        self.day_model.as_tree()
+    }
+
     /// Evaluates the model over a test stream: for every test attack whose
     /// target AS has accumulated enough history (train attacks plus
     /// already-revealed test attacks), produces the three models'
     /// predictions next to the truth.
     ///
-    /// Prediction is split into two stages: feature assembly walks the
-    /// stream once collecting every queryable instance, then each of the
-    /// four trees scores the whole batch with the level-order kernel
-    /// ([`RegressionTree::predict_many_into`]) — bit-identical to the old
-    /// per-row walk, but one traversal per tree instead of one per
-    /// (row, tree) pair.
+    /// The instance walk collects every queryable test instance first,
+    /// then each of the four regressors scores the whole batch through
+    /// [`SpatioTemporalModel::forecast_rows_into`] — one level-order
+    /// traversal per tree instead of one walk per (row, tree) pair,
+    /// bit-identical to the per-row walk.
     ///
     /// # Errors
     ///
@@ -791,75 +775,20 @@ impl SpatioTemporalModel {
         train: &[AttackRecord],
         test: &[AttackRecord],
     ) -> Result<Vec<StPrediction>> {
-        let (rows, queries) = self.assemble_queries(train, test);
-        self.serve_assembled(&rows, &queries)
-    }
-
-    /// Stage 1 of [`SpatioTemporalModel::predict`]: walks the combined
-    /// train+test stream and assembles the flattened tree rows plus the
-    /// per-instance context (truth labels and component outputs) the
-    /// report needs.
-    fn assemble_queries(
-        &self,
-        train: &[AttackRecord],
-        test: &[AttackRecord],
-    ) -> (Vec<Vec<f64>>, Vec<ServeQuery>) {
-        let h = self.config.history_per_group;
-        let stream: Vec<&AttackRecord> = train.iter().chain(test.iter()).collect();
-        let test_start = train.len();
-
-        let mut per_asn: HashMap<Asn, Vec<usize>> = HashMap::new();
-        for (k, a) in stream[..test_start].iter().enumerate() {
-            per_asn.entry(a.target_asn).or_default().push(k);
-        }
-
-        let mut rows = Vec::new();
-        let mut queries = Vec::new();
-        for (k, attack) in stream.iter().enumerate().skip(test_start) {
-            let asn_history = per_asn.entry(attack.target_asn).or_default();
-            if k >= h && asn_history.len() >= h {
-                let recent: Vec<&AttackRecord> = stream[k - h..k].to_vec();
-                let same_as: Vec<&AttackRecord> =
-                    asn_history[asn_history.len() - h..].iter().map(|&i| stream[i]).collect();
-                if let Some(f) = self.features_for(&recent, &same_as) {
-                    rows.push(f.to_row());
-                    queries.push(ServeQuery {
-                        truth: [
-                            attack.start.hour() as f64,
-                            attack.start.day_of_month() as f64,
-                            attack.magnitude() as f64,
-                            attack.duration_secs as f64,
-                        ],
-                        features: f,
-                    });
-                }
-            }
-            per_asn.get_mut(&attack.target_asn).expect("entry exists").push(k);
-        }
-        (rows, queries)
-    }
-
-    /// Stage 2 of [`SpatioTemporalModel::predict`]: scores every assembled
-    /// row through the four trees in batch and applies the same output
-    /// clamps the per-row path used.
-    fn serve_assembled(
-        &self,
-        rows: &[Vec<f64>],
-        queries: &[ServeQuery],
-    ) -> Result<Vec<StPrediction>> {
-        debug_assert_eq!(rows.len(), queries.len());
-        let mut scratch = ForecastScratch::default();
+        let stream: Vec<&AttackRecord> = train.iter().chain(test).collect();
+        let instances =
+            self.components.instances(&stream, train.len(), self.config.history_per_group);
+        let rows: Vec<Vec<f64>> = instances.iter().map(|(f, _)| f.to_row()).collect();
         let mut forecasts = Vec::with_capacity(rows.len());
-        self.forecast_rows_into(rows, &mut scratch, &mut forecasts)?;
-
-        let mut out = Vec::with_capacity(queries.len());
-        for (q, fc) in queries.iter().zip(&forecasts) {
-            let f = &q.features;
-            out.push(StPrediction {
-                truth_hour: q.truth[0],
-                truth_day: q.truth[1],
-                truth_magnitude: q.truth[2],
-                truth_duration: q.truth[3],
+        self.forecast_rows_into(&rows, &mut ForecastScratch::default(), &mut forecasts)?;
+        Ok(instances
+            .iter()
+            .zip(&forecasts)
+            .map(|((f, truth), fc)| StPrediction {
+                truth_hour: truth[0],
+                truth_day: truth[1],
+                truth_magnitude: truth[2],
+                truth_duration: truth[3],
                 st_hour: fc.hour,
                 st_day: fc.day,
                 st_magnitude: fc.magnitude,
@@ -868,9 +797,8 @@ impl SpatioTemporalModel {
                 spatial_day: f.spa_day,
                 temporal_hour: f.tmp_hour,
                 temporal_day: f.tmp_day,
-            });
-        }
-        Ok(out)
+            })
+            .collect())
     }
 
     /// Scores a batch of flattened design rows through the four trees,
@@ -933,109 +861,27 @@ impl SpatioTemporalModel {
     }
 }
 
-/// One assembled serve query: the truth labels plus the component outputs
-/// ([`InstanceFeatures`]) the report carries alongside the tree scores.
-struct ServeQuery {
-    truth: [f64; 4],
-    features: InstanceFeatures,
-}
-
 impl ModelArtifact for SpatioTemporalModel {
     const KIND: ArtifactKind = ArtifactKind::SpatioTemporal;
 
-    /// Tree-learner models keep the historical
-    /// [`ArtifactKind::SpatioTemporal`] tag (and payload, byte-for-byte);
-    /// ensemble-backed models stamp [`ArtifactKind::SpatioTemporalZoo`].
-    fn artifact_kind(&self) -> ArtifactKind {
-        match self.config.learner {
-            LearnerKind::Tree => ArtifactKind::SpatioTemporal,
-            _ => ArtifactKind::SpatioTemporalZoo,
-        }
-    }
-
-    fn accepts(kind: ArtifactKind) -> bool {
-        matches!(kind, ArtifactKind::SpatioTemporal | ArtifactKind::SpatioTemporalZoo)
-    }
-
     fn encode_payload(&self, w: &mut Writer) {
-        let legacy = self.config.learner == LearnerKind::Tree;
-        if legacy {
-            self.config.encode(w);
-        } else {
-            self.config.encode_extended(w);
-        }
-        self.hour_arima.encode(w);
-        self.day_arima.encode(w);
-        self.gap_arima.encode(w);
-        // The per-AS spatial models; each payload starts with its own ASN,
-        // so the map keys are recovered from the payloads.
-        w.usize(self.spatial.len());
-        for model in self.spatial.values() {
-            model.encode_payload(w);
-        }
+        self.config.encode(w);
+        self.components.encode(w);
         for model in
             [&self.hour_model, &self.day_model, &self.magnitude_model, &self.duration_model]
         {
-            if legacy {
-                // A tree-learner model holds tree regressors by
-                // construction (fit and decode both enforce it), and the
-                // legacy payload stores the bare tree — the exact bytes
-                // every pre-zoo artifact has.
-                model.as_tree().expect("tree learner holds tree regressors").encode(w);
-            } else {
-                model.encode(w);
-            }
+            model.encode(w);
         }
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> CodecResult<Self> {
-        Self::decode_payload_as(ArtifactKind::SpatioTemporal, r)
-    }
-
-    fn decode_payload_as(kind: ArtifactKind, r: &mut Reader<'_>) -> CodecResult<Self> {
-        let legacy = kind != ArtifactKind::SpatioTemporalZoo;
-        let config = if legacy {
-            SpatioTemporalConfig::decode(r)?
-        } else {
-            SpatioTemporalConfig::decode_extended(r)?
-        };
-        // Keep the kind⇄learner mapping canonical so decode→encode is the
-        // byte identity: a zoo envelope must not carry a tree learner
-        // (that model would re-encode under the legacy kind).
-        if !legacy && config.learner == LearnerKind::Tree {
-            return Err(ddos_stats::codec::CodecError::Invalid {
-                detail: "spatiotemporal-zoo artifact declares a tree learner".to_string(),
-            });
-        }
-        let hour_arima = Arima::decode(r)?;
-        let day_arima = Arima::decode(r)?;
-        let gap_arima = Arima::decode(r)?;
-        let n = r.len(4)?;
-        let mut spatial = BTreeMap::new();
-        for _ in 0..n {
-            let model = SpatialModel::decode_payload(r)?;
-            spatial.insert(model.asn(), model);
-        }
-        let mut models = [None, None, None, None];
-        for slot in models.iter_mut() {
-            *slot = Some(if legacy {
-                Regressor::Tree(RegressionTree::decode(r)?)
-            } else {
-                Regressor::decode(r)?
-            });
-        }
-        let [hour_model, day_model, magnitude_model, duration_model] =
-            models.map(|m| m.expect("all four slots filled"));
         Ok(SpatioTemporalModel {
-            config,
-            hour_arima,
-            day_arima,
-            gap_arima,
-            spatial,
-            hour_model,
-            day_model,
-            magnitude_model,
-            duration_model,
+            config: SpatioTemporalConfig::decode(r)?,
+            components: Components::decode(r)?,
+            hour_model: Regressor::decode(r)?,
+            day_model: Regressor::decode(r)?,
+            magnitude_model: Regressor::decode(r)?,
+            duration_model: Regressor::decode(r)?,
         })
     }
 }
@@ -1055,11 +901,6 @@ fn median(v: &[f64]) -> f64 {
     let mut s = v.to_vec();
     s.sort_by(f64::total_cmp);
     s[s.len() / 2]
-}
-
-/// A 1-leaf placeholder tree used during two-phase construction.
-fn trivial_tree() -> Result<RegressionTree> {
-    Ok(RegressionTree::fit(&[vec![0.0; 13], vec![1.0; 13]], &[0.0, 0.0], &TreeConfig::default())?)
 }
 
 #[cfg(test)]
@@ -1266,32 +1107,19 @@ mod tests {
             let mut r = Reader::new(&bytes);
             assert_eq!(LearnerKind::decode(&mut r).unwrap(), learner);
             r.finish().unwrap();
+
+            // The configuration codec carries the learner as its last field.
+            let config = SpatioTemporalConfig { learner, ..SpatioTemporalConfig::fast() };
+            let mut w = Writer::new();
+            config.encode(&mut w);
+            let config_bytes = w.into_bytes();
+            assert!(config_bytes.ends_with(&bytes));
+            let mut r = Reader::new(&config_bytes);
+            assert_eq!(SpatioTemporalConfig::decode(&mut r).unwrap(), config);
+            r.finish().unwrap();
         }
         let mut r = Reader::new(&[7u8]);
         assert!(LearnerKind::decode(&mut r).is_err());
-    }
-
-    #[test]
-    fn extended_config_encoding_is_legacy_plus_learner() {
-        let config = SpatioTemporalConfig {
-            learner: LearnerKind::Forest { n_trees: 8 },
-            ..SpatioTemporalConfig::fast()
-        };
-        let mut legacy = Writer::new();
-        config.encode(&mut legacy);
-        let legacy = legacy.into_bytes();
-        let mut extended = Writer::new();
-        config.encode_extended(&mut extended);
-        let extended = extended.into_bytes();
-        assert_eq!(&extended[..legacy.len()], &legacy[..]);
-        let mut r = Reader::new(&extended);
-        let back = SpatioTemporalConfig::decode_extended(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, config);
-        // The legacy decoder sees a tree learner (historic payloads never
-        // recorded one).
-        let mut r = Reader::new(&legacy);
-        assert_eq!(SpatioTemporalConfig::decode(&mut r).unwrap().learner, LearnerKind::Tree);
     }
 
     fn fitted_with(learner: LearnerKind) -> (ddos_trace::Corpus, SpatioTemporalModel) {
@@ -1322,8 +1150,8 @@ mod tests {
                 assert!(p.st_magnitude >= 0.0 && p.st_duration >= 0.0);
             }
 
-            // The artifact carries the zoo kind and round-trips to
-            // bit-identical predictions and bytes.
+            // The artifact round-trips to bit-identical predictions and
+            // bytes.
             let bytes = model.to_artifact_bytes();
             let back = SpatioTemporalModel::from_artifact_bytes(&bytes).unwrap();
             assert_eq!(back.config(), model.config());
@@ -1344,5 +1172,29 @@ mod tests {
         let (_, a) = fitted_with(LearnerKind::Forest { n_trees: 4 });
         let (_, b) = fitted_with(LearnerKind::Forest { n_trees: 4 });
         assert_eq!(a.to_artifact_bytes(), b.to_artifact_bytes());
+    }
+
+    #[test]
+    fn every_learner_round_trips_under_the_one_spatiotemporal_kind() {
+        for learner in [
+            LearnerKind::Tree,
+            LearnerKind::Forest { n_trees: 3 },
+            LearnerKind::Boosted { rounds: 6, shrinkage: 0.2 },
+        ] {
+            let (_, model) = fitted_with(learner);
+            let bytes = model.to_artifact_bytes();
+            assert_eq!(bytes[12], 3, "{learner:?} is stamped with the spatiotemporal tag");
+            let back = SpatioTemporalModel::from_artifact_bytes(&bytes).unwrap();
+            assert_eq!(back.config().learner, learner);
+            assert_eq!(back.to_artifact_bytes(), bytes);
+
+            // The retired ensemble-backed kind tag (7) names no model.
+            let mut retired = bytes;
+            retired[12] = 7;
+            assert_eq!(
+                SpatioTemporalModel::from_artifact_bytes(&retired).map(|_| ()),
+                Err(crate::artifact::ArtifactError::UnknownKind { tag: 7 })
+            );
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! each one a versioned on-disk form by binding it to the artifact
 //! envelope under its own [`ArtifactKind`]. The payload is exactly the
 //! learner's own codec, so a standalone ensemble artifact and the same
-//! ensemble embedded in a spatiotemporal-zoo payload share one byte
-//! layout.
+//! ensemble embedded in an ensemble-backed spatiotemporal payload share
+//! one byte layout.
 
 use crate::artifact::{ArtifactKind, ModelArtifact};
 use ddos_cart::ensemble::{BaggedForest, BoostedTrees};

@@ -236,16 +236,16 @@ proptest! {
         }
     }
 
-    /// Flipping any byte of the v2 *payload* region is caught by the
+    /// Flipping any byte of the *payload* region is caught by the
     /// envelope's checksum guard before the structured decoder ever runs
-    /// — the hardening schema v2 exists for.
+    /// — the hardening the guarded envelope exists for.
     #[test]
     fn flipped_payload_byte_is_caught_by_checksum(
         kind in 0usize..3,
         pos_frac in 0.0f64..1.0,
         mask in 1u8..=255,
     ) {
-        // v2 header: magic(8) + version(4) + kind(1) + len(8) + fnv(8).
+        // Header: magic(8) + version(4) + kind(1) + len(8) + guard(8).
         const HEADER: usize = 29;
         let mut bytes = reference_artifacts()[kind].clone();
         let payload_len = bytes.len() - HEADER;
@@ -259,17 +259,17 @@ proptest! {
         prop_assert!(matches!(err, ArtifactError::ChecksumMismatch { .. }));
     }
 
-    /// Any schema version other than the current one — the retired v1
-    /// and v2 envelopes included — is refused up front, with the found
+    /// Any schema version other than the current one — the retired v1,
+    /// v2 and v3 schemas included — is refused up front, with the found
     /// version reported.
     #[test]
     fn wrong_schema_version_rejected(
         kind in 0usize..3,
-        pick in 0usize..4,
+        pick in 0usize..6,
         other in 0u32..10_000,
     ) {
-        // Half the cases stamp a retired envelope version (1 or 2).
-        let version = [1, 2, other, other][pick];
+        // Half the cases stamp a retired schema version (1, 2 or 3).
+        let version = [1, 2, 3, other, other, other][pick];
         prop_assume!(version != SCHEMA_VERSION);
         let mut bytes = reference_artifacts()[kind].clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -282,9 +282,10 @@ proptest! {
     }
 }
 
-/// One artifact per forecaster-zoo kind (Forest, Boosted, and a
-/// spatiotemporal-zoo model), fitted once on a deterministic synthetic
-/// design and shared across the exhaustive corruption tests below.
+/// One artifact per forecaster-zoo learner (Forest, Boosted, and a
+/// forest-backed spatiotemporal model), fitted once on a deterministic
+/// synthetic design and shared across the exhaustive corruption tests
+/// below.
 fn zoo_artifacts() -> &'static [Vec<u8>; 3] {
     static CELL: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -308,10 +309,10 @@ fn zoo_artifacts() -> &'static [Vec<u8>; 3] {
     })
 }
 
-/// Round-trip bit-identity for every new ensemble artifact kind, plus an
+/// Round-trip bit-identity for every ensemble-backed artifact, plus an
 /// exhaustive every-byte-flip sweep: flipping any single byte of any zoo
 /// artifact must never panic the decoder, and any flip inside the payload
-/// region must be caught by the envelope's CRC guard (the header region
+/// region must be caught by the envelope's guard hash (the header region
 /// fails with its own typed errors or — for the unguarded length/checksum
 /// fields themselves — still a typed error, never a crash).
 #[test]

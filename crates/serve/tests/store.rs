@@ -84,8 +84,8 @@ fn dir_store_serves_ensemble_backed_models_end_to_end() {
     };
     let model = SpatioTemporalModel::fit(&corpus, train, &config, 5).unwrap();
 
-    // The forest-backed model persists under the zoo kind and reloads
-    // byte-identically through the directory store.
+    // The forest-backed model persists under the one spatiotemporal kind
+    // and reloads byte-identically through the directory store.
     let dir = scratch_dir("zoo");
     model.save_artifact(&dir.join("zoo.mdl")).unwrap();
     let store = DirModelStore::open(&dir);
