@@ -27,7 +27,6 @@ use crate::tree::{PredictScratch, PresortedDesign, RegressionTree, TreeConfig};
 use crate::{CartError, Result};
 use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
 use ddos_stats::exec::map_indexed_with;
-use ddos_stats::forecast::{Design, FittedModel, Forecaster};
 use serde::{Deserialize, Serialize};
 
 /// Derives the bootstrap seed of ensemble slot `slot` from a cell seed —
@@ -286,28 +285,6 @@ impl BaggedForest {
             trees.push(tree);
         }
         Ok(BaggedForest { trees, seed, n_features })
-    }
-}
-
-/// `Forecaster` view of bagged-forest growth: the configuration is the
-/// specification, fitting it on a [`Design`] grows the forest.
-impl<'a> Forecaster<Design<'a>> for ForestConfig {
-    type Fitted = BaggedForest;
-    type Error = CartError;
-
-    fn fit(&self, input: &Design<'a>) -> Result<BaggedForest> {
-        BaggedForest::fit(input.xs, input.ys, self)
-    }
-}
-
-/// `FittedModel` view of a fitted forest: the query batch is a slice of
-/// feature rows, served one level-order pass per member tree.
-impl FittedModel<[Vec<f64>]> for BaggedForest {
-    type Error = CartError;
-
-    fn predict_batch_into(&self, queries: &[Vec<f64>], out: &mut Vec<f64>) -> Result<()> {
-        let mut scratch = EnsembleScratch::default();
-        self.predict_many_with(queries, &mut scratch, out)
     }
 }
 
@@ -609,26 +586,6 @@ impl BoostedTrees {
     }
 }
 
-/// `Forecaster` view of boosted growth.
-impl<'a> Forecaster<Design<'a>> for BoostConfig {
-    type Fitted = BoostedTrees;
-    type Error = CartError;
-
-    fn fit(&self, input: &Design<'a>) -> Result<BoostedTrees> {
-        BoostedTrees::fit(input.xs, input.ys, self)
-    }
-}
-
-/// `FittedModel` view of a fitted boosted ensemble.
-impl FittedModel<[Vec<f64>]> for BoostedTrees {
-    type Error = CartError;
-
-    fn predict_batch_into(&self, queries: &[Vec<f64>], out: &mut Vec<f64>) -> Result<()> {
-        let mut scratch = EnsembleScratch::default();
-        self.predict_many_with(queries, &mut scratch, out)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The unified regressor
 // ---------------------------------------------------------------------------
@@ -738,16 +695,6 @@ impl Regressor {
             2 => Ok(Regressor::Boosted(BoostedTrees::decode(r)?)),
             tag => Err(CodecError::BadTag { context: "regressor variant", tag: tag as u64 }),
         }
-    }
-}
-
-/// `FittedModel` view of the unified regressor.
-impl FittedModel<[Vec<f64>]> for Regressor {
-    type Error = CartError;
-
-    fn predict_batch_into(&self, queries: &[Vec<f64>], out: &mut Vec<f64>) -> Result<()> {
-        let mut scratch = EnsembleScratch::default();
-        self.predict_many_with(queries, &mut scratch, out)
     }
 }
 
@@ -963,18 +910,5 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(matches!(Regressor::decode(&mut r), Err(CodecError::BadTag { .. })));
-    }
-
-    #[test]
-    fn forecaster_trait_views_fit_and_serve() {
-        let (xs, ys) = design(100, 4);
-        let d = Design { xs: &xs, ys: &ys };
-        let forest =
-            Forecaster::fit(&ForestConfig { n_trees: 3, ..Default::default() }, &d).unwrap();
-        let boosted = Forecaster::fit(&BoostConfig::default(), &d).unwrap();
-        let a = FittedModel::predict_batch(&forest, &xs[..]).unwrap();
-        let b = FittedModel::predict_batch(&boosted, &xs[..]).unwrap();
-        assert_eq!(a, forest.predict_many(&xs).unwrap());
-        assert_eq!(b, boosted.predict_many(&xs).unwrap());
     }
 }

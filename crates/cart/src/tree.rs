@@ -16,17 +16,16 @@
 //! Splits depend only on the targets,
 //! never on the leaf kind, so one growth fits every requested leaf kind
 //! at each node and returns one tree per kind. The grower is
-//! bit-identical to the retained reference implementation in
-//! [`crate::reference`]: stable partitions preserve the reference's
-//! stable-sort tie order, and every floating-point reduction (node
-//! statistics, prefix-sum threshold scan, leaf fits) runs in the same
-//! order over the same values. See DESIGN.md §10 and §18 for the full
+//! bit-identical to the retained reference implementation in the
+//! test-only `reference` module: stable partitions preserve the
+//! reference's stable-sort tie order, and every floating-point
+//! reduction (node statistics, prefix-sum threshold scan, leaf fits)
+//! runs in the same order over the same values. See DESIGN.md §10 and §18 for the full
 //! argument.
 
 use crate::leaf::{LeafKind, LeafModel};
 use crate::{CartError, Result};
 use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
-use ddos_stats::forecast::{Design, FittedModel, Forecaster};
 use ddos_stats::ols::OlsScratch;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -81,17 +80,6 @@ impl TreeConfig {
             min_impurity_decrease: r.f64()?,
             leaf_kind: LeafKind::decode(r)?,
         })
-    }
-}
-
-/// `Forecaster` view of tree growth: the configuration *is* the
-/// specification, and fitting it on a [`Design`] grows the tree.
-impl<'a> Forecaster<Design<'a>> for TreeConfig {
-    type Fitted = RegressionTree;
-    type Error = CartError;
-
-    fn fit(&self, input: &Design<'a>) -> Result<RegressionTree> {
-        RegressionTree::fit(input.xs, input.ys, self)
     }
 }
 
@@ -444,16 +432,6 @@ impl RegressionTree {
 pub struct PredictScratch {
     idx: Vec<usize>,
     spill: Vec<usize>,
-}
-
-/// `FittedModel` view of a fitted tree: the query batch is a slice of
-/// feature rows, served by the level-order kernel.
-impl FittedModel<[Vec<f64>]> for RegressionTree {
-    type Error = CartError;
-
-    fn predict_batch_into(&self, queries: &[Vec<f64>], out: &mut Vec<f64>) -> Result<()> {
-        self.predict_many_into(queries, out)
-    }
 }
 
 /// Validates configuration and training data, returning the feature
@@ -1104,22 +1082,6 @@ mod tests {
             t.predict_many(&[vec![1.0, 2.0], vec![1.0]]),
             Err(CartError::FeatureWidthMismatch { expected: 2, actual: 1 })
         ));
-    }
-
-    #[test]
-    fn forecaster_and_fitted_model_traits_match_inherent_paths() {
-        let xs: Vec<Vec<f64>> = (0..60).map(|i| vec![(i % 11) as f64, (i % 4) as f64]).collect();
-        let ys: Vec<f64> = xs.iter().map(|r| 2.0 * r[0] - r[1]).collect();
-        let cfg = TreeConfig::default();
-        let direct = RegressionTree::fit(&xs, &ys, &cfg).unwrap();
-        let via_trait = Forecaster::fit(&cfg, &Design { xs: &xs, ys: &ys }).unwrap();
-        assert_eq!(direct, via_trait);
-        let batch = FittedModel::predict_batch(&via_trait, &xs[..]).unwrap();
-        let scalar: Vec<f64> = xs.iter().map(|x| direct.predict(x).unwrap()).collect();
-        assert_eq!(
-            batch.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

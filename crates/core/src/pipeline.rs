@@ -515,10 +515,14 @@ impl Pipeline {
             if test.is_empty() {
                 continue;
             }
-            let Ok(mag_pred) = model.predict_magnitudes(&test) else { continue };
             let mag_truth = FeatureExtractor::magnitude_series(&test);
-            let Ok(src_pred) = model.predict_source_dist(&fx, &test) else { continue };
-            let src_truth = fx.source_distribution_series(&test)?;
+            let Ok(mag_pred) = model.magnitude_model().predict_rolling(&mag_truth) else {
+                continue;
+            };
+            let Ok(src_truth) = fx.source_distribution_series(&test) else { continue };
+            let Ok(src_pred) = model.source_dist_model().predict_rolling(&src_truth) else {
+                continue;
+            };
             per_family.push(FamilyTemporalResult {
                 family,
                 name: corpus.catalog().profile(family)?.name.clone(),
@@ -876,14 +880,14 @@ impl Pipeline {
             let train_m = FeatureExtractor::magnitude_series(&train);
             let test_m = FeatureExtractor::magnitude_series(&test);
             if let Ok(model) = TemporalModel::fit(&fx, family, &train, &self.config.temporal) {
-                if let Ok(pred) = model.predict_magnitudes(&test) {
+                if let Ok(pred) = model.magnitude_model().predict_rolling(&test_m) {
                     table.push(&name, "magnitude", "Temporal/Spatial", rmse(&pred, &test_m)?);
                     self.push_baselines(&mut table, &name, "magnitude", &train_m, &test_m)?;
                 }
                 // Feature 3: ASN-distribution coefficient A^s.
                 let train_s = fx.source_distribution_series(&train)?;
                 let test_s = fx.source_distribution_series(&test)?;
-                if let Ok(pred) = model.predict_source_dist(&fx, &test) {
+                if let Ok(pred) = model.source_dist_model().predict_rolling(&test_s) {
                     table.push(&name, "asn_dist", "Temporal/Spatial", rmse(&pred, &test_s)?);
                     self.push_baselines(&mut table, &name, "asn_dist", &train_s, &test_s)?;
                 }
@@ -940,22 +944,6 @@ impl Pipeline {
             });
         }
         Ok(table)
-    }
-
-    /// Runs the drift experiment (E9): generates a scenario corpus under
-    /// `policy` with the pipeline's seed, locates the modeled family's
-    /// first usable regime boundary, and measures every forecaster's
-    /// RMSE before the shift, across it with a frozen model, and after a
-    /// trailing-window refit. See [`crate::drift`] for the protocol.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::drift::run`] errors.
-    pub fn run_drift(
-        &self,
-        policy: ddos_trace::ScenarioPolicy,
-    ) -> Result<crate::drift::DriftReport> {
-        crate::drift::run(&crate::drift::DriftConfig::small(policy, self.seed))
     }
 
     /// Cache key for a spatiotemporal fit: the artifact guard hash over

@@ -128,20 +128,6 @@ impl TemporalModel {
         Ok(self.magnitude.predict_rolling(&truth)?)
     }
 
-    /// Rolling one-step source-distribution (`A^s`) predictions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature and ARIMA errors.
-    pub fn predict_source_dist(
-        &self,
-        fx: &FeatureExtractor<'_>,
-        test: &[&AttackRecord],
-    ) -> Result<Vec<f64>> {
-        let truth = fx.source_distribution_series(test)?;
-        Ok(self.source_dist.predict_rolling(&truth)?)
-    }
-
     /// Mean forecast of attack magnitudes `horizon` attacks ahead.
     ///
     /// # Errors
@@ -316,7 +302,8 @@ mod tests {
         let (train, test) = split_family(&c);
         let model = TemporalModel::fit(&fx, fam, &train, &TemporalConfig::default()).unwrap();
         let test_short: Vec<&AttackRecord> = test.iter().copied().take(40).collect();
-        let preds = model.predict_source_dist(&fx, &test_short).unwrap();
+        let truth = fx.source_distribution_series(&test_short).unwrap();
+        let preds = model.source_dist_model().predict_rolling(&truth).unwrap();
         assert_eq!(preds.len(), test_short.len());
     }
 

@@ -17,7 +17,6 @@ use crate::scale::MinMaxScaler;
 use crate::train::{train_with, TrainConfig, TrainReport, TrainScratch};
 use crate::{NeuralError, Result};
 use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
-use ddos_stats::forecast::{FittedModel, Forecaster, Rolling};
 use serde::{Deserialize, Serialize};
 
 /// NAR hyperparameters.
@@ -355,38 +354,6 @@ impl NarModel {
     }
 }
 
-/// The fit half of the NAR train/serve split: a [`NarConfig`] plus the
-/// weight-initialization seed, i.e. everything that determines the fit
-/// besides the series itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NarSpec {
-    /// NAR hyperparameters.
-    pub config: NarConfig,
-    /// Seed for the network's initial weights.
-    pub seed: u64,
-}
-
-impl Forecaster<[f64]> for NarSpec {
-    type Fitted = NarModel;
-    type Error = NeuralError;
-
-    fn fit(&self, input: &[f64]) -> Result<NarModel> {
-        NarModel::fit(input, self.config, self.seed)
-    }
-}
-
-impl FittedModel<Rolling<'_>> for NarModel {
-    type Error = NeuralError;
-
-    /// The batch is a [`Rolling`] query: one rolling one-step prediction
-    /// per element of `queries.test`, conditioning on `queries.history`
-    /// plus the already-revealed test truth
-    /// ([`NarModel::predict_rolling_into`]).
-    fn predict_batch_into(&self, queries: &Rolling<'_>, out: &mut Vec<f64>) -> Result<()> {
-        self.predict_rolling_into(queries.history, queries.test, out)
-    }
-}
-
 /// Builds the lagged design: row `t` is `[x_t, x_{t−1}, …, x_{t−q+1}]` with
 /// target `x_{t+1}`. The fit path builds the same rows flat into
 /// [`FitScratch`]; this boxed form remains as the tests' readable oracle.
@@ -514,26 +481,6 @@ mod tests {
         model.forecast_into(&s, 24, &mut dirty).unwrap();
         assert_eq!(dirty.len(), 24);
         for (a, b) in fast.iter().zip(&dirty) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn trait_batch_matches_predict_rolling_bitwise() {
-        use ddos_stats::forecast::{FittedModel, Forecaster, Rolling};
-        let s = sine(360);
-        let (train_s, test_s) = s.split_at(300);
-        let spec =
-            NarSpec { config: NarConfig { delays: 4, hidden: 10, ..Default::default() }, seed: 22 };
-        let model = spec.fit(train_s).unwrap();
-        let direct =
-            NarModel::fit(train_s, NarConfig { delays: 4, hidden: 10, ..Default::default() }, 22)
-                .unwrap();
-        assert_eq!(model, direct);
-        let rolled = model.predict_rolling(train_s, test_s).unwrap();
-        let batched = model.predict_batch(&Rolling { history: train_s, test: test_s }).unwrap();
-        assert_eq!(rolled.len(), batched.len());
-        for (a, b) in rolled.iter().zip(&batched) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

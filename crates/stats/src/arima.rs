@@ -19,7 +19,6 @@
 //!   selection (see [`crate::select`]).
 
 use crate::codec::{CodecError, CodecResult, Reader, Writer};
-use crate::forecast::{FittedModel, Forecaster};
 use crate::ols::LinearModel;
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
@@ -621,26 +620,6 @@ impl Arima {
     }
 }
 
-impl Forecaster<[f64]> for ArimaOrder {
-    type Fitted = Arima;
-    type Error = StatsError;
-
-    fn fit(&self, input: &[f64]) -> Result<Arima> {
-        Arima::fit(input, *self)
-    }
-}
-
-impl FittedModel<[f64]> for Arima {
-    type Error = StatsError;
-
-    /// The batch is the held-out continuation of the training series:
-    /// one rolling one-step prediction per observation, absorbing each
-    /// truth as it arrives ([`Arima::predict_rolling_into`]).
-    fn predict_batch_into(&self, queries: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        self.predict_rolling_into(queries, out)
-    }
-}
-
 /// Value of the `k`-th difference of `series` at index `idx` (0-th
 /// difference is the series itself).
 fn nth_difference_at(series: &[f64], k: usize, idx: usize) -> f64 {
@@ -1117,23 +1096,6 @@ mod tests {
             for (a, b) in out.iter().zip(&wrapped) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn predict_batch_trait_matches_predict_rolling_bitwise() {
-        use crate::forecast::{FittedModel, Forecaster};
-        let series = simulate_arma(&[0.7, -0.2], &[0.3], 0.4, 600, 0.5, 31);
-        let (train, test) = series.split_at(560);
-        let order = ArimaOrder::new(2, 1, 1);
-        let spec_fit = order.fit(train).unwrap();
-        let direct_fit = Arima::fit(train, order).unwrap();
-        assert_eq!(spec_fit, direct_fit);
-        let rolled = direct_fit.predict_rolling(test).unwrap();
-        let batched = spec_fit.predict_batch(test).unwrap();
-        assert_eq!(rolled.len(), batched.len());
-        for (a, b) in rolled.iter().zip(&batched) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

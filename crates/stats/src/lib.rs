@@ -17,8 +17,6 @@
 //!   Pareto, categorical, diurnal cycles) used by the trace generator.
 //! * [`exec`] — deterministic sharded parallel executor backing the
 //!   model-fitting hot paths (same outputs at any thread count).
-//! * [`forecast`] — the train/serve split: `Forecaster` (fit) and
-//!   `FittedModel` (batched serve) traits shared by ARIMA, NAR and CART.
 //! * [`codec`] — little-endian `to_bits` encoding primitives underlying
 //!   the versioned model-artifact format.
 //!
@@ -48,7 +46,6 @@ pub mod codec;
 pub mod diagnostics;
 pub mod distributions;
 pub mod exec;
-pub mod forecast;
 pub mod matrix;
 pub mod metrics;
 pub mod ols;

@@ -6,7 +6,6 @@
 //! [`LinearModel`].
 
 use crate::codec::{CodecResult, Reader, Writer};
-use crate::forecast::FittedModel;
 use crate::matrix::{lstsq_into, LstsqScratch, Matrix};
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
@@ -281,56 +280,6 @@ impl LinearModel {
         xs.iter().map(|r| self.predict(r)).collect()
     }
 
-    /// Predicts the response for many rows packed in a flat row-major
-    /// slice (`xs.len() == n_rows * width`), appending one value per row
-    /// to `out`. The allocation-free twin of
-    /// [`LinearModel::predict_many`]: batch callers keep their design in
-    /// one contiguous buffer and reuse `out` across calls, paying zero
-    /// per-row allocation. Each row's dot product runs the exact float
-    /// operations of [`LinearModel::predict`] in the same order, so the
-    /// two paths are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `width` differs
-    /// from the model's regressor count or `xs.len()` is not a multiple
-    /// of `width`.
-    pub fn predict_many_into(&self, xs: &[f64], width: usize, out: &mut Vec<f64>) -> Result<()> {
-        if width != self.coefficients.len() {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!(
-                    "input has {width} regressors, model expects {}",
-                    self.coefficients.len()
-                ),
-            });
-        }
-        if width == 0 {
-            // Zero-width rows carry no row count; an intercept-only model
-            // has nothing to batch over.
-            if !xs.is_empty() {
-                return Err(StatsError::DimensionMismatch {
-                    detail: format!("flat design has {} entries, expected 0 (width 0)", xs.len()),
-                });
-            }
-            return Ok(());
-        }
-        if !xs.len().is_multiple_of(width) {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!(
-                    "flat design has {} entries, not a multiple of width {width}",
-                    xs.len()
-                ),
-            });
-        }
-        out.reserve(xs.len() / width);
-        for row in xs.chunks_exact(width) {
-            out.push(
-                self.intercept + self.coefficients.iter().zip(row).map(|(b, v)| b * v).sum::<f64>(),
-            );
-        }
-        Ok(())
-    }
-
     /// The fitted intercept β₀.
     pub fn intercept(&self) -> f64 {
         self.intercept
@@ -387,23 +336,6 @@ impl LinearModel {
             residual_std: r.f64()?,
             n_obs: r.usize()?,
         })
-    }
-}
-
-impl FittedModel<[Vec<f64>]> for LinearModel {
-    type Error = StatsError;
-
-    /// One prediction per feature row, bit-identical to a
-    /// [`LinearModel::predict`] loop — this is what lets the plain linear
-    /// baseline slot into the forecaster-zoo evaluation next to the tree
-    /// ensembles.
-    fn predict_batch_into(&self, queries: &[Vec<f64>], out: &mut Vec<f64>) -> Result<()> {
-        out.clear();
-        out.reserve(queries.len());
-        for q in queries {
-            out.push(self.predict(q)?);
-        }
-        Ok(())
     }
 }
 
@@ -576,56 +508,6 @@ mod tests {
         let batch = m.predict_many(&xs).unwrap();
         for (row, b) in xs.iter().zip(&batch) {
             assert_eq!(m.predict(row).unwrap(), *b);
-        }
-    }
-
-    #[test]
-    fn predict_many_into_matches_rowwise_bitwise() {
-        let xs: Vec<Vec<f64>> =
-            (0..12).map(|i| vec![i as f64 * 0.3, (i * i) as f64 * 0.01, (i % 3) as f64]).collect();
-        let ys: Vec<f64> = xs.iter().map(|r| 1.0 + r[0] - 2.0 * r[1] + 0.5 * r[2]).collect();
-        let m = LinearModel::fit(&xs, &ys).unwrap();
-        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-        let mut out = vec![f64::NAN; 2]; // pre-existing contents are appended after
-        m.predict_many_into(&flat, 3, &mut out).unwrap();
-        assert_eq!(out.len(), 2 + xs.len());
-        for (row, b) in xs.iter().zip(&out[2..]) {
-            assert_eq!(m.predict(row).unwrap().to_bits(), b.to_bits());
-        }
-        // Batch-trait path agrees too.
-        use crate::forecast::FittedModel;
-        let batch = m.predict_batch(&xs).unwrap();
-        for (a, b) in batch.iter().zip(&out[2..]) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn predict_many_into_rejects_bad_shapes() {
-        let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, (i * i) as f64]).collect();
-        let ys: Vec<f64> = xs.iter().map(|r| r[0] + r[1]).collect();
-        let m = LinearModel::fit(&xs, &ys).unwrap();
-        let mut out = Vec::new();
-        // Wrong width.
-        assert!(matches!(
-            m.predict_many_into(&[1.0, 2.0, 3.0], 3, &mut out),
-            Err(StatsError::DimensionMismatch { .. })
-        ));
-        // Ragged flat buffer.
-        assert!(matches!(
-            m.predict_many_into(&[1.0, 2.0, 3.0], 2, &mut out),
-            Err(StatsError::DimensionMismatch { .. })
-        ));
-        // Width 0 with data has no row count; empty width-0 input is a no-op.
-        assert!(matches!(
-            m.predict_many_into(&[1.0], 0, &mut out),
-            Err(StatsError::DimensionMismatch { .. })
-        ));
-        let flat = LinearModel::fit(&vec![vec![]; 3], &[2.0, 2.0, 2.0]);
-        if let Ok(intercept_only) = flat {
-            let mut o = Vec::new();
-            intercept_only.predict_many_into(&[], 0, &mut o).unwrap();
-            assert!(o.is_empty());
         }
     }
 }

@@ -11,12 +11,7 @@
 //! * [`HuberModel`] — a linear fit made robust to the heavy-tailed
 //!   magnitude/duration targets by iteratively-reweighted least squares
 //!   with the Huber ψ weight function.
-//!
-//! Both implement [`Forecaster`] over a borrowed [`Design`] and
-//! [`FittedModel`] over feature-row batches, so they drop into the same
-//! grid-search and evaluation harnesses as the CART family.
 
-use crate::forecast::{Design, FittedModel, Forecaster};
 use crate::matrix::Matrix;
 use crate::ols::LinearModel;
 use crate::{Result, StatsError};
@@ -304,66 +299,6 @@ impl HuberModel {
     }
 }
 
-impl<'a> Forecaster<Design<'a>> for PolyConfig {
-    type Fitted = PolynomialModel;
-    type Error = StatsError;
-
-    fn fit(&self, input: &Design<'a>) -> Result<PolynomialModel> {
-        PolynomialModel::fit(input.xs, input.ys, self)
-    }
-}
-
-impl FittedModel<[Vec<f64>]> for PolynomialModel {
-    type Error = StatsError;
-
-    /// Batched polynomial prediction: all rows are expanded into one flat
-    /// buffer and scored through the allocation-free
-    /// [`LinearModel::predict_many_into`] kernel — bit-identical to the
-    /// per-row [`PolynomialModel::predict`] loop.
-    fn predict_batch_into(&self, queries: &[Vec<f64>], out: &mut Vec<f64>) -> Result<()> {
-        for q in queries {
-            if q.len() != self.degrees.len() {
-                return Err(StatsError::DimensionMismatch {
-                    detail: format!(
-                        "input has {} features, model expects {}",
-                        q.len(),
-                        self.degrees.len()
-                    ),
-                });
-            }
-        }
-        let width: usize = self.degrees.iter().sum();
-        let mut flat = Vec::with_capacity(queries.len() * width);
-        for q in queries {
-            expand_row_into(q, &self.degrees, &mut flat);
-        }
-        out.clear();
-        self.inner.predict_many_into(&flat, width, out)
-    }
-}
-
-impl<'a> Forecaster<Design<'a>> for HuberConfig {
-    type Fitted = HuberModel;
-    type Error = StatsError;
-
-    fn fit(&self, input: &Design<'a>) -> Result<HuberModel> {
-        HuberModel::fit(input.xs, input.ys, self)
-    }
-}
-
-impl FittedModel<[Vec<f64>]> for HuberModel {
-    type Error = StatsError;
-
-    fn predict_batch_into(&self, queries: &[Vec<f64>], out: &mut Vec<f64>) -> Result<()> {
-        out.clear();
-        out.reserve(queries.len());
-        for q in queries {
-            out.push(self.predict(q)?);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,16 +331,6 @@ mod tests {
             .map(|(row, y)| (linear.predict(row).unwrap() - y).abs())
             .fold(0.0_f64, f64::max);
         assert!(worst > 1.0);
-    }
-
-    #[test]
-    fn polynomial_batch_matches_scalar_bitwise() {
-        let (xs, ys) = quadratic_design();
-        let model = PolynomialModel::fit(&xs, &ys, &PolyConfig::default()).unwrap();
-        let batch = model.predict_batch(&xs).unwrap();
-        for (row, b) in xs.iter().zip(&batch) {
-            assert_eq!(model.predict(row).unwrap().to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -458,19 +383,6 @@ mod tests {
                 HuberModel::fit(&xs, &ys, &bad),
                 Err(StatsError::InvalidParameter { .. })
             ));
-        }
-    }
-
-    #[test]
-    fn forecaster_trait_round_trip() {
-        let (xs, ys) = quadratic_design();
-        let design = Design { xs: &xs, ys: &ys };
-        let poly = PolyConfig::default().fit(&design).unwrap();
-        let huber = HuberConfig::default().fit(&design).unwrap();
-        assert_eq!(poly.predict_batch(&xs).unwrap().len(), xs.len());
-        let hb = huber.predict_batch(&xs).unwrap();
-        for (row, b) in xs.iter().zip(&hb) {
-            assert_eq!(huber.predict(row).unwrap().to_bits(), b.to_bits());
         }
     }
 }

@@ -232,7 +232,7 @@ impl TraceGenerator {
     /// Generates the corpus with per-family RNG streams — the in-RAM
     /// reference for [`crate::stream::CorpusStream`].
     ///
-    /// Each family draws from its own [`family_seed`]-derived stream, so
+    /// Each family draws from its own `family_seed`-derived stream, so
     /// families are independent and the result is invariant to execution
     /// order. The statistical model and the per-day loop are those of
     /// [`TraceGenerator::generate`], but the draw *sequence* differs, so

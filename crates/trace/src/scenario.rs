@@ -15,7 +15,7 @@
 //!
 //! * **Regime schedules draw from their own stream.** Boundaries and
 //!   per-regime mutations come from a dedicated splitmix64 sequence
-//!   ([`scenario_seed`]-derived), never from the family's `StdRng`, so a
+//!   (`scenario_seed`-derived), never from the family's `StdRng`, so a
 //!   policy change never shifts the draw sequence of anything it does not
 //!   directly parameterize — and [`ScenarioPolicy::Stationary`] consumes
 //!   zero draws, leaving every existing fingerprint byte-identical.

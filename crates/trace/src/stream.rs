@@ -2,7 +2,7 @@
 //!
 //! [`CorpusStream`] yields the attacks of a family-partitioned corpus in
 //! final sorted order **without materializing the corpus**: each family
-//! draws from its own [`crate::generator::family_seed`]-derived RNG
+//! draws from its own `family_seed`-derived RNG
 //! stream, generation proceeds in bounded windows of days fanned across
 //! the deterministic sharded executor, and a small reorder buffer emits
 //! records as soon as no family can still produce an earlier one. The
