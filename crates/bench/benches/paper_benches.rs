@@ -732,15 +732,14 @@ fn bench_tanh_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-/// Tentpole (PR 8): QR factorization reuse in CART leaves. The same leaf
-/// cell solved through the per-node allocating path (`fit_indexed`:
-/// gather + finiteness rescan + fresh QR buffers) and through the
-/// prepared path the grower now uses (`fit_prepared`: contiguous design
-/// segment + reused QR scratch), plus a tall leaf where the row-pass
-/// Householder kernel dominates. Bit-identical outputs (the cart
-/// goldencheck lines and `fit_prepared_matches_fit_indexed_bitwise`
-/// tests are the oracle); `cart_fit/st_design_mlr_leaves` shows the
-/// end-to-end effect.
+/// QR factorization reuse in CART leaves. The same leaf cell solved
+/// through the validated allocating entry ARIMA uses (`fit`: finiteness
+/// scan + fresh design + fresh QR buffers) and through the prepared path
+/// the grower uses (`fit_prepared`: contiguous design segment + reused QR
+/// scratch), plus a tall leaf where the row-pass Householder kernel
+/// dominates. Bit-identical outputs (the cart goldencheck lines and
+/// `fit_prepared_matches_gathered_fit_bitwise` tests are the oracle);
+/// `cart_fit/st_design_mlr_leaves` shows the end-to-end effect.
 fn bench_qr_reuse(c: &mut Criterion) {
     use ddos_stats::ols::{LinearModel, OlsScratch};
     use rand::{Rng, SeedableRng};
@@ -752,16 +751,13 @@ fn bench_qr_reuse(c: &mut Criterion) {
     let xs: Vec<Vec<f64>> =
         (0..rows).map(|_| (0..p - 1).map(|_| rng.gen::<f64>() * 24.0).collect()).collect();
     let ys: Vec<f64> = xs.iter().map(|r| r.iter().sum::<f64>() * 0.3 + rng.gen::<f64>()).collect();
-    let indices: Vec<usize> = (0..rows).collect();
     let mut design = Vec::with_capacity(rows * p);
     for r in &xs {
         design.push(1.0);
         design.extend_from_slice(r);
     }
     let mut g = c.benchmark_group("qr_reuse");
-    g.bench_function("fit_indexed_64x14", |b| {
-        b.iter(|| LinearModel::fit_indexed(black_box(&xs), &ys, &indices).unwrap())
-    });
+    g.bench_function("fit_64x14", |b| b.iter(|| LinearModel::fit(black_box(&xs), &ys).unwrap()));
     let mut scratch = OlsScratch::default();
     g.bench_function("fit_prepared_64x14", |b| {
         b.iter(|| LinearModel::fit_prepared(black_box(&design), &ys, p, &mut scratch).unwrap())

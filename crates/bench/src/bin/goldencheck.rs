@@ -40,6 +40,7 @@ use ddos_neural::nar::{NarConfig, NarModel};
 use ddos_neural::train::TrainConfig;
 use ddos_serve::{BatchPolicy, ForecastRequest, ForecastService, ServeConfig};
 use ddos_stats::arima::{Arima, ArimaOrder};
+use ddos_stats::regress::{HuberConfig, HuberModel, PolyConfig, PolynomialModel};
 use ddos_trace::{AttackRecord, ColumnarWriter, CorpusStream};
 
 /// Collected `(name, hash)` lines, printed at the end (and optionally
@@ -502,6 +503,28 @@ fn run(report: &mut Report) {
     h.word(boosted_bytes.len() as u64);
     h.bytes(&boosted_bytes);
     h.done("ensemble_boosted_fit");
+
+    // Cheap regression baselines on the same design: the degree-2
+    // polynomial OLS fit and the Huber IRLS fit, both solved by the one
+    // least-squares kernel.
+    let poly = PolynomialModel::fit(&zoo_xs, &zoo_ys, &PolyConfig { degree: 2 }).unwrap();
+    let huber = HuberModel::fit(&zoo_xs, &zoo_ys, &HuberConfig::default()).unwrap();
+    let mut h = Fnv::new(report);
+    for &d in poly.degrees() {
+        h.word(d as u64);
+    }
+    for row in &zoo_xs {
+        h.f64(poly.predict(row).unwrap());
+    }
+    h.word(huber.n_iter() as u64);
+    h.f64(huber.intercept());
+    for &c in huber.coefficients() {
+        h.f64(c);
+    }
+    for row in &zoo_xs {
+        h.f64(huber.predict(row).unwrap());
+    }
+    h.done("regress_baselines");
 
     // Regime-switching scenario corpus: the same streaming surface as
     // `corpus_stream`, under a non-stationary policy. Pins the scenario

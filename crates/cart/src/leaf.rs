@@ -4,7 +4,8 @@
 //! a multivariate linear model (MLR)" to each leaf (Eq. 8–10). A constant
 //! (mean) leaf is also provided — both as the classic CART behavior and as
 //! the ablation baseline — and as the fallback when a leaf's design matrix
-//! is too small or collinear for a regression fit.
+//! is too small, collinear or too large in magnitude for a finite
+//! regression fit.
 
 use crate::{CartError, Result};
 use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
@@ -62,11 +63,14 @@ pub enum LeafModel {
 }
 
 impl LeafModel {
-    /// Fits a leaf of the requested kind on the cell's samples.
+    /// Fits a leaf of the requested kind on the cell's samples: the
+    /// reference oracle's leaf fit (tree growth uses
+    /// [`LeafModel::fit_prepared`]).
     ///
     /// # Errors
     ///
     /// Returns [`CartError::EmptyTrainingSet`] for an empty cell.
+    #[cfg(test)]
     pub fn fit(kind: LeafKind, xs: &[Vec<f64>], ys: &[f64]) -> Result<Self> {
         if ys.is_empty() {
             return Err(CartError::EmptyTrainingSet);
@@ -85,38 +89,6 @@ impl LeafModel {
         }
     }
 
-    /// Fits a leaf on the cell described by `indices` into the full
-    /// `(xs, ys)` training set, without materializing the cell.
-    ///
-    /// Bit-identical to gathering the indexed rows and calling
-    /// [`LeafModel::fit`] (the mean reduction and the MLR design are both
-    /// assembled in `indices` order) — this view API is what lets tree
-    /// growth fit one leaf model per node with zero row clones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CartError::EmptyTrainingSet`] for empty `indices`.
-    /// Indices must be in range for both `xs` and `ys`; out-of-range
-    /// indices panic.
-    pub fn fit_indexed(
-        kind: LeafKind,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        indices: &[usize],
-    ) -> Result<Self> {
-        if indices.is_empty() {
-            return Err(CartError::EmptyTrainingSet);
-        }
-        let mean = indices.iter().map(|&i| ys[i]).sum::<f64>() / indices.len() as f64;
-        match kind {
-            LeafKind::Constant => Ok(LeafModel::Constant { mean }),
-            LeafKind::Linear => match LinearModel::fit_indexed(xs, ys, indices) {
-                Ok(model) => Ok(LeafModel::Linear { model }),
-                Err(_) => Ok(LeafModel::Constant { mean }),
-            },
-        }
-    }
-
     /// Fits a leaf from a pre-assembled design segment: `rows` is the
     /// cell's row-major design with the leading `1.0` intercept column
     /// already in place (width `p`), `ys` the cell's targets in the same
@@ -124,12 +96,12 @@ impl LeafModel {
     /// its rows once from the shared design and fits every requested
     /// leaf kind from that one contiguous cell.
     ///
-    /// Bit-identical to [`LeafModel::fit_indexed`] on the indices the
-    /// segment was assembled from: the mean reduction and every OLS
-    /// operation run in the same order over the same values, and the
-    /// mean fallback fires under exactly the same conditions (inputs are
-    /// pre-validated finite by tree growth, so the non-finite scan the
-    /// prepared OLS path skips could never have fired).
+    /// Bit-identical to `LeafModel::fit` on the rows the segment was
+    /// assembled from: the mean reduction and every OLS operation run in
+    /// the same order over the same values, and the mean fallback fires
+    /// under exactly the same conditions (inputs are pre-validated finite
+    /// by tree growth, so the non-finite scan the prepared OLS path skips
+    /// could never have fired).
     ///
     /// # Errors
     ///
@@ -252,25 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_indexed_matches_gathered_fit() {
-        let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, ((i * 7) % 5) as f64]).collect();
-        let ys: Vec<f64> = xs.iter().map(|r| 2.0 * r[0] - r[1] + 1.0).collect();
-        let indices = vec![2, 4, 8, 16, 3, 9, 27, 1];
-        let gathered_x: Vec<Vec<f64>> = indices.iter().map(|&i| xs[i].clone()).collect();
-        let gathered_y: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
-        for kind in [LeafKind::Constant, LeafKind::Linear] {
-            let direct = LeafModel::fit(kind, &gathered_x, &gathered_y).unwrap();
-            let indexed = LeafModel::fit_indexed(kind, &xs, &ys, &indices).unwrap();
-            assert_eq!(direct, indexed);
-        }
-        assert!(matches!(
-            LeafModel::fit_indexed(LeafKind::Linear, &xs, &ys, &[]),
-            Err(CartError::EmptyTrainingSet)
-        ));
-    }
-
-    #[test]
-    fn fit_prepared_matches_fit_indexed_bitwise() {
+    fn fit_prepared_matches_gathered_fit_bitwise() {
         let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, ((i * 7) % 5) as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|r| 2.0 * r[0] - r[1] + 1.0).collect();
         let indices = vec![2, 4, 8, 16, 3, 9, 27, 1];
@@ -282,14 +236,15 @@ mod tests {
             rows.extend_from_slice(&xs[i]);
             yseg.push(ys[i]);
         }
+        let gathered_x: Vec<Vec<f64>> = indices.iter().map(|&i| xs[i].clone()).collect();
         let mut scratch = OlsScratch::default();
         for kind in [LeafKind::Constant, LeafKind::Linear] {
-            let indexed = LeafModel::fit_indexed(kind, &xs, &ys, &indices).unwrap();
+            let gathered = LeafModel::fit(kind, &gathered_x, &yseg).unwrap();
             // Twice through the same scratch: reuse must not perturb a bit.
             for _ in 0..2 {
                 let prepared =
                     LeafModel::fit_prepared(kind, &rows, p, &yseg, &mut scratch).unwrap();
-                assert_eq!(prepared, indexed);
+                assert_eq!(prepared, gathered);
             }
         }
         // Fallback parity: a tiny cell collapses to the mean on both paths.
@@ -301,6 +256,18 @@ mod tests {
             LeafModel::fit_prepared(LeafKind::Linear, &[], 3, &[], &mut scratch),
             Err(CartError::EmptyTrainingSet)
         ));
+    }
+
+    #[test]
+    fn overflowing_cell_falls_back_to_constant() {
+        // Finite rows whose solve overflows: the leaf keeps the mean
+        // instead of a NaN regression.
+        let p = 2;
+        let rows: Vec<f64> = (0..20).flat_map(|i| [1.0, 1e200 * (i + 1) as f64]).collect();
+        let ys: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let mut scratch = OlsScratch::default();
+        let leaf = LeafModel::fit_prepared(LeafKind::Linear, &rows, p, &ys, &mut scratch).unwrap();
+        assert_eq!(leaf, LeafModel::Constant { mean: 9.5 });
     }
 
     #[test]

@@ -754,7 +754,7 @@ struct Growth<'a> {
     /// Prefix sums of squared targets.
     prefix_sq: Vec<f64>,
     /// The node's leaf-fit rows, gathered from the design in `idx` order
-    /// — exactly the rows `fit_indexed` would assemble.
+    /// — exactly the rows the reference grower's leaf fit gathers.
     cell_rows: Vec<f64>,
     /// The node's targets in `idx` order.
     cell_ys: Vec<f64>,

@@ -4,9 +4,9 @@
 //! needs, implemented from scratch so the whole numeric stack stays auditable
 //! and offline-safe:
 //!
-//! * [`matrix`] — small dense linear algebra (solve, Cholesky, QR) backing the
-//!   regression fitters.
-//! * [`ols`] — simple and multivariate ordinary-least-squares regression.
+//! * [`matrix`] — the least-squares kernel (Householder QR into reusable
+//!   buffers) every regression fit solves through.
+//! * [`ols`] — multivariate ordinary-least-squares regression.
 //! * [`acf`] — autocorrelation and partial autocorrelation functions.
 //! * [`arima`] — autoregressive integrated moving-average models: differencing,
 //!   conditional-sum-of-squares fitting, multi-step forecasting.

@@ -1,432 +1,12 @@
-//! Small dense linear algebra used by the regression fitters.
+//! The least-squares kernel every regression fit in the workspace ends in.
 //!
-//! The models in this workspace only ever solve systems with a handful of
-//! unknowns (ARIMA orders ≤ ~6, regression designs with ≤ ~20 columns), so a
-//! simple row-major [`Matrix`] with partial-pivot LU, Cholesky and
-//! Householder QR is both sufficient and easy to audit.
+//! The models here only ever solve small systems (ARIMA lag regressions
+//! with a handful of unknowns, regression-tree leaf designs with ≤ ~20
+//! columns), all by least squares: [`lstsq_into`] solves a borrowed
+//! row-major design by Householder QR into caller-owned buffers
+//! ([`LstsqScratch`]), so hot callers amortize them across fits.
 
 use crate::{Result, StatsError};
-use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
-
-/// A dense, row-major, heap-allocated `f64` matrix.
-///
-/// # Example
-///
-/// ```
-/// use ddos_stats::matrix::Matrix;
-///
-/// # fn main() -> Result<(), ddos_stats::StatsError> {
-/// let a = Matrix::from_rows(&[vec![4.0, 1.0], vec![1.0, 3.0]])?;
-/// let b = vec![1.0, 2.0];
-/// let x = a.solve(&b)?;
-/// let r = a.mat_vec(&x)?;
-/// assert!((r[0] - 1.0).abs() < 1e-10 && (r[1] - 2.0).abs() < 1e-10);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl Matrix {
-    /// Creates a `rows × cols` matrix filled with zeros.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(StatsError::InvalidParameter {
-                name: "dims",
-                detail: format!("dimensions must be nonzero, got {rows}x{cols}"),
-            });
-        }
-        Ok(Matrix { rows, cols, data: vec![0.0; rows * cols] })
-    }
-
-    /// Creates the `n × n` identity matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `n` is zero.
-    pub fn identity(n: usize) -> Result<Self> {
-        let mut m = Matrix::zeros(n, n)?;
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        Ok(m)
-    }
-
-    /// Builds a matrix from row vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptyInput`] when `rows` is empty and
-    /// [`StatsError::DimensionMismatch`] when rows have unequal lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self> {
-        if rows.is_empty() || rows[0].is_empty() {
-            return Err(StatsError::EmptyInput);
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, r) in rows.iter().enumerate() {
-            if r.len() != cols {
-                return Err(StatsError::DimensionMismatch {
-                    detail: format!("row {i} has {} columns, expected {cols}", r.len()),
-                });
-            }
-            data.extend_from_slice(r);
-        }
-        Ok(Matrix { rows: rows.len(), cols, data })
-    }
-
-    /// Builds a matrix from a flat row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `data.len() != rows * cols`
-    /// and [`StatsError::InvalidParameter`] when a dimension is zero.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if rows == 0 || cols == 0 {
-            return Err(StatsError::InvalidParameter {
-                name: "dims",
-                detail: format!("dimensions must be nonzero, got {rows}x{cols}"),
-            });
-        }
-        if data.len() != rows * cols {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!("buffer length {} != {rows}x{cols}", data.len()),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Borrow of the underlying row-major buffer.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Returns row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.rows()`.
-    pub fn row(&self, i: usize) -> &[f64] {
-        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Returns column `j` as an owned vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "column index {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix { rows: self.cols, cols: self.rows, data: vec![0.0; self.data.len()] };
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] when `v.len() != self.cols()`.
-    pub fn mat_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!("vector length {} != matrix cols {}", v.len(), self.cols),
-            });
-        }
-        Ok((0..self.rows).map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum()).collect())
-    }
-
-    /// Matrix–matrix product `self * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::DimensionMismatch`] on inner-dimension mismatch.
-    pub fn mat_mul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!(
-                    "cannot multiply {}x{} by {}x{}",
-                    self.rows, self.cols, rhs.rows, rhs.cols
-                ),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols)?;
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Solves `self * x = b` using partial-pivot Gaussian elimination.
-    ///
-    /// # Errors
-    ///
-    /// * [`StatsError::DimensionMismatch`] when the matrix is not square or
-    ///   `b` has the wrong length.
-    /// * [`StatsError::SingularMatrix`] when a pivot underflows.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if self.rows != self.cols {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!("solve requires square matrix, got {}x{}", self.rows, self.cols),
-            });
-        }
-        if b.len() != self.rows {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!("rhs length {} != {}", b.len(), self.rows),
-            });
-        }
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-
-        for col in 0..n {
-            // Partial pivoting: find the largest-magnitude entry in this column.
-            let mut pivot_row = col;
-            let mut pivot_val = a[col * n + col].abs();
-            for r in (col + 1)..n {
-                let v = a[r * n + col].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-12 {
-                return Err(StatsError::SingularMatrix);
-            }
-            if pivot_row != col {
-                for j in 0..n {
-                    a.swap(col * n + j, pivot_row * n + j);
-                }
-                x.swap(col, pivot_row);
-            }
-            let pivot = a[col * n + col];
-            for r in (col + 1)..n {
-                let factor = a[r * n + col] / pivot;
-                if factor == 0.0 {
-                    continue;
-                }
-                for j in col..n {
-                    a[r * n + j] -= factor * a[col * n + j];
-                }
-                x[r] -= factor * x[col];
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let mut s = x[col];
-            for j in (col + 1)..n {
-                s -= a[col * n + j] * x[j];
-            }
-            x[col] = s / a[col * n + col];
-        }
-        Ok(x)
-    }
-
-    /// Cholesky factorization `self = L * Lᵀ` for a symmetric
-    /// positive-definite matrix; returns the lower-triangular factor.
-    ///
-    /// # Errors
-    ///
-    /// * [`StatsError::DimensionMismatch`] when the matrix is not square.
-    /// * [`StatsError::SingularMatrix`] when the matrix is not positive
-    ///   definite.
-    pub fn cholesky(&self) -> Result<Matrix> {
-        if self.rows != self.cols {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!("cholesky requires square matrix, got {}x{}", self.rows, self.cols),
-            });
-        }
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n)?;
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = self[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if s <= 1e-12 {
-                        return Err(StatsError::SingularMatrix);
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
-            }
-        }
-        Ok(l)
-    }
-
-    /// Solves `self * x = b` via Cholesky, assuming `self` is symmetric
-    /// positive definite (the normal-equations case).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Matrix::cholesky`]; additionally returns
-    /// [`StatsError::DimensionMismatch`] for a wrong-length `b`.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if b.len() != self.rows {
-            return Err(StatsError::DimensionMismatch {
-                detail: format!("rhs length {} != {}", b.len(), self.rows),
-            });
-        }
-        let l = self.cholesky()?;
-        let n = self.rows;
-        // Forward solve L y = b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[i];
-            for k in 0..i {
-                s -= l[(i, k)] * y[k];
-            }
-            y[i] = s / l[(i, i)];
-        }
-        // Back solve Lᵀ x = y.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for k in (i + 1)..n {
-                s -= l[(k, i)] * x[k];
-            }
-            x[i] = s / l[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Householder QR factorization; returns `(Q, R)` with `Q` orthonormal
-    /// (`rows × rows`) and `R` upper-trapezoidal (`rows × cols`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::TooShort`] when `rows < cols` (the regression
-    /// use case requires at least as many observations as parameters).
-    pub fn qr(&self) -> Result<(Matrix, Matrix)> {
-        if self.rows < self.cols {
-            return Err(StatsError::TooShort { required: self.cols, actual: self.rows });
-        }
-        let m = self.rows;
-        let n = self.cols;
-        let mut r = self.clone();
-        let mut q = Matrix::identity(m)?;
-
-        for k in 0..n.min(m - 1) {
-            // Householder vector for column k.
-            let mut norm = 0.0;
-            for i in k..m {
-                norm += r[(i, k)] * r[(i, k)];
-            }
-            let norm = norm.sqrt();
-            if norm < 1e-14 {
-                continue;
-            }
-            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-            let mut v = vec![0.0; m];
-            v[k] = r[(k, k)] - alpha;
-            for (i, vi) in v.iter_mut().enumerate().take(m).skip(k + 1) {
-                *vi = r[(i, k)];
-            }
-            let vtv: f64 = v.iter().map(|x| x * x).sum();
-            if vtv < 1e-28 {
-                continue;
-            }
-            // Apply H = I - 2 v vᵀ / (vᵀ v) to R (left) and accumulate into Q.
-            for j in 0..n {
-                let dot: f64 = (k..m).map(|i| v[i] * r[(i, j)]).sum();
-                let c = 2.0 * dot / vtv;
-                for i in k..m {
-                    r[(i, j)] -= c * v[i];
-                }
-            }
-            for j in 0..m {
-                let dot: f64 = (k..m).map(|i| v[i] * q[(j, i)]).sum();
-                let c = 2.0 * dot / vtv;
-                for i in k..m {
-                    q[(j, i)] -= c * v[i];
-                }
-            }
-        }
-        Ok((q, r))
-    }
-
-    /// Least-squares solution of `self * x ≈ b` via Householder QR.
-    ///
-    /// Works for overdetermined systems (`rows >= cols`). The reflections
-    /// are applied to a copy of `b` directly — `Q` is never materialized,
-    /// so the cost is `O(rows · cols²)` time and `O(rows · cols)` memory
-    /// even for very tall designs (regression-tree leaves see tens of
-    /// thousands of rows).
-    ///
-    /// # Errors
-    ///
-    /// * [`StatsError::DimensionMismatch`] for a wrong-length `b`.
-    /// * [`StatsError::TooShort`] when `rows < cols`.
-    /// * [`StatsError::SingularMatrix`] when the design is rank deficient.
-    pub fn lstsq(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = Vec::new();
-        lstsq_into(&self.data, self.rows, self.cols, b, &mut LstsqScratch::default(), &mut x)?;
-        Ok(x)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Gram matrix `selfᵀ * self` (used to form normal equations).
-    pub fn gram(&self) -> Matrix {
-        let mut g =
-            Matrix { rows: self.cols, cols: self.cols, data: vec![0.0; self.cols * self.cols] };
-        for i in 0..self.cols {
-            for j in i..self.cols {
-                let mut s = 0.0;
-                for r in 0..self.rows {
-                    s += self[(r, i)] * self[(r, j)];
-                }
-                g[(i, j)] = s;
-                g[(j, i)] = s;
-            }
-        }
-        g
-    }
-}
 
 /// Lane width of the [`lstsq_into`] kernel's working rows.
 ///
@@ -448,13 +28,13 @@ pub struct LstsqScratch {
     coef: Vec<[f64; LANES]>,
 }
 
-/// Allocation-free [`Matrix::lstsq`] over a borrowed row-major design.
+/// Least-squares solution of `design · beta ≈ b`, allocation-free once
+/// `scratch` has grown.
 ///
 /// `design` is `rows × cols` in row-major order; the solution is written
-/// into `beta` (cleared and resized to `cols`). The split from
-/// [`Matrix::lstsq`] — which delegates here — exists for hot callers
-/// (regression-tree leaves) that solve many small systems and want to
-/// amortize the working buffers.
+/// into `beta` (cleared and resized to `cols`). Hot callers
+/// (regression-tree leaves, IRLS iterations) reuse one scratch and one
+/// `beta` across many small solves.
 ///
 /// The kernel is Householder QR applied row by row. Each working row
 /// holds the design row, then the right-hand side, then zero padding to
@@ -470,9 +50,12 @@ pub struct LstsqScratch {
 ///
 /// # Errors
 ///
-/// Exactly those of [`Matrix::lstsq`]: [`StatsError::DimensionMismatch`]
-/// for a wrong-length `b`, [`StatsError::TooShort`] when `rows < cols`,
-/// [`StatsError::SingularMatrix`] on rank deficiency.
+/// * [`StatsError::DimensionMismatch`] for a wrong-length `b`.
+/// * [`StatsError::TooShort`] when `rows < cols`.
+/// * [`StatsError::SingularMatrix`] on rank deficiency, or when the
+///   design is too ill-conditioned for a finite solution: finite inputs
+///   large enough to overflow the factorization leave a non-finite
+///   entry in `beta`, which is refused rather than returned.
 pub fn lstsq_into(
     design: &[f64],
     rows: usize,
@@ -602,6 +185,9 @@ pub fn lstsq_into(
         }
         beta[i] = s / d;
     }
+    if beta.iter().any(|x| !x.is_finite()) {
+        return Err(StatsError::SingularMatrix);
+    }
     Ok(())
 }
 
@@ -610,79 +196,6 @@ pub fn lstsq_into(
 fn reflect(lanes: &mut [f64; LANES], c: &[f64; LANES], vi: f64) {
     for (x, ci) in lanes.iter_mut().zip(c) {
         *x -= ci * vi;
-    }
-}
-
-impl Index<(usize, usize)> for Matrix {
-    type Output = f64;
-
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        &self.data[i * self.cols + j]
-    }
-}
-
-impl IndexMut<(usize, usize)> for Matrix {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        &mut self.data[i * self.cols + j]
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, " ")?;
-                }
-                write!(f, "{:10.4}", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    /// Element-wise sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes differ.
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch in add");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect(),
-        }
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    /// Element-wise difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes differ.
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch in sub");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect(),
-        }
-    }
-}
-
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, s: f64) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|a| a * s).collect() }
     }
 }
 
@@ -815,128 +328,18 @@ mod tests {
         (a - b).abs() < 1e-9
     }
 
-    #[test]
-    fn zeros_has_right_shape() {
-        let m = Matrix::zeros(3, 4).unwrap();
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 4);
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn zeros_rejects_zero_dims() {
-        assert!(Matrix::zeros(0, 4).is_err());
-        assert!(Matrix::zeros(4, 0).is_err());
-    }
-
-    #[test]
-    fn identity_is_identity() {
-        let i = Matrix::identity(3).unwrap();
-        let v = vec![1.0, 2.0, 3.0];
-        assert_eq!(i.mat_vec(&v).unwrap(), v);
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged() {
-        assert!(Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0]]).is_err());
-    }
-
-    #[test]
-    fn from_vec_validates_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-    }
-
-    #[test]
-    fn transpose_round_trips() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose()[(2, 1)], 6.0);
-    }
-
-    #[test]
-    fn mat_mul_known_product() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
-        let c = a.mat_mul(&b).unwrap();
-        assert_eq!(c[(0, 0)], 19.0);
-        assert_eq!(c[(0, 1)], 22.0);
-        assert_eq!(c[(1, 0)], 43.0);
-        assert_eq!(c[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn mat_mul_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3).unwrap();
-        let b = Matrix::zeros(2, 3).unwrap();
-        assert!(a.mat_mul(&b).is_err());
-    }
-
-    #[test]
-    fn solve_2x2() {
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]).unwrap();
-        let x = a.solve(&[3.0, 5.0]).unwrap();
-        assert!(close(x[0], 0.8));
-        assert!(close(x[1], 1.4));
-    }
-
-    #[test]
-    fn solve_requires_pivoting() {
-        // First pivot is zero; naive elimination would fail.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let x = a.solve(&[2.0, 3.0]).unwrap();
-        assert!(close(x[0], 3.0));
-        assert!(close(x[1], 2.0));
-    }
-
-    #[test]
-    fn solve_detects_singular() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
-        assert_eq!(a.solve(&[1.0, 2.0]), Err(StatsError::SingularMatrix));
-    }
-
-    #[test]
-    fn cholesky_reconstructs() {
-        let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]).unwrap();
-        let l = a.cholesky().unwrap();
-        let rec = l.mat_mul(&l.transpose()).unwrap();
-        assert!((&rec - &a).frobenius_norm() < 1e-10);
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
-        assert!(a.cholesky().is_err());
-    }
-
-    #[test]
-    fn solve_spd_matches_solve() {
-        let a = Matrix::from_rows(&[vec![4.0, 1.0, 0.0], vec![1.0, 5.0, 2.0], vec![0.0, 2.0, 6.0]])
-            .unwrap();
-        let b = [1.0, -2.0, 3.0];
-        let x1 = a.solve(&b).unwrap();
-        let x2 = a.solve_spd(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!(close(*u, *v));
-        }
-    }
-
-    #[test]
-    fn qr_orthogonality_and_reconstruction() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let (q, r) = a.qr().unwrap();
-        let qtq = q.transpose().mat_mul(&q).unwrap();
-        let eye = Matrix::identity(3).unwrap();
-        assert!((&qtq - &eye).frobenius_norm() < 1e-9);
-        let rec = q.mat_mul(&r).unwrap();
-        assert!((&rec - &a).frobenius_norm() < 1e-9);
+    /// Solves a row-major `rows × cols` design through a fresh scratch.
+    fn lstsq(design: &[f64], cols: usize, b: &[f64]) -> Result<Vec<f64>> {
+        let mut beta = Vec::new();
+        let rows = design.len() / cols;
+        lstsq_into(design, rows, cols, b, &mut LstsqScratch::default(), &mut beta)?;
+        Ok(beta)
     }
 
     #[test]
     fn lstsq_exact_fit() {
         // y = 1 + 2x, exactly representable.
-        let x = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 1.0], vec![1.0, 2.0]]).unwrap();
-        let beta = x.lstsq(&[1.0, 3.0, 5.0]).unwrap();
+        let beta = lstsq(&[1.0, 0.0, 1.0, 1.0, 1.0, 2.0], 2, &[1.0, 3.0, 5.0]).unwrap();
         assert!(close(beta[0], 1.0));
         assert!(close(beta[1], 2.0));
     }
@@ -944,47 +347,23 @@ mod tests {
     #[test]
     fn lstsq_overdetermined_minimizes() {
         // Noisy line; check the residual is orthogonal to the columns.
-        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![1.0, i as f64]).collect();
-        let x = Matrix::from_rows(&rows).unwrap();
+        let x: Vec<f64> = (0..10).flat_map(|i| [1.0, i as f64]).collect();
         let y: Vec<f64> =
             (0..10).map(|i| 2.0 + 0.5 * i as f64 + if i % 2 == 0 { 0.1 } else { -0.1 }).collect();
-        let beta = x.lstsq(&y).unwrap();
-        let fitted = x.mat_vec(&beta).unwrap();
-        let resid: Vec<f64> = y.iter().zip(&fitted).map(|(a, b)| a - b).collect();
+        let beta = lstsq(&x, 2, &y).unwrap();
+        let resid: Vec<f64> = x
+            .chunks_exact(2)
+            .zip(&y)
+            .map(|(row, y)| y - row.iter().zip(&beta).map(|(a, b)| a * b).sum::<f64>())
+            .collect();
         for j in 0..2 {
-            let dot: f64 = (0..10).map(|i| x[(i, j)] * resid[i]).sum();
+            let dot: f64 = x.chunks_exact(2).zip(&resid).map(|(row, r)| row[j] * r).sum();
             assert!(dot.abs() < 1e-8, "residual not orthogonal: {dot}");
         }
     }
 
     #[test]
     fn lstsq_detects_rank_deficiency() {
-        let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]).unwrap();
-        assert!(x.lstsq(&[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn gram_is_symmetric() {
-        let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let g = x.gram();
-        assert_eq!(g.rows(), 2);
-        assert_eq!(g[(0, 1)], g[(1, 0)]);
-        assert_eq!(g[(0, 0)], 35.0);
-    }
-
-    #[test]
-    fn operators_work() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
-        assert_eq!((&a + &b).as_slice(), &[4.0, 6.0]);
-        assert_eq!((&b - &a).as_slice(), &[2.0, 2.0]);
-        assert_eq!((&a * 2.0).as_slice(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn display_contains_entries() {
-        let a = Matrix::from_rows(&[vec![1.5, 2.0]]).unwrap();
-        let s = format!("{a}");
-        assert!(s.contains("1.5"));
+        assert!(lstsq(&[1.0, 2.0, 2.0, 4.0, 3.0, 6.0], 2, &[1.0, 2.0, 3.0]).is_err());
     }
 }

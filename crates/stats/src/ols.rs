@@ -6,7 +6,7 @@
 //! [`LinearModel`].
 
 use crate::codec::{CodecResult, Reader, Writer};
-use crate::matrix::{lstsq_into, LstsqScratch, Matrix};
+use crate::matrix::{lstsq_into, LstsqScratch};
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
 
@@ -23,8 +23,9 @@ pub struct OlsScratch {
 
 /// A fitted linear model `y = β₀ + β₁ x₁ + … + βₖ xₖ`.
 ///
-/// Construct with [`LinearModel::fit`] (multivariate) or
-/// [`LinearModel::fit_simple`] (single regressor).
+/// Construct with [`LinearModel::fit`] (validated rows) or
+/// [`LinearModel::fit_prepared`] (a pre-assembled design and reusable
+/// buffers).
 ///
 /// # Example
 ///
@@ -61,7 +62,8 @@ impl LinearModel {
     /// * [`StatsError::LengthMismatch`] when `xs.len() != ys.len()`.
     /// * [`StatsError::TooShort`] when there are fewer observations than
     ///   parameters (k + 1).
-    /// * [`StatsError::SingularMatrix`] for collinear designs.
+    /// * [`StatsError::SingularMatrix`] for collinear designs, and for
+    ///   finite inputs so large that the solve overflows.
     /// * [`StatsError::NonFiniteInput`] when inputs contain NaN/∞.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64]) -> Result<Self> {
         if xs.is_empty() {
@@ -89,110 +91,39 @@ impl LinearModel {
             return Err(StatsError::NonFiniteInput);
         }
 
-        // Design matrix with leading column of ones, assembled row-major
+        // Design with a leading column of ones, assembled row-major
         // straight into the flat buffer (no per-row Vec).
-        let mut data = Vec::with_capacity(xs.len() * p);
+        let mut design = Vec::with_capacity(xs.len() * p);
         for r in xs {
-            data.push(1.0);
-            data.extend_from_slice(r);
+            design.push(1.0);
+            design.extend_from_slice(r);
         }
-        let design = Matrix::from_vec(xs.len(), p, data)?;
-        Self::fit_design(design, ys, p)
-    }
-
-    /// Fits on the observation subset `indices` of `(xs, ys)` without
-    /// materializing the subset: bit-identical to
-    /// `fit(&gather(xs, indices), &gather(ys, indices))` (the design
-    /// matrix rows are assembled in `indices` order and every reduction
-    /// runs in the same order), but with one less row-clone pass. This is
-    /// the CART leaf-fit hot path: tree growth fits one local model per
-    /// node on that node's sample subset.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LinearModel::fit`], evaluated on the selected
-    /// subset ([`StatsError::EmptyInput`] for empty `indices`). Callers
-    /// must ensure every index is in range; out-of-range indices panic.
-    pub fn fit_indexed(xs: &[Vec<f64>], ys: &[f64], indices: &[usize]) -> Result<Self> {
-        if indices.is_empty() {
-            return Err(StatsError::EmptyInput);
-        }
-        if xs.len() != ys.len() {
-            return Err(StatsError::LengthMismatch { left: xs.len(), right: ys.len() });
-        }
-        let k = xs[indices[0]].len();
-        let p = k + 1;
-        if indices.len() < p {
-            return Err(StatsError::TooShort { required: p, actual: indices.len() });
-        }
-        for &i in indices {
-            let row = &xs[i];
-            if row.len() != k {
-                return Err(StatsError::DimensionMismatch {
-                    detail: format!("regressor row has {} entries, expected {k}", row.len()),
-                });
-            }
-            if row.iter().any(|v| !v.is_finite()) {
-                return Err(StatsError::NonFiniteInput);
-            }
-        }
-        if indices.iter().any(|&i| !ys[i].is_finite()) {
-            return Err(StatsError::NonFiniteInput);
-        }
-
-        let mut data = Vec::with_capacity(indices.len() * p);
-        for &i in indices {
-            data.push(1.0);
-            data.extend_from_slice(&xs[i]);
-        }
-        let design = Matrix::from_vec(indices.len(), p, data)?;
-        let yv: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
-        Self::fit_design(design, &yv, p)
-    }
-
-    /// Shared OLS core over a pre-built design (leading intercept column).
-    fn fit_design(design: Matrix, ys: &[f64], p: usize) -> Result<Self> {
-        let beta = design.lstsq(ys)?;
-
-        let fitted = design.mat_vec(&beta)?;
-        let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
-        let ss_tot: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
-        let ss_res: f64 = ys.iter().zip(&fitted).map(|(y, f)| (y - f).powi(2)).sum();
-        let r_squared = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
-        let dof = (ys.len() - p).max(1);
-        let residual_std = (ss_res / dof as f64).sqrt();
-
-        Ok(LinearModel {
-            intercept: beta[0],
-            coefficients: beta[1..].to_vec(),
-            r_squared,
-            residual_std,
-            n_obs: ys.len(),
-        })
+        Self::fit_prepared(&design, ys, p, &mut OlsScratch::default())
     }
 
     /// Fits from a pre-assembled row-major design whose rows already carry
-    /// the leading `1.0` intercept column — the allocation-free twin of
-    /// [`LinearModel::fit_indexed`] for callers (CART leaf fits) that keep
-    /// the design rows of a parent node alive across its children.
+    /// the leading `1.0` intercept column: the OLS core behind
+    /// [`LinearModel::fit`], open to callers (CART leaf fits) that keep
+    /// the design rows of a parent node alive across its children and
+    /// reuse one `scratch` across fits.
     ///
     /// `design` is `ys.len() × p` row-major; `p` counts the intercept
     /// column. Bit-identical to gathering the same rows and calling
-    /// [`LinearModel::fit`]: the QR, fitted values, and every reduction run
-    /// in the same floating-point order.
+    /// [`LinearModel::fit`], which builds this design and calls here.
     ///
-    /// Unlike `fit`/`fit_indexed` this does **not** scan for non-finite
-    /// inputs — the caller is expected to have validated its samples once
-    /// up front (CART does, at dataset construction). Feeding NaN/∞ here
-    /// yields a garbage-coefficient model or a [`StatsError::SingularMatrix`]
-    /// instead of [`StatsError::NonFiniteInput`].
+    /// Unlike `fit` this does **not** scan for non-finite inputs — the
+    /// caller is expected to have validated its samples once up front
+    /// (CART does, at dataset construction). Feeding NaN/∞ here yields a
+    /// [`StatsError::SingularMatrix`] (the solver refuses a non-finite
+    /// solution) instead of [`StatsError::NonFiniteInput`].
     ///
     /// # Errors
     ///
     /// * [`StatsError::EmptyInput`] when `ys` is empty.
     /// * [`StatsError::DimensionMismatch`] when `design.len() != ys.len() * p`.
     /// * [`StatsError::TooShort`] when there are fewer rows than `p`.
-    /// * [`StatsError::SingularMatrix`] for collinear designs.
+    /// * [`StatsError::SingularMatrix`] for collinear or overflowing
+    ///   designs.
     pub fn fit_prepared(
         design: &[f64],
         ys: &[f64],
@@ -218,7 +149,6 @@ impl LinearModel {
         let beta = &mut scratch.beta;
         lstsq_into(design, ys.len(), p, ys, &mut scratch.lstsq, beta)?;
 
-        // Same reduction order as `Matrix::mat_vec` row by row.
         let fitted = &mut scratch.fitted;
         fitted.clear();
         fitted.extend(
@@ -240,16 +170,6 @@ impl LinearModel {
             residual_std,
             n_obs: ys.len(),
         })
-    }
-
-    /// Fits a simple (single-regressor) linear regression `y = a + b x`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LinearModel::fit`].
-    pub fn fit_simple(x: &[f64], y: &[f64]) -> Result<Self> {
-        let xs: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        LinearModel::fit(&xs, y)
     }
 
     /// Predicts the response for one regressor row.
@@ -345,9 +265,9 @@ mod tests {
 
     #[test]
     fn simple_exact_line() {
-        let x: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| 5.0 - 1.5 * v).collect();
-        let m = LinearModel::fit_simple(&x, &y).unwrap();
+        let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
+        let y: Vec<f64> = xs.iter().map(|r| 5.0 - 1.5 * r[0]).collect();
+        let m = LinearModel::fit(&xs, &y).unwrap();
         assert!((m.intercept() - 5.0).abs() < 1e-9);
         assert!((m.coefficients()[0] + 1.5).abs() < 1e-9);
         assert!((m.r_squared() - 1.0).abs() < 1e-12);
@@ -424,23 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_indexed_matches_gathered_fit_bitwise() {
-        let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, ((i * 3) % 11) as f64]).collect();
-        let ys: Vec<f64> = xs.iter().map(|r| 0.7 * r[0] - 1.3 * r[1] + 4.0).collect();
-        let indices: Vec<usize> = vec![3, 5, 8, 13, 21, 34, 1, 2];
-        let gathered_x: Vec<Vec<f64>> = indices.iter().map(|&i| xs[i].clone()).collect();
-        let gathered_y: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
-        let direct = LinearModel::fit(&gathered_x, &gathered_y).unwrap();
-        let indexed = LinearModel::fit_indexed(&xs, &ys, &indices).unwrap();
-        assert_eq!(direct, indexed);
-        assert_eq!(
-            direct.predict(&[9.0, 2.0]).unwrap().to_bits(),
-            indexed.predict(&[9.0, 2.0]).unwrap().to_bits()
-        );
-    }
-
-    #[test]
-    fn fit_prepared_matches_fit_indexed_bitwise() {
+    fn fit_prepared_matches_gathered_fit_bitwise() {
         let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, ((i * 3) % 11) as f64]).collect();
         let ys: Vec<f64> = xs.iter().map(|r| 0.7 * r[0] - 1.3 * r[1] + 4.0).collect();
         let indices: Vec<usize> = vec![3, 5, 8, 13, 21, 34, 1, 2];
@@ -452,19 +356,20 @@ mod tests {
             design.extend_from_slice(&xs[i]);
             yseg.push(ys[i]);
         }
-        let indexed = LinearModel::fit_indexed(&xs, &ys, &indices).unwrap();
+        let gathered_x: Vec<Vec<f64>> = indices.iter().map(|&i| xs[i].clone()).collect();
+        let gathered = LinearModel::fit(&gathered_x, &yseg).unwrap();
         let mut scratch = OlsScratch::default();
         // Twice through the same scratch: reuse must not perturb a bit.
         for _ in 0..2 {
             let prepared = LinearModel::fit_prepared(&design, &yseg, p, &mut scratch).unwrap();
-            assert_eq!(prepared.intercept.to_bits(), indexed.intercept.to_bits());
-            assert_eq!(prepared.coefficients.len(), indexed.coefficients.len());
-            for (a, b) in prepared.coefficients.iter().zip(&indexed.coefficients) {
+            assert_eq!(prepared.intercept.to_bits(), gathered.intercept.to_bits());
+            assert_eq!(prepared.coefficients.len(), gathered.coefficients.len());
+            for (a, b) in prepared.coefficients.iter().zip(&gathered.coefficients) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-            assert_eq!(prepared.r_squared.to_bits(), indexed.r_squared.to_bits());
-            assert_eq!(prepared.residual_std.to_bits(), indexed.residual_std.to_bits());
-            assert_eq!(prepared.n_obs, indexed.n_obs);
+            assert_eq!(prepared.r_squared.to_bits(), gathered.r_squared.to_bits());
+            assert_eq!(prepared.residual_std.to_bits(), gathered.residual_std.to_bits());
+            assert_eq!(prepared.n_obs, gathered.n_obs);
         }
     }
 
@@ -486,18 +391,12 @@ mod tests {
     }
 
     #[test]
-    fn fit_indexed_validates() {
-        let xs: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64]).collect();
-        let ys: Vec<f64> = (0..5).map(|i| i as f64).collect();
-        assert!(matches!(LinearModel::fit_indexed(&xs, &ys, &[]), Err(StatsError::EmptyInput)));
-        assert!(matches!(
-            LinearModel::fit_indexed(&xs, &ys[..4], &[0, 1]),
-            Err(StatsError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            LinearModel::fit_indexed(&xs, &ys, &[0]),
-            Err(StatsError::TooShort { .. })
-        ));
+    fn overflowing_finite_input_is_singular() {
+        // Every input is finite, but the squared column norm overflows:
+        // the fit must refuse rather than return NaN coefficients.
+        let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![1e200 * (i + 1) as f64]).collect();
+        let ys: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        assert!(matches!(LinearModel::fit(&xs, &ys), Err(StatsError::SingularMatrix)));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   magnitude/duration targets by iteratively-reweighted least squares
 //!   with the Huber ψ weight function.
 
-use crate::matrix::Matrix;
+use crate::matrix::{lstsq_into, LstsqScratch};
 use crate::ols::LinearModel;
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
@@ -216,6 +216,9 @@ impl HuberModel {
         let mut resid = vec![0.0; n];
         let mut scratch = vec![0.0; n];
         let mut target = Vec::with_capacity(n);
+        let mut design = Vec::with_capacity(n * p);
+        let mut beta = Vec::with_capacity(p);
+        let mut lstsq = LstsqScratch::default();
         let mut n_iter = 0;
         for _ in 0..config.max_iter {
             for (i, row) in xs.iter().enumerate() {
@@ -235,19 +238,18 @@ impl HuberModel {
                 break;
             }
             let cut = config.delta * scale;
-            let mut data = Vec::with_capacity(n * p);
+            design.clear();
             target.clear();
             for (row, (&y, &r)) in xs.iter().zip(ys.iter().zip(resid.iter())) {
                 let w = if r.abs() <= cut { 1.0 } else { cut / r.abs() };
                 let sw = w.sqrt();
-                data.push(sw);
+                design.push(sw);
                 for &v in row {
-                    data.push(sw * v);
+                    design.push(sw * v);
                 }
                 target.push(sw * y);
             }
-            let design = Matrix::from_vec(n, p, data)?;
-            let beta = design.lstsq(&target)?;
+            lstsq_into(&design, n, p, &target, &mut lstsq, &mut beta)?;
             n_iter += 1;
             let step = (intercept - beta[0]).abs().max(
                 coefficients
@@ -257,7 +259,7 @@ impl HuberModel {
                     .fold(0.0_f64, f64::max),
             );
             intercept = beta[0];
-            coefficients = beta[1..].to_vec();
+            coefficients.copy_from_slice(&beta[1..]);
             if step <= config.tol {
                 break;
             }

@@ -2,7 +2,6 @@
 
 use ddos_stats::arima::{difference, Arima, ArimaOrder};
 use ddos_stats::distributions::{Categorical, Zipf};
-use ddos_stats::matrix::Matrix;
 use ddos_stats::ols::LinearModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,19 +67,6 @@ proptest! {
         };
         let fc = model.forecast(5).unwrap();
         prop_assert!(fc.iter().all(|v| v.is_finite()), "{fc:?}");
-    }
-
-    /// Matrix transpose is an involution and preserves the Frobenius norm.
-    #[test]
-    fn transpose_involution(
-        data in proptest::collection::vec(-100.0f64..100.0, 6..36),
-    ) {
-        let rows = 2;
-        let cols = data.len() / rows;
-        let m = Matrix::from_vec(rows, cols, data[..rows * cols].to_vec()).unwrap();
-        let t = m.transpose();
-        prop_assert_eq!(t.transpose(), m.clone());
-        prop_assert!((m.frobenius_norm() - t.frobenius_norm()).abs() < 1e-9);
     }
 
     /// Categorical sampling only returns indices with positive weight.

@@ -8,35 +8,11 @@ use ddos_adversary::cart::tree::{RegressionTree, TreeConfig};
 use ddos_adversary::model::baseline::{predict_rolling, BaselineKind};
 use ddos_adversary::neural::scale::MinMaxScaler;
 use ddos_adversary::stats::arima::{difference, integrate};
-use ddos_adversary::stats::matrix::Matrix;
 use ddos_adversary::stats::metrics;
 use ddos_adversary::trace::Timestamp;
 use proptest::prelude::*;
 
 proptest! {
-    /// A·x recovered by solve() satisfies A·x ≈ b.
-    #[test]
-    fn matrix_solve_is_inverse_of_mat_vec(
-        diag in proptest::collection::vec(1.0f64..10.0, 2..5),
-        off in 0.0f64..0.4,
-        b in proptest::collection::vec(-10.0f64..10.0, 2..5),
-    ) {
-        let n = diag.len().min(b.len());
-        let mut a = Matrix::zeros(n, n).unwrap();
-        for i in 0..n {
-            a[(i, i)] = diag[i];
-            if i + 1 < n {
-                a[(i, i + 1)] = off;
-                a[(i + 1, i)] = off;
-            }
-        }
-        let x = a.solve(&b[..n]).unwrap();
-        let back = a.mat_vec(&x).unwrap();
-        for (u, v) in back.iter().zip(&b[..n]) {
-            prop_assert!((u - v).abs() < 1e-8);
-        }
-    }
-
     /// Differencing then integrating a future block is exact.
     #[test]
     fn difference_integrate_round_trip(
