@@ -1,14 +1,15 @@
 //! Dense-indexed (CSR) view of an [`AsGraph`].
 //!
-//! The valley-free path queries behind Eq. 4 are BFS-and-intersect loops;
-//! running them over `BTreeMap` adjacency means a pointer chase and an
-//! allocator hit per visited edge. This module interns every ASN into a
-//! dense [`NodeId`] (`u32`) and lays the adjacency out in one contiguous
-//! CSR arena, with each node's neighbors grouped by business relationship
-//! (providers, then peers, then customers — each group ascending by ASN,
-//! the same order the `BTreeMap` iteration produced). The grouping lets
-//! the uphill/downhill BFS and the peer-crossing scan walk exactly the
-//! edges they need without a relationship branch per edge.
+//! The valley-free distance queries behind Eq. 4 are BFS-and-intersect
+//! loops; running them over `BTreeMap` adjacency means a pointer chase and
+//! an allocator hit per visited edge. This module interns every ASN into a
+//! dense [`NodeId`] (`u32`) and lays out the two edge groups those loops
+//! read in one contiguous CSR arena: each node's providers, then its peers,
+//! each group ascending by ASN (the order the `BTreeMap` iteration
+//! produced). The uphill BFS walks exactly the provider group and the
+//! peer-crossing scan exactly the peer group, without a relationship
+//! branch per edge. Customer edges are the providers' mirror image and
+//! nothing walks them downhill, so the arena does not store them.
 //!
 //! The view is immutable: [`AsGraph`] builds it lazily on first query and
 //! drops it on mutation, so holders always observe a layout consistent
@@ -30,75 +31,18 @@ impl NodeId {
     }
 }
 
-/// A packed visited set over dense node ids: one bit per node, 64 nodes
-/// per word. At 100 k nodes that is ~1.5 KiB versus ~2.4 MiB for a
-/// `BTreeSet<Asn>` — the difference between a cone BFS that lives in L1
-/// and one that thrashes the allocator.
-#[derive(Debug, Clone)]
-pub(crate) struct Bitset {
-    words: Vec<u64>,
-}
-
-impl Bitset {
-    /// An empty set with capacity for `n` ids.
-    pub(crate) fn new(n: usize) -> Self {
-        Bitset { words: vec![0; n.div_ceil(64)] }
-    }
-
-    /// Sets bit `i`; `true` if it was previously clear.
-    pub(crate) fn insert(&mut self, i: usize) -> bool {
-        let (word, mask) = (i / 64, 1u64 << (i % 64));
-        let fresh = self.words[word] & mask == 0;
-        self.words[word] |= mask;
-        fresh
-    }
-
-    /// Clears every bit, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Number of set bits.
-    pub(crate) fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Adds every bit of `other` (same capacity) to `self`.
-    pub(crate) fn union_with(&mut self, other: &Bitset) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// Iterates set bit indices in ascending order.
-    pub(crate) fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            let mut rest = *w;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(wi * 64 + bit)
-            })
-        })
-    }
-}
-
 /// CSR-style immutable snapshot of an [`AsGraph`]'s structure.
 #[derive(Debug, Clone)]
 pub struct DenseTopology {
     /// `NodeId` → `Asn`, ascending (the interning table).
     asns: Vec<Asn>,
-    /// Node `u`'s neighbors live at `nbrs[offsets[u] .. offsets[u + 1]]`.
+    /// Node `u`'s providers and peers live at
+    /// `nbrs[offsets[u] .. offsets[u + 1]]`.
     offsets: Vec<u32>,
     /// Within `u`'s slice, peers start here (providers come before).
     peer_start: Vec<u32>,
-    /// Within `u`'s slice, customers start here (peers come before).
-    cust_start: Vec<u32>,
-    /// The adjacency arena: providers | peers | customers per node, each
-    /// group ascending by ASN.
+    /// The adjacency arena: providers | peers per node, each group
+    /// ascending by ASN.
     nbrs: Vec<NodeId>,
 }
 
@@ -113,31 +57,26 @@ impl DenseTopology {
         };
         let mut offsets = Vec::with_capacity(n + 1);
         let mut peer_start = Vec::with_capacity(n);
-        let mut cust_start = Vec::with_capacity(n);
         let mut nbrs = Vec::new();
         offsets.push(0u32);
         let mut peers_buf: Vec<NodeId> = Vec::new();
-        let mut custs_buf: Vec<NodeId> = Vec::new();
         for &asn in &asns {
             peers_buf.clear();
-            custs_buf.clear();
-            // One stable pass: providers append directly, the other two
-            // groups buffer — each group keeps the ascending ASN order of
-            // the underlying BTreeMap iteration.
+            // One stable pass: providers append directly, peers buffer —
+            // each group keeps the ascending ASN order of the underlying
+            // BTreeMap iteration.
             for (nbr, rel) in graph.neighbors(asn) {
                 match rel {
                     Relationship::Provider => nbrs.push(id_of(nbr)),
                     Relationship::Peer => peers_buf.push(id_of(nbr)),
-                    Relationship::Customer => custs_buf.push(id_of(nbr)),
+                    Relationship::Customer => {}
                 }
             }
             peer_start.push(nbrs.len() as u32);
             nbrs.extend_from_slice(&peers_buf);
-            cust_start.push(nbrs.len() as u32);
-            nbrs.extend_from_slice(&custs_buf);
             offsets.push(nbrs.len() as u32);
         }
-        DenseTopology { asns, offsets, peer_start, cust_start, nbrs }
+        DenseTopology { asns, offsets, peer_start, nbrs }
     }
 
     /// Number of interned ASes.
@@ -171,17 +110,7 @@ impl DenseTopology {
 
     /// The peers of `u`, ascending by ASN.
     pub fn peers(&self, u: NodeId) -> &[NodeId] {
-        &self.nbrs[self.peer_start[u.index()] as usize..self.cust_start[u.index()] as usize]
-    }
-
-    /// The customers of `u`, ascending by ASN.
-    pub fn customers(&self, u: NodeId) -> &[NodeId] {
-        &self.nbrs[self.cust_start[u.index()] as usize..self.offsets[u.index() + 1] as usize]
-    }
-
-    /// All neighbors of `u` (providers, then peers, then customers).
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.nbrs[self.offsets[u.index()] as usize..self.offsets[u.index() + 1] as usize]
+        &self.nbrs[self.peer_start[u.index()] as usize..self.offsets[u.index() + 1] as usize]
     }
 }
 
@@ -217,11 +146,9 @@ mod tests {
             let u = d.node_id(asn).unwrap();
             let providers: Vec<Asn> = d.providers(u).iter().map(|v| d.asn(*v)).collect();
             let peers: Vec<Asn> = d.peers(u).iter().map(|v| d.asn(*v)).collect();
-            let customers: Vec<Asn> = d.customers(u).iter().map(|v| d.asn(*v)).collect();
             assert_eq!(providers, g.providers(asn), "{asn} providers");
             assert_eq!(peers, g.peers(asn), "{asn} peers");
-            assert_eq!(customers, g.customers(asn), "{asn} customers");
-            assert_eq!(d.neighbors(u).len(), g.degree(asn));
+            assert_eq!(providers.len() + peers.len() + g.customers(asn).len(), g.degree(asn));
         }
     }
 
@@ -231,7 +158,7 @@ mod tests {
         let d = g.dense();
         for asn in g.asns() {
             let u = d.node_id(asn).unwrap();
-            for group in [d.providers(u), d.peers(u), d.customers(u)] {
+            for group in [d.providers(u), d.peers(u)] {
                 let asns: Vec<Asn> = group.iter().map(|v| d.asn(*v)).collect();
                 let mut sorted = asns.clone();
                 sorted.sort_unstable();

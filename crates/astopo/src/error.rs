@@ -30,8 +30,6 @@ pub enum TopoError {
         /// The prefix length.
         len: u8,
     },
-    /// An AS path in a routing-table dump was empty or malformed.
-    MalformedPath,
 }
 
 impl fmt::Display for TopoError {
@@ -46,7 +44,6 @@ impl fmt::Display for TopoError {
             TopoError::DuplicatePrefix { network, len } => {
                 write!(f, "duplicate prefix {}/{len}", crate::ipmap::format_ipv4(*network))
             }
-            TopoError::MalformedPath => write!(f, "malformed AS path in routing table"),
         }
     }
 }

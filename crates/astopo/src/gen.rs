@@ -1,7 +1,7 @@
 //! Synthetic AS-topology generation.
 //!
-//! Builds the three-tier hierarchy the Gao-inference and valley-free path
-//! machinery operate on: a tier-1 clique, tier-2 regionals multi-homed into
+//! Builds the three-tier hierarchy the valley-free distance oracle
+//! operates on: a tier-1 clique, tier-2 regionals multi-homed into
 //! the clique with lateral peering, and stub ASes multi-homed to tier-2s of
 //! their region (with occasional out-of-region backup providers, which is
 //! what produces the longer inter-AS distances the `A^s` feature reacts to).

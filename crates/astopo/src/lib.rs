@@ -1,17 +1,19 @@
 //! AS-level Internet substrate for the DDoS adversary-behavior models.
 //!
-//! The paper's source-distribution feature (Eq. 3–4) needs three pieces of
+//! The paper's source-distribution feature (Eq. 3–4) needs two pieces of
 //! Internet infrastructure that the authors obtained from commercial and
 //! public services:
 //!
 //! 1. an **IP→ASN mapping** (they used a commercial whois dataset \[41\]) —
 //!    provided here by [`ipmap::IpAsnMap`], a longest-prefix-match table
 //!    over the synthetic Internet's prefix allocations;
-//! 2. **AS business relationships** inferred from Route Views tables with
-//!    Gao's algorithm \[43\], \[44\] — provided by [`gao`] operating on
-//!    BGP-style table dumps produced by [`routing`];
-//! 3. **inter-AS hop distances** over valley-free paths — provided by
-//!    [`paths`].
+//! 2. **inter-AS hop distances** over valley-free paths — provided by
+//!    [`paths::PathOracle`].
+//!
+//! The authors inferred AS business relationships from Route Views tables
+//! with Gao's algorithm \[43\], \[44\] only because those tables carry no
+//! relationship labels. The synthetic Internet knows its true
+//! relationships, so the distances run on them directly.
 //!
 //! The synthetic topology itself ([`gen::TopologyGenerator`]) follows the
 //! classic three-tier hierarchy: a clique of tier-1 transit providers,
@@ -37,14 +39,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cone;
 pub mod dense;
-pub mod gao;
 pub mod gen;
 pub mod graph;
 pub mod ipmap;
 pub mod paths;
-pub mod routing;
 
 mod error;
 

@@ -1,12 +1,49 @@
 //! Property-based tests for the AS-topology substrate: valley-free
-//! legality, reachability and LPM correctness over randomized topologies.
+//! distances against a reference search, reachability and LPM correctness
+//! over randomized topologies.
 
 use ddos_astopo::gen::{TopologyConfig, TopologyGenerator};
-use ddos_astopo::graph::{Relationship, Tier};
+use ddos_astopo::graph::{AsGraph, Relationship, Tier};
 use ddos_astopo::ipmap::{IpAsnMap, Prefix, PrefixAllocator};
 use ddos_astopo::paths::PathOracle;
 use ddos_astopo::Asn;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Where a valley-free walk stands: still climbing (it may go to a
+/// provider, a peer or a customer), just across its one peering, or
+/// descending (either way it may only go on to a customer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    Climbing,
+    Peered,
+    Descending,
+}
+
+/// Reference valley-free distances from `src` to every AS it reaches: a
+/// plain BFS over `(AS, phase)` states on the graph's own adjacency maps,
+/// sharing no code with [`PathOracle`]. An AS's distance is the first
+/// time any of its three states is reached.
+fn valley_free_reference(topo: &AsGraph, src: Asn) -> BTreeMap<Asn, u32> {
+    let mut seen = BTreeSet::from([(src, Phase::Climbing)]);
+    let mut best: BTreeMap<Asn, u32> = BTreeMap::new();
+    let mut queue = VecDeque::from([(src, Phase::Climbing, 0u32)]);
+    while let Some((u, phase, d)) = queue.pop_front() {
+        best.entry(u).or_insert(d);
+        for (v, rel) in topo.neighbors(u) {
+            let next = match (phase, rel) {
+                (Phase::Climbing, Relationship::Provider) => Phase::Climbing,
+                (Phase::Climbing, Relationship::Peer) => Phase::Peered,
+                (_, Relationship::Customer) => Phase::Descending,
+                _ => continue,
+            };
+            if seen.insert((v, next)) {
+                queue.push_back((v, next, d + 1));
+            }
+        }
+    }
+    best
+}
 
 fn arb_config() -> impl Strategy<Value = TopologyConfig> {
     (2usize..5, 4usize..12, 12usize..40, 2u8..5).prop_map(|(t1, t2, stubs, regions)| {
@@ -25,31 +62,25 @@ fn arb_config() -> impl Strategy<Value = TopologyConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every stub pair is reachable (the tier-1 clique guarantees it) and
-    /// every returned path is valley-free.
+    /// `hop_distance` equals the reference valley-free BFS for every pair
+    /// of ASes, so it is both legal (no valley, at most one peering) and
+    /// minimal, and every stub pair is reachable (the tier-1 clique
+    /// guarantees it).
     #[test]
     fn all_paths_valley_free(config in arb_config(), seed in 0u64..500) {
         let topo = TopologyGenerator::new(config, seed).generate().unwrap();
         let oracle = PathOracle::new(&topo);
+        for a in topo.asns() {
+            let reference = valley_free_reference(&topo, a);
+            for b in topo.asns() {
+                let (got, want) = (oracle.hop_distance(a, b), reference.get(&b).copied());
+                prop_assert!(got == want, "{a} -> {b}: oracle {got:?}, reference {want:?}");
+            }
+        }
         let stubs = topo.tier_members(Tier::Stub);
-        // Check a sample of pairs.
-        for (i, a) in stubs.iter().enumerate().take(6) {
-            for b in stubs.iter().skip(i + 1).take(6) {
-                let path = oracle.path(*a, *b);
-                prop_assert!(path.is_some(), "{a} -> {b} unreachable");
-                let path = path.unwrap();
-                // Valley-free legality.
-                let mut phase = 0u8; // 0 climbing, 1 peered, 2 descending
-                for w in path.windows(2) {
-                    match topo.relationship(w[0], w[1]).unwrap() {
-                        Relationship::Provider => prop_assert_eq!(phase, 0),
-                        Relationship::Peer => {
-                            prop_assert_eq!(phase, 0);
-                            phase = 1;
-                        }
-                        Relationship::Customer => phase = 2,
-                    }
-                }
+        for a in &stubs {
+            for b in &stubs {
+                prop_assert!(oracle.hop_distance(*a, *b).is_some(), "{a} -> {b} unreachable");
             }
         }
     }
@@ -82,37 +113,11 @@ proptest! {
         }
     }
 
-    /// The batched Eq. 4 distance kernel agrees element-wise with the
-    /// per-pair scalar query on arbitrary topologies, including repeated
-    /// and unknown ASNs in the batch.
-    #[test]
-    fn pairwise_distances_matches_per_pair_hop_distance(
-        config in arb_config(),
-        seed in 0u64..500,
-    ) {
-        let topo = TopologyGenerator::new(config, seed).generate().unwrap();
-        let oracle = PathOracle::new(&topo);
-        let mut batch: Vec<Asn> = topo.asns().take(10).collect();
-        // Repeats and an ASN the topology has never seen.
-        if let Some(first) = batch.first().copied() {
-            batch.push(first);
-        }
-        batch.push(Asn(u32::MAX));
-        let matrix = oracle.pairwise_distances(&batch);
-        prop_assert_eq!(matrix.len(), batch.len());
-        for (i, row) in matrix.iter().enumerate() {
-            prop_assert_eq!(row.len(), batch.len());
-            for (j, cell) in row.iter().enumerate() {
-                prop_assert_eq!(*cell, oracle.hop_distance(batch[i], batch[j]));
-            }
-        }
-    }
-
     /// Concurrent batched queries through the deterministic sharded
     /// executor return bit-for-bit the same answers as serial calls: the
     /// Arc-cached cones and the pair-distance table behave as pure values
-    /// under racing fills. Even batches ask for the matrix, odd ones for
-    /// the Eq. 4 mean, so both batch queries share one oracle's table.
+    /// under racing fills. Every batch asks for the Eq. 4 mean, and the
+    /// overlapping batches share one oracle's table.
     #[test]
     fn concurrent_batched_queries_match_serial(config in arb_config(), seed in 0u64..200) {
         let topo = TopologyGenerator::new(config, seed).generate().unwrap();
@@ -120,25 +125,18 @@ proptest! {
         let batches: Vec<Vec<Asn>> = (0..8)
             .map(|k| stubs.iter().skip(k).step_by(2).copied().take(8).collect())
             .collect();
-        let query = |oracle: &PathOracle, k: usize, b: &[Asn]| {
-            if k.is_multiple_of(2) {
-                (oracle.pairwise_distances(b), 0)
-            } else {
-                (Vec::new(), oracle.mean_pairwise_distance(b).to_bits())
-            }
-        };
+        let query = |oracle: &PathOracle, b: &[Asn]| oracle.mean_pairwise_distance(b).to_bits();
 
         // Serial reference on a fresh oracle (cold caches).
         let serial_oracle = PathOracle::new(&topo);
-        let serial: Vec<_> =
-            batches.iter().enumerate().map(|(k, b)| query(&serial_oracle, k, b)).collect();
+        let serial: Vec<u64> = batches.iter().map(|b| query(&serial_oracle, b)).collect();
 
         // Concurrent runs, each on another fresh oracle: the shared caches
         // are populated by racing workers.
         for workers in [1, 2, 4] {
             let shared_oracle = PathOracle::new(&topo);
-            let concurrent = ddos_stats::exec::map_indexed(&batches, Some(workers), |k, b| {
-                query(&shared_oracle, k, b)
+            let concurrent = ddos_stats::exec::map_indexed(&batches, Some(workers), |_, b| {
+                query(&shared_oracle, b)
             });
             prop_assert_eq!(&serial, &concurrent);
         }
@@ -147,7 +145,8 @@ proptest! {
     /// The table-backed Eq. 4 mean equals, bit for bit, the brute-force
     /// mean of per-pair `hop_distance` over every `i < j` pair of distinct
     /// ASNs, on random multisets with repeats and unknown ASNs — whether
-    /// the oracle is cold, warmed, or already holds the answer.
+    /// the oracle is cold, holds every cone but no pair, or already holds
+    /// the answer.
     #[test]
     fn mean_pairwise_distance_matches_brute_force(
         config in arb_config(),
@@ -177,13 +176,17 @@ proptest! {
 
         let cold = PathOracle::new(&topo);
         prop_assert_eq!(cold.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
+        // Warmed: single-pair queries cache every known AS's cone but
+        // leave the pair table empty.
         let warmed = PathOracle::new(&topo);
-        warmed.warm(&asns);
+        for a in &asns {
+            warmed.hop_distance(*a, known[0]);
+        }
         prop_assert_eq!(warmed.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
         // Reused: the table already holds every pair, some of them filled
-        // by the other batch query.
+        // by an earlier query over part of the multiset.
         let reused = PathOracle::new(&topo);
-        reused.pairwise_distances(&asns[..asns.len() / 2]);
+        reused.mean_pairwise_distance(&asns[..asns.len() / 2]);
         reused.mean_pairwise_distance(&asns);
         prop_assert_eq!(reused.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
     }

@@ -186,7 +186,7 @@ fn run(report: &mut Report) {
     }
     h.done("source_distribution_series");
 
-    // Valley-free distances, paths and inflation over stub pairs.
+    // Valley-free distances over stub pairs.
     let oracle = ddos_astopo::paths::PathOracle::new(c.topology());
     let stubs: Vec<ddos_astopo::Asn> =
         c.topology().tier_members(ddos_astopo::Tier::Stub).into_iter().take(24).collect();
@@ -198,22 +198,6 @@ fn run(report: &mut Report) {
         }
     }
     h.done("pairwise_hop_distances");
-
-    let mut h = Fnv::new(report);
-    for (i, a) in stubs.iter().enumerate().take(8) {
-        for b in stubs.iter().skip(i + 1).take(8) {
-            for asn in oracle.path(*a, *b).unwrap() {
-                h.word(asn.0 as u64);
-            }
-            let (kind, route) = oracle.preferred_route(*a, *b).unwrap();
-            h.word(kind as u64);
-            for asn in route {
-                h.word(asn.0 as u64);
-            }
-            h.f64(oracle.inflation(*a, *b).unwrap());
-        }
-    }
-    h.done("paths_routes_inflation");
 
     // Per-AS share series (Fig. 2 input).
     let (asns, series) = FeatureExtractor::as_share_series(&attacks, 8);

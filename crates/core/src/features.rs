@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 /// ```
 pub struct FeatureExtractor<'c> {
     corpus: &'c Corpus,
-    oracle: PathOracle<'c>,
+    oracle: PathOracle,
     /// Total IPv4 addresses allocated per AS (the `N_{AS_j}` of Eq. 4).
     as_space: BTreeMap<Asn, u64>,
 }
@@ -227,7 +227,9 @@ impl<'c> FeatureExtractor<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddos_trace::{CorpusConfig, TraceGenerator};
+    use ddos_astopo::graph::{Relationship, Tier};
+    use ddos_astopo::ipmap::Prefix;
+    use ddos_trace::{BotObservation, CorpusConfig, TraceGenerator};
 
     fn corpus() -> Corpus {
         TraceGenerator::new(CorpusConfig::small(), 91).generate().unwrap()
@@ -266,6 +268,68 @@ mod tests {
         let attacks = c.family_attacks(fam);
         let series = fx.source_distribution_series(&attacks[..50.min(attacks.len())]).unwrap();
         assert!(series.iter().all(|v| *v > 0.0));
+    }
+
+    /// Eq. 4 on hostile bot placements, built from a generated corpus
+    /// whose topology and address map gain three ASes: bots in (a) an ASN
+    /// the topology does not know, (b) two ASes no valley-free path joins,
+    /// and (c) an AS whose address space `N_{AS_j}` is all of IPv4, 2^32
+    /// addresses. (A histogram count of that scale would take 4 G bot
+    /// observations in memory; the address-space count is the one Eq. 4
+    /// input a corpus can push to `u32::MAX` scale.) Each attack must give
+    /// a finite, non-negative `A^s` or a typed error, never a panic.
+    #[test]
+    fn source_distribution_survives_hostile_bot_placements() {
+        let template = corpus();
+        let mut topology = template.topology().clone();
+        let stub = topology.tier_members(Tier::Stub)[0];
+        let tier2 = topology.tier_members(Tier::Tier2)[0];
+        let (unknown, island_t1, island_stub, whole_space) =
+            (Asn(4_000_000_000), Asn(4_000_000_001), Asn(4_000_000_002), Asn(4_000_000_003));
+        // An island: a tier-1 AS outside the clique with one stub customer.
+        topology.add_as(island_t1, Tier::Tier1, 0);
+        topology.add_as(island_stub, Tier::Stub, 0);
+        topology.add_edge(island_t1, island_stub, Relationship::Customer).unwrap();
+        topology.add_as(whole_space, Tier::Stub, 0);
+        topology.add_edge(tier2, whole_space, Relationship::Customer).unwrap();
+        let mut ip_map = template.ip_map().clone();
+        ip_map.insert(Prefix::new(0, 0).unwrap(), whole_space).unwrap();
+
+        let placements: [&[Asn]; 3] =
+            [&[unknown, stub], &[island_stub, stub], &[whole_space, whole_space, stub]];
+        let attacks: Vec<AttackRecord> = placements
+            .iter()
+            .map(|asns| {
+                let mut attack = template.attacks()[0].clone();
+                *attack.bots_mut() = asns
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &asn)| BotObservation { ip: i as u32, asn })
+                    .collect();
+                attack
+            })
+            .collect();
+        let corpus = Corpus::new(
+            attacks,
+            template.catalog().clone(),
+            topology,
+            ip_map,
+            template.targets().clone(),
+            template.days(),
+        )
+        .unwrap();
+        assert!(!corpus.topology().contains(unknown));
+        let oracle = PathOracle::new(corpus.topology());
+        assert_eq!(oracle.hop_distance(island_stub, stub), None);
+        assert_eq!(corpus.ip_map().address_space_by_asn()[&whole_space], 1 << 32);
+
+        let fx = FeatureExtractor::new(&corpus);
+        for (attack, asns) in corpus.attacks().iter().zip(placements) {
+            match fx.source_distribution(attack) {
+                Ok(a_s) => assert!(a_s.is_finite() && a_s >= 0.0, "A^s {a_s} for bots in {asns:?}"),
+                Err(e) => assert!(!e.to_string().is_empty(), "untyped error for {asns:?}"),
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! runnable examples under `examples/`) can depend on a single package:
 //!
 //! * [`stats`] — time-series/regression substrate (OLS, ARIMA, metrics, …)
-//! * [`astopo`] — AS-level Internet substrate (topology, routing, Gao
-//!   relationship inference, IP→ASN mapping)
+//! * [`astopo`] — AS-level Internet substrate (topology generation,
+//!   valley-free hop distances, IP→ASN mapping)
 //! * [`trace`] — synthetic verified-DDoS-attack corpus generator
 //! * [`neural`] — NAR neural-network substrate
 //! * [`cart`] — CART regression-tree / model-tree substrate

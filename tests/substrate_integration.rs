@@ -1,30 +1,14 @@
-//! Cross-crate substrate integration: the synthetic Internet, the Gao
-//! inference pipeline, the IP→ASN mapping and the trace generator must
-//! agree with each other.
+//! Cross-crate substrate integration: the synthetic Internet, the
+//! valley-free distance oracle, the IP→ASN mapping and the trace generator
+//! must agree with each other.
 
-use ddos_adversary::astopo::gao::{infer, GaoConfig};
-use ddos_adversary::astopo::gen::{TopologyConfig, TopologyGenerator};
 use ddos_adversary::astopo::paths::PathOracle;
-use ddos_adversary::astopo::routing::{all_paths, dump_tables};
 use ddos_adversary::astopo::Tier;
 use ddos_adversary::model::features::FeatureExtractor;
 use ddos_adversary::trace::{Corpus, CorpusConfig, TraceGenerator};
 
 fn corpus() -> Corpus {
     TraceGenerator::new(CorpusConfig::small(), 77).generate().unwrap()
-}
-
-#[test]
-fn gao_pipeline_recovers_relationships_end_to_end() {
-    // Route-table dumps → relationship inference → accuracy vs ground
-    // truth, the full §IV-A3 tooling path.
-    let topo = TopologyGenerator::new(TopologyConfig::small(), 9).generate().unwrap();
-    let stubs = topo.tier_members(Tier::Stub);
-    let vantages: Vec<_> = stubs.iter().step_by(5).copied().collect();
-    let tables = dump_tables(&topo, &vantages).unwrap();
-    let inferred = infer(&all_paths(&tables), GaoConfig::default()).unwrap();
-    let acc = inferred.accuracy_against(&topo);
-    assert!(acc > 0.8, "Gao accuracy {acc}");
 }
 
 #[test]
