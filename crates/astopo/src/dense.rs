@@ -36,6 +36,10 @@ impl NodeId {
 pub struct DenseTopology {
     /// `NodeId` → `Asn`, ascending (the interning table).
     asns: Vec<Asn>,
+    /// The first ASN when the interned ASNs are contiguous (the generator
+    /// numbers its ASes `1..=n`): then `node_id` is a subtraction, not a
+    /// binary search.
+    contiguous_from: Option<u32>,
     /// Node `u`'s providers and peers live at
     /// `nbrs[offsets[u] .. offsets[u + 1]]`.
     offsets: Vec<u32>,
@@ -76,7 +80,11 @@ impl DenseTopology {
             nbrs.extend_from_slice(&peers_buf);
             offsets.push(nbrs.len() as u32);
         }
-        DenseTopology { asns, offsets, peer_start, nbrs }
+        let contiguous_from = match (asns.first(), asns.last()) {
+            (Some(first), Some(last)) if (last.0 - first.0) as usize == n - 1 => Some(first.0),
+            _ => None,
+        };
+        DenseTopology { asns, contiguous_from, offsets, peer_start, nbrs }
     }
 
     /// Number of interned ASes.
@@ -89,9 +97,16 @@ impl DenseTopology {
         self.asns.is_empty()
     }
 
-    /// Interns an ASN, or `None` when the AS is not in the graph.
+    /// Interns an ASN, or `None` when the AS is not in the graph. O(1)
+    /// over contiguous ASNs, a binary search otherwise.
     pub fn node_id(&self, asn: Asn) -> Option<NodeId> {
-        self.asns.binary_search(&asn).ok().map(|i| NodeId(i as u32))
+        match self.contiguous_from {
+            Some(first) => {
+                let i = asn.0.wrapping_sub(first);
+                (i < self.asns.len() as u32).then_some(NodeId(i))
+            }
+            None => self.asns.binary_search(&asn).ok().map(|i| NodeId(i as u32)),
+        }
     }
 
     /// The ASN behind a dense id.
@@ -136,6 +151,29 @@ mod tests {
             assert_eq!(d.node_id(*asn), Some(NodeId(i as u32)));
         }
         assert_eq!(d.node_id(Asn(u32::MAX)), None);
+    }
+
+    #[test]
+    fn node_id_agrees_with_binary_search() {
+        let contiguous = topo();
+        let mut gapped = AsGraph::new();
+        for asn in [0, 3, 4, 90, 1_000, u32::MAX - 1, u32::MAX] {
+            gapped.add_as(Asn(asn), Tier::Stub, 0);
+        }
+        for (g, fast) in [(&contiguous, true), (&gapped, false)] {
+            let d = g.dense();
+            assert_eq!(d.contiguous_from.is_some(), fast);
+            let asns: Vec<Asn> = g.asns().collect();
+            let (lo, hi) = (asns[0].0, asns[asns.len() - 1].0);
+            let probes = asns
+                .iter()
+                .flat_map(|a| [a.0.wrapping_sub(1), a.0, a.0.wrapping_add(1)])
+                .chain([0, 1, lo.wrapping_sub(2), hi.wrapping_add(2), u32::MAX]);
+            for probe in probes {
+                let want = asns.binary_search(&Asn(probe)).ok().map(|i| NodeId(i as u32));
+                assert_eq!(d.node_id(Asn(probe)), want, "ASN {probe}");
+            }
+        }
     }
 
     #[test]

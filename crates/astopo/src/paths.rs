@@ -25,12 +25,18 @@ const PAIR_UNKNOWN: u8 = u8::MAX;
 /// [`PairTable`] entry: no valley-free path joins the pair.
 const PAIR_UNREACHABLE: u8 = u8::MAX - 1;
 
+/// [`PairTable::slots`] entry of a node the batch query has not seen.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Lazily-caching oracle answering valley-free hop-distance queries over an
 /// [`AsGraph`].
 ///
 /// Internally it runs one BFS per endpoint over *uphill* (customer→provider)
-/// edges and combines the two uphill cones either at a common ancestor or
-/// across a single peering edge — exactly the set of valley-free paths.
+/// edges and caches the resulting cone peer-closed: every node the cone
+/// reaches at its uphill distance, plus every peer of such a node one hop
+/// further. A valley-free path climbs to a common ancestor or crosses one
+/// peering and then descends, so one sorted merge of one endpoint's
+/// peer-closed cone with the other's plain cone finds the shortest one.
 /// All traversal runs over the graph's dense CSR view
 /// ([`AsGraph::dense`]): cones are sparse entry lists sorted by
 /// [`NodeId`] (an AS's transitive provider set is a handful of nodes even
@@ -39,10 +45,13 @@ const PAIR_UNREACHABLE: u8 = u8::MAX - 1;
 ///
 /// The batch query, [`PathOracle::mean_pairwise_distance`], reads a
 /// second cache, the pair-distance table: one byte per pair of endpoints
-/// it has seen, filled on first use. Each distinct pair is intersected
-/// once per oracle, not once per call, and cones are only fetched for the
-/// pairs a call finds missing. With `m` distinct endpoints seen, the
-/// table holds `m(m−1)/2` bytes (about 100 KiB at 454 endpoints).
+/// it has seen, filled on first use, and found through a node-indexed
+/// slot array. Each distinct pair is intersected once per oracle, not
+/// once per call, and cones are only fetched for the pairs a call finds
+/// missing. With `m` distinct endpoints seen, the table holds `m(m−1)/2`
+/// bytes (about 100 KiB at 454 endpoints). A corpus keeps one oracle for
+/// its topology, so every stage that computes Eq. 4 over it shares both
+/// caches.
 ///
 /// # Example
 ///
@@ -79,8 +88,11 @@ pub struct PathOracle {
 /// [`PAIR_UNREACHABLE`] or [`PAIR_UNKNOWN`].
 #[derive(Debug, Default)]
 struct PairTable {
-    /// Dense node id → slot.
-    slots: HashMap<u32, u32>,
+    /// Dense node id → slot, or [`NO_SLOT`]. Grown on demand up to the
+    /// largest node id seen, so a lookup is one array read.
+    slots: Vec<u32>,
+    /// Number of slots handed out.
+    len: u32,
     dist: Vec<u8>,
 }
 
@@ -92,17 +104,27 @@ impl PairTable {
         hi * (hi - 1) / 2 + lo
     }
 
+    /// The slot of `node`, or `None` before the batch query has seen it.
+    fn slot_of(&self, node: NodeId) -> Option<u32> {
+        self.slots.get(node.index()).copied().filter(|&s| s != NO_SLOT)
+    }
+
     /// The slot of `node`, assigning the next one on first sight. The
-    /// row grows before the slot is published, so a panic in between
-    /// leaves spare bytes, never a slot past the end of the table.
-    fn slot(&mut self, node: u32) -> u32 {
-        if let Some(&s) = self.slots.get(&node) {
+    /// row grows and the count moves before the slot is published, so a
+    /// panic in between leaves spare bytes, never a slot past the end of
+    /// the table or two nodes on one slot.
+    fn slot(&mut self, node: NodeId) -> u32 {
+        if let Some(s) = self.slot_of(node) {
             return s;
         }
-        let s = self.slots.len();
-        self.dist.resize(s * (s + 1) / 2, PAIR_UNKNOWN);
-        self.slots.insert(node, s as u32);
-        s as u32
+        let s = self.len;
+        self.dist.resize(s as usize * (s as usize + 1) / 2, PAIR_UNKNOWN);
+        if self.slots.len() <= node.index() {
+            self.slots.resize(node.index() + 1, NO_SLOT);
+        }
+        self.len += 1;
+        self.slots[node.index()] = s;
+        s
     }
 
     /// `None` when the pair is not known; else its distance.
@@ -124,19 +146,43 @@ impl PairTable {
         };
         self.dist[Self::index(a, b)] = byte;
     }
+
+    /// Calls `f(i, j, distance)` for every pair `i < j` of `slots` the
+    /// table knows, and queues the others on `misses`.
+    fn walk(
+        &self,
+        slots: &[u32],
+        f: &mut impl FnMut(usize, usize, Option<u32>),
+        misses: &mut Vec<(usize, usize)>,
+    ) {
+        for (j, &sj) in slots.iter().enumerate().skip(1) {
+            for (i, &si) in slots[..j].iter().enumerate() {
+                match self.get(si, sj) {
+                    Some(d) => f(i, j, d),
+                    None => misses.push((i, j)),
+                }
+            }
+        }
+    }
 }
 
-/// An uphill BFS cone in sparse form: one entry per *reached* node,
-/// sorted ascending by dense node id. Uphill cones are the transitive
+/// An uphill BFS cone in sparse form, twice over: the nodes the BFS
+/// reaches, and their peer closure. Uphill cones are the transitive
 /// provider sets, which stay tiny however large the graph grows, so the
-/// sparse form costs O(cone) per cached endpoint, not O(graph).
+/// sparse form costs O(cone + its peers) per cached endpoint, not
+/// O(graph).
 #[derive(Debug)]
 struct UphillCone {
+    /// One entry per reached node at its BFS hop count from the root,
+    /// ascending by dense node id.
     entries: Vec<ConeEntry>,
+    /// Every entry, plus every peer of an entry at `dist + 1`, keeping
+    /// the least distance per node, ascending by dense node id: how far
+    /// the root is from each node a valley-free path can descend from.
+    reach: Vec<ConeEntry>,
 }
 
-/// One reached node in an [`UphillCone`] and its BFS hop count from the
-/// root.
+/// One node of an [`UphillCone`] and its hop count from the root.
 #[derive(Debug, Clone, Copy)]
 struct ConeEntry {
     node: u32,
@@ -144,9 +190,32 @@ struct ConeEntry {
 }
 
 impl UphillCone {
-    /// The entry for `node`, or `None` when the cone does not reach it.
-    fn get(&self, node: NodeId) -> Option<ConeEntry> {
-        self.entries.binary_search_by_key(&node.0, |e| e.node).ok().map(|i| self.entries[i])
+    /// Shortest valley-free distance from this cone's root to `other`'s:
+    /// the least `reach` + `entries` sum over the nodes both lists hold,
+    /// by one sorted merge. A node in `other.entries` is an ancestor the
+    /// path descends from; this cone's `reach` holds it either as an
+    /// ancestor too (the two climbs meet) or one peering past one (the
+    /// path's single peer crossing), which are all the valley-free
+    /// paths. O(|reach| + |other.entries|), independent of graph size.
+    fn distance_to(&self, other: &UphillCone) -> Option<u32> {
+        let mut best: Option<u32> = None;
+        let (mut i, mut j) = (0, 0);
+        while i < self.reach.len() && j < other.entries.len() {
+            let (ea, eb) = (self.reach[i], other.entries[j]);
+            match ea.node.cmp(&eb.node) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let total = ea.dist + eb.dist;
+                    if best.is_none_or(|d| total < d) {
+                        best = Some(total);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        best
     }
 }
 
@@ -197,7 +266,16 @@ impl PathOracle {
             next.clear();
         }
         entries.sort_unstable_by_key(|e| e.node);
-        let cone = Arc::new(UphillCone { entries });
+        let mut reach = entries.clone();
+        for e in &entries {
+            let peers = self.dense.peers(NodeId(e.node));
+            reach.extend(peers.iter().map(|w| ConeEntry { node: w.0, dist: e.dist + 1 }));
+        }
+        // Least distance first within a node, so the dedup keeps it.
+        reach.sort_unstable_by_key(|e| (e.node, e.dist));
+        reach.dedup_by_key(|e| e.node);
+        reach.shrink_to_fit();
+        let cone = Arc::new(UphillCone { entries, reach });
         self.uphill
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -213,79 +291,33 @@ impl PathOracle {
         if na == nb {
             return Some(0);
         }
-        let ca = self.cone(na);
-        let cb = self.cone(nb);
-        self.cone_distance(&ca, &cb)
-    }
-
-    /// Shortest valley-free distance between two already-computed cones:
-    /// the minimum over common uphill ancestors (a sorted merge of the
-    /// two entry lists) and over single peer crossings.
-    /// O(|ca| + |cb| + peer edges of ca), independent of graph size.
-    fn cone_distance(&self, ca: &UphillCone, cb: &UphillCone) -> Option<u32> {
-        let mut best: Option<u32> = None;
-        let (mut i, mut j) = (0, 0);
-        while i < ca.entries.len() && j < cb.entries.len() {
-            let (ea, eb) = (ca.entries[i], cb.entries[j]);
-            match ea.node.cmp(&eb.node) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let total = ea.dist + eb.dist;
-                    if best.is_none_or(|d| total < d) {
-                        best = Some(total);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        for e in &ca.entries {
-            for &w in self.dense.peers(NodeId(e.node)) {
-                let Some(ew) = cb.get(w) else { continue };
-                let total = e.dist + 1 + ew.dist;
-                if best.is_none_or(|d| total < d) {
-                    best = Some(total);
-                }
-            }
-        }
-        best
-    }
-
-    /// The pair-table slots of `ids`, assigning slots to endpoints seen
-    /// for the first time (under the write lock, only when one is new).
-    fn pair_slots(&self, ids: &[NodeId]) -> Vec<u32> {
-        let known: Option<Vec<u32>> = {
-            let table = self.pairs.read().unwrap_or_else(PoisonError::into_inner);
-            ids.iter().map(|n| table.slots.get(&n.0).copied()).collect()
-        };
-        known.unwrap_or_else(|| {
-            let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
-            ids.iter().map(|n| table.slot(n.0)).collect()
-        })
+        self.cone(na).distance_to(&self.cone(nb))
     }
 
     /// Calls `f(i, j, hop distance)` once for every pair `i < j` of the
     /// *distinct* endpoints `ids`, in no fixed order. Known pairs come
-    /// from the pair table under one read lock; the misses are computed
-    /// by [`PathOracle::cone_distance`] outside any lock, fetching each
+    /// from the pair table under one read lock (one write lock instead
+    /// when an endpoint is new and needs a slot); the misses are computed
+    /// by [`UphillCone::distance_to`] outside any lock, fetching each
     /// endpoint's cone at most once, and then recorded under one write
     /// lock. Poison recovery follows [`PathOracle::cone`]: every table
-    /// update is a single byte store or an append-then-publish slot, and
+    /// update is a single byte store or a grow-then-publish slot, and
     /// entries are pure, so a poisoned table is still a correct one.
     fn for_each_pair(&self, ids: &[NodeId], mut f: impl FnMut(usize, usize, Option<u32>)) {
-        let slots = self.pair_slots(ids);
+        let mut slots: Vec<u32> = Vec::with_capacity(ids.len());
         let mut misses: Vec<(usize, usize)> = Vec::new();
         {
             let table = self.pairs.read().unwrap_or_else(PoisonError::into_inner);
-            for j in 1..ids.len() {
-                for i in 0..j {
-                    match table.get(slots[i], slots[j]) {
-                        Some(d) => f(i, j, d),
-                        None => misses.push((i, j)),
-                    }
-                }
+            slots.extend(ids.iter().map_while(|&n| table.slot_of(n)));
+            if slots.len() == ids.len() {
+                table.walk(&slots, &mut f, &mut misses);
             }
+        }
+        if slots.len() < ids.len() {
+            let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
+            slots.clear();
+            slots.extend(ids.iter().map(|&n| table.slot(n)));
+            table.walk(&slots, &mut f, &mut misses);
         }
         if misses.is_empty() {
             return;
@@ -298,7 +330,7 @@ impl PathOracle {
         }
         let cone = |x: usize| cones[x].as_deref().expect("fetched above");
         let computed: Vec<Option<u32>> =
-            misses.iter().map(|&(i, j)| self.cone_distance(cone(i), cone(j))).collect();
+            misses.iter().map(|&(i, j)| cone(i).distance_to(cone(j))).collect();
         {
             let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
             for (&(i, j), &d) in misses.iter().zip(&computed) {
@@ -314,24 +346,24 @@ impl PathOracle {
     /// `DT` term of the paper's Eq. 4. Unreachable pairs are skipped;
     /// returns 0.0 when fewer than two distinct reachable ASes are given.
     ///
-    /// The input collapses to unique ASNs with multiplicities: every
-    /// ordered pair of distinct values `x ≠ y` in the naive `i < j` loop
-    /// contributes `c_x · c_y` occurrences of the same distance. Each
-    /// distinct pair's distance comes from the oracle's pair-distance
-    /// table (computed once per oracle, see [`PathOracle`]), and the
-    /// totals are exact `u64` sums, which no visiting order can change,
-    /// so the result is bit-identical to the per-occurrence loop on a
-    /// cold, reused or shared oracle alike.
+    /// The input collapses to unique ASNs with multiplicities (a strictly
+    /// ascending input, such as an attack's ASN histogram, already is
+    /// one): every ordered pair of distinct values `x ≠ y` in the naive
+    /// `i < j` loop contributes `c_x · c_y` occurrences of the same
+    /// distance. Each distinct pair's distance comes from the oracle's
+    /// pair-distance table (computed once per oracle, see
+    /// [`PathOracle`]), and the totals are exact `u64` sums, which no
+    /// visiting order can change, so the result is bit-identical to the
+    /// per-occurrence loop on a cold, reused or shared oracle alike.
     pub fn mean_pairwise_distance(&self, asns: &[Asn]) -> f64 {
-        let mut uniq: Vec<(Asn, u64)> = Vec::new();
-        for a in asns {
-            match uniq.binary_search_by_key(a, |(x, _)| *x) {
-                Ok(i) => uniq[i].1 += 1,
-                Err(i) => uniq.insert(i, (*a, 1)),
-            }
-        }
-        let (ids, counts): (Vec<NodeId>, Vec<u64>) =
-            uniq.iter().filter_map(|&(a, c)| Some((self.dense.node_id(a)?, c))).unzip();
+        let node = |a: Asn, c: usize| Some((self.dense.node_id(a)?, c as u64));
+        let (ids, counts): (Vec<NodeId>, Vec<u64>) = if asns.is_sorted_by(|a, b| a < b) {
+            asns.iter().filter_map(|&a| node(a, 1)).unzip()
+        } else {
+            let mut sorted = asns.to_vec();
+            sorted.sort_unstable();
+            sorted.chunk_by(|a, b| a == b).filter_map(|run| node(run[0], run.len())).unzip()
+        };
         let mut total = 0u64;
         let mut count = 0u64;
         self.for_each_pair(&ids, |i, j, d| {
@@ -521,6 +553,61 @@ mod tests {
         }
     }
 
+    /// `g` with every ASN `a` renumbered to `7a + 1000`: the same
+    /// relationships over gapped ASNs, so [`DenseTopology::node_id`]
+    /// takes its binary-search path.
+    fn gapped(g: &AsGraph) -> AsGraph {
+        let map = |a: Asn| Asn(a.0 * 7 + 1000);
+        let mut h = AsGraph::new();
+        for asn in g.asns() {
+            let info = g.info(asn).unwrap();
+            h.add_as(map(asn), info.tier, info.region);
+        }
+        for a in g.asns() {
+            for (b, rel) in g.neighbors(a) {
+                h.add_edge(map(a), map(b), rel).unwrap();
+            }
+        }
+        h
+    }
+
+    /// `hop_distance` equals the (AS, phase) BFS reference for every
+    /// ordered pair of `g`'s ASes, and the batch mean over every AS
+    /// equals the per-pair mean.
+    fn assert_matches_reference(g: &AsGraph) {
+        let o = PathOracle::new(g);
+        let asns: Vec<Asn> = g.asns().collect();
+        for &a in &asns {
+            let reference = valley_free_bfs(g, a);
+            for &b in &asns {
+                assert_eq!(o.hop_distance(a, b), reference.get(&b).copied(), "{a} → {b}");
+            }
+        }
+        let cold = PathOracle::new(g);
+        assert_eq!(
+            cold.mean_pairwise_distance(&asns).to_bits(),
+            per_pair_mean(&o, &asns).to_bits()
+        );
+    }
+
+    #[test]
+    fn hop_distance_matches_reference_on_generated_topologies() {
+        for config in [TopologyConfig::small(), TopologyConfig::standard()] {
+            let g = TopologyGenerator::new(config, 23).generate().unwrap();
+            assert_matches_reference(&g);
+        }
+    }
+
+    #[test]
+    fn hop_distance_matches_reference_on_gapped_asns() {
+        let g = gapped(&TopologyGenerator::new(TopologyConfig::small(), 24).generate().unwrap());
+        // The ASN span exceeds the AS count: the ASNs are not contiguous.
+        let d = g.dense();
+        assert_ne!(d.asn(NodeId(d.len() as u32 - 1)).0 - d.asn(NodeId(0)).0, d.len() as u32 - 1);
+        assert_matches_reference(&g);
+        assert_matches_reference(&gapped(&diamond()));
+    }
+
     #[test]
     fn warmed_oracle_answers_bit_identically_to_cold() {
         let g = TopologyGenerator::new(TopologyConfig::small(), 19).generate().unwrap();
@@ -619,7 +706,7 @@ mod tests {
         assert_eq!(o.mean_pairwise_distance(&fresh).to_bits(), per_pair_mean(&o, &fresh).to_bits());
         assert_eq!(o.mean_pairwise_distance(&[Asn(4), Asn(5)]), 4.0);
         let table = o.pairs.read().unwrap_or_else(PoisonError::into_inner);
-        let slot = |a: Asn| table.slots[&g.dense().node_id(a).unwrap().0];
+        let slot = |a: Asn| table.slot_of(g.dense().node_id(a).unwrap()).unwrap();
         assert_eq!(table.get(slot(Asn(2)), slot(Asn(6))), Some(Some(2)));
     }
 
@@ -668,7 +755,7 @@ mod tests {
         // 253 hops fits below the sentinels and is stored; 254 and more
         // stay unknown, recomputed by the cone merge on every query.
         let table = o.pairs.read().unwrap();
-        let slot = |a: Asn| table.slots[&g.dense().node_id(a).unwrap().0];
+        let slot = |a: Asn| table.slot_of(g.dense().node_id(a).unwrap()).unwrap();
         assert_eq!(table.get(slot(a126), slot(b127)), Some(Some(253)));
         assert_eq!(table.get(slot(a127), slot(b127)), None);
         assert_eq!(table.get(slot(a130), slot(b130)), None);
@@ -696,7 +783,7 @@ mod tests {
             assert_eq!(o.mean_pairwise_distance(&batch[..2]), 0.0);
         }
         let table = o.pairs.read().unwrap();
-        let slot = |a: Asn| table.slots[&g.dense().node_id(a).unwrap().0];
+        let slot = |a: Asn| table.slot_of(g.dense().node_id(a).unwrap()).unwrap();
         assert_eq!(table.get(slot(Asn(1002)), slot(Asn(10))), Some(None));
         assert_eq!(table.get(slot(Asn(10)), slot(Asn(2002))), Some(None));
         assert_eq!(table.get(slot(Asn(1002)), slot(Asn(2002))), Some(Some(4)));

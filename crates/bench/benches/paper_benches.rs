@@ -323,9 +323,13 @@ fn bench_entropy_detection(c: &mut Criterion) {
 /// Tentpole (PR 3): the flat-memory hot paths. One row per inner loop the
 /// dense-index/zero-clone refactor targets: the Eq. 4 source-distribution
 /// series, the pairwise valley-free distances behind its `DT` term, and a
-/// fixed-epoch NAR training run. Before/after medians are recorded in
-/// `BENCH_features.json`; outputs are bit-identical across the change
-/// (`goldencheck` + the determinism suite are the oracles).
+/// fixed-epoch NAR training run. `source_distribution_corpus_cold` is
+/// Eq. 4 over every attack of `paper-loop`'s 30-day medium corpus, all
+/// caches cold: each sample clones a never-queried corpus (the clone is
+/// timed too), so the ASN histograms, the distance oracle and the
+/// extractor are all built inside the sample. Before/after medians are
+/// recorded in `BENCH_features.json`; outputs are bit-identical across
+/// the change (`goldencheck` + the determinism suite are the oracles).
 fn bench_flat_hot_paths(c: &mut Criterion) {
     let corpus = small_corpus();
     let fx = FeatureExtractor::new(corpus);
@@ -354,6 +358,19 @@ fn bench_flat_hot_paths(c: &mut Criterion) {
                 }
             }
             total
+        })
+    });
+    let pristine = ddos_trace::TraceGenerator::new(
+        ddos_trace::CorpusConfig { days: 30, ..ddos_trace::CorpusConfig::medium() },
+        42,
+    )
+    .generate()
+    .unwrap();
+    g.bench_function("source_distribution_corpus_cold", |b| {
+        b.iter(|| {
+            let fresh = black_box(&pristine).clone();
+            let fx = FeatureExtractor::new(&fresh);
+            fresh.attacks().iter().map(|a| fx.source_distribution(a).unwrap()).sum::<f64>()
         })
     });
     let durations = duration_series();

@@ -1,10 +1,10 @@
 //! Feature extraction (§III): turning raw attack records into the model
 //! variables of Table II.
 //!
-//! The [`FeatureExtractor`] wraps a corpus together with a valley-free
-//! [`PathOracle`] over its topology and the per-AS address space totals
-//! needed by Eq. 4's intra-AS term. All series are chronological (the
-//! corpus guarantees attack ordering).
+//! The [`FeatureExtractor`] wraps a corpus together with the corpus's
+//! valley-free [`PathOracle`] ([`Corpus::path_oracle`]) and the per-AS
+//! address space totals needed by Eq. 4's intra-AS term. All series are
+//! chronological (the corpus guarantees attack ordering).
 
 use crate::variables::{BotnetState, TargetProfile, TimestampParts};
 use crate::{ModelError, Result};
@@ -14,6 +14,11 @@ use ddos_trace::{AttackRecord, Corpus, FamilyId};
 use std::collections::BTreeMap;
 
 /// Feature extractor over one corpus.
+///
+/// It borrows the corpus's memoized distance oracle, so every extractor
+/// built on one corpus (and the stages that build them) shares one cone
+/// cache and one pair table: a second extractor starts warm. Building
+/// one costs only the per-AS address-space table.
 ///
 /// # Example
 ///
@@ -35,9 +40,10 @@ use std::collections::BTreeMap;
 /// ```
 pub struct FeatureExtractor<'c> {
     corpus: &'c Corpus,
-    oracle: PathOracle,
-    /// Total IPv4 addresses allocated per AS (the `N_{AS_j}` of Eq. 4).
-    as_space: BTreeMap<Asn, u64>,
+    oracle: &'c PathOracle,
+    /// Total IPv4 addresses allocated per AS (the `N_{AS_j}` of Eq. 4),
+    /// ascending by ASN.
+    as_space: Vec<(Asn, u64)>,
 }
 
 impl<'c> FeatureExtractor<'c> {
@@ -45,8 +51,8 @@ impl<'c> FeatureExtractor<'c> {
     pub fn new(corpus: &'c Corpus) -> Self {
         FeatureExtractor {
             corpus,
-            oracle: PathOracle::new(corpus.topology()),
-            as_space: corpus.ip_map().address_space_by_asn(),
+            oracle: corpus.path_oracle(),
+            as_space: corpus.ip_map().address_space_by_asn().into_iter().collect(),
         }
     }
 
@@ -112,11 +118,16 @@ impl<'c> FeatureExtractor<'c> {
                 actual: 0,
             });
         }
+        // Both lists ascend by ASN, so a forward merge finds each AS's
+        // space, each step a binary search over the table's remaining
+        // tail; the sum still runs in histogram order.
+        let mut space = self.as_space.as_slice();
         let intra: f64 = hist
             .iter()
-            .map(|(asn, n)| {
-                let space = self.as_space.get(asn).copied().unwrap_or(1).max(1);
-                *n as f64 / space as f64
+            .map(|&(asn, n)| {
+                space = &space[space.partition_point(|&(a, _)| a < asn)..];
+                let n_as = space.first().filter(|&&(a, _)| a == asn).map_or(1, |&(_, s)| s).max(1);
+                n as f64 / n_as as f64
             })
             .sum();
         let asns: Vec<Asn> = hist.iter().map(|(a, _)| *a).collect();
@@ -270,6 +281,59 @@ mod tests {
         assert!(series.iter().all(|v| *v > 0.0));
     }
 
+    /// `A^s` by the Eq. 3–4 definition with nothing shared: a `BTreeMap`
+    /// address-space lookup per AS and a fresh stand-alone oracle per
+    /// attack.
+    fn stand_alone_source_distribution(c: &Corpus, attack: &AttackRecord) -> u64 {
+        let space = c.ip_map().address_space_by_asn();
+        let intra: f64 = attack
+            .asn_histogram()
+            .iter()
+            .map(|(asn, n)| *n as f64 / space.get(asn).copied().unwrap_or(1).max(1) as f64)
+            .sum();
+        let asns = attack.source_asns();
+        let oracle = PathOracle::new(c.topology());
+        let dt = if asns.len() < 2 { 1.0 } else { oracle.mean_pairwise_distance(&asns).max(1.0) };
+        (intra / dt).to_bits()
+    }
+
+    /// Every extractor on a corpus borrows the corpus's one oracle, and
+    /// none of the ways stages reach it changes an `A^s` bit: two
+    /// extractors in turn (the second starts warm), a clone taken after
+    /// the fill (it shares the oracle), and clones taken before it, used
+    /// through the sharded executor at 1 and 2 workers (cold oracles
+    /// filled serially or by racing workers).
+    #[test]
+    fn extractors_share_one_oracle_bit_identically() {
+        let c = corpus();
+        let (cold_one, cold_two) = (c.clone(), c.clone());
+        let attacks: Vec<&AttackRecord> = c.attacks().iter().collect();
+        let reference: Vec<u64> =
+            attacks.iter().map(|a| stand_alone_source_distribution(&c, a)).collect();
+        let bits = |fx: &FeatureExtractor, attacks: &[&AttackRecord]| -> Vec<u64> {
+            fx.source_distribution_series(attacks).unwrap().iter().map(|v| v.to_bits()).collect()
+        };
+
+        let (first, second) = (FeatureExtractor::new(&c), FeatureExtractor::new(&c));
+        assert!(std::ptr::eq(first.oracle, second.oracle));
+        assert_eq!(bits(&first, &attacks), reference);
+        assert_eq!(bits(&second, &attacks), reference);
+        let warm_clone = c.clone();
+        let on_clone = FeatureExtractor::new(&warm_clone);
+        assert!(std::ptr::eq(on_clone.oracle, first.oracle));
+        let clone_attacks: Vec<&AttackRecord> = warm_clone.attacks().iter().collect();
+        assert_eq!(bits(&on_clone, &clone_attacks), reference);
+
+        for (workers, cold) in [(1, &cold_one), (2, &cold_two)] {
+            let fx = FeatureExtractor::new(cold);
+            assert!(!std::ptr::eq(fx.oracle, first.oracle));
+            let sharded = ddos_stats::exec::map_indexed(cold.attacks(), Some(workers), |_, a| {
+                fx.source_distribution(a).unwrap().to_bits()
+            });
+            assert_eq!(sharded, reference, "{workers} workers");
+        }
+    }
+
     /// Eq. 4 on hostile bot placements, built from a generated corpus
     /// whose topology and address map gain three ASes: bots in (a) an ASN
     /// the topology does not know, (b) two ASes no valley-free path joins,
@@ -277,7 +341,9 @@ mod tests {
     /// addresses. (A histogram count of that scale would take 4 G bot
     /// observations in memory; the address-space count is the one Eq. 4
     /// input a corpus can push to `u32::MAX` scale.) Each attack must give
-    /// a finite, non-negative `A^s` or a typed error, never a panic.
+    /// a finite, non-negative `A^s` equal to the stand-alone definition's
+    /// (an AS without address space counts as one address), or a typed
+    /// error, never a panic.
     #[test]
     fn source_distribution_survives_hostile_bot_placements() {
         let template = corpus();
@@ -326,7 +392,11 @@ mod tests {
         let fx = FeatureExtractor::new(&corpus);
         for (attack, asns) in corpus.attacks().iter().zip(placements) {
             match fx.source_distribution(attack) {
-                Ok(a_s) => assert!(a_s.is_finite() && a_s >= 0.0, "A^s {a_s} for bots in {asns:?}"),
+                Ok(a_s) => {
+                    assert!(a_s.is_finite() && a_s >= 0.0, "A^s {a_s} for bots in {asns:?}");
+                    let reference = stand_alone_source_distribution(&corpus, attack);
+                    assert_eq!(a_s.to_bits(), reference, "A^s {a_s} for bots in {asns:?}");
+                }
                 Err(e) => assert!(!e.to_string().is_empty(), "untyped error for {asns:?}"),
             }
         }

@@ -11,7 +11,6 @@ use crate::targets::TargetId;
 use crate::time::Timestamp;
 use ddos_astopo::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -189,22 +188,24 @@ impl AttackRecord {
         self.start + self.duration_secs
     }
 
-    /// Distinct source ASes, ascending.
+    /// Distinct source ASes, ascending: the keys of
+    /// [`AttackRecord::asn_histogram`].
     pub fn source_asns(&self) -> Vec<Asn> {
-        let set: BTreeSet<Asn> = self.bots.iter().map(|b| b.asn).collect();
-        set.into_iter().collect()
+        self.asn_histogram().iter().map(|&(asn, _)| asn).collect()
     }
 
     /// Histogram of bots per source AS, ascending by ASN. Computed once
-    /// per record and memoized; lookups can `binary_search` by ASN.
+    /// per record, by sorting the bots' ASNs and run-length counting
+    /// them, and memoized at exact capacity; lookups can `binary_search`
+    /// by ASN.
     pub fn asn_histogram(&self) -> &[(Asn, u32)] {
         self.hist.get_or_init(|| {
-            let mut counts: std::collections::BTreeMap<Asn, u32> =
-                std::collections::BTreeMap::new();
-            for b in &self.bots {
-                *counts.entry(b.asn).or_insert(0) += 1;
-            }
-            counts.into_iter().collect()
+            let mut asns: Vec<Asn> = self.bots.iter().map(|b| b.asn).collect();
+            asns.sort_unstable();
+            let runs = asns.chunk_by(|a, b| a == b);
+            let mut hist = Vec::with_capacity(runs.clone().count());
+            hist.extend(runs.map(|run| (run[0], run.len() as u32)));
+            hist
         })
     }
 
@@ -229,6 +230,7 @@ impl AttackRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> AttackRecord {
         AttackRecord::new(
@@ -278,6 +280,63 @@ mod tests {
         assert_eq!(a.asn_histogram(), &[(Asn(10), 2), (Asn(20), 2)]);
         a.hourly_bot_counts = vec![2, 4];
         assert!(a.is_consistent());
+    }
+
+    /// ASNs a random bot list draws from: ASN 0, `u32::MAX` and a small
+    /// middle range, so repeats are common.
+    fn arb_asn() -> impl Strategy<Value = Asn> {
+        (0u32..14).prop_map(|k| match k {
+            0 => Asn(0),
+            13 => Asn(u32::MAX),
+            k => Asn(k),
+        })
+    }
+
+    fn with_bots(asns: &[Asn]) -> AttackRecord {
+        let mut a = sample();
+        *a.bots_mut() =
+            asns.iter().enumerate().map(|(i, &asn)| BotObservation { ip: i as u32, asn }).collect();
+        a
+    }
+
+    /// The reference histogram: a `BTreeMap` count.
+    fn btree_histogram(asns: &[Asn]) -> Vec<(Asn, u32)> {
+        let mut counts: std::collections::BTreeMap<Asn, u32> = std::collections::BTreeMap::new();
+        for &asn in asns {
+            *counts.entry(asn).or_insert(0) += 1;
+        }
+        counts.into_iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The sort-and-count histogram equals a `BTreeMap` count, its
+        /// memo holds no spare capacity, `source_asns` lists its keys, and
+        /// `bots_mut` drops the memo.
+        #[test]
+        fn asn_histogram_matches_btree_count(
+            asns in proptest::collection::vec(arb_asn(), 0..64),
+            single in arb_asn(),
+            n_single in 1usize..8,
+            extra in arb_asn(),
+        ) {
+            for asns in [asns, vec![single; n_single]] {
+                let mut a = with_bots(&asns);
+                let reference = btree_histogram(&asns);
+                prop_assert_eq!(a.asn_histogram(), &reference[..]);
+                let memo = a.hist.get().expect("memoized");
+                prop_assert_eq!(memo.capacity(), memo.len());
+                let keys: Vec<Asn> = reference.iter().map(|&(asn, _)| asn).collect();
+                prop_assert_eq!(a.source_asns(), keys);
+
+                a.bots_mut().push(BotObservation { ip: u32::MAX, asn: extra });
+                prop_assert!(a.hist.get().is_none());
+                let mut grown = asns.clone();
+                grown.push(extra);
+                prop_assert_eq!(a.asn_histogram(), &btree_histogram(&grown)[..]);
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@ use crate::targets::{TargetId, TargetPopulation};
 use crate::{Result, TraceError};
 use ddos_astopo::graph::AsGraph;
 use ddos_astopo::ipmap::IpAsnMap;
+use ddos_astopo::paths::PathOracle;
 use ddos_astopo::Asn;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A complete verified-attack corpus.
 ///
@@ -31,6 +32,11 @@ pub struct Corpus {
     /// construction, so the index never goes stale.
     #[serde(skip)]
     by_target_asn: OnceLock<BTreeMap<Asn, Vec<u32>>>,
+    /// Memoized valley-free distance oracle over `topology`, shared by
+    /// every Eq. 4 computation on this corpus (and by its clones, whose
+    /// topology is the same). Derived data like `by_target_asn`.
+    #[serde(skip)]
+    oracle: OnceLock<Arc<PathOracle>>,
 }
 
 impl PartialEq for Corpus {
@@ -75,6 +81,7 @@ impl Corpus {
             targets,
             days,
             by_target_asn: OnceLock::new(),
+            oracle: OnceLock::new(),
         })
     }
 
@@ -101,6 +108,13 @@ impl Corpus {
     /// The synthetic Internet.
     pub fn topology(&self) -> &AsGraph {
         &self.topology
+    }
+
+    /// The valley-free distance oracle over [`Corpus::topology`], built
+    /// on first use and kept for the corpus's lifetime, so its cone cache
+    /// and pair table fill once however many stages compute Eq. 4.
+    pub fn path_oracle(&self) -> &PathOracle {
+        self.oracle.get_or_init(|| Arc::new(PathOracle::new(&self.topology)))
     }
 
     /// The IP→ASN mapping.
