@@ -8,6 +8,7 @@ use ddos_bench::{corpus, pipeline, Scale};
 use ddos_core::features::FeatureExtractor;
 use ddos_core::pipeline::{Pipeline, PipelineConfig};
 use ddos_core::spatiotemporal::{SpatioTemporalConfig, SpatioTemporalModel};
+use ddos_core::temporal::TemporalConfig;
 use ddos_neural::grid::{grid_search, grid_search_with, GridSpec};
 use ddos_neural::nar::{NarConfig, NarModel};
 use ddos_neural::train::TrainConfig;
@@ -33,6 +34,31 @@ fn duration_series() -> Vec<f64> {
     let c = small_corpus();
     let fam = c.catalog().most_active(1)[0];
     c.family_attacks(fam).iter().map(|a| a.duration_secs as f64).collect()
+}
+
+/// Every series `TemporalModel::fit` runs an order search on, for every
+/// family of `corpus` with enough attacks: magnitudes, `A^f`, `A^b`,
+/// `A^s` and (when long enough) the launch gaps.
+fn temporal_series(corpus: &Corpus) -> Vec<Vec<f64>> {
+    let fx = FeatureExtractor::new(corpus);
+    let min_attacks = TemporalConfig::default().min_attacks;
+    let mut out = Vec::new();
+    for (family, _) in corpus.catalog().iter() {
+        let attacks = corpus.family_attacks(family);
+        if attacks.len() < min_attacks {
+            continue;
+        }
+        out.push(FeatureExtractor::magnitude_series(&attacks));
+        out.push(FeatureExtractor::activity_series(&attacks));
+        out.push(FeatureExtractor::active_bots_series(&attacks));
+        out.push(fx.source_distribution_series(&attacks).unwrap());
+        let gaps: Vec<f64> =
+            attacks.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
+        if gaps.len() >= 16 {
+            out.push(gaps);
+        }
+    }
+    out
 }
 
 /// E1 — Table I regeneration.
@@ -327,9 +353,12 @@ fn bench_entropy_detection(c: &mut Criterion) {
 /// Eq. 4 over every attack of `paper-loop`'s 30-day medium corpus, all
 /// caches cold: each sample clones a never-queried corpus (the clone is
 /// timed too), so the ASN histograms, the distance oracle and the
-/// extractor are all built inside the sample. Before/after medians are
-/// recorded in `BENCH_features.json`; outputs are bit-identical across
-/// the change (`goldencheck` + the determinism suite are the oracles).
+/// extractor are all built inside the sample.
+/// `temporal_order_search_corpus` runs `select::search` over every
+/// temporal series of the same corpus (up to five per family with
+/// enough attacks). Before/after medians are recorded in
+/// `BENCH_features.json`; outputs are bit-identical across the change
+/// (`goldencheck` + the determinism suite are the oracles).
 fn bench_flat_hot_paths(c: &mut Criterion) {
     let corpus = small_corpus();
     let fx = FeatureExtractor::new(corpus);
@@ -371,6 +400,22 @@ fn bench_flat_hot_paths(c: &mut Criterion) {
             let fresh = black_box(&pristine).clone();
             let fx = FeatureExtractor::new(&fresh);
             fresh.attacks().iter().map(|a| fx.source_distribution(a).unwrap()).sum::<f64>()
+        })
+    });
+    // The same corpus's temporal series, from a clone so that `pristine`
+    // stays cold for the row above.
+    let series = temporal_series(&pristine.clone());
+    let points: usize = series.iter().map(Vec::len).sum();
+    eprintln!(
+        "[flat_hot_paths] order search over {} temporal series, {points} points",
+        series.len()
+    );
+    g.bench_function("temporal_order_search_corpus", |b| {
+        b.iter(|| {
+            black_box(&series)
+                .iter()
+                .map(|s| search(s, SearchConfig::default()).map_or(0, |o| o.table.len()))
+                .sum::<usize>()
         })
     });
     let durations = duration_series();

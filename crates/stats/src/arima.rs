@@ -12,14 +12,16 @@
 //!
 //! * [`difference`] / [`integrate`] — the "I" part,
 //! * [`Arima::fit`] — parameter estimation by the Hannan–Rissanen two-stage
-//!   least-squares procedure (exact OLS for pure AR models),
+//!   least-squares procedure (exact OLS for pure AR models), each lag
+//!   regression a flat row-major design solved by
+//!   [`lstsq_into`],
 //! * [`Arima::forecast`] — multi-step mean forecasts with re-integration,
 //! * [`Arima::fitted`] / [`Arima::residuals`] — in-sample diagnostics,
 //! * [`Arima::aic`] / [`Arima::bic`] — information criteria for order
 //!   selection (see [`crate::select`]).
 
 use crate::codec::{CodecError, CodecResult, Reader, Writer};
-use crate::ols::LinearModel;
+use crate::matrix::{lstsq_into, LstsqScratch};
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
 
@@ -157,42 +159,40 @@ impl Arima {
     /// and the lagged innovation estimates. For pure AR models (q = 0) this
     /// collapses to exact conditional OLS.
     ///
+    /// Both stages solve flat row-major lag designs with
+    /// [`lstsq_into`]. [`crate::select::search`] runs the same code for
+    /// every cell of its grid over one differenced series, sharing the
+    /// stage-1 innovations between the orders whose long AR coincides.
+    ///
     /// # Errors
     ///
     /// * [`StatsError::TooShort`] when the series cannot support the order
-    ///   (needs roughly `d + max(p, q) · 3 + 10` points).
-    /// * [`StatsError::NonFiniteInput`] for NaN/∞ inputs.
+    ///   (needs `d + max(p, q) · 3 + 8` points).
+    /// * [`StatsError::NonFiniteInput`] for NaN/∞ inputs, and for finite
+    ///   inputs so large that the differenced series, the estimated
+    ///   innovations, the constant or σ² overflow.
     /// * [`StatsError::SingularMatrix`] for degenerate (e.g. constant)
-    ///   series with p + q > 0.
+    ///   series with q > 0.
     pub fn fit(series: &[f64], order: ArimaOrder) -> Result<Self> {
         if series.iter().any(|v| !v.is_finite()) {
             return Err(StatsError::NonFiniteInput);
         }
-        let min_len = order.d + order.p.max(order.q) * 3 + 8;
-        if series.len() < min_len {
-            return Err(StatsError::TooShort { required: min_len, actual: series.len() });
-        }
+        check_length(series.len(), order)?;
         let work = difference(series, order.d)?;
-        let n = work.len();
-        let p = order.p;
-        let q = order.q;
+        let estimate = LagFits::new(&work).fit(order.p, order.q)?;
+        Ok(Arima::from_estimate(order, series, work, estimate))
+    }
 
-        let (constant, ar, ma) = if p == 0 && q == 0 {
-            let mean = work.iter().sum::<f64>() / n as f64;
-            (mean, Vec::new(), Vec::new())
-        } else if q == 0 {
-            // Exact conditional least squares for AR(p).
-            let (c, phi) = fit_ar_ols(&work, p)?;
-            (c, phi, Vec::new())
-        } else {
-            fit_hannan_rissanen(&work, p, q)?
-        };
-
-        let residuals = compute_residuals(&work, constant, &ar, &ma);
-        let eff_n = residuals.len().saturating_sub(p).max(1);
-        let sigma2 = residuals.iter().skip(p).map(|e| e * e).sum::<f64>() / eff_n as f64;
-
-        Ok(Arima { order, constant, ar, ma, history: series.to_vec(), work, residuals, sigma2 })
+    /// Assembles a fitted model from its order's estimate on `work`, the
+    /// `d`-th difference of `series`.
+    pub(crate) fn from_estimate(
+        order: ArimaOrder,
+        series: &[f64],
+        work: Vec<f64>,
+        estimate: Estimate,
+    ) -> Self {
+        let Estimate { constant, ar, ma, residuals, sigma2 } = estimate;
+        Arima { order, constant, ar, ma, history: series.to_vec(), work, residuals, sigma2 }
     }
 
     /// The model order.
@@ -534,17 +534,14 @@ impl Arima {
     }
 
     /// Akaike information criterion (Gaussian likelihood approximation).
+    /// NaN when σ² is NaN (a decoded model can carry one).
     pub fn aic(&self) -> f64 {
-        let n = self.work.len() as f64;
-        let k = self.order.n_params() as f64;
-        n * self.sigma2.max(1e-12).ln() + 2.0 * k
+        aic(self.work.len(), self.order, self.sigma2)
     }
 
-    /// Bayesian information criterion.
+    /// Bayesian information criterion. NaN when σ² is NaN.
     pub fn bic(&self) -> f64 {
-        let n = self.work.len() as f64;
-        let k = self.order.n_params() as f64;
-        n * self.sigma2.max(1e-12).ln() + k * n.ln()
+        bic(self.work.len(), self.order, self.sigma2)
     }
 
     /// The training series this model was fit on.
@@ -630,62 +627,208 @@ fn nth_difference_at(series: &[f64], k: usize, idx: usize) -> f64 {
     vals[0]
 }
 
-/// Conditional OLS fit of an AR(p) with intercept.
-fn fit_ar_ols(work: &[f64], p: usize) -> Result<(f64, Vec<f64>)> {
+/// The smallest series an order can be fit on: `d + max(p, q) · 3 + 8`.
+pub(crate) fn check_length(len: usize, order: ArimaOrder) -> Result<()> {
+    let min_len = order.d + order.p.max(order.q) * 3 + 8;
+    if len < min_len {
+        return Err(StatsError::TooShort { required: min_len, actual: len });
+    }
+    Ok(())
+}
+
+/// ln σ², floored at 1e-12 so that a perfect fit scores finitely. A NaN
+/// σ² stays NaN: it never scores as a perfect fit.
+fn log_variance(sigma2: f64) -> f64 {
+    if sigma2.is_nan() {
+        f64::NAN
+    } else {
+        sigma2.max(1e-12).ln()
+    }
+}
+
+/// AIC of an order fit to `n_obs` differenced observations with variance
+/// `sigma2`.
+pub(crate) fn aic(n_obs: usize, order: ArimaOrder, sigma2: f64) -> f64 {
+    let n = n_obs as f64;
+    let k = order.n_params() as f64;
+    n * log_variance(sigma2) + 2.0 * k
+}
+
+/// BIC of an order fit to `n_obs` differenced observations with variance
+/// `sigma2`.
+pub(crate) fn bic(n_obs: usize, order: ArimaOrder, sigma2: f64) -> f64 {
+    let n = n_obs as f64;
+    let k = order.n_params() as f64;
+    n * log_variance(sigma2) + k * n.ln()
+}
+
+/// One order's estimate on a differenced series: everything of an
+/// [`Arima`] but the history and the series themselves.
+pub(crate) struct Estimate {
+    pub(crate) constant: f64,
+    pub(crate) ar: Vec<f64>,
+    pub(crate) ma: Vec<f64>,
+    pub(crate) residuals: Vec<f64>,
+    pub(crate) sigma2: f64,
+}
+
+/// The lag regressions of every order fit to one differenced series.
+///
+/// Each regression writes its rows `[1, w_{t−1}…w_{t−p}, ê_{t−1}…ê_{t−q}]`
+/// row-major into one reused buffer and solves them with [`lstsq_into`]
+/// into a reused scratch and `beta`: the rows, their order and the
+/// solver call are exactly those of gathering `Vec` rows for
+/// `LinearModel::fit`, so every coefficient is the same bit pattern.
+///
+/// Stage 1 of Hannan–Rissanen depends only on the series and the long-AR
+/// order, so its innovations are computed once per order and reused by
+/// every (p, q) that shares it. Borrowing `work` ties that memo to the
+/// series it was computed from.
+pub(crate) struct LagFits<'a> {
+    work: &'a [f64],
+    finite: bool,
+    solver: LagSolver,
+    /// Stage-1 innovations (or the stage-1 error) per long-AR order.
+    innovations: Vec<(usize, Result<Vec<f64>>)>,
+}
+
+impl<'a> LagFits<'a> {
+    /// Fits over `work`, the differenced series.
+    pub(crate) fn new(work: &'a [f64]) -> Self {
+        LagFits {
+            work,
+            finite: work.iter().all(|v| v.is_finite()),
+            solver: LagSolver::default(),
+            innovations: Vec::new(),
+        }
+    }
+
+    /// Estimates the ARMA(p, q) part: the mean for (0, 0), exact
+    /// conditional OLS for q = 0, Hannan–Rissanen otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::NonFiniteInput`] when the differenced series, the
+    /// innovations stage 2 reads, the constant or σ² is non-finite; the
+    /// lag regressions' [`StatsError::TooShort`] and
+    /// [`StatsError::SingularMatrix`].
+    pub(crate) fn fit(&mut self, p: usize, q: usize) -> Result<Estimate> {
+        if !self.finite {
+            return Err(StatsError::NonFiniteInput);
+        }
+        let work = self.work;
+        let (constant, ar, ma) = if p == 0 && q == 0 {
+            (mean(work), Vec::new(), Vec::new())
+        } else if q == 0 {
+            let (c, phi) = fit_ar(work, p, &mut self.solver)?;
+            (c, phi, Vec::new())
+        } else {
+            self.fit_hannan_rissanen(p, q)?
+        };
+        let residuals = compute_residuals(work, constant, &ar, &ma);
+        let eff_n = residuals.len().saturating_sub(p).max(1);
+        let sigma2 = residuals.iter().skip(p).map(|e| e * e).sum::<f64>() / eff_n as f64;
+        if !constant.is_finite() || !sigma2.is_finite() {
+            return Err(StatsError::NonFiniteInput);
+        }
+        Ok(Estimate { constant, ar, ma, residuals, sigma2 })
+    }
+
+    /// Hannan–Rissanen estimation for ARMA(p, q).
+    fn fit_hannan_rissanen(&mut self, p: usize, q: usize) -> Result<(f64, Vec<f64>, Vec<f64>)> {
+        let LagFits { work, solver, innovations, .. } = self;
+        let work: &[f64] = work;
+        let n = work.len();
+        // Stage 1: long AR to estimate innovations, once per `long_p`.
+        let long_p = ((n as f64).ln().ceil() as usize + p + q).min(n / 4).max(p + q + 1);
+        let slot = match innovations.iter().position(|(lp, _)| *lp == long_p) {
+            Some(slot) => slot,
+            None => {
+                innovations.push((long_p, stage1_innovations(work, long_p, solver)));
+                innovations.len() - 1
+            }
+        };
+        let e = innovations[slot].1.as_ref().map_err(Clone::clone)?;
+        // Stage 2: regress on p lags of the series and q lags of ê. As
+        // `long_p > p`, the first row is `start` and the rows read
+        // ê[long_p..n − 1].
+        let start = long_p + q;
+        if n <= start + p + q + 2 {
+            return Err(StatsError::TooShort { required: start + p + q + 3, actual: n });
+        }
+        if e[long_p..n - 1].iter().any(|v| !v.is_finite()) {
+            return Err(StatsError::NonFiniteInput);
+        }
+        let design = &mut solver.design;
+        design.clear();
+        for t in start..n {
+            design.push(1.0);
+            design.extend(work[t - p..t].iter().rev());
+            design.extend(e[t - q..t].iter().rev());
+        }
+        let beta = solver.solve(p + q + 1, &work[start..])?;
+        Ok((beta[0], beta[1..=p].to_vec(), beta[p + 1..].to_vec()))
+    }
+}
+
+/// The buffers every lag regression reuses: the row-major design, the QR
+/// workspace and the solution.
+#[derive(Default)]
+struct LagSolver {
+    design: Vec<f64>,
+    lstsq: LstsqScratch,
+    beta: Vec<f64>,
+}
+
+impl LagSolver {
+    /// Solves the rows in `design`, `cols` wide (the intercept column
+    /// included), against `ys`: `[intercept, coefficients…]`.
+    fn solve(&mut self, cols: usize, ys: &[f64]) -> Result<&[f64]> {
+        lstsq_into(&self.design, ys.len(), cols, ys, &mut self.lstsq, &mut self.beta)?;
+        Ok(&self.beta)
+    }
+}
+
+/// The mean of a nonempty series.
+fn mean(work: &[f64]) -> f64 {
+    work.iter().sum::<f64>() / work.len() as f64
+}
+
+/// Conditional OLS fit of an AR(p) with intercept; a singular design (a
+/// constant series) falls back to the mean-only model.
+fn fit_ar(work: &[f64], p: usize, solver: &mut LagSolver) -> Result<(f64, Vec<f64>)> {
     let n = work.len();
     if n <= p + 1 {
         return Err(StatsError::TooShort { required: p + 2, actual: n });
     }
-    let xs: Vec<Vec<f64>> = (p..n).map(|t| (1..=p).map(|j| work[t - j]).collect()).collect();
-    let ys: Vec<f64> = work[p..].to_vec();
-    match LinearModel::fit(&xs, &ys) {
-        Ok(m) => Ok((m.intercept(), m.coefficients().to_vec())),
-        Err(StatsError::SingularMatrix) => {
-            // Constant series: fall back to mean-only model.
-            let mean = work.iter().sum::<f64>() / n as f64;
-            Ok((mean, vec![0.0; p]))
-        }
+    let design = &mut solver.design;
+    design.clear();
+    for t in p..n {
+        design.push(1.0);
+        design.extend(work[t - p..t].iter().rev());
+    }
+    // The solver refuses fewer rows than columns with the `TooShort` an
+    // OLS fit would return.
+    match solver.solve(p + 1, &work[p..]) {
+        Ok(beta) => Ok((beta[0], beta[1..].to_vec())),
+        Err(StatsError::SingularMatrix) => Ok((mean(work), vec![0.0; p])),
         Err(e) => Err(e),
     }
 }
 
-/// Hannan–Rissanen estimation for ARMA(p, q).
-fn fit_hannan_rissanen(work: &[f64], p: usize, q: usize) -> Result<(f64, Vec<f64>, Vec<f64>)> {
-    let n = work.len();
-    // Stage 1: long AR to estimate innovations.
-    let long_p = ((n as f64).ln().ceil() as usize + p + q).min(n / 4).max(p + q + 1);
-    let (c1, phi1) = fit_ar_ols(work, long_p)?;
-    let mut e = vec![0.0; n];
-    for t in long_p..n {
+/// Hannan–Rissanen stage 1: the innovations `ê_t` of a long AR(`long_p`)
+/// fit, zero over its conditioning period.
+fn stage1_innovations(work: &[f64], long_p: usize, solver: &mut LagSolver) -> Result<Vec<f64>> {
+    let (c1, phi1) = fit_ar(work, long_p, solver)?;
+    let mut e = vec![0.0; work.len()];
+    for t in long_p..work.len() {
         let mut pred = c1;
         for (j, ph) in phi1.iter().enumerate() {
             pred += ph * work[t - 1 - j];
         }
         e[t] = work[t] - pred;
     }
-    // Stage 2: regress on p lags of the series and q lags of ê.
-    let start = long_p + q;
-    if n <= start + p + q + 2 {
-        return Err(StatsError::TooShort { required: start + p + q + 3, actual: n });
-    }
-    let mut xs = Vec::with_capacity(n - start);
-    let mut ys = Vec::with_capacity(n - start);
-    for t in start.max(p)..n {
-        let mut row = Vec::with_capacity(p + q);
-        for j in 1..=p {
-            row.push(work[t - j]);
-        }
-        for j in 1..=q {
-            row.push(e[t - j]);
-        }
-        xs.push(row);
-        ys.push(work[t]);
-    }
-    let m = LinearModel::fit(&xs, &ys)?;
-    let coef = m.coefficients();
-    let ar = coef[..p].to_vec();
-    let ma = coef[p..].to_vec();
-    Ok((m.intercept(), ar, ma))
+    Ok(e)
 }
 
 /// Conditional (zero-initialized) residual recursion.
@@ -711,49 +854,10 @@ fn compute_residuals(work: &[f64], constant: f64, ar: &[f64], ma: &[f64]) -> Vec
     e
 }
 
-/// A lightweight vector-autoregression-style convenience: fits independent
-/// ARIMA models of the same order to several aligned series at once.
-///
-/// The temporal model tracks three features (`A^f`, `A^b`, `A^s`) per
-/// family; this helper keeps their models together.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArimaEnsemble {
-    models: Vec<Arima>,
-}
-
-impl ArimaEnsemble {
-    /// Fits one model per series.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first fitting error; returns
-    /// [`StatsError::EmptyInput`] when `series.is_empty()`.
-    pub fn fit(series: &[Vec<f64>], order: ArimaOrder) -> Result<Self> {
-        if series.is_empty() {
-            return Err(StatsError::EmptyInput);
-        }
-        let models = series.iter().map(|s| Arima::fit(s, order)).collect::<Result<Vec<_>>>()?;
-        Ok(ArimaEnsemble { models })
-    }
-
-    /// The fitted member models, in input order.
-    pub fn models(&self) -> &[Arima] {
-        &self.models
-    }
-
-    /// Forecasts every member `horizon` steps ahead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the member forecast errors.
-    pub fn forecast(&self, horizon: usize) -> Result<Vec<Vec<f64>>> {
-        self.models.iter().map(|m| m.forecast(horizon)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1050,18 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn ensemble_fits_multiple_series() {
-        let s1 = simulate_arma(&[0.5], &[], 0.0, 300, 0.5, 19);
-        let s2 = simulate_arma(&[0.7], &[], 1.0, 300, 0.5, 20);
-        let ens = ArimaEnsemble::fit(&[s1, s2], ArimaOrder::new(1, 0, 0)).unwrap();
-        assert_eq!(ens.models().len(), 2);
-        let fcs = ens.forecast(4).unwrap();
-        assert_eq!(fcs.len(), 2);
-        assert_eq!(fcs[0].len(), 4);
-        assert!(ArimaEnsemble::fit(&[], ArimaOrder::new(1, 0, 0)).is_err());
-    }
-
-    #[test]
     fn forecast_into_matches_integrate_ladder_bitwise() {
         // The in-place re-integration must reproduce `integrate` exactly,
         // including for d = 2 where the ladder tails interact.
@@ -1166,5 +1258,282 @@ mod tests {
         diff_model.predict_rolling_into(&[23.0, 23.3], &mut preds).unwrap();
         assert_eq!(preds.len(), 2);
         assert!(preds.iter().all(|p| p.is_finite()));
+    }
+
+    /// The per-cell path [`LagFits`] replaced, kept as the reference its
+    /// flat designs must match bit for bit: `Vec` rows through
+    /// `LinearModel::fit`, and a fresh stage-1 long-AR fit for every
+    /// order. It carries the same non-finite guards as `Arima::fit` (the
+    /// differenced series up front, the constant and σ² at the end).
+    mod reference {
+        use super::super::*;
+        use crate::ols::LinearModel;
+
+        pub(super) fn fit(series: &[f64], order: ArimaOrder) -> Result<Arima> {
+            if series.iter().any(|v| !v.is_finite()) {
+                return Err(StatsError::NonFiniteInput);
+            }
+            let min_len = order.d + order.p.max(order.q) * 3 + 8;
+            if series.len() < min_len {
+                return Err(StatsError::TooShort { required: min_len, actual: series.len() });
+            }
+            let work = difference(series, order.d)?;
+            if work.iter().any(|v| !v.is_finite()) {
+                return Err(StatsError::NonFiniteInput);
+            }
+            let n = work.len();
+            let (p, q) = (order.p, order.q);
+            let (constant, ar, ma) = if p == 0 && q == 0 {
+                (work.iter().sum::<f64>() / n as f64, Vec::new(), Vec::new())
+            } else if q == 0 {
+                let (c, phi) = fit_ar_ols(&work, p)?;
+                (c, phi, Vec::new())
+            } else {
+                fit_hannan_rissanen(&work, p, q)?
+            };
+            let residuals = compute_residuals(&work, constant, &ar, &ma);
+            let eff_n = residuals.len().saturating_sub(p).max(1);
+            let sigma2 = residuals.iter().skip(p).map(|e| e * e).sum::<f64>() / eff_n as f64;
+            if !constant.is_finite() || !sigma2.is_finite() {
+                return Err(StatsError::NonFiniteInput);
+            }
+            let history = series.to_vec();
+            Ok(Arima { order, constant, ar, ma, history, work, residuals, sigma2 })
+        }
+
+        fn fit_ar_ols(work: &[f64], p: usize) -> Result<(f64, Vec<f64>)> {
+            let n = work.len();
+            if n <= p + 1 {
+                return Err(StatsError::TooShort { required: p + 2, actual: n });
+            }
+            let xs: Vec<Vec<f64>> =
+                (p..n).map(|t| (1..=p).map(|j| work[t - j]).collect()).collect();
+            let ys: Vec<f64> = work[p..].to_vec();
+            match LinearModel::fit(&xs, &ys) {
+                Ok(m) => Ok((m.intercept(), m.coefficients().to_vec())),
+                Err(StatsError::SingularMatrix) => {
+                    let mean = work.iter().sum::<f64>() / n as f64;
+                    Ok((mean, vec![0.0; p]))
+                }
+                Err(e) => Err(e),
+            }
+        }
+
+        fn fit_hannan_rissanen(
+            work: &[f64],
+            p: usize,
+            q: usize,
+        ) -> Result<(f64, Vec<f64>, Vec<f64>)> {
+            let n = work.len();
+            let long_p = ((n as f64).ln().ceil() as usize + p + q).min(n / 4).max(p + q + 1);
+            let (c1, phi1) = fit_ar_ols(work, long_p)?;
+            let mut e = vec![0.0; n];
+            for t in long_p..n {
+                let mut pred = c1;
+                for (j, ph) in phi1.iter().enumerate() {
+                    pred += ph * work[t - 1 - j];
+                }
+                e[t] = work[t] - pred;
+            }
+            let start = long_p + q;
+            if n <= start + p + q + 2 {
+                return Err(StatsError::TooShort { required: start + p + q + 3, actual: n });
+            }
+            let mut xs = Vec::with_capacity(n - start);
+            let mut ys = Vec::with_capacity(n - start);
+            for t in start.max(p)..n {
+                let mut row = Vec::with_capacity(p + q);
+                for j in 1..=p {
+                    row.push(work[t - j]);
+                }
+                for j in 1..=q {
+                    row.push(e[t - j]);
+                }
+                xs.push(row);
+                ys.push(work[t]);
+            }
+            let m = LinearModel::fit(&xs, &ys)?;
+            let coef = m.coefficients();
+            Ok((m.intercept(), coef[..p].to_vec(), coef[p..].to_vec()))
+        }
+    }
+
+    /// Every cell of the default order-search grid at differencing
+    /// degree `d`, fit the way `select::search` fits them: one
+    /// differencing, one `LagFits` shared by the whole grid.
+    fn grid_through_lag_fits(series: &[f64], d: usize) -> Vec<(ArimaOrder, Result<Arima>)> {
+        let work = difference(series, d).unwrap();
+        let mut fits = LagFits::new(&work);
+        let mut cells = Vec::new();
+        for p in 0..=3 {
+            for q in 0..=2 {
+                let order = ArimaOrder::new(p, d, q);
+                let fit = check_length(series.len(), order)
+                    .and_then(|()| fits.fit(p, q))
+                    .map(|est| Arima::from_estimate(order, series, work.clone(), est));
+                cells.push((order, fit));
+            }
+        }
+        cells
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts two fits of one order agree: every `Ok` field bit for bit,
+    /// or equal errors.
+    fn assert_same_fit(order: ArimaOrder, got: &Result<Arima>, want: &Result<Arima>) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.constant.to_bits(), w.constant.to_bits(), "{order} constant");
+                assert_eq!(bits(&g.ar), bits(&w.ar), "{order} AR");
+                assert_eq!(bits(&g.ma), bits(&w.ma), "{order} MA");
+                assert_eq!(bits(&g.residuals), bits(&w.residuals), "{order} residuals");
+                assert_eq!(g.sigma2.to_bits(), w.sigma2.to_bits(), "{order} sigma2");
+                assert_eq!(bits(&g.work), bits(&w.work), "{order} work");
+                assert_eq!(bits(&g.history), bits(&w.history), "{order} history");
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "{order}"),
+            (g, w) => panic!("{order}: lag fits {g:?}, reference {w:?}"),
+        }
+    }
+
+    /// Checks both the grid path and a stand-alone `Arima::fit` per cell
+    /// against the reference.
+    fn assert_grid_matches_reference(series: &[f64], d: usize) {
+        for (order, got) in grid_through_lag_fits(series, d) {
+            let want = reference::fit(series, order);
+            assert_same_fit(order, &got, &want);
+            assert_same_fit(order, &Arima::fit(series, order), &want);
+        }
+    }
+
+    /// `d` rounds of cumulative summation: a series whose `d`-th
+    /// difference is `base`.
+    fn integrate_d(base: &[f64], d: usize) -> Vec<f64> {
+        let mut out = base.to_vec();
+        for _ in 0..d {
+            let mut acc = 0.0;
+            for v in out.iter_mut() {
+                acc += *v;
+                *v = acc;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lag_fits_match_reference_at_clamped_long_ar_orders() {
+        // Short series, where `long_p` is clamped by `n / 4` or by
+        // `p + q + 1`; orders past the search grid make the HR stages hit
+        // `TooShort`.
+        let (mut by_quarter, mut by_floor, mut too_short) = (false, false, false);
+        for n in 8..=60 {
+            let series = simulate_arma(&[0.5], &[0.3], 0.2, n, 1.0, n as u64);
+            assert_grid_matches_reference(&series, 0);
+            for (p, q) in (0..=5).flat_map(|p| (1..=5).map(move |q| (p, q))) {
+                let order = ArimaOrder::new(p, 0, q);
+                if check_length(n, order).is_err() {
+                    continue;
+                }
+                let unclamped = (n as f64).ln().ceil() as usize + p + q;
+                by_quarter |= n / 4 < unclamped && n / 4 > p + q;
+                by_floor |= n / 4 <= p + q;
+                let want = reference::fit(&series, order);
+                too_short |= matches!(want, Err(StatsError::TooShort { .. }));
+                assert_same_fit(order, &Arima::fit(&series, order), &want);
+            }
+        }
+        assert!(by_quarter && by_floor && too_short);
+    }
+
+    #[test]
+    fn lag_fits_match_reference_on_constant_series() {
+        // AR cells take the `SingularMatrix` mean fallback, in stage 1 too.
+        for (n, level) in [(12, 5.0), (40, -3.25), (300, 1e6)] {
+            let series = vec![level; n];
+            assert_grid_matches_reference(&series, 0);
+            assert_grid_matches_reference(&series, 1);
+        }
+    }
+
+    #[test]
+    fn lag_fits_match_reference_on_overflowing_series() {
+        // Scales around where squares, sums and differences overflow,
+        // with and without one ±f64::MAX spike: the same errors as the
+        // reference, from the same checks.
+        for exponent in [150, 153, 154, 155, 160, 200, 300, 306, 307] {
+            let scale = 10f64.powi(exponent);
+            for (n, seed) in [(40, 1), (300, 2)] {
+                let base = simulate_arma(&[0.6], &[0.3], 0.5, n, 1.0, seed);
+                let mut series: Vec<f64> = base.iter().map(|v| v * scale).collect();
+                for d in 0..=2 {
+                    assert_grid_matches_reference(&series, d);
+                }
+                series[n / 2] = f64::MAX;
+                for d in 0..=2 {
+                    assert_grid_matches_reference(&series, d);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_difference_is_an_error_for_every_order() {
+        // Finite, but the first difference of ±1.7e308 overflows to ±∞.
+        let s: Vec<f64> =
+            (0..200).map(|i| if (i / 3) % 2 == 0 { 1.7e308 } else { -1.7e308 }).collect();
+        for p in 0..=3 {
+            for q in 0..=2 {
+                let order = ArimaOrder::new(p, 1, q);
+                assert_eq!(Arima::fit(&s, order), Err(StatsError::NonFiniteInput), "{order}");
+            }
+        }
+        assert_eq!(
+            crate::select::search(&s, crate::select::SearchConfig::default()).unwrap_err(),
+            StatsError::NonFiniteInput
+        );
+    }
+
+    #[test]
+    fn nan_sigma2_never_scores_as_a_perfect_fit() {
+        let series = simulate_arma(&[0.5], &[], 0.0, 200, 1.0, 41);
+        let mut model = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
+        model.sigma2 = f64::NAN;
+        assert!(model.aic().is_nan() && model.bic().is_nan());
+        // A zero σ² (an exact fit) still scores finitely.
+        model.sigma2 = 0.0;
+        assert!(model.aic().is_finite() && model.bic().is_finite());
+    }
+
+    fn arma_case() -> impl Strategy<Value = (Vec<f64>, usize)> {
+        (
+            // Half the cases short enough for `long_p` to clamp.
+            (0u8..2, 8usize..64, 64usize..3000),
+            0usize..=2,
+            proptest::collection::vec(-0.45f64..0.45, 0usize..3),
+            proptest::collection::vec(-0.8f64..0.8, 0usize..3),
+            -2.0f64..2.0,
+            0u64..u64::MAX,
+        )
+            .prop_map(|(len, d, phi, theta, c, seed)| {
+                let n = if len.0 == 0 { len.1 } else { len.2 };
+                let base = simulate_arma(&phi, &theta, c, n, 1.0, seed);
+                (integrate_d(&base, d), d)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every grid cell through the shared lag fits, and every
+        /// stand-alone `Arima::fit`, equals the per-cell reference bit
+        /// for bit, at the differencing degree the series was built with.
+        #[test]
+        fn lag_fits_match_per_cell_reference(case in arma_case()) {
+            let (series, d) = case;
+            assert_grid_matches_reference(&series, d);
+        }
     }
 }

@@ -1,9 +1,11 @@
 //! Ordinary least squares: simple and multivariate linear regression.
 //!
 //! The spatiotemporal model of the paper (§VI) attaches a multivariate
-//! linear regression (MLR) to every leaf of a regression tree; the temporal
-//! model's AR component is also fit by least squares. Both paths go through
-//! [`LinearModel`].
+//! linear regression (MLR) to every leaf of a regression tree, through
+//! [`LinearModel`]. The temporal model's lag regressions (the AR and
+//! Hannan–Rissanen stages in [`crate::arima`]) need only the coefficients,
+//! so they write flat designs and call [`lstsq_into`] directly, the solve
+//! [`LinearModel::fit_prepared`] ends in.
 
 use crate::codec::{CodecResult, Reader, Writer};
 use crate::matrix::{lstsq_into, LstsqScratch};

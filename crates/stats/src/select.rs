@@ -4,9 +4,15 @@
 //! (§IV-A4) without publishing exact orders; this module performs the
 //! standard Box–Jenkins grid search, choosing the differencing degree from
 //! the lag-1 autocorrelation and the (p, q) pair by AIC (or BIC).
+//!
+//! The grid is the search's hot path (the temporal model runs it for every
+//! series of every family), so [`search`] differences each series once and
+//! shares the lag-regression buffers and the Hannan–Rissanen stage-1
+//! innovations across its cells; each cell is still bit-identical to
+//! [`Arima::fit`] at that order.
 
 use crate::acf::acf;
-use crate::arima::{difference, Arima, ArimaOrder};
+use crate::arima::{aic, bic, check_length, difference, Arima, ArimaOrder, Estimate, LagFits};
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
 
@@ -76,13 +82,21 @@ pub fn choose_differencing(series: &[f64], max_d: usize) -> Result<usize> {
 ///
 /// `d` is screened first with [`choose_differencing`] and the grid then runs
 /// over `p ∈ 0..=max_p`, `q ∈ 0..=max_q`. Orders whose fit fails (e.g. too
-/// little data) are skipped; at least the white-noise order (0, d, 0) must
-/// fit.
+/// little data) or scores non-finitely are skipped.
+///
+/// Every cell is the fit [`Arima::fit`] would return for its order, bit
+/// for bit, but the series is differenced once for the whole grid, the
+/// lag designs share one set of solver buffers, and the Hannan–Rissanen
+/// stage-1 innovations are computed once per long-AR order rather than
+/// once per cell. Only the winner is assembled into an [`Arima`].
 ///
 /// # Errors
 ///
-/// * [`StatsError::TooShort`] when even the degenerate order cannot fit.
-/// * Propagates differencing errors.
+/// * Propagates [`choose_differencing`] errors.
+/// * When no cell scores, the first cell's own error in grid order (the
+///   white-noise order (0, d, 0) comes first), or
+///   [`StatsError::NonFiniteInput`] for a cell that fit but scored
+///   non-finitely.
 ///
 /// # Example
 ///
@@ -98,35 +112,47 @@ pub fn choose_differencing(series: &[f64], max_d: usize) -> Result<usize> {
 /// ```
 pub fn search(series: &[f64], config: SearchConfig) -> Result<SearchOutcome> {
     let d = choose_differencing(series, config.max_d)?;
+    // Every cell's `Arima::fit` would refuse a non-finite series first.
+    if series.iter().any(|v| !v.is_finite()) {
+        return Err(StatsError::NonFiniteInput);
+    }
+    let work = difference(series, d)?;
+    let mut fits = LagFits::new(&work);
     let mut table: Vec<(ArimaOrder, f64)> = Vec::new();
-    let mut best: Option<(ArimaOrder, f64, Arima)> = None;
+    let mut best: Option<(ArimaOrder, f64, Estimate)> = None;
+    let mut first_cause: Option<StatsError> = None;
     for p in 0..=config.max_p {
         for q in 0..=config.max_q {
             let order = ArimaOrder::new(p, d, q);
-            let Ok(model) = Arima::fit(series, order) else { continue };
+            let estimate = match check_length(series.len(), order).and_then(|()| fits.fit(p, q)) {
+                Ok(estimate) => estimate,
+                Err(e) => {
+                    first_cause.get_or_insert(e);
+                    continue;
+                }
+            };
             let score = match config.criterion {
-                Criterion::Aic => model.aic(),
-                Criterion::Bic => model.bic(),
+                Criterion::Aic => aic(work.len(), order, estimate.sigma2),
+                Criterion::Bic => bic(work.len(), order, estimate.sigma2),
             };
             if !score.is_finite() {
+                first_cause.get_or_insert(StatsError::NonFiniteInput);
                 continue;
             }
             table.push((order, score));
-            let better = match &best {
-                None => true,
-                Some((_, s, _)) => score < *s,
-            };
-            if better {
-                best = Some((order, score, model));
+            if best.as_ref().is_none_or(|(_, s, _)| score < *s) {
+                best = Some((order, score, estimate));
             }
         }
     }
-    let Some((_, _, model)) = best else {
-        return Err(StatsError::TooShort { required: 8, actual: series.len() });
+    let Some((order, _, estimate)) = best else {
+        // The grid always holds (0, d, 0), so some cell left its cause.
+        return Err(first_cause.unwrap_or(StatsError::NonFiniteInput));
     };
     // Non-finite scores were skipped above; `total_cmp` keeps the sort
     // panic-free regardless.
     table.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let model = Arima::from_estimate(order, series, work, estimate);
     Ok(SearchOutcome { model, table })
 }
 
@@ -200,7 +226,75 @@ mod tests {
 
     #[test]
     fn search_fails_on_tiny_series() {
-        assert!(search(&[1.0, 2.0, 3.0], SearchConfig::default()).is_err());
+        // The white-noise cell's own length requirement.
+        assert_eq!(
+            search(&[1.0, 2.0, 3.0], SearchConfig::default()).unwrap_err(),
+            StatsError::TooShort { required: 8, actual: 3 }
+        );
+    }
+
+    /// The search as a loop of independent `Arima::fit` calls: the same
+    /// cells, scores, skips and winner, with no shared state.
+    fn search_by_independent_fits(series: &[f64], config: SearchConfig) -> SearchOutcome {
+        let d = choose_differencing(series, config.max_d).unwrap();
+        let mut table = Vec::new();
+        let mut best: Option<(f64, Arima)> = None;
+        for p in 0..=config.max_p {
+            for q in 0..=config.max_q {
+                let order = ArimaOrder::new(p, d, q);
+                let Ok(model) = Arima::fit(series, order) else { continue };
+                let score = match config.criterion {
+                    Criterion::Aic => model.aic(),
+                    Criterion::Bic => model.bic(),
+                };
+                table.push((order, score));
+                if best.as_ref().is_none_or(|(s, _)| score < *s) {
+                    best = Some((score, model));
+                }
+            }
+        }
+        table.sort_by(|a, b| a.1.total_cmp(&b.1));
+        SearchOutcome { model: best.unwrap().1, table }
+    }
+
+    #[test]
+    fn search_equals_independent_fits() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let walk: Vec<f64> = (0..400)
+            .scan(0.0, |acc, _| {
+                *acc += rng.gen::<f64>() - 0.4;
+                Some(*acc)
+            })
+            .collect();
+        let series =
+            [ar_series(0.6, 30, 5), ar_series(0.8, 700, 6), ar_series(-0.3, 2900, 7), walk];
+        for s in &series {
+            for criterion in [Criterion::Aic, Criterion::Bic] {
+                let config = SearchConfig { criterion, ..Default::default() };
+                let got = search(s, config).unwrap();
+                let want = search_by_independent_fits(s, config);
+                // `Arima` equality is field by field; no field here is NaN.
+                assert_eq!(got.model, want.model);
+                let bits = |t: &[(ArimaOrder, f64)]| -> Vec<(ArimaOrder, u64)> {
+                    t.iter().map(|(o, s)| (*o, s.to_bits())).collect()
+                };
+                assert_eq!(bits(&got.table), bits(&want.table));
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_series_fails_with_its_own_error() {
+        // Finite, but every fit overflows: the mean at d = 0, σ² at d = 1.
+        let s: Vec<f64> =
+            (0..200).map(|i| if (i / 3) % 2 == 0 { 1.7e308 } else { 1.0e308 }).collect();
+        for max_d in [0, 1] {
+            let config = SearchConfig { max_d, ..Default::default() };
+            let d = choose_differencing(&s, max_d).unwrap();
+            let first = Arima::fit(&s, ArimaOrder::new(0, d, 0)).unwrap_err();
+            assert_eq!(first, StatsError::NonFiniteInput);
+            assert_eq!(search(&s, config).unwrap_err(), first, "max_d {max_d}");
+        }
     }
 
     #[test]

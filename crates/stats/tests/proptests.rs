@@ -3,6 +3,7 @@
 use ddos_stats::arima::{difference, Arima, ArimaOrder};
 use ddos_stats::distributions::{Categorical, Zipf};
 use ddos_stats::ols::LinearModel;
+use ddos_stats::select::{search, SearchConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,6 +68,50 @@ proptest! {
         };
         let fc = model.forecast(5).unwrap();
         prop_assert!(fc.iter().all(|v| v.is_finite()), "{fc:?}");
+    }
+
+    /// Extreme but finite magnitudes (after Bragg et al.'s hostile-input
+    /// testing): `Arima::fit`, `search` and `forecast` give a typed error
+    /// or finite output, never a panic or a NaN.
+    #[test]
+    fn arima_extreme_magnitudes_error_or_stay_finite(
+        noise in proptest::collection::vec(-1.0f64..1.0, 8..90),
+        exponent in 0i32..200,
+        spike in 0usize..180,
+        p in 0usize..4,
+        d in 0usize..3,
+        q in 0usize..3,
+    ) {
+        // An AR(1)-like walk scaled by 10^exponent, so some series fit and
+        // some overflow; about a quarter also carry one ±f64::MAX spike.
+        let scale = 10f64.powi(exponent);
+        let mut series: Vec<f64> = noise
+            .iter()
+            .scan(0.0, |level, u| {
+                *level = 0.7 * *level + u;
+                Some(*level * scale)
+            })
+            .collect();
+        if let Some(v) = series.get_mut(spike) {
+            *v = f64::MAX.copysign(*v);
+        }
+        let mut models = Vec::new();
+        if let Ok(m) = Arima::fit(&series, ArimaOrder::new(p, d, q)) {
+            models.push(m);
+        }
+        let config = SearchConfig { max_d: d, ..Default::default() };
+        if let Ok(outcome) = search(&series, config) {
+            prop_assert!(outcome.table.iter().all(|(_, s)| s.is_finite()));
+            models.push(outcome.model);
+        }
+        for m in &models {
+            prop_assert!(m.constant().is_finite() && m.sigma2().is_finite(), "{m:?}");
+            prop_assert!(m.aic().is_finite() && m.bic().is_finite());
+            prop_assert!(m.residuals().iter().all(|v| v.is_finite()));
+            if let Ok(fc) = m.forecast(5) {
+                prop_assert!(fc.iter().all(|v| v.is_finite()), "{fc:?}");
+            }
+        }
     }
 
     /// Categorical sampling only returns indices with positive weight.
