@@ -12,7 +12,6 @@
 //!   and error distributions, with the §VI RMSE summary),
 //! * [`Pipeline::run_baseline_comparison`] → the §VII-A table.
 
-use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::baseline::{predict_rolling, BaselineKind};
 use crate::evaluate::{RmseTable, SeriesEvaluation};
 use crate::features::FeatureExtractor;
@@ -21,14 +20,10 @@ use crate::spatiotemporal::{SpatioTemporalConfig, SpatioTemporalModel, StPredict
 use crate::temporal::{TemporalConfig, TemporalModel};
 use crate::{ModelError, Result};
 use ddos_neural::nar::NarModel;
-use ddos_stats::codec::{guard64, Writer};
 use ddos_stats::exec::map_indexed;
 use ddos_stats::metrics::rmse;
 use ddos_trace::{AttackRecord, Corpus, FamilyId, Timestamp};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,20 +45,6 @@ pub struct PipelineConfig {
     /// shards its work deterministically and reduces in canonical order,
     /// so reports are bit-identical at any value.
     pub parallelism: Option<usize>,
-    /// Directory for fitted-model artifact caching. When set,
-    /// [`Pipeline::fit_spatiotemporal`] keys a versioned artifact on the
-    /// seed, split, config and training stream, and reloads it instead of
-    /// refitting; artifact round-trips are bit-exact, so cached runs
-    /// produce byte-identical reports.
-    pub artifact_dir: Option<PathBuf>,
-    /// Where recoverable conditions ([`Warning`]) are reported. The
-    /// default sink writes to stderr; embedders install a callback via
-    /// [`PipelineConfigBuilder::on_warning`] to collect warnings as typed
-    /// values instead of scraping log text. Not part of the serialized
-    /// configuration (a callback has no byte representation) and ignored
-    /// by equality.
-    #[serde(skip)]
-    pub warning_sink: WarningSink,
 }
 
 impl Default for PipelineConfig {
@@ -75,84 +56,7 @@ impl Default for PipelineConfig {
             spatiotemporal: SpatioTemporalConfig::default(),
             families: None,
             parallelism: None,
-            artifact_dir: None,
-            warning_sink: WarningSink::default(),
         }
-    }
-}
-
-/// A recoverable condition a pipeline run reports without failing.
-///
-/// Warnings are typed so embedders can react programmatically (count
-/// them, fail CI on them, attach them to a run report) instead of
-/// scraping stderr text.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Warning {
-    /// An artifact cache file existed but could not be decoded
-    /// (corruption, truncation, checksum mismatch, version skew); the
-    /// model was refit and the file overwritten.
-    UnreadableCache {
-        /// Cache path that failed to decode.
-        path: PathBuf,
-        /// Why the decode failed.
-        error: ArtifactError,
-    },
-}
-
-impl fmt::Display for Warning {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Warning::UnreadableCache { path, error } => write!(
-                f,
-                "ignoring unreadable artifact cache {} ({error}); refitting",
-                path.display()
-            ),
-        }
-    }
-}
-
-/// Destination for [`Warning`]s raised during a pipeline run.
-///
-/// The default sink prints `warning: <message>` to stderr — the behavior
-/// callers relied on before warnings were typed. Installing a callback
-/// ([`WarningSink::new`], or [`PipelineConfigBuilder::on_warning`])
-/// routes every warning to it instead; nothing reaches stderr.
-#[derive(Clone, Default)]
-pub struct WarningSink(Option<WarningCallback>);
-
-/// The callback type a [`WarningSink`] wraps.
-type WarningCallback = Arc<dyn Fn(&Warning) + Send + Sync>;
-
-impl WarningSink {
-    /// A sink that forwards every warning to `callback`.
-    pub fn new(callback: impl Fn(&Warning) + Send + Sync + 'static) -> Self {
-        WarningSink(Some(Arc::new(callback)))
-    }
-
-    /// Reports a warning: to the installed callback, or to stderr when
-    /// none is installed.
-    pub fn emit(&self, warning: &Warning) {
-        match &self.0 {
-            Some(callback) => callback(warning),
-            None => eprintln!("warning: {warning}"),
-        }
-    }
-}
-
-impl fmt::Debug for WarningSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() { "WarningSink(callback)" } else { "WarningSink(stderr)" })
-    }
-}
-
-/// Sinks are an observation channel, not part of the configuration
-/// value: two configs that differ only in where warnings go configure
-/// the same experiment (and serialization skips the sink for the same
-/// reason), so every sink compares equal.
-impl PartialEq for WarningSink {
-    fn eq(&self, _other: &Self) -> bool {
-        true
     }
 }
 
@@ -166,8 +70,6 @@ impl PipelineConfig {
             spatiotemporal: SpatioTemporalConfig::fast(),
             families: None,
             parallelism: None,
-            artifact_dir: None,
-            warning_sink: WarningSink::default(),
         }
     }
 
@@ -234,19 +136,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Enables fitted-model artifact caching under `dir`.
-    pub fn artifact_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.artifact_dir = Some(dir.into());
-        self
-    }
-
-    /// Routes every [`Warning`] the pipeline raises to `callback`
-    /// instead of stderr.
-    pub fn on_warning(mut self, callback: impl Fn(&Warning) + Send + Sync + 'static) -> Self {
-        self.config.warning_sink = WarningSink::new(callback);
-        self
-    }
-
     /// Validates and returns the finished configuration.
     ///
     /// # Errors
@@ -275,35 +164,6 @@ impl PipelineConfigBuilder {
         }
         Ok(self.config)
     }
-}
-
-/// What the fitted-model artifact cache did during a
-/// [`Pipeline::fit_spatiotemporal_with_cache`] call.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum CacheStatus {
-    /// No `artifact_dir` is configured; the model was fit directly.
-    Disabled,
-    /// No artifact existed under the key; the model was fit and saved.
-    Miss {
-        /// Cache path that was probed and then written.
-        path: PathBuf,
-    },
-    /// A matching artifact was decoded and served — no fitting happened.
-    Hit {
-        /// Cache path that was loaded.
-        path: PathBuf,
-    },
-    /// A cache file **existed but could not be decoded**; the model was
-    /// refit and the file overwritten. Before this status existed the
-    /// condition was silently swallowed — callers now see the typed
-    /// reason (corruption, truncation, checksum mismatch, version skew).
-    Invalid {
-        /// Cache path that failed to decode.
-        path: PathBuf,
-        /// Why the decode failed.
-        error: ArtifactError,
-    },
 }
 
 /// The experiment orchestrator.
@@ -465,6 +325,58 @@ impl Pipeline {
         })
     }
 
+    /// Fits one model per evaluated family on the attacks before the cut,
+    /// one executor shard per family, reduced in family order so the list
+    /// is identical at any worker count. A family with no test tail, or
+    /// whose `fit` returns `None`, is skipped.
+    fn fit_per_family<M: Send>(
+        &self,
+        corpus: &Corpus,
+        fit: impl Fn(FamilyId, &[&AttackRecord]) -> Option<M> + Sync,
+    ) -> Result<Vec<M>> {
+        let families = self.families(corpus);
+        let cut = self.cut_time(corpus)?;
+        let fitted = map_indexed(&families, self.config.parallelism, |_, &family| {
+            let (train, test) = split_at_cut(corpus.family_attacks(family), cut);
+            if test.is_empty() {
+                return None;
+            }
+            fit(family, &train)
+        });
+        Ok(fitted.into_iter().flatten().collect())
+    }
+
+    /// Scores each fitted model on its family's attacks from the cut on,
+    /// in model order. A family with no test tail, or whose `serve`
+    /// returns `Ok(None)`, is skipped; `serve`'s errors propagate.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidConfig`] when no family was scored.
+    fn serve_per_family<'m, M: 'm, R>(
+        &self,
+        corpus: &Corpus,
+        models: impl IntoIterator<Item = (FamilyId, &'m M)>,
+        experiment: &str,
+        mut serve: impl FnMut(FamilyId, &'m M, &[&AttackRecord]) -> Result<Option<R>>,
+    ) -> Result<Vec<R>> {
+        let cut = self.cut_time(corpus)?;
+        let mut per_family = Vec::new();
+        for (family, model) in models {
+            let (_, test) = split_at_cut(corpus.family_attacks(family), cut);
+            if test.is_empty() {
+                continue;
+            }
+            if let Some(result) = serve(family, model, &test)? {
+                per_family.push(result);
+            }
+        }
+        if per_family.is_empty() {
+            return Err(not_enough_data("family", experiment));
+        }
+        Ok(per_family)
+    }
+
     /// Fit stage of the Fig. 1 experiment: trains one per-family temporal
     /// (ARIMA) model for every evaluated family with enough data, in
     /// family order. Families failing a guard (empty split, empty test
@@ -476,20 +388,9 @@ impl Pipeline {
     /// Propagates corpus-split errors.
     pub fn fit_temporal(&self, corpus: &Corpus) -> Result<Vec<TemporalModel>> {
         let fx = FeatureExtractor::new(corpus);
-        let families = self.families(corpus);
-        let cut = self.cut_time(corpus)?;
-        // Each family's ARIMA stack fits on its own shard; the in-order
-        // reduction keeps the model list identical at any worker count.
-        let fitted = map_indexed(&families, self.config.parallelism, |_, &family| {
-            let Ok((train, test)) = family_split(corpus, family, cut) else {
-                return None;
-            };
-            if test.is_empty() {
-                return None;
-            }
-            TemporalModel::fit(&fx, family, &train, &self.config.temporal).ok()
-        });
-        Ok(fitted.into_iter().flatten().collect())
+        self.fit_per_family(corpus, |family, train| {
+            TemporalModel::fit(&fx, family, train, &self.config.temporal).ok()
+        })
     }
 
     /// Serve stage of the Fig. 1 experiment: rolling prediction of attack
@@ -507,34 +408,24 @@ impl Pipeline {
         models: &[TemporalModel],
     ) -> Result<TemporalReport> {
         let fx = FeatureExtractor::new(corpus);
-        let cut = self.cut_time(corpus)?;
-        let mut per_family = Vec::new();
-        for model in models {
-            let family = model.family();
-            let Ok((_, test)) = family_split(corpus, family, cut) else { continue };
-            if test.is_empty() {
-                continue;
-            }
-            let mag_truth = FeatureExtractor::magnitude_series(&test);
-            let Ok(mag_pred) = model.magnitude_model().predict_rolling(&mag_truth) else {
-                continue;
-            };
-            let Ok(src_truth) = fx.source_distribution_series(&test) else { continue };
-            let Ok(src_pred) = model.source_dist_model().predict_rolling(&src_truth) else {
-                continue;
-            };
-            per_family.push(FamilyTemporalResult {
-                family,
-                name: corpus.catalog().profile(family)?.name.clone(),
-                magnitudes: SeriesEvaluation::new(mag_pred, mag_truth)?,
-                source_coefficient: SeriesEvaluation::new(src_pred, src_truth)?,
-            });
-        }
-        if per_family.is_empty() {
-            return Err(ModelError::InvalidConfig {
-                detail: "no family had enough data for the temporal experiment".to_string(),
-            });
-        }
+        let models = models.iter().map(|m| (m.family(), m));
+        let per_family =
+            self.serve_per_family(corpus, models, "temporal experiment", |family, model, test| {
+                let mag_truth = FeatureExtractor::magnitude_series(test);
+                let Ok(mag_pred) = model.magnitude_model().predict_rolling(&mag_truth) else {
+                    return Ok(None);
+                };
+                let Ok(src_truth) = fx.source_distribution_series(test) else { return Ok(None) };
+                let Ok(src_pred) = model.source_dist_model().predict_rolling(&src_truth) else {
+                    return Ok(None);
+                };
+                Ok(Some(FamilyTemporalResult {
+                    family,
+                    name: corpus.catalog().profile(family)?.name.clone(),
+                    magnitudes: SeriesEvaluation::new(mag_pred, mag_truth)?,
+                    source_coefficient: SeriesEvaluation::new(src_pred, src_truth)?,
+                }))
+            })?;
         Ok(TemporalReport { per_family })
     }
 
@@ -562,21 +453,10 @@ impl Pipeline {
         &self,
         corpus: &Corpus,
     ) -> Result<Vec<(FamilyId, SourceDistributionModel)>> {
-        let families = self.families(corpus);
         let spatial = self.spatial_config();
-        let cut = self.cut_time(corpus)?;
-        // One shard per family; reduce in family order for a worker-count
-        // independent model list.
-        let fitted = map_indexed(&families, self.config.parallelism, |_, &family| {
-            let Ok((train, test)) = family_split(corpus, family, cut) else {
-                return None;
-            };
-            if test.is_empty() {
-                return None;
-            }
-            SourceDistributionModel::fit(&train, &spatial, self.seed).ok().map(|m| (family, m))
-        });
-        Ok(fitted.into_iter().flatten().collect())
+        self.fit_per_family(corpus, |family, train| {
+            SourceDistributionModel::fit(train, &spatial, self.seed).ok().map(|m| (family, m))
+        })
     }
 
     /// Serve stage of the Fig. 2 experiment: rolling share-distribution
@@ -591,45 +471,36 @@ impl Pipeline {
         corpus: &Corpus,
         models: &[(FamilyId, SourceDistributionModel)],
     ) -> Result<SpatialDistReport> {
-        let cut = self.cut_time(corpus)?;
-        let mut per_family = Vec::new();
-        for (family, model) in models {
-            let Ok((_, test)) = family_split(corpus, *family, cut) else { continue };
-            if test.is_empty() {
-                continue;
-            }
-            let Ok(preds) = model.predict_distribution(&test) else { continue };
-            let truth = model.truth_distribution(&test);
-            let k = model.asns().len();
-            let mut pred_mean = vec![0.0; k];
-            let mut truth_mean = vec![0.0; k];
-            let mut sse = 0.0;
-            let mut n = 0.0f64;
-            for (p, t) in preds.iter().zip(&truth) {
-                for j in 0..k {
-                    pred_mean[j] += p[j];
-                    truth_mean[j] += t[j];
-                    sse += (p[j] - t[j]).powi(2);
-                    n += 1.0;
+        let models = models.iter().map(|(family, m)| (*family, m));
+        let per_family =
+            self.serve_per_family(corpus, models, "spatial experiment", |family, model, test| {
+                let Ok(preds) = model.predict_distribution(test) else { return Ok(None) };
+                let truth = model.truth_distribution(test);
+                let k = model.asns().len();
+                let mut pred_mean = vec![0.0; k];
+                let mut truth_mean = vec![0.0; k];
+                let mut sse = 0.0;
+                let mut n = 0.0f64;
+                for (p, t) in preds.iter().zip(&truth) {
+                    for j in 0..k {
+                        pred_mean[j] += p[j];
+                        truth_mean[j] += t[j];
+                        sse += (p[j] - t[j]).powi(2);
+                        n += 1.0;
+                    }
                 }
-            }
-            for v in pred_mean.iter_mut().chain(truth_mean.iter_mut()) {
-                *v /= preds.len().max(1) as f64;
-            }
-            per_family.push(FamilySpatialResult {
-                family: *family,
-                name: corpus.catalog().profile(*family)?.name.clone(),
-                asns: model.asns().to_vec(),
-                predicted_mean_shares: pred_mean,
-                truth_mean_shares: truth_mean,
-                share_rmse: (sse / n.max(1.0)).sqrt(),
-            });
-        }
-        if per_family.is_empty() {
-            return Err(ModelError::InvalidConfig {
-                detail: "no family had enough data for the spatial experiment".to_string(),
-            });
-        }
+                for v in pred_mean.iter_mut().chain(truth_mean.iter_mut()) {
+                    *v /= preds.len().max(1) as f64;
+                }
+                Ok(Some(FamilySpatialResult {
+                    family,
+                    name: corpus.catalog().profile(family)?.name.clone(),
+                    asns: model.asns().to_vec(),
+                    predicted_mean_shares: pred_mean,
+                    truth_mean_shares: truth_mean,
+                    share_rmse: (sse / n.max(1.0)).sqrt(),
+                }))
+            })?;
         Ok(SpatialDistReport { per_family })
     }
 
@@ -682,11 +553,8 @@ impl Pipeline {
         // seed depends only on its ASN, so the fan-out is order-free and
         // the in-order reduction reproduces the serial model list exactly.
         let fitted = map_indexed(&networks, self.config.parallelism, |_, &(asn, _)| {
-            let attacks = corpus.attacks_on_asn(asn);
-            let train: Vec<&AttackRecord> =
-                attacks.iter().copied().filter(|a| a.start < cut).collect();
-            let n_test = attacks.iter().filter(|a| a.start >= cut).count();
-            if train.len() < spatial.min_attacks || n_test < 3 {
+            let (train, test) = split_at_cut(corpus.attacks_on_asn(asn), cut);
+            if train.len() < spatial.min_attacks || test.len() < 3 {
                 return None;
             }
             SpatialModel::fit(asn, &train, &spatial, self.seed ^ asn.0 as u64).ok()
@@ -711,11 +579,7 @@ impl Pipeline {
         let mut per_network = Vec::new();
         for model in models {
             let asn = model.asn();
-            let attacks = corpus.attacks_on_asn(asn);
-            let train: Vec<&AttackRecord> =
-                attacks.iter().copied().filter(|a| a.start < cut).collect();
-            let test: Vec<&AttackRecord> =
-                attacks.iter().copied().filter(|a| a.start >= cut).collect();
+            let (train, test) = split_at_cut(corpus.attacks_on_asn(asn), cut);
             if test.len() < 3 {
                 continue;
             }
@@ -734,9 +598,7 @@ impl Pipeline {
             });
         }
         if per_network.is_empty() {
-            return Err(ModelError::InvalidConfig {
-                detail: "no network had enough data for the duration experiment".to_string(),
-            });
+            return Err(not_enough_data("network", "duration experiment"));
         }
         Ok(SpatialDurationReport { per_network })
     }
@@ -754,64 +616,17 @@ impl Pipeline {
         self.serve_spatiotemporal(corpus, &model)
     }
 
-    /// Fit stage of the Figs. 3–4 experiment. When
-    /// [`PipelineConfig::artifact_dir`] is set, the fitted model is cached
-    /// as a versioned artifact keyed on the seed, split, configuration and
-    /// training stream; a matching artifact is reloaded instead of
-    /// refitting (artifact round-trips are bit-exact, so the reloaded
-    /// model serves identical predictions). A present-but-unreadable
-    /// cache file is refit and overwritten like a miss, but not
-    /// silently: a [`Warning::UnreadableCache`] goes to the configured
-    /// [`WarningSink`] (stderr by default), and
-    /// [`Pipeline::fit_spatiotemporal_with_cache`] surfaces the same
-    /// condition as a typed [`CacheStatus`].
+    /// Fit stage of the Figs. 3–4 experiment: the spatiotemporal model
+    /// on the head of the chronological split. To keep a fitted model,
+    /// save it with `ModelArtifact::save_artifact`; artifact round-trips
+    /// are bit-exact, so a reloaded model serves identical predictions.
     ///
     /// # Errors
     ///
-    /// Propagates fit errors; [`ModelError::Artifact`] when a fresh
-    /// artifact cannot be written to the cache directory.
+    /// Propagates corpus-split and fit errors.
     pub fn fit_spatiotemporal(&self, corpus: &Corpus) -> Result<SpatioTemporalModel> {
-        let (model, status) = self.fit_spatiotemporal_with_cache(corpus)?;
-        if let CacheStatus::Invalid { path, error } = status {
-            self.config.warning_sink.emit(&Warning::UnreadableCache { path, error });
-        }
-        Ok(model)
-    }
-
-    /// [`Pipeline::fit_spatiotemporal`] that additionally reports what
-    /// the artifact cache did — in particular [`CacheStatus::Invalid`]
-    /// when a cache file existed but could not be decoded (corruption,
-    /// truncation, checksum mismatch, unsupported schema version), which
-    /// previously triggered a *silent* refit. Callers that must not
-    /// serve from a possibly-tampered cache directory inspect the status
-    /// instead of relying on the stderr warning.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Pipeline::fit_spatiotemporal`].
-    pub fn fit_spatiotemporal_with_cache(
-        &self,
-        corpus: &Corpus,
-    ) -> Result<(SpatioTemporalModel, CacheStatus)> {
         let (train, _) = corpus.split(self.config.split)?;
-        let Some(dir) = &self.config.artifact_dir else {
-            let model =
-                SpatioTemporalModel::fit(corpus, train, &self.config.spatiotemporal, self.seed)?;
-            return Ok((model, CacheStatus::Disabled));
-        };
-        let path = dir.join(format!("spatiotemporal-{:016x}.mdl", self.spatiotemporal_key(train)));
-        let status = if path.exists() {
-            match SpatioTemporalModel::load_artifact(&path) {
-                Ok(model) => return Ok((model, CacheStatus::Hit { path })),
-                Err(error) => CacheStatus::Invalid { path: path.clone(), error },
-            }
-        } else {
-            CacheStatus::Miss { path: path.clone() }
-        };
-        let model =
-            SpatioTemporalModel::fit(corpus, train, &self.config.spatiotemporal, self.seed)?;
-        model.save_artifact(&path)?;
-        Ok((model, status))
+        SpatioTemporalModel::fit(corpus, train, &self.config.spatiotemporal, self.seed)
     }
 
     /// Serve stage of the Figs. 3–4 experiment: batched tree scoring of
@@ -869,7 +684,7 @@ impl Pipeline {
             if evaluated >= 5 {
                 break;
             }
-            let Ok((train, test)) = family_split(corpus, family, cut) else { continue };
+            let (train, test) = split_at_cut(corpus.family_attacks(family), cut);
             if train.len() < 30 || test.len() < 5 {
                 continue;
             }
@@ -939,32 +754,9 @@ impl Pipeline {
             }
         }
         if table.rows().is_empty() {
-            return Err(ModelError::InvalidConfig {
-                detail: "no family had enough data for the baseline comparison".to_string(),
-            });
+            return Err(not_enough_data("family", "baseline comparison"));
         }
         Ok(table)
-    }
-
-    /// Cache key for a spatiotemporal fit: the artifact guard hash over
-    /// the seed, split, encoded configuration (learner included) and the
-    /// identifying fields of every training attack. Any change to what
-    /// the fit would see produces a new key, so a stale artifact can
-    /// never be served against fresh data.
-    fn spatiotemporal_key(&self, train: &[AttackRecord]) -> u64 {
-        let mut w = Writer::new();
-        w.u64(self.seed);
-        w.f64(self.config.split);
-        self.config.spatiotemporal.encode(&mut w);
-        w.usize(train.len());
-        for a in train {
-            w.u64(a.id.0);
-            w.u32(a.target_asn.0);
-            w.u64(a.start.0);
-            w.u64(a.duration_secs);
-            w.u64(a.magnitude() as u64);
-        }
-        guard64(&w.into_bytes())
     }
 
     fn push_baselines(
@@ -983,19 +775,18 @@ impl Pipeline {
     }
 }
 
-/// One family's attacks on each side of the chronological cut.
-fn family_split(
-    corpus: &Corpus,
-    family: FamilyId,
+/// Attacks launched before the cut, then the rest, each in input order:
+/// one family's or one victim network's two sides of the split.
+fn split_at_cut(
+    attacks: Vec<&AttackRecord>,
     cut: Timestamp,
-) -> Result<(Vec<&AttackRecord>, Vec<&AttackRecord>)> {
-    let fam = corpus.family_attacks(family);
-    if fam.is_empty() {
-        return Err(ModelError::NoAttacksForFamily(family));
-    }
-    let train = fam.iter().copied().filter(|a| a.start < cut).collect();
-    let test = fam.iter().copied().filter(|a| a.start >= cut).collect();
-    Ok((train, test))
+) -> (Vec<&AttackRecord>, Vec<&AttackRecord>) {
+    attacks.into_iter().partition(|a| a.start < cut)
+}
+
+/// The error of a runner that evaluated no `unit` (family or network).
+fn not_enough_data(unit: &str, experiment: &str) -> ModelError {
+    ModelError::InvalidConfig { detail: format!("no {unit} had enough data for the {experiment}") }
 }
 
 #[cfg(test)]
@@ -1115,36 +906,15 @@ mod tests {
         let nets = p.fit_spatial_durations(&c, 4).unwrap();
         let staged = p.serve_spatial_durations(&c, &nets).unwrap();
         assert_eq!(staged, p.run_spatial_durations(&c, 4).unwrap());
-    }
-
-    #[test]
-    fn artifact_cache_reproduces_uncached_spatiotemporal_report() {
-        let c = corpus();
-        let dir = std::env::temp_dir().join("ddos-core-pipeline-cache-test");
-        std::fs::remove_dir_all(&dir).ok();
-        let uncached = Pipeline::new(PipelineConfig::fast(), 7);
-        let cached = Pipeline::new(
-            PipelineConfig::fast_builder().artifact_dir(dir.clone()).build().unwrap(),
-            7,
-        );
-        let baseline = uncached.run_spatiotemporal(&c).unwrap();
-        // First cached run fits and writes the artifact...
-        let first = cached.run_spatiotemporal(&c).unwrap();
-        assert_eq!(first, baseline);
-        let artifacts: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(artifacts.len(), 1, "exactly one artifact written");
-        // ...the second run reloads it and serves identical predictions.
-        let second = cached.run_spatiotemporal(&c).unwrap();
-        assert_eq!(second, baseline);
-        // A different seed misses the cache (new key) instead of serving
-        // the stale model.
-        let other = Pipeline::new(
-            PipelineConfig::fast_builder().artifact_dir(dir.clone()).build().unwrap(),
-            8,
-        );
-        other.run_spatiotemporal(&c).unwrap();
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
-        std::fs::remove_dir_all(&dir).ok();
+        // Source distributions.
+        let dists = p.fit_spatial_distribution(&c).unwrap();
+        assert!(!dists.is_empty());
+        let staged = p.serve_spatial_distribution(&c, &dists).unwrap();
+        assert_eq!(staged, p.run_spatial_distribution(&c).unwrap());
+        // Spatiotemporal.
+        let model = p.fit_spatiotemporal(&c).unwrap();
+        let staged = p.serve_spatiotemporal(&c, &model).unwrap();
+        assert_eq!(staged, p.run_spatiotemporal(&c).unwrap());
     }
 
     #[test]
@@ -1166,15 +936,9 @@ mod tests {
         // The happy path reproduces the presets it starts from.
         assert_eq!(PipelineConfig::builder().build().unwrap(), PipelineConfig::default());
         assert_eq!(PipelineConfig::fast_builder().build().unwrap(), PipelineConfig::fast());
-        let cfg = PipelineConfig::fast_builder()
-            .split(0.75)
-            .parallelism(2)
-            .artifact_dir("/tmp/cache")
-            .build()
-            .unwrap();
+        let cfg = PipelineConfig::fast_builder().split(0.75).parallelism(2).build().unwrap();
         assert_eq!(cfg.split, 0.75);
         assert_eq!(cfg.parallelism, Some(2));
-        assert_eq!(cfg.artifact_dir.as_deref(), Some(std::path::Path::new("/tmp/cache")));
         // Each invariant violation is a typed InvalidConfig.
         for bad in [
             PipelineConfig::builder().split(0.0),
@@ -1185,98 +949,5 @@ mod tests {
         ] {
             assert!(matches!(bad.build(), Err(ModelError::InvalidConfig { .. })));
         }
-    }
-
-    #[test]
-    fn unreadable_cache_file_is_surfaced_not_silent() {
-        let c = corpus();
-        let dir = std::env::temp_dir().join("ddos-core-pipeline-invalid-cache-test");
-        std::fs::remove_dir_all(&dir).ok();
-        let p = Pipeline::new(
-            PipelineConfig::fast_builder().artifact_dir(dir.clone()).build().unwrap(),
-            7,
-        );
-        // Cold cache: a miss that fits and writes.
-        let (fresh, status) = p.fit_spatiotemporal_with_cache(&c).unwrap();
-        let CacheStatus::Miss { path } = status else {
-            panic!("expected a cache miss, got {status:?}");
-        };
-        // Warm cache: a hit.
-        let (_, status) = p.fit_spatiotemporal_with_cache(&c).unwrap();
-        assert_eq!(status, CacheStatus::Hit { path: path.clone() });
-        // Corrupt the artifact in place: the refit is reported with the
-        // typed decode failure instead of masquerading as a miss.
-        std::fs::write(&path, b"DDOSMDL\0garbage").unwrap();
-        let (refit, status) = p.fit_spatiotemporal_with_cache(&c).unwrap();
-        let CacheStatus::Invalid { path: invalid_path, error } = status else {
-            panic!("expected an invalid-cache status, got {status:?}");
-        };
-        assert_eq!(invalid_path, path);
-        // "garbage" lands in the version field, so the typed reason is
-        // version skew; a torn payload would surface as Corrupt or
-        // ChecksumMismatch. Any of them proves the refit is explained.
-        assert!(
-            matches!(
-                error,
-                ArtifactError::UnsupportedVersion { .. }
-                    | ArtifactError::Corrupt(_)
-                    | ArtifactError::ChecksumMismatch { .. }
-            ),
-            "unexpected reason: {error:?}"
-        );
-        // The refit model matches the original fit, and the overwritten
-        // file now decodes again.
-        let a = fresh.predict(c.split(0.8).unwrap().0, c.split(0.8).unwrap().1).unwrap();
-        let b = refit.predict(c.split(0.8).unwrap().0, c.split(0.8).unwrap().1).unwrap();
-        assert_eq!(a, b);
-        let (_, status) = p.fit_spatiotemporal_with_cache(&c).unwrap();
-        assert_eq!(status, CacheStatus::Hit { path });
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn warning_sink_receives_typed_unreadable_cache_warning() {
-        let c = corpus();
-        let dir = std::env::temp_dir().join("ddos-core-pipeline-warning-sink-test");
-        std::fs::remove_dir_all(&dir).ok();
-        let captured = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink_copy = Arc::clone(&captured);
-        let p = Pipeline::new(
-            PipelineConfig::fast_builder()
-                .artifact_dir(dir.clone())
-                .on_warning(move |w| sink_copy.lock().unwrap().push(w.clone()))
-                .build()
-                .unwrap(),
-            7,
-        );
-        // Miss then hit: clean cache traffic raises no warnings.
-        p.fit_spatiotemporal(&c).unwrap();
-        p.fit_spatiotemporal(&c).unwrap();
-        assert!(captured.lock().unwrap().is_empty());
-        // Corrupt the artifact: the refit reports exactly one typed
-        // warning through the callback, naming the bad file.
-        let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        std::fs::write(&path, b"DDOSMDL\0garbage").unwrap();
-        p.fit_spatiotemporal(&c).unwrap();
-        let warnings = captured.lock().unwrap();
-        let [Warning::UnreadableCache { path: warned, error }] = warnings.as_slice() else {
-            panic!("expected exactly one UnreadableCache warning, got {warnings:?}");
-        };
-        assert_eq!(warned, &path);
-        assert!(!error.to_string().is_empty());
-        assert!(warnings[0].to_string().contains("unreadable artifact cache"));
-        drop(warnings);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn warning_sink_is_config_metadata_not_config_value() {
-        // Equality ignores the sink: a config with a callback still
-        // compares equal to the default (stderr-sink) config, so sinks
-        // never invalidate cached artifacts keyed on the config value.
-        let cfg = PipelineConfig::builder().on_warning(|_| {}).build().unwrap();
-        assert_eq!(cfg, PipelineConfig::default());
-        assert_eq!(format!("{:?}", cfg.warning_sink), "WarningSink(callback)");
-        assert_eq!(format!("{:?}", PipelineConfig::default().warning_sink), "WarningSink(stderr)");
     }
 }

@@ -102,6 +102,8 @@ impl NarModel {
     /// * [`NeuralError::InvalidParameter`] when `delays == 0`.
     /// * [`NeuralError::NotEnoughData`] when the series has fewer than
     ///   `delays + 4` points.
+    /// * [`NeuralError::NonFiniteInput`] when the residual σ overflows
+    ///   (residuals beyond ~1e154).
     /// * Propagates scaling and training errors.
     pub fn fit(series: &[f64], config: NarConfig, seed: u64) -> Result<Self> {
         Self::fit_with(series, config, seed, &mut FitScratch::default())
@@ -160,6 +162,9 @@ impl NarModel {
             sse += (pred - truth).powi(2);
         }
         let sigma = (sse / targets.len() as f64).sqrt();
+        if !sigma.is_finite() {
+            return Err(NeuralError::NonFiniteInput);
+        }
 
         Ok(NarModel { config, scaler, network, report, sigma })
     }
@@ -184,19 +189,30 @@ impl NarModel {
     ///
     /// # Errors
     ///
-    /// Returns [`NeuralError::NotEnoughData`] when `history` is shorter
-    /// than the delay count.
+    /// * [`NeuralError::NotEnoughData`] when `history` is shorter than the
+    ///   delay count.
+    /// * [`NeuralError::NonFiniteInput`] when the window lies so far
+    ///   outside the training range that the prediction is not finite.
     pub fn predict_next(&self, history: &[f64]) -> Result<f64> {
         let q = self.config.delays;
         if history.len() < q {
             return Err(NeuralError::NotEnoughData { required: q, actual: history.len() });
         }
-        let window: Vec<f64> = history[history.len() - q..]
-            .iter()
-            .rev() // input order: T_j, T_{j-1}, …, T_{j-q+1}
-            .map(|v| self.scaler.transform(*v))
-            .collect();
-        Ok(self.scaler.inverse(self.network.predict(&window)?))
+        self.step(history, &mut vec![0.0; q], &mut Vec::new())
+    }
+
+    /// The one-step prediction after `h` (at least `delays` values long),
+    /// through reused window and hidden-activation buffers.
+    fn step(&self, h: &[f64], window: &mut [f64], hidden: &mut Vec<f64>) -> Result<f64> {
+        // Input order: T_j, T_{j-1}, …, T_{j-q+1}.
+        for (j, w) in window.iter_mut().enumerate() {
+            *w = self.scaler.transform(h[h.len() - 1 - j]);
+        }
+        let next = self.scaler.inverse(self.network.forward_into(window, hidden)?);
+        if !next.is_finite() {
+            return Err(NeuralError::NonFiniteInput);
+        }
+        Ok(next)
     }
 
     /// Rolling one-step predictions over a held-out continuation: predicts
@@ -206,8 +222,7 @@ impl NarModel {
     ///
     /// # Errors
     ///
-    /// Returns [`NeuralError::NotEnoughData`] when `history` is shorter
-    /// than the delay count.
+    /// Same conditions as [`NarModel::predict_next`], for every step.
     ///
     /// The loop is allocation-free per step: the growing history is
     /// preallocated for `history + test`, and one lag-window plus one
@@ -225,8 +240,7 @@ impl NarModel {
     ///
     /// # Errors
     ///
-    /// Returns [`NeuralError::NotEnoughData`] when `history` is shorter
-    /// than the delay count.
+    /// Same conditions as [`NarModel::predict_next`], for every step.
     pub fn predict_rolling_into(
         &self,
         history: &[f64],
@@ -244,11 +258,7 @@ impl NarModel {
         out.clear();
         out.reserve(test.len());
         for &truth in test {
-            // input order: T_j, T_{j-1}, …, T_{j-q+1} (as in predict_next).
-            for (j, w) in window.iter_mut().enumerate() {
-                *w = self.scaler.transform(h[h.len() - 1 - j]);
-            }
-            out.push(self.scaler.inverse(self.network.forward_into(&window, &mut hidden)?));
+            out.push(self.step(&h, &mut window, &mut hidden)?);
             h.push(truth);
         }
         Ok(())
@@ -297,11 +307,7 @@ impl NarModel {
         out.clear();
         out.reserve(horizon);
         for _ in 0..horizon {
-            // input order: T_j, T_{j-1}, …, T_{j-q+1} (as in predict_next).
-            for (j, w) in window.iter_mut().enumerate() {
-                *w = self.scaler.transform(h[h.len() - 1 - j]);
-            }
-            let next = self.scaler.inverse(self.network.forward_into(&window, &mut hidden)?);
+            let next = self.step(&h, &mut window, &mut hidden)?;
             h.push(next);
             out.push(next);
         }
@@ -387,6 +393,30 @@ mod tests {
         assert_eq!(y[0], 3.0);
         assert_eq!(x.last().unwrap(), &vec![8.0, 7.0, 6.0]);
         assert_eq!(*y.last().unwrap(), 9.0);
+    }
+
+    #[test]
+    fn extreme_inputs_are_typed_errors_not_nan() {
+        let cfg = NarConfig {
+            delays: 2,
+            hidden: 3,
+            train: TrainConfig { max_epochs: 20, patience: 5, ..Default::default() },
+            ..Default::default()
+        };
+        let s = sine(40);
+        let model = NarModel::fit(&s, cfg, 3).unwrap();
+        // Two opposite f64::MAX spikes in one lag window scale to ±∞, and
+        // the hidden pre-activation becomes ∞ − ∞.
+        let test = [1.0, f64::MAX, -f64::MAX, 3.0];
+        assert_eq!(model.predict_rolling(&s, &test), Err(NeuralError::NonFiniteInput));
+        let mut spiked = s.clone();
+        spiked.extend([f64::MAX, -f64::MAX]);
+        assert_eq!(model.predict_next(&spiked), Err(NeuralError::NonFiniteInput));
+        assert_eq!(model.forecast(&spiked, 3), Err(NeuralError::NonFiniteInput));
+        // A 1e200-scale series trains in scaled space, but its residual σ
+        // overflows.
+        let huge: Vec<f64> = s.iter().map(|v| v * 1e200).collect();
+        assert_eq!(NarModel::fit(&huge, cfg, 3), Err(NeuralError::NonFiniteInput));
     }
 
     #[test]

@@ -23,7 +23,9 @@ impl MinMaxScaler {
     /// # Errors
     ///
     /// * [`NeuralError::NotEnoughData`] for an empty slice.
-    /// * [`NeuralError::NonFiniteInput`] for NaN/∞ values.
+    /// * [`NeuralError::NonFiniteInput`] for NaN/∞ values, and for finite
+    ///   values whose range `hi - lo` overflows (the scaled values would
+    ///   be NaN).
     pub fn fit(values: &[f64]) -> Result<Self> {
         if values.is_empty() {
             return Err(NeuralError::NotEnoughData { required: 1, actual: 0 });
@@ -33,6 +35,9 @@ impl MinMaxScaler {
         }
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        if !(hi - lo).is_finite() {
+            return Err(NeuralError::NonFiniteInput);
+        }
         Ok(MinMaxScaler { lo, hi })
     }
 
@@ -113,6 +118,10 @@ mod tests {
     fn rejects_bad_input() {
         assert!(MinMaxScaler::fit(&[]).is_err());
         assert!(MinMaxScaler::fit(&[1.0, f64::NAN]).is_err());
+        // Finite endpoints whose span overflows would scale values to
+        // NaN.
+        assert_eq!(MinMaxScaler::fit(&[-f64::MAX, f64::MAX]), Err(NeuralError::NonFiniteInput));
+        assert_eq!(MinMaxScaler::fit(&[-1e308, 1e308]), Err(NeuralError::NonFiniteInput));
     }
 
     #[test]

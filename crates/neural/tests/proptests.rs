@@ -67,6 +67,54 @@ proptest! {
         prop_assert!(p > lo - 5.0 * span && p < hi + 5.0 * span, "{p} outside sane envelope");
     }
 
+    /// Extreme but finite magnitudes (after Bragg et al.'s hostile-input
+    /// testing): `NarModel::fit`, `predict_rolling` and `forecast` give a
+    /// typed error or finite output, never a panic or a NaN.
+    #[test]
+    fn nar_extreme_magnitudes_error_or_stay_finite(
+        noise in proptest::collection::vec(-1.0f64..1.0, 8..60),
+        exponent in 0i32..200,
+        spikes in proptest::collection::vec(0usize..120, 0..3),
+        delays in 1usize..4,
+        seed in 0u64..100,
+    ) {
+        // An AR(1)-like walk scaled by 10^exponent, with up to two
+        // ±f64::MAX spikes in the training history or in the held-out
+        // continuation (two in one lag window can make a hidden
+        // pre-activation ∞ − ∞).
+        let scale = 10f64.powi(exponent);
+        let mut series: Vec<f64> = noise
+            .iter()
+            .scan(0.0, |level, u| {
+                *level = 0.7 * *level + u;
+                Some(*level * scale)
+            })
+            .collect();
+        for (i, &at) in spikes.iter().enumerate() {
+            if let Some(v) = series.get_mut(at) {
+                *v = if i % 2 == 0 { f64::MAX } else { -f64::MAX };
+            }
+        }
+        let (history, test) = series.split_at(series.len() * 3 / 4);
+        let cfg = NarConfig {
+            delays,
+            hidden: 3,
+            train: TrainConfig { max_epochs: 20, patience: 5, ..Default::default() },
+            ..Default::default()
+        };
+        let model = match NarModel::fit(history, cfg, seed) {
+            Ok(m) => m,
+            Err(_) => return Ok(()),
+        };
+        prop_assert!(model.sigma().is_finite(), "sigma {}", model.sigma());
+        if let Ok(preds) = model.predict_rolling(history, test) {
+            prop_assert!(preds.iter().all(|v| v.is_finite()), "{preds:?}");
+        }
+        if let Ok(fc) = model.forecast(&series, 5) {
+            prop_assert!(fc.iter().all(|v| v.is_finite()), "{fc:?}");
+        }
+    }
+
     /// Scaling is strictly monotone for non-degenerate fits.
     #[test]
     fn scaler_monotone(

@@ -15,6 +15,9 @@ use crate::{Result, StatsError};
 /// * [`StatsError::TooShort`] when `series.len() <= max_lag` or the series
 ///   has fewer than two points.
 /// * [`StatsError::InvalidParameter`] for a constant series (zero variance).
+/// * [`StatsError::NonFiniteInput`] when the mean or the sum of squared
+///   deviations is not finite: a NaN/∞ value, or finite values so large
+///   that either overflows.
 ///
 /// # Example
 ///
@@ -34,6 +37,9 @@ pub fn acf(series: &[f64], max_lag: usize) -> Result<Vec<f64>> {
     let n = series.len();
     let mean = series.iter().sum::<f64>() / n as f64;
     let denom: f64 = series.iter().map(|v| (v - mean).powi(2)).sum();
+    if !mean.is_finite() || !denom.is_finite() {
+        return Err(StatsError::NonFiniteInput);
+    }
     if denom == 0.0 {
         return Err(StatsError::InvalidParameter {
             name: "series",
@@ -149,6 +155,19 @@ mod tests {
     #[test]
     fn acf_rejects_constant() {
         assert!(acf(&[3.0; 50], 3).is_err());
+    }
+
+    #[test]
+    fn acf_rejects_overflowing_series() {
+        // Finite values whose sum overflows the mean...
+        let huge = [1.0e308, 1.7e308, 1.0e308, 1.7e308];
+        assert_eq!(acf(&huge, 1), Err(StatsError::NonFiniteInput));
+        // ...or whose mean is finite (0) but whose squared deviations
+        // overflow.
+        let wide = [-1.0e300, 1.0e300, -1.0e300, 1.0e300];
+        assert_eq!(acf(&wide, 1), Err(StatsError::NonFiniteInput));
+        assert_eq!(pacf(&wide, 1), Err(StatsError::NonFiniteInput));
+        assert_eq!(acf(&[1.0, f64::NAN, 2.0], 1), Err(StatsError::NonFiniteInput));
     }
 
     #[test]

@@ -269,12 +269,11 @@ impl Arima {
     }
 
     /// [`Arima::forecast`] writing into a caller-owned output buffer
-    /// (cleared first): the preallocated multi-step batch path. The
-    /// differenced-level recursion and the re-integration ladder perform
-    /// exactly the float operations of the allocating path (the ladder
-    /// tails are seeded from the trailing `d + 1` history values, which
-    /// is the same pairwise-subtraction tree [`integrate`] builds), so
-    /// the two are bit-identical.
+    /// (cleared first): the preallocated multi-step batch path, and the
+    /// code [`Arima::forecast`] runs. The re-integration ladder is seeded
+    /// from the trailing `d + 1` history values, the same
+    /// pairwise-subtraction tree [`integrate`] builds, so it matches
+    /// `integrate` over the differenced forecasts bit for bit.
     ///
     /// # Errors
     ///
@@ -290,6 +289,7 @@ impl Arima {
         if self.history.len() <= d {
             return Err(StatsError::TooShort { required: d + 1, actual: self.history.len() });
         }
+        let mut ladder = Ladder::new(&self.history, d);
         let mut w = Vec::with_capacity(self.work.len() + horizon);
         w.extend_from_slice(&self.work);
         let mut e = Vec::with_capacity(self.residuals.len() + horizon);
@@ -297,39 +297,30 @@ impl Arima {
         out.clear();
         out.reserve(horizon);
         for _ in 0..horizon {
-            let t = w.len();
-            let mut v = self.constant;
-            for (j, phi) in self.ar.iter().enumerate() {
-                if t > j {
-                    v += phi * w[t - 1 - j];
-                }
-            }
-            for (j, theta) in self.ma.iter().enumerate() {
-                if t > j && t - 1 - j < e.len() {
-                    v += theta * e[t - 1 - j];
-                }
-            }
+            let v = self.one_step(&w, &e);
             w.push(v);
             e.push(0.0); // future innovations are zero in the mean forecast
-            out.push(v);
-        }
-        if d == 0 {
-            return Ok(());
-        }
-        // In-place re-integration: the ladder tails (last value of the
-        // k-th difference of the history, k = 0..d) seed the walk.
-        let n = self.history.len();
-        let mut tails: Vec<f64> =
-            (0..d).map(|k| nth_difference_at(&self.history, k, n - 1 - k)).collect();
-        for v in out.iter_mut() {
-            let mut acc = *v;
-            for t in tails.iter_mut().rev() {
-                acc += *t;
-                *t = acc;
-            }
-            *v = acc;
+            out.push(ladder.advance(v));
         }
         Ok(())
+    }
+
+    /// The one-step mean at the differenced level after the differenced
+    /// series `w` with innovations `e`.
+    fn one_step(&self, w: &[f64], e: &[f64]) -> f64 {
+        let t = w.len();
+        let mut v = self.constant;
+        for (j, phi) in self.ar.iter().enumerate() {
+            if t > j {
+                v += phi * w[t - 1 - j];
+            }
+        }
+        for (j, theta) in self.ma.iter().enumerate() {
+            if t > j && t - 1 - j < e.len() {
+                v += theta * e[t - 1 - j];
+            }
+        }
+        v
     }
 
     /// The ψ-weights (MA(∞) representation) of the fitted ARMA part, up to
@@ -420,11 +411,13 @@ impl Arima {
             return Err(StatsError::EmptyInput);
         }
         let d = self.order.d;
-        // Preallocate for the full rolling horizon up front: each absorbed
-        // observation pushes one element onto all three series, so sizing
-        // them now keeps the loop free of reallocation.
-        let mut full = Vec::with_capacity(self.history.len() + test.len());
-        full.extend_from_slice(&self.history);
+        if self.history.len() <= d {
+            return Err(StatsError::TooShort { required: d + 1, actual: self.history.len() });
+        }
+        // The ladder carries the last value of every differencing level,
+        // so each step re-integrates and absorbs in O(d). Preallocate the
+        // differenced series and innovations for the whole horizon.
+        let mut ladder = Ladder::new(&self.history, d);
         let mut w = Vec::with_capacity(self.work.len() + test.len());
         w.extend_from_slice(&self.work);
         let mut e = Vec::with_capacity(self.residuals.len() + test.len());
@@ -433,28 +426,10 @@ impl Arima {
         preds.reserve(test.len());
         for &obs in test {
             // One-step mean forecast at differenced level.
-            let t = w.len();
-            let mut v = self.constant;
-            for (j, phi) in self.ar.iter().enumerate() {
-                if t > j {
-                    v += phi * w[t - 1 - j];
-                }
-            }
-            for (j, theta) in self.ma.iter().enumerate() {
-                if t > j && t - 1 - j < e.len() {
-                    v += theta * e[t - 1 - j];
-                }
-            }
-            let pred = integrate(&full, &[v], d)?[0];
-            preds.push(pred);
+            let v = self.one_step(&w, &e);
+            preds.push(ladder.level(v));
             // Absorb the true observation.
-            full.push(obs);
-            // `difference` either errors (`full.len() <= d`) or returns
-            // `full.len() - d >= 1` values, so the tail always exists;
-            // surface the impossible case as a typed error, not a panic.
-            let new_w = *difference(&full, d)?
-                .last()
-                .ok_or(StatsError::TooShort { required: d + 1, actual: full.len() })?;
+            let new_w = ladder.absorb(obs);
             w.push(new_w);
             e.push(new_w - v);
         }
@@ -614,6 +589,52 @@ impl Arima {
             });
         }
         Ok(Arima { order, constant, ar, ma, history, work, residuals, sigma2 })
+    }
+}
+
+/// The re-integration ladder of a series: the last value of each of its
+/// differencing levels `0..d`. Both forecast paths run on it, one O(d)
+/// step per value, with the float operations of [`difference`] and
+/// [`integrate`] over the whole series.
+struct Ladder {
+    tails: Vec<f64>,
+}
+
+impl Ladder {
+    /// Seeds the ladder from `history`, which must hold more than `d`
+    /// values.
+    fn new(history: &[f64], d: usize) -> Self {
+        let n = history.len();
+        Ladder { tails: (0..d).map(|k| nth_difference_at(history, k, n - 1 - k)).collect() }
+    }
+
+    /// The original-level value of the next differenced value `v`: the
+    /// walk [`integrate`] makes, leaving the ladder where it is.
+    fn level(&self, v: f64) -> f64 {
+        self.tails.iter().rev().fold(v, |acc, t| acc + t)
+    }
+
+    /// [`Ladder::level`] that also moves the ladder onto `v`, as
+    /// [`integrate`] does over a block of future values.
+    fn advance(&mut self, v: f64) -> f64 {
+        let mut acc = v;
+        for t in self.tails.iter_mut().rev() {
+            acc += *t;
+            *t = acc;
+        }
+        acc
+    }
+
+    /// Appends the observation `obs` and returns its `d`-th difference:
+    /// the value [`difference`] ends with on the extended series.
+    fn absorb(&mut self, obs: f64) -> f64 {
+        let mut next = obs;
+        for t in &mut self.tails {
+            let below = next - *t;
+            *t = next;
+            next = below;
+        }
+        next
     }
 }
 
@@ -1151,6 +1172,64 @@ mod tests {
         let m0 = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
         // Relative penalty for the bigger model is larger under BIC.
         assert!((m.bic() - m0.bic()) > (m.aic() - m0.aic()));
+    }
+
+    /// Rolling prediction over the whole growing history: every step
+    /// re-differences and re-integrates it, O(n) per step. The oracle
+    /// the O(d) ladder path must match bit for bit.
+    fn rolling_reference(model: &Arima, test: &[f64]) -> Vec<f64> {
+        let d = model.order.d;
+        let mut full = model.history.clone();
+        let mut w = model.work.clone();
+        let mut e = model.residuals.clone();
+        let mut preds = Vec::new();
+        for &obs in test {
+            let t = w.len();
+            let mut v = model.constant;
+            for (j, phi) in model.ar.iter().enumerate() {
+                if t > j {
+                    v += phi * w[t - 1 - j];
+                }
+            }
+            for (j, theta) in model.ma.iter().enumerate() {
+                if t > j && t - 1 - j < e.len() {
+                    v += theta * e[t - 1 - j];
+                }
+            }
+            preds.push(integrate(&full, &[v], d).unwrap()[0]);
+            full.push(obs);
+            let new_w = *difference(&full, d).unwrap().last().unwrap();
+            w.push(new_w);
+            e.push(new_w - v);
+        }
+        preds
+    }
+
+    #[test]
+    fn rolling_ladder_matches_full_history_reference_bitwise() {
+        let series: Vec<f64> =
+            (0..120).map(|i| 3.0 + 0.7 * i as f64 + ((i * i) % 13) as f64 * 0.21).collect();
+        let rough = simulate_arma(&[0.5], &[0.3], 0.2, 120, 1.3, 17);
+        // The second test window is longer than the 120-point history.
+        let windows: [Vec<f64>; 2] = [
+            (0..40).map(|i| 90.0 + ((i * 7) % 11) as f64 * 1.7).collect(),
+            (0..300).map(|i| -5.0 + ((i * 31) % 17) as f64 * 0.9 - 0.01 * i as f64).collect(),
+        ];
+        for d in [0usize, 1, 2] {
+            for s in [&series, &rough] {
+                for order in [ArimaOrder::new(1, d, 0), ArimaOrder::new(2, d, 1)] {
+                    let model = Arima::fit(s, order).unwrap();
+                    for test in &windows {
+                        let fast = model.predict_rolling(test).unwrap();
+                        let reference = rolling_reference(&model, test);
+                        assert_eq!(fast.len(), test.len());
+                        for (a, b) in fast.iter().zip(&reference) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{order}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

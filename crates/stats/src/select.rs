@@ -60,7 +60,9 @@ pub struct SearchOutcome {
 ///
 /// # Errors
 ///
-/// Propagates [`StatsError::TooShort`] for series too short to difference.
+/// Propagates [`StatsError::TooShort`] for series too short to difference,
+/// and [`StatsError::NonFiniteInput`] from [`acf`] when a differenced
+/// series is too large for its autocorrelation to be finite.
 pub fn choose_differencing(series: &[f64], max_d: usize) -> Result<usize> {
     for d in 0..=max_d {
         let w = difference(series, d)?;
@@ -285,13 +287,16 @@ mod tests {
 
     #[test]
     fn overflowing_series_fails_with_its_own_error() {
-        // Finite, but every fit overflows: the mean at d = 0, σ² at d = 1.
+        // Finite, but the mean overflows: the differencing screen fails
+        // with the typed error instead of reading a NaN ACF as "not
+        // stationary", and the search reports that same error. A fit at
+        // d = 0 overflows too.
         let s: Vec<f64> =
             (0..200).map(|i| if (i / 3) % 2 == 0 { 1.7e308 } else { 1.0e308 }).collect();
+        assert_eq!(Arima::fit(&s, ArimaOrder::new(0, 0, 0)), Err(StatsError::NonFiniteInput));
         for max_d in [0, 1] {
             let config = SearchConfig { max_d, ..Default::default() };
-            let d = choose_differencing(&s, max_d).unwrap();
-            let first = Arima::fit(&s, ArimaOrder::new(0, d, 0)).unwrap_err();
+            let first = choose_differencing(&s, max_d).unwrap_err();
             assert_eq!(first, StatsError::NonFiniteInput);
             assert_eq!(search(&s, config).unwrap_err(), first, "max_d {max_d}");
         }
