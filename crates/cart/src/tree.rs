@@ -232,7 +232,9 @@ impl RegressionTree {
     ///
     /// * [`CartError::EmptyTrainingSet`] for empty input.
     /// * [`CartError::ShapeMismatch`] for ragged rows or length mismatch.
-    /// * [`CartError::NonFiniteInput`] for NaN/∞ values.
+    /// * [`CartError::NonFiniteInput`] for NaN/∞ values, and for finite
+    ///   targets so large that a node's mean or squared deviations, or a
+    ///   leaf's residuals, overflow.
     /// * [`CartError::InvalidParameter`] for degenerate configuration.
     ///
     /// This is the one-kind call of the presorted grower; to grow several
@@ -623,7 +625,8 @@ impl PresortedDesign {
     /// * [`CartError::EmptyTrainingSet`] for empty `ys`.
     /// * [`CartError::ShapeMismatch`] when `ys` and the design differ in
     ///   length.
-    /// * [`CartError::NonFiniteInput`] for NaN/∞ targets.
+    /// * [`CartError::NonFiniteInput`] for NaN/∞ targets, and for finite
+    ///   targets whose node statistics or leaf residuals overflow.
     pub fn fit(&self, ys: &[f64], config: &TreeConfig) -> Result<RegressionTree> {
         let [tree] = self.fit_leaf_kinds(ys, config, [config.leaf_kind])?;
         Ok(tree)
@@ -701,12 +704,19 @@ impl PresortedDesign {
 
 /// Node target statistics `(sse, std_dev)` over the ascending index view
 /// (same reduction order as the reference grower's `stats`).
-fn node_stats(ys: &[f64], indices: &[RowId]) -> (f64, f64) {
+///
+/// Finite targets near ±`f64::MAX` can overflow the sum or the squared
+/// deviations; that is a [`CartError::NonFiniteInput`], not a node whose
+/// constant leaf (the same mean) would predict ∞.
+fn node_stats(ys: &[f64], indices: &[RowId]) -> Result<(f64, f64)> {
     let n = indices.len() as f64;
     let sum: f64 = indices.iter().map(|&i| ys[i as usize]).sum();
     let mean = sum / n;
     let sse: f64 = indices.iter().map(|&i| (ys[i as usize] - mean).powi(2)).sum();
-    (sse, (sse / n).sqrt())
+    if !(mean.is_finite() && sse.is_finite()) {
+        return Err(CartError::NonFiniteInput);
+    }
+    Ok((sse, (sse / n).sqrt()))
 }
 
 /// Stable in-place partition of `seg` by `pred` (true-goers first, both
@@ -768,7 +778,7 @@ impl Growth<'_> {
     fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> Result<Vec<Node>> {
         let config = self.config;
         let len = hi - lo;
-        let (node_sse, node_std) = node_stats(self.ys, &self.idx[lo..hi]);
+        let (node_sse, node_std) = node_stats(self.ys, &self.idx[lo..hi])?;
         // One leaf model per kind per node, fit up front: it becomes the
         // node's own model if growth stops here and the pruning fallback
         // (`collapsed`) if the node splits — the reference grower fits
@@ -885,12 +895,16 @@ impl Growth<'_> {
 /// Each prediction goes through the identical [`LeafModel::predict`] on
 /// the row's feature part, so this is bit-identical to the reference
 /// grower's per-index residual pass over the cell the segment was built
-/// from.
+/// from. A residual sum that overflows (a leaf whose predictions on its
+/// own rows are not finite) is a [`CartError::NonFiniteInput`].
 fn residual_std_prepared(model: &LeafModel, rows: &[f64], p: usize, ys: &[f64]) -> Result<f64> {
     let mut sse = 0.0;
     for (row, &y) in rows.chunks_exact(p).zip(ys) {
         let e = model.predict(&row[1..])? - y;
         sse += e * e;
+    }
+    if !sse.is_finite() {
+        return Err(CartError::NonFiniteInput);
     }
     Ok((sse / ys.len() as f64).sqrt())
 }
@@ -1166,6 +1180,29 @@ mod tests {
         let deep_bytes = w.into_bytes();
         let mut r = Reader::new(&deep_bytes);
         assert!(matches!(RegressionTree::decode(&mut r), Err(CodecError::Invalid { .. })));
+    }
+
+    #[test]
+    fn overflowing_node_statistics_are_typed_errors() {
+        // Finite targets whose node sums overflow: the tree used to fit,
+        // with leaves predicting ∞.
+        let xs: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+        let ys: Vec<f64> = (0..60).map(|i| if i % 2 == 0 { 1.7e308 } else { -0.85e308 }).collect();
+        let cfg = TreeConfig::default();
+        assert_eq!(RegressionTree::fit(&xs, &ys, &cfg).err(), Some(CartError::NonFiniteInput));
+        let design = PresortedDesign::new(&xs).unwrap();
+        let kinds = design.fit_leaf_kinds(&ys, &cfg, [LeafKind::Constant, LeafKind::Linear]);
+        assert_eq!(kinds.err(), Some(CartError::NonFiniteInput));
+        // The squared deviations overflow long before the sums do.
+        let summable: Vec<f64> = ys.iter().map(|y| y / 64.0).collect();
+        assert_eq!(
+            RegressionTree::fit(&xs, &summable, &cfg).err(),
+            Some(CartError::NonFiniteInput)
+        );
+        // Targets whose squares stay finite fit, with finite leaves.
+        let squarable: Vec<f64> = ys.iter().map(|y| y / 1e160).collect();
+        let tree = RegressionTree::fit(&xs, &squarable, &cfg).unwrap();
+        assert!(xs.iter().all(|x| tree.predict(x).unwrap().is_finite()));
     }
 
     #[test]

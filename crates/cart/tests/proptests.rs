@@ -5,7 +5,8 @@ use ddos_cart::ensemble::{
 };
 use ddos_cart::leaf::LeafKind;
 use ddos_cart::prune::{prune, prune_holdout};
-use ddos_cart::tree::{RegressionTree, TreeConfig};
+use ddos_cart::tree::{PresortedDesign, RegressionTree, TreeConfig};
+use ddos_cart::CartError;
 use proptest::prelude::*;
 
 fn dataset(xs: &[f64]) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -64,6 +65,48 @@ proptest! {
         prop_assert!(t2.n_leaves() <= before2);
         for x in rows.iter().take(8) {
             prop_assert!(t2.predict(x).unwrap().is_finite());
+        }
+    }
+
+    /// Finite but extreme magnitudes, up to ±`f64::MAX` in targets and
+    /// features: `fit`, `fit_leaf_kinds` and `prune_holdout` either return
+    /// `NonFiniteInput` or a tree whose `predict` is finite on every
+    /// training row, never a panic, a NaN or an ∞.
+    #[test]
+    fn extreme_magnitudes_error_or_predict_finite(
+        noise in proptest::collection::vec(-1.0f64..1.0, 12..80),
+        y_exponent in 0i32..=308,
+        x_exponent in 0i32..=308,
+        spike in 0usize..120,
+        retention in 0.5f64..1.0,
+    ) {
+        let (y_scale, x_scale) = (10f64.powi(y_exponent), 10f64.powi(x_exponent));
+        let rows: Vec<Vec<f64>> = (0..noise.len())
+            .map(|i| vec![i as f64 * x_scale.min(1e306), (i % 7) as f64])
+            .collect();
+        let mut ys: Vec<f64> = noise.iter().map(|u| u * y_scale).collect();
+        if let Some(y) = ys.get_mut(spike) {
+            *y = f64::MAX.copysign(*y);
+        }
+        let finite_on_rows = |tree: &RegressionTree| {
+            rows.iter().all(|x| tree.predict(x).is_ok_and(f64::is_finite))
+        };
+        let config = TreeConfig::default();
+        let design = PresortedDesign::new(&rows).unwrap();
+        let kinds = design.fit_leaf_kinds(&ys, &config, [LeafKind::Constant, LeafKind::Linear]);
+        match RegressionTree::fit(&rows, &ys, &config) {
+            Ok(mut tree) => {
+                prop_assert!(finite_on_rows(&tree));
+                let [constant, linear] = kinds.unwrap();
+                prop_assert!(finite_on_rows(&constant) && finite_on_rows(&linear));
+                let holdout = rows.len() * 3 / 4;
+                prune_holdout(&mut tree, &rows[holdout..], &ys[holdout..], retention).unwrap();
+                prop_assert!(finite_on_rows(&tree));
+            }
+            Err(e) => {
+                prop_assert_eq!(e, CartError::NonFiniteInput);
+                prop_assert_eq!(kinds.err(), Some(CartError::NonFiniteInput));
+            }
         }
     }
 

@@ -155,7 +155,7 @@ impl NarModel {
 
         // Residual σ on the original scale.
         let mut sse = 0.0;
-        let hidden = &mut train_scratch.hidden;
+        let hidden = &mut train_scratch.epoch.acts;
         for (x, y) in design.chunks_exact(q).zip(targets.iter()) {
             let pred = scaler.inverse(network.forward_into(x, hidden)?);
             let truth = scaler.inverse(*y);

@@ -28,6 +28,30 @@ pub struct Mlp {
     b2: f64,
 }
 
+/// Widest input the fixed-width epoch kernel ([`Mlp::epoch_fixed`])
+/// holds in its local weight and gradient blocks.
+pub(crate) const MAX_KERNEL_INPUT: usize = 8;
+
+/// An epoch kernel ([`Mlp::epoch_fixed`] or [`Mlp::epoch_runtime`]):
+/// `(network, rows, targets, gradient out, scratch) → summed squared
+/// error`.
+pub(crate) type EpochKernel =
+    fn(&Mlp, &[f64], &[f64], Option<&mut [f64]>, &mut EpochScratch) -> f64;
+
+/// Working buffers of the epoch kernels. Pure scratch: every kernel sets
+/// each buffer before reading it.
+#[derive(Debug, Default)]
+pub(crate) struct EpochScratch {
+    /// The whole epoch's hidden activations.
+    pub(crate) acts: Vec<f64>,
+    /// Transposed hidden weights ([`Mlp::epoch_runtime`] only).
+    w1t: Vec<f64>,
+    /// Transposed `w1` gradient ([`Mlp::epoch_runtime`] only).
+    gw1t: Vec<f64>,
+    /// One sample's deltas ([`Mlp::epoch_runtime`] only).
+    z: Vec<f64>,
+}
+
 /// The forward pass's intermediate state, needed by backpropagation.
 #[derive(Debug, Clone)]
 pub struct Forward {
@@ -148,10 +172,9 @@ impl Mlp {
     /// pre-activation is accumulated in the same input order, starting
     /// from 0.0, with the bias added last.
     ///
-    /// Retained as the per-sample oracle that the epoch-batched forms
-    /// ([`Mlp::accumulate_gradient_epoch`], [`Mlp::forward_sse_epoch`])
-    /// are pinned against bitwise; the training loop itself now runs the
-    /// batched forms.
+    /// Retained as the per-sample oracle that the epoch kernels
+    /// ([`Mlp::epoch_fixed`], [`Mlp::epoch_runtime`]) are pinned against
+    /// bitwise.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn forward_transposed(
         &self,
@@ -172,8 +195,8 @@ impl Mlp {
         self.w2.iter().zip(hidden.iter()).map(|(w, h)| w * h).sum::<f64>() + self.b2
     }
 
-    /// [`Mlp::accumulate_gradient_scratch`] over a transposed weight copy —
-    /// the allocation-free training epoch's inner step.
+    /// [`Mlp::accumulate_gradient_scratch`] over a transposed weight copy:
+    /// the per-sample gradient oracle of the epoch kernels.
     ///
     /// The `w1` gradient is accumulated into the column-major scratch
     /// `gw1t` (so the per-input update runs in lockstep across hidden
@@ -222,38 +245,144 @@ impl Mlp {
         err * err
     }
 
-    /// One full training epoch of [`Mlp::accumulate_gradient_transposed`],
-    /// restructured so the activation runs **once over every sample's
-    /// pre-activations** instead of once per sample. With `hidden_dim`
-    /// below the kernel's chunk width, the per-sample calls never left the
-    /// scalar remainder of the batched tanh; the epoch-sized slice does.
+    /// The epoch kernel for this network's shape, chosen once per fit:
+    /// [`Mlp::epoch_fixed`] instantiated at the hidden width when the
+    /// width is 1 to 16 (every width the shipped configurations train)
+    /// and the input at most [`MAX_KERNEL_INPUT`], else
+    /// [`Mlp::epoch_runtime`]. Both give the same bits, so the choice
+    /// only changes speed.
+    pub(crate) fn epoch_kernel(&self) -> EpochKernel {
+        macro_rules! fixed_widths {
+            ($($h:literal)*) => {
+                match self.hidden_dim {
+                    $($h if self.input_dim <= MAX_KERNEL_INPUT => Mlp::epoch_fixed::<$h>,)*
+                    _ => Mlp::epoch_runtime,
+                }
+            };
+        }
+        fixed_widths!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    }
+
+    /// One epoch over a sample block, with the hidden width `H` fixed at
+    /// compile time. With `grad`, writes the block's summed gradient into
+    /// it (layout `w1, b1, w2, b2`, every entry overwritten); returns the
+    /// summed squared error either way, accumulated sample by sample.
     ///
-    /// Bit-identical to the per-sample loop: each sample's pre-activations
-    /// are accumulated in the same column order starting from 0.0 with the
-    /// bias added last, the batched activation is elementwise-identical to
-    /// the scalar form (pinned by the kernel tests), and the backward
-    /// accumulations run per sample in the original order. `acts` is
-    /// resized to `targets.len() × hidden_dim`.
+    /// The weights and every gradient accumulator live in local `[f64; H]`
+    /// arrays (the input width is a runtime loop over a block of
+    /// [`MAX_KERNEL_INPUT`] columns). With every loop over `H` of fixed
+    /// length and no accumulator in a slice, the compiler can keep the
+    /// per-sample updates in registers. The forward pass writes every
+    /// sample's pre-activations into `scratch.acts` and runs the
+    /// activation once over the whole epoch, which lets the batched tanh
+    /// vectorize whatever `H` is.
     ///
-    /// Returns the summed squared error, accumulated sample by sample.
-    #[allow(clippy::too_many_arguments)] // scratch-buffer plumbing, internal only
-    pub(crate) fn accumulate_gradient_epoch(
+    /// Bit-identical to the per-sample oracle
+    /// ([`Mlp::accumulate_gradient_transposed`], [`Mlp::forward_transposed`])
+    /// and so to [`Mlp::epoch_runtime`]: every pre-activation starts
+    /// from 0.0 and adds the inputs in order, then the bias; the batched
+    /// activation equals the scalar one elementwise; each gradient entry
+    /// starts from 0.0 and takes the same `err · h`, `err · w2 · f'(h)`
+    /// and `δ · x` terms in sample order; the output is the same
+    /// `Iterator::sum` dot product plus `b2`.
+    pub(crate) fn epoch_fixed<const H: usize>(
         &self,
-        w1t: &[f64],
         flat: &[f64],
         targets: &[f64],
-        grad: &mut [f64],
-        gw1t: &mut [f64],
-        z: &mut [f64],
-        acts: &mut Vec<f64>,
+        grad: Option<&mut [f64]>,
+        scratch: &mut EpochScratch,
+    ) -> f64 {
+        let dim = self.input_dim;
+        debug_assert!(self.hidden_dim == H && dim <= MAX_KERNEL_INPUT);
+        debug_assert_eq!(flat.len(), targets.len() * dim);
+        let mut w1t = [[0.0; H]; MAX_KERNEL_INPUT];
+        for (h, row) in self.w1.chunks_exact(dim).enumerate() {
+            for (col, &w) in w1t.iter_mut().zip(row) {
+                col[h] = w;
+            }
+        }
+        let b1: [f64; H] = std::array::from_fn(|h| self.b1[h]);
+        let w2: [f64; H] = std::array::from_fn(|h| self.w2[h]);
+        let acts = &mut scratch.acts;
+        acts.clear();
+        acts.reserve(targets.len() * H);
+        for x in flat.chunks_exact(dim) {
+            let mut z = [0.0; H];
+            for (col, &xi) in w1t.iter().zip(x) {
+                for (zh, &w) in z.iter_mut().zip(col) {
+                    *zh += w * xi;
+                }
+            }
+            for (zh, &b) in z.iter_mut().zip(&b1) {
+                *zh += b;
+            }
+            acts.extend_from_slice(&z);
+        }
+        self.hidden_activation.apply_slice(acts);
+        let (hidden, _) = acts.as_chunks::<H>();
+        let mut sse = 0.0;
+        let Some(grad) = grad else {
+            for (hid, &y) in hidden.iter().zip(targets) {
+                let err = w2.iter().zip(hid).map(|(w, hv)| w * hv).sum::<f64>() + self.b2 - y;
+                sse += err * err;
+            }
+            return sse;
+        };
+        let act = self.hidden_activation;
+        let mut gw1t = [[0.0; H]; MAX_KERNEL_INPUT];
+        let mut gb1 = [0.0; H];
+        let mut gw2 = [0.0; H];
+        let mut gb2 = 0.0;
+        for ((hid, x), &y) in hidden.iter().zip(flat.chunks_exact(dim)).zip(targets) {
+            let err = w2.iter().zip(hid).map(|(w, hv)| w * hv).sum::<f64>() + self.b2 - y;
+            let mut delta = [0.0; H];
+            for h in 0..H {
+                gw2[h] += err * hid[h];
+                delta[h] = err * w2[h] * act.derivative_from_output(hid[h]);
+                gb1[h] += delta[h];
+            }
+            gb2 += err;
+            for (g, &xi) in gw1t.iter_mut().zip(x) {
+                for (gh, &d) in g.iter_mut().zip(&delta) {
+                    *gh += d * xi;
+                }
+            }
+            sse += err * err;
+        }
+        let (gw1, rest) = grad.split_at_mut(H * dim);
+        for (h, row) in gw1.chunks_exact_mut(dim).enumerate() {
+            for (g, col) in row.iter_mut().zip(&gw1t) {
+                *g = col[h];
+            }
+        }
+        let (gb1_out, rest) = rest.split_at_mut(H);
+        gb1_out.copy_from_slice(&gb1);
+        let (gw2_out, gb2_out) = rest.split_at_mut(H);
+        gw2_out.copy_from_slice(&gw2);
+        gb2_out[0] = gb2;
+        sse
+    }
+
+    /// [`Mlp::epoch_fixed`] at a runtime hidden width, for the shapes no
+    /// fixed-width instance covers. Same contract and same bits; the
+    /// transposed weights, the `w1` gradient and the deltas live in
+    /// `scratch` instead of local arrays.
+    pub(crate) fn epoch_runtime(
+        &self,
+        flat: &[f64],
+        targets: &[f64],
+        grad: Option<&mut [f64]>,
+        scratch: &mut EpochScratch,
     ) -> f64 {
         let h = self.hidden_dim;
         let dim = self.input_dim;
         debug_assert_eq!(flat.len(), targets.len() * dim);
+        let EpochScratch { acts, w1t, gw1t, z } = scratch;
+        w1t.clear();
+        w1t.resize(self.w1.len(), 0.0);
+        self.transpose_w1_into(w1t);
         acts.clear();
         acts.resize(targets.len() * h, 0.0);
-        // Forward: every sample's pre-activation, then one batched
-        // activation over the whole epoch.
         for (seg, x) in acts.chunks_exact_mut(h).zip(flat.chunks_exact(dim)) {
             for (col, &xi) in w1t.chunks_exact(h).zip(x) {
                 for (s, &w) in seg.iter_mut().zip(col) {
@@ -265,14 +394,24 @@ impl Mlp {
             }
         }
         self.hidden_activation.apply_slice(acts);
-        // Backward: per sample, in the original order.
         let mut sse = 0.0;
+        let Some(grad) = grad else {
+            for (hid, &y) in acts.chunks_exact(h).zip(targets) {
+                let err = self.w2.iter().zip(hid).map(|(w, hv)| w * hv).sum::<f64>() + self.b2 - y;
+                sse += err * err;
+            }
+            return sse;
+        };
+        grad.fill(0.0);
+        gw1t.clear();
+        gw1t.resize(self.w1.len(), 0.0);
+        z.clear();
+        z.resize(h, 0.0);
         let (_, rest) = grad.split_at_mut(self.w1.len());
-        let (gb1, rest) = rest.split_at_mut(self.b1.len());
-        let (gw2, gb2) = rest.split_at_mut(self.w2.len());
+        let (gb1, rest) = rest.split_at_mut(h);
+        let (gw2, gb2) = rest.split_at_mut(h);
         for ((hid, x), &y) in acts.chunks_exact(h).zip(flat.chunks_exact(dim)).zip(targets) {
-            let output = self.w2.iter().zip(hid).map(|(w, hv)| w * hv).sum::<f64>() + self.b2;
-            let err = output - y;
+            let err = self.w2.iter().zip(hid).map(|(w, hv)| w * hv).sum::<f64>() + self.b2 - y;
             for (g, &hv) in gw2.iter_mut().zip(hid) {
                 *g += err * hv;
             }
@@ -290,45 +429,12 @@ impl Mlp {
             }
             sse += err * err;
         }
+        self.fold_transposed_grad(gw1t, grad);
         sse
     }
 
-    /// Summed squared forward error over a sample block, with the same
-    /// epoch-batched activation as [`Mlp::accumulate_gradient_epoch`].
-    /// Bit-identical to summing `(forward_transposed − y)²` per sample.
-    pub(crate) fn forward_sse_epoch(
-        &self,
-        w1t: &[f64],
-        flat: &[f64],
-        targets: &[f64],
-        acts: &mut Vec<f64>,
-    ) -> f64 {
-        let h = self.hidden_dim;
-        let dim = self.input_dim;
-        debug_assert_eq!(flat.len(), targets.len() * dim);
-        acts.clear();
-        acts.resize(targets.len() * h, 0.0);
-        for (seg, x) in acts.chunks_exact_mut(h).zip(flat.chunks_exact(dim)) {
-            for (col, &xi) in w1t.chunks_exact(h).zip(x) {
-                for (s, &w) in seg.iter_mut().zip(col) {
-                    *s += w * xi;
-                }
-            }
-            for (s, &b) in seg.iter_mut().zip(&self.b1) {
-                *s += b;
-            }
-        }
-        self.hidden_activation.apply_slice(acts);
-        let mut sse = 0.0;
-        for (hid, &y) in acts.chunks_exact(h).zip(targets) {
-            let e = self.w2.iter().zip(hid).map(|(w, hv)| w * hv).sum::<f64>() + self.b2 - y;
-            sse += e * e;
-        }
-        sse
-    }
-
-    /// Writes the column-major `w1` gradient accumulated by
-    /// [`Mlp::accumulate_gradient_transposed`] into `grad`'s row-major
+    /// Writes a column-major `w1` gradient (as [`Mlp::epoch_runtime`] and
+    /// [`Mlp::accumulate_gradient_transposed`] accumulate it) into `grad`'s row-major
     /// `w1` region (plain copies, no arithmetic).
     pub(crate) fn fold_transposed_grad(&self, gw1t: &[f64], grad: &mut [f64]) {
         debug_assert_eq!(gw1t.len(), self.w1.len());
@@ -468,6 +574,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_validates_dims() {
@@ -585,24 +692,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn epoch_batched_paths_match_per_sample_bitwise() {
-        // Widths straddling the tanh kernel's chunk width, so both the
-        // scalar remainder and the vectorized body of the batched
-        // activation are exercised against the per-sample oracle.
-        for (dim, hid, seed) in [(3usize, 5usize, 31u64), (4, 9, 32), (2, 8, 33)] {
-            let m = Mlp::new(dim, hid, Activation::TanSig, seed).unwrap();
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The epoch kernel `epoch_kernel` picks (the fixed-width
+        /// instance for inputs up to 8 wide and hidden layers 1..=16, the
+        /// runtime-width kernel for the two shapes outside that set) matches
+        /// the per-sample oracle bit for bit: summed squared error, every
+        /// gradient entry, and the validation error. It starts from dirty
+        /// scratch and a poisoned gradient buffer, and a second call on
+        /// the same scratch repeats the first.
+        #[test]
+        fn epoch_batched_paths_match_per_sample_bitwise(
+            shape in (1usize..=MAX_KERNEL_INPUT, 1usize..=16, 0usize..8),
+            n in 1usize..=200,
+            activation in 0usize..4,
+            seed in 0u64..1_000,
+        ) {
+            // One case in four takes a shape outside the fixed-width set.
+            let (dim, hid) = match shape {
+                (_, _, 0) => (3, 17),
+                (_, _, 1) => (MAX_KERNEL_INPUT + 1, 5),
+                (dim, hid, _) => (dim, hid),
+            };
+            let activation = [
+                Activation::TanSig,
+                Activation::LogSig,
+                Activation::Linear,
+                Activation::Elliott,
+            ][activation];
+            let m = Mlp::new(dim, hid, activation, seed).unwrap();
             let mut w1t = vec![0.0; dim * hid];
             m.transpose_w1_into(&mut w1t);
-            let n = 13;
-            let mut flat = Vec::with_capacity(n * dim);
-            let mut targets = Vec::with_capacity(n);
-            for k in 0..n {
-                for j in 0..dim {
-                    flat.push(((k * dim + j) as f64 * 0.37).sin() * 2.0);
-                }
-                targets.push((k as f64 * 0.21).cos());
-            }
+            let flat: Vec<f64> =
+                (0..n * dim).map(|k| ((k as f64 + seed as f64) * 0.37).sin() * 2.0).collect();
+            let targets: Vec<f64> = (0..n).map(|k| (k as f64 * 0.21).cos()).collect();
             // Per-sample oracle.
             let mut z = vec![0.0; hid];
             let mut hidden = Vec::new();
@@ -623,21 +747,27 @@ mod tests {
                 let e = m.forward_transposed(&w1t, x, &mut z, &mut hidden) - y;
                 val_ref += e * e;
             }
-            // Epoch-batched forms, from dirty scratch.
-            let mut g = vec![0.0; m.n_params()];
-            let mut gw1t = vec![0.0; dim * hid];
-            let mut acts = vec![99.0; 7];
-            let sse = m.accumulate_gradient_epoch(
-                &w1t, &flat, &targets, &mut g, &mut gw1t, &mut z, &mut acts,
-            );
-            let val = m.forward_sse_epoch(&w1t, &flat, &targets, &mut acts);
-            assert_eq!(sse.to_bits(), sse_ref.to_bits());
-            assert_eq!(val.to_bits(), val_ref.to_bits());
-            for (a, b) in gw1t.iter().zip(&gw1t_ref) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (a, b) in g.iter().zip(&g_ref) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            m.fold_transposed_grad(&gw1t_ref, &mut g_ref);
+
+            let kernel = m.epoch_kernel();
+            let fixed = dim <= MAX_KERNEL_INPUT && hid <= 16;
+            let runtime: EpochKernel = Mlp::epoch_runtime;
+            prop_assert_eq!(std::ptr::fn_addr_eq(kernel, runtime), !fixed);
+            let mut scratch = EpochScratch {
+                acts: vec![99.0; 7],
+                w1t: vec![-3.0; 5],
+                gw1t: vec![7.0; 40],
+                z: vec![1.0; 2],
+            };
+            for _ in 0..2 {
+                let mut g = vec![f64::NAN; m.n_params()];
+                let sse = kernel(&m, &flat, &targets, Some(&mut g), &mut scratch);
+                let val = kernel(&m, &flat, &targets, None, &mut scratch);
+                prop_assert_eq!(sse.to_bits(), sse_ref.to_bits());
+                prop_assert_eq!(val.to_bits(), val_ref.to_bits());
+                for (a, b) in g.iter().zip(&g_ref) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
         }
     }

@@ -6,7 +6,7 @@
 //! improved for `patience` epochs, the standard guard against overfitting
 //! tiny series.
 
-use crate::network::Mlp;
+use crate::network::{EpochKernel, EpochScratch, Mlp};
 use crate::{NeuralError, Result};
 use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
 use serde::{Deserialize, Serialize};
@@ -109,12 +109,9 @@ pub struct TrainScratch {
     prev_grad: Vec<f64>,
     step: Vec<f64>,
     moves: Vec<f64>,
-    w1t: Vec<f64>,
-    gw1t: Vec<f64>,
-    z: Vec<f64>,
-    /// Hidden-activation buffer; also borrowed by the NAR σ pass after
-    /// training completes.
-    pub(crate) hidden: Vec<f64>,
+    /// The epoch kernels' buffers; its activation buffer is also
+    /// borrowed by the NAR σ pass after training completes.
+    pub(crate) epoch: EpochScratch,
     /// Best-so-far network kept across calls so the early-stopping
     /// snapshot reuses weight buffers instead of cloning a fresh `Mlp`.
     best: Option<Mlp>,
@@ -169,6 +166,9 @@ pub fn train(
 /// * [`NeuralError::BadDimensions`] when `design` is not
 ///   `targets.len() × input_dim`.
 /// * [`NeuralError::InvalidParameter`] for bad config values.
+///
+/// The epoch kernel is chosen once, from the network's shape (see
+/// `Mlp::epoch_kernel`); every kernel gives the same bits.
 pub fn train_with(
     network: &mut Mlp,
     design: &[f64],
@@ -204,8 +204,21 @@ pub fn train_with(
     if targets.iter().any(|t| !t.is_finite()) || design.iter().any(|v| !v.is_finite()) {
         return Err(NeuralError::NonFiniteInput);
     }
-    let flat = design;
+    let kernel = network.epoch_kernel();
+    Ok(train_validated(network, design, targets, config, scratch, kernel))
+}
 
+/// [`train_with`]'s RPROP loop on validated inputs, running every epoch
+/// through `kernel`.
+fn train_validated(
+    network: &mut Mlp,
+    flat: &[f64],
+    targets: &[f64],
+    config: &TrainConfig,
+    scratch: &mut TrainScratch,
+    kernel: EpochKernel,
+) -> TrainReport {
+    let dim = network.input_dim();
     let n_val = ((targets.len() as f64) * config.validation_fraction) as usize;
     let n_train = targets.len() - n_val;
     // Never train on zero samples; fold a too-small split back in.
@@ -215,7 +228,7 @@ pub fn train_with(
     // All per-epoch scratch comes from the arena, (re)initialized to
     // exactly the state a fresh allocation would have: the epoch body
     // performs no heap allocation and reuse cannot change a single bit.
-    let TrainScratch { grad, prev_grad, step, moves, w1t, gw1t, z, hidden, best: kept } = scratch;
+    let TrainScratch { grad, prev_grad, step, moves, epoch: epoch_scratch, best: kept } = scratch;
     grad.clear();
     grad.resize(n_params, 0.0);
     prev_grad.clear();
@@ -224,15 +237,8 @@ pub fn train_with(
     step.resize(n_params, 0.05); // RPROP initial step
     moves.clear();
     moves.resize(n_params, 0.0);
-    hidden.clear();
-    // Transposed hidden-weight copy: refreshed whenever the weights move,
-    // so the forward recurrences vectorize across hidden units.
-    w1t.clear();
-    w1t.resize(dim * network.hidden_dim(), 0.0);
-    gw1t.clear();
-    gw1t.resize(dim * network.hidden_dim(), 0.0);
-    z.clear();
-    z.resize(network.hidden_dim(), 0.0);
+    let (train_x, val_x) = flat.split_at(n_train * dim);
+    let (train_y, val_y) = targets.split_at(n_train);
 
     // The early-stopping snapshot reuses the arena's retained network
     // when there is one (clone_from keeps its weight buffers); the copy
@@ -252,22 +258,8 @@ pub fn train_with(
 
     for epoch in 0..config.max_epochs {
         epochs_run = epoch + 1;
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        network.transpose_w1_into(w1t);
-        gw1t.iter_mut().for_each(|g| *g = 0.0);
-        // Epoch-batched gradient pass: one activation call over every
-        // sample's pre-activations (bit-identical to the per-sample loop;
-        // see `accumulate_gradient_epoch`).
-        let sse = network.accumulate_gradient_epoch(
-            w1t,
-            &flat[..n_train * dim],
-            &targets[..n_train],
-            grad,
-            gw1t,
-            z,
-            hidden,
-        );
-        network.fold_transposed_grad(gw1t, grad);
+        // The kernel overwrites every gradient entry.
+        let sse = kernel(network, train_x, train_y, Some(grad), epoch_scratch);
         train_mse = sse / n_train as f64;
 
         // iRPROP−: adapt per-parameter steps by gradient sign
@@ -296,10 +288,7 @@ pub fn train_with(
 
         // Validation / early stopping.
         let val_mse = if n_val > 0 {
-            network.transpose_w1_into(w1t);
-            let sse =
-                network.forward_sse_epoch(w1t, &flat[n_train * dim..], &targets[n_train..], hidden);
-            sse / n_val as f64
+            kernel(network, val_x, val_y, None, epoch_scratch) / n_val as f64
         } else {
             train_mse
         };
@@ -322,7 +311,7 @@ pub fn train_with(
     // Hand the displaced network back to the arena: the next fit's
     // snapshot clone_from reuses its weight buffers.
     *kept = Some(best);
-    Ok(TrainReport { epochs: epochs_run, train_mse, validation_mse: best_val, stopped_early })
+    TrainReport { epochs: epochs_run, train_mse, validation_mse: best_val, stopped_early }
 }
 
 #[cfg(test)]
@@ -341,6 +330,70 @@ mod tests {
             ys.push((a * b).tanh());
         }
         (xs, ys)
+    }
+
+    /// A lagged design over a deterministic wavy series, `dim` lags per
+    /// row, as `NarModel::fit` builds it.
+    fn lagged(dim: usize) -> (Vec<f64>, Vec<f64>) {
+        let series: Vec<f64> =
+            (0..120).map(|t| (t as f64 * 0.37).sin() + 0.3 * (t as f64 * 1.3).cos()).collect();
+        let mut design = Vec::new();
+        let mut targets = Vec::new();
+        for t in (dim - 1)..(series.len() - 1) {
+            design.extend((0..dim).map(|j| series[t - j]));
+            targets.push(series[t + 1]);
+        }
+        (design, targets)
+    }
+
+    /// FNV-1a over the encoded network and report: every weight bit and
+    /// every report field.
+    fn fit_fingerprint(net: &Mlp, report: &TrainReport) -> u64 {
+        let mut w = Writer::new();
+        net.encode(&mut w);
+        report.encode(&mut w);
+        w.into_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn fixed_kernel_fit_matches_runtime_width_fit_bitwise() {
+        // Each fit's fingerprint as the runtime-width epoch loop
+        // (`accumulate_gradient_epoch` / `forward_sse_epoch`) produced it
+        // at the commit before the fixed-width kernel; (3, 17) has no
+        // fixed-width instance.
+        let pinned = [
+            ((3, 5), 0x5073_8373_16ab_7855_u64),
+            ((1, 1), 0x703c_2257_af42_06d2),
+            ((6, 12), 0xf689_fd28_f04d_b762),
+            ((8, 16), 0xcc0f_6792_df2a_16d4),
+            ((2, 8), 0x822a_1311_bfcc_6460),
+            ((3, 17), 0x2c9d_6f94_0e62_24f8),
+        ];
+        let config = TrainConfig { max_epochs: 150, validation_fraction: 0.2, patience: 20 };
+        for ((dim, hid), fingerprint) in pinned {
+            let (design, targets) = lagged(dim);
+            let mut net = Mlp::new(dim, hid, Activation::TanSig, 7).unwrap();
+            let mut runtime = net.clone();
+            let report =
+                train_with(&mut net, &design, &targets, &config, &mut TrainScratch::default())
+                    .unwrap();
+            let runtime_report = train_validated(
+                &mut runtime,
+                &design,
+                &targets,
+                &config,
+                &mut TrainScratch::default(),
+                Mlp::epoch_runtime,
+            );
+            assert_eq!(
+                fit_fingerprint(&net, &report),
+                fit_fingerprint(&runtime, &runtime_report),
+                "({dim}, {hid})"
+            );
+            assert_eq!(fit_fingerprint(&net, &report), fingerprint, "({dim}, {hid})");
+        }
     }
 
     #[test]

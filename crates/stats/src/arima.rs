@@ -390,7 +390,7 @@ impl Arima {
     ///
     /// # Errors
     ///
-    /// Returns [`StatsError::EmptyInput`] when `test` is empty.
+    /// Same conditions as [`Arima::predict_rolling_into`].
     pub fn predict_rolling(&self, test: &[f64]) -> Result<Vec<f64>> {
         let mut preds = Vec::new();
         self.predict_rolling_into(test, &mut preds)?;
@@ -405,7 +405,11 @@ impl Arima {
     ///
     /// # Errors
     ///
-    /// Returns [`StatsError::EmptyInput`] when `test` is empty.
+    /// * [`StatsError::EmptyInput`] when `test` is empty.
+    /// * [`StatsError::NonFiniteInput`] when a prediction is not finite:
+    ///   a NaN or ∞ observation, or finite ones so large (±`f64::MAX`)
+    ///   that differencing or re-integration overflows. `preds` then
+    ///   holds the predictions before it.
     pub fn predict_rolling_into(&self, test: &[f64], preds: &mut Vec<f64>) -> Result<()> {
         if test.is_empty() {
             return Err(StatsError::EmptyInput);
@@ -427,7 +431,11 @@ impl Arima {
         for &obs in test {
             // One-step mean forecast at differenced level.
             let v = self.one_step(&w, &e);
-            preds.push(ladder.level(v));
+            let pred = ladder.level(v);
+            if !pred.is_finite() {
+                return Err(StatsError::NonFiniteInput);
+            }
+            preds.push(pred);
             // Absorb the true observation.
             let new_w = ladder.absorb(obs);
             w.push(new_w);
@@ -1039,6 +1047,16 @@ mod tests {
         let series: Vec<f64> = (0..60).map(|i| i as f64).collect();
         let model = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
         assert!(model.predict_rolling(&[]).is_err());
+    }
+
+    #[test]
+    fn predict_rolling_rejects_overflowing_continuations() {
+        let series: Vec<f64> = (0..40).map(|i| (i % 7) as f64 + 0.5 * (i % 3) as f64).collect();
+        let model = Arima::fit(&series, ArimaOrder::new(1, 1, 0)).unwrap();
+        let hostile = [1.0, f64::MAX, -f64::MAX, 3.0, 4.0];
+        assert_eq!(model.predict_rolling(&hostile), Err(StatsError::NonFiniteInput));
+        assert_eq!(model.predict_rolling(&[1.0, f64::NAN, 2.0]), Err(StatsError::NonFiniteInput));
+        assert!(model.predict_rolling(&[1.0, 2.0, 3.0]).unwrap().iter().all(|p| p.is_finite()));
     }
 
     #[test]

@@ -71,8 +71,9 @@ proptest! {
     }
 
     /// Extreme but finite magnitudes (after Bragg et al.'s hostile-input
-    /// testing): `Arima::fit`, `search` and `forecast` give a typed error
-    /// or finite output, never a panic or a NaN.
+    /// testing): `Arima::fit`, `search`, `forecast` and `predict_rolling`
+    /// (over a continuation holding ±`f64::MAX`) give a typed error or
+    /// finite output, never a panic, a NaN or an ∞.
     #[test]
     fn arima_extreme_magnitudes_error_or_stay_finite(
         noise in proptest::collection::vec(-1.0f64..1.0, 8..90),
@@ -110,6 +111,9 @@ proptest! {
             prop_assert!(m.residuals().iter().all(|v| v.is_finite()));
             if let Ok(fc) = m.forecast(5) {
                 prop_assert!(fc.iter().all(|v| v.is_finite()), "{fc:?}");
+            }
+            if let Ok(preds) = m.predict_rolling(&[1.0, f64::MAX, -f64::MAX, 3.0, 4.0]) {
+                prop_assert!(preds.iter().all(|v| v.is_finite()), "{preds:?}");
             }
         }
     }
