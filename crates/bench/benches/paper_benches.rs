@@ -478,6 +478,33 @@ fn bench_cart_fit(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+    // The same eight trees on one `st-refit` window: the 16k attacks before
+    // day 56 of the medium rotation-burst corpus, grown on the design's
+    // head as `SpatioTemporalModel::fit` does before it prunes. The corpus
+    // is built inside the closure, so a filter that skips the row skips it.
+    g.bench_function("refit_window_8_trees_shared_grower", |b| {
+        use ddos_cart::leaf::LeafKind;
+        use ddos_cart::tree::PresortedDesign;
+        use ddos_trace::{CorpusConfig, ScenarioPolicy, TraceGenerator};
+        let config = CorpusConfig::medium().with_scenario(ScenarioPolicy::RotationBurst);
+        let corpus = TraceGenerator::new(config, 42).generate().unwrap();
+        let attacks = corpus.attacks();
+        let hi = attacks.partition_point(|a| a.start.day() < 56);
+        let window = &attacks[hi - 16_000..hi];
+        let (xs, labels) = SpatioTemporalModel::training_design(window, &st_cfg, 1).unwrap();
+        let grow_n = ((xs.len() as f64 * 0.85) as usize).clamp(20, xs.len());
+        let targets: Vec<Vec<f64>> =
+            (0..4).map(|t| labels[..grow_n].iter().map(|l| l[t]).collect()).collect();
+        eprintln!("[cart_fit] refit window design: {grow_n} rows x {} features", xs[0].len());
+        let kinds = [LeafKind::Linear, LeafKind::Constant];
+        b.iter(|| {
+            let design = PresortedDesign::new(black_box(&xs[..grow_n])).unwrap();
+            targets
+                .iter()
+                .map(|ys| design.fit_leaf_kinds(ys, &st_cfg.tree, kinds).unwrap())
+                .collect::<Vec<_>>()
+        })
+    });
     // Synthetic 4000×13 design: same width as the spatiotemporal one but
     // deep enough that per-node work dominates setup.
     use rand::{Rng, SeedableRng};

@@ -92,13 +92,15 @@ impl LeafModel {
     /// Fits a leaf from a pre-assembled design segment: `rows` is the
     /// cell's row-major design with the leading `1.0` intercept column
     /// already in place (width `p`), `ys` the cell's targets in the same
-    /// order. This is the presorted grower's hot path — each node gathers
-    /// its rows once from the shared design and fits every requested
-    /// leaf kind from that one contiguous cell.
+    /// order, and `mean` their mean, `ys.iter().sum::<f64>() / ys.len()`
+    /// (the grower computes it once per node for its statistics). This
+    /// is the presorted grower's hot path — each node gathers its rows
+    /// once from the shared design and fits every requested leaf kind
+    /// from that one contiguous cell.
     ///
     /// Bit-identical to `LeafModel::fit` on the rows the segment was
-    /// assembled from: the mean reduction and every OLS operation run in
-    /// the same order over the same values, and the mean fallback fires
+    /// assembled from: every OLS operation runs in the same order over
+    /// the same values, and the mean fallback fires
     /// under exactly the same conditions (inputs are pre-validated finite
     /// by tree growth, so the non-finite scan the prepared OLS path skips
     /// could never have fired).
@@ -111,12 +113,12 @@ impl LeafModel {
         rows: &[f64],
         p: usize,
         ys: &[f64],
+        mean: f64,
         scratch: &mut OlsScratch,
     ) -> Result<Self> {
         if ys.is_empty() {
             return Err(CartError::EmptyTrainingSet);
         }
-        let mean = ys.iter().sum::<f64>() / ys.len() as f64;
         match kind {
             LeafKind::Constant => Ok(LeafModel::Constant { mean }),
             LeafKind::Linear => match LinearModel::fit_prepared(rows, ys, p, scratch) {
@@ -237,23 +239,30 @@ mod tests {
             yseg.push(ys[i]);
         }
         let gathered_x: Vec<Vec<f64>> = indices.iter().map(|&i| xs[i].clone()).collect();
+        let mean = yseg.iter().sum::<f64>() / yseg.len() as f64;
         let mut scratch = OlsScratch::default();
         for kind in [LeafKind::Constant, LeafKind::Linear] {
             let gathered = LeafModel::fit(kind, &gathered_x, &yseg).unwrap();
             // Twice through the same scratch: reuse must not perturb a bit.
             for _ in 0..2 {
                 let prepared =
-                    LeafModel::fit_prepared(kind, &rows, p, &yseg, &mut scratch).unwrap();
+                    LeafModel::fit_prepared(kind, &rows, p, &yseg, mean, &mut scratch).unwrap();
                 assert_eq!(prepared, gathered);
             }
         }
         // Fallback parity: a tiny cell collapses to the mean on both paths.
-        let tiny =
-            LeafModel::fit_prepared(LeafKind::Linear, &rows[..p], p, &yseg[..1], &mut scratch)
-                .unwrap();
-        assert!(tiny.is_constant());
+        let tiny = LeafModel::fit_prepared(
+            LeafKind::Linear,
+            &rows[..p],
+            p,
+            &yseg[..1],
+            yseg[0],
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(tiny, LeafModel::Constant { mean: yseg[0] });
         assert!(matches!(
-            LeafModel::fit_prepared(LeafKind::Linear, &[], 3, &[], &mut scratch),
+            LeafModel::fit_prepared(LeafKind::Linear, &[], 3, &[], 0.0, &mut scratch),
             Err(CartError::EmptyTrainingSet)
         ));
     }
@@ -266,7 +275,8 @@ mod tests {
         let rows: Vec<f64> = (0..20).flat_map(|i| [1.0, 1e200 * (i + 1) as f64]).collect();
         let ys: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let mut scratch = OlsScratch::default();
-        let leaf = LeafModel::fit_prepared(LeafKind::Linear, &rows, p, &ys, &mut scratch).unwrap();
+        let leaf =
+            LeafModel::fit_prepared(LeafKind::Linear, &rows, p, &ys, 9.5, &mut scratch).unwrap();
         assert_eq!(leaf, LeafModel::Constant { mean: 9.5 });
     }
 

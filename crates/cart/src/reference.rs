@@ -3,17 +3,19 @@
 //! This is the original per-node-sort implementation: every node clones
 //! its cell (`gather`), re-sorts the cell's indices per feature, and fits
 //! the fallback leaf model separately from the node's own leaf. It is
-//! kept verbatim — minus the two crash paths the presorted grower also
+//! kept verbatim, minus the two crash paths the presorted grower also
 //! guards (the `partial_cmp(...).expect` on the sort and the
 //! `len - min_samples_leaf` underflow, both unreachable for inputs that
-//! pass [`crate::tree::validate`]). The module is compiled only for the
-//! crate's own tests: the property tests at the bottom assert that
-//! [`RegressionTree::fit`], the shared multi-kind grower and pruning
-//! produce structurally identical trees with bit-equal predictions.
+//! pass [`crate::tree::validate`]), and with the grower's typed error for
+//! a non-finite child SSE, which the original let win as NaN. The module
+//! is compiled only for the crate's own tests: the property tests at the
+//! bottom assert that [`RegressionTree::fit`], the shared multi-kind
+//! grower and pruning produce structurally identical trees with
+//! bit-equal predictions.
 
 use crate::leaf::LeafModel;
 use crate::tree::{validate, Node, RegressionTree, TreeConfig};
-use crate::Result;
+use crate::{CartError, Result};
 
 /// Grows a tree with the reference (per-node sorting, cell-cloning)
 /// algorithm. Same inputs, same outputs, same errors as
@@ -98,6 +100,9 @@ fn grow(
             let sq_r = prefix_sq[total_n] - prefix_sq[cut];
             let sse_right = sq_r - sum_r.powi(2) / nr;
             let child_sse = sse_left + sse_right;
+            if !child_sse.is_finite() {
+                return Err(CartError::NonFiniteInput); // squares overflowed: no cut ranks
+            }
             if best.as_ref().is_none_or(|(_, _, s)| child_sse < *s) {
                 best = Some((feature, (fv_left + fv_right) / 2.0, child_sse));
             }
@@ -302,6 +307,92 @@ mod tests {
                 &mut reference_h, &rows[..holdout_n], &ys[..holdout_n], retention).unwrap();
             prop_assert_eq!(collapsed_p, collapsed_r);
             prop_assert_eq!(&presorted_h, &reference_h);
+        }
+    }
+
+    // The split scan's gather, prefix, score and first-minimum passes at
+    // the spatiotemporal model's width (13 features) and at node sizes a
+    // refit window produces. Capped like the block above: each case runs
+    // the reference grower twice on up to 600 rows.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every tree of the shared grower equals the reference grower's on
+        /// designs with low-cardinality columns (sort ties, masked cuts), a
+        /// column mixing -0.0, 0.0 and 1.0 (equal values of two signs), a
+        /// constant column (every cut masked) and `min_samples_leaf` near
+        /// `len / 2` (a handful of cuts). With `palindromic` targets —
+        /// small integers symmetric in row order — every prefix sum is
+        /// exact, so at the root cut `c` and cut `len - c` of feature 0 tie
+        /// exactly on `child_sse`, and features 1 (`2i`) and 7 (`-i`, the
+        /// reversed order) tie feature 0 cut for cut. The targets' plateau
+        /// makes those tied cuts the best ones: the first cut of the first
+        /// feature must win, as in the sequential strict-`<` scan.
+        #[test]
+        fn presorted_grow_matches_reference_grow_at_model_width(
+            cells in proptest::collection::vec((0u8..5, -100i32..100, 0usize..3), 64..600),
+            palindromic in 0u8..2,
+            half_leaf in 0u8..2,
+            slack in 0usize..6,
+            max_depth in 1usize..6,
+            min_impurity_decrease in 0.0f64..0.02,
+        ) {
+            let n = cells.len();
+            let rows: Vec<Vec<f64>> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b, c))| {
+                    let signed_zero = [-0.0, 0.0, 1.0][c];
+                    let (i, a, b) = (i as f64, a as f64, b as f64);
+                    vec![
+                        i,
+                        2.0 * i,
+                        a,
+                        signed_zero,
+                        7.0,
+                        b / 8.0,
+                        a * signed_zero,
+                        -i,
+                        (i * 37.0) % 11.0,
+                        b.abs(),
+                        a + c as f64,
+                        if i % 2.0 == 0.0 { -0.0 } else { b },
+                        (b % 3.0) * 0.5,
+                    ]
+                })
+                .collect();
+            let ys: Vec<f64> = if palindromic == 1 {
+                // A plateau over the middle half plus small integer noise,
+                // symmetric in row order.
+                let y = |m: usize| f64::from(u8::from(m >= n / 4) * 50) + cells[m].0 as f64;
+                (0..n).map(|i| y(i.min(n - 1 - i))).collect()
+            } else {
+                let y = |r: &Vec<f64>| (r[0] * 0.05).sin() * 20.0 + r[5] * 3.0 + r[2] * r[2];
+                rows.iter().map(y).collect()
+            };
+            let min_samples_leaf =
+                if half_leaf == 1 { (n / 2).saturating_sub(slack).max(1) } else { 1 + slack };
+            let cfg = TreeConfig {
+                max_depth,
+                min_samples_split: 2,
+                min_samples_leaf,
+                min_impurity_decrease,
+                leaf_kind: LeafKind::Linear,
+            };
+            let design = PresortedDesign::new(&rows).unwrap();
+            let kinds = [LeafKind::Linear, LeafKind::Constant];
+            let trees = design.fit_leaf_kinds(&ys, &cfg, kinds).unwrap();
+            for (tree, leaf_kind) in trees.iter().zip(kinds) {
+                let kind_cfg = TreeConfig { leaf_kind, ..cfg };
+                let reference = fit_reference(&rows, &ys, &kind_cfg).unwrap();
+                prop_assert_eq!(tree, &reference);
+                for row in rows.iter().step_by(7) {
+                    prop_assert_eq!(
+                        tree.predict(row).unwrap().to_bits(),
+                        reference.predict(row).unwrap().to_bits()
+                    );
+                }
+            }
         }
     }
 }

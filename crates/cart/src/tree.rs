@@ -20,7 +20,10 @@
 //! test-only `reference` module: stable partitions preserve the
 //! reference's stable-sort tie order, and every floating-point
 //! reduction (node statistics, prefix-sum threshold scan, leaf fits)
-//! runs in the same order over the same values. See DESIGN.md §10 and §18 for the full
+//! runs in the same order over the same values. The threshold scan
+//! reads contiguous per-node buffers and picks the first minimum with a
+//! vectorizable lane reduction; partitions are branchless and read one
+//! per-split byte mask. See DESIGN.md §10, §18 and §30 for the full
 //! argument.
 
 use crate::leaf::{LeafKind, LeafModel};
@@ -676,8 +679,11 @@ impl PresortedDesign {
             sorted: self.sorted.clone(),
             idx: (0..).take(n).collect(),
             spill: vec![0; n],
+            goes_left: vec![0; n],
+            vals: vec![0.0; n],
             prefix_sum: vec![0.0; n + 1],
             prefix_sq: vec![0.0; n + 1],
+            scores: vec![0.0; n],
             cell_rows: Vec::with_capacity(n * (self.width + 1)),
             cell_ys: Vec::with_capacity(n),
             ols: OlsScratch::default(),
@@ -702,13 +708,15 @@ impl PresortedDesign {
     }
 }
 
-/// Node target statistics `(sse, std_dev)` over the ascending index view
-/// (same reduction order as the reference grower's `stats`).
+/// Node target statistics `(mean, sse, std_dev)` over the ascending
+/// index view (same reduction order as the reference grower's `stats`).
+/// The mean is also every leaf fit's mean: `LeafModel::fit` sums the
+/// cell's targets in this same order.
 ///
 /// Finite targets near ±`f64::MAX` can overflow the sum or the squared
 /// deviations; that is a [`CartError::NonFiniteInput`], not a node whose
 /// constant leaf (the same mean) would predict ∞.
-fn node_stats(ys: &[f64], indices: &[RowId]) -> Result<(f64, f64)> {
+fn node_stats(ys: &[f64], indices: &[RowId]) -> Result<(f64, f64, f64)> {
     let n = indices.len() as f64;
     let sum: f64 = indices.iter().map(|&i| ys[i as usize]).sum();
     let mean = sum / n;
@@ -716,27 +724,47 @@ fn node_stats(ys: &[f64], indices: &[RowId]) -> Result<(f64, f64)> {
     if !(mean.is_finite() && sse.is_finite()) {
         return Err(CartError::NonFiniteInput);
     }
-    Ok((sse, (sse / n).sqrt()))
+    Ok((mean, sse, (sse / n).sqrt()))
 }
 
 /// Stable in-place partition of `seg` by `pred` (true-goers first, both
 /// sides keeping their relative order) using `spill` as the bounce
-/// buffer. Returns the number of true-goers.
+/// buffer. Returns the number of true-goers. Branchless: every element is
+/// written to both sides and only the counters move by the predicate.
 fn stable_partition<T: Copy>(seg: &mut [T], spill: &mut [T], pred: impl Fn(T) -> bool) -> usize {
-    let mut kept = 0;
-    let mut spilled = 0;
+    let (mut kept, mut spilled) = (0, 0);
     for k in 0..seg.len() {
         let i = seg[k];
-        if pred(i) {
-            seg[kept] = i;
-            kept += 1;
-        } else {
-            spill[spilled] = i;
-            spilled += 1;
-        }
+        let goes = usize::from(pred(i));
+        // `kept <= k`: the slot written was already read.
+        seg[kept] = i;
+        spill[spilled] = i;
+        kept += goes;
+        spilled += 1 - goes;
     }
     seg[kept..].copy_from_slice(&spill[..spilled]);
     kept
+}
+
+/// First index of the smallest score. Scores hold no NaN (the scan
+/// rejects non-finite unmasked cuts and masks with `+∞`), so eight
+/// `<`-selected lanes find the minimum value and `position` its first
+/// occurrence: exactly the cut a sequential strict-`<` scan keeps.
+/// `None` when every cut is masked.
+fn first_min(scores: &[f64]) -> Option<(usize, f64)> {
+    let mut lanes = [f64::INFINITY; 8];
+    let chunks = scores.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &s) in lanes.iter_mut().zip(chunk) {
+            *lane = if s < *lane { s } else { *lane };
+        }
+    }
+    let min = lanes.iter().chain(tail).fold(f64::INFINITY, |m, &s| if s < m { s } else { m });
+    if min == f64::INFINITY {
+        return None;
+    }
+    scores.iter().position(|&s| s == min).map(|c| (c, min))
 }
 
 /// One growth's working state over a shared [`PresortedDesign`].
@@ -759,10 +787,19 @@ struct Growth<'a> {
     idx: Vec<RowId>,
     /// Spill buffer for the stable partitions.
     spill: Vec<RowId>,
-    /// Prefix sums of targets over a node's sorted order (`len + 1` used).
+    /// Per-row side of the current split (`1` = left), written for the
+    /// node's rows before its partitions read it.
+    goes_left: Vec<u8>,
+    /// The node's values of the scanned feature, in its sorted order.
+    vals: Vec<f64>,
+    /// Prefix sums of targets over a node's sorted order (`len + 1` used;
+    /// index 0 stays 0.0).
     prefix_sum: Vec<f64>,
     /// Prefix sums of squared targets.
     prefix_sq: Vec<f64>,
+    /// Child SSE of each candidate cut of the scanned feature, `+∞` where
+    /// equal values mask the cut.
+    scores: Vec<f64>,
     /// The node's leaf-fit rows, gathered from the design in `idx` order
     /// — exactly the rows the reference grower's leaf fit gathers.
     cell_rows: Vec<f64>,
@@ -778,7 +815,7 @@ impl Growth<'_> {
     fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> Result<Vec<Node>> {
         let config = self.config;
         let len = hi - lo;
-        let (node_sse, node_std) = node_stats(self.ys, &self.idx[lo..hi])?;
+        let (mean, node_sse, node_std) = node_stats(self.ys, &self.idx[lo..hi])?;
         // One leaf model per kind per node, fit up front: it becomes the
         // node's own model if growth stops here and the pruning fallback
         // (`collapsed`) if the node splits — the reference grower fits
@@ -796,8 +833,16 @@ impl Growth<'_> {
             let (rows, yseg) = (&self.cell_rows, &self.cell_ys);
             let mut fits = Vec::with_capacity(self.kinds.len());
             for &kind in self.kinds {
-                let model = LeafModel::fit_prepared(kind, rows, p, yseg, &mut self.ols)?;
-                let resid_std = residual_std_prepared(&model, rows, p, yseg)?;
+                let model = LeafModel::fit_prepared(kind, rows, p, yseg, mean, &mut self.ols)?;
+                // A constant leaf's residual pass is the node's own
+                // squared-deviation sum: (mean − y)² = (y − mean)², same
+                // order, and a sum from −0.0 agrees with one from +0.0
+                // once a term is ≥ 0.
+                let resid_std = if model.is_constant() {
+                    node_std
+                } else {
+                    residual_std_prepared(&model, rows, p, yseg)?
+                };
                 fits.push((model, resid_std));
             }
             fits
@@ -808,53 +853,18 @@ impl Growth<'_> {
             Ok(fits.into_iter().map(leaf).collect())
         };
 
-        let msl = config.min_samples_leaf;
         if depth >= config.max_depth
             || len < config.min_samples_split
             || node_sse <= f64::EPSILON
             // No cut can give both children `min_samples_leaf` samples. This
             // also guards the `len - min_samples_leaf` underflow the
             // pre-presorting grower hit when `min_samples_leaf > len`.
-            || msl.saturating_mul(2) > len
+            || config.min_samples_leaf.saturating_mul(2) > len
         {
             return leaves(fits);
         }
 
-        // Exhaustive best-split scan over the presorted per-feature orders.
-        let n = self.design.n;
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, child_sse)
-        let (prefix_sum, prefix_sq) = (&mut self.prefix_sum, &mut self.prefix_sq);
-        let features = self.design.cols.chunks_exact(n).zip(self.sorted.chunks_exact(n));
-        for (feature, (col, sorted)) in features.enumerate() {
-            let order = &sorted[lo..hi];
-            // Prefix sums over the sorted order for the O(n) threshold
-            // scan, accumulated in the reference order (index 0 stays 0.0
-            // from allocation; entries past `len` are stale but unread).
-            for (k, &i) in order.iter().enumerate() {
-                let v = self.ys[i as usize];
-                prefix_sum[k + 1] = prefix_sum[k] + v;
-                prefix_sq[k + 1] = prefix_sq[k] + v * v;
-            }
-            for cut in msl..=(len - msl) {
-                let fv_left = col[order[cut - 1] as usize];
-                let fv_right = col[order[cut] as usize];
-                if fv_left == fv_right {
-                    continue; // cannot split between equal values
-                }
-                let nl = cut as f64;
-                let nr = (len - cut) as f64;
-                let sse_left = prefix_sq[cut] - prefix_sum[cut].powi(2) / nl;
-                let sum_r = prefix_sum[len] - prefix_sum[cut];
-                let sq_r = prefix_sq[len] - prefix_sq[cut];
-                let sse_right = sq_r - sum_r.powi(2) / nr;
-                let child_sse = sse_left + sse_right;
-                if best.as_ref().is_none_or(|(_, _, s)| child_sse < *s) {
-                    best = Some((feature, (fv_left + fv_right) / 2.0, child_sse));
-                }
-            }
-        }
-
-        let Some((feature, threshold, child_sse)) = best else {
+        let Some((feature, threshold, child_sse)) = self.best_split(lo, hi)? else {
             return leaves(fits);
         };
         let decrease = node_sse - child_sse;
@@ -865,8 +875,13 @@ impl Growth<'_> {
         // Stable partition of the ascending index list and of every feature's
         // sorted segment: both sides keep their relative order, so each child
         // inherits exactly the orders a per-node stable sort would rebuild.
+        let n = self.design.n;
         let col = &self.design.cols[feature * n..(feature + 1) * n];
-        let goes_left = |i: RowId| col[i as usize] <= threshold;
+        for &i in &self.idx[lo..hi] {
+            self.goes_left[i as usize] = u8::from(col[i as usize] <= threshold);
+        }
+        let mask = &self.goes_left;
+        let goes_left = |i: RowId| mask[i as usize] != 0;
         let n_left = stable_partition(&mut self.idx[lo..hi], &mut self.spill, goes_left);
         for sorted in self.sorted.chunks_exact_mut(n) {
             let nl = stable_partition(&mut sorted[lo..hi], &mut self.spill, goes_left);
@@ -886,6 +901,69 @@ impl Growth<'_> {
             collapsed,
         };
         Ok(fits.into_iter().zip(left).zip(right).map(internal).collect())
+    }
+
+    /// Exhaustive best-split scan of the node `[lo, hi)` over the
+    /// presorted per-feature orders: `(feature, threshold, child_sse)` of
+    /// the first cut with the smallest child SSE, features in order and
+    /// cuts ascending, or `None` when equal values mask every cut.
+    ///
+    /// Per feature, one pass gathers the node's sorted values and runs the
+    /// prefix sums in local accumulators (the reference order and start
+    /// values), and a second pass scores every cut from those contiguous
+    /// arrays with the reference expressions. A non-finite child SSE on an
+    /// unmasked cut (targets whose squares overflow) is a
+    /// [`CartError::NonFiniteInput`]: no cut can be ranked.
+    fn best_split(&mut self, lo: usize, hi: usize) -> Result<Option<(usize, f64, f64)>> {
+        let (n, len, msl) = (self.design.n, hi - lo, self.config.min_samples_leaf);
+        let ys = self.ys;
+        let vals = &mut self.vals[..len];
+        let prefix_sum = &mut self.prefix_sum[..=len];
+        let prefix_sq = &mut self.prefix_sq[..=len];
+        // Cuts `msl..=len - msl`: the left child holds `cut` rows.
+        let scores = &mut self.scores[..=len - 2 * msl];
+        let len_f = len as f64;
+        let mut best: Option<(usize, f64, f64)> = None;
+        let features = self.design.cols.chunks_exact(n).zip(self.sorted.chunks_exact(n));
+        for (feature, (col, sorted)) in features.enumerate() {
+            let (mut sum, mut sq) = (0.0, 0.0);
+            let prefixes = prefix_sum[1..].iter_mut().zip(&mut prefix_sq[1..]);
+            for ((&i, v), (ps, pq)) in sorted[lo..hi].iter().zip(vals.iter_mut()).zip(prefixes) {
+                let y = ys[i as usize];
+                sum += y;
+                sq += y * y;
+                (*ps, *pq) = (sum, sq);
+                *v = col[i as usize];
+            }
+            let mut finite = true;
+            let cuts = vals[msl - 1..].iter().zip(&vals[msl..]).zip(&prefix_sum[msl..]);
+            let cuts = cuts.zip(&prefix_sq[msl..]).zip(scores.iter_mut());
+            for (cut, ((((&fv_left, &fv_right), &sum_l), &sq_l), score)) in (msl..).zip(cuts) {
+                // Counts below 2^53 convert exactly, so `len - cut` may be
+                // taken in f64.
+                let nl = cut as f64;
+                let nr = len_f - nl;
+                let sse_left = sq_l - sum_l * sum_l / nl;
+                let sum_r = sum - sum_l;
+                let sq_r = sq - sq_l;
+                let sse_right = sq_r - sum_r * sum_r / nr;
+                let child_sse = sse_left + sse_right;
+                // Cannot split between equal values.
+                let masked = fv_left == fv_right;
+                finite &= masked | child_sse.is_finite();
+                *score = if masked { f64::INFINITY } else { child_sse };
+            }
+            if !finite {
+                return Err(CartError::NonFiniteInput);
+            }
+            if let Some((c, child_sse)) = first_min(scores) {
+                if best.as_ref().is_none_or(|(_, _, s)| child_sse < *s) {
+                    let cut = msl + c;
+                    best = Some((feature, (vals[cut - 1] + vals[cut]) / 2.0, child_sse));
+                }
+            }
+        }
+        Ok(best)
     }
 }
 

@@ -72,6 +72,12 @@ proptest! {
     /// features: `fit`, `fit_leaf_kinds` and `prune_holdout` either return
     /// `NonFiniteInput` or a tree whose `predict` is finite on every
     /// training row, never a panic, a NaN or an ∞.
+    ///
+    /// The `keyed` case is 60 rows of targets 1e160 ± 1e150 keyed on
+    /// feature 1 (a spread of 1e140 would round away): node statistics
+    /// are finite, but every squared target overflows the split scan's
+    /// prefix sums, so no cut can be ranked and growth must fail (the
+    /// scan once let the first NaN-scored cut win).
     #[test]
     fn extreme_magnitudes_error_or_predict_finite(
         noise in proptest::collection::vec(-1.0f64..1.0, 12..80),
@@ -79,13 +85,17 @@ proptest! {
         x_exponent in 0i32..=308,
         spike in 0usize..120,
         retention in 0.5f64..1.0,
+        keyed in 0u8..2,
     ) {
         let (y_scale, x_scale) = (10f64.powi(y_exponent), 10f64.powi(x_exponent));
-        let rows: Vec<Vec<f64>> = (0..noise.len())
-            .map(|i| vec![i as f64 * x_scale.min(1e306), (i % 7) as f64])
-            .collect();
+        let keyed = keyed == 1;
+        let n = if keyed { 60 } else { noise.len() };
+        let rows: Vec<Vec<f64>> =
+            (0..n).map(|i| vec![i as f64 * x_scale.min(1e306), (i % 7) as f64]).collect();
         let mut ys: Vec<f64> = noise.iter().map(|u| u * y_scale).collect();
-        if let Some(y) = ys.get_mut(spike) {
+        if keyed {
+            ys = rows.iter().map(|x| 1e160 + if x[1] < 3.0 { 1e150 } else { -1e150 }).collect();
+        } else if let Some(y) = ys.get_mut(spike) {
             *y = f64::MAX.copysign(*y);
         }
         let finite_on_rows = |tree: &RegressionTree| {
@@ -96,6 +106,7 @@ proptest! {
         let kinds = design.fit_leaf_kinds(&ys, &config, [LeafKind::Constant, LeafKind::Linear]);
         match RegressionTree::fit(&rows, &ys, &config) {
             Ok(mut tree) => {
+                prop_assert!(!keyed, "a split was ranked by overflowed squares");
                 prop_assert!(finite_on_rows(&tree));
                 let [constant, linear] = kinds.unwrap();
                 prop_assert!(finite_on_rows(&constant) && finite_on_rows(&linear));

@@ -231,7 +231,9 @@ impl Zipf {
     /// Draws a rank in `0..n` (0-based; rank 0 is the most popular item).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf")) {
+        // The CDF is finite and non-negative (never -0.0) and `u` is in
+        // [0, 1), where `total_cmp` orders exactly as `partial_cmp`.
+        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }
@@ -294,7 +296,9 @@ impl Categorical {
     /// Draws an index in `0..weights.len()`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf")) {
+        // The CDF is finite and non-negative (never -0.0) and `u` is in
+        // [0, 1), where `total_cmp` orders exactly as `partial_cmp`.
+        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }
@@ -536,6 +540,23 @@ mod tests {
         }
         assert_eq!(counts[1], 0);
         assert!((counts[2] as f64 / counts[0] as f64 - 3.0).abs() < 0.3);
+    }
+
+    #[test]
+    fn seeded_draws_match_recorded_fingerprints() {
+        // FNV-1a over 4,096 seeded draws from each sampler, recorded when
+        // the CDF search compared with `partial_cmp`: the `total_cmp`
+        // search must draw the same indices. The zero weights put equal
+        // entries in the categorical CDF.
+        fn fingerprint(draws: impl Iterator<Item = usize>) -> u64 {
+            draws.fold(0xcbf2_9ce4_8422_2325, |h, d| (h ^ d as u64).wrapping_mul(0x1000_0000_01b3))
+        }
+        let mut r = rng();
+        let z = Zipf::new(50, 1.2).unwrap();
+        let zipf = fingerprint((0..4_096).map(|_| z.sample(&mut r)));
+        let c = Categorical::new(&[0.0, 3.0, 0.0, 0.0, 1.0, 0.5, 0.0, 2.0]).unwrap();
+        let categorical = fingerprint((0..4_096).map(|_| c.sample(&mut r)));
+        assert_eq!((zipf, categorical), (0x9be5_d44a_9ee3_9e71, 0x40a0_bdd4_e9c6_52c2));
     }
 
     #[test]
