@@ -273,7 +273,7 @@ fn bench_ablation_pruning(c: &mut Criterion) {
         let rmse = ddos_stats::metrics::rmse(&st, &truth).unwrap();
         eprintln!(
             "[ablation pruning] {name}: hour tree {} leaves, hour RMSE {rmse:.2}",
-            model.hour_tree().unwrap().n_leaves()
+            model.hour_tree().n_leaves()
         );
     }
     let mut g = c.benchmark_group("ablation_pruning");
@@ -613,12 +613,11 @@ fn bench_ensemble_fit(c: &mut Criterion) {
 
 /// Forecaster zoo serving: batched ensemble prediction through the
 /// shared `EnsembleScratch` (one level-order frontier pass per tree)
-/// vs the scalar per-row walk, plus the versioned-artifact round trip
-/// for both new kinds. The `ensemble_forest_fit` / `ensemble_boosted_fit`
-/// goldencheck lines pin bit-identity of everything timed here.
+/// vs the scalar per-row walk. The `ensemble_forest_fit` /
+/// `ensemble_boosted_fit` goldencheck lines pin bit-identity of
+/// everything timed here.
 fn bench_ensemble_serve(c: &mut Criterion) {
     use ddos_cart::ensemble::{BaggedForest, BoostConfig, BoostedTrees, ForestConfig};
-    use ddos_core::artifact::ModelArtifact;
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
     let st_cfg = SpatioTemporalConfig::fast();
@@ -653,21 +652,6 @@ fn bench_ensemble_serve(c: &mut Criterion) {
     });
     g.bench_function("boosted_predict_many_481x13", |b| {
         b.iter(|| boosted.predict_many(black_box(&xs)).unwrap())
-    });
-    let forest_bytes = forest.to_artifact_bytes();
-    let boosted_bytes = boosted.to_artifact_bytes();
-    eprintln!(
-        "[ensemble_serve] artifacts: forest {} bytes, boosted {} bytes",
-        forest_bytes.len(),
-        boosted_bytes.len()
-    );
-    g.bench_function("artifact_encode_forest", |b| b.iter(|| forest.to_artifact_bytes().len()));
-    g.bench_function("artifact_decode_forest", |b| {
-        b.iter(|| BaggedForest::from_artifact_bytes(black_box(&forest_bytes)).unwrap())
-    });
-    g.bench_function("artifact_encode_boosted", |b| b.iter(|| boosted.to_artifact_bytes().len()));
-    g.bench_function("artifact_decode_boosted", |b| {
-        b.iter(|| BoostedTrees::from_artifact_bytes(black_box(&boosted_bytes)).unwrap())
     });
     g.finish();
 }

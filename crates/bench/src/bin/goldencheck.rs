@@ -40,6 +40,7 @@ use ddos_neural::nar::{NarConfig, NarModel};
 use ddos_neural::train::TrainConfig;
 use ddos_serve::{BatchPolicy, ForecastRequest, ForecastService, ServeConfig};
 use ddos_stats::arima::{Arima, ArimaOrder};
+use ddos_stats::codec::Writer;
 use ddos_stats::regress::{HuberConfig, HuberModel, PolyConfig, PolynomialModel};
 use ddos_trace::{AttackRecord, ColumnarWriter, CorpusStream};
 
@@ -98,6 +99,14 @@ fn hash_tree(h: &mut Fnv<'_>, tree: &RegressionTree, xs: &[Vec<f64>]) {
             (0..width).map(|f| (step as f64 - 8.0) * 1.7 + f as f64 * 0.33).collect();
         h.f64(tree.predict(&probe).unwrap());
     }
+}
+
+/// A tree's own codec bytes: the form an ensemble's member trees are
+/// fingerprinted in.
+fn tree_bytes(tree: &RegressionTree) -> Vec<u8> {
+    let mut w = Writer::new();
+    tree.encode(&mut w);
+    w.into_bytes()
 }
 
 const USAGE: &str = "usage: goldencheck [--check <golden-file>]";
@@ -345,7 +354,7 @@ fn run(report: &mut Report) {
     // Must stay bit-identical to the scalar `predict` walks hashed by
     // the cart_fit_* lines.
     let mut h = Fnv::new(report);
-    for tree in [st_model.hour_tree().unwrap(), st_model.day_tree().unwrap()] {
+    for tree in [st_model.hour_tree(), st_model.day_tree()] {
         for v in tree.predict_many(&st_xs).unwrap() {
             h.f64(v);
         }
@@ -437,8 +446,8 @@ fn run(report: &mut Report) {
     // Forecaster zoo: bagged-forest and boosted-model-tree fits on a
     // synthetic integer-derived design; the ensembles never touch the
     // neural kernel. Folds the bootstrap stream of the first tree,
-    // per-tree shape, batched predictions, and the full v3 artifact byte
-    // stream of each kind.
+    // per-tree shape, batched predictions, and every member tree's codec
+    // bytes.
     let zoo_xs: Vec<Vec<f64>> = (0..160)
         .map(|i| (0..5).map(|f| ((i * 37 + f * 11) % 97) as f64 / 9.7 - 5.0).collect())
         .collect();
@@ -466,9 +475,9 @@ fn run(report: &mut Report) {
     for v in forest.predict_many(&zoo_xs).unwrap() {
         h.f64(v);
     }
-    let forest_bytes = forest.to_artifact_bytes();
-    h.word(forest_bytes.len() as u64);
-    h.bytes(&forest_bytes);
+    for tree in forest.trees() {
+        h.bytes(&tree_bytes(tree));
+    }
     h.done("ensemble_forest_fit");
 
     let boosted = BoostedTrees::fit(&zoo_xs, &zoo_ys, &BoostConfig::default()).unwrap();
@@ -483,9 +492,9 @@ fn run(report: &mut Report) {
     for v in boosted.predict_many(&zoo_xs).unwrap() {
         h.f64(v);
     }
-    let boosted_bytes = boosted.to_artifact_bytes();
-    h.word(boosted_bytes.len() as u64);
-    h.bytes(&boosted_bytes);
+    for tree in boosted.trees() {
+        h.bytes(&tree_bytes(tree));
+    }
     h.done("ensemble_boosted_fit");
 
     // Cheap regression baselines on the same design: the degree-2

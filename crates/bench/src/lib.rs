@@ -233,6 +233,11 @@ pub fn comparison(corpus: &Corpus, seed: u64) -> (String, RmseTable) {
     (out, table)
 }
 
+/// The E8 table's rows, in print order; the last three are the tree
+/// learners.
+const ZOO_MODELS: [&str; 8] =
+    ["Always-Same", "Always-Mean", "Linear", "Poly(2)", "Huber", "CART", "Forest", "Boosted"];
+
 /// E8 — the extended §VII-A comparison: the full forecaster zoo scored
 /// on the spatiotemporal design (Table II features → hour, day,
 /// magnitude, duration), chronological 80/20 split of the instance
@@ -268,8 +273,7 @@ pub fn zoo(corpus: &Corpus, seed: u64) -> String {
     );
 
     let targets = ["hour", "day", "magnitude", "duration"];
-    let models =
-        ["Always-Same", "Always-Mean", "Linear", "Poly(2)", "Huber", "CART", "Forest", "Boosted"];
+    let models = ZOO_MODELS;
     // scores[model][target]
     let mut scores = vec![[f64::NAN; 4]; models.len()];
     for (t, _) in targets.iter().enumerate() {
@@ -331,7 +335,7 @@ pub fn zoo(corpus: &Corpus, seed: u64) -> String {
     for (t, name) in targets.iter().enumerate() {
         let best = (0..models.len())
             .filter(|&m| scores[m][t].is_finite())
-            .min_by(|&a, &b| scores[a][t].partial_cmp(&scores[b][t]).expect("finite"))
+            .min_by(|&a, &b| scores[a][t].total_cmp(&scores[b][t]))
             .expect("some model scored");
         let _ = writeln!(out, "  best {name}: {}", models[best]);
     }
@@ -548,6 +552,26 @@ mod tests {
         let f1 = fig1(&c, 3);
         assert!(f1.contains("FIG. 1"));
         assert!(f1.contains("RMSE"));
+    }
+
+    #[test]
+    fn zoo_table_scores_every_tree_learner() {
+        let text = zoo(&corpus(Scale::Small, 11), 11);
+        let rows: Vec<&str> = text
+            .lines()
+            .filter(|l| ZOO_MODELS.iter().any(|m| l.trim_start().starts_with(&format!("{m} "))))
+            .collect();
+        assert_eq!(rows.len(), 8, "{text}");
+        for tree_row in &rows[5..] {
+            assert!(!tree_row.contains("n/a"), "unscored tree learner: {tree_row}");
+        }
+        let best: Vec<&str> =
+            text.lines().filter(|l| l.trim_start().starts_with("best ")).collect();
+        assert_eq!(best.len(), 4, "{text}");
+        for (line, target) in best.iter().zip(["hour", "day", "magnitude", "duration"]) {
+            let winner = line.trim_start().strip_prefix(&format!("best {target}: ")).unwrap();
+            assert!(ZOO_MODELS.contains(&winner), "{line}");
+        }
     }
 
     #[test]

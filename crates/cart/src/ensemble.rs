@@ -16,16 +16,17 @@
 //!   early stopping on a chronological holdout tail keep the additive
 //!   model from memorizing the design.
 //!
-//! Serving batches one level-order frontier pass per member tree through
-//! a shared [`EnsembleScratch`], reusing the same
+//! Batched prediction runs one level-order frontier pass per member tree
+//! through a shared [`EnsembleScratch`], reusing the same
 //! [`PredictScratch`] arena the single-tree serve path uses — predictions
 //! are bit-identical to the scalar per-row loops (`predict`), which is
-//! what lets the ensembles sit under the goldencheck fingerprint gate
-//! and the serve determinism suite unchanged.
+//! what lets the ensembles sit under the goldencheck fingerprint gate.
+//! Both are in-memory learners (the E8 comparison and the drift
+//! harness): they have no codec and no artifact form, and the served
+//! spatiotemporal model is always single model trees.
 
 use crate::tree::{PredictScratch, PresortedDesign, RegressionTree, TreeConfig};
 use crate::{CartError, Result};
-use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
 use ddos_stats::exec::map_indexed_with;
 use serde::{Deserialize, Serialize};
 
@@ -91,8 +92,7 @@ pub struct EnsembleScratch {
 ///
 /// `parallelism` is a fit-time resource knob only — the fitted forest is
 /// bit-identical at any worker count (index-order reduction through the
-/// sharded executor), so it participates in neither equality nor the
-/// artifact payload.
+/// sharded executor), so it does not participate in the fitted forest.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ForestConfig {
     /// Number of member trees (≥ 1).
@@ -244,47 +244,6 @@ impl BaggedForest {
         let mut out = Vec::new();
         self.predict_many_with(xs, &mut scratch, &mut out)?;
         Ok(out)
-    }
-
-    /// Encodes the fitted forest verbatim: cell seed, feature width, then
-    /// every member tree in index order.
-    pub fn encode(&self, w: &mut Writer) {
-        w.u64(self.seed);
-        w.usize(self.n_features);
-        w.usize(self.trees.len());
-        for tree in &self.trees {
-            tree.encode(w);
-        }
-    }
-
-    /// Decodes a forest written by [`BaggedForest::encode`], validating
-    /// the invariants serving relies on (at least one tree, every member
-    /// trained at the declared feature width).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncated, malformed or inconsistent input.
-    pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let seed = r.u64()?;
-        let n_features = r.usize()?;
-        let n_trees = r.len(16)?;
-        if n_trees == 0 {
-            return Err(CodecError::Invalid { detail: "forest with zero trees".to_string() });
-        }
-        let mut trees = Vec::with_capacity(n_trees);
-        for _ in 0..n_trees {
-            let tree = RegressionTree::decode(r)?;
-            if tree.n_features() != n_features {
-                return Err(CodecError::Invalid {
-                    detail: format!(
-                        "member tree width {} disagrees with forest width {n_features}",
-                        tree.n_features()
-                    ),
-                });
-            }
-            trees.push(tree);
-        }
-        Ok(BaggedForest { trees, seed, n_features })
     }
 }
 
@@ -535,167 +494,6 @@ impl BoostedTrees {
         self.predict_many_with(xs, &mut scratch, &mut out)?;
         Ok(out)
     }
-
-    /// Encodes the fitted ensemble verbatim: intercept, shrinkage,
-    /// feature width, then every stage tree in boosting order.
-    pub fn encode(&self, w: &mut Writer) {
-        w.f64(self.f0);
-        w.f64(self.shrinkage);
-        w.usize(self.n_features);
-        w.usize(self.trees.len());
-        for tree in &self.trees {
-            tree.encode(w);
-        }
-    }
-
-    /// Decodes an ensemble written by [`BoostedTrees::encode`],
-    /// validating the invariants serving relies on (finite intercept and
-    /// shrinkage, every stage trained at the declared feature width). A
-    /// zero-stage payload is valid: it serves the constant intercept.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncated, malformed or inconsistent input.
-    pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let f0 = r.f64()?;
-        let shrinkage = r.f64()?;
-        if !f0.is_finite() || !shrinkage.is_finite() {
-            return Err(CodecError::Invalid {
-                detail: "non-finite boosting intercept or shrinkage".to_string(),
-            });
-        }
-        let n_features = r.usize()?;
-        if n_features == 0 {
-            return Err(CodecError::Invalid { detail: "zero-width feature space".to_string() });
-        }
-        let n_trees = r.len(16)?;
-        let mut trees = Vec::with_capacity(n_trees);
-        for _ in 0..n_trees {
-            let tree = RegressionTree::decode(r)?;
-            if tree.n_features() != n_features {
-                return Err(CodecError::Invalid {
-                    detail: format!(
-                        "stage tree width {} disagrees with ensemble width {n_features}",
-                        tree.n_features()
-                    ),
-                });
-            }
-            trees.push(tree);
-        }
-        Ok(BoostedTrees { f0, shrinkage, trees, n_features })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The unified regressor
-// ---------------------------------------------------------------------------
-
-/// Any of the three tree-based learners behind one serving surface — the
-/// type the spatiotemporal pipeline and `ddos-serve` dispatch through.
-/// Every variant predicts bit-identically on the scalar and batched
-/// paths, so swapping the learner never perturbs the serving contracts.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Regressor {
-    /// A single CART model tree (the paper's §VI learner).
-    Tree(RegressionTree),
-    /// A bagged forest of CART trees.
-    Forest(BaggedForest),
-    /// A gradient-boosted model-tree ensemble.
-    Boosted(BoostedTrees),
-}
-
-impl Regressor {
-    /// Short stable name of the learner variant.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Regressor::Tree(_) => "tree",
-            Regressor::Forest(_) => "forest",
-            Regressor::Boosted(_) => "boosted",
-        }
-    }
-
-    /// Feature width the learner was trained with.
-    pub fn n_features(&self) -> usize {
-        match self {
-            Regressor::Tree(t) => t.n_features(),
-            Regressor::Forest(f) => f.n_features(),
-            Regressor::Boosted(b) => b.n_features(),
-        }
-    }
-
-    /// The underlying single tree, when the learner is one.
-    pub fn as_tree(&self) -> Option<&RegressionTree> {
-        match self {
-            Regressor::Tree(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Scalar prediction through the variant's own scalar path.
-    ///
-    /// # Errors
-    ///
-    /// [`CartError::FeatureWidthMismatch`] on a wrong-width row.
-    pub fn predict(&self, x: &[f64]) -> Result<f64> {
-        match self {
-            Regressor::Tree(t) => t.predict(x),
-            Regressor::Forest(f) => f.predict(x),
-            Regressor::Boosted(b) => b.predict(x),
-        }
-    }
-
-    /// Batched prediction through the variant's level-order kernel, all
-    /// variants sharing one [`EnsembleScratch`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Regressor::predict`]; on error `out`'s contents are
-    /// unspecified.
-    pub fn predict_many_with(
-        &self,
-        xs: &[Vec<f64>],
-        scratch: &mut EnsembleScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        match self {
-            Regressor::Tree(t) => t.predict_many_with(xs, &mut scratch.tree, out),
-            Regressor::Forest(f) => f.predict_many_with(xs, scratch, out),
-            Regressor::Boosted(b) => b.predict_many_with(xs, scratch, out),
-        }
-    }
-
-    /// Encodes the learner with a leading variant tag (artifact payloads).
-    pub fn encode(&self, w: &mut Writer) {
-        match self {
-            Regressor::Tree(t) => {
-                w.u8(0);
-                t.encode(w);
-            }
-            Regressor::Forest(f) => {
-                w.u8(1);
-                f.encode(w);
-            }
-            Regressor::Boosted(b) => {
-                w.u8(2);
-                b.encode(w);
-            }
-        }
-    }
-
-    /// Decodes a learner written by [`Regressor::encode`].
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::BadTag`] on an unknown variant tag, plus every error
-    /// the variant decoders can produce.
-    pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        match r.u8()? {
-            0 => Ok(Regressor::Tree(RegressionTree::decode(r)?)),
-            1 => Ok(Regressor::Forest(BaggedForest::decode(r)?)),
-            2 => Ok(Regressor::Boosted(BoostedTrees::decode(r)?)),
-            tag => Err(CodecError::BadTag { context: "regressor variant", tag: tag as u64 }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -793,21 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn forest_round_trips_through_codec() {
-        let (xs, ys) = design(80, 4);
-        let cfg = ForestConfig { n_trees: 5, seed: 99, ..Default::default() };
-        let forest = BaggedForest::fit(&xs, &ys, &cfg).unwrap();
-        let mut w = Writer::new();
-        forest.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = BaggedForest::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, forest);
-        assert_eq!(back.seed(), 99);
-    }
-
-    #[test]
     fn boosting_improves_training_fit_and_early_stops() {
         let (xs, ys) = design(200, 5);
         let cfg = BoostConfig { rounds: 60, ..Default::default() };
@@ -854,61 +637,5 @@ mod tests {
         let cfg = BoostConfig { rounds: 7, holdout_fraction: 0.0, ..Default::default() };
         let model = BoostedTrees::fit(&xs, &ys, &cfg).unwrap();
         assert_eq!(model.n_stages(), 7);
-    }
-
-    #[test]
-    fn boosted_round_trips_through_codec() {
-        let (xs, ys) = design(100, 4);
-        let model = BoostedTrees::fit(&xs, &ys, &BoostConfig::default()).unwrap();
-        let mut w = Writer::new();
-        model.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = BoostedTrees::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, model);
-    }
-
-    #[test]
-    fn regressor_dispatch_matches_variants_bitwise() {
-        let (xs, ys) = design(90, 4);
-        let tree = RegressionTree::fit(&xs, &ys, &TreeConfig::default()).unwrap();
-        let forest =
-            BaggedForest::fit(&xs, &ys, &ForestConfig { n_trees: 4, ..Default::default() })
-                .unwrap();
-        let boosted = BoostedTrees::fit(&xs, &ys, &BoostConfig::default()).unwrap();
-        let regs = [
-            Regressor::Tree(tree.clone()),
-            Regressor::Forest(forest.clone()),
-            Regressor::Boosted(boosted.clone()),
-        ];
-        let direct = [
-            tree.predict_many(&xs).unwrap(),
-            forest.predict_many(&xs).unwrap(),
-            boosted.predict_many(&xs).unwrap(),
-        ];
-        let mut scratch = EnsembleScratch::default();
-        for (reg, want) in regs.iter().zip(&direct) {
-            let mut out = Vec::new();
-            reg.predict_many_with(&xs, &mut scratch, &mut out).unwrap();
-            assert_eq!(out.len(), want.len());
-            for (a, b) in out.iter().zip(want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{}", reg.kind_name());
-            }
-            // Tagged codec round trip.
-            let mut w = Writer::new();
-            reg.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            let back = Regressor::decode(&mut r).unwrap();
-            r.finish().unwrap();
-            assert_eq!(&back, reg);
-        }
-        // Unknown variant tag is a typed error.
-        let mut w = Writer::new();
-        w.u8(9);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(Regressor::decode(&mut r), Err(CodecError::BadTag { .. })));
     }
 }

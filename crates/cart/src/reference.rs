@@ -14,7 +14,7 @@
 //! bit-equal predictions.
 
 use crate::leaf::LeafModel;
-use crate::tree::{validate, Node, RegressionTree, TreeConfig};
+use crate::tree::{midpoint, validate, Node, RegressionTree, TreeConfig};
 use crate::{CartError, Result};
 
 /// Grows a tree with the reference (per-node sorting, cell-cloning)
@@ -104,7 +104,7 @@ fn grow(
                 return Err(CartError::NonFiniteInput); // squares overflowed: no cut ranks
             }
             if best.as_ref().is_none_or(|(_, _, s)| child_sse < *s) {
-                best = Some((feature, (fv_left + fv_right) / 2.0, child_sse));
+                best = Some((feature, midpoint(fv_left, fv_right), child_sse));
             }
         }
     }
@@ -308,6 +308,21 @@ mod tests {
             prop_assert_eq!(collapsed_p, collapsed_r);
             prop_assert_eq!(&presorted_h, &reference_h);
         }
+    }
+
+    /// Two adjacent feature values whose sum overflows still split at a
+    /// finite midpoint, in both growers alike.
+    #[test]
+    fn overflowing_midpoint_splits_in_both_growers() {
+        let rows: Vec<Vec<f64>> =
+            (0..20).map(|i| vec![if i % 2 == 0 { 1e308 } else { 1.5e308 }, i as f64]).collect();
+        let ys: Vec<f64> = rows.iter().map(|x| if x[0] < 1.2e308 { 1.0 } else { 5.0 }).collect();
+        let cfg = TreeConfig { leaf_kind: LeafKind::Constant, ..TreeConfig::default() };
+        let presorted = RegressionTree::fit(&rows, &ys, &cfg).unwrap();
+        assert_eq!(presorted, fit_reference(&rows, &ys, &cfg).unwrap());
+        assert_eq!(presorted.n_leaves(), 2);
+        assert_eq!(presorted.predict(&[1e308, 0.0]).unwrap(), 1.0);
+        assert_eq!(presorted.predict(&[1.5e308, 0.0]).unwrap(), 5.0);
     }
 
     // The split scan's gather, prefix, score and first-minimum passes at

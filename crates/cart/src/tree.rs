@@ -746,6 +746,19 @@ fn stable_partition<T: Copy>(seg: &mut [T], spill: &mut [T], pred: impl Fn(T) ->
     kept
 }
 
+/// The split threshold between two adjacent sorted feature values:
+/// `(a + b) / 2`, or `a / 2 + b / 2` when the sum overflows (1e308 and
+/// 1.5e308, say), which would otherwise send every row left. Every finite
+/// sum takes the plain expression.
+pub(crate) fn midpoint(a: f64, b: f64) -> f64 {
+    let sum = a + b;
+    if sum.is_finite() {
+        sum / 2.0
+    } else {
+        a / 2.0 + b / 2.0
+    }
+}
+
 /// First index of the smallest score. Scores hold no NaN (the scan
 /// rejects non-finite unmasked cuts and masks with `+∞`), so eight
 /// `<`-selected lanes find the minimum value and `position` its first
@@ -959,7 +972,7 @@ impl Growth<'_> {
             if let Some((c, child_sse)) = first_min(scores) {
                 if best.as_ref().is_none_or(|(_, _, s)| child_sse < *s) {
                     let cut = msl + c;
-                    best = Some((feature, (vals[cut - 1] + vals[cut]) / 2.0, child_sse));
+                    best = Some((feature, midpoint(vals[cut - 1], vals[cut]), child_sse));
                 }
             }
         }

@@ -78,6 +78,11 @@ proptest! {
     /// are finite, but every squared target overflows the split scan's
     /// prefix sums, so no cut can be ranked and growth must fail (the
     /// scan once let the first NaN-scored cut win).
+    ///
+    /// The `overflow` case is 20 rows whose feature 0 is 1e308 or 1.5e308
+    /// with step targets: the two values' sum overflows, but their
+    /// midpoint is finite, so growth must split there and fit (the
+    /// threshold was once `+∞`, sending every row left).
     #[test]
     fn extreme_magnitudes_error_or_predict_finite(
         noise in proptest::collection::vec(-1.0f64..1.0, 12..80),
@@ -85,16 +90,25 @@ proptest! {
         x_exponent in 0i32..=308,
         spike in 0usize..120,
         retention in 0.5f64..1.0,
-        keyed in 0u8..2,
+        case in 0u8..3,
     ) {
         let (y_scale, x_scale) = (10f64.powi(y_exponent), 10f64.powi(x_exponent));
-        let keyed = keyed == 1;
-        let n = if keyed { 60 } else { noise.len() };
-        let rows: Vec<Vec<f64>> =
+        let (keyed, overflow) = (case == 1, case == 2);
+        let n = match case {
+            1 => 60,
+            2 => 20,
+            _ => noise.len(),
+        };
+        let mut rows: Vec<Vec<f64>> =
             (0..n).map(|i| vec![i as f64 * x_scale.min(1e306), (i % 7) as f64]).collect();
         let mut ys: Vec<f64> = noise.iter().map(|u| u * y_scale).collect();
         if keyed {
             ys = rows.iter().map(|x| 1e160 + if x[1] < 3.0 { 1e150 } else { -1e150 }).collect();
+        } else if overflow {
+            for (i, row) in rows.iter_mut().enumerate() {
+                row[0] = if i % 2 == 0 { 1e308 } else { 1.5e308 };
+            }
+            ys = rows.iter().map(|x| if x[0] < 1.2e308 { 1.0 } else { 5.0 }).collect();
         } else if let Some(y) = ys.get_mut(spike) {
             *y = f64::MAX.copysign(*y);
         }
@@ -107,6 +121,9 @@ proptest! {
         match RegressionTree::fit(&rows, &ys, &config) {
             Ok(mut tree) => {
                 prop_assert!(!keyed, "a split was ranked by overflowed squares");
+                if overflow {
+                    prop_assert!(tree.n_leaves() >= 2, "the overflowing midpoint was not split");
+                }
                 prop_assert!(finite_on_rows(&tree));
                 let [constant, linear] = kinds.unwrap();
                 prop_assert!(finite_on_rows(&constant) && finite_on_rows(&linear));
@@ -115,6 +132,7 @@ proptest! {
                 prop_assert!(finite_on_rows(&tree));
             }
             Err(e) => {
+                prop_assert!(!overflow, "a valid design with an overflowing sum failed: {e:?}");
                 prop_assert_eq!(e, CartError::NonFiniteInput);
                 prop_assert_eq!(kinds.err(), Some(CartError::NonFiniteInput));
             }

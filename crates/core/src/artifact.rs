@@ -6,7 +6,7 @@
 //! on-disk form so a model can be fit once and served many times — across
 //! processes and across releases — with **bit-identical** predictions.
 //!
-//! # Envelope (schema v4, current)
+//! # Envelope (schema v5, current)
 //!
 //! Every artifact starts with the same envelope, followed by a
 //! model-specific payload:
@@ -14,7 +14,7 @@
 //! | bytes | field | value |
 //! |---|---|---|
 //! | 0..8 | magic | `b"DDOSMDL\0"` |
-//! | 8..12 | schema version | little-endian `u32`, currently `4` |
+//! | 8..12 | schema version | little-endian `u32`, currently `5` |
 //! | 12 | kind tag | [`ArtifactKind`] discriminant |
 //! | 13..21 | payload length | little-endian `u64` |
 //! | 21..29 | payload checksum | four-lane guard hash (`u64`) over the payload |
@@ -26,9 +26,14 @@
 //! ([`guard64`]-style, xxHash64 primes): 32 bytes per step across four
 //! independent dependency chains, in fully safe, platform-independent
 //! code. Each model family has exactly one kind tag and one payload
-//! layout. v4 is the only schema this crate reads or writes: an artifact
-//! stamped with any other version, the retired v1–v3 included
-//! (DESIGN.md §12, §22), is an [`ArtifactError::UnsupportedVersion`].
+//! layout; tags 5 and 6 (standalone forests and boosted ensembles) and 7
+//! (the ensemble-backed spatiotemporal layout) are retired and decode as
+//! [`ArtifactError::UnknownKind`]. v5 is the only schema this crate reads
+//! or writes: an artifact stamped with any other version, the retired
+//! v1–v4 included (DESIGN.md §12, §22, §31), is an
+//! [`ArtifactError::UnsupportedVersion`]. v5 differs from v4 only in the
+//! spatiotemporal payload, which lost its learner tag and the four
+//! regressor variant tags (five zero bytes for a tree model).
 //!
 //! All floating-point state inside payloads is written via
 //! [`f64::to_bits`], so encode→decode is the *identity* on the model —
@@ -45,7 +50,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"DDOSMDL\0";
 
 /// Current artifact schema version. Bump when any payload layout changes.
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Which model family an artifact holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,15 +60,11 @@ pub enum ArtifactKind {
     Temporal,
     /// A per-network spatial model (NAR bundle, §V).
     Spatial,
-    /// The corpus-wide spatiotemporal model (regression trees or
-    /// ensembles over the component outputs, §VI).
+    /// The corpus-wide spatiotemporal model (four regression trees over
+    /// the component outputs, §VI).
     SpatioTemporal,
     /// The source-distribution model (per-AS share ARIMAs, §IV-B).
     SourceDistribution,
-    /// A standalone bagged forest over CART model trees (forecaster zoo).
-    Forest,
-    /// A standalone gradient-boosted model-tree ensemble (forecaster zoo).
-    Boosted,
 }
 
 impl ArtifactKind {
@@ -73,8 +74,6 @@ impl ArtifactKind {
             ArtifactKind::Spatial => 2,
             ArtifactKind::SpatioTemporal => 3,
             ArtifactKind::SourceDistribution => 4,
-            ArtifactKind::Forest => 5,
-            ArtifactKind::Boosted => 6,
         }
     }
 
@@ -84,8 +83,6 @@ impl ArtifactKind {
             2 => Some(ArtifactKind::Spatial),
             3 => Some(ArtifactKind::SpatioTemporal),
             4 => Some(ArtifactKind::SourceDistribution),
-            5 => Some(ArtifactKind::Forest),
-            6 => Some(ArtifactKind::Boosted),
             _ => None,
         }
     }
@@ -98,8 +95,6 @@ impl fmt::Display for ArtifactKind {
             ArtifactKind::Spatial => "spatial",
             ArtifactKind::SpatioTemporal => "spatiotemporal",
             ArtifactKind::SourceDistribution => "source-distribution",
-            ArtifactKind::Forest => "forest",
-            ArtifactKind::Boosted => "boosted",
         };
         f.write_str(name)
     }
@@ -382,7 +377,7 @@ mod tests {
         // A well-formed artifact stamped with any other version is
         // refused before the payload is looked at.
         let bytes = Toy { weights: vec![1.5, -0.0] }.to_artifact_bytes();
-        for version in [0, 3, SCHEMA_VERSION + 1, u32::MAX] {
+        for version in [0, 3, 4, SCHEMA_VERSION + 1, u32::MAX] {
             let mut stamped = bytes.clone();
             stamped[8..12].copy_from_slice(&version.to_le_bytes());
             let err = Toy::from_artifact_bytes(&stamped).unwrap_err();

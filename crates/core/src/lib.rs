@@ -59,7 +59,6 @@ pub mod spatiotemporal;
 pub mod temporal;
 pub mod usecases;
 pub mod variables;
-pub mod zoo;
 
 mod error;
 

@@ -15,78 +15,15 @@ use crate::spatial::{SpatialConfig, SpatialModel};
 use crate::variables::{PredictedAttack, TimestampParts};
 use crate::{ModelError, Result};
 use ddos_astopo::Asn;
-use ddos_cart::ensemble::{
-    derive_seed, BaggedForest, BoostConfig, BoostedTrees, EnsembleScratch, ForestConfig, Regressor,
-};
 use ddos_cart::leaf::LeafKind;
 use ddos_cart::prune::prune_holdout;
-use ddos_cart::tree::{PresortedDesign, RegressionTree, TreeConfig};
+use ddos_cart::tree::{PredictScratch, PresortedDesign, RegressionTree, TreeConfig};
+use ddos_cart::CartError;
 use ddos_stats::arima::{Arima, ArimaOrder};
 use ddos_stats::codec::{CodecResult, Reader, Writer};
 use ddos_trace::{AttackRecord, Corpus};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-
-/// Which learner backs each of the four per-target regressors (the
-/// "forecaster zoo" knob). The default single CART model tree is the
-/// paper's §VI learner; the ensemble variants trade fit time for
-/// accuracy over the identical feature design.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub enum LearnerKind {
-    /// One CART model tree per target, grown and pruned per the paper.
-    #[default]
-    Tree,
-    /// A deterministic bagged forest per target (no pruning; averaging
-    /// does the variance reduction).
-    Forest {
-        /// Member trees per forest.
-        n_trees: usize,
-    },
-    /// Gradient-boosted shallow model trees per target, with early
-    /// stopping on a chronological holdout tail.
-    Boosted {
-        /// Maximum boosting rounds.
-        rounds: usize,
-        /// Learning rate in `(0, 1]`.
-        shrinkage: f64,
-    },
-}
-
-impl LearnerKind {
-    /// Encodes the learner choice with a leading variant tag.
-    pub fn encode(&self, w: &mut Writer) {
-        match self {
-            LearnerKind::Tree => w.u8(0),
-            LearnerKind::Forest { n_trees } => {
-                w.u8(1);
-                w.usize(*n_trees);
-            }
-            LearnerKind::Boosted { rounds, shrinkage } => {
-                w.u8(2);
-                w.usize(*rounds);
-                w.f64(*shrinkage);
-            }
-        }
-    }
-
-    /// Decodes a learner choice written by [`LearnerKind::encode`].
-    ///
-    /// # Errors
-    ///
-    /// [`ddos_stats::codec::CodecError`] on truncated input or an
-    /// unknown variant tag.
-    pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        match r.u8()? {
-            0 => Ok(LearnerKind::Tree),
-            1 => Ok(LearnerKind::Forest { n_trees: r.usize()? }),
-            2 => Ok(LearnerKind::Boosted { rounds: r.usize()?, shrinkage: r.f64()? }),
-            tag => Err(ddos_stats::codec::CodecError::BadTag {
-                context: "learner kind",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
 
 /// Spatiotemporal-model configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,19 +34,13 @@ pub struct SpatioTemporalConfig {
     /// Tree growth parameters.
     pub tree: TreeConfig,
     /// Std-dev retention for pruning (the paper's 0.88). `None` disables
-    /// pruning (ablation knob). Applies to the [`LearnerKind::Tree`]
-    /// learner only; the ensemble learners control capacity their own way
-    /// (averaging / early stopping).
+    /// pruning (ablation knob).
     pub prune_retention: Option<f64>,
     /// Spatial sub-model configuration (per-AS NAR nets).
     pub spatial: SpatialConfig,
     /// Fit per-AS NAR models only for this many hottest victim ASes; the
     /// rest fall back to window statistics (keeps training tractable).
     pub max_spatial_models: usize,
-    /// Which learner backs the four per-target regressors. Defaults to
-    /// the paper's single pruned model tree.
-    #[serde(default)]
-    pub learner: LearnerKind,
 }
 
 impl Default for SpatioTemporalConfig {
@@ -120,7 +51,6 @@ impl Default for SpatioTemporalConfig {
             prune_retention: Some(0.88),
             spatial: SpatialConfig::fast(),
             max_spatial_models: 24,
-            learner: LearnerKind::Tree,
         }
     }
 }
@@ -131,7 +61,7 @@ impl SpatioTemporalConfig {
         SpatioTemporalConfig { history_per_group: 8, max_spatial_models: 4, ..Default::default() }
     }
 
-    /// Encodes the configuration, learner choice last.
+    /// Encodes the configuration.
     pub fn encode(&self, w: &mut Writer) {
         w.usize(self.history_per_group);
         self.tree.encode(w);
@@ -141,7 +71,6 @@ impl SpatioTemporalConfig {
         }
         self.spatial.encode(w);
         w.usize(self.max_spatial_models);
-        self.learner.encode(w);
     }
 
     /// Decodes a configuration written by [`SpatioTemporalConfig::encode`].
@@ -156,7 +85,6 @@ impl SpatioTemporalConfig {
             prune_retention: if r.bool()? { Some(r.f64()?) } else { None },
             spatial: SpatialConfig::decode(r)?,
             max_spatial_models: r.usize()?,
-            learner: LearnerKind::decode(r)?,
         })
     }
 }
@@ -355,17 +283,13 @@ impl AttackForecast {
 }
 
 /// Reusable working memory for [`SpatioTemporalModel::forecast_rows_into`]:
-/// the shared ensemble-traversal scratch (tree arena + per-member buffer,
-/// serving single trees and ensembles alike) plus the four per-target
-/// output buffers. One scratch per serving worker amortizes every
-/// per-batch allocation away.
+/// the tree-traversal arena shared by the four trees plus one output
+/// buffer per target, in label order. One scratch per serving worker
+/// amortizes every per-batch allocation away.
 #[derive(Debug, Default, Clone)]
 pub struct ForecastScratch {
-    ensemble: EnsembleScratch,
-    hours: Vec<f64>,
-    days: Vec<f64>,
-    magnitudes: Vec<f64>,
-    durations: Vec<f64>,
+    predict: PredictScratch,
+    outputs: [Vec<f64>; 4],
 }
 
 /// The spatiotemporal training design: one feature row per instance plus
@@ -579,12 +503,9 @@ impl Components {
 pub struct SpatioTemporalModel {
     config: SpatioTemporalConfig,
     components: Components,
-    /// The four per-target regressors (single trees or ensembles,
-    /// per `config.learner`).
-    hour_model: Regressor,
-    day_model: Regressor,
-    magnitude_model: Regressor,
-    duration_model: Regressor,
+    /// The four per-target model trees in label order: hour, day,
+    /// magnitude, duration.
+    trees: [RegressionTree; 4],
 }
 
 impl SpatioTemporalModel {
@@ -650,52 +571,16 @@ impl SpatioTemporalModel {
             // keep a tie.
             Ok(if constant_sse < linear_sse { constant } else { linear })
         };
-        // Dispatch per learner. The tree path above is untouched (its
-        // float-op order is pinned by golden fingerprints); the ensemble
-        // learners train on the full design and control capacity their
-        // own way — forests by averaging, boosting by early stopping on
-        // its own chronological holdout tail.
-        let models: [Result<Regressor>; 4] = match config.learner {
-            LearnerKind::Tree => {
-                // One presorted design serves all four targets.
-                let rows = if config.prune_retention.is_some() { &xs[..grow_n] } else { &xs[..] };
-                let design = PresortedDesign::new(rows)?;
-                std::array::from_fn(|idx| Ok(Regressor::Tree(fit_tree(&design, &label(idx))?)))
-            }
-            LearnerKind::Forest { n_trees } => std::array::from_fn(|idx| {
-                let forest_config = ForestConfig {
-                    n_trees,
-                    tree: config.tree,
-                    // One decorrelated cell seed per target keeps the
-                    // four forests' bootstrap streams independent.
-                    seed: derive_seed(seed, idx as u64),
-                    parallelism: None,
-                };
-                Ok(Regressor::Forest(BaggedForest::fit(&xs, &label(idx), &forest_config)?))
-            }),
-            LearnerKind::Boosted { rounds, shrinkage } => {
-                let boost_config = BoostConfig {
-                    // Boosting wants weak stage learners: cap depth
-                    // well below the single-tree default.
-                    tree: TreeConfig { max_depth: 4, ..config.tree },
-                    rounds,
-                    shrinkage,
-                    ..BoostConfig::default()
-                };
-                std::array::from_fn(|idx| {
-                    Ok(Regressor::Boosted(BoostedTrees::fit(&xs, &label(idx), &boost_config)?))
-                })
-            }
-        };
-        let [hour, day, magnitude, duration] = models;
+        // One presorted design serves all four targets.
+        let rows = if config.prune_retention.is_some() { &xs[..grow_n] } else { &xs[..] };
+        let design = PresortedDesign::new(rows)?;
+        let [hour, day, magnitude, duration] =
+            [0, 1, 2, 3].map(|idx| fit_tree(&design, &label(idx)));
         let _ = corpus; // corpus-level context reserved for future features
         Ok(SpatioTemporalModel {
             config: config.clone(),
             components,
-            hour_model: hour?,
-            day_model: day?,
-            magnitude_model: magnitude?,
-            duration_model: duration?,
+            trees: [hour?, day?, magnitude?, duration?],
         })
     }
 
@@ -725,35 +610,14 @@ impl SpatioTemporalModel {
         &self.config
     }
 
-    /// The fitted hour regressor (single tree or ensemble).
-    pub fn hour_model(&self) -> &Regressor {
-        &self.hour_model
+    /// The fitted hour tree (for importance inspection).
+    pub fn hour_tree(&self) -> &RegressionTree {
+        &self.trees[0]
     }
 
-    /// The fitted day regressor.
-    pub fn day_model(&self) -> &Regressor {
-        &self.day_model
-    }
-
-    /// The fitted magnitude regressor.
-    pub fn magnitude_model(&self) -> &Regressor {
-        &self.magnitude_model
-    }
-
-    /// The fitted duration regressor.
-    pub fn duration_model(&self) -> &Regressor {
-        &self.duration_model
-    }
-
-    /// The fitted hour tree, when the learner is a single tree (for
-    /// importance inspection).
-    pub fn hour_tree(&self) -> Option<&RegressionTree> {
-        self.hour_model.as_tree()
-    }
-
-    /// The fitted day tree, when the learner is a single tree.
-    pub fn day_tree(&self) -> Option<&RegressionTree> {
-        self.day_model.as_tree()
+    /// The fitted day tree.
+    pub fn day_tree(&self) -> &RegressionTree {
+        &self.trees[1]
     }
 
     /// Evaluates the model over a test stream: for every test attack whose
@@ -762,7 +626,7 @@ impl SpatioTemporalModel {
     /// predictions next to the truth.
     ///
     /// The instance walk collects every queryable test instance first,
-    /// then each of the four regressors scores the whole batch through
+    /// then each of the four trees scores the whole batch through
     /// [`SpatioTemporalModel::forecast_rows_into`] — one level-order
     /// traversal per tree instead of one walk per (row, tree) pair,
     /// bit-identical to the per-row walk.
@@ -811,36 +675,33 @@ impl SpatioTemporalModel {
     ///
     /// # Errors
     ///
-    /// [`ddos_cart::CartError::FeatureWidthMismatch`] (as [`ModelError`])
-    /// when a row is not exactly 13 features wide.
+    /// As [`ModelError::Cart`]:
+    /// * [`CartError::FeatureWidthMismatch`] when a row is not exactly
+    ///   13 features wide;
+    /// * [`CartError::NonFiniteInput`] when a tree's output for any row
+    ///   is NaN or infinite (finite but extreme features can overflow an
+    ///   MLR leaf). The clamps would pass a NaN through, so such a batch
+    ///   is refused instead; `out` is then left empty.
     pub fn forecast_rows_into(
         &self,
         rows: &[Vec<f64>],
         scratch: &mut ForecastScratch,
         out: &mut Vec<AttackForecast>,
     ) -> Result<()> {
-        self.hour_model.predict_many_with(rows, &mut scratch.ensemble, &mut scratch.hours)?;
-        self.day_model.predict_many_with(rows, &mut scratch.ensemble, &mut scratch.days)?;
-        self.magnitude_model.predict_many_with(
-            rows,
-            &mut scratch.ensemble,
-            &mut scratch.magnitudes,
-        )?;
-        self.duration_model.predict_many_with(
-            rows,
-            &mut scratch.ensemble,
-            &mut scratch.durations,
-        )?;
         out.clear();
-        out.reserve(rows.len());
-        for j in 0..rows.len() {
-            out.push(AttackForecast {
-                hour: scratch.hours[j].clamp(0.0, 23.999),
-                day: scratch.days[j].clamp(1.0, 31.0),
-                magnitude: scratch.magnitudes[j].max(0.0),
-                duration_secs: scratch.durations[j].max(0.0),
-            });
+        for (tree, buf) in self.trees.iter().zip(&mut scratch.outputs) {
+            tree.predict_many_with(rows, &mut scratch.predict, buf)?;
+            if !buf.iter().all(|v| v.is_finite()) {
+                return Err(CartError::NonFiniteInput.into());
+            }
         }
+        let [hours, days, magnitudes, durations] = &scratch.outputs;
+        out.extend((0..rows.len()).map(|j| AttackForecast {
+            hour: hours[j].clamp(0.0, 23.999),
+            day: days[j].clamp(1.0, 31.0),
+            magnitude: magnitudes[j].max(0.0),
+            duration_secs: durations[j].max(0.0),
+        }));
         Ok(())
     }
 
@@ -867,22 +728,16 @@ impl ModelArtifact for SpatioTemporalModel {
     fn encode_payload(&self, w: &mut Writer) {
         self.config.encode(w);
         self.components.encode(w);
-        for model in
-            [&self.hour_model, &self.day_model, &self.magnitude_model, &self.duration_model]
-        {
-            model.encode(w);
+        for tree in &self.trees {
+            tree.encode(w);
         }
     }
 
     fn decode_payload(r: &mut Reader<'_>) -> CodecResult<Self> {
-        Ok(SpatioTemporalModel {
-            config: SpatioTemporalConfig::decode(r)?,
-            components: Components::decode(r)?,
-            hour_model: Regressor::decode(r)?,
-            day_model: Regressor::decode(r)?,
-            magnitude_model: Regressor::decode(r)?,
-            duration_model: Regressor::decode(r)?,
-        })
+        let config = SpatioTemporalConfig::decode(r)?;
+        let components = Components::decode(r)?;
+        let mut tree = || RegressionTree::decode(r);
+        Ok(SpatioTemporalModel { config, components, trees: [tree()?, tree()?, tree()?, tree()?] })
     }
 }
 
@@ -960,7 +815,7 @@ mod tests {
             }
         }
         for (row, fc) in rows.iter().zip(&via_features) {
-            let hour = model.hour_tree().unwrap().predict(row).unwrap().clamp(0.0, 23.999);
+            let hour = model.hour_tree().predict(row).unwrap().clamp(0.0, 23.999);
             assert_eq!(fc.hour.to_bits(), hour.to_bits());
             assert!((0.0..24.0).contains(&fc.hour));
             assert!((1.0..=31.0).contains(&fc.day));
@@ -971,8 +826,8 @@ mod tests {
     #[test]
     fn fit_produces_trees_with_leaves() {
         let (_, model) = fitted();
-        assert!(model.hour_tree().unwrap().n_leaves() >= 1);
-        assert!(model.day_tree().unwrap().n_leaves() >= 1);
+        assert!(model.hour_tree().n_leaves() >= 1);
+        assert!(model.day_tree().n_leaves() >= 1);
     }
 
     #[test]
@@ -1091,109 +946,27 @@ mod tests {
             9,
         )
         .unwrap();
-        assert!(unpruned.hour_tree().unwrap().n_leaves() >= pruned.hour_tree().unwrap().n_leaves());
-    }
-
-    #[test]
-    fn learner_kind_codec_round_trips_and_rejects_bad_tags() {
-        for learner in [
-            LearnerKind::Tree,
-            LearnerKind::Forest { n_trees: 12 },
-            LearnerKind::Boosted { rounds: 40, shrinkage: 0.15 },
-        ] {
-            let mut w = Writer::new();
-            learner.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(LearnerKind::decode(&mut r).unwrap(), learner);
-            r.finish().unwrap();
-
-            // The configuration codec carries the learner as its last field.
-            let config = SpatioTemporalConfig { learner, ..SpatioTemporalConfig::fast() };
-            let mut w = Writer::new();
-            config.encode(&mut w);
-            let config_bytes = w.into_bytes();
-            assert!(config_bytes.ends_with(&bytes));
-            let mut r = Reader::new(&config_bytes);
-            assert_eq!(SpatioTemporalConfig::decode(&mut r).unwrap(), config);
-            r.finish().unwrap();
-        }
-        let mut r = Reader::new(&[7u8]);
-        assert!(LearnerKind::decode(&mut r).is_err());
-    }
-
-    fn fitted_with(learner: LearnerKind) -> (ddos_trace::Corpus, SpatioTemporalModel) {
-        let corpus = TraceGenerator::new(CorpusConfig::small(), 121).generate().unwrap();
-        let (train, _) = corpus.split(0.8).unwrap();
-        let config = SpatioTemporalConfig { learner, ..SpatioTemporalConfig::fast() };
-        let model = SpatioTemporalModel::fit(&corpus, train, &config, 5).unwrap();
-        (corpus, model)
-    }
-
-    #[test]
-    fn ensemble_learners_fit_serve_and_round_trip_as_zoo_artifacts() {
-        for learner in [
-            LearnerKind::Forest { n_trees: 5 },
-            LearnerKind::Boosted { rounds: 12, shrinkage: 0.2 },
-        ] {
-            let (corpus, model) = fitted_with(learner);
-            let (train, test) = corpus.split(0.8).unwrap();
-            assert!(model.hour_tree().is_none(), "{learner:?} is not a single tree");
-            assert_ne!(model.hour_model().kind_name(), "tree");
-
-            // Predictions stay in domain through the shared serving path.
-            let preds = model.predict(train, test).unwrap();
-            assert!(!preds.is_empty());
-            for p in &preds {
-                assert!((0.0..24.0).contains(&p.st_hour));
-                assert!((1.0..=31.0).contains(&p.st_day));
-                assert!(p.st_magnitude >= 0.0 && p.st_duration >= 0.0);
-            }
-
-            // The artifact round-trips to bit-identical predictions and
-            // bytes.
-            let bytes = model.to_artifact_bytes();
-            let back = SpatioTemporalModel::from_artifact_bytes(&bytes).unwrap();
-            assert_eq!(back.config(), model.config());
-            assert_eq!(back.config().learner, learner);
-            let a = model.predict(train, test).unwrap();
-            let b = back.predict(train, test).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.st_hour.to_bits(), y.st_hour.to_bits());
-                assert_eq!(x.st_duration.to_bits(), y.st_duration.to_bits());
-            }
-            assert_eq!(bytes, back.to_artifact_bytes());
-        }
-    }
-
-    #[test]
-    fn forest_learner_is_deterministic_across_fits() {
-        let (_, a) = fitted_with(LearnerKind::Forest { n_trees: 4 });
-        let (_, b) = fitted_with(LearnerKind::Forest { n_trees: 4 });
-        assert_eq!(a.to_artifact_bytes(), b.to_artifact_bytes());
+        assert!(unpruned.hour_tree().n_leaves() >= pruned.hour_tree().n_leaves());
     }
 
     #[test]
     fn every_learner_round_trips_under_the_one_spatiotemporal_kind() {
-        for learner in [
-            LearnerKind::Tree,
-            LearnerKind::Forest { n_trees: 3 },
-            LearnerKind::Boosted { rounds: 6, shrinkage: 0.2 },
-        ] {
-            let (_, model) = fitted_with(learner);
-            let bytes = model.to_artifact_bytes();
-            assert_eq!(bytes[12], 3, "{learner:?} is stamped with the spatiotemporal tag");
-            let back = SpatioTemporalModel::from_artifact_bytes(&bytes).unwrap();
-            assert_eq!(back.config().learner, learner);
-            assert_eq!(back.to_artifact_bytes(), bytes);
+        // The model tree is the only learner: its artifact carries the
+        // spatiotemporal tag and no learner or variant tags.
+        let (_, model) = fitted();
+        let bytes = model.to_artifact_bytes();
+        assert_eq!(bytes[12], 3, "stamped with the spatiotemporal tag");
+        let back = SpatioTemporalModel::from_artifact_bytes(&bytes).unwrap();
+        assert_eq!(back.to_artifact_bytes(), bytes);
 
-            // The retired ensemble-backed kind tag (7) names no model.
-            let mut retired = bytes;
-            retired[12] = 7;
+        // The retired forest (5), boosted (6) and ensemble-backed (7) kind
+        // tags name no model.
+        for tag in [5, 6, 7] {
+            let mut retired = bytes.clone();
+            retired[12] = tag;
             assert_eq!(
                 SpatioTemporalModel::from_artifact_bytes(&retired).map(|_| ()),
-                Err(crate::artifact::ArtifactError::UnknownKind { tag: 7 })
+                Err(crate::artifact::ArtifactError::UnknownKind { tag })
             );
         }
     }

@@ -2,14 +2,15 @@
 //! invariants that must hold over randomized corpora and inputs, plus the
 //! artifact-codec robustness properties (no input may panic the decoder).
 
-use ddos_cart::ensemble::{BaggedForest, BoostConfig, BoostedTrees, ForestConfig};
+use ddos_cart::CartError;
 use ddos_core::artifact::{ArtifactError, ModelArtifact, MAGIC, SCHEMA_VERSION};
 use ddos_core::detection::{DetectorConfig, EntropyDetector};
 use ddos_core::features::FeatureExtractor;
 use ddos_core::spatial::{SourceDistributionModel, SpatialConfig, SpatialModel};
-use ddos_core::spatiotemporal::{SpatioTemporalConfig, SpatioTemporalModel};
+use ddos_core::spatiotemporal::{ForecastScratch, SpatioTemporalConfig, SpatioTemporalModel};
 use ddos_core::temporal::{TemporalConfig, TemporalModel};
 use ddos_core::usecases::{AsFilteringSimulator, MiddleboxSimulator, TakedownSimulator};
+use ddos_core::ModelError;
 use ddos_stats::arima::ArimaOrder;
 use ddos_trace::{Corpus, CorpusConfig, TraceGenerator};
 use proptest::prelude::*;
@@ -259,17 +260,17 @@ proptest! {
         prop_assert!(matches!(err, ArtifactError::ChecksumMismatch { .. }));
     }
 
-    /// Any schema version other than the current one — the retired v1,
-    /// v2 and v3 schemas included — is refused up front, with the found
+    /// Any schema version other than the current one — the retired v1
+    /// to v4 schemas included — is refused up front, with the found
     /// version reported.
     #[test]
     fn wrong_schema_version_rejected(
         kind in 0usize..3,
-        pick in 0usize..6,
+        pick in 0usize..8,
         other in 0u32..10_000,
     ) {
-        // Half the cases stamp a retired schema version (1, 2 or 3).
-        let version = [1, 2, 3, other, other, other][pick];
+        // Half the cases stamp a retired schema version (1 to 4).
+        let version = [1, 2, 3, 4, other, other, other, other][pick];
         prop_assume!(version != SCHEMA_VERSION);
         let mut bytes = reference_artifacts()[kind].clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -282,67 +283,83 @@ proptest! {
     }
 }
 
-/// One artifact per forecaster-zoo learner (Forest, Boosted, and a
-/// forest-backed spatiotemporal model), fitted once on a deterministic
-/// synthetic design and shared across the exhaustive corruption tests
-/// below.
-fn zoo_artifacts() -> &'static [Vec<u8>; 3] {
-    static CELL: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let xs: Vec<Vec<f64>> = (0..90)
-            .map(|i| (0..4).map(|f| ((i * 29 + f * 13) % 71) as f64 / 7.1).collect())
-            .collect();
-        let ys: Vec<f64> = xs.iter().map(|r| r[0] * 2.0 - r[2] + 0.3 * r[3]).collect();
-        let forest =
-            BaggedForest::fit(&xs, &ys, &ForestConfig { n_trees: 3, ..Default::default() })
-                .unwrap();
-        let boosted =
-            BoostedTrees::fit(&xs, &ys, &BoostConfig { rounds: 6, ..Default::default() }).unwrap();
-        let corpus = corpus_for(977);
-        let (st_train, _) = corpus.split(0.8).unwrap();
-        let zoo_cfg = SpatioTemporalConfig {
-            learner: ddos_core::spatiotemporal::LearnerKind::Forest { n_trees: 3 },
-            ..SpatioTemporalConfig::fast()
-        };
-        let st_zoo = SpatioTemporalModel::fit(&corpus, st_train, &zoo_cfg, 11).unwrap();
-        [forest.to_artifact_bytes(), boosted.to_artifact_bytes(), st_zoo.to_artifact_bytes()]
-    })
-}
-
-/// Round-trip bit-identity for every ensemble-backed artifact, plus an
-/// exhaustive every-byte-flip sweep: flipping any single byte of any zoo
-/// artifact must never panic the decoder, and any flip inside the payload
-/// region must be caught by the envelope's guard hash (the header region
-/// fails with its own typed errors or — for the unguarded length/checksum
-/// fields themselves — still a typed error, never a crash).
+/// Round-trip byte identity for the spatiotemporal artifact, plus an
+/// exhaustive every-byte-flip sweep: flipping any single byte must never
+/// panic the decoder, and any flip inside the payload region must be
+/// caught by the envelope's guard hash (the header region fails with its
+/// own typed errors or — for the unguarded length/checksum fields
+/// themselves — still a typed error, never a crash).
 #[test]
 fn zoo_artifacts_round_trip_and_survive_every_byte_flip() {
     const HEADER: usize = 29;
-    let arts = zoo_artifacts();
+    let original = &reference_artifacts()[2];
 
-    // Round-trips are byte-exact: decode → re-encode is the identity.
-    let forest = BaggedForest::from_artifact_bytes(&arts[0]).unwrap();
-    assert_eq!(forest.to_artifact_bytes(), arts[0]);
-    let boosted = BoostedTrees::from_artifact_bytes(&arts[1]).unwrap();
-    assert_eq!(boosted.to_artifact_bytes(), arts[1]);
-    let st_zoo = SpatioTemporalModel::from_artifact_bytes(&arts[2]).unwrap();
-    assert_eq!(st_zoo.to_artifact_bytes(), arts[2]);
+    // The round trip is byte-exact: decode → re-encode is the identity.
+    let st = SpatioTemporalModel::from_artifact_bytes(original).unwrap();
+    assert_eq!(&st.to_artifact_bytes(), original);
 
-    for (kind, original) in arts.iter().enumerate() {
-        for pos in 0..original.len() {
-            let mut bytes = original.clone();
-            bytes[pos] ^= 0xFF;
-            let outcome = match kind {
-                0 => BaggedForest::from_artifact_bytes(&bytes).map(|_| ()),
-                1 => BoostedTrees::from_artifact_bytes(&bytes).map(|_| ()),
-                _ => SpatioTemporalModel::from_artifact_bytes(&bytes).map(|_| ()),
-            };
-            let err = outcome.expect_err("a flipped byte can never decode cleanly");
-            if pos >= HEADER {
-                assert!(
-                    matches!(err, ArtifactError::ChecksumMismatch { .. }),
-                    "payload flip at {pos} in kind {kind} escaped the checksum: {err:?}"
-                );
+    for pos in 0..original.len() {
+        let mut bytes = original.clone();
+        bytes[pos] ^= 0xFF;
+        let err = SpatioTemporalModel::from_artifact_bytes(&bytes)
+            .map(|_| ())
+            .expect_err("a flipped byte can never decode cleanly");
+        if pos >= HEADER {
+            assert!(
+                matches!(err, ArtifactError::ChecksumMismatch { .. }),
+                "payload flip at {pos} escaped the checksum: {err:?}"
+            );
+        }
+    }
+}
+
+/// The spatiotemporal model decoded from the reference artifact, with its
+/// own training design rows: the serving fixture for the hostile-input
+/// property below.
+fn serving_fixture() -> &'static (SpatioTemporalModel, Vec<Vec<f64>>) {
+    static CELL: OnceLock<(SpatioTemporalModel, Vec<Vec<f64>>)> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let model = SpatioTemporalModel::from_artifact_bytes(&reference_artifacts()[2]).unwrap();
+        let corpus = corpus_for(977);
+        let (st_train, _) = corpus.split(0.8).unwrap();
+        let (rows, _) =
+            SpatioTemporalModel::training_design(st_train, &SpatioTemporalConfig::fast(), 11)
+                .unwrap();
+        (model, rows)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Finite but extreme features (±`f64::MAX`, ±1e300 in 1 to 13 of a
+    /// design row's columns) never reach a caller as NaN or ∞: serving
+    /// either answers with every field finite and in its clamp range, or
+    /// refuses the batch with `NonFiniteInput`. An MLR leaf can overflow
+    /// on such rows, and the output clamps pass NaN through.
+    #[test]
+    fn serving_extreme_features_errors_or_stays_finite(
+        row in 0usize..100_000,
+        extremes in proptest::collection::vec((0usize..13, 0usize..4), 1..14),
+    ) {
+        let (model, rows) = serving_fixture();
+        let mut row = rows[row % rows.len()].clone();
+        for (feature, pick) in extremes {
+            row[feature] = [f64::MAX, -f64::MAX, 1e300, -1e300][pick];
+        }
+        let (mut scratch, mut out) = (ForecastScratch::default(), Vec::new());
+        match model.forecast_rows_into(&[row], &mut scratch, &mut out) {
+            Ok(()) => {
+                prop_assert_eq!(out.len(), 1);
+                let fc = out[0];
+                prop_assert!((0.0..24.0).contains(&fc.hour), "hour {}", fc.hour);
+                prop_assert!((1.0..=31.0).contains(&fc.day), "day {}", fc.day);
+                prop_assert!(fc.magnitude.is_finite() && fc.magnitude >= 0.0);
+                prop_assert!(fc.duration_secs.is_finite() && fc.duration_secs >= 0.0);
+            }
+            Err(e) => {
+                prop_assert_eq!(e, ModelError::Cart(CartError::NonFiniteInput));
+                prop_assert!(out.is_empty());
             }
         }
     }

@@ -29,7 +29,10 @@
 //! (the worker scratch), so a lock poisoned by a panicking thread is
 //! recovered rather than propagated to every later caller. A scorer that
 //! panics costs only its own batch: those tickets get
-//! [`ServeError::ScoringPanicked`] and later batches are served.
+//! [`ServeError::ScoringPanicked`] and later batches are served. So does
+//! a finite but extreme row whose tree outputs overflow: its batch is
+//! answered with the scorer's typed `NonFiniteInput` error, never with a
+//! NaN or infinite forecast.
 
 use crate::error::{Result, ServeError};
 use crate::rate::{default_windows, RateLimiter, RateWindow};
@@ -768,6 +771,7 @@ fn flush(
 mod tests {
     use super::*;
     use crate::test_support::{fitted, poison};
+    use ddos_core::ModelError;
 
     fn request(features: InstanceFeatures) -> ForecastRequest {
         ForecastRequest { source: 7, target: Asn(7), features }
@@ -833,6 +837,52 @@ mod tests {
         assert_eq!(client.in_flight(), 0);
 
         // The dispatcher survived: the next batch gets the serial bits.
+        let serial = model.forecast_features(&clean).unwrap();
+        let batch: Vec<_> = clean.iter().copied().map(request).collect();
+        for (ticket, want) in client.submit_batch(&batch).unwrap().into_iter().zip(&serial) {
+            assert_same_bits(&ticket.wait().unwrap().forecast, want);
+        }
+        let stats = handle.shutdown().unwrap();
+        assert_eq!((stats.served, stats.batches), (4, 2));
+    }
+
+    #[test]
+    fn overflowing_row_answers_its_batch_with_a_typed_error() {
+        let model = fitted();
+        let clean: Vec<InstanceFeatures> =
+            (0..4).map(|i| InstanceFeatures::from_row(&[f64::from(i); 13]).unwrap()).collect();
+        // A finite row that serial scoring refuses: one feature of a clean
+        // row set to an extreme that overflows a tree's output.
+        let extremes = [f64::MAX, -f64::MAX, 1e300, -1e300];
+        let hostile = (0..13)
+            .flat_map(|f| extremes.map(|v| (f, v)))
+            .map(|(f, v)| {
+                let mut row = clean[1].to_array();
+                row[f] = v;
+                InstanceFeatures::from_row(&row).unwrap()
+            })
+            .find(|f| model.forecast_features(&[*f]).is_err())
+            .expect("an extreme feature overflows some tree");
+        assert!(hostile.is_finite(), "admission lets the row through");
+
+        let config = ServeConfig {
+            batch: BatchPolicy { max_batch: 4, max_delay: Duration::from_secs(5) },
+            workers: Some(2),
+            ..ServeConfig::unlimited()
+        };
+        let handle = ForecastService::start_with_model(Arc::clone(model), config);
+        let client = handle.client();
+        let mut marked = clean.clone();
+        marked[3] = hostile;
+        let batch: Vec<_> = marked.iter().copied().map(request).collect();
+        for ticket in client.submit_batch(&batch).unwrap() {
+            assert_eq!(
+                ticket.wait().unwrap_err(),
+                ServeError::Model(ModelError::Cart(CartError::NonFiniteInput))
+            );
+        }
+
+        // The next clean batch gets the serial bits.
         let serial = model.forecast_features(&clean).unwrap();
         let batch: Vec<_> = clean.iter().copied().map(request).collect();
         for (ticket, want) in client.submit_batch(&batch).unwrap().into_iter().zip(&serial) {

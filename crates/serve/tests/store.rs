@@ -1,5 +1,5 @@
 //! `ModelStore` behavior: decode-caching, typed errors for missing keys
-//! and stale schema versions, and ensemble-backed models end to end.
+//! and stale schema versions, and a stored model served end to end.
 
 use ddos_core::artifact::{ArtifactError, ModelArtifact};
 use ddos_core::spatiotemporal::{SpatioTemporalConfig, SpatioTemporalModel};
@@ -72,20 +72,17 @@ fn dir_store_rejects_v1_stamped_artifacts_and_serves_current_ones() {
 #[test]
 fn dir_store_serves_ensemble_backed_models_end_to_end() {
     use ddos_astopo::Asn;
-    use ddos_core::spatiotemporal::{InstanceFeatures, LearnerKind};
+    use ddos_core::spatiotemporal::InstanceFeatures;
     use ddos_serve::{BatchPolicy, ForecastRequest, ForecastService, ServeConfig};
     use std::time::Duration;
 
     let corpus = TraceGenerator::new(CorpusConfig::small(), 300).generate().unwrap();
     let (train, _) = corpus.split(0.8).unwrap();
-    let config = SpatioTemporalConfig {
-        learner: LearnerKind::Forest { n_trees: 3 },
-        ..SpatioTemporalConfig::fast()
-    };
-    let model = SpatioTemporalModel::fit(&corpus, train, &config, 5).unwrap();
+    let config = SpatioTemporalConfig::fast();
+    let model = fitted();
 
-    // The forest-backed model persists under the one spatiotemporal kind
-    // and reloads byte-identically through the directory store.
+    // The default model persists under the spatiotemporal kind and
+    // reloads byte-identically through the directory store.
     let dir = scratch_dir("zoo");
     model.save_artifact(&dir.join("zoo.mdl")).unwrap();
     let store = DirModelStore::open(&dir);
