@@ -181,7 +181,7 @@ fn bench_ablation_nar_grid(c: &mut Criterion) {
         b.iter(|| {
             NarModel::fit(
                 black_box(&series),
-                NarConfig { delays: 3, hidden: 5, train: quick_train, ..Default::default() },
+                NarConfig { delays: 3, hidden: 5, train: quick_train },
                 7,
             )
             .unwrap()
@@ -424,7 +424,7 @@ fn bench_flat_hot_paths(c: &mut Criterion) {
         b.iter(|| {
             NarModel::fit(
                 black_box(&durations),
-                NarConfig { delays: 3, hidden: 8, train: fixed_epochs, ..Default::default() },
+                NarConfig { delays: 3, hidden: 8, train: fixed_epochs },
                 7,
             )
             .unwrap()

@@ -225,12 +225,8 @@ fn run(report: &mut Report) {
     let durations: Vec<f64> = attacks.iter().map(|a| a.duration_secs as f64).collect();
     let cut = durations.len() * 8 / 10;
     let train = TrainConfig { max_epochs: 120, patience: 120, ..Default::default() };
-    let model = NarModel::fit(
-        &durations[..cut],
-        NarConfig { delays: 3, hidden: 6, train, ..Default::default() },
-        7,
-    )
-    .unwrap();
+    let model =
+        NarModel::fit(&durations[..cut], NarConfig { delays: 3, hidden: 6, train }, 7).unwrap();
     let mut h = Fnv::new(report);
     h.f64(model.sigma());
     for v in model.predict_rolling(&durations[..cut], &durations[cut..]).unwrap() {

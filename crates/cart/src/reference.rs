@@ -325,6 +325,24 @@ mod tests {
         assert_eq!(presorted.predict(&[1.5e308, 0.0]).unwrap(), 5.0);
     }
 
+    /// `1 + 1 ulp` and `1 + 2 ulp` have a rounded midpoint equal to the
+    /// larger value; the threshold must still separate them.
+    #[test]
+    fn adjacent_float_midpoint_splits_in_both_growers() {
+        let a = f64::from_bits(1.0f64.to_bits() + 1);
+        let b = f64::from_bits(1.0f64.to_bits() + 2);
+        assert_eq!((a + b) / 2.0, b, "the plain midpoint rounds up to b");
+        let rows: Vec<Vec<f64>> =
+            (0..20).map(|i| vec![if i % 2 == 0 { a } else { b }, i as f64]).collect();
+        let ys: Vec<f64> = rows.iter().map(|x| if x[0] == a { 1.0 } else { 5.0 }).collect();
+        let cfg = TreeConfig { leaf_kind: LeafKind::Constant, ..TreeConfig::default() };
+        let presorted = RegressionTree::fit(&rows, &ys, &cfg).unwrap();
+        assert_eq!(presorted, fit_reference(&rows, &ys, &cfg).unwrap());
+        assert_eq!(presorted.n_leaves(), 2);
+        assert_eq!(presorted.predict(&[a, 0.0]).unwrap(), 1.0);
+        assert_eq!(presorted.predict(&[b, 0.0]).unwrap(), 5.0);
+    }
+
     // The split scan's gather, prefix, score and first-minimum passes at
     // the spatiotemporal model's width (13 features) and at node sizes a
     // refit window produces. Capped like the block above: each case runs

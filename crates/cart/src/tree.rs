@@ -746,16 +746,19 @@ fn stable_partition<T: Copy>(seg: &mut [T], spill: &mut [T], pred: impl Fn(T) ->
     kept
 }
 
-/// The split threshold between two adjacent sorted feature values:
-/// `(a + b) / 2`, or `a / 2 + b / 2` when the sum overflows (1e308 and
-/// 1.5e308, say), which would otherwise send every row left. Every finite
-/// sum takes the plain expression.
+/// The split threshold between two adjacent sorted feature values
+/// `a < b`: `(a + b) / 2`, or `a / 2 + b / 2` when the sum overflows
+/// (1e308 and 1.5e308, say). Either can round up to `b` itself (for `a`
+/// and `b` one ulp apart, say `1 + 1 ulp` and `1 + 2 ulp`); then the
+/// threshold is `a`. Both cases would otherwise send the `b` rows left
+/// with the `a` rows, off the scored cut.
 pub(crate) fn midpoint(a: f64, b: f64) -> f64 {
     let sum = a + b;
-    if sum.is_finite() {
-        sum / 2.0
+    let mid = if sum.is_finite() { sum / 2.0 } else { a / 2.0 + b / 2.0 };
+    if mid < b {
+        mid
     } else {
-        a / 2.0 + b / 2.0
+        a
     }
 }
 

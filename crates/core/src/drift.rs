@@ -30,7 +30,6 @@ use crate::{ModelError, Result};
 use ddos_cart::ensemble::{BaggedForest, BoostConfig, BoostedTrees, ForestConfig};
 use ddos_cart::leaf::LeafKind;
 use ddos_cart::tree::{RegressionTree, TreeConfig};
-use ddos_neural::activation::Activation;
 use ddos_neural::nar::{NarConfig, NarModel};
 use ddos_neural::train::TrainConfig;
 use ddos_stats::arima::{Arima, ArimaOrder};
@@ -422,7 +421,6 @@ impl Forecaster {
                 let cfg = NarConfig {
                     delays: 3,
                     hidden: 6,
-                    activation: Activation::TanSig,
                     train: TrainConfig { max_epochs: 120, ..TrainConfig::default() },
                 };
                 NarModel::fit(fit, cfg, seed)?.forecast(fit, horizon)?

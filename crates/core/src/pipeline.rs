@@ -626,7 +626,10 @@ impl Pipeline {
     /// Propagates corpus-split and fit errors.
     pub fn fit_spatiotemporal(&self, corpus: &Corpus) -> Result<SpatioTemporalModel> {
         let (train, _) = corpus.split(self.config.split)?;
-        SpatioTemporalModel::fit(corpus, train, &self.config.spatiotemporal, self.seed)
+        let st = &self.config.spatiotemporal;
+        let spatial = SpatialConfig { parallelism: self.config.parallelism, ..st.spatial.clone() };
+        let config = SpatioTemporalConfig { spatial, ..st.clone() };
+        SpatioTemporalModel::fit(corpus, train, &config, self.seed)
     }
 
     /// Serve stage of the Figs. 3–4 experiment: batched tree scoring of
@@ -915,6 +918,19 @@ mod tests {
         let model = p.fit_spatiotemporal(&c).unwrap();
         let staged = p.serve_spatiotemporal(&c, &model).unwrap();
         assert_eq!(staged, p.run_spatiotemporal(&c).unwrap());
+    }
+
+    #[test]
+    fn spatiotemporal_fit_runs_on_the_pipeline_worker_count() {
+        use crate::artifact::ModelArtifact;
+        let c = corpus();
+        let fit = |workers| {
+            let config = PipelineConfig::fast_builder().parallelism(workers).build().unwrap();
+            let model = Pipeline::new(config, 3).fit_spatiotemporal(&c).unwrap();
+            assert_eq!(model.config().spatial.parallelism, Some(workers));
+            model.to_artifact_bytes()
+        };
+        assert!(fit(1) == fit(3), "the artifact depends on the worker count");
     }
 
     #[test]

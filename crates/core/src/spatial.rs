@@ -53,8 +53,10 @@ impl Default for SpatialConfig {
 }
 
 impl SpatialConfig {
-    /// Encodes the configuration verbatim (embedded in spatiotemporal
-    /// artifacts so a reloaded model reports the exact fit-time config).
+    /// Encodes the configuration (embedded in spatiotemporal artifacts so
+    /// a reloaded model reports its fit-time config). `parallelism` is an
+    /// execution knob, not part of the model: it is always written as
+    /// `None`, so the same model gives the same bytes at any worker count.
     pub fn encode(&self, w: &mut Writer) {
         self.grid.encode(w);
         w.bool(self.fixed.is_some());
@@ -63,13 +65,12 @@ impl SpatialConfig {
         }
         w.usize(self.min_attacks);
         w.usize(self.top_k_ases);
-        w.bool(self.parallelism.is_some());
-        if let Some(p) = self.parallelism {
-            w.usize(p);
-        }
+        w.bool(false);
     }
 
-    /// Decodes a configuration written by [`SpatialConfig::encode`].
+    /// Decodes a configuration written by [`SpatialConfig::encode`]. A
+    /// worker count recorded by an older writer is read and dropped:
+    /// the decoded `parallelism` is always `None`.
     ///
     /// # Errors
     ///
@@ -79,8 +80,10 @@ impl SpatialConfig {
         let fixed = if r.bool()? { Some(NarConfig::decode(r)?) } else { None };
         let min_attacks = r.usize()?;
         let top_k_ases = r.usize()?;
-        let parallelism = if r.bool()? { Some(r.usize()?) } else { None };
-        Ok(SpatialConfig { grid, fixed, min_attacks, top_k_ases, parallelism })
+        if r.bool()? {
+            r.usize()?;
+        }
+        Ok(SpatialConfig { grid, fixed, min_attacks, top_k_ases, parallelism: None })
     }
 
     /// A fast configuration for tests: small fixed architecture, light
@@ -96,7 +99,6 @@ impl SpatialConfig {
                 delays: 3,
                 hidden: 5,
                 train: TrainConfig { max_epochs: 150, patience: 20, ..Default::default() },
-                ..Default::default()
             }),
             min_attacks: 12,
             top_k_ases: 5,

@@ -929,6 +929,24 @@ mod tests {
     }
 
     #[test]
+    fn artifact_bytes_do_not_depend_on_the_worker_count() {
+        let corpus = TraceGenerator::new(CorpusConfig::small(), 121).generate().unwrap();
+        let (train, _) = corpus.split(0.8).unwrap();
+        let fit = |workers| {
+            let fast = SpatioTemporalConfig::fast();
+            let spatial = SpatialConfig { parallelism: workers, ..fast.spatial.clone() };
+            let config = SpatioTemporalConfig { spatial, ..fast };
+            SpatioTemporalModel::fit(&corpus, train, &config, 5).unwrap().to_artifact_bytes()
+        };
+        let serial = fit(Some(1));
+        assert!(fit(Some(3)) == serial, "3 workers wrote other bytes than 1");
+        assert!(fit(None) == serial, "all cores wrote other bytes than 1");
+        // The worker count is not part of the decoded configuration.
+        let back = SpatioTemporalModel::from_artifact_bytes(&serial).unwrap();
+        assert_eq!(back.config().spatial.parallelism, None);
+    }
+
+    #[test]
     fn pruning_disabled_grows_bigger_or_equal_trees() {
         let corpus = TraceGenerator::new(CorpusConfig::small(), 123).generate().unwrap();
         let (train, _) = corpus.split(0.8).unwrap();

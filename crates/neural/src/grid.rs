@@ -155,7 +155,7 @@ pub fn grid_search_with(
     // any worker count.
     let evals = map_indexed_with(&cells, parallelism, FitScratch::default, |scratch, _, &cell| {
         let (ci, cj, delays, hidden) = cell;
-        let config = NarConfig { delays, hidden, train: spec.train, ..Default::default() };
+        let config = NarConfig { delays, hidden, train: spec.train };
         let cell_seed = seed ^ ((ci as u64) << 32) ^ (cj as u64);
         let model = match NarModel::fit_with(head, config, cell_seed, scratch) {
             Ok(m) => m,
@@ -197,12 +197,7 @@ pub fn grid_search_with(
             .unwrap_or(NeuralError::NotEnoughData { required: 10, actual: series.len() }));
     };
     // Refit the winning architecture on the full series.
-    let config = NarConfig {
-        delays: winner.delays,
-        hidden: winner.hidden,
-        train: spec.train,
-        ..Default::default()
-    };
+    let config = NarConfig { delays: winner.delays, hidden: winner.hidden, train: spec.train };
     let model = NarModel::fit(series, config, seed)?;
     table.sort_by(|a, b| a.rmse.total_cmp(&b.rmse));
     Ok(GridOutcome { model, table, skipped })

@@ -19,7 +19,7 @@
 //!
 //! Swapping libm's `tanh` for this kernel moved float bits, so it landed
 //! as a recorded fingerprint migration (DESIGN.md §14). It is the only
-//! `tanh`: every `TanSig` activation runs through [`tanh_fast`] /
+//! `tanh`: every hidden unit of the network runs through [`tanh_fast`] /
 //! [`tanh_fast_slice`], and the accuracy tests use `f64::tanh` as the
 //! oracle.
 

@@ -5,10 +5,9 @@
 //! trained per target network, with the number of delays and hidden nodes
 //! chosen by grid search. This crate implements that stack from scratch:
 //!
-//! * [`activation`] — tan-sigmoid / log-sigmoid / linear transfer functions
-//!   (the three the paper lists as the common options);
+//! * [`kernel`] — the batched tan-sigmoid the hidden layer runs through;
 //! * [`scale`] — min–max normalization to the sigmoid's linear range;
-//! * [`network`] — a one-hidden-layer multilayer perceptron;
+//! * [`network`] — a one-hidden-layer tan-sigmoid multilayer perceptron;
 //! * [`train`] — batch iRPROP− training with early stopping on a
 //!   validation split;
 //! * [`nar`] — the NAR wrapper: lagged-input construction, one-step and
@@ -31,8 +30,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No library entry point panics: every failure is a typed error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
-pub mod activation;
 pub mod grid;
 pub mod kernel;
 pub mod nar;

@@ -11,45 +11,39 @@
 //! everything into the sigmoid's range, trains the network and exposes
 //! one-step, rolling and recursive forecasting.
 
-use crate::activation::Activation;
-use crate::network::Mlp;
+use crate::network::{decode_activation, encode_activation, Mlp};
 use crate::scale::MinMaxScaler;
 use crate::train::{train_with, TrainConfig, TrainReport, TrainScratch};
 use crate::{NeuralError, Result};
 use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
 use serde::{Deserialize, Serialize};
 
-/// NAR hyperparameters.
+/// NAR hyperparameters. The hidden layer is always tan-sigmoid, the
+/// paper's choice.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NarConfig {
     /// Number of delays `q` (lagged inputs).
     pub delays: usize,
     /// Hidden-layer width.
     pub hidden: usize,
-    /// Hidden activation (the paper uses tan-sigmoid).
-    pub activation: Activation,
     /// Training configuration.
     pub train: TrainConfig,
 }
 
 impl Default for NarConfig {
     fn default() -> Self {
-        NarConfig {
-            delays: 3,
-            hidden: 8,
-            activation: Activation::TanSig,
-            train: TrainConfig::default(),
-        }
+        NarConfig { delays: 3, hidden: 8, train: TrainConfig::default() }
     }
 }
 
 impl NarConfig {
     /// Encodes the hyperparameters verbatim (artifact payloads that embed
-    /// a NAR *specification* rather than a fitted model).
+    /// a NAR *specification* rather than a fitted model). The activation
+    /// tag byte between `hidden` and `train` is always tan-sigmoid's `0`.
     pub fn encode(&self, w: &mut Writer) {
         w.usize(self.delays);
         w.usize(self.hidden);
-        self.activation.encode(w);
+        encode_activation(w);
         self.train.encode(w);
     }
 
@@ -57,14 +51,13 @@ impl NarConfig {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on truncated input or unknown tags.
+    /// [`CodecError`] on truncated input or unknown tags, including the
+    /// retired activation tags 1–3 (log-sigmoid, linear, Elliott).
     pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        Ok(NarConfig {
-            delays: r.usize()?,
-            hidden: r.usize()?,
-            activation: Activation::decode(r)?,
-            train: TrainConfig::decode(r)?,
-        })
+        let delays = r.usize()?;
+        let hidden = r.usize()?;
+        decode_activation(r)?;
+        Ok(NarConfig { delays, hidden, train: TrainConfig::decode(r)? })
     }
 }
 
@@ -150,7 +143,7 @@ impl NarModel {
             }
             targets.push(scaled[t + 1]);
         }
-        let mut network = Mlp::new(q, config.hidden, config.activation, seed)?;
+        let mut network = Mlp::new(q, config.hidden, seed)?;
         let report = train_with(&mut network, design, targets, &config.train, train_scratch)?;
 
         // Residual σ on the original scale.
@@ -319,10 +312,7 @@ impl NarModel {
     /// residual σ, every `f64` as its bit pattern. Round-trip through
     /// [`NarModel::decode`] is the identity on the struct.
     pub fn encode(&self, w: &mut Writer) {
-        w.usize(self.config.delays);
-        w.usize(self.config.hidden);
-        self.config.activation.encode(w);
-        self.config.train.encode(w);
+        self.config.encode(w);
         self.scaler.encode(w);
         self.network.encode(w);
         self.report.encode(w);
@@ -337,12 +327,7 @@ impl NarModel {
     ///
     /// [`CodecError`] on truncated, malformed or inconsistent input.
     pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let config = NarConfig {
-            delays: r.usize()?,
-            hidden: r.usize()?,
-            activation: Activation::decode(r)?,
-            train: TrainConfig::decode(r)?,
-        };
+        let config = NarConfig::decode(r)?;
         let scaler = MinMaxScaler::decode(r)?;
         let network = Mlp::decode(r)?;
         let report = TrainReport::decode(r)?;
@@ -401,7 +386,6 @@ mod tests {
             delays: 2,
             hidden: 3,
             train: TrainConfig { max_epochs: 20, patience: 5, ..Default::default() },
-            ..Default::default()
         };
         let s = sine(40);
         let model = NarModel::fit(&s, cfg, 3).unwrap();
@@ -530,6 +514,23 @@ mod tests {
         assert_eq!(model, back);
         for cut in [0, 9, bytes.len() / 3, bytes.len() - 1] {
             assert!(NarModel::decode(&mut Reader::new(&bytes[..cut])).is_err());
+        }
+    }
+
+    #[test]
+    fn retired_activation_tags_are_bad_tags() {
+        let config = NarConfig::default();
+        let mut w = Writer::new();
+        config.encode(&mut w);
+        let mut bytes = w.into_bytes();
+        // The tag byte follows the `delays` and `hidden` words.
+        let at = 2 * std::mem::size_of::<u64>();
+        assert_eq!(bytes[at], 0, "tan-sigmoid's tag");
+        assert_eq!(NarConfig::decode(&mut Reader::new(&bytes)), Ok(config));
+        for tag in 1..=3 {
+            bytes[at] = tag;
+            let bad = Err(CodecError::BadTag { context: "Activation", tag: u64::from(tag) });
+            assert_eq!(NarConfig::decode(&mut Reader::new(&bytes)), bad);
         }
     }
 

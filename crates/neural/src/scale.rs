@@ -60,11 +60,6 @@ impl MinMaxScaler {
         }
     }
 
-    /// Transforms a whole slice.
-    pub fn transform_all(&self, values: &[f64]) -> Vec<f64> {
-        values.iter().map(|v| self.transform(*v)).collect()
-    }
-
     /// The fitted `(min, max)` range.
     pub fn range(&self) -> (f64, f64) {
         (self.lo, self.hi)
@@ -122,11 +117,5 @@ mod tests {
         // NaN.
         assert_eq!(MinMaxScaler::fit(&[-f64::MAX, f64::MAX]), Err(NeuralError::NonFiniteInput));
         assert_eq!(MinMaxScaler::fit(&[-1e308, 1e308]), Err(NeuralError::NonFiniteInput));
-    }
-
-    #[test]
-    fn transform_all_matches_scalar() {
-        let s = MinMaxScaler::fit(&[0.0, 1.0]).unwrap();
-        assert_eq!(s.transform_all(&[0.0, 0.5, 1.0]), vec![-1.0, 0.0, 1.0]);
     }
 }

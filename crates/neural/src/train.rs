@@ -117,48 +117,14 @@ pub struct TrainScratch {
     best: Option<Mlp>,
 }
 
-/// Trains `network` in place on `(inputs, targets)`.
+/// Trains `network` in place on a row-major design (`targets.len()` rows
+/// of `input_dim` values), with every working buffer drawn from
+/// `scratch`.
 ///
 /// The network with the *best validation error* is the one left in
-/// `network` (classic early-stopping semantics).
-///
-/// # Errors
-///
-/// * [`NeuralError::NotEnoughData`] when there are no samples.
-/// * [`NeuralError::BadDimensions`] when inputs/targets lengths differ.
-/// * [`NeuralError::InvalidParameter`] for bad config values.
-/// * Propagates width mismatches from the forward pass.
-pub fn train(
-    network: &mut Mlp,
-    inputs: &[Vec<f64>],
-    targets: &[f64],
-    config: &TrainConfig,
-) -> Result<TrainReport> {
-    if inputs.is_empty() {
-        return Err(NeuralError::NotEnoughData { required: 1, actual: 0 });
-    }
-    if inputs.len() != targets.len() {
-        return Err(NeuralError::BadDimensions {
-            detail: format!("{} inputs vs {} targets", inputs.len(), targets.len()),
-        });
-    }
-    // Flatten the design into one contiguous row-major matrix so the epoch
-    // loops stream through memory instead of chasing a pointer per row.
-    let dim = network.input_dim();
-    let mut flat = Vec::with_capacity(inputs.len() * dim);
-    for row in inputs {
-        if row.len() != dim {
-            return Err(NeuralError::InputWidthMismatch { expected: dim, actual: row.len() });
-        }
-        flat.extend_from_slice(row);
-    }
-    train_with(network, &flat, targets, config, &mut TrainScratch::default())
-}
-
-/// [`train`] over an already-flattened row-major design, with every
-/// working buffer drawn from `scratch`. Bit-identical to [`train`] on the
-/// same rows — same float ops in the same order — whether the scratch is
-/// fresh or reused from a previous fit of any shape.
+/// `network` (classic early-stopping semantics). The result is the same
+/// bits whether the scratch is fresh or reused from a previous fit of any
+/// shape.
 ///
 /// # Errors
 ///
@@ -166,6 +132,8 @@ pub fn train(
 /// * [`NeuralError::BadDimensions`] when `design` is not
 ///   `targets.len() × input_dim`.
 /// * [`NeuralError::InvalidParameter`] for bad config values.
+/// * [`NeuralError::NonFiniteInput`] for a NaN or infinite design value
+///   or target.
 ///
 /// The epoch kernel is chosen once, from the network's shape (see
 /// `Mlp::epoch_kernel`); every kernel gives the same bits.
@@ -317,19 +285,28 @@ fn train_validated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Activation;
 
-    fn xor_like() -> (Vec<Vec<f64>>, Vec<f64>) {
+    /// A flat two-input design and its targets.
+    fn xor_like() -> (Vec<f64>, Vec<f64>) {
         // A smooth nonlinear target a linear model cannot fit.
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for i in 0..80 {
             let a = (i % 9) as f64 / 4.0 - 1.0;
             let b = (i / 9) as f64 / 4.0 - 1.0;
-            xs.push(vec![a, b]);
+            xs.extend([a, b]);
             ys.push((a * b).tanh());
         }
         (xs, ys)
+    }
+
+    fn train(
+        net: &mut Mlp,
+        design: &[f64],
+        targets: &[f64],
+        config: &TrainConfig,
+    ) -> Result<TrainReport> {
+        train_with(net, design, targets, config, &mut TrainScratch::default())
     }
 
     /// A lagged design over a deterministic wavy series, `dim` lags per
@@ -374,7 +351,7 @@ mod tests {
         let config = TrainConfig { max_epochs: 150, validation_fraction: 0.2, patience: 20 };
         for ((dim, hid), fingerprint) in pinned {
             let (design, targets) = lagged(dim);
-            let mut net = Mlp::new(dim, hid, Activation::TanSig, 7).unwrap();
+            let mut net = Mlp::new(dim, hid, 7).unwrap();
             let mut runtime = net.clone();
             let report =
                 train_with(&mut net, &design, &targets, &config, &mut TrainScratch::default())
@@ -399,7 +376,7 @@ mod tests {
     #[test]
     fn rprop_learns_nonlinear_function() {
         let (xs, ys) = xor_like();
-        let mut net = Mlp::new(2, 8, Activation::TanSig, 11).unwrap();
+        let mut net = Mlp::new(2, 8, 11).unwrap();
         let report = train(
             &mut net,
             &xs,
@@ -448,10 +425,10 @@ mod tests {
     #[test]
     fn early_stopping_triggers_on_noise() {
         // Pure noise: validation cannot improve for long.
-        let xs: Vec<Vec<f64>> = (0..60).map(|i| vec![(i as f64 * 0.37).sin()]).collect();
+        let xs: Vec<f64> = (0..60).map(|i| (i as f64 * 0.37).sin()).collect();
         let ys: Vec<f64> =
             (0..60).map(|i| ((i * 2654435761u64 % 97) as f64 / 97.0) - 0.5).collect();
-        let mut net = Mlp::new(1, 4, Activation::TanSig, 13).unwrap();
+        let mut net = Mlp::new(1, 4, 13).unwrap();
         let report = train(
             &mut net,
             &xs,
@@ -465,26 +442,26 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        let mut net = Mlp::new(1, 2, Activation::TanSig, 1).unwrap();
+        let mut net = Mlp::new(1, 2, 1).unwrap();
         assert!(train(&mut net, &[], &[], &TrainConfig::default()).is_err());
-        assert!(train(&mut net, &[vec![1.0]], &[1.0, 2.0], &TrainConfig::default()).is_err());
+        assert!(train(&mut net, &[1.0], &[1.0, 2.0], &TrainConfig::default()).is_err());
         assert!(train(
             &mut net,
-            &[vec![f64::NAN]],
+            &[f64::NAN],
             &[1.0],
             &TrainConfig { validation_fraction: 0.0, ..Default::default() }
         )
         .is_err());
         let bad = TrainConfig { validation_fraction: 1.5, ..Default::default() };
-        assert!(train(&mut net, &[vec![1.0]], &[1.0], &bad).is_err());
+        assert!(train(&mut net, &[1.0], &[1.0], &bad).is_err());
         let bad = TrainConfig { max_epochs: 0, ..Default::default() };
-        assert!(train(&mut net, &[vec![1.0]], &[1.0], &bad).is_err());
+        assert!(train(&mut net, &[1.0], &[1.0], &bad).is_err());
     }
 
     #[test]
     fn best_validation_network_is_kept() {
         let (xs, ys) = xor_like();
-        let mut net = Mlp::new(2, 6, Activation::TanSig, 14).unwrap();
+        let mut net = Mlp::new(2, 6, 14).unwrap();
         let report = train(
             &mut net,
             &xs,
@@ -494,10 +471,10 @@ mod tests {
         .unwrap();
         // Recompute validation error of the returned network: must equal
         // the reported best.
-        let n_val = (xs.len() as f64 * 0.25) as usize;
-        let n_train = xs.len() - n_val;
+        let n_val = (ys.len() as f64 * 0.25) as usize;
+        let n_train = ys.len() - n_val;
         let mut sse = 0.0;
-        for (x, y) in xs[n_train..].iter().zip(&ys[n_train..]) {
+        for (x, y) in xs[2 * n_train..].chunks_exact(2).zip(&ys[n_train..]) {
             let e = net.predict(x).unwrap() - y;
             sse += e * e;
         }

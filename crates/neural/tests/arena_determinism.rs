@@ -52,7 +52,7 @@ proptest! {
         // Shapes deliberately interleaved so every reuse follows a fit of
         // a different (delays, hidden) footprint.
         for (delays, hidden) in [(1, 2), (3, 6), (2, 4), (4, 2), (1, 6)] {
-            let config = NarConfig { delays, hidden, train: quick_train(), ..Default::default() };
+            let config = NarConfig { delays, hidden, train: quick_train() };
             let reused = NarModel::fit_with(&s, config, seed, &mut arena).unwrap();
             let fresh = NarModel::fit(&s, config, seed).unwrap();
             prop_assert_eq!(model_bits(&reused), model_bits(&fresh));

@@ -1,6 +1,5 @@
 //! Property-based tests for the neural substrate.
 
-use ddos_neural::activation::Activation;
 use ddos_neural::nar::{NarConfig, NarModel};
 use ddos_neural::network::Mlp;
 use ddos_neural::scale::MinMaxScaler;
@@ -18,7 +17,7 @@ proptest! {
         target in -1.5f64..1.5,
         seed in 0u64..1000,
     ) {
-        let m = Mlp::new(input.len(), 3, Activation::TanSig, seed).unwrap();
+        let m = Mlp::new(input.len(), 3, seed).unwrap();
         let mut grad = vec![0.0; m.n_params()];
         m.accumulate_gradient(&input, target, &mut grad).unwrap();
         let h = 1e-6;
@@ -53,7 +52,6 @@ proptest! {
             delays: 2,
             hidden: 3,
             train: TrainConfig { max_epochs: 40, patience: 10, ..Default::default() },
-            ..Default::default()
         };
         let model = match NarModel::fit(&series, cfg, seed) {
             Ok(m) => m,
@@ -100,7 +98,6 @@ proptest! {
             delays,
             hidden: 3,
             train: TrainConfig { max_epochs: 20, patience: 5, ..Default::default() },
-            ..Default::default()
         };
         let model = match NarModel::fit(history, cfg, seed) {
             Ok(m) => m,

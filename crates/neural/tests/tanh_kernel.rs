@@ -104,7 +104,6 @@ fn nar_rolling_rmse_within_1e_6_of_frozen_libm_run() {
         delays: 3,
         hidden: 6,
         train: TrainConfig { max_epochs: 120, patience: 120, ..Default::default() },
-        ..Default::default()
     };
     let model = NarModel::fit(&s[..cut], config, 7).unwrap();
     let preds = model.predict_rolling(&s[..cut], &s[cut..]).unwrap();

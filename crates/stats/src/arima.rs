@@ -17,8 +17,8 @@
 //!   [`lstsq_into`],
 //! * [`Arima::forecast`] — multi-step mean forecasts with re-integration,
 //! * [`Arima::fitted`] / [`Arima::residuals`] — in-sample diagnostics,
-//! * [`Arima::aic`] / [`Arima::bic`] — information criteria for order
-//!   selection (see [`crate::select`]).
+//! * [`Arima::aic`] — the information criterion of order selection (see
+//!   [`crate::select`]).
 
 use crate::codec::{CodecError, CodecResult, Reader, Writer};
 use crate::matrix::{lstsq_into, LstsqScratch};
@@ -522,11 +522,6 @@ impl Arima {
         aic(self.work.len(), self.order, self.sigma2)
     }
 
-    /// Bayesian information criterion. NaN when σ² is NaN.
-    pub fn bic(&self) -> f64 {
-        bic(self.work.len(), self.order, self.sigma2)
-    }
-
     /// The training series this model was fit on.
     pub fn history(&self) -> &[f64] {
         &self.history
@@ -681,14 +676,6 @@ pub(crate) fn aic(n_obs: usize, order: ArimaOrder, sigma2: f64) -> f64 {
     let n = n_obs as f64;
     let k = order.n_params() as f64;
     n * log_variance(sigma2) + 2.0 * k
-}
-
-/// BIC of an order fit to `n_obs` differenced observations with variance
-/// `sigma2`.
-pub(crate) fn bic(n_obs: usize, order: ArimaOrder, sigma2: f64) -> f64 {
-    let n = n_obs as f64;
-    let k = order.n_params() as f64;
-    n * log_variance(sigma2) + k * n.ln()
 }
 
 /// One order's estimate on a differenced series: everything of an
@@ -1183,15 +1170,6 @@ mod tests {
         assert!((fc[0] - 5.0).abs() < 1e-6, "fc {fc:?}");
     }
 
-    #[test]
-    fn bic_penalizes_more_than_aic_for_large_n() {
-        let series = simulate_arma(&[0.5], &[], 0.0, 500, 1.0, 18);
-        let m = Arima::fit(&series, ArimaOrder::new(3, 0, 2)).unwrap();
-        let m0 = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
-        // Relative penalty for the bigger model is larger under BIC.
-        assert!((m.bic() - m0.bic()) > (m.aic() - m0.aic()));
-    }
-
     /// Rolling prediction over the whole growing history: every step
     /// re-differences and re-integrates it, O(n) per step. The oracle
     /// the O(d) ladder path must match bit for bit.
@@ -1598,10 +1576,10 @@ mod tests {
         let series = simulate_arma(&[0.5], &[], 0.0, 200, 1.0, 41);
         let mut model = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
         model.sigma2 = f64::NAN;
-        assert!(model.aic().is_nan() && model.bic().is_nan());
+        assert!(model.aic().is_nan());
         // A zero σ² (an exact fit) still scores finitely.
         model.sigma2 = 0.0;
-        assert!(model.aic().is_finite() && model.bic().is_finite());
+        assert!(model.aic().is_finite());
     }
 
     fn arma_case() -> impl Strategy<Value = (Vec<f64>, usize)> {

@@ -369,6 +369,10 @@ impl DiurnalProfile {
     }
 
     /// Draws an hour of day with probability proportional to the factors.
+    #[allow(
+        clippy::expect_used,
+        reason = "`flat` and `sinusoidal` are the only constructors, and both make every factor finite and positive"
+    )]
     pub fn sample_hour<R: Rng + ?Sized>(&self, rng: &mut R) -> u8 {
         let cat = Categorical::new(&self.factors).expect("factors are positive by construction");
         cat.sample(rng) as u8

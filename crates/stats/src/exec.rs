@@ -118,10 +118,9 @@ where
         }
     });
 
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every shard fills its contiguous slot range"))
-        .collect()
+    // The scope returned, so no shard panicked and every shard filled its
+    // contiguous slot range: flattening keeps all `n` results in order.
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

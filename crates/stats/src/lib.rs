@@ -10,7 +10,7 @@
 //! * [`acf`] — autocorrelation and partial autocorrelation functions.
 //! * [`arima`] — autoregressive integrated moving-average models: differencing,
 //!   conditional-sum-of-squares fitting, multi-step forecasting.
-//! * [`select`] — information-criterion (AIC/BIC) order search for ARIMA.
+//! * [`select`] — AIC order search for ARIMA.
 //! * [`diagnostics`] — residual diagnostics (Ljung–Box portmanteau test).
 //! * [`metrics`] — forecast-accuracy metrics (RMSE, MAE, MAPE, CV, …).
 //! * [`distributions`] — seedable samplers (Poisson, log-normal, exponential,
@@ -39,6 +39,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No library entry point panics: every failure is a typed error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 pub mod acf;
 pub mod arima;

@@ -3,7 +3,7 @@
 //! The paper fits "the most general class of models for time series data"
 //! (§IV-A4) without publishing exact orders; this module performs the
 //! standard Box–Jenkins grid search, choosing the differencing degree from
-//! the lag-1 autocorrelation and the (p, q) pair by AIC (or BIC).
+//! the lag-1 autocorrelation and the (p, q) pair by AIC.
 //!
 //! The grid is the search's hot path (the temporal model runs it for every
 //! series of every family), so [`search`] differences each series once and
@@ -12,19 +12,9 @@
 //! [`Arima::fit`] at that order.
 
 use crate::acf::acf;
-use crate::arima::{aic, bic, check_length, difference, Arima, ArimaOrder, Estimate, LagFits};
+use crate::arima::{aic, check_length, difference, Arima, ArimaOrder, Estimate, LagFits};
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
-
-/// Which information criterion drives the search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum Criterion {
-    /// Akaike information criterion (default; better for forecasting).
-    #[default]
-    Aic,
-    /// Bayesian information criterion (sparser models).
-    Bic,
-}
 
 /// Configuration for [`search`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,13 +25,11 @@ pub struct SearchConfig {
     pub max_d: usize,
     /// Maximum MA order to try (inclusive).
     pub max_q: usize,
-    /// Criterion to minimize.
-    pub criterion: Criterion,
 }
 
 impl Default for SearchConfig {
     fn default() -> Self {
-        SearchConfig { max_p: 3, max_d: 1, max_q: 2, criterion: Criterion::Aic }
+        SearchConfig { max_p: 3, max_d: 1, max_q: 2 }
     }
 }
 
@@ -80,7 +68,7 @@ pub fn choose_differencing(series: &[f64], max_d: usize) -> Result<usize> {
     Ok(max_d)
 }
 
-/// Grid search over (p, d, q) minimizing the chosen criterion.
+/// Grid search over (p, d, q) minimizing the AIC ([`Arima::aic`]).
 ///
 /// `d` is screened first with [`choose_differencing`] and the grid then runs
 /// over `p ∈ 0..=max_p`, `q ∈ 0..=max_q`. Orders whose fit fails (e.g. too
@@ -133,10 +121,7 @@ pub fn search(series: &[f64], config: SearchConfig) -> Result<SearchOutcome> {
                     continue;
                 }
             };
-            let score = match config.criterion {
-                Criterion::Aic => aic(work.len(), order, estimate.sigma2),
-                Criterion::Bic => bic(work.len(), order, estimate.sigma2),
-            };
+            let score = aic(work.len(), order, estimate.sigma2);
             if !score.is_finite() {
                 first_cause.get_or_insert(StatsError::NonFiniteInput);
                 continue;
@@ -220,8 +205,7 @@ mod tests {
     fn search_white_noise_prefers_small_model() {
         let mut rng = StdRng::seed_from_u64(4);
         let s: Vec<f64> = (0..1500).map(|_| rng.gen::<f64>()).collect();
-        let out =
-            search(&s, SearchConfig { criterion: Criterion::Bic, ..Default::default() }).unwrap();
+        let out = search(&s, SearchConfig::default()).unwrap();
         let o = out.model.order();
         assert!(o.p + o.q <= 1, "white noise picked {o}");
     }
@@ -245,10 +229,7 @@ mod tests {
             for q in 0..=config.max_q {
                 let order = ArimaOrder::new(p, d, q);
                 let Ok(model) = Arima::fit(series, order) else { continue };
-                let score = match config.criterion {
-                    Criterion::Aic => model.aic(),
-                    Criterion::Bic => model.bic(),
-                };
+                let score = model.aic();
                 table.push((order, score));
                 if best.as_ref().is_none_or(|(s, _)| score < *s) {
                     best = Some((score, model));
@@ -271,17 +252,15 @@ mod tests {
         let series =
             [ar_series(0.6, 30, 5), ar_series(0.8, 700, 6), ar_series(-0.3, 2900, 7), walk];
         for s in &series {
-            for criterion in [Criterion::Aic, Criterion::Bic] {
-                let config = SearchConfig { criterion, ..Default::default() };
-                let got = search(s, config).unwrap();
-                let want = search_by_independent_fits(s, config);
-                // `Arima` equality is field by field; no field here is NaN.
-                assert_eq!(got.model, want.model);
-                let bits = |t: &[(ArimaOrder, f64)]| -> Vec<(ArimaOrder, u64)> {
-                    t.iter().map(|(o, s)| (*o, s.to_bits())).collect()
-                };
-                assert_eq!(bits(&got.table), bits(&want.table));
-            }
+            let config = SearchConfig::default();
+            let got = search(s, config).unwrap();
+            let want = search_by_independent_fits(s, config);
+            // `Arima` equality is field by field; no field here is NaN.
+            assert_eq!(got.model, want.model);
+            let bits = |t: &[(ArimaOrder, f64)]| -> Vec<(ArimaOrder, u64)> {
+                t.iter().map(|(o, s)| (*o, s.to_bits())).collect()
+            };
+            assert_eq!(bits(&got.table), bits(&want.table));
         }
     }
 
@@ -300,10 +279,5 @@ mod tests {
             assert_eq!(first, StatsError::NonFiniteInput);
             assert_eq!(search(&s, config).unwrap_err(), first, "max_d {max_d}");
         }
-    }
-
-    #[test]
-    fn criterion_default_is_aic() {
-        assert_eq!(Criterion::default(), Criterion::Aic);
     }
 }
