@@ -37,8 +37,8 @@ fn duration_series() -> Vec<f64> {
 }
 
 /// Every series `TemporalModel::fit` runs an order search on, for every
-/// family of `corpus` with enough attacks: magnitudes, `A^f`, `A^b`,
-/// `A^s` and (when long enough) the launch gaps.
+/// family of `corpus` with enough attacks: magnitudes, `A^f`, `A^b` and
+/// `A^s`.
 fn temporal_series(corpus: &Corpus) -> Vec<Vec<f64>> {
     let fx = FeatureExtractor::new(corpus);
     let min_attacks = TemporalConfig::default().min_attacks;
@@ -52,11 +52,6 @@ fn temporal_series(corpus: &Corpus) -> Vec<Vec<f64>> {
         out.push(FeatureExtractor::activity_series(&attacks));
         out.push(FeatureExtractor::active_bots_series(&attacks));
         out.push(fx.source_distribution_series(&attacks).unwrap());
-        let gaps: Vec<f64> =
-            attacks.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
-        if gaps.len() >= 16 {
-            out.push(gaps);
-        }
     }
     out
 }

@@ -30,7 +30,7 @@ use ddos_cart::ensemble::{
 };
 use ddos_cart::importance::feature_importances;
 use ddos_cart::leaf::LeafKind;
-use ddos_cart::prune::{prune, prune_holdout};
+use ddos_cart::prune::prune_holdout;
 use ddos_cart::tree::{RegressionTree, TreeConfig};
 use ddos_core::artifact::ModelArtifact;
 use ddos_core::attribution::FamilyAttributor;
@@ -267,6 +267,19 @@ fn run(report: &mut Report) {
     }
     h.done("pipeline_spatial_dist");
 
+    // E6 baseline comparison (§VII-A): every RMSE row, so the per-family
+    // temporal fits behind its magnitude and asn_dist rows are pinned.
+    let table = pipeline(42).run_baseline_comparison(&c).unwrap();
+    let mut h = Fnv::new(report);
+    for r in table.rows() {
+        for text in [&r.scope, &r.feature, &r.model] {
+            h.word(text.len() as u64);
+            h.bytes(text.as_bytes());
+        }
+        h.f64(r.rmse);
+    }
+    h.done("pipeline_baseline_comparison");
+
     let (train_a, test_a) = c.split(0.8).unwrap();
     let at = FamilyAttributor::fit(train_a).unwrap();
     let mut h = Fnv::new(report);
@@ -275,8 +288,8 @@ fn run(report: &mut Report) {
 
     // CART growth on the standard spatiotemporal training set (§VI): the
     // real design the four trees train on, fit with both leaf kinds,
-    // pruned both ways. These lines are the bit-identity oracle for the
-    // presorted grower.
+    // unpruned and holdout-pruned. These lines are the bit-identity
+    // oracle for the presorted grower.
     let st_cfg = SpatioTemporalConfig::fast();
     let (st_xs, st_labels) = SpatioTemporalModel::training_design(train_a, &st_cfg, 5).unwrap();
     let mut h = Fnv::new(report);
@@ -299,18 +312,14 @@ fn run(report: &mut Report) {
         for labels in [&hour_labels, &duration_labels] {
             let tree = RegressionTree::fit(&st_xs, labels, &cfg).unwrap();
             hash_tree(&mut h, &tree, &st_xs);
-            // Both pruning modes on a fresh fit: prune statistics
-            // (collapsed leaf models and residual stds) are part of the
-            // grower's observable surface.
+            // Holdout pruning on a fresh fit: the collapsed leaf models
+            // are part of the grower's observable surface.
             let mut retained =
                 RegressionTree::fit(&st_xs[..grow_n], &labels[..grow_n], &cfg).unwrap();
             let collapsed =
                 prune_holdout(&mut retained, &st_xs[grow_n..], &labels[grow_n..], 0.88).unwrap();
             h.word(collapsed as u64);
             hash_tree(&mut h, &retained, &st_xs);
-            let mut sd = RegressionTree::fit(&st_xs, labels, &cfg).unwrap();
-            h.word(prune(&mut sd, 0.88).unwrap() as u64);
-            hash_tree(&mut h, &sd, &st_xs);
         }
         h.done(name);
     }

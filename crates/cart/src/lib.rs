@@ -3,13 +3,14 @@
 //! §VI of the paper partitions the feature space recursively and attaches
 //! "simpler learning models, like the linear regression" to each cell —
 //! i.e. a **model tree**: CART (Breiman et al. \[49\]) growth with
-//! variance-reduction splits, standard-deviation pruning ("we prune the
-//! tree to keep only 88% of the original standard deviations"), and
-//! multivariate-linear-regression leaves (Eq. 8–10).
+//! variance-reduction splits, pruning to the paper's 88% retention ("we
+//! prune the tree to keep only 88% of the original standard deviations",
+//! read as a holdout-RMSE bar), and multivariate-linear-regression leaves
+//! (Eq. 8–10).
 //!
 //! * [`leaf`] — leaf models: constant mean or MLR with constant fallback;
 //! * [`tree`] — presorted, allocation-free tree growth and prediction;
-//! * [`prune`] — bottom-up standard-deviation-retention pruning;
+//! * [`prune`] — bottom-up reduced-error pruning against a holdout set;
 //! * [`importance`] — per-feature variance-reduction importances;
 //! * [`ensemble`] — deterministic bagged forests and gradient-boosted
 //!   model trees over the same grower (the forecaster zoo).

@@ -1,45 +1,14 @@
-//! Standard-deviation-retention pruning.
+//! Reduced-error pruning against a holdout set.
 //!
 //! "To avoid overfitting, we prune the tree to keep only 88% of the
-//! original standard deviations." (§VI-B). Interpreted as the classic
-//! std-dev pruning rule, adapted to model trees: a subtree is kept only
-//! when its leaves' pooled *residual* standard deviation beats
-//! `retention ×` the residual std of the single leaf model the node would
+//! original standard deviations." (§VI-B). Read as a generalization bar
+//! for model trees: a subtree is kept only when its holdout RMSE is below
+//! `retention ×` the holdout RMSE of the single leaf model the node would
 //! collapse into; splits that fail the bar are collapsed. Collapsing
 //! proceeds bottom-up.
 
 use crate::tree::{Node, RegressionTree};
 use crate::{CartError, Result};
-
-/// Prunes `tree` in place with the given retention factor (the paper uses
-/// 0.88) and returns the number of collapsed internal nodes.
-///
-/// # Errors
-///
-/// Returns [`CartError::InvalidParameter`] unless `0 < retention <= 1`.
-pub fn prune(tree: &mut RegressionTree, retention: f64) -> Result<usize> {
-    if !(retention > 0.0 && retention <= 1.0) {
-        return Err(CartError::InvalidParameter {
-            name: "retention",
-            detail: format!("must lie in (0, 1], got {retention}"),
-        });
-    }
-    let mut collapsed = 0usize;
-    prune_node(&mut tree.root, retention, &mut collapsed);
-    Ok(collapsed)
-}
-
-/// Sample-weighted mean *residual* standard deviation of a subtree's leaves.
-fn subtree_leaf_std(node: &Node) -> (f64, usize) {
-    match node {
-        Node::Leaf { resid_std, n, .. } => (*resid_std * *n as f64, *n),
-        Node::Internal { left, right, .. } => {
-            let (sl, nl) = subtree_leaf_std(left);
-            let (sr, nr) = subtree_leaf_std(right);
-            (sl + sr, nl + nr)
-        }
-    }
-}
 
 /// Reduced-error pruning against a holdout set: a subtree survives only
 /// when its holdout RMSE is at least `(1 − retention)` relatively better
@@ -48,7 +17,7 @@ fn subtree_leaf_std(node: &Node) -> (f64, usize) {
 /// Nodes that receive no holdout samples are kept (no evidence against
 /// the training fit). Returns the number of collapsed internal nodes.
 ///
-/// This is the pruning the spatiotemporal model uses: the paper's 0.88
+/// The spatiotemporal model prunes each tree this way: the paper's 0.88
 /// retention factor demands a 12% generalization improvement per kept
 /// subtree.
 ///
@@ -148,36 +117,6 @@ fn prune_node_holdout(
     Ok(sse)
 }
 
-fn prune_node(node: &mut Node, retention: f64, collapsed: &mut usize) {
-    if let Node::Internal { left, right, .. } = node {
-        prune_node(left, retention, collapsed);
-        prune_node(right, retention, collapsed);
-    }
-    let (weighted, total) = subtree_leaf_std(node);
-    let replace = match node {
-        Node::Leaf { .. } => None,
-        Node::Internal { n, std_dev, collapsed_resid_std, collapsed: fallback, .. } => {
-            let leaf_std = if total == 0 { 0.0 } else { weighted / total as f64 };
-            // Keep the split only when the subtree's pooled residual std
-            // meaningfully beats what the collapsed leaf model achieves.
-            if leaf_std >= retention * *collapsed_resid_std {
-                Some(Node::Leaf {
-                    model: fallback.clone(),
-                    n: *n,
-                    std_dev: *std_dev,
-                    resid_std: *collapsed_resid_std,
-                })
-            } else {
-                None
-            }
-        }
-    };
-    if let Some(leaf) = replace {
-        *node = leaf;
-        *collapsed += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,39 +155,32 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn pruning_collapses_noise_splits() {
-        let mut t = noise_tree(3, 8);
-        let before = t.n_leaves();
-        let collapsed = prune(&mut t, 0.88).unwrap();
-        assert!(collapsed > 0, "nothing pruned from a noise tree");
-        assert!(t.n_leaves() < before);
-    }
-
-    #[test]
-    fn pruning_keeps_real_signal() {
-        let mut t = signal_tree();
-        let collapsed = prune(&mut t, 0.88).unwrap();
-        assert_eq!(collapsed, 0, "the real split was pruned");
-        assert_eq!(t.predict(&[-10.0]).unwrap(), 0.0);
-        assert_eq!(t.predict(&[10.0]).unwrap(), 100.0);
+    /// Noise rows with a disjoint noise holdout: every split is spurious.
+    fn noise_holdout(seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<Vec<f64>> =
+            (0..100).map(|_| vec![rng.gen::<f64>(), rng.gen::<f64>()]).collect();
+        let ys: Vec<f64> = (0..100).map(|_| rng.gen::<f64>()).collect();
+        (xs, ys)
     }
 
     #[test]
     fn lower_retention_prunes_more() {
-        // A split survives only if it pushes the pooled leaf std below
-        // retention × node std, so a lower retention is a stricter bar.
+        // A split survives only if its holdout RMSE beats retention × the
+        // collapsed leaf's, so a lower retention is a stricter bar.
+        let (xs, ys) = noise_holdout(6);
         let mut strict = noise_tree(5, 8);
         let mut loose = strict.clone();
-        prune(&mut strict, 0.5).unwrap();
-        prune(&mut loose, 1.0).unwrap();
+        prune_holdout(&mut strict, &xs, &ys, 0.5).unwrap();
+        prune_holdout(&mut loose, &xs, &ys, 1.0).unwrap();
         assert!(strict.n_leaves() <= loose.n_leaves());
     }
 
     #[test]
     fn pruned_tree_still_predicts() {
+        let (xs, ys) = noise_holdout(8);
         let mut t = noise_tree(7, 6);
-        prune(&mut t, 0.88).unwrap();
+        prune_holdout(&mut t, &xs, &ys, 0.88).unwrap();
         let y = t.predict(&[0.5, 0.5]).unwrap();
         assert!(y.is_finite());
         // Noise targets live in [0, 1]; a collapsed mean must too.
@@ -310,8 +242,8 @@ mod tests {
     #[test]
     fn invalid_retention_rejected() {
         let mut t = signal_tree();
-        assert!(prune(&mut t, 0.0).is_err());
-        assert!(prune(&mut t, 1.5).is_err());
-        assert!(prune(&mut t, -0.1).is_err());
+        for retention in [0.0, 1.5, -0.1, f64::NAN] {
+            assert!(prune_holdout(&mut t, &[vec![1.0]], &[1.0], retention).is_err());
+        }
     }
 }

@@ -99,7 +99,8 @@ pub(crate) enum Node {
         /// Standard deviation of targets at this node.
         std_dev: f64,
         /// Residual standard deviation of the fallback leaf on this node's
-        /// samples (pruning statistic for model trees).
+        /// samples (carried into the leaf a pruned node becomes; nothing
+        /// reads it, but it is part of the tree codec).
         collapsed_resid_std: f64,
         /// SSE reduction achieved by this split (importance statistic).
         impurity_decrease: f64,
@@ -110,7 +111,8 @@ pub(crate) enum Node {
         model: LeafModel,
         n: usize,
         std_dev: f64,
-        /// Residual standard deviation of `model` on the leaf's samples.
+        /// Residual standard deviation of `model` on the leaf's samples
+        /// (nothing reads it, but it is part of the tree codec).
         resid_std: f64,
     },
 }

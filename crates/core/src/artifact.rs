@@ -1,21 +1,23 @@
-//! Versioned binary artifacts for fitted models.
+//! Versioned binary artifacts for the fitted spatiotemporal model.
 //!
-//! Fitting the temporal, spatial and spatiotemporal models is by far the
-//! most expensive part of the pipeline; serving their predictions is
-//! cheap. This module gives every fitted model a durable, *versioned*
-//! on-disk form so a model can be fit once and served many times — across
-//! processes and across releases — with **bit-identical** predictions.
+//! Fitting the spatiotemporal model is by far the most expensive part of
+//! the pipeline; serving its predictions is cheap. This module gives the
+//! served model — the §VI model trees over the component outputs — a
+//! durable, *versioned* on-disk form so it can be fit once and served
+//! many times, across processes and across releases, with
+//! **bit-identical** predictions. It is the only model any program
+//! persists: the temporal and spatial models are refit in memory.
 //!
 //! # Envelope (schema v5, current)
 //!
-//! Every artifact starts with the same envelope, followed by a
-//! model-specific payload:
+//! Every artifact starts with the same envelope, followed by the model
+//! payload:
 //!
 //! | bytes | field | value |
 //! |---|---|---|
 //! | 0..8 | magic | `b"DDOSMDL\0"` |
 //! | 8..12 | schema version | little-endian `u32`, currently `5` |
-//! | 12 | kind tag | [`ArtifactKind`] discriminant |
+//! | 12 | kind tag | always `3` (the spatiotemporal model) |
 //! | 13..21 | payload length | little-endian `u64` |
 //! | 21..29 | payload checksum | four-lane guard hash (`u64`) over the payload |
 //! | 29.. | payload | model-specific, see [`ModelArtifact`] |
@@ -25,12 +27,13 @@
 //! structured decode. The checksum is a four-lane multiply–rotate hash
 //! ([`guard64`]-style, xxHash64 primes): 32 bytes per step across four
 //! independent dependency chains, in fully safe, platform-independent
-//! code. Each model family has exactly one kind tag and one payload
-//! layout; tags 5 and 6 (standalone forests and boosted ensembles) and 7
-//! (the ensemble-backed spatiotemporal layout) are retired and decode as
-//! [`ArtifactError::UnknownKind`]. v5 is the only schema this crate reads
-//! or writes: an artifact stamped with any other version, the retired
-//! v1–v4 included (DESIGN.md §12, §22, §31), is an
+//! code. There is one kind tag and one payload layout. Every other tag —
+//! 1, 2 and 4 (the retired temporal, spatial and source-distribution
+//! artifacts), 5 and 6 (standalone forests and boosted ensembles), 7 (the
+//! ensemble-backed spatiotemporal layout) and any tag never written —
+//! decodes as [`ArtifactError::UnknownKind`]. v5 is the only schema this
+//! crate reads or writes: an artifact stamped with any other version, the
+//! retired v1–v4 included (DESIGN.md §12, §22, §31), is an
 //! [`ArtifactError::UnsupportedVersion`]. v5 differs from v4 only in the
 //! spatiotemporal payload, which lost its learner tag and the four
 //! regressor variant tags (five zero bytes for a tree model).
@@ -52,53 +55,9 @@ pub const MAGIC: [u8; 8] = *b"DDOSMDL\0";
 /// Current artifact schema version. Bump when any payload layout changes.
 pub const SCHEMA_VERSION: u32 = 5;
 
-/// Which model family an artifact holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ArtifactKind {
-    /// A per-family temporal model (ARIMA bundle, §IV).
-    Temporal,
-    /// A per-network spatial model (NAR bundle, §V).
-    Spatial,
-    /// The corpus-wide spatiotemporal model (four regression trees over
-    /// the component outputs, §VI).
-    SpatioTemporal,
-    /// The source-distribution model (per-AS share ARIMAs, §IV-B).
-    SourceDistribution,
-}
-
-impl ArtifactKind {
-    fn tag(self) -> u8 {
-        match self {
-            ArtifactKind::Temporal => 1,
-            ArtifactKind::Spatial => 2,
-            ArtifactKind::SpatioTemporal => 3,
-            ArtifactKind::SourceDistribution => 4,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            1 => Some(ArtifactKind::Temporal),
-            2 => Some(ArtifactKind::Spatial),
-            3 => Some(ArtifactKind::SpatioTemporal),
-            4 => Some(ArtifactKind::SourceDistribution),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ArtifactKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ArtifactKind::Temporal => "temporal",
-            ArtifactKind::Spatial => "spatial",
-            ArtifactKind::SpatioTemporal => "spatiotemporal",
-            ArtifactKind::SourceDistribution => "source-distribution",
-        };
-        f.write_str(name)
-    }
-}
+/// The kind tag every artifact carries: the spatiotemporal model's, the
+/// only model with an artifact.
+const KIND_TAG: u8 = 3;
 
 /// Errors from reading or writing model artifacts.
 ///
@@ -115,14 +74,8 @@ pub enum ArtifactError {
         /// Version found in the envelope.
         found: u32,
     },
-    /// The envelope is valid but holds a different model kind.
-    WrongKind {
-        /// Kind the caller asked for.
-        expected: ArtifactKind,
-        /// Kind recorded in the envelope.
-        found: ArtifactKind,
-    },
-    /// The kind tag is not one this build knows about.
+    /// The kind tag is not `3` (the spatiotemporal model's): a retired
+    /// model kind or one this build never wrote.
     UnknownKind {
         /// The unrecognised tag byte.
         tag: u8,
@@ -151,9 +104,6 @@ impl fmt::Display for ArtifactError {
                     f,
                     "unsupported artifact schema version {found} (supported: {SCHEMA_VERSION})"
                 )
-            }
-            ArtifactError::WrongKind { expected, found } => {
-                write!(f, "artifact holds a {found} model, expected {expected}")
             }
             ArtifactError::UnknownKind { tag } => {
                 write!(f, "unknown artifact kind tag {tag}")
@@ -189,7 +139,7 @@ impl From<CodecError> for ArtifactError {
 /// A fitted model with a durable, versioned binary form.
 ///
 /// Implementors provide only the payload codec; the envelope (magic,
-/// schema version, kind tag) and its validation are supplied by the
+/// schema version, kind tag `3`) and its validation are supplied by the
 /// default [`to_artifact_bytes`](ModelArtifact::to_artifact_bytes) /
 /// [`from_artifact_bytes`](ModelArtifact::from_artifact_bytes) pair.
 ///
@@ -200,11 +150,6 @@ impl From<CodecError> for ArtifactError {
 /// therefore store state verbatim (`f64::to_bits`) and never re-derive
 /// anything lossy at decode time.
 pub trait ModelArtifact: Sized {
-    /// The kind tag stamped into the envelope and the only one
-    /// [`from_artifact_bytes`](ModelArtifact::from_artifact_bytes)
-    /// accepts.
-    const KIND: ArtifactKind;
-
     /// Appends the model-specific payload to `w`.
     fn encode_payload(&self, w: &mut Writer);
 
@@ -228,7 +173,7 @@ pub trait ModelArtifact: Sized {
         let mut w = Writer::new();
         w.bytes(&MAGIC);
         w.u32(SCHEMA_VERSION);
-        w.u8(Self::KIND.tag());
+        w.u8(KIND_TAG);
         w.usize(payload.len());
         w.u64(guard64(&payload));
         w.bytes(&payload);
@@ -242,8 +187,7 @@ pub trait ModelArtifact: Sized {
     ///
     /// * [`ArtifactError::BadMagic`] when the magic prefix is absent.
     /// * [`ArtifactError::UnsupportedVersion`] for other schema versions.
-    /// * [`ArtifactError::UnknownKind`] / [`ArtifactError::WrongKind`]
-    ///   when the kind tag is unrecognised or is not [`Self::KIND`].
+    /// * [`ArtifactError::UnknownKind`] when the kind tag is not `3`.
     /// * [`ArtifactError::ChecksumMismatch`] when the payload guard
     ///   disagrees with the payload bytes.
     /// * [`ArtifactError::Corrupt`] when the payload fails to decode or
@@ -259,9 +203,8 @@ pub trait ModelArtifact: Sized {
             return Err(ArtifactError::UnsupportedVersion { found: version });
         }
         let tag = r.u8()?;
-        let kind = ArtifactKind::from_tag(tag).ok_or(ArtifactError::UnknownKind { tag })?;
-        if kind != Self::KIND {
-            return Err(ArtifactError::WrongKind { expected: Self::KIND, found: kind });
+        if tag != KIND_TAG {
+            return Err(ArtifactError::UnknownKind { tag });
         }
         let len = r.usize()?;
         let expected = r.u64()?;
@@ -326,28 +269,12 @@ mod tests {
     }
 
     impl ModelArtifact for Toy {
-        const KIND: ArtifactKind = ArtifactKind::Temporal;
-
         fn encode_payload(&self, w: &mut Writer) {
             w.f64_seq(&self.weights);
         }
 
         fn decode_payload(r: &mut Reader<'_>) -> CodecResult<Self> {
             Ok(Toy { weights: r.f64_seq()? })
-        }
-    }
-
-    /// Same payload, different declared kind.
-    #[derive(Debug, PartialEq)]
-    struct OtherToy;
-
-    impl ModelArtifact for OtherToy {
-        const KIND: ArtifactKind = ArtifactKind::Spatial;
-
-        fn encode_payload(&self, _w: &mut Writer) {}
-
-        fn decode_payload(_r: &mut Reader<'_>) -> CodecResult<Self> {
-            Ok(OtherToy)
         }
     }
 
@@ -412,22 +339,17 @@ mod tests {
 
     #[test]
     fn wrong_and_unknown_kind_rejected() {
-        let bytes = OtherToy.to_artifact_bytes();
-        let err = Toy::from_artifact_bytes(&bytes).unwrap_err();
-        assert_eq!(
-            err,
-            ArtifactError::WrongKind {
-                expected: ArtifactKind::Temporal,
-                found: ArtifactKind::Spatial,
-            }
-        );
-
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u32(SCHEMA_VERSION);
-        w.u8(200);
-        let err = Toy::from_artifact_bytes(&w.into_bytes()).unwrap_err();
-        assert_eq!(err, ArtifactError::UnknownKind { tag: 200 });
+        // Every tag but the spatiotemporal one is unknown: the retired
+        // temporal (1), spatial (2), source-distribution (4), forest (5),
+        // boosted (6) and ensemble-backed (7) kinds and tags never written.
+        let bytes = Toy { weights: vec![1.5, -0.0] }.to_artifact_bytes();
+        assert_eq!(bytes[12], KIND_TAG);
+        for tag in (0..=u8::MAX).filter(|&t| t != KIND_TAG) {
+            let mut stamped = bytes.clone();
+            stamped[12] = tag;
+            let err = Toy::from_artifact_bytes(&stamped).unwrap_err();
+            assert_eq!(err, ArtifactError::UnknownKind { tag });
+        }
     }
 
     #[test]

@@ -36,14 +36,13 @@ impl std::fmt::Display for BaselineKind {
 ///
 /// Returns [`ModelError::NotEnoughHistory`] when `history` is empty.
 pub fn predict_rolling(kind: BaselineKind, history: &[f64], test: &[f64]) -> Result<Vec<f64>> {
-    if history.is_empty() {
+    let Some(&(mut last)) = history.last() else {
         return Err(ModelError::NotEnoughHistory {
             context: format!("{kind} baseline"),
             required: 1,
             actual: 0,
         });
-    }
-    let mut last = *history.last().expect("nonempty");
+    };
     let mut sum: f64 = history.iter().sum();
     let mut n = history.len() as f64;
     let mut out = Vec::with_capacity(test.len());

@@ -125,11 +125,12 @@ impl EntropyDetector {
         self.window.push_back(asn);
         *self.counts.entry(asn).or_insert(0) += 1;
         if self.window.len() > self.config.window {
-            let old = self.window.pop_front().expect("window nonempty");
-            if let Some(c) = self.counts.get_mut(&old) {
-                *c -= 1;
-                if *c == 0 {
-                    self.counts.remove(&old);
+            if let Some(old) = self.window.pop_front() {
+                if let Some(c) = self.counts.get_mut(&old) {
+                    *c -= 1;
+                    if *c == 0 {
+                        self.counts.remove(&old);
+                    }
                 }
             }
         }

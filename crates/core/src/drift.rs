@@ -40,10 +40,6 @@ use ddos_trace::{Corpus, CorpusConfig, FamilyCatalog, FamilyId, FamilyProfile, T
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// One step of a closed-loop tree-family forecast: lag row in,
-/// fit-range-clamped prediction out.
-type PredictFn = Box<dyn Fn(&[f64]) -> Result<f64>>;
-
 /// The daily observable tracked across the regime boundary. Each policy
 /// perturbs a different marginal, so each gets the signal that exposes
 /// its drift.
@@ -138,6 +134,10 @@ impl DriftConfig {
     /// refit the *old* level), and `adaptation + evaluation = 72`, the
     /// minimum regime length a 720-day schedule can generate, so the
     /// scored far side never straddles the *second* boundary.
+    #[allow(
+        clippy::expect_used,
+        reason = "the families are the built-in small catalog's, which validates, with only `active_days` raised to 662"
+    )]
     pub fn small(policy: ScenarioPolicy, seed: u64) -> Self {
         let days = 720;
         let families: Vec<FamilyProfile> = FamilyCatalog::small()
@@ -425,66 +425,85 @@ impl Forecaster {
                 };
                 NarModel::fit(fit, cfg, seed)?.forecast(fit, horizon)?
             }
-            Forecaster::Cart | Forecaster::Forest | Forecaster::Boosted => {
-                let (xs, ys) = lag_design(fit);
-                if xs.is_empty() {
-                    return Err(ModelError::NotEnoughHistory {
-                        context: "drift lag design".to_string(),
-                        required: TREE_LAGS + 1,
-                        actual: fit.len(),
-                    });
-                }
-                // A short refit window leaves ~35 design rows; the
-                // pipeline's default trees (depth 8, linear leaves,
-                // 3-sample leaves) memorize that and serve wild
-                // closed-loop forecasts. The drift ladder therefore uses
-                // shallow constant-leaf trees — the same config for the
-                // before/after/refit fits, so the comparison stays fair.
-                let tree_cfg = TreeConfig {
-                    max_depth: 3,
-                    min_samples_leaf: 7,
-                    leaf_kind: LeafKind::Constant,
-                    ..TreeConfig::default()
+            Forecaster::Cart => {
+                let (xs, ys) = lag_fit_design(fit)?;
+                let tree = RegressionTree::fit(&xs, &ys, &drift_tree_config())?;
+                self_fed(fit, horizon, (lo, hi), |row| Ok(tree.predict(row)?))?
+            }
+            Forecaster::Forest => {
+                let (xs, ys) = lag_fit_design(fit)?;
+                let cfg = ForestConfig {
+                    n_trees: 12,
+                    tree: drift_tree_config(),
+                    seed,
+                    parallelism: None,
                 };
-                let predict_one: PredictFn = match self {
-                    Forecaster::Cart => {
-                        let tree = RegressionTree::fit(&xs, &ys, &tree_cfg)?;
-                        Box::new(move |row| Ok(tree.predict(row)?))
-                    }
-                    Forecaster::Forest => {
-                        let cfg =
-                            ForestConfig { n_trees: 12, tree: tree_cfg, seed, parallelism: None };
-                        let forest = BaggedForest::fit(&xs, &ys, &cfg)?;
-                        Box::new(move |row| Ok(forest.predict(row)?))
-                    }
-                    Forecaster::Boosted => {
-                        let cfg = BoostConfig {
-                            tree: TreeConfig { max_depth: 2, ..tree_cfg },
-                            ..BoostConfig::default()
-                        };
-                        let boosted = BoostedTrees::fit(&xs, &ys, &cfg)?;
-                        Box::new(move |row| Ok(boosted.predict(row)?))
-                    }
-                    _ => unreachable!("outer match covers the tree family"),
+                let forest = BaggedForest::fit(&xs, &ys, &cfg)?;
+                self_fed(fit, horizon, (lo, hi), |row| Ok(forest.predict(row)?))?
+            }
+            Forecaster::Boosted => {
+                let (xs, ys) = lag_fit_design(fit)?;
+                let cfg = BoostConfig {
+                    tree: TreeConfig { max_depth: 2, ..drift_tree_config() },
+                    ..BoostConfig::default()
                 };
-                // Self-fed lag recursion: predictions become the next
-                // step's lagged features, so the clamp must apply inside
-                // the loop, not just to the scored output.
-                let mut window: Vec<f64> = fit[fit.len() - TREE_LAGS..].to_vec();
-                let mut preds = Vec::with_capacity(horizon);
-                for _ in 0..horizon {
-                    let row: Vec<f64> = (1..=TREE_LAGS).map(|j| window[window.len() - j]).collect();
-                    let p = predict_one(&row)?.clamp(lo, hi);
-                    preds.push(p);
-                    window.push(p);
-                }
-                preds
+                let boosted = BoostedTrees::fit(&xs, &ys, &cfg)?;
+                self_fed(fit, horizon, (lo, hi), |row| Ok(boosted.predict(row)?))?
             }
         };
         let tail: Vec<f64> =
             preds[horizon - score.len()..].iter().map(|&p| p.clamp(lo, hi)).collect();
         Ok(rmse(&tail, score)?)
     }
+}
+
+/// The tree family's lag design over `fit`, refusing a span too short
+/// to yield one row.
+fn lag_fit_design(fit: &[f64]) -> Result<(Vec<Vec<f64>>, Vec<f64>)> {
+    let (xs, ys) = lag_design(fit);
+    if xs.is_empty() {
+        return Err(ModelError::NotEnoughHistory {
+            context: "drift lag design".to_string(),
+            required: TREE_LAGS + 1,
+            actual: fit.len(),
+        });
+    }
+    Ok((xs, ys))
+}
+
+/// The tree family's tree configuration. A short refit window leaves ~35
+/// design rows; the pipeline's default trees (depth 8, linear leaves,
+/// 3-sample leaves) memorize that and serve wild closed-loop forecasts.
+/// The drift ladder therefore uses shallow constant-leaf trees — the same
+/// config for the before/after/refit fits, so the comparison stays fair.
+fn drift_tree_config() -> TreeConfig {
+    TreeConfig {
+        max_depth: 3,
+        min_samples_leaf: 7,
+        leaf_kind: LeafKind::Constant,
+        ..TreeConfig::default()
+    }
+}
+
+/// Serves `horizon` closed-loop steps of a tree-family model from the last
+/// [`TREE_LAGS`] values of `fit`. Predictions become the next step's
+/// lagged features, so the `(lo, hi)` clamp applies inside the loop, not
+/// just to the scored output.
+fn self_fed(
+    fit: &[f64],
+    horizon: usize,
+    (lo, hi): (f64, f64),
+    predict_one: impl Fn(&[f64]) -> Result<f64>,
+) -> Result<Vec<f64>> {
+    let mut window: Vec<f64> = fit[fit.len() - TREE_LAGS..].to_vec();
+    let mut preds = Vec::with_capacity(horizon);
+    for _ in 0..horizon {
+        let row: Vec<f64> = (1..=TREE_LAGS).map(|j| window[window.len() - j]).collect();
+        let p = predict_one(&row)?.clamp(lo, hi);
+        preds.push(p);
+        window.push(p);
+    }
+    Ok(preds)
 }
 
 /// Autoregressive design over one contiguous span: row `t` holds the

@@ -159,21 +159,16 @@ impl RmseTable {
     /// Whether `model` wins (strictly or ties) every scope/feature cell it
     /// appears in.
     pub fn model_dominates(&self, model: &str) -> bool {
-        let cells: std::collections::BTreeSet<(&str, &str)> = self
-            .rows
-            .iter()
-            .filter(|r| r.model == model)
-            .map(|r| (r.scope.as_str(), r.feature.as_str()))
-            .collect();
-        if cells.is_empty() {
+        // The model's first row in each cell it appears in.
+        let mut own: std::collections::BTreeMap<(&str, &str), &RmseRow> =
+            std::collections::BTreeMap::new();
+        for r in self.rows.iter().filter(|r| r.model == model) {
+            own.entry((r.scope.as_str(), r.feature.as_str())).or_insert(r);
+        }
+        if own.is_empty() {
             return false;
         }
-        cells.iter().all(|(s, f)| {
-            let own = self
-                .rows
-                .iter()
-                .find(|r| r.model == model && r.scope == *s && r.feature == *f)
-                .expect("cell exists");
+        own.iter().all(|((s, f), own)| {
             self.rows
                 .iter()
                 .filter(|r| r.scope == *s && r.feature == *f)

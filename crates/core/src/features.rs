@@ -205,7 +205,13 @@ impl<'c> FeatureExtractor<'c> {
         let mut ranked: Vec<(Asn, u64)> = totals.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let asns: Vec<Asn> = ranked.into_iter().take(top_k).map(|(a, _)| a).collect();
+        let series = Self::share_series(attacks, &asns);
+        (asns, series)
+    }
 
+    /// Each of `asns`' per-attack share of the attack's bots, one series
+    /// per AS (aligned with `asns`), over `attacks`.
+    pub(crate) fn share_series(attacks: &[&AttackRecord], asns: &[Asn]) -> Vec<Vec<f64>> {
         let mut series: Vec<Vec<f64>> = vec![Vec::with_capacity(attacks.len()); asns.len()];
         for a in attacks {
             let hist = a.asn_histogram();
@@ -217,7 +223,7 @@ impl<'c> FeatureExtractor<'c> {
                 series[k].push(if total > 0.0 { here / total } else { 0.0 });
             }
         }
-        (asns, series)
+        series
     }
 
     /// Convenience: the chronological attacks of a family, failing loudly

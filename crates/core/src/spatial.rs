@@ -7,14 +7,13 @@
 //! inter-attack gaps. A second spatial product is the per-family
 //! **source-ASN distribution** predictor behind Fig. 2.
 
-use crate::artifact::{ArtifactKind, ModelArtifact};
 use crate::features::FeatureExtractor;
 use crate::{ModelError, Result};
 use ddos_astopo::Asn;
 use ddos_neural::grid::{grid_search_with, GridSpec};
 use ddos_neural::nar::{NarConfig, NarModel};
 use ddos_neural::train::TrainConfig;
-use ddos_stats::codec::{CodecError, CodecResult, Reader, Writer};
+use ddos_stats::codec::{CodecResult, Reader, Writer};
 use ddos_stats::exec::map_indexed;
 use ddos_trace::AttackRecord;
 use serde::{Deserialize, Serialize};
@@ -74,7 +73,7 @@ impl SpatialConfig {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on truncated or malformed input.
+    /// [`CodecError`](ddos_stats::codec::CodecError) on truncated or malformed input.
     pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
         let grid = GridSpec::decode(r)?;
         let fixed = if r.bool()? { Some(NarConfig::decode(r)?) } else { None };
@@ -249,12 +248,10 @@ impl SpatialModel {
             train.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
         model.predict_next(&gaps).ok().map(|g| g.max(0.0))
     }
-}
 
-impl ModelArtifact for SpatialModel {
-    const KIND: ArtifactKind = ArtifactKind::Spatial;
-
-    fn encode_payload(&self, w: &mut Writer) {
+    /// Appends the model's bytes to `w`: its part of the spatiotemporal
+    /// artifact payload.
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u32(self.asn.0);
         self.duration.encode(w);
         self.hour.encode(w);
@@ -265,7 +262,8 @@ impl ModelArtifact for SpatialModel {
         }
     }
 
-    fn decode_payload(r: &mut Reader<'_>) -> CodecResult<Self> {
+    /// Reads a model written by [`SpatialModel::encode`].
+    pub(crate) fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
         let asn = Asn(r.u32()?);
         let duration = NarModel::decode(r)?;
         let hour = NarModel::decode(r)?;
@@ -336,30 +334,7 @@ impl SourceDistributionModel {
     ///
     /// Propagates NAR errors.
     pub fn predict_distribution(&self, test: &[&AttackRecord]) -> Result<Vec<Vec<f64>>> {
-        let (_, truth) = {
-            // Recompute the test shares for the tracked ASes.
-            let shares: Vec<Vec<f64>> = self
-                .asns
-                .iter()
-                .map(|target_asn| {
-                    test.iter()
-                        .map(|a| {
-                            let total = a.magnitude() as f64;
-                            let hist = a.asn_histogram();
-                            let here = hist
-                                .binary_search_by_key(target_asn, |(asn, _)| *asn)
-                                .map_or(0.0, |i| f64::from(hist[i].1));
-                            if total > 0.0 {
-                                here / total
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            ((), shares)
-        };
+        let truth = FeatureExtractor::share_series(test, &self.asns);
         // Per-AS rolling predictions.
         let mut per_as: Vec<Vec<f64>> = Vec::with_capacity(self.asns.len());
         for (k, model) in self.models.iter().enumerate() {
@@ -403,47 +378,6 @@ impl SourceDistributionModel {
                 row
             })
             .collect()
-    }
-}
-
-impl ModelArtifact for SourceDistributionModel {
-    const KIND: ArtifactKind = ArtifactKind::SourceDistribution;
-
-    fn encode_payload(&self, w: &mut Writer) {
-        // One shared count: `asns`, `models` and `train_shares` are
-        // parallel by construction.
-        w.usize(self.asns.len());
-        for asn in &self.asns {
-            w.u32(asn.0);
-        }
-        for model in &self.models {
-            model.encode(w);
-        }
-        for series in &self.train_shares {
-            w.f64_seq(series);
-        }
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let n = r.len(4)?;
-        if n == 0 {
-            return Err(CodecError::Invalid {
-                detail: "source-distribution artifact tracks zero ASes".to_string(),
-            });
-        }
-        let mut asns = Vec::with_capacity(n);
-        for _ in 0..n {
-            asns.push(Asn(r.u32()?));
-        }
-        let mut models = Vec::with_capacity(n);
-        for _ in 0..n {
-            models.push(NarModel::decode(r)?);
-        }
-        let mut train_shares = Vec::with_capacity(n);
-        for _ in 0..n {
-            train_shares.push(r.f64_seq()?);
-        }
-        Ok(SourceDistributionModel { asns, models, train_shares })
     }
 }
 
@@ -523,8 +457,12 @@ mod tests {
         let c = corpus();
         let (asn, train, test) = hottest_split(&c);
         let model = SpatialModel::fit(asn, &train, &SpatialConfig::fast(), 6).unwrap();
-        let bytes = model.to_artifact_bytes();
-        let back = SpatialModel::from_artifact_bytes(&bytes).unwrap();
+        let mut w = Writer::new();
+        model.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = SpatialModel::decode(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back.asn(), model.asn());
         for (a, b) in [
             (
@@ -543,35 +481,9 @@ mod tests {
             }
         }
         assert_eq!(model.forecast_gap(&train), back.forecast_gap(&train));
-        assert_eq!(bytes, back.to_artifact_bytes());
-    }
-
-    #[test]
-    fn source_distribution_artifact_round_trip_is_bit_identical() {
-        let c = corpus();
-        let fam = c.catalog().most_active(1)[0];
-        let attacks = c.family_attacks(fam);
-        let cut = (attacks.len() as f64 * 0.8) as usize;
-        let (train, test) = (attacks[..cut].to_vec(), attacks[cut..cut + 20].to_vec());
-        let model = SourceDistributionModel::fit(&train, &SpatialConfig::fast(), 7).unwrap();
-        let bytes = model.to_artifact_bytes();
-        let back = SourceDistributionModel::from_artifact_bytes(&bytes).unwrap();
-        assert_eq!(back.asns(), model.asns());
-        let a = model.predict_distribution(&test).unwrap();
-        let b = back.predict_distribution(&test).unwrap();
-        for (ra, rb) in a.iter().zip(&b) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        assert_eq!(bytes, back.to_artifact_bytes());
-        // A Spatial-kind artifact is refused under the distribution kind.
-        let (asn, strain, _) = hottest_split(&c);
-        let other = SpatialModel::fit(asn, &strain, &SpatialConfig::fast(), 8).unwrap();
-        assert!(matches!(
-            SourceDistributionModel::from_artifact_bytes(&other.to_artifact_bytes()),
-            Err(crate::artifact::ArtifactError::WrongKind { .. })
-        ));
+        let mut w = Writer::new();
+        back.encode(&mut w);
+        assert_eq!(bytes, w.into_bytes());
     }
 
     #[test]

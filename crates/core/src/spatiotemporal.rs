@@ -10,7 +10,7 @@
 //! standard deviation. Four trees are trained: launch hour, launch day,
 //! magnitude and duration.
 
-use crate::artifact::{ArtifactKind, ModelArtifact};
+use crate::artifact::ModelArtifact;
 use crate::spatial::{SpatialConfig, SpatialModel};
 use crate::variables::{PredictedAttack, TimestampParts};
 use crate::{ModelError, Result};
@@ -481,7 +481,7 @@ impl Components {
         // so the map keys are recovered from the payloads.
         w.usize(self.spatial.len());
         for model in self.spatial.values() {
-            model.encode_payload(w);
+            model.encode(w);
         }
     }
 
@@ -492,7 +492,7 @@ impl Components {
         let n = r.len(4)?;
         let mut spatial = BTreeMap::new();
         for _ in 0..n {
-            let model = SpatialModel::decode_payload(r)?;
+            let model = SpatialModel::decode(r)?;
             spatial.insert(model.asn(), model);
         }
         Ok(Components { hour_arima, day_arima, gap_arima, spatial })
@@ -723,8 +723,6 @@ impl SpatioTemporalModel {
 }
 
 impl ModelArtifact for SpatioTemporalModel {
-    const KIND: ArtifactKind = ArtifactKind::SpatioTemporal;
-
     fn encode_payload(&self, w: &mut Writer) {
         self.config.encode(w);
         self.components.encode(w);
@@ -977,9 +975,10 @@ mod tests {
         let back = SpatioTemporalModel::from_artifact_bytes(&bytes).unwrap();
         assert_eq!(back.to_artifact_bytes(), bytes);
 
-        // The retired forest (5), boosted (6) and ensemble-backed (7) kind
-        // tags name no model.
-        for tag in [5, 6, 7] {
+        // Every other tag names no model: the retired temporal (1),
+        // spatial (2), source-distribution (4), forest (5), boosted (6) and
+        // ensemble-backed (7) kinds, and tags never written.
+        for tag in [0, 1, 2, 4, 5, 6, 7, 8, u8::MAX] {
             let mut retired = bytes.clone();
             retired[12] = tag;
             assert_eq!(

@@ -2,17 +2,16 @@
 //!
 //! Each family's chronological attack stream yields four series — attack
 //! magnitudes, the running activity level `A^f`, the normalized active-bot
-//! fraction `A^b`, the source-distribution coefficient `A^s` — plus the
-//! inter-launch intervals. Every series is modeled by Eq. 5's ARIMA form,
-//! with (p, d, q) chosen per series by AIC grid search (the paper states
-//! ARIMA is used but not the orders; Box–Jenkins selection is the standard
-//! completion).
+//! fraction `A^b` and the source-distribution coefficient `A^s`. Every
+//! series is modeled by Eq. 5's ARIMA form, with (p, d, q) chosen per
+//! series by AIC grid search (the paper states ARIMA is used but not the
+//! orders; Box–Jenkins selection is the standard completion). The
+//! inter-launch interval the spatiotemporal tree reads as `N_int` is not
+//! modeled here: `crate::spatiotemporal` fits its own gap ARIMA.
 
-use crate::artifact::{ArtifactKind, ModelArtifact};
 use crate::features::FeatureExtractor;
 use crate::{ModelError, Result};
-use ddos_stats::arima::{Arima, ArimaOrder};
-use ddos_stats::codec::{CodecResult, Reader, Writer};
+use ddos_stats::arima::Arima;
 use ddos_stats::diagnostics::{ljung_box, LjungBox};
 use ddos_stats::select::{search, SearchConfig};
 use ddos_trace::{AttackRecord, FamilyId};
@@ -21,17 +20,15 @@ use serde::{Deserialize, Serialize};
 /// Temporal-model configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TemporalConfig {
-    /// Order-search space (ignored when `fixed_order` is set).
+    /// Order-search space every series' ARIMA is chosen from.
     pub search: SearchConfig,
-    /// Fix the ARIMA order instead of searching (the ablation knob).
-    pub fixed_order: Option<ArimaOrder>,
     /// Minimum attacks a family needs before fitting.
     pub min_attacks: usize,
 }
 
 impl Default for TemporalConfig {
     fn default() -> Self {
-        TemporalConfig { search: SearchConfig::default(), fixed_order: None, min_attacks: 30 }
+        TemporalConfig { search: SearchConfig::default(), min_attacks: 30 }
     }
 }
 
@@ -43,7 +40,6 @@ pub struct TemporalModel {
     activity: Arima,
     active_bots: Arima,
     source_dist: Arima,
-    intervals: Option<Arima>,
 }
 
 impl TemporalModel {
@@ -71,15 +67,9 @@ impl TemporalModel {
         let activity = FeatureExtractor::activity_series(train);
         let active_bots = FeatureExtractor::active_bots_series(train);
         let source = fx.source_distribution_series(train)?;
-        let gaps: Vec<f64> =
-            train.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
 
-        let fit_one = |series: &[f64]| -> Result<Arima> {
-            match config.fixed_order {
-                Some(order) => Ok(Arima::fit(series, order)?),
-                None => Ok(search(series, config.search)?.model),
-            }
-        };
+        let fit_one =
+            |series: &[f64]| -> Result<Arima> { Ok(search(series, config.search)?.model) };
 
         Ok(TemporalModel {
             family,
@@ -87,7 +77,6 @@ impl TemporalModel {
             activity: fit_one(&activity)?,
             active_bots: fit_one(&active_bots)?,
             source_dist: fit_one(&source)?,
-            intervals: if gaps.len() >= 16 { fit_one(&gaps).ok() } else { None },
         })
     }
 
@@ -137,17 +126,6 @@ impl TemporalModel {
         Ok(self.magnitude.forecast(horizon)?)
     }
 
-    /// One-step prediction of the next inter-launch interval in seconds
-    /// (the `N_int` input of the spatiotemporal tree), falling back to the
-    /// training-mean interval when the interval series was too short to
-    /// model.
-    pub fn predict_next_interval(&self) -> Option<f64> {
-        match &self.intervals {
-            Some(m) => m.forecast(1).ok().map(|v| v[0].max(0.0)),
-            None => None,
-        }
-    }
-
     /// Magnitude forecast with a symmetric prediction interval — the
     /// provisioning view: a defender sizing scrubbing capacity wants the
     /// upper band (§IV-B warns against "over-provisions of the defense
@@ -189,32 +167,6 @@ impl TemporalModel {
             active_bots: test(&self.active_bots)?,
             source_dist: test(&self.source_dist)?,
         })
-    }
-}
-
-impl ModelArtifact for TemporalModel {
-    const KIND: ArtifactKind = ArtifactKind::Temporal;
-
-    fn encode_payload(&self, w: &mut Writer) {
-        w.usize(self.family.0);
-        self.magnitude.encode(w);
-        self.activity.encode(w);
-        self.active_bots.encode(w);
-        self.source_dist.encode(w);
-        w.bool(self.intervals.is_some());
-        if let Some(m) = &self.intervals {
-            m.encode(w);
-        }
-    }
-
-    fn decode_payload(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let family = FamilyId(r.usize()?);
-        let magnitude = Arima::decode(r)?;
-        let activity = Arima::decode(r)?;
-        let active_bots = Arima::decode(r)?;
-        let source_dist = Arima::decode(r)?;
-        let intervals = if r.bool()? { Some(Arima::decode(r)?) } else { None };
-        Ok(TemporalModel { family, magnitude, activity, active_bots, source_dist, intervals })
     }
 }
 
@@ -308,19 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_order_skips_search() {
-        let c = corpus();
-        let fx = FeatureExtractor::new(&c);
-        let fam = c.catalog().most_active(1)[0];
-        let (train, _) = split_family(&c);
-        let cfg =
-            TemporalConfig { fixed_order: Some(ArimaOrder::new(1, 0, 0)), ..Default::default() };
-        let model = TemporalModel::fit(&fx, fam, &train, &cfg).unwrap();
-        assert_eq!(model.magnitude_model().order(), ArimaOrder::new(1, 0, 0));
-        assert_eq!(model.activity_model().order(), ArimaOrder::new(1, 0, 0));
-    }
-
-    #[test]
     fn too_little_history_rejected() {
         let c = corpus();
         let fx = FeatureExtractor::new(&c);
@@ -367,31 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn artifact_round_trip_preserves_every_prediction_bit() {
-        let c = corpus();
-        let fx = FeatureExtractor::new(&c);
-        let fam = c.catalog().most_active(1)[0];
-        let (train, test) = split_family(&c);
-        let model = TemporalModel::fit(&fx, fam, &train, &TemporalConfig::default()).unwrap();
-        let bytes = model.to_artifact_bytes();
-        let back = TemporalModel::from_artifact_bytes(&bytes).unwrap();
-        assert_eq!(back.family(), model.family());
-        let a = model.predict_magnitudes(&test).unwrap();
-        let b = back.predict_magnitudes(&test).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let fa = model.forecast_magnitude(7).unwrap();
-        let fb = back.forecast_magnitude(7).unwrap();
-        for (x, y) in fa.iter().zip(&fb) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(model.predict_next_interval(), back.predict_next_interval());
-        // Re-encoding the reloaded model reproduces the bytes exactly.
-        assert_eq!(bytes, back.to_artifact_bytes());
-    }
-
-    #[test]
     fn forecast_and_interval() {
         let c = corpus();
         let fx = FeatureExtractor::new(&c);
@@ -400,9 +314,7 @@ mod tests {
         let model = TemporalModel::fit(&fx, fam, &train, &TemporalConfig::default()).unwrap();
         let fc = model.forecast_magnitude(5).unwrap();
         assert_eq!(fc.len(), 5);
-        let next = model.predict_next_interval();
-        assert!(next.is_some());
-        assert!(next.unwrap() >= 0.0);
+        assert_eq!(model.forecast_magnitude_interval(5, 1.96).unwrap().len(), 5);
         assert!(model.active_bots_model().sigma2() >= 0.0);
         assert!(model.source_dist_model().sigma2() >= 0.0);
     }

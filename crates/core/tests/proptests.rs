@@ -6,12 +6,9 @@ use ddos_cart::CartError;
 use ddos_core::artifact::{ArtifactError, ModelArtifact, MAGIC, SCHEMA_VERSION};
 use ddos_core::detection::{DetectorConfig, EntropyDetector};
 use ddos_core::features::FeatureExtractor;
-use ddos_core::spatial::{SourceDistributionModel, SpatialConfig, SpatialModel};
 use ddos_core::spatiotemporal::{ForecastScratch, SpatioTemporalConfig, SpatioTemporalModel};
-use ddos_core::temporal::{TemporalConfig, TemporalModel};
 use ddos_core::usecases::{AsFilteringSimulator, MiddleboxSimulator, TakedownSimulator};
 use ddos_core::ModelError;
-use ddos_stats::arima::ArimaOrder;
 use ddos_trace::{Corpus, CorpusConfig, TraceGenerator};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -20,30 +17,17 @@ fn corpus_for(seed: u64) -> Corpus {
     TraceGenerator::new(CorpusConfig::small(), seed).generate().unwrap()
 }
 
-/// One artifact per model kind, fitted once and shared across the cheap
-/// corruption properties below (fitting per proptest case would dominate
-/// the suite's wall-clock).
-fn reference_artifacts() -> &'static [Vec<u8>; 3] {
-    static CELL: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+/// The spatiotemporal artifact (the one artifact kind), fitted once and
+/// shared across the cheap corruption properties below (fitting per
+/// proptest case would dominate the suite's wall-clock).
+fn reference_artifact() -> &'static [u8] {
+    static CELL: OnceLock<Vec<u8>> = OnceLock::new();
     CELL.get_or_init(|| {
         let corpus = corpus_for(977);
-        let fx = FeatureExtractor::new(&corpus);
-        let fam = corpus.catalog().most_active(1)[0];
-        let attacks = corpus.family_attacks(fam);
-        let cut = (attacks.len() as f64 * 0.8) as usize;
-        let train = &attacks[..cut];
-        let tcfg =
-            TemporalConfig { fixed_order: Some(ArimaOrder::new(1, 0, 0)), ..Default::default() };
-        let temporal = TemporalModel::fit(&fx, fam, train, &tcfg).unwrap();
-        let asn = corpus.hottest_target_asns(1)[0].0;
-        let on_asn = corpus.attacks_on_asn(asn);
-        let spatial =
-            SpatialModel::fit(asn, &on_asn[..on_asn.len() * 4 / 5], &SpatialConfig::fast(), 11)
-                .unwrap();
         let (st_train, _) = corpus.split(0.8).unwrap();
         let st =
             SpatioTemporalModel::fit(&corpus, st_train, &SpatioTemporalConfig::fast(), 11).unwrap();
-        [temporal.to_artifact_bytes(), spatial.to_artifact_bytes(), st.to_artifact_bytes()]
+        st.to_artifact_bytes()
     })
 }
 
@@ -117,59 +101,6 @@ proptest! {
         }
     }
 
-    /// Saving and reloading a fitted model of every kind reproduces its
-    /// predictions bit-for-bit, over random corpus realizations.
-    #[test]
-    fn artifact_round_trip_is_bit_exact_for_every_model_kind(seed in 0u64..1_000) {
-        let corpus = corpus_for(seed);
-        let fx = FeatureExtractor::new(&corpus);
-        let fam = corpus.catalog().most_active(1)[0];
-        let attacks = corpus.family_attacks(fam);
-        let cut = (attacks.len() as f64 * 0.8) as usize;
-        let (train, test) = (&attacks[..cut], &attacks[cut..]);
-
-        // Temporal (fixed order keeps the case cheap).
-        let tcfg = TemporalConfig {
-            fixed_order: Some(ArimaOrder::new(1, 0, 0)), ..Default::default()
-        };
-        let temporal = TemporalModel::fit(&fx, fam, train, &tcfg).unwrap();
-        let back = TemporalModel::from_artifact_bytes(&temporal.to_artifact_bytes()).unwrap();
-        let (a, b) = (
-            temporal.predict_magnitudes(test).unwrap(),
-            back.predict_magnitudes(test).unwrap(),
-        );
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-
-        // Source-distribution (one NAR per tracked AS).
-        let sd = SourceDistributionModel::fit(train, &SpatialConfig::fast(), seed).unwrap();
-        let back = SourceDistributionModel::from_artifact_bytes(&sd.to_artifact_bytes()).unwrap();
-        let probe = &test[..test.len().min(10)];
-        let (a, b) =
-            (sd.predict_distribution(probe).unwrap(), back.predict_distribution(probe).unwrap());
-        for (ra, rb) in a.iter().zip(&b) {
-            for (x, y) in ra.iter().zip(rb) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-
-        // Spatial (per-network NAR bundle).
-        let asn = corpus.hottest_target_asns(1)[0].0;
-        let on_asn = corpus.attacks_on_asn(asn);
-        let scut = on_asn.len() * 4 / 5;
-        let spatial =
-            SpatialModel::fit(asn, &on_asn[..scut], &SpatialConfig::fast(), seed).unwrap();
-        let back = SpatialModel::from_artifact_bytes(&spatial.to_artifact_bytes()).unwrap();
-        let (a, b) = (
-            spatial.predict_durations(&on_asn[..scut], &on_asn[scut..]).unwrap(),
-            back.predict_durations(&on_asn[..scut], &on_asn[scut..]).unwrap(),
-        );
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
     /// The detector's threshold always sits below the benign mean and the
     /// entropy of any window is nonnegative and bounded by log2(window).
     #[test]
@@ -186,29 +117,21 @@ proptest! {
     }
 }
 
-// Decoder-robustness properties over pre-fitted artifacts of all three
-// model kinds. These share one fitted artifact set (see
-// `reference_artifacts`) so the cases stay cheap: each is a decode, not a
-// fit. The contract under test: NO byte-level damage may panic the
-// decoder — truncation and version skew must fail with typed errors, and
-// arbitrary single-byte flips must either fail typed or decode cleanly.
+// Decoder-robustness properties over the pre-fitted spatiotemporal
+// artifact (see `reference_artifact`), so the cases stay cheap: each is a
+// decode, not a fit. The contract under test: NO byte-level damage may
+// panic the decoder — truncation and version skew must fail with typed
+// errors, and arbitrary single-byte flips must either fail typed or
+// decode cleanly.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every strict prefix of a valid artifact fails with a typed error.
     #[test]
-    fn truncated_artifacts_fail_typed_without_panicking(
-        kind in 0usize..3,
-        frac in 0.0f64..1.0,
-    ) {
-        let bytes = &reference_artifacts()[kind];
+    fn truncated_artifacts_fail_typed_without_panicking(frac in 0.0f64..1.0) {
+        let bytes = reference_artifact();
         let cut = (((bytes.len() - 1) as f64) * frac) as usize;
-        let prefix = &bytes[..cut];
-        let err = match kind {
-            0 => TemporalModel::from_artifact_bytes(prefix).map(|_| ()).unwrap_err(),
-            1 => SpatialModel::from_artifact_bytes(prefix).map(|_| ()).unwrap_err(),
-            _ => SpatioTemporalModel::from_artifact_bytes(prefix).map(|_| ()).unwrap_err(),
-        };
+        let err = SpatioTemporalModel::from_artifact_bytes(&bytes[..cut]).map(|_| ()).unwrap_err();
         prop_assert!(matches!(
             err,
             ArtifactError::BadMagic
@@ -222,41 +145,25 @@ proptest! {
     /// decode — e.g. a flipped coefficient bit yields a different but
     /// well-formed model — but it must never crash or hang).
     #[test]
-    fn flipped_byte_never_panics_decoder(
-        kind in 0usize..3,
-        pos_frac in 0.0f64..1.0,
-        mask in 1u8..=255,
-    ) {
-        let mut bytes = reference_artifacts()[kind].clone();
+    fn flipped_byte_never_panics_decoder(pos_frac in 0.0f64..1.0, mask in 1u8..=255) {
+        let mut bytes = reference_artifact().to_vec();
         let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
         bytes[pos] ^= mask;
-        match kind {
-            0 => { let _ = TemporalModel::from_artifact_bytes(&bytes); }
-            1 => { let _ = SpatialModel::from_artifact_bytes(&bytes); }
-            _ => { let _ = SpatioTemporalModel::from_artifact_bytes(&bytes); }
-        }
+        let _ = SpatioTemporalModel::from_artifact_bytes(&bytes);
     }
 
     /// Flipping any byte of the *payload* region is caught by the
     /// envelope's checksum guard before the structured decoder ever runs
     /// — the hardening the guarded envelope exists for.
     #[test]
-    fn flipped_payload_byte_is_caught_by_checksum(
-        kind in 0usize..3,
-        pos_frac in 0.0f64..1.0,
-        mask in 1u8..=255,
-    ) {
+    fn flipped_payload_byte_is_caught_by_checksum(pos_frac in 0.0f64..1.0, mask in 1u8..=255) {
         // Header: magic(8) + version(4) + kind(1) + len(8) + guard(8).
         const HEADER: usize = 29;
-        let mut bytes = reference_artifacts()[kind].clone();
+        let mut bytes = reference_artifact().to_vec();
         let payload_len = bytes.len() - HEADER;
         let pos = HEADER + (((payload_len as f64) * pos_frac) as usize % payload_len);
         bytes[pos] ^= mask;
-        let err = match kind {
-            0 => TemporalModel::from_artifact_bytes(&bytes).map(|_| ()).unwrap_err(),
-            1 => SpatialModel::from_artifact_bytes(&bytes).map(|_| ()).unwrap_err(),
-            _ => SpatioTemporalModel::from_artifact_bytes(&bytes).map(|_| ()).unwrap_err(),
-        };
+        let err = SpatioTemporalModel::from_artifact_bytes(&bytes).map(|_| ()).unwrap_err();
         prop_assert!(matches!(err, ArtifactError::ChecksumMismatch { .. }));
     }
 
@@ -264,21 +171,13 @@ proptest! {
     /// to v4 schemas included — is refused up front, with the found
     /// version reported.
     #[test]
-    fn wrong_schema_version_rejected(
-        kind in 0usize..3,
-        pick in 0usize..8,
-        other in 0u32..10_000,
-    ) {
+    fn wrong_schema_version_rejected(pick in 0usize..8, other in 0u32..10_000) {
         // Half the cases stamp a retired schema version (1 to 4).
         let version = [1, 2, 3, 4, other, other, other, other][pick];
         prop_assume!(version != SCHEMA_VERSION);
-        let mut bytes = reference_artifacts()[kind].clone();
+        let mut bytes = reference_artifact().to_vec();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
-        let err = match kind {
-            0 => TemporalModel::from_artifact_bytes(&bytes).map(|_| ()).unwrap_err(),
-            1 => SpatialModel::from_artifact_bytes(&bytes).map(|_| ()).unwrap_err(),
-            _ => SpatioTemporalModel::from_artifact_bytes(&bytes).map(|_| ()).unwrap_err(),
-        };
+        let err = SpatioTemporalModel::from_artifact_bytes(&bytes).map(|_| ()).unwrap_err();
         prop_assert_eq!(err, ArtifactError::UnsupportedVersion { found: version });
     }
 }
@@ -292,14 +191,14 @@ proptest! {
 #[test]
 fn zoo_artifacts_round_trip_and_survive_every_byte_flip() {
     const HEADER: usize = 29;
-    let original = &reference_artifacts()[2];
+    let original = reference_artifact();
 
     // The round trip is byte-exact: decode → re-encode is the identity.
     let st = SpatioTemporalModel::from_artifact_bytes(original).unwrap();
-    assert_eq!(&st.to_artifact_bytes(), original);
+    assert_eq!(st.to_artifact_bytes(), original);
 
     for pos in 0..original.len() {
-        let mut bytes = original.clone();
+        let mut bytes = original.to_vec();
         bytes[pos] ^= 0xFF;
         let err = SpatioTemporalModel::from_artifact_bytes(&bytes)
             .map(|_| ())
@@ -319,7 +218,7 @@ fn zoo_artifacts_round_trip_and_survive_every_byte_flip() {
 fn serving_fixture() -> &'static (SpatioTemporalModel, Vec<Vec<f64>>) {
     static CELL: OnceLock<(SpatioTemporalModel, Vec<Vec<f64>>)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let model = SpatioTemporalModel::from_artifact_bytes(&reference_artifacts()[2]).unwrap();
+        let model = SpatioTemporalModel::from_artifact_bytes(reference_artifact()).unwrap();
         let corpus = corpus_for(977);
         let (st_train, _) = corpus.split(0.8).unwrap();
         let (rows, _) =
@@ -365,24 +264,24 @@ proptest! {
     }
 }
 
-/// Cross-kind decodes are refused by the envelope, and a damaged magic
-/// prefix is not recognised as an artifact at all.
+/// Every kind tag but the spatiotemporal one (3) is refused by the
+/// envelope, and a damaged magic prefix is not recognised as an artifact
+/// at all.
 #[test]
 fn artifact_envelope_rejects_wrong_kind_and_bad_magic() {
-    let arts = reference_artifacts();
-    assert!(matches!(
-        SpatialModel::from_artifact_bytes(&arts[0]),
-        Err(ArtifactError::WrongKind { .. })
-    ));
-    assert!(matches!(
-        TemporalModel::from_artifact_bytes(&arts[2]),
-        Err(ArtifactError::WrongKind { .. })
-    ));
-    assert!(matches!(
-        SpatioTemporalModel::from_artifact_bytes(&arts[1]),
-        Err(ArtifactError::WrongKind { .. })
-    ));
-    let mut bytes = arts[0].clone();
+    let original = reference_artifact();
+    for tag in (0..=u8::MAX).filter(|&t| t != 3) {
+        let mut bytes = original.to_vec();
+        bytes[12] = tag;
+        assert_eq!(
+            SpatioTemporalModel::from_artifact_bytes(&bytes).map(|_| ()),
+            Err(ArtifactError::UnknownKind { tag })
+        );
+    }
+    let mut bytes = original.to_vec();
     bytes[..MAGIC.len()].copy_from_slice(b"NOTMODEL");
-    assert!(matches!(TemporalModel::from_artifact_bytes(&bytes), Err(ArtifactError::BadMagic)));
+    assert!(matches!(
+        SpatioTemporalModel::from_artifact_bytes(&bytes),
+        Err(ArtifactError::BadMagic)
+    ));
 }

@@ -490,7 +490,9 @@ impl ServeHandle {
     /// [`ServeError::Disconnected`] if the dispatcher panicked.
     pub fn shutdown(mut self) -> Result<ServeStats> {
         self.shared.close();
-        let handle = self.dispatcher.take().expect("dispatcher already joined");
+        // Only `shutdown` and `drop` take the dispatcher, and both consume
+        // the handle, so it is always here.
+        let handle = self.dispatcher.take().ok_or(ServeError::Disconnected)?;
         let mut stats = handle.join().map_err(|_| ServeError::Disconnected)?;
         stats.rejected_overload = self.shared.rejected_overload.load(Ordering::Relaxed);
         stats.rejected_rate = self.shared.rejected_rate.load(Ordering::Relaxed);

@@ -70,6 +70,36 @@ fn dir_store_rejects_v1_stamped_artifacts_and_serves_current_ones() {
 }
 
 #[test]
+fn dir_store_loads_only_the_spatiotemporal_kind_tag() {
+    // Tag 3 is the one artifact kind; the retired temporal (1), spatial
+    // (2), source-distribution (4), forest (5), boosted (6) and
+    // ensemble-backed (7) tags, and 0, are unknown.
+    let dir = scratch_dir("kinds");
+    let current = fitted().to_artifact_bytes();
+    assert_eq!(current[12], 3);
+    let retired = [0u8, 1, 2, 4, 5, 6, 7];
+    for tag in retired {
+        let mut stamped = current.clone();
+        stamped[12] = tag;
+        std::fs::write(dir.join(format!("tag{tag}.mdl")), stamped).unwrap();
+    }
+    std::fs::write(dir.join("tag3.mdl"), &current).unwrap();
+
+    let store = DirModelStore::open(&dir);
+    for tag in retired {
+        match store.load(&format!("tag{tag}")) {
+            Err(ServeError::Artifact(ArtifactError::UnknownKind { tag: found })) => {
+                assert_eq!(found, tag)
+            }
+            Err(other) => panic!("expected UnknownKind {{ tag: {tag} }}, got {other:?}"),
+            Ok(_) => panic!("a kind-{tag} artifact must not be served"),
+        }
+    }
+    assert_eq!(store.load("tag3").unwrap().to_artifact_bytes(), current);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn dir_store_serves_ensemble_backed_models_end_to_end() {
     use ddos_astopo::Asn;
     use ddos_core::spatiotemporal::InstanceFeatures;

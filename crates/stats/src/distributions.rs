@@ -281,6 +281,12 @@ impl Categorical {
                 detail: "weights must not all be zero".to_string(),
             });
         }
+        Ok(Categorical::from_total(weights, total))
+    }
+
+    /// The sampler over `weights` summing to `total`, which the caller
+    /// has checked: nonempty, finite, nonnegative, `total > 0`.
+    fn from_total(weights: &[f64], total: f64) -> Self {
         let mut cdf = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
         for w in weights {
@@ -290,7 +296,7 @@ impl Categorical {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Ok(Categorical { cdf })
+        Categorical { cdf }
     }
 
     /// Draws an index in `0..weights.len()`.
@@ -322,12 +328,21 @@ impl Categorical {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     factors: [f64; 24],
+    /// The hour sampler over `factors`, built once per profile.
+    hours: Categorical,
 }
 
 impl DiurnalProfile {
     /// Uniform profile: every hour equally likely.
     pub fn flat() -> Self {
-        DiurnalProfile { factors: [1.0; 24] }
+        DiurnalProfile::from_factors([1.0; 24])
+    }
+
+    /// The profile over `factors`, which must all be finite and positive
+    /// (both constructors guarantee it).
+    fn from_factors(factors: [f64; 24]) -> Self {
+        let hours = Categorical::from_total(&factors, factors.iter().sum());
+        DiurnalProfile { factors, hours }
     }
 
     /// A sinusoidal profile peaking at `peak_hour` with the given relative
@@ -355,7 +370,7 @@ impl DiurnalProfile {
             let phase = std::f64::consts::TAU * (h as f64 - peak_hour as f64) / 24.0;
             *f = 1.0 + amplitude * phase.cos();
         }
-        Ok(DiurnalProfile { factors })
+        Ok(DiurnalProfile::from_factors(factors))
     }
 
     /// The multiplicative factor for the given hour.
@@ -369,13 +384,8 @@ impl DiurnalProfile {
     }
 
     /// Draws an hour of day with probability proportional to the factors.
-    #[allow(
-        clippy::expect_used,
-        reason = "`flat` and `sinusoidal` are the only constructors, and both make every factor finite and positive"
-    )]
     pub fn sample_hour<R: Rng + ?Sized>(&self, rng: &mut R) -> u8 {
-        let cat = Categorical::new(&self.factors).expect("factors are positive by construction");
-        cat.sample(rng) as u8
+        self.hours.sample(rng) as u8
     }
 
     /// All 24 factors.
