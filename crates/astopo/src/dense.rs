@@ -56,6 +56,11 @@ impl DenseTopology {
     pub fn build(graph: &AsGraph) -> Self {
         let asns: Vec<Asn> = graph.asns().collect();
         let n = asns.len();
+        #[allow(
+            clippy::expect_used,
+            reason = "`AsGraph::add_edge` refuses an endpoint that is not a node, so every \
+                      neighbor is in `asns`"
+        )]
         let id_of = |asn: Asn| -> NodeId {
             NodeId(asns.binary_search(&asn).expect("neighbor is interned") as u32)
         };

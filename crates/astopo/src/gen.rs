@@ -196,7 +196,7 @@ impl TopologyGenerator {
         let mut in_region_pool: Vec<Vec<Asn>> = vec![Vec::new(); cfg.n_regions as usize];
         let mut out_of_region_pool: Vec<Vec<Asn>> = vec![Vec::new(); cfg.n_regions as usize];
         for t in &tier2s {
-            let t_region = g.info(*t).expect("exists").region;
+            let t_region = g.info(*t).ok_or(TopoError::UnknownAs(*t))?.region;
             for r in 0..cfg.n_regions {
                 if t_region == r {
                     in_region_pool[r as usize].push(*t);

@@ -156,8 +156,8 @@ impl AsGraph {
             }
             return Ok(());
         }
-        self.adj.get_mut(&a).expect("node exists").insert(b, rel);
-        self.adj.get_mut(&b).expect("node exists").insert(a, rel.reverse());
+        self.adj.entry(a).or_default().insert(b, rel);
+        self.adj.entry(b).or_default().insert(a, rel.reverse());
         self.dense.take();
         Ok(())
     }

@@ -171,9 +171,9 @@ impl IpAsnMap {
     /// Iterator over all `(prefix, asn)` bindings, shortest prefixes first.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, Asn)> + '_ {
         self.by_len.iter().flat_map(|(len, bucket)| {
-            bucket.iter().map(move |(net, asn)| {
-                (Prefix::new(*net, *len).expect("stored prefixes are valid"), *asn)
-            })
+            // `insert` stores the masked network of a valid prefix, so
+            // the pair is a prefix as it stands.
+            bucket.iter().map(move |(&network, asn)| (Prefix { network, len: *len }, *asn))
         })
     }
 
@@ -244,7 +244,7 @@ impl PrefixAllocator {
         let mut map = IpAsnMap::new();
         let mut allocations: BTreeMap<Asn, Vec<Prefix>> = BTreeMap::new();
         for asn in graph.asns() {
-            let tier = graph.info(asn).expect("asn from graph").tier;
+            let tier = graph.info(asn).ok_or(TopoError::UnknownAs(asn))?.tier;
             let len = match tier {
                 Tier::Tier1 => 12,
                 Tier::Tier2 => 16,

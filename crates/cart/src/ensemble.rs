@@ -1,8 +1,8 @@
 //! Tree ensembles over the fast CART core: deterministic bagged forests
 //! and gradient-boosted model trees.
 //!
-//! Both learners compose the presorted [`RegressionTree`] grower and the
-//! level-order batched predictor, and both are **bit-deterministic**:
+//! Both learners compose the presorted [`RegressionTree`] grower and its
+//! per-row walk, and both are **bit-deterministic**:
 //!
 //! * [`BaggedForest`] derives one bootstrap seed per tree from the cell
 //!   seed with the same splitmix64 mix the trace generator uses for
@@ -10,22 +10,20 @@
 //!   sharded executor ([`ddos_stats::exec::map_indexed_with`]), and
 //!   reduces in index order — so the fitted forest is bit-identical at
 //!   any worker count, and its mean prediction accumulates in tree-index
-//!   order on both the scalar and the batched path.
+//!   order.
 //! * [`BoostedTrees`] is inherently sequential (each stage fits the
 //!   previous stage's residuals), so determinism is free; shrinkage and
 //!   early stopping on a chronological holdout tail keep the additive
 //!   model from memorizing the design.
 //!
-//! Batched prediction runs one level-order frontier pass per member tree
-//! through a shared [`EnsembleScratch`], reusing the same
-//! [`PredictScratch`] arena the single-tree serve path uses — predictions
-//! are bit-identical to the scalar per-row loops (`predict`), which is
-//! what lets the ensembles sit under the goldencheck fingerprint gate.
-//! Both are in-memory learners (the E8 comparison and the drift
+//! `predict_many` maps `predict` over the rows, so a batch is
+//! bit-identical to the per-row loop, which is what lets the ensembles
+//! sit under the goldencheck fingerprint gate. Both are in-memory
+//! learners (the E8 comparison and the drift
 //! harness): they have no codec and no artifact form, and the served
 //! spatiotemporal model is always single model trees.
 
-use crate::tree::{PredictScratch, PresortedDesign, RegressionTree, TreeConfig};
+use crate::tree::{PresortedDesign, RegressionTree, TreeConfig};
 use crate::{CartError, Result};
 use ddos_stats::exec::map_indexed_with;
 use serde::{Deserialize, Serialize};
@@ -68,18 +66,6 @@ pub fn bootstrap_indices(seed: u64, n: usize) -> Vec<usize> {
     let mut out = Vec::new();
     bootstrap_indices_into(seed, n, &mut out);
     out
-}
-
-/// Reusable working memory for batched ensemble prediction: the shared
-/// tree-traversal arena plus one per-tree output buffer. One scratch per
-/// serving worker amortizes every per-batch allocation away, across any
-/// number of ensembles and batch sizes.
-#[derive(Debug, Default, Clone)]
-pub struct EnsembleScratch {
-    /// Level-order traversal arena shared by every member tree.
-    pub(crate) tree: PredictScratch,
-    /// Per-tree prediction buffer accumulated into the caller's output.
-    pub(crate) buf: Vec<f64>,
 }
 
 // ---------------------------------------------------------------------------
@@ -189,8 +175,7 @@ impl BaggedForest {
     }
 
     /// Scalar prediction: the mean of the member trees' predictions,
-    /// summed in tree-index order. The batched path reproduces this
-    /// float-for-float.
+    /// summed in tree-index order.
     ///
     /// # Errors
     ///
@@ -203,47 +188,13 @@ impl BaggedForest {
         Ok(acc / self.trees.len() as f64)
     }
 
-    /// Batched prediction with caller-owned working memory: one
-    /// level-order frontier pass per member tree through the shared
-    /// [`PredictScratch`], accumulated into `out` in tree-index order and
-    /// divided by the tree count last — exactly the scalar
-    /// [`BaggedForest::predict`] float sequence, per row.
+    /// Predicts for many rows: [`BaggedForest::predict`] per row.
     ///
     /// # Errors
     ///
-    /// Same as [`BaggedForest::predict`]; on error `out`'s contents are
-    /// unspecified.
-    pub fn predict_many_with(
-        &self,
-        xs: &[Vec<f64>],
-        scratch: &mut EnsembleScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        out.clear();
-        out.resize(xs.len(), 0.0);
-        for tree in &self.trees {
-            tree.predict_many_with(xs, &mut scratch.tree, &mut scratch.buf)?;
-            for (o, b) in out.iter_mut().zip(&scratch.buf) {
-                *o += *b;
-            }
-        }
-        let n = self.trees.len() as f64;
-        for o in out.iter_mut() {
-            *o /= n;
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience over [`BaggedForest::predict_many_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BaggedForest::predict_many_with`].
+    /// Same as [`BaggedForest::predict`], for the first failing row.
     pub fn predict_many(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>> {
-        let mut scratch = EnsembleScratch::default();
-        let mut out = Vec::new();
-        self.predict_many_with(xs, &mut scratch, &mut out)?;
-        Ok(out)
+        xs.iter().map(|x| self.predict(x)).collect()
     }
 }
 
@@ -358,7 +309,6 @@ impl BoostedTrees {
         let mut fit_train = vec![f0; n_train];
         let mut fit_hold = vec![f0; n_hold];
         let mut residuals = vec![0.0; n_train];
-        let mut scratch = EnsembleScratch::default();
         let mut trees: Vec<RegressionTree> = Vec::new();
 
         let holdout_sse = |fit_hold: &[f64]| -> f64 {
@@ -373,15 +323,9 @@ impl BoostedTrees {
                 *r = y - f;
             }
             let tree = design.fit(&residuals, &config.tree)?;
-            tree.predict_many_with(train_xs, &mut scratch.tree, &mut scratch.buf)?;
-            for (f, p) in fit_train.iter_mut().zip(&scratch.buf) {
-                *f += config.shrinkage * p;
-            }
-            if n_hold > 0 {
-                tree.predict_many_with(hold_xs, &mut scratch.tree, &mut scratch.buf)?;
-                for (f, p) in fit_hold.iter_mut().zip(&scratch.buf) {
-                    *f += config.shrinkage * p;
-                }
+            let fits = fit_train.iter_mut().zip(train_xs).chain(fit_hold.iter_mut().zip(hold_xs));
+            for (f, x) in fits {
+                *f += config.shrinkage * tree.predict(x)?;
             }
             trees.push(tree);
             if n_hold > 0 {
@@ -430,7 +374,6 @@ impl BoostedTrees {
     }
 
     /// Scalar prediction: `f0 + Σ shrinkage · tree(x)` in stage order.
-    /// The batched path reproduces this float-for-float.
     ///
     /// # Errors
     ///
@@ -449,50 +392,13 @@ impl BoostedTrees {
         Ok(acc)
     }
 
-    /// Batched prediction with caller-owned working memory: one
-    /// level-order frontier pass per stage tree, accumulated into `out`
-    /// in stage order with the same `acc += shrinkage · p` step the
-    /// scalar path takes per row.
+    /// Predicts for many rows: [`BoostedTrees::predict`] per row.
     ///
     /// # Errors
     ///
-    /// Same as [`BoostedTrees::predict`]; on error `out`'s contents are
-    /// unspecified.
-    pub fn predict_many_with(
-        &self,
-        xs: &[Vec<f64>],
-        scratch: &mut EnsembleScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        for x in xs {
-            if x.len() != self.n_features {
-                return Err(CartError::FeatureWidthMismatch {
-                    expected: self.n_features,
-                    actual: x.len(),
-                });
-            }
-        }
-        out.clear();
-        out.resize(xs.len(), self.f0);
-        for tree in &self.trees {
-            tree.predict_many_with(xs, &mut scratch.tree, &mut scratch.buf)?;
-            for (o, p) in out.iter_mut().zip(&scratch.buf) {
-                *o += self.shrinkage * p;
-            }
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience over [`BoostedTrees::predict_many_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BoostedTrees::predict_many_with`].
+    /// Same as [`BoostedTrees::predict`], for the first failing row.
     pub fn predict_many(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>> {
-        let mut scratch = EnsembleScratch::default();
-        let mut out = Vec::new();
-        self.predict_many_with(xs, &mut scratch, &mut out)?;
-        Ok(out)
+        xs.iter().map(|x| self.predict(x)).collect()
     }
 }
 

@@ -11,7 +11,6 @@
 //! * [`leaf`] — leaf models: constant mean or MLR with constant fallback;
 //! * [`tree`] — presorted, allocation-free tree growth and prediction;
 //! * [`prune`] — bottom-up reduced-error pruning against a holdout set;
-//! * [`importance`] — per-feature variance-reduction importances;
 //! * [`ensemble`] — deterministic bagged forests and gradient-boosted
 //!   model trees over the same grower (the forecaster zoo).
 //!
@@ -44,7 +43,6 @@
 )]
 
 pub mod ensemble;
-pub mod importance;
 pub mod leaf;
 pub mod prune;
 pub mod tree;

@@ -27,6 +27,12 @@ use crate::{CartError, Result};
 /// * [`CartError::FeatureWidthMismatch`] when holdout rows have the wrong
 ///   width.
 /// * [`CartError::ShapeMismatch`] when `xs` and `ys` lengths differ.
+/// * [`CartError::NonFiniteInput`] when a holdout feature or target is
+///   NaN or infinite, or a subtree's or collapsed leaf's holdout SSE is
+///   not finite (finite targets whose squared errors overflow): such an
+///   SSE cannot rank a subtree against its leaf.
+///
+/// On error the tree is left unchanged.
 pub fn prune_holdout(
     tree: &mut RegressionTree,
     xs: &[Vec<f64>],
@@ -52,9 +58,16 @@ pub fn prune_holdout(
             });
         }
     }
+    if xs.iter().flatten().chain(ys).any(|v| !v.is_finite()) {
+        return Err(CartError::NonFiniteInput);
+    }
+    // Prune a copy: an SSE that overflows deep in the recursion must not
+    // leave the tree half pruned.
     let indices: Vec<usize> = (0..xs.len()).collect();
     let mut collapsed = 0usize;
-    prune_node_holdout(&mut tree.root, xs, ys, &indices, retention, &mut collapsed)?;
+    let mut root = tree.root.clone();
+    prune_node_holdout(&mut root, xs, ys, &indices, retention, &mut collapsed)?;
+    tree.root = root;
     Ok(collapsed)
 }
 
@@ -73,25 +86,21 @@ fn prune_node_holdout(
             let e = model.predict(&xs[i])? - ys[i];
             sse += e * e;
         }
+        if !sse.is_finite() {
+            return Err(CartError::NonFiniteInput);
+        }
         Ok(sse)
     };
-    let replace = match node {
-        Node::Leaf { model, .. } => return sse_of(model),
-        Node::Internal {
-            feature,
-            threshold,
-            left,
-            right,
-            n,
-            std_dev,
-            collapsed_resid_std,
-            collapsed: fallback,
-            ..
-        } => {
+    let (leaf, sse) = match node {
+        Node::Leaf { model } => return sse_of(model),
+        Node::Internal { feature, threshold, left, right, collapsed: fallback } => {
             let (li, ri): (Vec<usize>, Vec<usize>) =
                 indices.iter().partition(|&&i| xs[i][*feature] <= *threshold);
             let subtree_sse = prune_node_holdout(left, xs, ys, &li, retention, collapsed)?
                 + prune_node_holdout(right, xs, ys, &ri, retention, collapsed)?;
+            if !subtree_sse.is_finite() {
+                return Err(CartError::NonFiniteInput);
+            }
             let collapsed_sse = sse_of(fallback)?;
             // With no holdout evidence the split is kept (the training fit
             // is all we know); otherwise the subtree must beat the
@@ -100,18 +109,9 @@ fn prune_node_holdout(
             if keep {
                 return Ok(subtree_sse);
             }
-            (
-                Node::Leaf {
-                    model: fallback.clone(),
-                    n: *n,
-                    std_dev: *std_dev,
-                    resid_std: *collapsed_resid_std,
-                },
-                collapsed_sse,
-            )
+            (Node::Leaf { model: fallback.clone() }, collapsed_sse)
         }
     };
-    let (leaf, sse) = replace;
     *node = leaf;
     *collapsed += 1;
     Ok(sse)
@@ -237,6 +237,32 @@ mod tests {
         let before = t.n_leaves();
         prune_holdout(&mut t, &[], &[], 0.88).unwrap();
         assert_eq!(t.n_leaves(), before);
+    }
+
+    #[test]
+    fn non_finite_holdout_is_a_typed_error_and_leaves_the_tree() {
+        // A clean two-leaf step tree. One NaN target, one infinite
+        // feature, or one finite target whose squared error overflows
+        // would otherwise read as "subtree not better" and collapse it.
+        let signal = signal_tree();
+        assert_eq!(signal.n_leaves(), 2);
+        let xs: Vec<Vec<f64>> = (-10..10).map(|i| vec![i as f64]).collect();
+        let ys: Vec<f64> = (-10..10).map(|i| if i < 0 { 0.0 } else { 100.0 }).collect();
+        let mut nan_target = ys.clone();
+        nan_target[3] = f64::NAN;
+        let mut huge_target = ys.clone();
+        huge_target[15] = 1e300;
+        let mut inf_feature = xs.clone();
+        inf_feature[4][0] = f64::INFINITY;
+        for (xs, ys) in [(&xs, &nan_target), (&xs, &huge_target), (&inf_feature, &ys)] {
+            let mut t = signal.clone();
+            assert_eq!(prune_holdout(&mut t, xs, ys, 0.88), Err(CartError::NonFiniteInput));
+            assert_eq!(t, signal);
+        }
+        // The clean holdout keeps the split.
+        let mut t = signal.clone();
+        assert_eq!(prune_holdout(&mut t, &xs, &ys, 0.88), Ok(0));
+        assert_eq!(t, signal);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! kept verbatim, minus the two crash paths the presorted grower also
 //! guards (the `partial_cmp(...).expect` on the sort and the
 //! `len - min_samples_leaf` underflow, both unreachable for inputs that
-//! pass [`crate::tree::validate`]), and with the grower's typed error for
-//! a non-finite child SSE, which the original let win as NaN. The module
+//! pass [`crate::tree::validate`]), and with the grower's typed errors for
+//! a non-finite child SSE, which the original let win as NaN, and for a
+//! leaf whose residual sum of squares overflows. The module
 //! is compiled only for the crate's own tests: the property tests at the
 //! bottom assert that [`RegressionTree::fit`], the shared multi-kind
 //! grower and pruning produce structurally identical trees with
@@ -31,12 +32,11 @@ pub fn fit_reference(xs: &[Vec<f64>], ys: &[f64], config: &TreeConfig) -> Result
     Ok(RegressionTree { root, n_features: width, config: *config })
 }
 
-fn stats(ys: &[f64], indices: &[usize]) -> (f64, f64) {
+fn node_sse(ys: &[f64], indices: &[usize]) -> f64 {
     let n = indices.len() as f64;
     let sum: f64 = indices.iter().map(|&i| ys[i]).sum();
     let mean = sum / n;
-    let sse: f64 = indices.iter().map(|&i| (ys[i] - mean).powi(2)).sum();
-    (sse, (sse / n).sqrt())
+    indices.iter().map(|&i| (ys[i] - mean).powi(2)).sum()
 }
 
 fn gather(xs: &[Vec<f64>], ys: &[f64], indices: &[usize]) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -50,14 +50,14 @@ fn grow(
     config: &TreeConfig,
     depth: usize,
 ) -> Result<Node> {
-    let (node_sse, node_std) = stats(ys, indices);
+    let node_sse = node_sse(ys, indices);
     let (cell_x, cell_y) = gather(xs, ys, indices);
-    let leaf_here = || -> Result<Node> {
+    let fit_leaf = || -> Result<LeafModel> {
         let model = LeafModel::fit(config.leaf_kind, &cell_x, &cell_y)?;
-        let all: Vec<usize> = (0..cell_y.len()).collect();
-        let resid_std = residual_std_indexed(&model, &cell_x, &cell_y, &all)?;
-        Ok(Node::Leaf { model, n: indices.len(), std_dev: node_std, resid_std })
+        check_residuals(&model, &cell_x, &cell_y)?;
+        Ok(model)
     };
+    let leaf_here = || -> Result<Node> { Ok(Node::Leaf { model: fit_leaf()? }) };
 
     if depth >= config.max_depth
         || indices.len() < config.min_samples_split
@@ -121,37 +121,29 @@ fn grow(
         indices.iter().partition(|&&i| xs[i][feature] <= threshold);
     let left = grow(xs, ys, &left_idx, config, depth + 1)?;
     let right = grow(xs, ys, &right_idx, config, depth + 1)?;
-    let collapsed = LeafModel::fit(config.leaf_kind, &cell_x, &cell_y)?;
-    let all: Vec<usize> = (0..cell_y.len()).collect();
-    let collapsed_resid_std = residual_std_indexed(&collapsed, &cell_x, &cell_y, &all)?;
+    let collapsed = fit_leaf()?;
     Ok(Node::Internal {
         feature,
         threshold,
         left: Box::new(left),
         right: Box::new(right),
-        n: indices.len(),
-        std_dev: node_std,
-        collapsed_resid_std,
-        impurity_decrease: decrease,
         collapsed,
     })
 }
 
-/// Residual standard deviation of a fitted leaf model on the cell
-/// described by `indices` (same reduction order as evaluating a gathered
-/// cell).
-fn residual_std_indexed(
-    model: &LeafModel,
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    indices: &[usize],
-) -> Result<f64> {
+/// Checks a fitted leaf model's residuals on its cell: a residual sum of
+/// squares that overflows is a [`CartError::NonFiniteInput`], as in the
+/// presorted grower.
+fn check_residuals(model: &LeafModel, xs: &[Vec<f64>], ys: &[f64]) -> Result<()> {
     let mut sse = 0.0;
-    for &i in indices {
-        let e = model.predict(&xs[i])? - ys[i];
+    for (x, y) in xs.iter().zip(ys) {
+        let e = model.predict(x)? - y;
         sse += e * e;
     }
-    Ok((sse / indices.len() as f64).sqrt())
+    if !sse.is_finite() {
+        return Err(CartError::NonFiniteInput);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -271,9 +263,8 @@ mod tests {
         }
 
         /// Holdout reduced-error pruning collapses exactly the same nodes
-        /// on a presorted tree as on the reference tree: the prune
-        /// statistics (`collapsed` models and residual stds) are part of
-        /// the bit-identity contract.
+        /// on a presorted tree as on the reference tree: the `collapsed`
+        /// fallback models are part of the bit-identity contract.
         #[test]
         fn prune_after_fit_matches_reference(
             points in proptest::collection::vec(

@@ -145,9 +145,8 @@ proptest! {
         prop_assert!(t.predict(&[probe, probe * 0.5]).unwrap().is_finite());
     }
 
-    /// Batched prediction is bit-identical to the scalar walk: the
-    /// level-order kernel partitions rows with the same comparison and
-    /// evaluates the same leaf model the per-row loop does.
+    /// Batch prediction is bit-identical to the scalar walk: it is one
+    /// `predict` per row.
     #[test]
     fn predict_many_bitwise_matches_scalar(
         xs in proptest::collection::vec(-40.0f64..40.0, 12..80),

@@ -8,7 +8,7 @@
 //! **bit-identical** predictions. It is the only model any program
 //! persists: the temporal and spatial models are refit in memory.
 //!
-//! # Envelope (schema v5, current)
+//! # Envelope (schema v6, current)
 //!
 //! Every artifact starts with the same envelope, followed by the model
 //! payload:
@@ -16,7 +16,7 @@
 //! | bytes | field | value |
 //! |---|---|---|
 //! | 0..8 | magic | `b"DDOSMDL\0"` |
-//! | 8..12 | schema version | little-endian `u32`, currently `5` |
+//! | 8..12 | schema version | little-endian `u32`, currently `6` |
 //! | 12 | kind tag | always `3` (the spatiotemporal model) |
 //! | 13..21 | payload length | little-endian `u64` |
 //! | 21..29 | payload checksum | four-lane guard hash (`u64`) over the payload |
@@ -31,12 +31,15 @@
 //! 1, 2 and 4 (the retired temporal, spatial and source-distribution
 //! artifacts), 5 and 6 (standalone forests and boosted ensembles), 7 (the
 //! ensemble-backed spatiotemporal layout) and any tag never written —
-//! decodes as [`ArtifactError::UnknownKind`]. v5 is the only schema this
+//! decodes as [`ArtifactError::UnknownKind`]. v6 is the only schema this
 //! crate reads or writes: an artifact stamped with any other version, the
-//! retired v1–v4 included (DESIGN.md §12, §22, §31), is an
-//! [`ArtifactError::UnsupportedVersion`]. v5 differs from v4 only in the
-//! spatiotemporal payload, which lost its learner tag and the four
-//! regressor variant tags (five zero bytes for a tree model).
+//! retired v1–v5 included (DESIGN.md §12, §22, §31, §34), is an
+//! [`ArtifactError::UnsupportedVersion`]. v6 differs from v5 only in what
+//! the spatiotemporal payload stores: each temporal component is its
+//! one-step predictor (differencing degree, constant, AR coefficients)
+//! instead of the fitted ARIMA with its training series, tree nodes carry
+//! no sample counts, standard deviations or split gains, and MLR leaves
+//! no R², residual spread or observation count.
 //!
 //! All floating-point state inside payloads is written via
 //! [`f64::to_bits`], so encode→decode is the *identity* on the model —
@@ -53,7 +56,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"DDOSMDL\0";
 
 /// Current artifact schema version. Bump when any payload layout changes.
-pub const SCHEMA_VERSION: u32 = 5;
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// The kind tag every artifact carries: the spatiotemporal model's, the
 /// only model with an artifact.
@@ -304,7 +307,7 @@ mod tests {
         // A well-formed artifact stamped with any other version is
         // refused before the payload is looked at.
         let bytes = Toy { weights: vec![1.5, -0.0] }.to_artifact_bytes();
-        for version in [0, 3, 4, SCHEMA_VERSION + 1, u32::MAX] {
+        for version in [0, 3, 4, 5, SCHEMA_VERSION + 1, u32::MAX] {
             let mut stamped = bytes.clone();
             stamped[8..12].copy_from_slice(&version.to_le_bytes());
             let err = Toy::from_artifact_bytes(&stamped).unwrap_err();

@@ -6,9 +6,11 @@
 //! target's AS and the last `h` attacks anywhere (the paper uses `h = 10`)
 //! — runs the fitted temporal (ARIMA) and spatial (NAR) components on
 //! them, and feeds the resulting predictions (`N_tmp`, `N_spa`, `N_int`,
-//! …) into a CART tree with MLR leaves, pruned to retain 88% of the root
-//! standard deviation. Four trees are trained: launch hour, launch day,
-//! magnitude and duration.
+//! …) into a CART tree with MLR leaves, pruned against a holdout with the
+//! paper's 0.88 retention factor. Four trees are trained: launch hour,
+//! launch day, magnitude and duration. The fitted model keeps only what
+//! prediction reads: each ARIMA component as its one-step predictor, the
+//! per-AS NAR nets and the four trees.
 
 use crate::artifact::ModelArtifact;
 use crate::spatial::{SpatialConfig, SpatialModel};
@@ -17,9 +19,9 @@ use crate::{ModelError, Result};
 use ddos_astopo::Asn;
 use ddos_cart::leaf::LeafKind;
 use ddos_cart::prune::prune_holdout;
-use ddos_cart::tree::{PredictScratch, PresortedDesign, RegressionTree, TreeConfig};
+use ddos_cart::tree::{PresortedDesign, RegressionTree, TreeConfig};
 use ddos_cart::CartError;
-use ddos_stats::arima::{Arima, ArimaOrder};
+use ddos_stats::arima::{Arima, ArimaOrder, OneStep};
 use ddos_stats::codec::{CodecResult, Reader, Writer};
 use ddos_trace::{AttackRecord, Corpus};
 use serde::{Deserialize, Serialize};
@@ -283,12 +285,11 @@ impl AttackForecast {
 }
 
 /// Reusable working memory for [`SpatioTemporalModel::forecast_rows_into`]:
-/// the tree-traversal arena shared by the four trees plus one output
-/// buffer per target, in label order. One scratch per serving worker
-/// amortizes every per-batch allocation away.
+/// one output buffer per tree, in label order, each filled by that
+/// tree's per-row walks. One scratch per serving worker amortizes every
+/// per-batch allocation away.
 #[derive(Debug, Default, Clone)]
 pub struct ForecastScratch {
-    predict: PredictScratch,
     outputs: [Vec<f64>; 4],
 }
 
@@ -303,10 +304,13 @@ type Instance = (InstanceFeatures, [f64; 4]);
 /// The feature side of the model: the temporal (ARIMA) and spatial (NAR)
 /// components whose outputs become each instance's features.
 struct Components {
-    /// Global temporal components (fit on all training attacks).
-    hour_arima: Arima,
-    day_arima: Arima,
-    gap_arima: Arima,
+    /// Global temporal components (fit on all training attacks), kept as
+    /// the one-step predictors `features_for` applies to the recent
+    /// group: the training series the ARIMAs were fit on is not read
+    /// again.
+    hour_arima: OneStep,
+    day_arima: OneStep,
+    gap_arima: OneStep,
     /// Per-AS spatial components for the hottest victim networks.
     spatial: BTreeMap<Asn, SpatialModel>,
 }
@@ -331,9 +335,9 @@ impl Components {
         let days: Vec<f64> = train.iter().map(|a| a.start.day_of_month() as f64).collect();
         let gaps: Vec<f64> =
             train.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
-        let hour_arima = Arima::fit(&hours, ArimaOrder::new(2, 0, 1))?;
-        let day_arima = Arima::fit(&days, ArimaOrder::new(2, 0, 0))?;
-        let gap_arima = Arima::fit(&gaps, ArimaOrder::new(2, 0, 1))?;
+        let hour_arima = Arima::fit(&hours, ArimaOrder::new(2, 0, 1))?.one_step();
+        let day_arima = Arima::fit(&days, ArimaOrder::new(2, 0, 0))?.one_step();
+        let gap_arima = Arima::fit(&gaps, ArimaOrder::new(2, 0, 1))?.one_step();
 
         // Spatial components for the hottest victim ASes (within train).
         let mut per_asn: BTreeMap<Asn, Vec<&AttackRecord>> = BTreeMap::new();
@@ -403,21 +407,18 @@ impl Components {
         // Temporal component: frozen-ARIMA one-step from the recent group.
         let tmp_hour = self
             .hour_arima
-            .predict_one_from(&recent_hours)
+            .predict(&recent_hours)
             .unwrap_or_else(|_| mean(&recent_hours))
             .clamp(0.0, 23.999);
         let tmp_day = self
             .day_arima
-            .predict_one_from(&recent_days)
+            .predict(&recent_days)
             .unwrap_or_else(|_| mean(&recent_days))
             .clamp(1.0, 31.0);
         let interval_secs = if recent_gaps.is_empty() {
             0.0
         } else {
-            self.gap_arima
-                .predict_one_from(&recent_gaps)
-                .unwrap_or_else(|_| mean(&recent_gaps))
-                .max(0.0)
+            self.gap_arima.predict(&recent_gaps).unwrap_or_else(|_| mean(&recent_gaps)).max(0.0)
         };
 
         // Spatial component: per-AS NAR when available, else window stats.
@@ -486,9 +487,9 @@ impl Components {
     }
 
     fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let hour_arima = Arima::decode(r)?;
-        let day_arima = Arima::decode(r)?;
-        let gap_arima = Arima::decode(r)?;
+        let hour_arima = OneStep::decode(r)?;
+        let day_arima = OneStep::decode(r)?;
+        let gap_arima = OneStep::decode(r)?;
         let n = r.len(4)?;
         let mut spatial = BTreeMap::new();
         for _ in 0..n {
@@ -610,7 +611,7 @@ impl SpatioTemporalModel {
         &self.config
     }
 
-    /// The fitted hour tree (for importance inspection).
+    /// The fitted hour tree.
     pub fn hour_tree(&self) -> &RegressionTree {
         &self.trees[0]
     }
@@ -626,10 +627,8 @@ impl SpatioTemporalModel {
     /// predictions next to the truth.
     ///
     /// The instance walk collects every queryable test instance first,
-    /// then each of the four trees scores the whole batch through
-    /// [`SpatioTemporalModel::forecast_rows_into`] — one level-order
-    /// traversal per tree instead of one walk per (row, tree) pair,
-    /// bit-identical to the per-row walk.
+    /// then scores them all in one
+    /// [`SpatioTemporalModel::forecast_rows_into`] call.
     ///
     /// # Errors
     ///
@@ -667,11 +666,12 @@ impl SpatioTemporalModel {
 
     /// Scores a batch of flattened design rows through the four trees,
     /// writing one clamped [`AttackForecast`] per row into `out`. This is
-    /// the serving kernel: all traversal and output buffers live in
-    /// `scratch`, so a long-lived worker pays zero allocation per batch
-    /// in steady state, and results are bit-identical at any batch split
-    /// (each row's score depends only on that row — goldencheck and the
-    /// serve determinism proptest pin this).
+    /// the serving kernel: each tree walks every row
+    /// ([`RegressionTree::predict`]) into its output buffer in `scratch`,
+    /// so a long-lived worker pays zero allocation per batch in steady
+    /// state, and results are bit-identical at any batch split (each
+    /// row's score depends only on that row — goldencheck and the serve
+    /// determinism proptest pin this).
     ///
     /// # Errors
     ///
@@ -690,7 +690,10 @@ impl SpatioTemporalModel {
     ) -> Result<()> {
         out.clear();
         for (tree, buf) in self.trees.iter().zip(&mut scratch.outputs) {
-            tree.predict_many_with(rows, &mut scratch.predict, buf)?;
+            buf.clear();
+            for row in rows {
+                buf.push(tree.predict(row)?);
+            }
             if !buf.iter().all(|v| v.is_finite()) {
                 return Err(CartError::NonFiniteInput.into());
             }
@@ -778,6 +781,29 @@ mod tests {
     }
 
     #[test]
+    fn arima_section_does_not_grow_with_the_training_stream() {
+        // The artifact stores each temporal component's one-step
+        // predictor, not its training series: fitting on the first half
+        // or on all of the stream encodes the same number of bytes.
+        let corpus = TraceGenerator::new(CorpusConfig::small(), 121).generate().unwrap();
+        let (train, _) = corpus.split(0.8).unwrap();
+        let stream: Vec<&AttackRecord> = train.iter().collect();
+        let config = SpatioTemporalConfig { max_spatial_models: 0, ..SpatioTemporalConfig::fast() };
+        let arima_bytes = |stream: &[&AttackRecord]| {
+            let c = Components::fit(stream, &config, 5).unwrap();
+            let mut w = Writer::new();
+            for arima in [&c.hour_arima, &c.day_arima, &c.gap_arima] {
+                arima.encode(&mut w);
+            }
+            w.len()
+        };
+        let half = arima_bytes(&stream[..stream.len() / 2]);
+        assert_eq!(half, arima_bytes(&stream));
+        // d, constant and two AR coefficients with a length word, thrice.
+        assert_eq!(half, 3 * 5 * 8);
+    }
+
+    #[test]
     fn forecast_surface_matches_scalar_tree_walks_bitwise() {
         let (corpus, model) = fitted();
         let (train, _) = corpus.split(0.8).unwrap();
@@ -793,8 +819,8 @@ mod tests {
         }
         assert!(InstanceFeatures::from_row(&rows[0][..12]).is_none());
 
-        // The batched serving kernel, a reused scratch, and the typed
-        // wrapper all reproduce the scalar per-tree walk bit-for-bit.
+        // The serving kernel at any batch split, a reused scratch, and the
+        // typed wrapper all reproduce the scalar per-tree walk bit-for-bit.
         let via_features = model.forecast_features(&features).unwrap();
         let mut scratch = ForecastScratch::default();
         for split in [rows.len(), 7, 1] {

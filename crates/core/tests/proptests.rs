@@ -168,12 +168,12 @@ proptest! {
     }
 
     /// Any schema version other than the current one — the retired v1
-    /// to v4 schemas included — is refused up front, with the found
+    /// to v5 schemas included — is refused up front, with the found
     /// version reported.
     #[test]
-    fn wrong_schema_version_rejected(pick in 0usize..8, other in 0u32..10_000) {
-        // Half the cases stamp a retired schema version (1 to 4).
-        let version = [1, 2, 3, 4, other, other, other, other][pick];
+    fn wrong_schema_version_rejected(pick in 0usize..10, other in 0u32..10_000) {
+        // Half the cases stamp a retired schema version (1 to 5).
+        let version = [1, 2, 3, 4, 5, other, other, other, other, other][pick];
         prop_assume!(version != SCHEMA_VERSION);
         let mut bytes = reference_artifact().to_vec();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());

@@ -611,9 +611,9 @@ fn finite(request: &ForecastRequest) -> Result<()> {
     }
 }
 
-/// One executor slot's reusable buffers — traversal scratch, output
-/// vector, and the outcome of its last chunk — kept for the service's
-/// lifetime.
+/// One executor slot's reusable buffers — per-tree output buffers,
+/// output vector, and the outcome of its last chunk — kept for the
+/// service's lifetime.
 struct Worker {
     scratch: ForecastScratch,
     out: Vec<AttackForecast>,
@@ -694,7 +694,8 @@ fn next_batch(shared: &Shared, max_delay: Duration, batch: &mut Vec<Envelope>) -
 ///
 /// The batch is cut into at most one contiguous chunk per worker, fanned
 /// across [`map_indexed`]; each chunk is scored with that executor
-/// slot's long-lived buffers. Chunk boundaries cannot affect values —
+/// slot's long-lived buffers, one `RegressionTree::predict` walk per row
+/// and tree (`forecast_rows_into`). Chunk boundaries cannot affect values —
 /// every row's score is a pure function of that row — so this is
 /// bit-identical to one serial `forecast_rows_into` over the whole
 /// batch. The rows are overwritten in place and the answers are written

@@ -17,6 +17,8 @@
 //!   [`lstsq_into`],
 //! * [`Arima::forecast`] — multi-step mean forecasts with re-integration,
 //! * [`Arima::fitted`] / [`Arima::residuals`] — in-sample diagnostics,
+//! * [`Arima::one_step`] — the frozen one-step predictor ([`OneStep`]) the
+//!   spatiotemporal model applies to short history windows and stores,
 //! * [`Arima::aic`] — the information criterion of order selection (see
 //!   [`crate::select`]).
 
@@ -297,7 +299,7 @@ impl Arima {
         out.clear();
         out.reserve(horizon);
         for _ in 0..horizon {
-            let v = self.one_step(&w, &e);
+            let v = self.step_mean(&w, &e);
             w.push(v);
             e.push(0.0); // future innovations are zero in the mean forecast
             out.push(ladder.advance(v));
@@ -307,7 +309,7 @@ impl Arima {
 
     /// The one-step mean at the differenced level after the differenced
     /// series `w` with innovations `e`.
-    fn one_step(&self, w: &[f64], e: &[f64]) -> f64 {
+    fn step_mean(&self, w: &[f64], e: &[f64]) -> f64 {
         let t = w.len();
         let mut v = self.constant;
         for (j, phi) in self.ar.iter().enumerate() {
@@ -430,7 +432,7 @@ impl Arima {
         preds.reserve(test.len());
         for &obs in test {
             // One-step mean forecast at differenced level.
-            let v = self.one_step(&w, &e);
+            let v = self.step_mean(&w, &e);
             let pred = ladder.level(v);
             if !pred.is_finite() {
                 return Err(StatsError::NonFiniteInput);
@@ -445,79 +447,26 @@ impl Arima {
     }
 
     /// One-step mean prediction from an *arbitrary* history window using
-    /// the frozen coefficients (MA terms use zero for the unknown
-    /// innovations, the standard approximation when the conditioning
-    /// window is short).
-    ///
-    /// This is how the spatiotemporal model (§VI) reuses a fitted temporal
-    /// model on a target's 10-attack history.
+    /// the frozen coefficients: [`OneStep::predict`] on
+    /// [`Arima::one_step`].
     ///
     /// # Errors
     ///
     /// Returns [`StatsError::TooShort`] when `history` cannot supply
-    /// `d + p` values.
+    /// `d + max(p, 1)` values.
     pub fn predict_one_from(&self, history: &[f64]) -> Result<f64> {
-        let mut diffed = Vec::new();
-        self.predict_one_from_with(history, &mut diffed)
+        self.one_step().predict(history)
     }
 
-    /// [`Arima::predict_one_from`] with a caller-owned differencing
-    /// buffer: the per-call allocation (the cloned-then-differenced
-    /// history) lands in `diffed` and is reused across calls, so batch
-    /// feature assembly pays zero steady-state allocation per window for
-    /// the common `d = 0` orders. Bit-identical to the allocating
-    /// wrapper: the in-place differencing and re-integration ladder
-    /// perform the exact float operations of [`difference`] /
-    /// [`integrate`] in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::TooShort`] when `history` cannot supply
-    /// `d + p` values.
-    pub fn predict_one_from_with(&self, history: &[f64], diffed: &mut Vec<f64>) -> Result<f64> {
-        let d = self.order.d;
-        let p = self.order.p;
-        if history.len() < d + p.max(1) {
-            return Err(StatsError::TooShort { required: d + p.max(1), actual: history.len() });
-        }
-        // In-place differencing, capturing each level's tail value for
-        // the re-integration ladder. (For d > 0 the d-element tail list
-        // is a tiny side allocation; the history-sized buffer is what
-        // `diffed` amortizes.)
-        diffed.clear();
-        diffed.extend_from_slice(history);
-        let mut tails: Vec<f64> = Vec::with_capacity(d);
-        for _ in 0..d {
-            // Before round `k < d` the buffer holds
-            // `history.len() - k >= d + p.max(1) - k >= 1` values (the
-            // length guard above), so the tail always exists; keep the
-            // impossible case on the typed error path.
-            let &tail = diffed
-                .last()
-                .ok_or(StatsError::TooShort { required: d + p.max(1), actual: history.len() })?;
-            tails.push(tail);
-            for i in 0..diffed.len() - 1 {
-                diffed[i] = diffed[i + 1] - diffed[i];
-            }
-            diffed.pop();
-        }
-        let t = diffed.len();
-        let mut v = self.constant;
-        for (j, phi) in self.ar.iter().enumerate() {
-            if t > j {
-                v += phi * diffed[t - 1 - j];
-            }
-        }
-        // `integrate` adds the level tails deepest-first onto the
-        // differenced forecast; replicate that exact addition order.
-        for &tail in tails.iter().rev() {
-            v += tail;
-        }
-        Ok(v)
+    /// The model's one-step predictor: the differencing degree, the
+    /// constant and the AR coefficients, all that a one-step mean
+    /// prediction from a fresh window reads.
+    pub fn one_step(&self) -> OneStep {
+        OneStep { d: self.order.d, constant: self.constant, ar: self.ar.clone() }
     }
 
     /// Akaike information criterion (Gaussian likelihood approximation).
-    /// NaN when σ² is NaN (a decoded model can carry one).
+    /// NaN when σ² is NaN.
     pub fn aic(&self) -> f64 {
         aic(self.work.len(), self.order, self.sigma2)
     }
@@ -526,72 +475,93 @@ impl Arima {
     pub fn history(&self) -> &[f64] {
         &self.history
     }
+}
 
-    /// Encodes the fitted model field-for-field into `w` (the ARIMA
-    /// artifact payload). Every `f64` is written as its `to_bits`
-    /// pattern, so [`Arima::decode`] reconstructs a struct that is
-    /// bitwise equal to `self` — round-trip is the identity.
-    pub fn encode(&self, w: &mut Writer) {
-        w.usize(self.order.p);
-        w.usize(self.order.d);
-        w.usize(self.order.q);
-        w.f64(self.constant);
-        w.f64_seq(&self.ar);
-        w.f64_seq(&self.ma);
-        w.f64_seq(&self.history);
-        w.f64_seq(&self.work);
-        w.f64_seq(&self.residuals);
-        w.f64(self.sigma2);
-    }
+/// The one-step predictor of a fitted [`Arima`], built by
+/// [`Arima::one_step`]: the differencing degree `d`, the constant and the
+/// AR coefficients. It predicts the next value of an arbitrary history
+/// window with the frozen coefficients (MA terms use zero for the unknown
+/// innovations, the standard approximation when the conditioning window
+/// is short). This is how the spatiotemporal model (§VI) reuses a fitted
+/// temporal model on a target's 10-attack history, and it is all of an
+/// ARIMA that the model's artifact stores.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OneStep {
+    d: usize,
+    constant: f64,
+    ar: Vec<f64>,
+}
 
-    /// Decodes a model encoded by [`Arima::encode`], validating the
-    /// structural invariants the prediction paths rely on (coefficient
-    /// counts matching the order, differenced-series lengths consistent
-    /// with the history) so corrupt payloads become typed errors rather
-    /// than panics downstream.
+impl OneStep {
+    /// Predicts the value after `history`: differences the window `d`
+    /// times in place, applies the AR recursion to the differenced tail,
+    /// then adds back each level's last value deepest-first. These are
+    /// the float operations of [`difference`], the AR step and
+    /// [`integrate`], in the same order.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Truncated`] / [`CodecError::Invalid`] on short or
-    /// inconsistent input.
+    /// Returns [`StatsError::TooShort`] when `history` cannot supply
+    /// `d + max(p, 1)` values.
+    pub fn predict(&self, history: &[f64]) -> Result<f64> {
+        // `decode` refuses a predictor whose requirement overflows, and
+        // `Arima::one_step` copies a fitted order, which `check_length`
+        // already bounded.
+        let required = self.d.saturating_add(self.ar.len().max(1));
+        if history.len() < required {
+            return Err(StatsError::TooShort { required, actual: history.len() });
+        }
+        let mut diffed = history.to_vec();
+        let mut tails = Vec::with_capacity(self.d);
+        for _ in 0..self.d {
+            // Before round `k < d` the buffer holds
+            // `history.len() - k >= 1` values (the length guard above).
+            let Some(&tail) = diffed.last() else {
+                return Err(StatsError::TooShort { required, actual: history.len() });
+            };
+            tails.push(tail);
+            for i in 0..diffed.len() - 1 {
+                diffed[i] = diffed[i + 1] - diffed[i];
+            }
+            diffed.pop();
+        }
+        // At least `p` differenced values remain, so every AR lag reads
+        // one of them.
+        let mut v = self.constant;
+        for (phi, x) in self.ar.iter().zip(diffed.iter().rev()) {
+            v += phi * x;
+        }
+        for &tail in tails.iter().rev() {
+            v += tail;
+        }
+        Ok(v)
+    }
+
+    /// Encodes the predictor: `d`, the constant, then the AR
+    /// coefficients, every `f64` as its bit pattern.
+    pub fn encode(&self, w: &mut Writer) {
+        w.usize(self.d);
+        w.f64(self.constant);
+        w.f64_seq(&self.ar);
+    }
+
+    /// Decodes a predictor written by [`OneStep::encode`].
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] on short input, and
+    /// [`CodecError::Invalid`] when `d + max(p, 1)`, the window length
+    /// [`OneStep::predict`] requires, overflows.
     pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        let order = ArimaOrder::new(r.usize()?, r.usize()?, r.usize()?);
+        let d = r.usize()?;
         let constant = r.f64()?;
         let ar = r.f64_seq()?;
-        let ma = r.f64_seq()?;
-        let history = r.f64_seq()?;
-        let work = r.f64_seq()?;
-        let residuals = r.f64_seq()?;
-        let sigma2 = r.f64()?;
-        if ar.len() != order.p || ma.len() != order.q {
+        if d.checked_add(ar.len().max(1)).is_none() {
             return Err(CodecError::Invalid {
-                detail: format!(
-                    "coefficient counts ({}, {}) disagree with order {order}",
-                    ar.len(),
-                    ma.len()
-                ),
+                detail: format!("differencing degree {d} overflows the window length"),
             });
         }
-        if history.len() <= order.d || work.len() != history.len() - order.d {
-            return Err(CodecError::Invalid {
-                detail: format!(
-                    "history of {} cannot yield {} values at differencing degree {}",
-                    history.len(),
-                    work.len(),
-                    order.d
-                ),
-            });
-        }
-        if residuals.len() != work.len() {
-            return Err(CodecError::Invalid {
-                detail: format!(
-                    "{} residuals for {} differenced observations",
-                    residuals.len(),
-                    work.len()
-                ),
-            });
-        }
-        Ok(Arima { order, constant, ar, ma, history, work, residuals, sigma2 })
+        Ok(OneStep { d, constant, ar })
     }
 }
 
@@ -1115,10 +1085,10 @@ mod tests {
     }
 
     #[test]
-    fn predict_one_from_with_matches_ladder_composition_bitwise() {
-        // The scratch variant replicates difference + AR + integrate
+    fn one_step_matches_ladder_composition_bitwise() {
+        // The one-step predictor replicates difference + AR + integrate
         // inline; pin it bit-for-bit against the explicit composition for
-        // every practical differencing depth, reusing one dirty buffer.
+        // every practical differencing depth.
         let mut lcg = 0x2545_F491_4F6C_DD1Du64;
         let series: Vec<f64> = (0..120)
             .map(|i| {
@@ -1127,9 +1097,9 @@ mod tests {
                 (i as f64 * 0.37).sin() * 9.0 + i as f64 + noise * 4.0
             })
             .collect();
-        let mut scratch = vec![f64::NAN; 3];
         for (p, d, q) in [(2, 0, 1), (1, 1, 0), (2, 2, 0)] {
             let model = Arima::fit(&series, ArimaOrder::new(p, d, q)).unwrap();
+            let one_step = model.one_step();
             for window_len in [d + p.max(1), 10, 40] {
                 let window = &series[series.len() - window_len..];
                 let via_ladder = {
@@ -1143,8 +1113,8 @@ mod tests {
                     }
                     integrate(window, &[v], d).unwrap()[0]
                 };
-                let via_scratch = model.predict_one_from_with(window, &mut scratch).unwrap();
-                assert_eq!(via_scratch.to_bits(), via_ladder.to_bits(), "order ({p},{d},{q})");
+                let got = one_step.predict(window).unwrap();
+                assert_eq!(got.to_bits(), via_ladder.to_bits(), "order ({p},{d},{q})");
                 assert_eq!(model.predict_one_from(window).unwrap().to_bits(), via_ladder.to_bits());
             }
         }
@@ -1271,17 +1241,59 @@ mod tests {
         use crate::codec::{Reader, Writer};
         let series = simulate_arma(&[0.6], &[0.25], 0.1, 400, 0.7, 33);
         let model = Arima::fit(&series, ArimaOrder::new(1, 1, 1)).unwrap();
+        let one_step = model.one_step();
         let mut w = Writer::new();
-        model.encode(&mut w);
+        one_step.encode(&mut w);
         let bytes = w.into_bytes();
+        // d, the constant, then the length-prefixed AR coefficient.
+        assert_eq!(bytes.len(), 8 + 8 + 8 + 8);
         let mut r = Reader::new(&bytes);
-        let back = Arima::decode(&mut r).unwrap();
+        let back = OneStep::decode(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(model, back);
+        assert_eq!(one_step, back);
+        let window = &series[series.len() - 10..];
+        assert_eq!(
+            back.predict(window).unwrap().to_bits(),
+            model.predict_one_from(window).unwrap().to_bits()
+        );
         // Truncation at every prefix must be a typed error, not a panic.
-        for cut in [0, 7, bytes.len() / 2, bytes.len() - 1] {
-            assert!(Arima::decode(&mut Reader::new(&bytes[..cut])).is_err());
+        for cut in 0..bytes.len() {
+            assert!(OneStep::decode(&mut Reader::new(&bytes[..cut])).is_err());
         }
+    }
+
+    #[test]
+    fn one_step_decode_refuses_overflow_and_truncated_coefficients() {
+        use crate::codec::{CodecError, Reader, Writer};
+        // `d + max(p, 1)` overflows: refused at decode, so `predict`
+        // never computes the window length.
+        for (d, ar) in [(usize::MAX, vec![]), (usize::MAX - 1, vec![0.5, 0.25])] {
+            let mut w = Writer::new();
+            w.usize(d);
+            w.f64(1.0);
+            w.f64_seq(&ar);
+            let bytes = w.into_bytes();
+            let err = OneStep::decode(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, CodecError::Invalid { .. }), "d = {d}: {err:?}");
+        }
+        // The largest degree that does not overflow decodes, and its
+        // predictions are a typed TooShort.
+        let mut w = Writer::new();
+        w.usize(usize::MAX - 1);
+        w.f64(1.0);
+        w.f64_seq(&[]);
+        let bytes = w.into_bytes();
+        let huge = OneStep::decode(&mut Reader::new(&bytes)).unwrap();
+        assert!(matches!(huge.predict(&[1.0, 2.0]), Err(StatsError::TooShort { .. })));
+        // A coefficient list declaring more values than the input holds.
+        let mut w = Writer::new();
+        w.usize(0);
+        w.f64(1.0);
+        w.f64_seq(&[0.5, 0.25, 0.125]);
+        let mut bytes = w.into_bytes();
+        bytes.truncate(bytes.len() - 8);
+        let err = OneStep::decode(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, CodecError::Truncated { .. }), "{err:?}");
     }
 
     #[test]

@@ -13,14 +13,13 @@ use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for [`LinearModel::fit_prepared`]: the QR workspace
-/// plus the solution and fitted-value vectors. One scratch serves any
-/// sequence of fits of any size; buffers grow to the high-water mark and
-/// are reused allocation-free after that.
+/// plus the solution vector. One scratch serves any sequence of fits of
+/// any size; buffers grow to the high-water mark and are reused
+/// allocation-free after that.
 #[derive(Debug, Default)]
 pub struct OlsScratch {
     lstsq: LstsqScratch,
     beta: Vec<f64>,
-    fitted: Vec<f64>,
 }
 
 /// A fitted linear model `y = β₀ + β₁ x₁ + … + βₖ xₖ`.
@@ -48,9 +47,6 @@ pub struct OlsScratch {
 pub struct LinearModel {
     intercept: f64,
     coefficients: Vec<f64>,
-    r_squared: f64,
-    residual_std: f64,
-    n_obs: usize,
 }
 
 impl LinearModel {
@@ -150,28 +146,7 @@ impl LinearModel {
 
         let beta = &mut scratch.beta;
         lstsq_into(design, ys.len(), p, ys, &mut scratch.lstsq, beta)?;
-
-        let fitted = &mut scratch.fitted;
-        fitted.clear();
-        fitted.extend(
-            design
-                .chunks_exact(p)
-                .map(|row| row.iter().zip(beta.iter()).map(|(a, b)| a * b).sum::<f64>()),
-        );
-        let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
-        let ss_tot: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
-        let ss_res: f64 = ys.iter().zip(fitted.iter()).map(|(y, f)| (y - f).powi(2)).sum();
-        let r_squared = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
-        let dof = (ys.len() - p).max(1);
-        let residual_std = (ss_res / dof as f64).sqrt();
-
-        Ok(LinearModel {
-            intercept: beta[0],
-            coefficients: beta[1..].to_vec(),
-            r_squared,
-            residual_std,
-            n_obs: ys.len(),
-        })
+        Ok(LinearModel { intercept: beta[0], coefficients: beta[1..].to_vec() })
     }
 
     /// Predicts the response for one regressor row.
@@ -212,21 +187,6 @@ impl LinearModel {
         &self.coefficients
     }
 
-    /// Coefficient of determination R².
-    pub fn r_squared(&self) -> f64 {
-        self.r_squared
-    }
-
-    /// Residual standard deviation (√(SSR / dof)).
-    pub fn residual_std(&self) -> f64 {
-        self.residual_std
-    }
-
-    /// Number of observations used for the fit.
-    pub fn n_obs(&self) -> usize {
-        self.n_obs
-    }
-
     /// Number of regressors (excluding the intercept).
     pub fn n_regressors(&self) -> usize {
         self.coefficients.len()
@@ -239,9 +199,6 @@ impl LinearModel {
     pub fn encode(&self, w: &mut Writer) {
         w.f64(self.intercept);
         w.f64_seq(&self.coefficients);
-        w.f64(self.r_squared);
-        w.f64(self.residual_std);
-        w.usize(self.n_obs);
     }
 
     /// Decodes a model encoded by [`LinearModel::encode`].
@@ -251,13 +208,7 @@ impl LinearModel {
     /// [`CodecError`](crate::codec::CodecError) on truncated or
     /// malformed input.
     pub fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
-        Ok(LinearModel {
-            intercept: r.f64()?,
-            coefficients: r.f64_seq()?,
-            r_squared: r.f64()?,
-            residual_std: r.f64()?,
-            n_obs: r.usize()?,
-        })
+        Ok(LinearModel { intercept: r.f64()?, coefficients: r.f64_seq()? })
     }
 }
 
@@ -272,8 +223,7 @@ mod tests {
         let m = LinearModel::fit(&xs, &y).unwrap();
         assert!((m.intercept() - 5.0).abs() < 1e-9);
         assert!((m.coefficients()[0] + 1.5).abs() < 1e-9);
-        assert!((m.r_squared() - 1.0).abs() < 1e-12);
-        assert!(m.residual_std() < 1e-8);
+        assert!((r_squared(&m, &xs, &y) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -285,7 +235,18 @@ mod tests {
         assert!((m.coefficients()[0] - 2.0).abs() < 1e-8);
         assert!((m.coefficients()[1] + 3.0).abs() < 1e-8);
         assert_eq!(m.n_regressors(), 2);
-        assert_eq!(m.n_obs(), 30);
+    }
+
+    /// R² of `m`'s predictions on `(xs, ys)`, 1 for a constant response.
+    fn r_squared(m: &LinearModel, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
+        let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
+        let ss_tot: f64 = ys.iter().map(|y| (y - mean_y).powi(2)).sum();
+        let ss_res: f64 = xs.iter().zip(ys).map(|(x, y)| (y - m.predict(x).unwrap()).powi(2)).sum();
+        if ss_tot > 0.0 {
+            1.0 - ss_res / ss_tot
+        } else {
+            1.0
+        }
     }
 
     #[test]
@@ -294,8 +255,8 @@ mod tests {
         let ys: Vec<f64> =
             (0..100).map(|i| 2.0 * i as f64 + if i % 3 == 0 { 1.0 } else { -0.5 }).collect();
         let m = LinearModel::fit(&xs, &ys).unwrap();
-        assert!(m.r_squared() > 0.99);
-        assert!(m.residual_std() > 0.0);
+        let r2 = r_squared(&m, &xs, &ys);
+        assert!(r2 > 0.99 && r2 < 1.0, "{r2}");
     }
 
     #[test]
@@ -342,7 +303,8 @@ mod tests {
         let ys = vec![7.0; 5];
         let m = LinearModel::fit(&xs, &ys).unwrap();
         assert!((m.predict(&[3.0]).unwrap() - 7.0).abs() < 1e-9);
-        assert_eq!(m.r_squared(), 1.0);
+        assert!(m.coefficients()[0].abs() < 1e-9);
+        assert_eq!(r_squared(&m, &xs, &ys), 1.0);
     }
 
     #[test]
@@ -369,9 +331,6 @@ mod tests {
             for (a, b) in prepared.coefficients.iter().zip(&gathered.coefficients) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-            assert_eq!(prepared.r_squared.to_bits(), gathered.r_squared.to_bits());
-            assert_eq!(prepared.residual_std.to_bits(), gathered.residual_std.to_bits());
-            assert_eq!(prepared.n_obs, gathered.n_obs);
         }
     }
 

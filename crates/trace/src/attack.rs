@@ -213,13 +213,13 @@ impl AttackRecord {
     /// tests: snapshots must be monotone, end at the full magnitude, and
     /// cover the duration.
     pub fn is_consistent(&self) -> bool {
-        if self.hourly_bot_counts.is_empty() {
+        let Some(&last) = self.hourly_bot_counts.last() else {
             return false;
-        }
+        };
         if self.hourly_bot_counts.windows(2).any(|w| w[0] > w[1]) {
             return false;
         }
-        if *self.hourly_bot_counts.last().expect("nonempty") as usize != self.bots.len() {
+        if last as usize != self.bots.len() {
             return false;
         }
         let hours_needed = self.duration_secs.div_ceil(crate::time::HOUR).max(1);

@@ -227,6 +227,10 @@ impl FamilyCatalog {
     /// activity numbers and qualitative knobs chosen per the paper's
     /// characterization (DirtJumper dominant and stable, Pandora bursty,
     /// YZF short-lived, etc.).
+    #[allow(
+        clippy::expect_used,
+        reason = "fixed parameters that pass `FamilyCatalog::new`; the family tests build it"
+    )]
     pub fn icdcs2017() -> Self {
         // (name, avg/day, active days, CV, peak hr, diurnal amp, pool,
         //  mean magnitude, median duration s, target zipf, multistage p)
@@ -282,6 +286,11 @@ impl FamilyCatalog {
     /// intensity, burstiness, pool shape and preferences — the trace is
     /// the same process observed over a ~60× longer window, yielding
     /// ~5 M attacks instead of ~50 k.
+    #[allow(
+        clippy::expect_used,
+        reason = "scaling active days keeps every check of `FamilyCatalog::new` passing; the \
+                  family tests build it"
+    )]
     pub fn internet() -> Self {
         let mut families = FamilyCatalog::icdcs2017().families;
         for f in &mut families {
@@ -293,6 +302,11 @@ impl FamilyCatalog {
     /// A downscaled two-family catalog for fast unit tests: keeps the
     /// DirtJumper/Pandora contrast (very active & stable vs bursty) at a
     /// fraction of the volume.
+    #[allow(
+        clippy::expect_used,
+        reason = "downscaled parameters stay inside `FamilyCatalog::new`'s bounds; the bot \
+                  pool tests build it"
+    )]
     pub fn small() -> Self {
         let full = FamilyCatalog::icdcs2017();
         let mut dj = full.families[5].clone();

@@ -39,6 +39,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No library entry point panics: every failure is a typed error.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
 
 pub mod arrival;
 pub mod attack;

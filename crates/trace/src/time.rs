@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, Sub};
+use std::ops::Add;
 
 /// Seconds in a minute.
 pub const MINUTE: u64 = 60;
@@ -89,21 +89,6 @@ impl Add<u64> for Timestamp {
     }
 }
 
-impl Sub<Timestamp> for Timestamp {
-    type Output = u64;
-
-    /// Seconds elapsed from `rhs` to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rhs` is later than `self`.
-    fn sub(self, rhs: Timestamp) -> u64 {
-        self.0
-            .checked_sub(rhs.0)
-            .expect("timestamp subtraction went negative; use abs_diff for unordered pairs")
-    }
-}
-
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -148,15 +133,8 @@ mod tests {
         let a = Timestamp(100);
         let b = a + 50;
         assert_eq!(b.as_secs(), 150);
-        assert_eq!(b - a, 50);
         assert_eq!(a.abs_diff(b), 50);
         assert_eq!(b.abs_diff(a), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative")]
-    fn negative_subtraction_panics() {
-        let _ = Timestamp(1) - Timestamp(2);
     }
 
     #[test]
