@@ -17,9 +17,9 @@ use crate::graph::{AsGraph, Asn};
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// [`PairTable`] entry: the pair's distance is not known yet. Pairs at
-/// [`PAIR_UNREACHABLE`] hops or more keep this value for good, so the
-/// cone merge recomputes them exactly on every query.
+/// [`PairTable`] entry: the pair is 254 hops apart or more, too far to
+/// store below the sentinels, so every query recomputes its distance
+/// from the two slots' cones.
 const PAIR_UNKNOWN: u8 = u8::MAX;
 
 /// [`PairTable`] entry: no valley-free path joins the pair.
@@ -44,14 +44,14 @@ const NO_SLOT: u32 = u32::MAX;
 /// behind `Arc` so a cache hit clones a pointer, never a map.
 ///
 /// The batch query, [`PathOracle::mean_pairwise_distance`], reads a
-/// second cache, the pair-distance table: one byte per pair of endpoints
-/// it has seen, filled on first use, and found through a node-indexed
-/// slot array. Each distinct pair is intersected once per oracle, not
-/// once per call, and cones are only fetched for the pairs a call finds
-/// missing. With `m` distinct endpoints seen, the table holds `m(m−1)/2`
-/// bytes (about 100 KiB at 454 endpoints). A corpus keeps one oracle for
-/// its topology, so every stage that computes Eq. 4 over it shares both
-/// caches.
+/// second cache, the pair-distance table, which is complete over the
+/// endpoints it has seen. The first time a query sees an endpoint, the
+/// endpoint gets the next slot and its whole row, one byte per earlier
+/// slot, is filled in one pass; a query then only reads rows. With `m`
+/// endpoints seen, the table holds `m(m−1)/2` bytes (about 100 KiB at
+/// 454 endpoints), not one per pair of the graph's ASes. A corpus keeps
+/// one oracle for its topology, so every stage that computes Eq. 4 over
+/// it shares both caches.
 ///
 /// # Example
 ///
@@ -76,32 +76,34 @@ pub struct PathOracle {
     /// sharded model-fitting executor; a racing recompute inserts the
     /// identical cone, so caching stays pure. Hits clone the `Arc` only.
     uphill: RwLock<HashMap<u32, Arc<UphillCone>>>,
-    /// Valley-free distances between endpoints of the batch query, under
-    /// the same lock discipline: a racing fill stores the identical byte.
+    /// Valley-free distances between every two endpoints the batch query
+    /// has seen. Queries read it under the read lock; a query that brings
+    /// new endpoints fills their rows under the write lock.
     pairs: RwLock<PairTable>,
 }
 
-/// Triangular pair-distance table over dense endpoint *slots*. An AS
-/// gets the next slot the first time the batch query sees it; the pair of
-/// slots `a < b` lives at byte `b(b−1)/2 + a`, so a new slot only
-/// appends its row. A byte holds the distance (0–253),
-/// [`PAIR_UNREACHABLE`] or [`PAIR_UNKNOWN`].
+/// Triangular pair-distance table over dense endpoint *slots*, complete:
+/// every pair of slots holds its distance (0–253), [`PAIR_UNREACHABLE`],
+/// or [`PAIR_UNKNOWN`] when it is 254 hops apart or more. The pair of
+/// slots `a < b` lives at byte `b(b−1)/2 + a`, so slot `b`'s row is the
+/// `b` bytes from `b(b−1)/2` on.
 #[derive(Debug, Default)]
 struct PairTable {
     /// Dense node id → slot, or [`NO_SLOT`]. Grown on demand up to the
     /// largest node id seen, so a lookup is one array read.
     slots: Vec<u32>,
-    /// Number of slots handed out.
-    len: u32,
+    /// Slot → its endpoint's cone; the length is the number of slots.
+    cones: Vec<Arc<UphillCone>>,
     dist: Vec<u8>,
+    /// Node-indexed fill scratch: `reach` distance + 1 of the cone being
+    /// filled, 0 everywhere else between fills.
+    scratch: Vec<u32>,
 }
 
 impl PairTable {
-    /// Byte offset of the pair of two *distinct* slots.
-    fn index(a: u32, b: u32) -> usize {
-        debug_assert_ne!(a, b, "a pair needs two distinct slots");
-        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
-        hi * (hi - 1) / 2 + lo
+    /// First byte of slot `s`'s row.
+    fn row_start(s: usize) -> usize {
+        s * s.saturating_sub(1) / 2
     }
 
     /// The slot of `node`, or `None` before the batch query has seen it.
@@ -109,60 +111,97 @@ impl PairTable {
         self.slots.get(node.index()).copied().filter(|&s| s != NO_SLOT)
     }
 
-    /// The slot of `node`, assigning the next one on first sight. The
-    /// row grows and the count moves before the slot is published, so a
-    /// panic in between leaves spare bytes, never a slot past the end of
-    /// the table or two nodes on one slot.
-    fn slot(&mut self, node: NodeId) -> u32 {
-        if let Some(s) = self.slot_of(node) {
-            return s;
+    /// Gives `node` the next slot, `cone` being its cone over a topology
+    /// of `nodes` ASes, and fills its row against every earlier slot in
+    /// one pass: the new cone's `reach` is scattered into the node-indexed
+    /// scratch, and each earlier cone's `entries` read from it, which is
+    /// [`UphillCone::distance_to`] from the new endpoint (the distance is
+    /// symmetric). The row is written before the cone is pushed and the
+    /// slot published, so a panic during the fill leaves an unpublished
+    /// row that the next fill truncates and rewrites, never a slot with
+    /// a half-built row. The scratch is taken out while it holds the
+    /// cone, so such a panic drops it rather than leave stale entries.
+    fn insert(&mut self, node: NodeId, cone: Arc<UphillCone>, nodes: usize) {
+        if self.slot_of(node).is_some() {
+            return;
         }
-        let s = self.len;
-        self.dist.resize(s as usize * (s as usize + 1) / 2, PAIR_UNKNOWN);
+        let s = self.cones.len();
         if self.slots.len() <= node.index() {
             self.slots.resize(node.index() + 1, NO_SLOT);
         }
-        self.len += 1;
-        self.slots[node.index()] = s;
-        s
-    }
-
-    /// `None` when the pair is not known; else its distance.
-    fn get(&self, a: u32, b: u32) -> Option<Option<u32>> {
-        match self.dist[Self::index(a, b)] {
-            PAIR_UNKNOWN => None,
-            PAIR_UNREACHABLE => Some(None),
-            d => Some(Some(u32::from(d))),
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.resize(nodes, 0);
+        for e in &cone.reach {
+            scratch[e.node as usize] = e.dist + 1;
         }
+        self.dist.truncate(Self::row_start(s));
+        self.dist.extend(self.cones.iter().map(|earlier| {
+            let best = earlier
+                .entries
+                .iter()
+                .filter_map(|e| scratch[e.node as usize].checked_sub(1).map(|r| r + e.dist))
+                .min();
+            match best {
+                None => PAIR_UNREACHABLE,
+                Some(d) => {
+                    u8::try_from(d).ok().filter(|&d| d < PAIR_UNREACHABLE).unwrap_or(PAIR_UNKNOWN)
+                }
+            }
+        }));
+        for e in &cone.reach {
+            scratch[e.node as usize] = 0;
+        }
+        self.scratch = scratch;
+        self.cones.push(cone);
+        self.slots[node.index()] = s as u32;
     }
 
-    /// Records a computed distance. Distances that do not fit below the
-    /// sentinels are left unknown rather than truncated.
-    fn set(&mut self, a: u32, b: u32, d: Option<u32>) {
-        let byte = match d {
-            None => PAIR_UNREACHABLE,
-            Some(d) if d < u32::from(PAIR_UNREACHABLE) => d as u8,
-            Some(_) => return,
-        };
-        self.dist[Self::index(a, b)] = byte;
-    }
-
-    /// Calls `f(i, j, distance)` for every pair `i < j` of `slots` the
-    /// table knows, and queues the others on `misses`.
-    fn walk(
-        &self,
-        slots: &[u32],
-        f: &mut impl FnMut(usize, usize, Option<u32>),
-        misses: &mut Vec<(usize, usize)>,
-    ) {
-        for (j, &sj) in slots.iter().enumerate().skip(1) {
-            for (i, &si) in slots[..j].iter().enumerate() {
-                match self.get(si, sj) {
-                    Some(d) => f(i, j, d),
-                    None => misses.push((i, j)),
+    /// The exact sums of Eq. 4's mean over distinct endpoints with their
+    /// multiplicities `(node, c)`: `(Σ d·c_i·c_j, Σ c_i·c_j)` over the
+    /// reachable pairs. The endpoints are sorted by slot, and for each
+    /// `j` row `j`'s bytes are read at the earlier slots with one
+    /// sentinel test per pair; only a row holding a [`PAIR_UNKNOWN`]
+    /// byte is read again, to recompute those pairs from their two
+    /// cones. `Err` lists the endpoints that have no slot yet.
+    fn sums(&self, nodes: &[(NodeId, u64)]) -> Result<(u64, u64), Vec<NodeId>> {
+        let mut slotted: Vec<(usize, u64)> = Vec::with_capacity(nodes.len());
+        for &(n, c) in nodes {
+            match self.slot_of(n) {
+                Some(s) => slotted.push((s as usize, c)),
+                None => {
+                    let missing = nodes.iter().map(|&(n, _)| n);
+                    return Err(missing.filter(|&n| self.slot_of(n).is_none()).collect());
                 }
             }
         }
+        slotted.sort_unstable_by_key(|&(s, _)| s);
+        let (mut total, mut count) = (0u64, 0u64);
+        for (j, &(sj, cj)) in slotted.iter().enumerate().skip(1) {
+            let row = &self.dist[Self::row_start(sj)..][..sj];
+            let (mut row_total, mut row_count, mut far) = (0u64, 0u64, false);
+            for &(si, ci) in &slotted[..j] {
+                let d = row[si];
+                if d < PAIR_UNREACHABLE {
+                    row_total += u64::from(d) * ci;
+                    row_count += ci;
+                } else {
+                    far |= d == PAIR_UNKNOWN;
+                }
+            }
+            if far {
+                for &(si, ci) in &slotted[..j] {
+                    if row[si] == PAIR_UNKNOWN {
+                        if let Some(d) = self.cones[si].distance_to(&self.cones[sj]) {
+                            row_total += u64::from(d) * ci;
+                            row_count += ci;
+                        }
+                    }
+                }
+            }
+            total += row_total * cj;
+            count += row_count * cj;
+        }
+        Ok((total, count))
     }
 }
 
@@ -294,54 +333,6 @@ impl PathOracle {
         self.cone(na).distance_to(&self.cone(nb))
     }
 
-    /// Calls `f(i, j, hop distance)` once for every pair `i < j` of the
-    /// *distinct* endpoints `ids`, in no fixed order. Known pairs come
-    /// from the pair table under one read lock (one write lock instead
-    /// when an endpoint is new and needs a slot); the misses are computed
-    /// by [`UphillCone::distance_to`] outside any lock, fetching each
-    /// endpoint's cone at most once, and then recorded under one write
-    /// lock. Poison recovery follows [`PathOracle::cone`]: every table
-    /// update is a single byte store or a grow-then-publish slot, and
-    /// entries are pure, so a poisoned table is still a correct one.
-    fn for_each_pair(&self, ids: &[NodeId], mut f: impl FnMut(usize, usize, Option<u32>)) {
-        let mut slots: Vec<u32> = Vec::with_capacity(ids.len());
-        let mut misses: Vec<(usize, usize)> = Vec::new();
-        {
-            let table = self.pairs.read().unwrap_or_else(PoisonError::into_inner);
-            slots.extend(ids.iter().map_while(|&n| table.slot_of(n)));
-            if slots.len() == ids.len() {
-                table.walk(&slots, &mut f, &mut misses);
-            }
-        }
-        if slots.len() < ids.len() {
-            let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
-            slots.clear();
-            slots.extend(ids.iter().map(|&n| table.slot(n)));
-            table.walk(&slots, &mut f, &mut misses);
-        }
-        if misses.is_empty() {
-            return;
-        }
-        let mut cones: Vec<Option<Arc<UphillCone>>> = vec![None; ids.len()];
-        let mut cone = |x: usize| Arc::clone(cones[x].get_or_insert_with(|| self.cone(ids[x])));
-        let computed: Vec<Option<u32>> = misses
-            .iter()
-            .map(|&(i, j)| {
-                let (from, to) = (cone(i), cone(j));
-                from.distance_to(&to)
-            })
-            .collect();
-        {
-            let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
-            for (&(i, j), &d) in misses.iter().zip(&computed) {
-                table.set(slots[i], slots[j], d);
-            }
-        }
-        for (&(i, j), d) in misses.iter().zip(computed) {
-            f(i, j, d);
-        }
-    }
-
     /// Mean pairwise valley-free hop distance over a set of ASes — the
     /// `DT` term of the paper's Eq. 4. Unreachable pairs are skipped;
     /// returns 0.0 when fewer than two distinct reachable ASes are given.
@@ -350,29 +341,42 @@ impl PathOracle {
     /// ascending input, such as an attack's ASN histogram, already is
     /// one): every ordered pair of distinct values `x ≠ y` in the naive
     /// `i < j` loop contributes `c_x · c_y` occurrences of the same
-    /// distance. Each distinct pair's distance comes from the oracle's
-    /// pair-distance table (computed once per oracle, see
-    /// [`PathOracle`]), and the totals are exact `u64` sums, which no
-    /// visiting order can change, so the result is bit-identical to the
-    /// per-occurrence loop on a cold, reused or shared oracle alike.
+    /// distance. The distances are read from the oracle's complete
+    /// pair-distance table (see [`PathOracle`]) under its read lock. A
+    /// query that brings endpoints the table has not seen fetches their
+    /// cones outside any lock, then fills their rows and sums under one
+    /// write lock. The totals are exact `u64` sums, which no slot order
+    /// or visiting order can change, so the result is bit-identical to
+    /// the per-occurrence loop on a cold, reused or shared oracle alike.
+    /// Poison recovery follows the cone cache: a row is published
+    /// only once it is whole, so a poisoned table is still a correct one.
     pub fn mean_pairwise_distance(&self, asns: &[Asn]) -> f64 {
         let node = |a: Asn, c: usize| Some((self.dense.node_id(a)?, c as u64));
-        let (ids, counts): (Vec<NodeId>, Vec<u64>) = if asns.is_sorted_by(|a, b| a < b) {
-            asns.iter().filter_map(|&a| node(a, 1)).unzip()
+        let nodes: Vec<(NodeId, u64)> = if asns.is_sorted_by(|a, b| a < b) {
+            asns.iter().filter_map(|&a| node(a, 1)).collect()
         } else {
             let mut sorted = asns.to_vec();
             sorted.sort_unstable();
-            sorted.chunk_by(|a, b| a == b).filter_map(|run| node(run[0], run.len())).unzip()
+            sorted.chunk_by(|a, b| a == b).filter_map(|run| node(run[0], run.len())).collect()
         };
-        let mut total = 0u64;
-        let mut count = 0u64;
-        self.for_each_pair(&ids, |i, j, d| {
-            if let Some(d) = d {
-                let pairs = counts[i] * counts[j];
-                total += u64::from(d) * pairs;
-                count += pairs;
+        if nodes.len() < 2 {
+            return 0.0;
+        }
+        let mut sums = self.pairs.read().unwrap_or_else(PoisonError::into_inner).sums(&nodes);
+        let (total, count) = loop {
+            match sums {
+                Ok(sums) => break sums,
+                Err(missing) => {
+                    let cones: Vec<Arc<UphillCone>> =
+                        missing.iter().map(|&n| self.cone(n)).collect();
+                    let mut table = self.pairs.write().unwrap_or_else(PoisonError::into_inner);
+                    for (&n, cone) in missing.iter().zip(cones) {
+                        table.insert(n, cone, self.dense.len());
+                    }
+                    sums = table.sums(&nodes);
+                }
             }
-        });
+        };
         if count == 0 {
             0.0
         } else {
@@ -427,6 +431,13 @@ mod tests {
         } else {
             total as f64 / count as f64
         }
+    }
+
+    /// The table byte of the pair of two distinct slots.
+    fn byte(table: &PairTable, a: u32, b: u32) -> u8 {
+        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
+        assert_ne!(lo, hi, "a pair needs two distinct slots");
+        table.dist[PairTable::row_start(hi) + lo]
     }
 
     #[test]
@@ -707,7 +718,7 @@ mod tests {
         assert_eq!(o.mean_pairwise_distance(&[Asn(4), Asn(5)]), 4.0);
         let table = o.pairs.read().unwrap_or_else(PoisonError::into_inner);
         let slot = |a: Asn| table.slot_of(g.dense().node_id(a).unwrap()).unwrap();
-        assert_eq!(table.get(slot(Asn(2)), slot(Asn(6))), Some(Some(2)));
+        assert_eq!(byte(&table, slot(Asn(2)), slot(Asn(6))), 2);
     }
 
     /// Two customer chains of `len` ASes hanging off one tier-1 AS: the
@@ -756,10 +767,10 @@ mod tests {
         // stay unknown, recomputed by the cone merge on every query.
         let table = o.pairs.read().unwrap();
         let slot = |a: Asn| table.slot_of(g.dense().node_id(a).unwrap()).unwrap();
-        assert_eq!(table.get(slot(a126), slot(b127)), Some(Some(253)));
-        assert_eq!(table.get(slot(a127), slot(b127)), None);
-        assert_eq!(table.get(slot(a130), slot(b130)), None);
-        assert_eq!(table.get(slot(a126), slot(a130)), Some(Some(4)));
+        assert_eq!(byte(&table, slot(a126), slot(b127)), 253);
+        assert_eq!(byte(&table, slot(a127), slot(b127)), PAIR_UNKNOWN);
+        assert_eq!(byte(&table, slot(a130), slot(b130)), PAIR_UNKNOWN);
+        assert_eq!(byte(&table, slot(a126), slot(a130)), 4);
     }
 
     #[test]
@@ -784,10 +795,101 @@ mod tests {
         }
         let table = o.pairs.read().unwrap();
         let slot = |a: Asn| table.slot_of(g.dense().node_id(a).unwrap()).unwrap();
-        assert_eq!(table.get(slot(Asn(1002)), slot(Asn(10))), Some(None));
-        assert_eq!(table.get(slot(Asn(10)), slot(Asn(2002))), Some(None));
-        assert_eq!(table.get(slot(Asn(1002)), slot(Asn(2002))), Some(Some(4)));
+        assert_eq!(byte(&table, slot(Asn(1002)), slot(Asn(10))), PAIR_UNREACHABLE);
+        assert_eq!(byte(&table, slot(Asn(10)), slot(Asn(2002))), PAIR_UNREACHABLE);
+        assert_eq!(byte(&table, slot(Asn(1002)), slot(Asn(2002))), 4);
         assert_eq!(table.dist.len(), 3);
+    }
+
+    /// The complete-table invariant: every slot has a cone and a whole
+    /// row, and every pair of slots holds the byte its hop distance
+    /// gives: the distance below 254, [`PAIR_UNREACHABLE`] when no path
+    /// joins it, and [`PAIR_UNKNOWN`] only at 254 hops or more. Every
+    /// AS a query saw together with another known AS has a slot.
+    fn assert_table_complete(g: &AsGraph, o: &PathOracle, queried: &[Asn]) {
+        let table = o.pairs.read().unwrap();
+        let dense = g.dense();
+        let mut by_slot = vec![None; table.cones.len()];
+        for (node, &s) in table.slots.iter().enumerate() {
+            if s != NO_SLOT {
+                assert!(by_slot[s as usize].replace(dense.asn(NodeId(node as u32))).is_none());
+            }
+        }
+        let by_slot: Vec<Asn> =
+            by_slot.into_iter().map(|a| a.expect("every slot published")).collect();
+        for a in queried {
+            assert!(
+                dense.node_id(*a).is_none_or(|n| table.slot_of(n).is_some()),
+                "{a} has no slot"
+            );
+        }
+        assert_eq!(table.dist.len(), PairTable::row_start(by_slot.len()));
+        for (b, &asn_b) in by_slot.iter().enumerate() {
+            for (a, &asn_a) in by_slot[..b].iter().enumerate() {
+                let want = match o.hop_distance(asn_a, asn_b) {
+                    None => PAIR_UNREACHABLE,
+                    Some(d) if d < 254 => d as u8,
+                    Some(_) => PAIR_UNKNOWN,
+                };
+                assert_eq!(byte(&table, a as u32, b as u32), want, "{asn_a} – {asn_b}");
+            }
+        }
+    }
+
+    #[test]
+    fn long_and_unreachable_pairs_keep_the_table_complete() {
+        let mut g = twin_chains(130);
+        g.add_as(Asn(9), Tier::Tier1, 0);
+        g.add_as(Asn(10), Tier::Stub, 0);
+        g.add_edge(Asn(9), Asn(10), Relationship::Customer).unwrap();
+        let o = PathOracle::new(&g);
+        let batches: [&[Asn]; 4] = [
+            &[Asn(1130), Asn(2130)],
+            &[Asn(10), Asn(1126), Asn(2127), Asn(1)],
+            &[Asn(2127), Asn(2127), Asn(1002)],
+            &[Asn(1130), Asn(10), Asn(2001), Asn(1127)],
+        ];
+        let mut queried = Vec::new();
+        for batch in batches {
+            assert_eq!(
+                o.mean_pairwise_distance(batch).to_bits(),
+                per_pair_mean(&o, batch).to_bits()
+            );
+            queried.extend_from_slice(batch);
+            assert_table_complete(&g, &o, &queried);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// After any sequence of batch queries (repeats, single ASes and
+        /// ASNs the topology lacks included) the table is complete.
+        #[test]
+        fn table_stays_complete_over_any_query_sequence(
+            seed in 0u64..500,
+            batches in proptest::collection::vec(
+                proptest::collection::vec(0usize..80, 0..12), 1..8),
+        ) {
+            let g = TopologyGenerator::new(TopologyConfig::small(), seed).generate().unwrap();
+            let known: Vec<Asn> = g.asns().collect();
+            let o = PathOracle::new(&g);
+            let mut queried = Vec::new();
+            for picks in &batches {
+                let batch: Vec<Asn> = picks
+                    .iter()
+                    .map(|&p| known[p * known.len() / 80])
+                    .chain((picks.len() % 3 == 0).then_some(Asn(u32::MAX - 1)))
+                    .collect();
+                o.mean_pairwise_distance(&batch);
+                let distinct: std::collections::BTreeSet<Asn> =
+                    batch.iter().copied().filter(|a| g.contains(*a)).collect();
+                if distinct.len() >= 2 {
+                    queried.extend(distinct);
+                }
+                assert_table_complete(&g, &o, &queried);
+            }
+        }
     }
 
     #[test]

@@ -56,8 +56,16 @@ fn temporal_series(corpus: &Corpus) -> Vec<Vec<f64>> {
     out
 }
 
+/// The full bench names of `ids` in `group`, for `Criterion::selects`.
+fn in_group(group: &str, ids: &[&str]) -> Vec<String> {
+    ids.iter().map(|id| format!("{group}/{id}")).collect()
+}
+
 /// E1 — Table I regeneration.
 fn bench_table1(c: &mut Criterion) {
+    if !c.selects(["table1_activity_levels"]) {
+        return;
+    }
     let corpus = small_corpus();
     c.bench_function("table1_activity_levels", |b| {
         b.iter(|| ActivityTable::compute(black_box(corpus)).unwrap())
@@ -66,6 +74,9 @@ fn bench_table1(c: &mut Criterion) {
 
 /// E2 — Fig. 1 temporal experiment (fit + rolling predict, all families).
 fn bench_fig1_temporal(c: &mut Criterion) {
+    if !c.selects(in_group("fig1_temporal", &["run_temporal"])) {
+        return;
+    }
     let corpus = small_corpus();
     let mut g = c.benchmark_group("fig1_temporal");
     g.sample_size(10);
@@ -77,6 +88,9 @@ fn bench_fig1_temporal(c: &mut Criterion) {
 
 /// E3 — Fig. 2 spatial source-distribution experiment.
 fn bench_fig2_spatial(c: &mut Criterion) {
+    if !c.selects(in_group("fig2_spatial", &["run_spatial_distribution"])) {
+        return;
+    }
     let corpus = small_corpus();
     let mut g = c.benchmark_group("fig2_spatial");
     g.sample_size(10);
@@ -88,6 +102,9 @@ fn bench_fig2_spatial(c: &mut Criterion) {
 
 /// E4 — Fig. 3 spatiotemporal experiment (fit + predict).
 fn bench_fig3_spatiotemporal(c: &mut Criterion) {
+    if !c.selects(in_group("fig3_spatiotemporal", &["run_spatiotemporal"])) {
+        return;
+    }
     let corpus = small_corpus();
     let mut g = c.benchmark_group("fig3_spatiotemporal");
     g.sample_size(10);
@@ -99,6 +116,9 @@ fn bench_fig3_spatiotemporal(c: &mut Criterion) {
 
 /// E5 — Fig. 4 error-distribution construction from a fitted report.
 fn bench_fig4_errors(c: &mut Criterion) {
+    if !c.selects(["fig4_error_distributions"]) {
+        return;
+    }
     let corpus = small_corpus();
     let report = pipeline(42).run_spatiotemporal(corpus).unwrap();
     eprintln!(
@@ -116,6 +136,9 @@ fn bench_fig4_errors(c: &mut Criterion) {
 
 /// E6 — §VII-A baseline comparison.
 fn bench_comparison_baselines(c: &mut Criterion) {
+    if !c.selects(in_group("comparison_baselines", &["run_baseline_comparison"])) {
+        return;
+    }
     let corpus = small_corpus();
     let mut g = c.benchmark_group("comparison_baselines");
     g.sample_size(10);
@@ -127,6 +150,9 @@ fn bench_comparison_baselines(c: &mut Criterion) {
 
 /// E7 — Fig. 5 use-case simulators.
 fn bench_usecases(c: &mut Criterion) {
+    if !c.selects(["usecase_as_filtering_replay", "usecase_middlebox_compare"]) {
+        return;
+    }
     let corpus = small_corpus();
     c.bench_function("usecase_as_filtering_replay", |b| {
         let sim = ddos_core::usecases::AsFilteringSimulator::new();
@@ -142,6 +168,9 @@ fn bench_usecases(c: &mut Criterion) {
 
 /// Ablation: fixed ARIMA order vs AIC-searched.
 fn bench_ablation_arima_order(c: &mut Criterion) {
+    if !c.selects(in_group("ablation_arima_order", &["fixed_2_0_1", "aic_search"])) {
+        return;
+    }
     let series = magnitude_series();
     let fixed_rmse = {
         let cut = series.len() * 8 / 10;
@@ -168,6 +197,9 @@ fn bench_ablation_arima_order(c: &mut Criterion) {
 
 /// Ablation: fixed NAR architecture vs grid search.
 fn bench_ablation_nar_grid(c: &mut Criterion) {
+    if !c.selects(in_group("ablation_nar_grid", &["fixed_architecture", "grid_search"])) {
+        return;
+    }
     let series = duration_series();
     let quick_train = TrainConfig { max_epochs: 100, patience: 15, ..Default::default() };
     let mut g = c.benchmark_group("ablation_nar_grid");
@@ -202,6 +234,19 @@ fn bench_ablation_nar_grid(c: &mut Criterion) {
 /// tie; on an N-core host the parallel rows should approach N× on the
 /// grid search, whose cells dominate the fitting cost.
 fn bench_parallel_executor(c: &mut Criterion) {
+    if !c.selects(in_group(
+        "parallel_executor",
+        &[
+            "grid_search_serial_1thread",
+            "grid_search_parallel_4threads",
+            "pipeline_temporal_serial_1thread",
+            "pipeline_temporal_parallel_4threads",
+            "pipeline_durations_serial_1thread",
+            "pipeline_durations_parallel_4threads",
+        ],
+    )) {
+        return;
+    }
     let series = duration_series();
     let quick_train = TrainConfig { max_epochs: 150, patience: 15, ..Default::default() };
     let spec = GridSpec { delays: vec![2, 3, 4], hidden: vec![4, 8], train: quick_train };
@@ -235,6 +280,9 @@ fn bench_parallel_executor(c: &mut Criterion) {
 
 /// Ablation: MLR vs constant model-tree leaves on the ST trees.
 fn bench_ablation_tree_leaves(c: &mut Criterion) {
+    if !c.selects(in_group("ablation_tree_leaves", &["mlr_leaves", "constant_leaves"])) {
+        return;
+    }
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
     let mut g = c.benchmark_group("ablation_tree_leaves");
@@ -256,6 +304,9 @@ fn bench_ablation_tree_leaves(c: &mut Criterion) {
 
 /// Ablation: the paper's 0.88 pruning vs none.
 fn bench_ablation_pruning(c: &mut Criterion) {
+    if !c.selects(in_group("ablation_pruning", &["pruned_088", "unpruned"])) {
+        return;
+    }
     let corpus = small_corpus();
     let (train, test) = corpus.split(0.8).unwrap();
     for (name, retention) in [("pruned_088", Some(0.88)), ("unpruned", None)] {
@@ -286,6 +337,9 @@ fn bench_ablation_pruning(c: &mut Criterion) {
 /// Ablation: the Eq. 3–4 silhouette-style `A^s` vs a naive AS-count
 /// feature.
 fn bench_ablation_source_feature(c: &mut Criterion) {
+    if !c.selects(in_group("ablation_source_feature", &["silhouette_a_s", "naive_as_count"])) {
+        return;
+    }
     let corpus = small_corpus();
     let fx = FeatureExtractor::new(corpus);
     let fam = corpus.catalog().most_active(1)[0];
@@ -303,6 +357,9 @@ fn bench_ablation_source_feature(c: &mut Criterion) {
 
 /// Extension: family attribution from source-AS distributions (§VII-B).
 fn bench_attribution(c: &mut Criterion) {
+    if !c.selects(in_group("attribution", &["fit_profiles", "attribute_one"])) {
+        return;
+    }
     let corpus = small_corpus();
     let (train, test) = corpus.split(0.8).unwrap();
     let attributor = ddos_core::attribution::FamilyAttributor::fit(train).unwrap();
@@ -322,6 +379,9 @@ fn bench_attribution(c: &mut Criterion) {
 fn bench_entropy_detection(c: &mut Criterion) {
     use ddos_core::detection::{DetectorConfig, EntropyDetector};
     use rand::{Rng, SeedableRng};
+    if !c.selects(in_group("entropy_detection", &["calibrate", "scan_2000_connections"])) {
+        return;
+    }
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let benign: Vec<ddos_astopo::Asn> =
         (0..6_000).map(|_| ddos_astopo::Asn(rng.gen_range(0..60))).collect();
@@ -355,6 +415,19 @@ fn bench_entropy_detection(c: &mut Criterion) {
 /// `BENCH_features.json`; outputs are bit-identical across the change
 /// (`goldencheck` + the determinism suite are the oracles).
 fn bench_flat_hot_paths(c: &mut Criterion) {
+    if !c.selects(in_group(
+        "flat_hot_paths",
+        &[
+            "source_distribution_series_100",
+            "mean_pairwise_distance_32asns",
+            "hop_distance_pair_loop_32asns",
+            "source_distribution_corpus_cold",
+            "temporal_order_search_corpus",
+            "nar_train_120_epochs",
+        ],
+    )) {
+        return;
+    }
     let corpus = small_corpus();
     let fx = FeatureExtractor::new(corpus);
     let fam = corpus.catalog().most_active(1)[0];
@@ -438,6 +511,19 @@ fn bench_flat_hot_paths(c: &mut Criterion) {
 /// the oracle).
 fn bench_cart_fit(c: &mut Criterion) {
     use ddos_cart::tree::{RegressionTree, TreeConfig};
+    if !c.selects(in_group(
+        "cart_fit",
+        &[
+            "st_design_mlr_leaves",
+            "st_design_constant_leaves",
+            "st_design_8_trees_shared_grower",
+            "refit_window_8_trees_shared_grower",
+            "synthetic_4000x13_mlr_leaves",
+            "synthetic_4000x13_constant_leaves",
+        ],
+    )) {
+        return;
+    }
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
     let st_cfg = SpatioTemporalConfig::fast();
@@ -533,6 +619,18 @@ fn bench_serve_batch(c: &mut Criterion) {
     use ddos_cart::tree::RegressionTree;
     use ddos_core::artifact::ModelArtifact;
     use ddos_core::spatiotemporal::ForecastScratch;
+    if !c.selects(in_group(
+        "serve_batch",
+        &[
+            "per_row_predict_481x13",
+            "forecast_rows_into_1",
+            "forecast_rows_into_64",
+            "artifact_encode_spatiotemporal",
+            "artifact_decode_spatiotemporal",
+        ],
+    )) {
+        return;
+    }
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
     let st_cfg = SpatioTemporalConfig::fast();
@@ -586,6 +684,12 @@ fn bench_serve_batch(c: &mut Criterion) {
 /// headroom on this machine only.
 fn bench_ensemble_fit(c: &mut Criterion) {
     use ddos_cart::ensemble::{BaggedForest, BoostConfig, BoostedTrees, ForestConfig};
+    if !c.selects(in_group(
+        "ensemble_fit",
+        &["forest16_481x13_1worker", "forest16_481x13_allcores", "boosted_481x13_earlystop"],
+    )) {
+        return;
+    }
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
     let st_cfg = SpatioTemporalConfig::fast();
@@ -612,6 +716,9 @@ fn bench_ensemble_fit(c: &mut Criterion) {
 /// The `ensemble_forest_fit` goldencheck line pins its outputs.
 fn bench_ensemble_serve(c: &mut Criterion) {
     use ddos_cart::ensemble::{BaggedForest, ForestConfig};
+    if !c.selects(in_group("ensemble_serve", &["forest_per_row_481x13"])) {
+        return;
+    }
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
     let st_cfg = SpatioTemporalConfig::fast();
@@ -650,6 +757,9 @@ fn bench_serve_service(c: &mut Criterion) {
     use ddos_serve::{BatchPolicy, ForecastRequest, ForecastService, ServeConfig};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
+    if !c.selects(in_group("serve_service", &["round_trip_unbatched", "burst_256_microbatch_64"])) {
+        return;
+    }
 
     let corpus = small_corpus();
     let (train, _) = corpus.split(0.8).unwrap();
@@ -759,6 +869,9 @@ fn bench_serve_service(c: &mut Criterion) {
 /// inline `f64::tanh` loop: the library has no libm path to call.
 fn bench_tanh_kernel(c: &mut Criterion) {
     use ddos_neural::kernel::tanh_fast_slice;
+    if !c.selects(in_group("tanh_kernel", &["libm_slice_4096", "fast_slice_4096"])) {
+        return;
+    }
     fn libm_slice(xs: &mut [f64]) {
         for x in xs {
             *x = x.tanh();
@@ -795,6 +908,11 @@ fn bench_tanh_kernel(c: &mut Criterion) {
 fn bench_qr_reuse(c: &mut Criterion) {
     use ddos_stats::ols::{LinearModel, OlsScratch};
     use rand::{Rng, SeedableRng};
+    if !c
+        .selects(in_group("qr_reuse", &["fit_64x14", "fit_prepared_64x14", "fit_prepared_4096x14"]))
+    {
+        return;
+    }
     let mut rng = rand::rngs::StdRng::seed_from_u64(23);
     // A typical MLR leaf on the spatiotemporal design: 64 rows, 13
     // features (+ intercept).
@@ -839,6 +957,12 @@ fn bench_topo_100k(c: &mut Criterion) {
     use ddos_astopo::gen::{TopologyConfig, TopologyGenerator};
     use ddos_astopo::paths::PathOracle;
     use ddos_astopo::Tier;
+    if !c.selects(in_group(
+        "topo_100k",
+        &["mean_pairwise_distance_64stubs_cold", "mean_pairwise_distance_64stubs_warm"],
+    )) {
+        return;
+    }
     let built = std::time::Instant::now();
     let g100k = TopologyGenerator::new(TopologyConfig::internet(), 42).generate().unwrap();
     eprintln!("[topo_100k] generated {} ASes in {:.1?}", g100k.len(), built.elapsed());
@@ -864,6 +988,19 @@ fn bench_topo_100k(c: &mut Criterion) {
 fn bench_scenario(c: &mut Criterion) {
     use ddos_core::drift::DriftConfig;
     use ddos_trace::{CorpusConfig, CorpusStream, ScenarioPolicy};
+    if !c.selects(in_group(
+        "scenario",
+        &[
+            "stream_small_stationary",
+            "stream_small_rotation-burst",
+            "stream_small_target-migration",
+            "drift_report_rotation_burst",
+            "participants_burst",
+            "columnar_encode_group",
+        ],
+    )) {
+        return;
+    }
     let mut g = c.benchmark_group("scenario");
     g.sample_size(10);
     for policy in

@@ -9,16 +9,18 @@
 use crate::variables::{BotnetState, TargetProfile, TimestampParts};
 use crate::{ModelError, Result};
 use ddos_astopo::paths::PathOracle;
-use ddos_astopo::Asn;
+use ddos_astopo::{Asn, DenseTopology};
 use ddos_trace::{AttackRecord, Corpus, FamilyId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Feature extractor over one corpus.
 ///
 /// It borrows the corpus's memoized distance oracle, so every extractor
 /// built on one corpus (and the stages that build them) shares one cone
-/// cache and one pair table: a second extractor starts warm. Building
-/// one costs only the per-AS address-space table.
+/// cache and one complete pair table: a second extractor starts warm.
+/// Building one costs only the per-AS address-space table, indexed by
+/// dense node id so that Eq. 4 finds each `N_{AS_j}` in O(1).
 ///
 /// # Example
 ///
@@ -41,18 +43,44 @@ use std::collections::BTreeMap;
 pub struct FeatureExtractor<'c> {
     corpus: &'c Corpus,
     oracle: &'c PathOracle,
-    /// Total IPv4 addresses allocated per AS (the `N_{AS_j}` of Eq. 4),
-    /// ascending by ASN.
-    as_space: Vec<(Asn, u64)>,
+    dense: Arc<DenseTopology>,
+    /// The `N_{AS_j}` of Eq. 4 by dense node id: the IPv4 addresses
+    /// allocated to the AS, or 1 for an AS with none.
+    space_by_node: Vec<u64>,
+    /// The same for the ASes the address map holds but the topology
+    /// does not, ascending by ASN.
+    space_off_topology: Vec<(Asn, u64)>,
 }
 
 impl<'c> FeatureExtractor<'c> {
     /// Builds an extractor (precomputes the per-AS address-space table).
     pub fn new(corpus: &'c Corpus) -> Self {
+        let dense = corpus.topology().dense();
+        let mut space_by_node = vec![1; dense.len()];
+        let mut space_off_topology = Vec::new();
+        for (asn, space) in corpus.ip_map().address_space_by_asn() {
+            match dense.node_id(asn) {
+                Some(node) => space_by_node[node.index()] = space.max(1),
+                None => space_off_topology.push((asn, space.max(1))),
+            }
+        }
         FeatureExtractor {
             corpus,
             oracle: corpus.path_oracle(),
-            as_space: corpus.ip_map().address_space_by_asn().into_iter().collect(),
+            dense,
+            space_by_node,
+            space_off_topology,
+        }
+    }
+
+    /// `N_{AS_j}`: the addresses allocated to `asn`, or 1 when it has none.
+    fn address_space(&self, asn: Asn) -> u64 {
+        match self.dense.node_id(asn) {
+            Some(node) => self.space_by_node[node.index()],
+            None => self
+                .space_off_topology
+                .binary_search_by_key(&asn, |&(a, _)| a)
+                .map_or(1, |i| self.space_off_topology[i].1),
         }
     }
 
@@ -118,18 +146,8 @@ impl<'c> FeatureExtractor<'c> {
                 actual: 0,
             });
         }
-        // Both lists ascend by ASN, so a forward merge finds each AS's
-        // space, each step a binary search over the table's remaining
-        // tail; the sum still runs in histogram order.
-        let mut space = self.as_space.as_slice();
-        let intra: f64 = hist
-            .iter()
-            .map(|&(asn, n)| {
-                space = &space[space.partition_point(|&(a, _)| a < asn)..];
-                let n_as = space.first().filter(|&&(a, _)| a == asn).map_or(1, |&(_, s)| s).max(1);
-                n as f64 / n_as as f64
-            })
-            .sum();
+        let intra: f64 =
+            hist.iter().map(|&(asn, n)| n as f64 / self.address_space(asn) as f64).sum();
         let asns: Vec<Asn> = hist.iter().map(|(a, _)| *a).collect();
         let dt =
             if asns.len() < 2 { 1.0 } else { self.oracle.mean_pairwise_distance(&asns).max(1.0) };
@@ -337,6 +355,33 @@ mod tests {
                 fx.source_distribution(a).unwrap().to_bits()
             });
             assert_eq!(sharded, reference, "{workers} workers");
+        }
+    }
+
+    /// The order in which a fresh oracle first sees the endpoints decides
+    /// their slots, and so which cone is scattered and which is read when
+    /// each row is filled. No order may change an `A^s` bit: the attacks
+    /// of one corpus in forward, reversed and shuffled order, each on a
+    /// clone whose oracle was never queried, give the stand-alone bits.
+    #[test]
+    fn source_distribution_is_independent_of_slot_order() {
+        let c = corpus();
+        let clones = [c.clone(), c.clone(), c.clone()];
+        let attacks: Vec<&AttackRecord> = c.attacks().iter().collect();
+        let reference: Vec<u64> =
+            attacks.iter().map(|a| stand_alone_source_distribution(&c, a)).collect();
+        let forward: Vec<usize> = (0..attacks.len()).collect();
+        let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+        let mut shuffled = forward.clone();
+        shuffled.sort_by_key(|&i| (i as u64 ^ 0x5bd1_e995).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        assert_ne!(shuffled, forward);
+        for (order, fresh) in [forward, reversed, shuffled].iter().zip(&clones) {
+            let fx = FeatureExtractor::new(fresh);
+            let mut bits = vec![0u64; order.len()];
+            for &i in order {
+                bits[i] = fx.source_distribution(&fresh.attacks()[i]).unwrap().to_bits();
+            }
+            assert_eq!(bits, reference);
         }
     }
 
