@@ -859,6 +859,45 @@ fn bench_serve_service(c: &mut Criterion) {
     g.finish();
 }
 
+/// Per-source rate admission on its own: `RateLimiter::admit` over the
+/// traffic of perfbench's `serve-sat` (2^19 requests from 65,536 seeded
+/// sources under the default 1/10/60 s windows, on a fresh limiter):
+/// once at serve-sat's pace of 1.1 M requests/s, so that the run spans
+/// 476 logical milliseconds and no stamp expires, and once spread over
+/// 70 s of logical time, so that every window expires stamps. No request
+/// is refused on either row.
+fn bench_serve_admission(c: &mut Criterion) {
+    use ddos_serve::{default_windows, RateLimiter};
+    if !c.selects(in_group(
+        "serve_admission",
+        &["rate_limiter_serve_sat_65536_sources", "rate_limiter_steady_70s"],
+    )) {
+        return;
+    }
+    const REQUESTS: u64 = 1 << 19;
+    let sources: Vec<u64> = (0..REQUESTS)
+        .map(|i| {
+            // splitmix64 of the request index.
+            let mut z = i.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % 65_536
+        })
+        .collect();
+    let run = |span_millis: u64| {
+        let mut limiter = RateLimiter::new(default_windows());
+        for (i, &source) in (0..REQUESTS).zip(&sources) {
+            limiter.admit(black_box(source), i * span_millis / REQUESTS).unwrap();
+        }
+        limiter.tracked_sources()
+    };
+    let mut g = c.benchmark_group("serve_admission");
+    g.sample_size(10);
+    g.bench_function("rate_limiter_serve_sat_65536_sources", |b| b.iter(|| run(REQUESTS / 1_100)));
+    g.bench_function("rate_limiter_steady_70s", |b| b.iter(|| run(70_000)));
+    g.finish();
+}
+
 /// Tentpole (PR 8): the batched fast-tanh kernel. Scalar-libm vs the
 /// polynomial kernel over the training loop's actual batch shapes (a
 /// hidden-layer stripe and a full-epoch pre-activation buffer). The
@@ -1094,6 +1133,7 @@ criterion_group!(
     bench_ensemble_fit,
     bench_ensemble_serve,
     bench_serve_service,
+    bench_serve_admission,
     bench_attribution,
     bench_entropy_detection,
     bench_topo_100k,

@@ -21,14 +21,20 @@
 //! counter bounds the queue (typed [`ServeError::Overloaded`] when
 //! full) and a sliding-window per-source [`RateLimiter`] sheds abusive
 //! sources before their requests cost any scoring work. The queue lock
-//! is the admission gate: sequence numbers are taken under it, so
-//! admission order is queue order, and shutdown closes it.
+//! is the admission gate: the rate ledger lives in the queue, so a
+//! request is rate-checked, stamped, numbered and queued under that one
+//! lock (a request is stamped if and only if it is queued, and
+//! admission order is queue order), and shutdown closes it. A
+//! [`submit_batch`](ServeClient::submit_batch) skips rate accounting.
 //!
-//! Every lock here guards state that is either updated in one step (the
-//! queue, the reply slab, the rate limiter) or cleared before each use
-//! (the worker scratch), so a lock poisoned by a panicking thread is
-//! recovered rather than propagated to every later caller. A scorer that
-//! panics costs only its own batch: those tickets get
+//! The service holds three kinds of lock: the queue (with the rate
+//! ledger), the reply slab, and one per worker's scratch. A submission
+//! takes the reply slab's lock inside the queue's, after the rate check.
+//! Each guards state that is either updated in one step (the queue and
+//! its ledger, the reply slab) or cleared before each use (the worker
+//! scratch), so a lock poisoned by a panicking thread is recovered
+//! rather than propagated to every later caller. A scorer that panics
+//! costs only its own batch: those tickets get
 //! [`ServeError::ScoringPanicked`] and later batches are served. So does
 //! a finite but extreme row whose tree outputs overflow: its batch is
 //! answered with the scorer's typed `NonFiniteInput` error, never with a
@@ -183,6 +189,9 @@ struct Envelope {
 struct Queue {
     /// `false` once shutdown has begun: nothing more is admitted.
     open: bool,
+    /// Per-source rate accounting of single submissions; an empty window
+    /// set admits everything.
+    rate: RateLimiter,
     /// Admitted envelopes in admission order. A deque, so a flush that
     /// takes one batch off the front of a deep queue moves only that
     /// batch.
@@ -294,8 +303,6 @@ struct Shared {
     /// Requests admitted but not yet answered.
     depth: AtomicUsize,
     capacity: usize,
-    /// `None` when rate accounting is disabled.
-    rate: Option<Mutex<RateLimiter>>,
     /// Origin for wall-clock logical time fed to the rate limiter.
     epoch: Instant,
     rejected_overload: AtomicUsize,
@@ -308,13 +315,25 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Shared {
-    /// Runs `push` under the queue lock if the queue is still open, with
-    /// the reply slab locked for claiming slots, then wakes the
-    /// dispatcher if the queue left empty or reached a full batch.
-    fn enqueue<T>(&self, push: impl FnOnce(&mut Queue, &mut Replies) -> T) -> Result<T> {
+    /// Runs `push` under the queue lock if the queue is still open and
+    /// the rate ledger admits `rated` (a source and its logical time;
+    /// `None` skips rate accounting), with the reply slab locked for
+    /// claiming slots, then wakes the dispatcher if the queue left empty
+    /// or reached a full batch.
+    fn enqueue<T>(
+        &self,
+        rated: Option<(u64, u64)>,
+        push: impl FnOnce(&mut Queue, &mut Replies) -> T,
+    ) -> Result<T> {
         let mut queue = lock(&self.queue);
         if !queue.open {
             return Err(ServeError::ShuttingDown);
+        }
+        if let Some((source, now_millis)) = rated {
+            if let Err(e) = queue.rate.admit(source, now_millis) {
+                self.rejected_rate.fetch_add(1, Ordering::Relaxed);
+                return Err(e);
+            }
         }
         let before = queue.pending.len();
         if before == 0 {
@@ -389,7 +408,8 @@ pub struct ServeStats {
     pub batches: usize,
     /// The largest batch any flush scored.
     pub max_batch_len: usize,
-    /// Requests refused by the depth bound.
+    /// Requests refused by the depth bound (every request of a refused
+    /// batch).
     pub rejected_overload: usize,
     /// Requests refused by rate accounting.
     pub rejected_rate: usize,
@@ -436,12 +456,11 @@ fn start_scored(
     config: ServeConfig,
     score: Scorer,
 ) -> ServeHandle {
-    let rate = (!config.rate_windows.is_empty())
-        .then(|| Mutex::new(RateLimiter::new(config.rate_windows.clone())));
     let capacity = config.queue_capacity.max(1);
     let shared = Arc::new(Shared {
         queue: Mutex::new(Queue {
             open: true,
+            rate: RateLimiter::new(config.rate_windows.clone()),
             pending: VecDeque::new(),
             since: Instant::now(),
             next_seq: 0,
@@ -452,7 +471,6 @@ fn start_scored(
         max_batch: config.batch.max_batch.max(1),
         depth: AtomicUsize::new(0),
         capacity,
-        rate,
         epoch: Instant::now(),
         rejected_overload: AtomicUsize::new(0),
         rejected_rate: AtomicUsize::new(0),
@@ -525,6 +543,11 @@ pub struct ServeClient {
 impl ServeClient {
     /// Submits one request at wall-clock time.
     ///
+    /// The clock is read before the admission lock is taken, so
+    /// concurrent submissions can reach the rate ledger out of clock
+    /// order; the ledger reads a time earlier than the latest it saw as
+    /// that latest time.
+    ///
     /// # Errors
     ///
     /// [`ServeError::Cart`]`(`[`CartError::NonFiniteInput`]`)` when a
@@ -545,17 +568,14 @@ impl ServeClient {
     pub fn submit_at(&self, request: ForecastRequest, now_millis: u64) -> Result<ForecastTicket> {
         finite(&request)?;
         self.admit_depth(1)?;
-        if let Some(rate) = &self.shared.rate {
-            if let Err(e) = lock(rate).admit(request.source, now_millis) {
-                self.shared.depth.fetch_sub(1, Ordering::AcqRel);
-                self.shared.rejected_rate.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
-        }
         let shared = &self.shared;
-        shared.enqueue(|queue, replies| shared.push(queue, replies, &request)).inspect_err(|_| {
-            shared.depth.fetch_sub(1, Ordering::AcqRel);
-        })
+        shared
+            .enqueue(Some((request.source, now_millis)), |queue, replies| {
+                shared.push(queue, replies, &request)
+            })
+            .inspect_err(|_| {
+                shared.depth.fetch_sub(1, Ordering::AcqRel);
+            })
     }
 
     /// Submits a batch all-or-nothing: either every request is admitted
@@ -577,7 +597,7 @@ impl ServeClient {
         self.admit_depth(requests.len())?;
         let shared = &self.shared;
         shared
-            .enqueue(|queue, replies| {
+            .enqueue(None, |queue, replies| {
                 requests.iter().map(|request| shared.push(queue, replies, request)).collect()
             })
             .inspect_err(|_| {
@@ -594,7 +614,7 @@ impl ServeClient {
         let prev = self.shared.depth.fetch_add(n, Ordering::AcqRel);
         if prev + n > self.shared.capacity {
             self.shared.depth.fetch_sub(n, Ordering::AcqRel);
-            self.shared.rejected_overload.fetch_add(1, Ordering::Relaxed);
+            self.shared.rejected_overload.fetch_add(n, Ordering::Relaxed);
             return Err(ServeError::Overloaded { queued: prev, capacity: self.shared.capacity });
         }
         Ok(())
@@ -794,7 +814,6 @@ mod tests {
             Arc::clone(model),
             ServeConfig { workers: Some(1), ..ServeConfig::default() },
         );
-        poison(handle.shared.rate.as_ref().expect("default config rate-limits"));
         poison(&handle.shared.queue);
         poison(&handle.shared.replies);
 

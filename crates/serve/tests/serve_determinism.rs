@@ -169,7 +169,8 @@ fn admission_control_sheds_load_with_typed_overloaded() {
     }));
     let stats = handle.shutdown().unwrap();
     assert_eq!(stats.served, 4);
-    assert_eq!(stats.rejected_overload, 2);
+    // One refused single submit and the three requests of the refused batch.
+    assert_eq!(stats.rejected_overload, 4);
 }
 
 /// Per-source sliding-window accounting: the logical-time entry point
