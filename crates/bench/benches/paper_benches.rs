@@ -37,8 +37,7 @@ fn duration_series() -> Vec<f64> {
 }
 
 /// Every series `TemporalModel::fit` runs an order search on, for every
-/// family of `corpus` with enough attacks: magnitudes, `A^f`, `A^b` and
-/// `A^s`.
+/// family of `corpus` with enough attacks: magnitudes and `A^s`.
 fn temporal_series(corpus: &Corpus) -> Vec<Vec<f64>> {
     let fx = FeatureExtractor::new(corpus);
     let min_attacks = TemporalConfig::default().min_attacks;
@@ -49,8 +48,6 @@ fn temporal_series(corpus: &Corpus) -> Vec<Vec<f64>> {
             continue;
         }
         out.push(FeatureExtractor::magnitude_series(&attacks));
-        out.push(FeatureExtractor::activity_series(&attacks));
-        out.push(FeatureExtractor::active_bots_series(&attacks));
         out.push(fx.source_distribution_series(&attacks).unwrap());
     }
     out
@@ -410,8 +407,8 @@ fn bench_entropy_detection(c: &mut Criterion) {
 /// timed too), so the ASN histograms, the distance oracle and the
 /// extractor are all built inside the sample.
 /// `temporal_order_search_corpus` runs `select::search` over every
-/// temporal series of the same corpus (up to five per family with
-/// enough attacks). Before/after medians are recorded in
+/// temporal series of the same corpus (two per family with enough
+/// attacks). Before/after medians are recorded in
 /// `BENCH_features.json`; outputs are bit-identical across the change
 /// (`goldencheck` + the determinism suite are the oracles).
 fn bench_flat_hot_paths(c: &mut Criterion) {

@@ -1,13 +1,14 @@
-//! Evaluation helpers: RMSE summaries, error series and distributions.
+//! Evaluation helpers: RMSE summaries and error series.
 //!
 //! Every figure in the paper's evaluation is one of three shapes: a
 //! truth-vs-prediction series with an error bar subplot (Fig. 1–2), a
 //! value distribution per model (Fig. 3), or an error distribution per
-//! model on a log scale (Fig. 4). [`SeriesEvaluation`] and
-//! [`ErrorDistribution`] produce exactly those artifacts.
+//! model on a log scale (Fig. 4). [`SeriesEvaluation`] holds the first
+//! and the signed errors the other two bin; [`RmseTable`] holds the RMSE
+//! comparisons.
 
 use crate::{ModelError, Result};
-use ddos_stats::metrics::{histogram, mae, rmse};
+use ddos_stats::metrics::{mae, rmse};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -47,57 +48,6 @@ impl SeriesEvaluation {
     /// Whether the evaluation is empty (never true once constructed).
     pub fn is_empty(&self) -> bool {
         self.truth.is_empty()
-    }
-
-    /// The error distribution (Fig. 4 material).
-    ///
-    /// # Errors
-    ///
-    /// Propagates histogram errors.
-    pub fn error_distribution(&self, bins: usize) -> Result<ErrorDistribution> {
-        ErrorDistribution::from_errors(&self.errors, bins)
-    }
-}
-
-/// A binned error distribution (the paper plots these in log scale).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ErrorDistribution {
-    /// Bin edges (`bins + 1` values).
-    pub edges: Vec<f64>,
-    /// Counts per bin.
-    pub counts: Vec<usize>,
-}
-
-impl ErrorDistribution {
-    /// Bins a set of signed errors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates histogram errors (empty input or zero bins).
-    pub fn from_errors(errors: &[f64], bins: usize) -> Result<Self> {
-        let (edges, counts) = histogram(errors, bins)?;
-        Ok(ErrorDistribution { edges, counts })
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// Fraction of observations whose |error| is below `bound`, computed
-    /// from the raw bins (approximate at the boundary bins).
-    pub fn fraction_within(&self, bound: f64) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        let mut inside = 0usize;
-        for (i, c) in self.counts.iter().enumerate() {
-            let center = (self.edges[i] + self.edges[i + 1]) / 2.0;
-            if center.abs() <= bound {
-                inside += c;
-            }
-        }
-        inside as f64 / self.total() as f64
     }
 }
 
@@ -226,14 +176,6 @@ mod tests {
     fn series_evaluation_rejects_mismatch() {
         assert!(SeriesEvaluation::new(vec![1.0], vec![1.0, 2.0]).is_err());
         assert!(SeriesEvaluation::new(vec![], vec![]).is_err());
-    }
-
-    #[test]
-    fn error_distribution_counts() {
-        let e = SeriesEvaluation::new(vec![0.0, 0.1, 5.0], vec![0.0, 0.0, 0.0]).unwrap();
-        let d = e.error_distribution(5).unwrap();
-        assert_eq!(d.total(), 3);
-        assert!(d.fraction_within(1.0) >= 2.0 / 3.0 - 1e-9);
     }
 
     #[test]

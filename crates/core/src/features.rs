@@ -1,16 +1,16 @@
 //! Feature extraction (§III): turning raw attack records into the model
 //! variables of Table II.
 //!
-//! The [`FeatureExtractor`] wraps a corpus together with the corpus's
-//! valley-free [`PathOracle`] ([`Corpus::path_oracle`]) and the per-AS
-//! address space totals needed by Eq. 4's intra-AS term. All series are
+//! The [`FeatureExtractor`] borrows a corpus's valley-free
+//! [`PathOracle`] ([`Corpus::path_oracle`]) and holds the per-AS address
+//! space totals needed by Eq. 4's intra-AS term. All series are
 //! chronological (the corpus guarantees attack ordering).
 
-use crate::variables::{BotnetState, TargetProfile, TimestampParts};
+use crate::variables::{TargetProfile, TimestampParts};
 use crate::{ModelError, Result};
 use ddos_astopo::paths::PathOracle;
 use ddos_astopo::{Asn, DenseTopology};
-use ddos_trace::{AttackRecord, Corpus, FamilyId};
+use ddos_trace::{AttackRecord, Corpus};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -41,7 +41,6 @@ use std::sync::Arc;
 /// # }
 /// ```
 pub struct FeatureExtractor<'c> {
-    corpus: &'c Corpus,
     oracle: &'c PathOracle,
     dense: Arc<DenseTopology>,
     /// The `N_{AS_j}` of Eq. 4 by dense node id: the IPv4 addresses
@@ -64,13 +63,7 @@ impl<'c> FeatureExtractor<'c> {
                 None => space_off_topology.push((asn, space.max(1))),
             }
         }
-        FeatureExtractor {
-            corpus,
-            oracle: corpus.path_oracle(),
-            dense,
-            space_by_node,
-            space_off_topology,
-        }
+        FeatureExtractor { oracle: corpus.path_oracle(), dense, space_by_node, space_off_topology }
     }
 
     /// `N_{AS_j}`: the addresses allocated to `asn`, or 1 when it has none.
@@ -84,46 +77,10 @@ impl<'c> FeatureExtractor<'c> {
         }
     }
 
-    /// The wrapped corpus.
-    pub fn corpus(&self) -> &Corpus {
-        self.corpus
-    }
-
     /// Per-attack magnitudes (distinct bot counts) — the series behind
     /// Fig. 1.
     pub fn magnitude_series(attacks: &[&AttackRecord]) -> Vec<f64> {
         attacks.iter().map(|a| a.magnitude() as f64).collect()
-    }
-
-    /// `A^f` (Eq. 1): the family's running average attacks-per-day at each
-    /// attack instant — cumulative attack count over elapsed days.
-    pub fn activity_series(attacks: &[&AttackRecord]) -> Vec<f64> {
-        if attacks.is_empty() {
-            return Vec::new();
-        }
-        let first_day = attacks[0].start.day();
-        attacks
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let elapsed = (a.start.day() - first_day + 1) as f64;
-                (i + 1) as f64 / elapsed
-            })
-            .collect()
-    }
-
-    /// `A^b` (Eq. 2): each attack's bot count normalized by the cumulative
-    /// bot count observed so far — "percents of active bots in all
-    /// historic observations".
-    pub fn active_bots_series(attacks: &[&AttackRecord]) -> Vec<f64> {
-        let mut cumulative = 0.0;
-        attacks
-            .iter()
-            .map(|a| {
-                cumulative += a.magnitude() as f64;
-                a.magnitude() as f64 / cumulative
-            })
-            .collect()
     }
 
     /// `A^s` (Eq. 3–4) for a single attack: the intra-AS concentration sum
@@ -163,38 +120,9 @@ impl<'c> FeatureExtractor<'c> {
         attacks.iter().map(|a| self.source_distribution(a)).collect()
     }
 
-    /// The full attacker-state series (Table II group 1) for a family's
-    /// chronological attacks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FeatureExtractor::source_distribution`] errors.
-    pub fn botnet_state_series(&self, attacks: &[&AttackRecord]) -> Result<Vec<BotnetState>> {
-        let activity = Self::activity_series(attacks);
-        let active = Self::active_bots_series(attacks);
-        let source = self.source_distribution_series(attacks)?;
-        Ok(activity
-            .into_iter()
-            .zip(active)
-            .zip(source)
-            .map(|((a, b), s)| BotnetState {
-                activity_level: a,
-                active_bots: b,
-                source_distribution: s,
-            })
-            .collect())
-    }
-
-    /// The target-side profile (Table II group 2) of a victim AS: the
-    /// durations, decomposed timestamps and inter-attack gaps of every
-    /// attack on that network, chronological.
-    pub fn target_profile(&self, asn: Asn) -> TargetProfile {
-        let attacks = self.corpus.attacks_on_asn(asn);
-        Self::profile_from_attacks(asn, &attacks)
-    }
-
-    /// Builds a [`TargetProfile`] from an explicit attack slice (used when
-    /// restricting to the training window).
+    /// The target-side profile (Table II group 2) of a victim AS from its
+    /// chronological attacks (the training window's, in the models): the
+    /// durations, decomposed timestamps and inter-attack gaps.
     pub fn profile_from_attacks(asn: Asn, attacks: &[&AttackRecord]) -> TargetProfile {
         let durations: Vec<f64> = attacks.iter().map(|a| a.duration_secs as f64).collect();
         let timestamps: Vec<TimestampParts> =
@@ -243,20 +171,6 @@ impl<'c> FeatureExtractor<'c> {
         }
         series
     }
-
-    /// Convenience: the chronological attacks of a family, failing loudly
-    /// when the family never attacked.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::NoAttacksForFamily`] when empty.
-    pub fn family_attacks(&self, family: FamilyId) -> Result<Vec<&'c AttackRecord>> {
-        let attacks = self.corpus.family_attacks(family);
-        if attacks.is_empty() {
-            return Err(ModelError::NoAttacksForFamily(family));
-        }
-        Ok(attacks)
-    }
 }
 
 #[cfg(test)]
@@ -268,31 +182,6 @@ mod tests {
 
     fn corpus() -> Corpus {
         TraceGenerator::new(CorpusConfig::small(), 91).generate().unwrap()
-    }
-
-    #[test]
-    fn activity_series_is_running_average() {
-        let c = corpus();
-        let fam = c.catalog().most_active(1)[0];
-        let attacks = c.family_attacks(fam);
-        let a = FeatureExtractor::activity_series(&attacks);
-        assert_eq!(a.len(), attacks.len());
-        // First value: 1 attack in 1 day.
-        assert_eq!(a[0], 1.0);
-        // All positive, bounded by total attacks.
-        assert!(a.iter().all(|v| *v > 0.0 && *v <= attacks.len() as f64));
-    }
-
-    #[test]
-    fn active_bots_series_normalized() {
-        let c = corpus();
-        let fam = c.catalog().most_active(1)[0];
-        let attacks = c.family_attacks(fam);
-        let series = FeatureExtractor::active_bots_series(&attacks);
-        assert_eq!(series[0], 1.0); // first attack is 100% of history
-        assert!(series.iter().all(|v| *v > 0.0 && *v <= 1.0));
-        // Later values should mostly shrink as history accumulates.
-        assert!(series[series.len() - 1] < 0.5);
     }
 
     #[test]
@@ -454,26 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn botnet_state_series_aligns() {
-        let c = corpus();
-        let fx = FeatureExtractor::new(&c);
-        let fam = c.catalog().most_active(1)[0];
-        let attacks: Vec<&AttackRecord> = c.family_attacks(fam).into_iter().take(30).collect();
-        let states = fx.botnet_state_series(&attacks).unwrap();
-        assert_eq!(states.len(), 30);
-        for s in &states {
-            assert!(s.activity_level > 0.0);
-            assert!(s.active_bots > 0.0);
-            assert!(s.source_distribution > 0.0);
-        }
-    }
-
-    #[test]
     fn target_profile_gaps_align() {
         let c = corpus();
-        let fx = FeatureExtractor::new(&c);
         let asn = c.hottest_target_asns(1)[0].0;
-        let profile = fx.target_profile(asn);
+        let profile = FeatureExtractor::profile_from_attacks(asn, &c.attacks_on_asn(asn));
         assert!(profile.len() >= 2);
         assert_eq!(profile.inter_attack_gaps.len(), profile.len() - 1);
         assert_eq!(profile.durations.len(), profile.len());
@@ -518,14 +391,6 @@ mod tests {
                 assert_eq!(series[k][i].to_bits(), expected.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn family_attacks_errors_for_empty_family() {
-        let c = corpus();
-        let fx = FeatureExtractor::new(&c);
-        assert!(matches!(fx.family_attacks(FamilyId(99)), Err(ModelError::NoAttacksForFamily(_))));
-        assert!(fx.family_attacks(FamilyId(0)).is_ok());
     }
 
     #[test]

@@ -11,18 +11,17 @@
 //! | paper section | module | model |
 //! |---|---|---|
 //! | §III | [`features`], [`variables`] | feature extraction (Table II) |
-//! | §IV | [`temporal`] | ARIMA over per-family series (Eq. 5) |
+//! | §IV | [`temporal`] | ARIMA over per-family magnitude and `A^s` series (Eq. 5) |
 //! | §V | [`spatial`] | NAR neural network per target network (Eq. 6–7) |
 //! | §VI | [`spatiotemporal`] | regression tree with MLR leaves (Eq. 8–10) |
 //! | §VII-A | [`baseline`] | Always-Same / Always-Mean comparisons |
 //! | §VII-B | [`usecases`] | AS-based filtering & middlebox traversal |
 //! | §VII-B (attribution) | [`attribution`] | family attribution from source-AS profiles |
-//! | §VII-B (provisioning) | [`provisioning`] | interval-forecast capacity planning |
 //! | §V-B (early detection) | [`detection`] | sliding-window AS-entropy detector |
 //!
 //! [`pipeline`] wires the whole thing together (80/20 chronological split,
 //! per-model training, rolling prediction) and [`evaluate`] computes the
-//! RMSE tables and error distributions behind Figures 1–4. [`drift`]
+//! RMSE tables and error series behind Figures 1–4. [`drift`]
 //! stresses the stationarity assumption those splits bake in: it measures
 //! every forecaster's RMSE before, across, and after the regime
 //! boundaries of a [`ddos_trace::scenario`] policy.
@@ -58,7 +57,6 @@ pub mod drift;
 pub mod evaluate;
 pub mod features;
 pub mod pipeline;
-pub mod provisioning;
 pub mod spatial;
 pub mod spatiotemporal;
 pub mod temporal;

@@ -73,58 +73,26 @@ impl PipelineConfig {
         }
     }
 
-    /// Starts a validating builder from the paper's defaults. This is the
-    /// preferred construction path — bare struct literals still compile
-    /// (the fields are public for introspection) but are deprecated by
-    /// convention, because only [`PipelineConfigBuilder::build`] checks
-    /// the cross-field invariants (a usable split fraction, a sane
-    /// parallelism request) before a `Pipeline` ever runs.
-    pub fn builder() -> PipelineConfigBuilder {
-        PipelineConfigBuilder { config: PipelineConfig::default() }
-    }
-
-    /// Like [`PipelineConfig::builder`], but starting from the
-    /// [`PipelineConfig::fast`] preset used by tests and examples.
+    /// A validating builder starting from the [`PipelineConfig::fast`]
+    /// preset used by tests, examples and the benchmarks. Only
+    /// [`PipelineConfigBuilder::build`] checks the parallelism request
+    /// before a `Pipeline` ever runs.
     pub fn fast_builder() -> PipelineConfigBuilder {
         PipelineConfigBuilder { config: PipelineConfig::fast() }
     }
 }
 
 /// Validating builder for [`PipelineConfig`]; see
-/// [`PipelineConfig::builder`].
+/// [`PipelineConfig::fast_builder`].
 #[derive(Debug, Clone)]
 pub struct PipelineConfigBuilder {
     config: PipelineConfig,
 }
 
 impl PipelineConfigBuilder {
-    /// Sets the chronological train fraction (the paper uses 0.8).
-    pub fn split(mut self, split: f64) -> Self {
-        self.config.split = split;
-        self
-    }
-
-    /// Sets the temporal-model configuration.
-    pub fn temporal(mut self, temporal: TemporalConfig) -> Self {
-        self.config.temporal = temporal;
-        self
-    }
-
-    /// Sets the spatial-model configuration.
-    pub fn spatial(mut self, spatial: SpatialConfig) -> Self {
-        self.config.spatial = spatial;
-        self
-    }
-
     /// Sets the spatiotemporal-model configuration.
     pub fn spatiotemporal(mut self, spatiotemporal: SpatioTemporalConfig) -> Self {
         self.config.spatiotemporal = spatiotemporal;
-        self
-    }
-
-    /// Restricts evaluation to the given families.
-    pub fn families(mut self, families: Vec<FamilyId>) -> Self {
-        self.config.families = Some(families);
         self
     }
 
@@ -140,27 +108,13 @@ impl PipelineConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ModelError::InvalidConfig`] when the split fraction is not
-    /// strictly inside `(0, 1)`, when a parallelism of zero was
-    /// requested, or when an explicit family list is empty.
+    /// [`ModelError::InvalidConfig`] when a parallelism of zero was
+    /// requested.
     pub fn build(self) -> Result<PipelineConfig> {
-        let c = &self.config;
-        if !c.split.is_finite() || c.split <= 0.0 || c.split >= 1.0 {
-            return Err(ModelError::InvalidConfig {
-                detail: format!("split fraction must be inside (0, 1), got {}", c.split),
-            });
-        }
-        if c.parallelism == Some(0) {
+        if self.config.parallelism == Some(0) {
             return Err(ModelError::InvalidConfig {
                 detail: "parallelism must be at least 1 worker".to_string(),
             });
-        }
-        if let Some(families) = &c.families {
-            if families.is_empty() {
-                return Err(ModelError::InvalidConfig {
-                    detail: "explicit family list must not be empty".to_string(),
-                });
-            }
         }
         Ok(self.config)
     }
@@ -941,29 +895,22 @@ mod tests {
         // Small catalog retains DirtJumper and Pandora.
         assert_eq!(fams.len(), 2);
         let explicit = Pipeline::new(
-            PipelineConfig::fast_builder().families(vec![FamilyId(0)]).build().unwrap(),
+            PipelineConfig { families: Some(vec![FamilyId(0)]), ..PipelineConfig::fast() },
             5,
         );
         assert_eq!(explicit.families(&c), vec![FamilyId(0)]);
     }
 
     #[test]
-    fn builder_validates_cross_field_invariants() {
-        // The happy path reproduces the presets it starts from.
-        assert_eq!(PipelineConfig::builder().build().unwrap(), PipelineConfig::default());
+    fn builder_validates_parallelism() {
+        // The happy path reproduces the preset it starts from.
         assert_eq!(PipelineConfig::fast_builder().build().unwrap(), PipelineConfig::fast());
-        let cfg = PipelineConfig::fast_builder().split(0.75).parallelism(2).build().unwrap();
-        assert_eq!(cfg.split, 0.75);
+        let cfg = PipelineConfig::fast_builder().parallelism(2).build().unwrap();
         assert_eq!(cfg.parallelism, Some(2));
-        // Each invariant violation is a typed InvalidConfig.
-        for bad in [
-            PipelineConfig::builder().split(0.0),
-            PipelineConfig::builder().split(1.0),
-            PipelineConfig::builder().split(f64::NAN),
-            PipelineConfig::builder().parallelism(0),
-            PipelineConfig::builder().families(vec![]),
-        ] {
-            assert!(matches!(bad.build(), Err(ModelError::InvalidConfig { .. })));
-        }
+        // A zero-worker request is a typed InvalidConfig.
+        assert!(matches!(
+            PipelineConfig::fast_builder().parallelism(0).build(),
+            Err(ModelError::InvalidConfig { .. })
+        ));
     }
 }

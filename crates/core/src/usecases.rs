@@ -177,84 +177,6 @@ impl MiddleboxSimulator {
     }
 }
 
-/// Outcome of a mid-attack bot takedown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TakedownOutcome {
-    /// Bots removed by the takedown.
-    pub bots_removed: usize,
-    /// Bots still firing afterwards.
-    pub bots_remaining: usize,
-    /// Fraction of the original magnitude removed.
-    pub removed_fraction: f64,
-    /// Whether the attack collapses (remaining magnitude below the
-    /// viability floor).
-    pub attack_collapses: bool,
-    /// Attack seconds saved: the remaining duration at takedown time when
-    /// the attack collapses, 0 otherwise.
-    pub seconds_saved: u64,
-}
-
-/// Simulates ISP-coordinated bot takedowns against a running attack —
-/// §III-B3's observation that "if bots involved in an attack were taken
-/// down, the attack cannot be carried on", driven by the predicted
-/// source-AS distribution (the operator asks the top predicted ASes'
-/// ISPs to clean or null-route their infected hosts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TakedownSimulator {
-    /// Fraction of the original magnitude below which the attack is no
-    /// longer viable and collapses.
-    pub viability_floor: f64,
-}
-
-impl Default for TakedownSimulator {
-    fn default() -> Self {
-        TakedownSimulator { viability_floor: 0.25 }
-    }
-}
-
-impl TakedownSimulator {
-    /// Removes every bot hosted in `taken_down` ASes at
-    /// `elapsed_secs` into the attack and reports the effect.
-    pub fn apply(
-        &self,
-        attack: &AttackRecord,
-        taken_down: &[Asn],
-        elapsed_secs: u64,
-    ) -> TakedownOutcome {
-        let total = attack.magnitude();
-        let removed = attack.bots().iter().filter(|b| taken_down.contains(&b.asn)).count();
-        let remaining = total - removed;
-        let removed_fraction = if total == 0 { 0.0 } else { removed as f64 / total as f64 };
-        let collapses = total > 0 && (remaining as f64) < self.viability_floor * total as f64;
-        let seconds_saved = if collapses {
-            attack.duration_secs.saturating_sub(elapsed_secs.min(attack.duration_secs))
-        } else {
-            0
-        };
-        TakedownOutcome {
-            bots_removed: removed,
-            bots_remaining: remaining,
-            removed_fraction,
-            attack_collapses: collapses,
-            seconds_saved,
-        }
-    }
-
-    /// Takes down the `k` highest-share ASes of a predicted distribution.
-    pub fn apply_predicted(
-        &self,
-        predicted: &[(Asn, f64)],
-        k: usize,
-        attack: &AttackRecord,
-        elapsed_secs: u64,
-    ) -> TakedownOutcome {
-        let mut ranked: Vec<(Asn, f64)> = predicted.to_vec();
-        ranked.sort_by(by_predicted_share);
-        let targets: Vec<Asn> = ranked.into_iter().take(k).map(|(a, _)| a).collect();
-        self.apply(attack, &targets, elapsed_secs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,11 +245,6 @@ mod tests {
         predicted.push((Asn(u32::MAX - 1), -f64::NAN));
         let out = AsFilteringSimulator::new().apply_predicted(&predicted, k, &attack);
         assert_eq!(out.filtered_asns, clean.filtered_asns);
-        let takedown = TakedownSimulator::default();
-        assert_eq!(
-            takedown.apply_predicted(&predicted, k, &attack, 0),
-            takedown.apply_predicted(&predicted[1..predicted.len() - 1], k, &attack, 0)
-        );
     }
 
     #[test]
@@ -373,56 +290,5 @@ mod tests {
         let sim = MiddleboxSimulator::default();
         let out = sim.proactive(100.0, 400.0, 50.0);
         assert_eq!(out.flip_at, 0.0);
-    }
-
-    #[test]
-    fn takedown_of_dominant_as_collapses_attack() {
-        let attack = sample_attack();
-        let sim = TakedownSimulator { viability_floor: 0.5 };
-        // Take down every source AS: everything removed, attack collapses.
-        let all = attack.source_asns();
-        let out = sim.apply(&attack, &all, 600);
-        assert_eq!(out.bots_remaining, 0);
-        assert!((out.removed_fraction - 1.0).abs() < 1e-12);
-        assert!(out.attack_collapses);
-        assert_eq!(out.seconds_saved, attack.duration_secs - 600);
-    }
-
-    #[test]
-    fn takedown_of_nothing_changes_nothing() {
-        let attack = sample_attack();
-        let out = TakedownSimulator::default().apply(&attack, &[], 0);
-        assert_eq!(out.bots_removed, 0);
-        assert_eq!(out.bots_remaining, attack.magnitude());
-        assert!(!out.attack_collapses);
-        assert_eq!(out.seconds_saved, 0);
-    }
-
-    #[test]
-    fn predicted_takedown_matches_manual_ranking() {
-        let attack = sample_attack();
-        let hist = attack.asn_histogram();
-        let predicted: Vec<(Asn, f64)> =
-            hist.iter().map(|(a, n)| (*a, *n as f64 / attack.magnitude() as f64)).collect();
-        let sim = TakedownSimulator::default();
-        let via_predicted = sim.apply_predicted(&predicted, 1, &attack, 0);
-        // The top AS by share is the histogram max.
-        let top = hist.iter().max_by_key(|(_, n)| *n).map(|(a, _)| *a).unwrap();
-        let manual = sim.apply(&attack, &[top], 0);
-        assert_eq!(via_predicted, manual);
-        assert!(via_predicted.bots_removed > 0);
-    }
-
-    #[test]
-    fn elapsed_beyond_duration_saves_nothing() {
-        let attack = sample_attack();
-        let all = attack.source_asns();
-        let out = TakedownSimulator { viability_floor: 1.0 }.apply(
-            &attack,
-            &all,
-            attack.duration_secs + 999,
-        );
-        assert!(out.attack_collapses);
-        assert_eq!(out.seconds_saved, 0);
     }
 }

@@ -3,13 +3,14 @@
 //! Three groups (§III-B): attacker-side botnet state (time-indexed),
 //! target-side affinity (time-free), and model outputs (fed back as
 //! corrections). These types give the table's symbols concrete, documented
-//! homes so every model speaks the same vocabulary.
+//! homes so every model speaks the same vocabulary. Of the attacker-side
+//! group only `A^s` is computed, since it is the only one an experiment
+//! forecasts; the activity level `A^f` and active-bot fraction `A^b`
+//! (Eq. 1–2) are not.
 //!
 //! | symbol | type / field |
 //! |---|---|
-//! | `A^f_{t_i}` | [`BotnetState::activity_level`] |
-//! | `A^b_{t_i}` | [`BotnetState::active_bots`] |
-//! | `A^s_{t_i}` | [`BotnetState::source_distribution`] |
+//! | `A^s_{t_i}` | [`crate::features::FeatureExtractor::source_distribution`] |
 //! | `T_l` | [`TargetProfile::location`] |
 //! | `T^d_j` | [`TargetProfile::durations`] |
 //! | `T^{ts}_j` | [`TargetProfile::timestamps`] (as [`TimestampParts`]) |
@@ -43,21 +44,6 @@ impl From<Timestamp> for TimestampParts {
     fn from(ts: Timestamp) -> Self {
         TimestampParts::from_timestamp(ts)
     }
-}
-
-/// Attacker-side state at one observation instant `t_i` (Table II group 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BotnetState {
-    /// `A^f_{t_i}` — the family's activity level: average attacks per day
-    /// observed so far (Eq. 1).
-    pub activity_level: f64,
-    /// `A^b_{t_i}` — normalized currently-active bot count: the attack's
-    /// distinct bots over the cumulative bots observed to date (Eq. 2).
-    pub active_bots: f64,
-    /// `A^s_{t_i}` — the silhouette-style source-distribution coefficient:
-    /// intra-AS concentration over mean inter-AS distance (Eq. 3–4).
-    /// Larger means bots packed into fewer, closer ASes.
-    pub source_distribution: f64,
 }
 
 /// Target-side variables (Table II group 2) — time-free attributes of one
@@ -127,12 +113,5 @@ mod tests {
         };
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn botnet_state_is_copyable() {
-        let s = BotnetState { activity_level: 1.0, active_bots: 0.5, source_distribution: 2.0 };
-        let t = s;
-        assert_eq!(s, t);
     }
 }

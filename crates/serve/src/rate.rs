@@ -16,6 +16,10 @@
 //! the tests keep as the oracle. [`RateLimiter::tracked_sources`] counts
 //! exactly the sources with an admission inside the longest window.
 //!
+//! A batch is admitted all or nothing ([`RateLimiter::admit_all`]): every
+//! request is charged to its source at one clock reading, and a refused
+//! batch leaves no stamp behind.
+//!
 //! The limiter takes no lock of its own: the service keeps it inside its
 //! batch queue and admits under the queue lock, so a request is stamped
 //! if and only if it is queued.
@@ -181,6 +185,57 @@ impl RateLimiter {
         self.log_slots.push_back(slot);
         self.log_stamps.push_back(self.clock);
         Ok(())
+    }
+
+    /// Admits one request per entry of `sources` at `now_millis`, all or
+    /// nothing: either every request is recorded, or none is and the
+    /// ledger is as if only the clock had advanced.
+    ///
+    /// The requests are admitted in order, each against the budget the
+    /// ones before it left. All are stamped with the same clock, so each
+    /// is live in every window and the newest entries of the log; a
+    /// refused batch is undone by popping them back off.
+    ///
+    /// # Errors
+    ///
+    /// The refusal of the first request [`admit`](RateLimiter::admit)
+    /// refuses.
+    pub fn admit_all(
+        &mut self,
+        sources: impl IntoIterator<Item = u64>,
+        now_millis: u64,
+    ) -> Result<(), ServeError> {
+        if self.windows.is_empty() {
+            return Ok(());
+        }
+        for (admitted, source) in sources.into_iter().enumerate() {
+            if let Err(e) = self.admit(source, now_millis) {
+                self.retract(admitted);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes the newest `k` admissions back off the log. They must all be
+    /// live in every window (stamped at the current clock), so no cursor
+    /// points past them; a slot left with no admission is freed.
+    fn retract(&mut self, k: usize) {
+        let n = self.windows.len();
+        for _ in 0..k {
+            let (Some(slot), Some(_)) = (self.log_slots.pop_back(), self.log_stamps.pop_back())
+            else {
+                return;
+            };
+            let counts = &mut self.counts[slot as usize * n..][..n];
+            for count in counts.iter_mut() {
+                *count -= 1;
+            }
+            if counts[n - 1] == 0 {
+                self.slots.remove(&self.sources[slot as usize]);
+                self.free.push(slot);
+            }
+        }
     }
 
     /// Moves every window's cursor past the stamps that left it at
@@ -450,28 +505,81 @@ mod tests {
         })
     }
 
+    /// The oracle's all-or-nothing batch: each request admitted in turn
+    /// on a copy, which replaces the limiter only if all were admitted.
+    fn oracle_admit_all(
+        oracle: &mut DequeLimiter,
+        sources: &[u64],
+        now_millis: u64,
+    ) -> Result<(), ServeError> {
+        let mut trial = oracle.clone();
+        for &source in sources {
+            trial.admit(source, now_millis)?;
+        }
+        *oracle = trial;
+        Ok(())
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_no_stamp() {
+        let limited =
+            |source, window_secs, limit| ServeError::RateLimited { source, window_secs, limit };
+        let mut rl = RateLimiter::new(vec![RateWindow::new(1, 3), RateWindow::new(10, 4)]);
+        rl.admit(1, 0).unwrap();
+        // The batch's third charge to source 1 is its fourth in 1 s.
+        assert_eq!(rl.admit_all([2, 1, 1, 1, 3], 5), Err(limited(1, 1, 3)));
+        assert_eq!((rl.tracked_sources(), rl.log_stamps.len()), (1, 1));
+        // Sources 2 and 3 spent nothing; source 1 still has two.
+        rl.admit_all([1, 1, 2, 2, 2], 10).unwrap();
+        assert_eq!(rl.admit(2, 10), Err(limited(2, 1, 3)));
+        assert_eq!(rl.admit_all([3, 1], 20), Err(limited(1, 1, 3)));
+        assert_eq!(rl.tracked_sources(), 2);
+        // At 1 100 the stamps at 0 to 10 have left the 1 s window but
+        // not the 10 s one, and a later reading of 50 is read as 1 100.
+        rl.admit_all([3], 1_100).unwrap();
+        assert_eq!(rl.admit_all([1, 1, 3], 50), Err(limited(1, 10, 4)));
+        rl.admit_all([1, 3, 3], 60).unwrap();
+        assert_eq!(rl.admit(1, 70), Err(limited(1, 10, 4)));
+        assert_eq!(rl.tracked_sources(), 3);
+        assert_eq!(rl.admit_all(std::iter::empty(), 70), Ok(()));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// Every decision of the ledger is the deque limiter's, and the
-        /// ledger tracks exactly the sources with a stamp in the longest
-        /// window.
+        /// Every decision of the ledger is the deque limiter's, single
+        /// admissions and all-or-nothing batches alike, and the ledger
+        /// tracks exactly the sources with a stamp in the longest window.
         #[test]
         fn ledger_decides_as_the_deque_limiter(
             windows in proptest::collection::vec((secs(), 0..12usize), 0..5),
             sources in 1..=64u64,
             start in 0..200_000u64,
-            events in proptest::collection::vec((0..64u64, gap()), 1..2_000),
+            events in proptest::collection::vec(
+                (proptest::collection::vec(0..64u64, 1..8), 0..4u8, gap()),
+                1..2_000,
+            ),
         ) {
             let windows: Vec<RateWindow> =
                 windows.into_iter().map(|(secs, limit)| RateWindow::new(secs, limit)).collect();
             let mut ledger = RateLimiter::new(windows.clone());
             let mut oracle = DequeLimiter::new(windows);
             let mut now = start;
-            for (raw, gap) in events {
+            for (raws, kind, gap) in events {
                 now += gap;
-                let source = (raw % sources).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                prop_assert_eq!(ledger.admit(source, now), oracle.admit(source, now));
+                let batch: Vec<u64> = raws
+                    .iter()
+                    .map(|raw| (raw % sources).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .collect();
+                // One event in four is a batch, the rest single admissions.
+                if kind == 0 {
+                    prop_assert_eq!(
+                        ledger.admit_all(batch.iter().copied(), now),
+                        oracle_admit_all(&mut oracle, &batch, now)
+                    );
+                } else {
+                    prop_assert_eq!(ledger.admit(batch[0], now), oracle.admit(batch[0], now));
+                }
                 prop_assert_eq!(ledger.tracked_sources(), oracle.live_sources(now));
             }
         }

@@ -25,7 +25,9 @@
 //! request is rate-checked, stamped, numbered and queued under that one
 //! lock (a request is stamped if and only if it is queued, and
 //! admission order is queue order), and shutdown closes it. A
-//! [`submit_batch`](ServeClient::submit_batch) skips rate accounting.
+//! [`submit_batch`](ServeClient::submit_batch) charges every request to
+//! its source at one clock reading, all or nothing: a refused batch
+//! spends no budget and counts all its requests as rate rejections.
 //!
 //! The service holds three kinds of lock: the queue (with the rate
 //! ledger), the reply slab, and one per worker's scratch. A submission
@@ -189,7 +191,7 @@ struct Envelope {
 struct Queue {
     /// `false` once shutdown has begun: nothing more is admitted.
     open: bool,
-    /// Per-source rate accounting of single submissions; an empty window
+    /// Per-source rate accounting of every submission; an empty window
     /// set admits everything.
     rate: RateLimiter,
     /// Admitted envelopes in admission order. A deque, so a flush that
@@ -316,24 +318,23 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl Shared {
     /// Runs `push` under the queue lock if the queue is still open and
-    /// the rate ledger admits `rated` (a source and its logical time;
-    /// `None` skips rate accounting), with the reply slab locked for
-    /// claiming slots, then wakes the dispatcher if the queue left empty
-    /// or reached a full batch.
+    /// the rate ledger admits every one of `requests` at `now_millis`
+    /// (all or nothing), with the reply slab locked for claiming slots,
+    /// then wakes the dispatcher if the queue left empty or reached a
+    /// full batch.
     fn enqueue<T>(
         &self,
-        rated: Option<(u64, u64)>,
+        requests: &[ForecastRequest],
+        now_millis: u64,
         push: impl FnOnce(&mut Queue, &mut Replies) -> T,
     ) -> Result<T> {
         let mut queue = lock(&self.queue);
         if !queue.open {
             return Err(ServeError::ShuttingDown);
         }
-        if let Some((source, now_millis)) = rated {
-            if let Err(e) = queue.rate.admit(source, now_millis) {
-                self.rejected_rate.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
+        if let Err(e) = queue.rate.admit_all(requests.iter().map(|r| r.source), now_millis) {
+            self.rejected_rate.fetch_add(requests.len(), Ordering::Relaxed);
+            return Err(e);
         }
         let before = queue.pending.len();
         if before == 0 {
@@ -411,7 +412,8 @@ pub struct ServeStats {
     /// Requests refused by the depth bound (every request of a refused
     /// batch).
     pub rejected_overload: usize,
-    /// Requests refused by rate accounting.
+    /// Requests refused by rate accounting (every request of a refused
+    /// batch).
     pub rejected_rate: usize,
 }
 
@@ -570,7 +572,7 @@ impl ServeClient {
         self.admit_depth(1)?;
         let shared = &self.shared;
         shared
-            .enqueue(Some((request.source, now_millis)), |queue, replies| {
+            .enqueue(std::slice::from_ref(&request), now_millis, |queue, replies| {
                 shared.push(queue, replies, &request)
             })
             .inspect_err(|_| {
@@ -579,25 +581,29 @@ impl ServeClient {
     }
 
     /// Submits a batch all-or-nothing: either every request is admitted
-    /// (one depth reservation, skipping per-source rate accounting) and
-    /// tickets come back in order with contiguous sequence numbers, or
-    /// nothing is enqueued.
+    /// (one depth reservation, each request charged to its source at one
+    /// wall-clock reading) and tickets come back in order with contiguous
+    /// sequence numbers, or nothing is enqueued and no rate budget is
+    /// spent.
     ///
     /// # Errors
     ///
     /// [`ServeError::Cart`]`(`[`CartError::NonFiniteInput`]`)` when any
     /// request has a NaN or infinite feature (the batch is refused
-    /// whole), [`ServeError::Overloaded`] or [`ServeError::ShuttingDown`];
-    /// on error no request from the batch is in flight.
+    /// whole), [`ServeError::Overloaded`], [`ServeError::RateLimited`]
+    /// for the first request its source's budget refuses, or
+    /// [`ServeError::ShuttingDown`]; on error no request from the batch
+    /// is in flight.
     pub fn submit_batch(&self, requests: &[ForecastRequest]) -> Result<Vec<ForecastTicket>> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
+        let now = self.shared.epoch.elapsed().as_millis() as u64;
         requests.iter().try_for_each(finite)?;
         self.admit_depth(requests.len())?;
         let shared = &self.shared;
         shared
-            .enqueue(None, |queue, replies| {
+            .enqueue(requests, now, |queue, replies| {
                 requests.iter().map(|request| shared.push(queue, replies, request)).collect()
             })
             .inspect_err(|_| {

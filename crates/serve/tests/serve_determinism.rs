@@ -207,6 +207,47 @@ fn rate_limiting_is_per_source_and_deterministic() {
     assert_eq!(stats.rejected_rate, 1);
 }
 
+/// A batch is charged to its sources like single submissions, all or
+/// nothing: a source at its 1 s limit gets a batch refused whole, every
+/// request of it counted as a rate rejection and no budget spent, and
+/// later single submissions are decided as if the batch never came.
+#[test]
+fn batches_are_rate_limited_per_source_all_or_nothing() {
+    let (model, features) = fixture();
+    let cfg = ServeConfig {
+        batch: BatchPolicy::default(),
+        queue_capacity: 1_000,
+        workers: Some(2),
+        rate_windows: vec![RateWindow::new(1, 3)],
+    };
+    let handle = ForecastService::start_with_model(Arc::clone(model), cfg);
+    let client = handle.client();
+    let req = |source: u64| ForecastRequest { source, target: Asn(1), features: features[0] };
+    let limited = |source| ServeError::RateLimited { source, window_secs: 1, limit: 3 };
+    // A logical time far past the wall clock: the ledger reads a batch's
+    // wall-clock reading, which is earlier, as this time.
+    const T: u64 = 1_000_000_000;
+
+    let mut tickets = Vec::new();
+    for _ in 0..3 {
+        tickets.push(client.submit_at(req(7), T).unwrap());
+    }
+    assert_eq!(client.submit_batch(&[req(8), req(7)]).unwrap_err(), limited(7));
+    // Source 8 spent nothing: a batch of its whole budget is admitted,
+    // and then nothing more.
+    tickets.extend(client.submit_batch(&[req(8), req(8), req(8)]).unwrap());
+    assert_eq!(client.submit_at(req(8), T).unwrap_err(), limited(8));
+    // Source 7 is limited until its three stamps leave the window.
+    assert_eq!(client.submit_at(req(7), T + 1_000).unwrap_err(), limited(7));
+    tickets.push(client.submit_at(req(7), T + 1_001).unwrap());
+    for t in tickets {
+        t.wait().unwrap();
+    }
+    let stats = handle.shutdown().unwrap();
+    assert_eq!(stats.served, 7);
+    assert_eq!(stats.rejected_rate, 2 + 1 + 1);
+}
+
 /// A NaN or infinite feature, at any position, is refused at admission
 /// with the typed `NonFiniteInput` — alone or inside a batch, which is
 /// refused whole — leaving nothing in flight; valid requests after it are

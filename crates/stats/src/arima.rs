@@ -16,7 +16,7 @@
 //!   regression a flat row-major design solved by
 //!   [`lstsq_into`],
 //! * [`Arima::forecast`] — multi-step mean forecasts with re-integration,
-//! * [`Arima::fitted`] / [`Arima::residuals`] — in-sample diagnostics,
+//! * [`Arima::residuals`] — the in-sample one-step residuals,
 //! * [`Arima::one_step`] — the frozen one-step predictor ([`OneStep`]) the
 //!   spatiotemporal model applies to short history windows and stores,
 //! * [`Arima::aic`] — the information criterion of order selection (see
@@ -228,37 +228,6 @@ impl Arima {
         &self.residuals
     }
 
-    /// In-sample fitted values at the *original* level, aligned with the
-    /// training series (the first `d + p` values repeat the observations, as
-    /// no prediction exists for them).
-    pub fn fitted(&self) -> Vec<f64> {
-        let d = self.order.d;
-        let mut fitted_diff = Vec::with_capacity(self.work.len());
-        for (t, (w, e)) in self.work.iter().zip(&self.residuals).enumerate() {
-            if t < self.order.p {
-                fitted_diff.push(*w);
-            } else {
-                fitted_diff.push(w - e);
-            }
-        }
-        if d == 0 {
-            return fitted_diff;
-        }
-        // Reconstruct at the original level: fitted_t = fitted_diff_t + y_{t-1} (for d=1),
-        // generalized through the differencing ladder.
-        let mut out = self.history[..d].to_vec();
-        for (t, fd) in fitted_diff.iter().enumerate() {
-            // One-step-ahead reconstruction uses the *observed* previous values.
-            let mut v = *fd;
-            // Undo d rounds of differencing using observed history.
-            for k in 1..=d {
-                v += nth_difference_at(&self.history, k - 1, t + d - k);
-            }
-            out.push(v);
-        }
-        out
-    }
-
     /// Mean forecast `horizon` steps ahead, at the original level.
     ///
     /// # Errors
@@ -325,62 +294,6 @@ impl Arima {
         v
     }
 
-    /// The ψ-weights (MA(∞) representation) of the fitted ARMA part, up to
-    /// `n` terms: `ψ₀ = 1`, `ψ_j = θ_j + Σ_{k=1..min(j,p)} φ_k ψ_{j−k}`.
-    /// Forecast error variance at horizon `h` is `σ² Σ_{j<h} ψ_j²`.
-    pub fn psi_weights(&self, n: usize) -> Vec<f64> {
-        let mut psi = vec![0.0; n.max(1)];
-        psi[0] = 1.0;
-        for j in 1..psi.len() {
-            let mut v = if j <= self.ma.len() { self.ma[j - 1] } else { 0.0 };
-            for (k, phi) in self.ar.iter().enumerate() {
-                if j > k {
-                    v += phi * psi[j - 1 - k];
-                }
-            }
-            psi[j] = v;
-        }
-        psi
-    }
-
-    /// Mean forecast with symmetric `z`-score prediction intervals, at the
-    /// original level: returns `(mean, lower, upper)` per step. `z = 1.96`
-    /// gives 95% intervals under Gaussian innovations.
-    ///
-    /// Defense provisioning wants the upper band, not the point forecast —
-    /// the paper's §IV-B worries about "over-provisions of the defense
-    /// resources"; the interval quantifies exactly how much headroom a
-    /// given confidence costs.
-    ///
-    /// For differenced models the interval widths are computed on the
-    /// differenced scale and accumulated through the integration, which is
-    /// the standard approximation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Arima::forecast`]; additionally
-    /// [`StatsError::InvalidParameter`] for a nonpositive `z`.
-    pub fn forecast_with_interval(&self, horizon: usize, z: f64) -> Result<Vec<(f64, f64, f64)>> {
-        if z <= 0.0 {
-            return Err(StatsError::InvalidParameter {
-                name: "z",
-                detail: format!("z-score must be positive, got {z}"),
-            });
-        }
-        let means = self.forecast(horizon)?;
-        let psi = self.psi_weights(horizon);
-        let sigma = self.sigma2.sqrt();
-        let mut cum = 0.0;
-        let mut out = Vec::with_capacity(horizon);
-        for (h, mean) in means.iter().enumerate() {
-            cum += psi[h] * psi[h];
-            // Integration (d > 0) accumulates the differenced-scale errors.
-            let width = z * sigma * (cum * (self.order.d as f64 + 1.0)).sqrt();
-            out.push((*mean, mean - width, mean + width));
-        }
-        Ok(out)
-    }
-
     /// Rolling one-step-ahead predictions over a held-out continuation of
     /// the training series, re-fitting nothing: the model is applied with
     /// its frozen coefficients, consuming each true observation as it
@@ -444,18 +357,6 @@ impl Arima {
             e.push(new_w - v);
         }
         Ok(())
-    }
-
-    /// One-step mean prediction from an *arbitrary* history window using
-    /// the frozen coefficients: [`OneStep::predict`] on
-    /// [`Arima::one_step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::TooShort`] when `history` cannot supply
-    /// `d + max(p, 1)` values.
-    pub fn predict_one_from(&self, history: &[f64]) -> Result<f64> {
-        self.one_step().predict(history)
     }
 
     /// The model's one-step predictor: the differencing degree, the
@@ -979,15 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn fitted_matches_series_length() {
-        let series = simulate_arma(&[0.5], &[], 1.0, 300, 0.5, 16);
-        let model = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
-        assert_eq!(model.fitted().len(), series.len());
-        let model_d = Arima::fit(&series, ArimaOrder::new(1, 1, 0)).unwrap();
-        assert_eq!(model_d.fitted().len(), series.len());
-    }
-
-    #[test]
     fn predict_rolling_tracks_ar_process() {
         let series = simulate_arma(&[0.9], &[], 0.5, 2200, 0.2, 17);
         let (train, test) = series.split_at(2000);
@@ -1017,69 +909,30 @@ mod tests {
     }
 
     #[test]
-    fn psi_weights_ar1_are_geometric() {
-        let series = simulate_arma(&[0.6], &[], 0.0, 2000, 0.5, 27);
-        let model = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
-        let phi = model.ar_coefficients()[0];
-        let psi = model.psi_weights(5);
-        assert_eq!(psi[0], 1.0);
-        for (j, p) in psi.iter().enumerate().skip(1) {
-            assert!((p - phi.powi(j as i32)).abs() < 1e-9, "psi[{j}] = {p}");
-        }
-    }
-
-    #[test]
-    fn interval_forecast_widens_with_horizon_and_z() {
-        let series = simulate_arma(&[0.7], &[], 1.0, 1500, 0.5, 28);
-        let model = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
-        let bands = model.forecast_with_interval(5, 1.96).unwrap();
-        for (mean, lo, hi) in &bands {
-            assert!(lo < mean && mean < hi);
-        }
-        // Width must be nondecreasing with horizon for a stationary AR(1).
-        for w in bands.windows(2) {
-            let w0 = w[0].2 - w[0].1;
-            let w1 = w[1].2 - w[1].1;
-            assert!(w1 >= w0 - 1e-9, "interval shrank: {w0} -> {w1}");
-        }
-        // Larger z → wider bands.
-        let wide = model.forecast_with_interval(5, 2.58).unwrap();
-        assert!(wide[0].2 - wide[0].1 > bands[0].2 - bands[0].1);
-        // Coverage sanity: one-step truth should fall inside the 95% band
-        // for most continuation draws; test the mean of the band instead
-        // (deterministic): band center equals the mean forecast.
-        let fc = model.forecast(5).unwrap();
-        for (b, m) in bands.iter().zip(&fc) {
-            assert!((b.0 - m).abs() < 1e-12);
-        }
-        assert!(model.forecast_with_interval(3, 0.0).is_err());
-    }
-
-    #[test]
-    fn predict_one_from_matches_internal_state_for_ar() {
+    fn one_step_matches_internal_state_for_ar() {
         let series = simulate_arma(&[0.6], &[], 0.3, 500, 0.4, 29);
         let model = Arima::fit(&series, ArimaOrder::new(1, 0, 0)).unwrap();
         // From its own full history the frozen prediction must match a
         // rolling prediction's first step.
         let test = [series[series.len() - 1] * 0.6 + 0.3];
         let rolled = model.predict_rolling(&test).unwrap()[0];
-        let frozen = model.predict_one_from(&series).unwrap();
+        let frozen = model.one_step().predict(&series).unwrap();
         assert!((rolled - frozen).abs() < 1e-9, "{rolled} vs {frozen}");
         // Short-window prediction still works with p values.
         let window = &series[series.len() - 3..];
-        let v = model.predict_one_from(window).unwrap();
+        let v = model.one_step().predict(window).unwrap();
         assert!(v.is_finite());
-        assert!(model.predict_one_from(&[]).is_err());
+        assert!(model.one_step().predict(&[]).is_err());
     }
 
     #[test]
-    fn predict_one_from_handles_differencing() {
+    fn one_step_handles_differencing() {
         let series: Vec<f64> = (0..100).map(|i| 3.0 * i as f64).collect();
         let model = Arima::fit(&series, ArimaOrder::new(0, 1, 0)).unwrap();
         // A fresh linear window should continue its own line, not the
         // training line.
         let window: Vec<f64> = (0..10).map(|i| 100.0 + 5.0 * i as f64).collect();
-        let v = model.predict_one_from(&window).unwrap();
+        let v = model.one_step().predict(&window).unwrap();
         // Drift from training is +3/step; window ends at 145.
         assert!((v - 148.0).abs() < 0.5, "prediction {v}");
     }
@@ -1115,7 +968,6 @@ mod tests {
                 };
                 let got = one_step.predict(window).unwrap();
                 assert_eq!(got.to_bits(), via_ladder.to_bits(), "order ({p},{d},{q})");
-                assert_eq!(model.predict_one_from(window).unwrap().to_bits(), via_ladder.to_bits());
             }
         }
     }
@@ -1254,7 +1106,7 @@ mod tests {
         let window = &series[series.len() - 10..];
         assert_eq!(
             back.predict(window).unwrap().to_bits(),
-            model.predict_one_from(window).unwrap().to_bits()
+            model.one_step().predict(window).unwrap().to_bits()
         );
         // Truncation at every prefix must be a typed error, not a panic.
         for cut in 0..bytes.len() {
@@ -1322,20 +1174,20 @@ mod tests {
             Err(StatsError::TooShort { required: 2, actual: 1 })
         );
 
-        // `predict_one_from` at `history.len() == d + max(p, 1)` for a
+        // `OneStep::predict` at `history.len() == d + max(p, 1)` for a
         // differencing model, including the degenerate d = p = 0 order
         // (pure MA/constant: one observation is the minimum window).
         let series: Vec<f64> = (0..60).map(|i| 5.0 + 0.3 * i as f64).collect();
         let diff_model = Arima::fit(&series, ArimaOrder::new(1, 1, 0)).unwrap();
-        assert!(diff_model.predict_one_from(&[4.0, 7.0]).unwrap().is_finite());
+        assert!(diff_model.one_step().predict(&[4.0, 7.0]).unwrap().is_finite());
         assert_eq!(
-            diff_model.predict_one_from(&[4.0]),
+            diff_model.one_step().predict(&[4.0]),
             Err(StatsError::TooShort { required: 2, actual: 1 })
         );
         let flat = Arima::fit(&series, ArimaOrder::new(0, 0, 0)).unwrap();
-        assert!(flat.predict_one_from(&[4.0]).unwrap().is_finite());
+        assert!(flat.one_step().predict(&[4.0]).unwrap().is_finite());
         assert_eq!(
-            flat.predict_one_from(&[]),
+            flat.one_step().predict(&[]),
             Err(StatsError::TooShort { required: 1, actual: 0 })
         );
 

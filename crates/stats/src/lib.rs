@@ -7,14 +7,14 @@
 //! * [`matrix`] — the least-squares kernel (Householder QR into reusable
 //!   buffers) every regression fit solves through.
 //! * [`ols`] — multivariate ordinary-least-squares regression.
-//! * [`acf`] — autocorrelation and partial autocorrelation functions.
+//! * [`acf`] — the sample autocorrelation function.
 //! * [`arima`] — autoregressive integrated moving-average models: differencing,
 //!   conditional-sum-of-squares fitting, multi-step forecasting.
 //! * [`select`] — AIC order search for ARIMA.
-//! * [`diagnostics`] — residual diagnostics (Ljung–Box portmanteau test).
-//! * [`metrics`] — forecast-accuracy metrics (RMSE, MAE, MAPE, CV, …).
-//! * [`distributions`] — seedable samplers (Poisson, log-normal, exponential,
-//!   Pareto, categorical, diurnal cycles) used by the trace generator.
+//! * [`metrics`] — forecast-accuracy and dispersion metrics (RMSE, MAE,
+//!   CV, histograms).
+//! * [`distributions`] — seedable samplers (normal, log-normal, Poisson,
+//!   categorical, diurnal cycles) used by the trace generator.
 //! * [`exec`] — deterministic sharded parallel executor backing the
 //!   model-fitting hot paths (same outputs at any thread count).
 //! * [`codec`] — little-endian `to_bits` encoding primitives underlying
@@ -48,7 +48,6 @@
 pub mod acf;
 pub mod arima;
 pub mod codec;
-pub mod diagnostics;
 pub mod distributions;
 pub mod exec;
 pub mod matrix;

@@ -40,29 +40,6 @@ pub fn mae(predicted: &[f64], actual: &[f64]) -> Result<f64> {
     Ok(predicted.iter().zip(actual).map(|(p, a)| (p - a).abs()).sum::<f64>() / n)
 }
 
-/// Mean absolute percentage error, in percent. Observations with a zero
-/// actual value are skipped (they would divide by zero).
-///
-/// # Errors
-///
-/// Same conditions as [`rmse`], plus [`StatsError::EmptyInput`] when every
-/// actual value is zero.
-pub fn mape(predicted: &[f64], actual: &[f64]) -> Result<f64> {
-    check_pair(predicted, actual)?;
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (p, a) in predicted.iter().zip(actual) {
-        if *a != 0.0 {
-            total += ((p - a) / a).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        return Err(StatsError::EmptyInput);
-    }
-    Ok(100.0 * total / count as f64)
-}
-
 /// Arithmetic mean.
 ///
 /// # Errors
@@ -83,19 +60,6 @@ pub fn mean(values: &[f64]) -> Result<f64> {
 pub fn variance(values: &[f64]) -> Result<f64> {
     let m = mean(values)?;
     Ok(values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64)
-}
-
-/// Sample variance (divides by `n − 1`).
-///
-/// # Errors
-///
-/// Returns [`StatsError::TooShort`] when fewer than two values are given.
-pub fn sample_variance(values: &[f64]) -> Result<f64> {
-    if values.len() < 2 {
-        return Err(StatsError::TooShort { required: 2, actual: values.len() });
-    }
-    let m = mean(values)?;
-    Ok(values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64)
 }
 
 /// Population standard deviation.
@@ -125,93 +89,6 @@ pub fn coefficient_of_variation(values: &[f64]) -> Result<f64> {
         });
     }
     Ok(std_dev(values)? / m)
-}
-
-/// Median of a sample (averaging the two central order statistics for even
-/// lengths). Input need not be sorted.
-///
-/// # Errors
-///
-/// * [`StatsError::EmptyInput`] for an empty slice.
-/// * [`StatsError::NonFiniteInput`] when any value is NaN.
-pub fn median(values: &[f64]) -> Result<f64> {
-    let sorted = sorted_copy(values)?;
-    let n = sorted.len();
-    Ok(if n % 2 == 1 { sorted[n / 2] } else { (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0 })
-}
-
-/// An ascending copy of a nonempty, NaN-free sample. With NaN rejected up
-/// front `partial_cmp` is total, and unlike `total_cmp` it keeps
-/// -0.0 == 0.0 as a tie, so the stable sort order is the one the
-/// order statistics have always used.
-fn sorted_copy(values: &[f64]) -> Result<Vec<f64>> {
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    if values.iter().any(|v| v.is_nan()) {
-        return Err(StatsError::NonFiniteInput);
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    Ok(sorted)
-}
-
-/// Empirical quantile via linear interpolation, `q ∈ [0, 1]`.
-///
-/// # Errors
-///
-/// * [`StatsError::EmptyInput`] for an empty slice.
-/// * [`StatsError::InvalidParameter`] when `q` is outside `[0, 1]`.
-/// * [`StatsError::NonFiniteInput`] when any value is NaN.
-pub fn quantile(values: &[f64], q: f64) -> Result<f64> {
-    if values.is_empty() {
-        return Err(StatsError::EmptyInput);
-    }
-    if !(0.0..=1.0).contains(&q) {
-        return Err(StatsError::InvalidParameter {
-            name: "q",
-            detail: format!("quantile must lie in [0, 1], got {q}"),
-        });
-    }
-    let sorted = sorted_copy(values)?;
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Pearson correlation coefficient.
-///
-/// # Errors
-///
-/// * [`StatsError::LengthMismatch`] when lengths differ.
-/// * [`StatsError::TooShort`] when fewer than two pairs are given.
-/// * [`StatsError::InvalidParameter`] when either input is constant.
-pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64> {
-    if x.len() != y.len() {
-        return Err(StatsError::LengthMismatch { left: x.len(), right: y.len() });
-    }
-    if x.len() < 2 {
-        return Err(StatsError::TooShort { required: 2, actual: x.len() });
-    }
-    let mx = mean(x)?;
-    let my = mean(y)?;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        sxy += (a - mx) * (b - my);
-        sxx += (a - mx).powi(2);
-        syy += (b - my).powi(2);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "x",
-            detail: "constant input; correlation undefined".to_string(),
-        });
-    }
-    Ok(sxy / (sxx.sqrt() * syy.sqrt()))
 }
 
 /// Builds an empirical histogram with `bins` equal-width buckets over
@@ -280,29 +157,11 @@ mod tests {
     }
 
     #[test]
-    fn mape_skips_zero_actuals() {
-        let m = mape(&[1.1, 5.0], &[1.0, 0.0]).unwrap();
-        assert!((m - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mape_all_zero_actuals_errors() {
-        assert!(mape(&[1.0], &[0.0]).is_err());
-    }
-
-    #[test]
     fn mean_and_variance() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&v).unwrap(), 5.0);
         assert_eq!(variance(&v).unwrap(), 4.0);
         assert_eq!(std_dev(&v).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn sample_variance_uses_n_minus_one() {
-        let v = [1.0, 3.0];
-        assert_eq!(sample_variance(&v).unwrap(), 2.0);
-        assert!(sample_variance(&[1.0]).is_err());
     }
 
     #[test]
@@ -314,45 +173,6 @@ mod tests {
     #[test]
     fn cv_rejects_zero_mean() {
         assert!(coefficient_of_variation(&[-1.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn median_odd_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
-    }
-
-    #[test]
-    fn quantile_endpoints() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&v, 0.0).unwrap(), 1.0);
-        assert_eq!(quantile(&v, 1.0).unwrap(), 4.0);
-        assert_eq!(quantile(&v, 0.5).unwrap(), 2.5);
-        assert!(quantile(&v, 1.5).is_err());
-    }
-
-    #[test]
-    fn nan_input_is_a_typed_error_not_a_panic() {
-        let v = [3.0, f64::NAN, 1.0];
-        assert!(matches!(median(&v), Err(StatsError::NonFiniteInput)));
-        assert!(matches!(quantile(&v, 0.5), Err(StatsError::NonFiniteInput)));
-        // Infinities still order and answer as before.
-        assert_eq!(median(&[f64::INFINITY, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(quantile(&[f64::NEG_INFINITY, 1.0], 1.0).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let x = [1.0, 2.0, 3.0];
-        let y = [2.0, 4.0, 6.0];
-        assert!((pearson(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        let neg = [-2.0, -4.0, -6.0];
-        assert!((pearson(&x, &neg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_rejects_constant() {
-        assert!(pearson(&[1.0, 1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
@@ -375,7 +195,6 @@ mod tests {
     fn empty_inputs_error() {
         assert!(rmse(&[], &[]).is_err());
         assert!(mean(&[]).is_err());
-        assert!(median(&[]).is_err());
         assert!(histogram(&[], 3).is_err());
     }
 

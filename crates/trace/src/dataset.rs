@@ -3,7 +3,7 @@
 
 use crate::attack::AttackRecord;
 use crate::family::{FamilyCatalog, FamilyId};
-use crate::targets::{TargetId, TargetPopulation};
+use crate::targets::TargetPopulation;
 use crate::{Result, TraceError};
 use ddos_astopo::graph::AsGraph;
 use ddos_astopo::ipmap::IpAsnMap;
@@ -156,11 +156,6 @@ impl Corpus {
             .unwrap_or_default()
     }
 
-    /// Chronological attacks on one target.
-    pub fn attacks_on_target(&self, target: TargetId) -> Vec<&AttackRecord> {
-        self.attacks.iter().filter(|a| a.target == target).collect()
-    }
-
     /// Distinct target ASes observed, ascending.
     pub fn target_asns(&self) -> Vec<Asn> {
         let set: std::collections::BTreeSet<Asn> =
@@ -208,13 +203,6 @@ impl Corpus {
     /// over).
     pub fn active_daily_counts(&self, family: FamilyId) -> Vec<f64> {
         self.daily_counts(family).into_iter().filter(|c| *c > 0.0).collect()
-    }
-
-    /// Inter-launch times in seconds between consecutive attacks of one
-    /// family (the paper's waiting-time component of turnaround time).
-    pub fn inter_launch_times(&self, family: FamilyId) -> Vec<f64> {
-        let fam: Vec<&AttackRecord> = self.family_attacks(family);
-        fam.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect()
     }
 
     /// Validates every structural invariant of the corpus and returns the
@@ -348,14 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn inter_launch_times_are_nonnegative() {
-        let c = corpus();
-        for (id, _) in c.catalog().iter() {
-            assert!(c.inter_launch_times(id).iter().all(|g| *g >= 0.0));
-        }
-    }
-
-    #[test]
     fn hottest_asns_sorted_desc() {
         let c = corpus();
         let hot = c.hottest_target_asns(5);
@@ -432,15 +412,5 @@ mod tests {
         )
         .unwrap();
         assert!(broken.validate().is_err());
-    }
-
-    #[test]
-    fn attacks_on_target_are_chronological() {
-        let c = corpus();
-        let target = c.attacks()[0].target;
-        let on_target = c.attacks_on_target(target);
-        for w in on_target.windows(2) {
-            assert!(w[0].start <= w[1].start);
-        }
     }
 }

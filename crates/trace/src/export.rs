@@ -5,9 +5,9 @@
 //! every exported field is numeric or a bare identifier, so no quoting is
 //! required) and the attack export round-trips through
 //! [`parse_attacks_csv`] for lossless interchange of the record skeleton
-//! (per-bot lists are exported separately).
+//! (per-bot lists are not exported).
 
-use crate::attack::{AttackId, AttackRecord};
+use crate::attack::AttackId;
 use crate::dataset::Corpus;
 use crate::family::FamilyId;
 use crate::targets::TargetId;
@@ -170,15 +170,6 @@ pub fn parse_attacks_csv(csv: &str) -> Result<Vec<AttackRow>> {
     Ok(out)
 }
 
-/// Serializes one attack's per-bot observations (`attack_id,ip,asn`).
-pub fn bots_to_csv(attack: &AttackRecord) -> String {
-    let mut out = String::from("attack_id,ip,asn\n");
-    for b in attack.bots() {
-        let _ = writeln!(out, "{},{},{}", attack.id.0, b.ip, b.asn.0);
-    }
-    out
-}
-
 /// Serializes a truth-vs-prediction series (`index,truth,predicted`) —
 /// the flat file behind a Fig. 1/2-style plot.
 pub fn series_to_csv(truth: &[f64], predicted: &[f64]) -> Result<String> {
@@ -267,15 +258,6 @@ mod tests {
             Err(TraceError::CsvField { row: 0, column: "multistage", .. }) => {}
             other => panic!("expected CsvField multistage error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn bots_csv_lists_every_bot() {
-        let c = corpus();
-        let attack = &c.attacks()[0];
-        let csv = bots_to_csv(attack);
-        assert_eq!(csv.lines().count(), attack.magnitude() + 1);
-        assert!(csv.starts_with("attack_id,ip,asn\n"));
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod dataset;
 pub mod export;
 pub mod family;
 pub mod generator;
-pub mod reports;
 pub mod scenario;
 pub mod stats;
 pub mod stream;

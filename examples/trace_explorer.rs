@@ -2,8 +2,7 @@
 //!
 //! Walks a generated corpus the way the paper's measurement sections do —
 //! activity levels (Table I), the inter-launch CDF and multistage chains
-//! (§III-A2), hourly monitoring reports (§II-C) — and exports the flat
-//! CSV files a notebook would plot.
+//! (§III-A2) — and exports the flat CSV file a notebook would plot.
 //!
 //! Run with:
 //!
@@ -13,7 +12,6 @@
 
 use ddos_adversary::trace::chains::{band_coverage, inter_launch_cdf, reconstruct_chains};
 use ddos_adversary::trace::export::attacks_to_csv;
-use ddos_adversary::trace::reports::hourly_reports;
 use ddos_adversary::trace::stats::{mean_concurrent_attacks, ActivityTable};
 use ddos_adversary::trace::{CorpusConfig, TraceGenerator};
 
@@ -48,18 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "the 30 s – 24 h band covers {:.0}% of consecutive same-target gaps",
         band_coverage(&corpus) * 100.0
-    );
-
-    // §II-C: hourly monitoring reports for the most active family.
-    let family = corpus.catalog().most_active(1)[0];
-    let name = &corpus.catalog().profile(family)?.name;
-    let stream = hourly_reports(&corpus, family)?;
-    println!("\nhourly reports for {name}: {} reports", stream.reports.len());
-    println!("peak 24-hour active bots: {}", stream.peak_bots());
-    let busiest = stream.reports.iter().max_by_key(|r| r.attacks_24h).expect("stream nonempty");
-    println!(
-        "busiest 24h window ends hour {}: {} attacks from {} bots in {} ASes",
-        busiest.hour, busiest.attacks_24h, busiest.active_bots, busiest.active_asns
     );
 
     // Export for notebooks.
