@@ -261,6 +261,19 @@ fn run(report: &mut Report) {
     }
     h.done("pipeline_spatial_dist");
 
+    // §V duration experiment: per evaluated network, hottest first.
+    let d = pipeline(42).run_spatial_durations(&c, 4).unwrap();
+    let mut h = Fnv::new(report);
+    for n in &d.per_network {
+        h.word(n.asn.0 as u64);
+        h.word(n.n_train as u64);
+        h.word(n.n_test as u64);
+        h.f64(n.spatial_rmse);
+        h.f64(n.always_same_rmse);
+        h.f64(n.always_mean_rmse);
+    }
+    h.done("pipeline_spatial_durations");
+
     // E6 baseline comparison (§VII-A): every RMSE row, so the per-family
     // temporal fits behind its magnitude and asn_dist rows are pinned.
     let table = pipeline(42).run_baseline_comparison(&c).unwrap();
