@@ -8,7 +8,7 @@
 //! **bit-identical** predictions. It is the only model any program
 //! persists: the temporal and spatial models are refit in memory.
 //!
-//! # Envelope (schema v6, current)
+//! # Envelope (schema v7, current)
 //!
 //! Every artifact starts with the same envelope, followed by the model
 //! payload:
@@ -16,7 +16,7 @@
 //! | bytes | field | value |
 //! |---|---|---|
 //! | 0..8 | magic | `b"DDOSMDL\0"` |
-//! | 8..12 | schema version | little-endian `u32`, currently `6` |
+//! | 8..12 | schema version | little-endian `u32`, currently `7` |
 //! | 12 | kind tag | always `3` (the spatiotemporal model) |
 //! | 13..21 | payload length | little-endian `u64` |
 //! | 21..29 | payload checksum | four-lane guard hash (`u64`) over the payload |
@@ -31,15 +31,17 @@
 //! 1, 2 and 4 (the retired temporal, spatial and source-distribution
 //! artifacts), 5 and 6 (standalone forests and boosted ensembles), 7 (the
 //! ensemble-backed spatiotemporal layout) and any tag never written —
-//! decodes as [`ArtifactError::UnknownKind`]. v6 is the only schema this
+//! decodes as [`ArtifactError::UnknownKind`]. v7 is the only schema this
 //! crate reads or writes: an artifact stamped with any other version, the
-//! retired v1–v5 included (DESIGN.md §12, §22, §31, §34), is an
-//! [`ArtifactError::UnsupportedVersion`]. v6 differs from v5 only in what
-//! the spatiotemporal payload stores: each temporal component is its
-//! one-step predictor (differencing degree, constant, AR coefficients)
-//! instead of the fitted ARIMA with its training series, tree nodes carry
-//! no sample counts, standard deviations or split gains, and MLR leaves
-//! no R², residual spread or observation count.
+//! retired v1–v6 included (DESIGN.md §12, §22, §31, §34, §38), is an
+//! [`ArtifactError::UnsupportedVersion`]. v7 differs from v6 only in what
+//! each per-AS spatial component stores: its duration, hour and gap NARs,
+//! without the launch-day NAR that no prediction read. v6 had already
+//! stored each temporal component as its one-step predictor
+//! (differencing degree, constant, AR coefficients) instead of the fitted
+//! ARIMA with its training series, tree nodes with no sample counts,
+//! standard deviations or split gains, and MLR leaves with no R²,
+//! residual spread or observation count.
 //!
 //! All floating-point state inside payloads is written via
 //! [`f64::to_bits`], so encode→decode is the *identity* on the model —
@@ -56,7 +58,7 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"DDOSMDL\0";
 
 /// Current artifact schema version. Bump when any payload layout changes.
-pub const SCHEMA_VERSION: u32 = 6;
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// The kind tag every artifact carries: the spatiotemporal model's, the
 /// only model with an artifact.
@@ -305,9 +307,11 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         // A well-formed artifact stamped with any other version is
-        // refused before the payload is looked at.
+        // refused before the payload is looked at. v6 shares the current
+        // envelope; only its spatiotemporal payload differed (a launch-day
+        // NAR per spatial component).
         let bytes = Toy { weights: vec![1.5, -0.0] }.to_artifact_bytes();
-        for version in [0, 3, 4, 5, SCHEMA_VERSION + 1, u32::MAX] {
+        for version in [0, 3, 4, 5, 6, SCHEMA_VERSION + 1, u32::MAX] {
             let mut stamped = bytes.clone();
             stamped[8..12].copy_from_slice(&version.to_le_bytes());
             let err = Toy::from_artifact_bytes(&stamped).unwrap_err();

@@ -2,25 +2,26 @@
 //! variables of Table II.
 //!
 //! The [`FeatureExtractor`] borrows a corpus's valley-free
-//! [`PathOracle`] ([`Corpus::path_oracle`]) and holds the per-AS address
-//! space totals needed by Eq. 4's intra-AS term. All series are
-//! chronological (the corpus guarantees attack ordering).
+//! [`PathOracle`] ([`Corpus::path_oracle`]) and its per-AS address-space
+//! table ([`Corpus::address_space`]), Eq. 4's intra-AS term. All series
+//! are chronological (the corpus guarantees attack ordering).
 
 use crate::variables::{TargetProfile, TimestampParts};
 use crate::{ModelError, Result};
 use ddos_astopo::paths::PathOracle;
-use ddos_astopo::{Asn, DenseTopology};
+use ddos_astopo::Asn;
+use ddos_trace::dataset::AddressSpace;
 use ddos_trace::{AttackRecord, Corpus};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Feature extractor over one corpus.
 ///
-/// It borrows the corpus's memoized distance oracle, so every extractor
-/// built on one corpus (and the stages that build them) shares one cone
-/// cache and one complete pair table: a second extractor starts warm.
-/// Building one costs only the per-AS address-space table, indexed by
-/// dense node id so that Eq. 4 finds each `N_{AS_j}` in O(1).
+/// It borrows the corpus's memoized distance oracle and address-space
+/// table, so every extractor built on one corpus (and the stages that
+/// build them) shares one cone cache, one complete pair table and one
+/// `N_{AS_j}` table: a second extractor starts warm and costs nothing to
+/// build. The table is indexed by dense node id, so Eq. 4 finds each
+/// `N_{AS_j}` in O(1).
 ///
 /// # Example
 ///
@@ -42,39 +43,14 @@ use std::sync::Arc;
 /// ```
 pub struct FeatureExtractor<'c> {
     oracle: &'c PathOracle,
-    dense: Arc<DenseTopology>,
-    /// The `N_{AS_j}` of Eq. 4 by dense node id: the IPv4 addresses
-    /// allocated to the AS, or 1 for an AS with none.
-    space_by_node: Vec<u64>,
-    /// The same for the ASes the address map holds but the topology
-    /// does not, ascending by ASN.
-    space_off_topology: Vec<(Asn, u64)>,
+    space: &'c AddressSpace,
 }
 
 impl<'c> FeatureExtractor<'c> {
-    /// Builds an extractor (precomputes the per-AS address-space table).
+    /// Builds an extractor over the corpus's memoized distance oracle and
+    /// address-space table.
     pub fn new(corpus: &'c Corpus) -> Self {
-        let dense = corpus.topology().dense();
-        let mut space_by_node = vec![1; dense.len()];
-        let mut space_off_topology = Vec::new();
-        for (asn, space) in corpus.ip_map().address_space_by_asn() {
-            match dense.node_id(asn) {
-                Some(node) => space_by_node[node.index()] = space.max(1),
-                None => space_off_topology.push((asn, space.max(1))),
-            }
-        }
-        FeatureExtractor { oracle: corpus.path_oracle(), dense, space_by_node, space_off_topology }
-    }
-
-    /// `N_{AS_j}`: the addresses allocated to `asn`, or 1 when it has none.
-    fn address_space(&self, asn: Asn) -> u64 {
-        match self.dense.node_id(asn) {
-            Some(node) => self.space_by_node[node.index()],
-            None => self
-                .space_off_topology
-                .binary_search_by_key(&asn, |&(a, _)| a)
-                .map_or(1, |i| self.space_off_topology[i].1),
-        }
+        FeatureExtractor { oracle: corpus.path_oracle(), space: corpus.address_space() }
     }
 
     /// Per-attack magnitudes (distinct bot counts) — the series behind
@@ -103,8 +79,7 @@ impl<'c> FeatureExtractor<'c> {
                 actual: 0,
             });
         }
-        let intra: f64 =
-            hist.iter().map(|&(asn, n)| n as f64 / self.address_space(asn) as f64).sum();
+        let intra: f64 = hist.iter().map(|&(asn, n)| n as f64 / self.space.of(asn) as f64).sum();
         let asns: Vec<Asn> = hist.iter().map(|(a, _)| *a).collect();
         let dt =
             if asns.len() < 2 { 1.0 } else { self.oracle.mean_pairwise_distance(&asns).max(1.0) };

@@ -15,7 +15,7 @@
 use crate::baseline::{predict_rolling, BaselineKind};
 use crate::evaluate::{RmseTable, SeriesEvaluation};
 use crate::features::FeatureExtractor;
-use crate::spatial::{SourceDistributionModel, SpatialConfig, SpatialModel};
+use crate::spatial::{DurationModel, SourceDistributionModel, SpatialConfig};
 use crate::spatiotemporal::{SpatioTemporalConfig, SpatioTemporalModel, StPrediction};
 use crate::temporal::{TemporalConfig, TemporalModel};
 use crate::{ModelError, Result};
@@ -472,8 +472,8 @@ impl Pipeline {
     }
 
     /// Runs the §V per-network duration experiment: for the `max_networks`
-    /// hottest victim ASes, fit the NAR spatial model on the training
-    /// window and predict each held-out attack's duration one step ahead,
+    /// hottest victim ASes, fit the duration NAR on the training window
+    /// and predict each held-out attack's duration one step ahead,
     /// against both naive baselines.
     ///
     /// # Errors
@@ -489,8 +489,9 @@ impl Pipeline {
         self.serve_spatial_durations(corpus, &models)
     }
 
-    /// Fit stage of the §V duration experiment: one NAR spatial model per
-    /// hot victim network with enough train/test data, hottest first.
+    /// Fit stage of the §V duration experiment: one duration NAR per hot
+    /// victim network with enough train/test data, hottest first. Only the
+    /// log-duration series is fit: the experiment reads nothing else.
     ///
     /// # Errors
     ///
@@ -499,7 +500,7 @@ impl Pipeline {
         &self,
         corpus: &Corpus,
         max_networks: usize,
-    ) -> Result<Vec<SpatialModel>> {
+    ) -> Result<Vec<DurationModel>> {
         let cut = self.cut_time(corpus)?;
         let networks = corpus.hottest_target_asns(max_networks);
         let spatial = self.spatial_config();
@@ -511,7 +512,7 @@ impl Pipeline {
             if train.len() < spatial.min_attacks || test.len() < 3 {
                 return None;
             }
-            SpatialModel::fit(asn, &train, &spatial, self.seed ^ asn.0 as u64).ok()
+            DurationModel::fit(asn, &train, &spatial, self.seed ^ asn.0 as u64).ok()
         });
         Ok(fitted.into_iter().flatten().collect())
     }
@@ -527,7 +528,7 @@ impl Pipeline {
     pub fn serve_spatial_durations(
         &self,
         corpus: &Corpus,
-        models: &[SpatialModel],
+        models: &[DurationModel],
     ) -> Result<SpatialDurationReport> {
         let cut = self.cut_time(corpus)?;
         let mut per_network = Vec::new();

@@ -3,9 +3,12 @@
 //! "All target-related variables characterize DDoS attacks in the same
 //! network region (AS-level)" — so the spatial model groups attacks by the
 //! victim's AS and fits a nonlinear autoregressive network (Eq. 6–7) to
-//! each per-network series: durations, launch hours, launch days and
-//! inter-attack gaps. A second spatial product is the per-family
-//! **source-ASN distribution** predictor behind Fig. 2.
+//! each per-network series a consumer reads. The §V duration experiment
+//! reads one, the log durations ([`DurationModel`]); the spatiotemporal
+//! model's per-AS components read three, the log durations, launch hours
+//! and inter-attack gaps ([`SpatialModel`]). Both fit the duration NAR
+//! through the same code with the same seed. A second spatial product is
+//! the per-family **source-ASN distribution** predictor behind Fig. 2.
 
 use crate::features::FeatureExtractor;
 use crate::{ModelError, Result};
@@ -106,25 +109,52 @@ impl SpatialConfig {
     }
 }
 
-/// A fitted per-network spatial model.
-#[derive(Debug, Clone)]
-pub struct SpatialModel {
-    asn: Asn,
-    duration: NarModel,
-    hour: NarModel,
-    day: NarModel,
-    gaps: Option<NarModel>,
+/// The log of each attack's duration (seconds, floored at 1): the series
+/// the duration NAR is fit and run on. Durations are heavy-tailed
+/// (log-normal by nature); in log space min-max scaling does not crush the
+/// body of the distribution.
+fn log_durations(attacks: &[&AttackRecord]) -> Vec<f64> {
+    attacks.iter().map(|a| (a.duration_secs as f64).max(1.0).ln()).collect()
 }
 
-impl SpatialModel {
-    /// Fits NAR models to one victim network's chronological training
-    /// attacks.
+/// Each attack's launch hour: the series the hour NAR is fit and run on.
+fn launch_hours(attacks: &[&AttackRecord]) -> Vec<f64> {
+    attacks.iter().map(|a| a.start.hour() as f64).collect()
+}
+
+/// The seconds between consecutive launches: the series the gap NAR is
+/// fit and run on, one shorter than `attacks`.
+fn launch_gaps(attacks: &[&AttackRecord]) -> Vec<f64> {
+    attacks.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect()
+}
+
+/// Fits one per-network NAR: the fixed architecture when one is set, else
+/// the grid search.
+fn fit_nar(series: &[f64], config: &SpatialConfig, seed: u64) -> Result<NarModel> {
+    match &config.fixed {
+        Some(cfg) => Ok(NarModel::fit(series, *cfg, seed)?),
+        None => Ok(grid_search_with(series, &config.grid, seed, config.parallelism)?.model),
+    }
+}
+
+/// A fitted per-network duration model: the NAR over one victim
+/// network's log durations, the only series the §V duration experiment
+/// reads.
+#[derive(Debug, Clone)]
+pub struct DurationModel {
+    asn: Asn,
+    nar: NarModel,
+}
+
+impl DurationModel {
+    /// Fits the log-duration NAR to one victim network's chronological
+    /// training attacks, seeded `seed ^ 0xD1`.
     ///
     /// # Errors
     ///
     /// * [`ModelError::NotEnoughHistory`] for too few attacks.
     /// * Propagates NAR fitting errors.
-    pub fn fit(
+    pub(crate) fn fit(
         asn: Asn,
         train: &[&AttackRecord],
         config: &SpatialConfig,
@@ -137,37 +167,7 @@ impl SpatialModel {
                 actual: train.len(),
             });
         }
-        let profile = FeatureExtractor::profile_from_attacks(asn, train);
-        let hours: Vec<f64> = profile.timestamps.iter().map(|t| t.hour as f64).collect();
-        let days: Vec<f64> = profile.timestamps.iter().map(|t| t.day as f64).collect();
-        // Durations are heavy-tailed (log-normal by nature); the NAR works
-        // in log space so min-max scaling does not crush the body of the
-        // distribution.
-        let log_durations: Vec<f64> = profile.durations.iter().map(|d| d.max(1.0).ln()).collect();
-
-        let fit_series = |series: &[f64], salt: u64| -> Result<NarModel> {
-            match &config.fixed {
-                Some(cfg) => Ok(NarModel::fit(series, *cfg, seed ^ salt)?),
-                None => {
-                    Ok(grid_search_with(series, &config.grid, seed ^ salt, config.parallelism)?
-                        .model)
-                }
-            }
-        };
-
-        let gaps = if profile.inter_attack_gaps.len() >= config.min_attacks {
-            fit_series(&profile.inter_attack_gaps, 0xD4).ok()
-        } else {
-            None
-        };
-
-        Ok(SpatialModel {
-            asn,
-            duration: fit_series(&log_durations, 0xD1)?,
-            hour: fit_series(&hours, 0xD2)?,
-            day: fit_series(&days, 0xD3)?,
-            gaps,
-        })
+        Ok(DurationModel { asn, nar: fit_nar(&log_durations(train), config, seed ^ 0xD1)? })
     }
 
     /// The victim network this model covers.
@@ -181,49 +181,56 @@ impl SpatialModel {
     /// # Errors
     ///
     /// Propagates NAR errors.
-    pub fn predict_durations(
+    pub(crate) fn predict_durations(
         &self,
         train: &[&AttackRecord],
         test: &[&AttackRecord],
     ) -> Result<Vec<f64>> {
-        let h: Vec<f64> = train.iter().map(|a| (a.duration_secs as f64).max(1.0).ln()).collect();
-        let t: Vec<f64> = test.iter().map(|a| (a.duration_secs as f64).max(1.0).ln()).collect();
-        let preds = self.duration.predict_rolling(&h, &t)?;
+        let preds = self.nar.predict_rolling(&log_durations(train), &log_durations(test))?;
         Ok(preds.into_iter().map(f64::exp).collect())
     }
+}
 
-    /// Rolling one-step launch-hour predictions (values in `[0, 24)`,
-    /// clamped).
+/// A fitted per-network spatial model: the spatiotemporal model's
+/// component for one hot victim network. It holds the NARs that
+/// component reads: duration and launch hour (`forecast_next`) and
+/// inter-attack gaps (`forecast_gap`).
+#[derive(Debug, Clone)]
+pub struct SpatialModel {
+    duration: DurationModel,
+    hour: NarModel,
+    gaps: Option<NarModel>,
+}
+
+impl SpatialModel {
+    /// Fits the duration, hour and (with enough gaps) gap NARs to one
+    /// victim network's chronological training attacks. The duration NAR
+    /// is the duration experiment's fit: `DurationModel::fit`.
     ///
     /// # Errors
     ///
-    /// Propagates NAR errors.
-    pub fn predict_hours(
-        &self,
+    /// * [`ModelError::NotEnoughHistory`] for too few attacks.
+    /// * Propagates NAR fitting errors.
+    pub fn fit(
+        asn: Asn,
         train: &[&AttackRecord],
-        test: &[&AttackRecord],
-    ) -> Result<Vec<f64>> {
-        let h: Vec<f64> = train.iter().map(|a| a.start.hour() as f64).collect();
-        let t: Vec<f64> = test.iter().map(|a| a.start.hour() as f64).collect();
-        let preds = self.hour.predict_rolling(&h, &t)?;
-        Ok(preds.into_iter().map(|p| p.clamp(0.0, 23.999)).collect())
+        config: &SpatialConfig,
+        seed: u64,
+    ) -> Result<Self> {
+        let duration = DurationModel::fit(asn, train, config, seed)?;
+        let hour = fit_nar(&launch_hours(train), config, seed ^ 0xD2)?;
+        let gaps = launch_gaps(train);
+        let gaps = if gaps.len() >= config.min_attacks {
+            fit_nar(&gaps, config, seed ^ 0xD4).ok()
+        } else {
+            None
+        };
+        Ok(SpatialModel { duration, hour, gaps })
     }
 
-    /// Rolling one-step launch-day predictions (day-of-month, clamped to
-    /// `[1, 31]`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates NAR errors.
-    pub fn predict_days(
-        &self,
-        train: &[&AttackRecord],
-        test: &[&AttackRecord],
-    ) -> Result<Vec<f64>> {
-        let h: Vec<f64> = train.iter().map(|a| a.start.day_of_month() as f64).collect();
-        let t: Vec<f64> = test.iter().map(|a| a.start.day_of_month() as f64).collect();
-        let preds = self.day.predict_rolling(&h, &t)?;
-        Ok(preds.into_iter().map(|p| p.clamp(1.0, 31.0)).collect())
+    /// The victim network this model covers.
+    pub fn asn(&self) -> Asn {
+        self.duration.asn
     }
 
     /// One-step forecast of the next duration / hour from history alone.
@@ -232,11 +239,8 @@ impl SpatialModel {
     ///
     /// Propagates NAR errors.
     pub fn forecast_next(&self, train: &[&AttackRecord]) -> Result<(f64, f64)> {
-        let durations: Vec<f64> =
-            train.iter().map(|a| (a.duration_secs as f64).max(1.0).ln()).collect();
-        let hours: Vec<f64> = train.iter().map(|a| a.start.hour() as f64).collect();
-        let d = self.duration.predict_next(&durations)?.exp();
-        let h = self.hour.predict_next(&hours)?.clamp(0.0, 23.999);
+        let d = self.duration.nar.predict_next(&log_durations(train))?.exp();
+        let h = self.hour.predict_next(&launch_hours(train))?.clamp(0.0, 23.999);
         Ok((d, h))
     }
 
@@ -244,18 +248,15 @@ impl SpatialModel {
     /// gap model exists.
     pub fn forecast_gap(&self, train: &[&AttackRecord]) -> Option<f64> {
         let model = self.gaps.as_ref()?;
-        let gaps: Vec<f64> =
-            train.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
-        model.predict_next(&gaps).ok().map(|g| g.max(0.0))
+        model.predict_next(&launch_gaps(train)).ok().map(|g| g.max(0.0))
     }
 
     /// Appends the model's bytes to `w`: its part of the spatiotemporal
     /// artifact payload.
     pub(crate) fn encode(&self, w: &mut Writer) {
-        w.u32(self.asn.0);
-        self.duration.encode(w);
+        w.u32(self.duration.asn.0);
+        self.duration.nar.encode(w);
         self.hour.encode(w);
-        self.day.encode(w);
         w.bool(self.gaps.is_some());
         if let Some(m) = &self.gaps {
             m.encode(w);
@@ -265,11 +266,10 @@ impl SpatialModel {
     /// Reads a model written by [`SpatialModel::encode`].
     pub(crate) fn decode(r: &mut Reader<'_>) -> CodecResult<Self> {
         let asn = Asn(r.u32()?);
-        let duration = NarModel::decode(r)?;
+        let duration = DurationModel { asn, nar: NarModel::decode(r)? };
         let hour = NarModel::decode(r)?;
-        let day = NarModel::decode(r)?;
         let gaps = if r.bool()? { Some(NarModel::decode(r)?) } else { None };
-        Ok(SpatialModel { asn, duration, hour, day, gaps })
+        Ok(SpatialModel { duration, hour, gaps })
     }
 }
 
@@ -397,18 +397,53 @@ mod tests {
         (asn, attacks[..cut].to_vec(), attacks[cut..].to_vec())
     }
 
+    /// Every growing history of the network's attacks from the training
+    /// window on: the histories `forecast_next` is run on below.
+    fn histories<'a>(
+        train: &[&'a AttackRecord],
+        test: &[&'a AttackRecord],
+    ) -> Vec<Vec<&'a AttackRecord>> {
+        let all: Vec<&AttackRecord> = train.iter().chain(test).copied().collect();
+        (train.len()..=all.len()).map(|k| all[..k].to_vec()).collect()
+    }
+
     #[test]
     fn fit_and_predict_per_network() {
         let c = corpus();
         let (asn, train, test) = hottest_split(&c);
+        let durations = DurationModel::fit(asn, &train, &SpatialConfig::fast(), 1).unwrap();
+        assert_eq!(durations.asn(), asn);
+        let predicted = durations.predict_durations(&train, &test).unwrap();
+        assert_eq!(predicted.len(), test.len());
+        assert!(predicted.iter().all(|d| d.is_finite() && *d > 0.0));
         let model = SpatialModel::fit(asn, &train, &SpatialConfig::fast(), 1).unwrap();
         assert_eq!(model.asn(), asn);
-        let durations = model.predict_durations(&train, &test).unwrap();
-        assert_eq!(durations.len(), test.len());
-        let hours = model.predict_hours(&train, &test).unwrap();
-        assert!(hours.iter().all(|h| (0.0..24.0).contains(h)));
-        let days = model.predict_days(&train, &test).unwrap();
-        assert!(days.iter().all(|d| (1.0..=31.0).contains(d)));
+        // The hour NAR, one step ahead of every history.
+        for history in histories(&train, &test) {
+            let (_, h) = model.forecast_next(&history).unwrap();
+            assert!((0.0..24.0).contains(&h), "hour {h}");
+        }
+    }
+
+    #[test]
+    fn duration_nar_is_shared_by_both_consumers() {
+        // The duration experiment's NAR and the spatiotemporal component's
+        // duration NAR are one fit: same series, same seed, same
+        // fixed-or-grid path, so the same bytes.
+        let c = corpus();
+        let (asn, train, _) = hottest_split(&c);
+        let bytes = |nar: &NarModel| {
+            let mut w = Writer::new();
+            nar.encode(&mut w);
+            w.into_bytes()
+        };
+        for config in
+            [SpatialConfig::fast(), SpatialConfig { fixed: None, ..SpatialConfig::fast() }]
+        {
+            let alone = DurationModel::fit(asn, &train, &config, 7).unwrap();
+            let component = SpatialModel::fit(asn, &train, &config, 7).unwrap();
+            assert_eq!(bytes(&alone.nar), bytes(&component.duration.nar));
+        }
     }
 
     #[test]
@@ -464,23 +499,15 @@ mod tests {
         let back = SpatialModel::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.asn(), model.asn());
-        for (a, b) in [
-            (
-                model.predict_durations(&train, &test).unwrap(),
-                back.predict_durations(&train, &test).unwrap(),
-            ),
-            (
-                model.predict_hours(&train, &test).unwrap(),
-                back.predict_hours(&train, &test).unwrap(),
-            ),
-            (model.predict_days(&train, &test).unwrap(), back.predict_days(&train, &test).unwrap()),
-        ] {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        for history in histories(&train, &test) {
+            let (d, h) = model.forecast_next(&history).unwrap();
+            let (bd, bh) = back.forecast_next(&history).unwrap();
+            assert_eq!((d.to_bits(), h.to_bits()), (bd.to_bits(), bh.to_bits()));
+            assert_eq!(
+                model.forecast_gap(&history).map(f64::to_bits),
+                back.forecast_gap(&history).map(f64::to_bits)
+            );
         }
-        assert_eq!(model.forecast_gap(&train), back.forecast_gap(&train));
         let mut w = Writer::new();
         back.encode(&mut w);
         assert_eq!(bytes, w.into_bytes());

@@ -311,7 +311,9 @@ struct Components {
     hour_arima: OneStep,
     day_arima: OneStep,
     gap_arima: OneStep,
-    /// Per-AS spatial components for the hottest victim networks.
+    /// Per-AS spatial components for the hottest victim networks: the
+    /// duration, hour and gap NARs `features_for` reads (`spa_day` is the
+    /// window mean, so no day NAR is fit).
     spatial: BTreeMap<Asn, SpatialModel>,
 }
 

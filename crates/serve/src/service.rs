@@ -333,7 +333,7 @@ impl Shared {
             return Err(ServeError::ShuttingDown);
         }
         if let Err(e) = queue.rate.admit_all(requests.iter().map(|r| r.source), now_millis) {
-            self.rejected_rate.fetch_add(requests.len(), Ordering::Relaxed);
+            self.rejection_counter(&e).fetch_add(requests.len(), Ordering::Relaxed);
             return Err(e);
         }
         let before = queue.pending.len();
@@ -347,6 +347,16 @@ impl Shared {
             self.queued.notify_one();
         }
         Ok(pushed)
+    }
+
+    /// The counter a refused admission is filed under: a full rate
+    /// ledger refuses with [`ServeError::Overloaded`], counted as an
+    /// overload; a rate-window refusal is counted as a rate rejection.
+    fn rejection_counter(&self, error: &ServeError) -> &AtomicUsize {
+        match error {
+            ServeError::Overloaded { .. } => &self.rejected_overload,
+            _ => &self.rejected_rate,
+        }
     }
 
     /// Queues one request and returns its ticket; called inside
@@ -811,6 +821,24 @@ mod tests {
         assert_eq!(got.day.to_bits(), want.day.to_bits());
         assert_eq!(got.magnitude.to_bits(), want.magnitude.to_bits());
         assert_eq!(got.duration_secs.to_bits(), want.duration_secs.to_bits());
+    }
+
+    #[test]
+    fn admission_refusals_are_counted_by_variant() {
+        // A full ledger's refusal is an overload, not a rate rejection. A
+        // real one needs 4 G live admissions, so this drives the mapping
+        // `enqueue` files each `admit_all` refusal through.
+        let handle = ForecastService::start_with_model(
+            Arc::clone(fitted()),
+            ServeConfig { workers: Some(1), ..ServeConfig::default() },
+        );
+        let full =
+            ServeError::Overloaded { queued: u32::MAX as usize, capacity: u32::MAX as usize };
+        let limited = ServeError::RateLimited { source: 7, window_secs: 1, limit: 1 };
+        handle.shared.rejection_counter(&full).fetch_add(3, Ordering::Relaxed);
+        handle.shared.rejection_counter(&limited).fetch_add(5, Ordering::Relaxed);
+        let stats = handle.shutdown().unwrap();
+        assert_eq!((stats.rejected_overload, stats.rejected_rate), (3, 5));
     }
 
     #[test]

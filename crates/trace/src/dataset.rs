@@ -8,7 +8,7 @@ use crate::{Result, TraceError};
 use ddos_astopo::graph::AsGraph;
 use ddos_astopo::ipmap::IpAsnMap;
 use ddos_astopo::paths::PathOracle;
-use ddos_astopo::Asn;
+use ddos_astopo::{Asn, DenseTopology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -37,6 +37,48 @@ pub struct Corpus {
     /// topology is the same). Derived data like `by_target_asn`.
     #[serde(skip)]
     oracle: OnceLock<Arc<PathOracle>>,
+    /// Memoized per-AS address-space table over `topology` and `ipmap`
+    /// (Eq. 4's `N_{AS_j}`). Derived data like `by_target_asn`.
+    #[serde(skip)]
+    address_space: OnceLock<Arc<AddressSpace>>,
+}
+
+/// Eq. 4's `N_{AS_j}` for every AS: the IPv4 addresses allocated to the
+/// AS, or 1 for an AS with none. Indexed by dense node id, so a lookup of
+/// a topology AS is O(1).
+#[derive(Debug)]
+pub struct AddressSpace {
+    dense: Arc<DenseTopology>,
+    by_node: Vec<u64>,
+    /// ASes the address map holds but the topology does not, ascending
+    /// by ASN.
+    off_topology: Vec<(Asn, u64)>,
+}
+
+impl AddressSpace {
+    fn build(topology: &AsGraph, ipmap: &IpAsnMap) -> Self {
+        let dense = topology.dense();
+        let mut by_node = vec![1; dense.len()];
+        let mut off_topology = Vec::new();
+        for (asn, space) in ipmap.address_space_by_asn() {
+            match dense.node_id(asn) {
+                Some(node) => by_node[node.index()] = space.max(1),
+                None => off_topology.push((asn, space.max(1))),
+            }
+        }
+        AddressSpace { dense, by_node, off_topology }
+    }
+
+    /// `N_{AS_j}`: the addresses allocated to `asn`, or 1 when it has none.
+    pub fn of(&self, asn: Asn) -> u64 {
+        match self.dense.node_id(asn) {
+            Some(node) => self.by_node[node.index()],
+            None => self
+                .off_topology
+                .binary_search_by_key(&asn, |&(a, _)| a)
+                .map_or(1, |i| self.off_topology[i].1),
+        }
+    }
 }
 
 impl PartialEq for Corpus {
@@ -82,6 +124,7 @@ impl Corpus {
             days,
             by_target_asn: OnceLock::new(),
             oracle: OnceLock::new(),
+            address_space: OnceLock::new(),
         })
     }
 
@@ -115,6 +158,14 @@ impl Corpus {
     /// and pair table fill once however many stages compute Eq. 4.
     pub fn path_oracle(&self) -> &PathOracle {
         self.oracle.get_or_init(|| Arc::new(PathOracle::new(&self.topology)))
+    }
+
+    /// The per-AS address-space table over [`Corpus::topology`] and
+    /// [`Corpus::ip_map`], built on first use and kept for the corpus's
+    /// lifetime, so every Eq. 4 computation on it reads one table.
+    pub fn address_space(&self) -> &AddressSpace {
+        self.address_space
+            .get_or_init(|| Arc::new(AddressSpace::build(&self.topology, &self.ipmap)))
     }
 
     /// The IP→ASN mapping.
