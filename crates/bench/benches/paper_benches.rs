@@ -1107,6 +1107,30 @@ fn bench_scenario(c: &mut Criterion) {
     g.finish();
 }
 
+/// The keystream alone: one million `StdRng::next_u64` words (31,250
+/// refills of four ChaCha12 blocks), the draw every trace sampler
+/// bottoms out in. The generator carries over between iterations, so
+/// every iteration pays the same refills.
+fn bench_rng(c: &mut Criterion) {
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+    if !c.selects(in_group("rng", &["stdrng_next_u64_1m"])) {
+        return;
+    }
+    let mut g = c.benchmark_group("rng");
+    let mut rng = StdRng::seed_from_u64(42);
+    g.bench_function("stdrng_next_u64_1m", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for _ in 0..1_000_000 {
+                acc ^= rng.next_u64();
+            }
+            acc
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_table1,
@@ -1135,5 +1159,6 @@ criterion_group!(
     bench_entropy_detection,
     bench_topo_100k,
     bench_scenario,
+    bench_rng,
 );
 criterion_main!(benches);

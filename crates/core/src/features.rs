@@ -6,7 +6,6 @@
 //! table ([`Corpus::address_space`]), Eq. 4's intra-AS term. All series
 //! are chronological (the corpus guarantees attack ordering).
 
-use crate::variables::{TargetProfile, TimestampParts};
 use crate::{ModelError, Result};
 use ddos_astopo::paths::PathOracle;
 use ddos_astopo::Asn;
@@ -93,18 +92,6 @@ impl<'c> FeatureExtractor<'c> {
     /// Propagates per-attack errors.
     pub fn source_distribution_series(&self, attacks: &[&AttackRecord]) -> Result<Vec<f64>> {
         attacks.iter().map(|a| self.source_distribution(a)).collect()
-    }
-
-    /// The target-side profile (Table II group 2) of a victim AS from its
-    /// chronological attacks (the training window's, in the models): the
-    /// durations, decomposed timestamps and inter-attack gaps.
-    pub fn profile_from_attacks(asn: Asn, attacks: &[&AttackRecord]) -> TargetProfile {
-        let durations: Vec<f64> = attacks.iter().map(|a| a.duration_secs as f64).collect();
-        let timestamps: Vec<TimestampParts> =
-            attacks.iter().map(|a| TimestampParts::from_timestamp(a.start)).collect();
-        let inter_attack_gaps: Vec<f64> =
-            attacks.windows(2).map(|w| w[1].start.abs_diff(w[0].start) as f64).collect();
-        TargetProfile { location: asn, durations, timestamps, inter_attack_gaps }
     }
 
     /// Per-AS bot-share series for a family: for the family's `top_k` most
@@ -315,18 +302,6 @@ mod tests {
                 Err(e) => assert!(!e.to_string().is_empty(), "untyped error for {asns:?}"),
             }
         }
-    }
-
-    #[test]
-    fn target_profile_gaps_align() {
-        let c = corpus();
-        let asn = c.hottest_target_asns(1)[0].0;
-        let profile = FeatureExtractor::profile_from_attacks(asn, &c.attacks_on_asn(asn));
-        assert!(profile.len() >= 2);
-        assert_eq!(profile.inter_attack_gaps.len(), profile.len() - 1);
-        assert_eq!(profile.durations.len(), profile.len());
-        assert_eq!(profile.location, asn);
-        assert!(profile.timestamps.iter().all(|t| t.hour < 24 && (1..=31).contains(&t.day)));
     }
 
     #[test]

@@ -407,6 +407,27 @@ mod tests {
         (train.len()..=all.len()).map(|k| all[..k].to_vec()).collect()
     }
 
+    /// The target-side series (Table II's `T^d_j` and `T^{ts}_j`) align on
+    /// the hottest target: one log duration and one launch hour per
+    /// attack, one gap fewer, every gap a chronological step.
+    #[test]
+    fn target_series_gaps_align() {
+        let c = corpus();
+        let asn = c.hottest_target_asns(1)[0].0;
+        let attacks = c.attacks_on_asn(asn);
+        assert!(attacks.len() >= 2);
+        let durations = log_durations(&attacks);
+        let hours = launch_hours(&attacks);
+        let gaps = launch_gaps(&attacks);
+        assert_eq!(durations.len(), attacks.len());
+        assert_eq!(hours.len(), attacks.len());
+        assert_eq!(gaps.len(), attacks.len() - 1);
+        assert!(durations.iter().all(|d| d.is_finite() && *d >= 0.0));
+        assert!(hours.iter().all(|h| (0.0..24.0).contains(h) && h.fract() == 0.0));
+        let span = attacks[attacks.len() - 1].start.abs_diff(attacks[0].start) as f64;
+        assert_eq!(gaps.iter().sum::<f64>(), span);
+    }
+
     #[test]
     fn fit_and_predict_per_network() {
         let c = corpus();

@@ -2,23 +2,23 @@
 //!
 //! Three groups (§III-B): attacker-side botnet state (time-indexed),
 //! target-side affinity (time-free), and model outputs (fed back as
-//! corrections). These types give the table's symbols concrete, documented
-//! homes so every model speaks the same vocabulary. Of the attacker-side
-//! group only `A^s` is computed, since it is the only one an experiment
-//! forecasts; the activity level `A^f` and active-bot fraction `A^b`
-//! (Eq. 1–2) are not.
+//! corrections). These types and fields give the table's symbols concrete,
+//! documented homes so every model speaks the same vocabulary; the
+//! target-side group is read straight off each attack record. Of the
+//! attacker-side group only `A^s` is computed, since it is the only one an
+//! experiment forecasts; the activity level `A^f` and active-bot fraction
+//! `A^b` (Eq. 1–2) are not.
 //!
 //! | symbol | type / field |
 //! |---|---|
 //! | `A^s_{t_i}` | [`crate::features::FeatureExtractor::source_distribution`] |
-//! | `T_l` | [`TargetProfile::location`] |
-//! | `T^d_j` | [`TargetProfile::durations`] |
-//! | `T^{ts}_j` | [`TargetProfile::timestamps`] (as [`TimestampParts`]) |
+//! | `T_l` | [`ddos_trace::AttackRecord::target_asn`] |
+//! | `T^d_j` | [`ddos_trace::AttackRecord::duration_secs`] (per network: `log_durations` in [`crate::spatial`]) |
+//! | `T^{ts}_j` | [`ddos_trace::AttackRecord::start`] as [`TimestampParts`] (per network: `launch_hours` and `launch_gaps` in [`crate::spatial`]) |
 //! | `(D^b_{t_i})_j` | [`PredictedAttack::magnitude`] |
 //! | `(D^d_{t_i})_j` | [`PredictedAttack::duration_secs`] |
 //! | `D^{ts}_{j+1}` | [`PredictedAttack::timestamp`] |
 
-use ddos_astopo::Asn;
 use ddos_trace::Timestamp;
 use serde::{Deserialize, Serialize};
 
@@ -46,34 +46,6 @@ impl From<Timestamp> for TimestampParts {
     }
 }
 
-/// Target-side variables (Table II group 2) — time-free attributes of one
-/// victim network accumulated over its attack history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TargetProfile {
-    /// `T_l` — the target's location, i.e. its AS number.
-    pub location: Asn,
-    /// `T^d_j` — durations (seconds) of the attacks observed on this
-    /// target (or its network), chronological.
-    pub durations: Vec<f64>,
-    /// `T^{ts}_j` — decomposed launch timestamps, chronological.
-    pub timestamps: Vec<TimestampParts>,
-    /// Inter-attack gaps in seconds (`T^i_t = T^{ts}_{j+1} − T^{ts}_j`),
-    /// chronological; one shorter than `timestamps`.
-    pub inter_attack_gaps: Vec<f64>,
-}
-
-impl TargetProfile {
-    /// Number of attacks in the profile.
-    pub fn len(&self) -> usize {
-        self.timestamps.len()
-    }
-
-    /// Whether the profile holds no attacks.
-    pub fn is_empty(&self) -> bool {
-        self.timestamps.is_empty()
-    }
-}
-
 /// A model's prediction of the next attack (Table II group 3) — also the
 /// feedback variables `(D^b)_j`, `(D^d)_j`, `D^{ts}_{j+1}`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,20 +70,5 @@ mod tests {
         assert_eq!(p.hour, 15);
         let q: TimestampParts = ts.into();
         assert_eq!(p, q);
-    }
-
-    #[test]
-    fn target_profile_len() {
-        let p = TargetProfile {
-            location: Asn(7),
-            durations: vec![10.0, 20.0],
-            timestamps: vec![
-                TimestampParts { day: 1, hour: 2 },
-                TimestampParts { day: 1, hour: 5 },
-            ],
-            inter_attack_gaps: vec![10_800.0],
-        };
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
     }
 }

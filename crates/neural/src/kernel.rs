@@ -79,14 +79,12 @@ const EXP_POLY: [f64; 14] = [
 /// with the sign restored by `copysign`, which makes odd symmetry hold
 /// *bitwise* by construction. `e^{2|x|}` comes from Cody–Waite range
 /// reduction (`2|x| = n·ln2 + r`), a Horner polynomial for `e^r`, and an
-/// exact power-of-two scale built from exponent bits. Everything past
-/// the NaN check is selects and arithmetic — no data-dependent branches
-/// — so the slice form autovectorizes.
+/// exact power-of-two scale built from exponent bits. It is selects and
+/// arithmetic only — no data-dependent branches, the NaN case included
+/// (a NaN runs the finite path on the clamped `ax.min(SATURATION)` and
+/// the last select returns the input) — so the slice form autovectorizes.
 #[inline(always)]
 pub fn tanh_fast(x: f64) -> f64 {
-    if x.is_nan() {
-        return x;
-    }
     let ax = x.abs();
     // Clamp before the reduction so the scale exponent stays in range;
     // the saturation select below makes the clamped value irrelevant.
@@ -111,16 +109,90 @@ pub fn tanh_fast(x: f64) -> f64 {
     p = p.mul_add(r, EXP_POLY[1]);
     p = p.mul_add(r, EXP_POLY[0]);
     // e^{2|x|} = p · 2^n via exponent bits; n ∈ [0, 55] so no overflow.
-    let scale = f64::from_bits(((n as i64 + 1023) as u64) << 52);
+    // `shifted` sits in [2^52, 2^53), where one ulp is 1, so its bits
+    // minus ROUND_MAGIC's are n as an integer: no float-to-int
+    // conversion, whose saturating form does not vectorize.
+    let n_bits = shifted.to_bits().wrapping_sub(ROUND_MAGIC.to_bits());
+    let scale = f64::from_bits((n_bits + 1023) << 52);
     let e2x = p * scale;
     let t = (e2x - 1.0) / (e2x + 1.0);
     let mag = if ax >= SATURATION { 1.0 } else { t };
-    mag.copysign(x)
+    if x.is_nan() {
+        x
+    } else {
+        mag.copysign(x)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The kernel as it was with an early `return x` on NaN, which left
+    /// scalar paths in the slice form: the oracle for the final select.
+    fn tanh_branchy(x: f64) -> f64 {
+        if x.is_nan() {
+            return x;
+        }
+        let ax = x.abs();
+        let y = 2.0 * ax.min(SATURATION);
+        let shifted = y.mul_add(LOG2_E, ROUND_MAGIC);
+        let n = shifted - ROUND_MAGIC;
+        let r = n.mul_add(-LN2_LO, n.mul_add(-LN2_HI, y));
+        let mut p = EXP_POLY[13];
+        for c in EXP_POLY[..13].iter().rev() {
+            p = p.mul_add(r, *c);
+        }
+        let scale = f64::from_bits(((n as i64 + 1023) as u64) << 52);
+        let e2x = p * scale;
+        let t = (e2x - 1.0) / (e2x + 1.0);
+        let mag = if ax >= SATURATION { 1.0 } else { t };
+        mag.copysign(x)
+    }
+
+    /// Random bit patterns (every exponent, NaN payloads and subnormals
+    /// included) plus the specials, through the scalar kernel and the
+    /// slice form, bit for bit against the branchy oracle.
+    #[test]
+    fn select_form_matches_branchy_oracle_bitwise() {
+        let mut inputs = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::from_bits(0xFFF8_0000_0000_BEEF),
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x8000_0000_0000_0001),
+            f64::MAX,
+            f64::MIN,
+            SATURATION,
+            -SATURATION,
+            SATURATION.next_down(),
+            (-SATURATION).next_up(),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        inputs.extend((0..1_000_000).map(|_| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            f64::from_bits(z ^ (z >> 31))
+        }));
+        inputs.extend((0..=80_000).map(|i| -20.0 + i as f64 * 5e-4));
+        let mut batched = inputs.clone();
+        tanh_fast_slice(&mut batched);
+        for (&x, &b) in inputs.iter().zip(&batched) {
+            let want = tanh_branchy(x).to_bits();
+            assert_eq!(tanh_fast(x).to_bits(), want, "scalar at {:#018x}", x.to_bits());
+            assert_eq!(b.to_bits(), want, "slice at {:#018x}", x.to_bits());
+        }
+    }
 
     #[test]
     fn matches_libm_closely_on_dense_grid() {

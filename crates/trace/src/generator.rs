@@ -298,23 +298,31 @@ impl TraceGenerator {
     }
 }
 
+/// The Zipf weight `1/(r+1)^zipf` of every preference rank `r` of an
+/// `n`-target population: built once per family, then gathered by every
+/// [`family_pickers`] rebuild.
+pub(crate) fn rank_weights(zipf: f64, n: usize) -> Vec<f64> {
+    (0..n).map(|rank| 1.0 / ((rank + 1) as f64).powf(zipf)).collect()
+}
+
 /// Builds the family's target-preference and vector pickers for one
 /// regime: a Zipf over the slot- and regime-rotated target order, and the
 /// regime's vector blend. Rebuilt lazily at regime boundaries; under a
 /// stationary regime (zero rotation, profile vector weights) the pickers
 /// are identical to the pre-scenario static ones. Consumes no randomness.
+///
+/// The rank order is a rotation of the target indices
+/// ([`TargetPopulation::preference_rank`]), so target `i` takes
+/// `rank_weights[(i + offset) % n]`: the table from `offset` on, then
+/// its head.
 pub(crate) fn family_pickers(
-    profile: &crate::family::FamilyProfile,
+    rank_weights: &[f64],
     slot: usize,
     targets: &TargetPopulation,
     params: &RegimeParams,
 ) -> Result<(ddos_stats::distributions::Categorical, ddos_stats::distributions::Categorical)> {
-    let target_weights: Vec<f64> = (0..targets.len())
-        .map(|i| {
-            let rank = targets.preference_rank(i, slot, params);
-            1.0 / ((rank + 1) as f64).powf(profile.target_zipf)
-        })
-        .collect();
+    let (head, tail) = rank_weights.split_at(targets.preference_rank(0, slot, params));
+    let target_weights: Vec<f64> = tail.iter().chain(head).copied().collect();
     let target_picker =
         ddos_stats::distributions::Categorical::new(&target_weights).map_err(TraceError::Stats)?;
     let vector_picker = ddos_stats::distributions::Categorical::new(&params.vector_weights)
@@ -538,6 +546,73 @@ mod tests {
             h.into_iter().max_by_key(|(_, n)| *n).map(|(t, _)| t)
         };
         assert_ne!(top_target(FamilyId(0)), top_target(FamilyId(1)));
+    }
+
+    /// The per-target `powf` builder the rank-weight table replaced: each
+    /// target's weight computed from its own preference rank.
+    fn family_pickers_reference(
+        profile: &crate::family::FamilyProfile,
+        slot: usize,
+        targets: &TargetPopulation,
+        params: &RegimeParams,
+    ) -> (ddos_stats::distributions::Categorical, ddos_stats::distributions::Categorical) {
+        let target_weights: Vec<f64> = (0..targets.len())
+            .map(|i| {
+                let rank = targets.preference_rank(i, slot, params);
+                1.0 / ((rank + 1) as f64).powf(profile.target_zipf)
+            })
+            .collect();
+        (
+            ddos_stats::distributions::Categorical::new(&target_weights).unwrap(),
+            ddos_stats::distributions::Categorical::new(&params.vector_weights).unwrap(),
+        )
+    }
+
+    /// Every regime of every Table I family, under both policies that
+    /// rebuild pickers, gets the same target and vector CDFs, bit for
+    /// bit, from the rank-weight table as from the per-target oracle;
+    /// 40 targets make the migration rotations wrap the population.
+    #[test]
+    fn family_pickers_match_per_target_oracle_bitwise() {
+        use crate::scenario::RegimeSchedule;
+        let mut rebuilds = 0;
+        for scenario in [ScenarioPolicy::RotationBurst, ScenarioPolicy::TargetMigration] {
+            for n_targets in [40, 300] {
+                let config = CorpusConfig {
+                    days: 220,
+                    catalog: FamilyCatalog::icdcs2017(),
+                    n_targets,
+                    scenario,
+                    ..CorpusConfig::small()
+                };
+                let seed = 17;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let substrate = build_substrate(&config, seed, &mut rng).unwrap();
+                for (family, profile) in config.catalog.iter() {
+                    let slot = family.0;
+                    let table = rank_weights(profile.target_zipf, substrate.targets.len());
+                    let regimes =
+                        RegimeSchedule::generate(scenario, profile, config.days, seed, slot);
+                    for regime in regimes.regimes() {
+                        let (t, v) =
+                            family_pickers(&table, slot, &substrate.targets, &regime.params)
+                                .unwrap();
+                        let (t_ref, v_ref) = family_pickers_reference(
+                            profile,
+                            slot,
+                            &substrate.targets,
+                            &regime.params,
+                        );
+                        // Debug prints each CDF entry in its shortest
+                        // round-trip form, so equal strings are equal bits.
+                        assert_eq!(format!("{t:?}"), format!("{t_ref:?}"), "{family:?} {regime:?}");
+                        assert_eq!(format!("{v:?}"), format!("{v_ref:?}"), "{family:?} {regime:?}");
+                        rebuilds += 1;
+                    }
+                }
+            }
+        }
+        assert!(rebuilds > 4 * 10, "only {rebuilds} regimes: no rebuild was checked");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::bots::{BotPool, SamplerScratch};
 use crate::family::{FamilyCatalog, FamilyId, FamilyProfile};
 use crate::generator::{
     build_attack, build_substrate, family_pickers, family_seed, pick_target, preferred_launch,
-    CorpusConfig, DurationState, Substrate,
+    rank_weights, CorpusConfig, DurationState, Substrate,
 };
 use crate::scenario::RegimeSchedule;
 use crate::targets::{TargetId, TargetPopulation};
@@ -67,6 +67,9 @@ pub(crate) struct FamilyGen {
     /// identically no matter how `advance` calls chunk the window.
     regimes: RegimeSchedule,
     regime_idx: usize,
+    /// `1/(r+1)^target_zipf` for every preference rank `r`, which each
+    /// picker rebuild gathers in its regime's rotated order.
+    rank_weights: Vec<f64>,
     target_picker: Categorical,
     vector_picker: Categorical,
     targets: Arc<TargetPopulation>,
@@ -99,8 +102,9 @@ impl FamilyGen {
         let pool = BotPool::recruit(topology, allocations, &profile, slot, &mut rng)?;
         let schedule =
             ArrivalSchedule::generate_in_scenario(&profile, config.days, slot, &regimes, &mut rng)?;
+        let rank_weights = rank_weights(profile.target_zipf, targets.len());
         let (target_picker, vector_picker) =
-            family_pickers(&profile, slot, &targets, &regimes.regimes()[0].params)?;
+            family_pickers(&rank_weights, slot, &targets, &regimes.regimes()[0].params)?;
         Ok(FamilyGen {
             family,
             profile,
@@ -111,6 +115,7 @@ impl FamilyGen {
             next_plan: 0,
             regimes,
             regime_idx: 0,
+            rank_weights,
             target_picker,
             vector_picker,
             targets,
@@ -139,7 +144,7 @@ impl FamilyGen {
             if idx != self.regime_idx {
                 self.regime_idx = idx;
                 let (t, v) = family_pickers(
-                    &self.profile,
+                    &self.rank_weights,
                     self.family.0,
                     &self.targets,
                     &self.regimes.regimes()[idx].params,
