@@ -14,6 +14,7 @@
 
 use crate::dense::{DenseTopology, NodeId};
 use crate::graph::{AsGraph, Asn};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -157,52 +158,141 @@ impl PairTable {
     }
 
     /// The exact sums of Eq. 4's mean over distinct endpoints with their
-    /// multiplicities `(node, c)`: `(Σ d·c_i·c_j, Σ c_i·c_j)` over the
-    /// reachable pairs. The endpoints are sorted by slot, and for each
-    /// `j` row `j`'s bytes are read at the earlier slots with one
-    /// sentinel test per pair; only a row holding a [`PAIR_UNKNOWN`]
-    /// byte is read again, to recompute those pairs from their two
-    /// cones. `Err` lists the endpoints that have no slot yet.
-    fn sums(&self, nodes: &[(NodeId, u64)]) -> Result<(u64, u64), Vec<NodeId>> {
-        let mut slotted: Vec<(usize, u64)> = Vec::with_capacity(nodes.len());
-        for &(n, c) in nodes {
-            match self.slot_of(n) {
-                Some(s) => slotted.push((s as usize, c)),
+    /// multiplicities: `(Σ d·c_i·c_j, Σ c_i·c_j)` over the reachable
+    /// pairs. `nodes` carry dense node ids; `slotted` receives them as
+    /// slots, sorted, and for each `j` row `j`'s bytes are read at the
+    /// earlier slots by [`Endpoint::row_sums`], which sums every byte
+    /// without a branch and flags a sentinel. Only a flagged row is read
+    /// again, exactly: unreachable pairs skipped, [`PAIR_UNKNOWN`] ones
+    /// recomputed from their two cones. `Err` lists the endpoints that
+    /// have no slot yet.
+    fn sums<E: Endpoint>(
+        &self,
+        nodes: &[E],
+        slotted: &mut Vec<E>,
+    ) -> Result<(u64, u64), Vec<NodeId>> {
+        slotted.clear();
+        for &e in nodes {
+            match self.slot_of(NodeId(e.id())) {
+                Some(s) => slotted.push(e.with_id(s)),
                 None => {
-                    let missing = nodes.iter().map(|&(n, _)| n);
+                    let missing = nodes.iter().map(|e| NodeId(e.id()));
                     return Err(missing.filter(|&n| self.slot_of(n).is_none()).collect());
                 }
             }
         }
-        slotted.sort_unstable_by_key(|&(s, _)| s);
+        slotted.sort_unstable_by_key(|e| e.id());
         let (mut total, mut count) = (0u64, 0u64);
-        for (j, &(sj, cj)) in slotted.iter().enumerate().skip(1) {
+        for (j, &ej) in slotted.iter().enumerate().skip(1) {
+            let sj = ej.id() as usize;
             let row = &self.dist[Self::row_start(sj)..][..sj];
-            let (mut row_total, mut row_count, mut far) = (0u64, 0u64, false);
-            for &(si, ci) in &slotted[..j] {
-                let d = row[si];
-                if d < PAIR_UNREACHABLE {
-                    row_total += u64::from(d) * ci;
-                    row_count += ci;
-                } else {
-                    far |= d == PAIR_UNKNOWN;
+            let earlier = &slotted[..j];
+            let (mut row_total, mut row_count, sentinel) = E::row_sums(row, earlier);
+            if sentinel {
+                (row_total, row_count) = (0, 0);
+                for &ei in earlier {
+                    let si = ei.id() as usize;
+                    let d = match row[si] {
+                        PAIR_UNREACHABLE => continue,
+                        PAIR_UNKNOWN => match self.cones[si].distance_to(&self.cones[sj]) {
+                            Some(d) => d,
+                            None => continue,
+                        },
+                        d => u32::from(d),
+                    };
+                    row_total += u64::from(d) * ei.count();
+                    row_count += ei.count();
                 }
             }
-            if far {
-                for &(si, ci) in &slotted[..j] {
-                    if row[si] == PAIR_UNKNOWN {
-                        if let Some(d) = self.cones[si].distance_to(&self.cones[sj]) {
-                            row_total += u64::from(d) * ci;
-                            row_count += ci;
-                        }
-                    }
-                }
-            }
-            total += row_total * cj;
-            count += row_count * cj;
+            total += row_total * ej.count();
+            count += row_count * ej.count();
         }
         Ok((total, count))
     }
+}
+
+/// One distinct endpoint of a batch query: a dense id (its node's, then
+/// its slot's) and how many times the query's input holds it. The
+/// endpoints of a strictly ascending input are bare `u32` ids counted
+/// once, so their walk reads 4 bytes per endpoint and multiplies by no
+/// count; an input with repeats carries `(id, count)` pairs.
+trait Endpoint: Copy {
+    fn id(self) -> u32;
+    fn count(self) -> u64;
+    fn with_id(self, id: u32) -> Self;
+
+    /// `(Σ d·c, Σ c)` over `row`'s bytes at the `earlier` endpoints'
+    /// slots, every byte counted as a distance, and whether any byte is
+    /// [`PAIR_UNREACHABLE`] or [`PAIR_UNKNOWN`] (which makes both sums
+    /// wrong and sends the row to the exact recount).
+    fn row_sums(row: &[u8], earlier: &[Self]) -> (u64, u64, bool);
+}
+
+impl Endpoint for u32 {
+    fn id(self) -> u32 {
+        self
+    }
+
+    fn count(self) -> u64 {
+        1
+    }
+
+    fn with_id(self, id: u32) -> Self {
+        id
+    }
+
+    fn row_sums(row: &[u8], earlier: &[Self]) -> (u64, u64, bool) {
+        // `u32` holds the sum: a row has fewer bytes than the table has
+        // slots, and 2^32 / 255 slots would take an 8 PiB table.
+        let (mut sum, mut sentinel) = (0u32, false);
+        for &s in earlier {
+            let d = row[s as usize];
+            sum += u32::from(d);
+            sentinel |= d >= PAIR_UNREACHABLE;
+        }
+        (u64::from(sum), earlier.len() as u64, sentinel)
+    }
+}
+
+impl Endpoint for (u32, u64) {
+    fn id(self) -> u32 {
+        self.0
+    }
+
+    fn count(self) -> u64 {
+        self.1
+    }
+
+    fn with_id(self, id: u32) -> Self {
+        (id, self.1)
+    }
+
+    fn row_sums(row: &[u8], earlier: &[Self]) -> (u64, u64, bool) {
+        let (mut sum, mut count, mut sentinel) = (0u64, 0u64, false);
+        for &(s, c) in earlier {
+            let d = row[s as usize];
+            sum += u64::from(d) * c;
+            count += c;
+            sentinel |= d >= PAIR_UNREACHABLE;
+        }
+        (sum, count, sentinel)
+    }
+}
+
+/// Reusable buffers of [`PathOracle::mean_pairwise_distance`]. The caller
+/// owns them and passes one to each query of a loop (Eq. 4 over an attack
+/// series keeps one), so a query over known endpoints allocates nothing.
+/// A default scratch is empty and allocates only when first used.
+#[derive(Debug, Default)]
+pub struct PairScratch {
+    /// A strictly ascending input's endpoints: node ids, then slots.
+    nodes: Vec<u32>,
+    slots: Vec<u32>,
+    /// Any other input: its ASNs sorted, then its distinct endpoints with
+    /// their multiplicities, as node ids and then as slots.
+    sorted: Vec<Asn>,
+    counted_nodes: Vec<(u32, u64)>,
+    counted_slots: Vec<(u32, u64)>,
 }
 
 /// An uphill BFS cone in sparse form, twice over: the nodes the BFS
@@ -337,32 +427,55 @@ impl PathOracle {
     /// `DT` term of the paper's Eq. 4. Unreachable pairs are skipped;
     /// returns 0.0 when fewer than two distinct reachable ASes are given.
     ///
-    /// The input collapses to unique ASNs with multiplicities (a strictly
-    /// ascending input, such as an attack's ASN histogram, already is
-    /// one): every ordered pair of distinct values `x ≠ y` in the naive
-    /// `i < j` loop contributes `c_x · c_y` occurrences of the same
-    /// distance. The distances are read from the oracle's complete
-    /// pair-distance table (see [`PathOracle`]) under its read lock. A
-    /// query that brings endpoints the table has not seen fetches their
-    /// cones outside any lock, then fills their rows and sums under one
-    /// write lock. The totals are exact `u64` sums, which no slot order
-    /// or visiting order can change, so the result is bit-identical to
-    /// the per-occurrence loop on a cold, reused or shared oracle alike.
-    /// Poison recovery follows the cone cache: a row is published
-    /// only once it is whole, so a poisoned table is still a correct one.
-    pub fn mean_pairwise_distance(&self, asns: &[Asn]) -> f64 {
-        let node = |a: Asn, c: usize| Some((self.dense.node_id(a)?, c as u64));
-        let nodes: Vec<(NodeId, u64)> = if asns.is_sorted_by(|a, b| a < b) {
-            asns.iter().filter_map(|&a| node(a, 1)).collect()
+    /// The input is any re-iterable sequence of ASNs (a slice, or the keys
+    /// of an attack's ASN histogram read in place) and collapses to unique
+    /// ASNs with multiplicities: every ordered pair of distinct values
+    /// `x ≠ y` in the naive `i < j` loop contributes `c_x · c_y`
+    /// occurrences of the same distance. A strictly ascending input, such
+    /// as a histogram's keys, already is a set and is read without a sort
+    /// or a count. `scratch` holds the buffers; reuse one across queries.
+    /// The distances are read from the oracle's complete pair-distance
+    /// table (see [`PathOracle`]) under its read lock. A query that brings
+    /// endpoints the table has not seen fetches their cones outside any
+    /// lock, then fills their rows and sums under one write lock. The
+    /// totals are exact `u64` sums, which no slot order or visiting order
+    /// can change, so the result is bit-identical to the per-occurrence
+    /// loop on a cold, reused or shared oracle alike. Poison recovery
+    /// follows the cone cache: a row is published only once it is whole,
+    /// so a poisoned table is still a correct one.
+    pub fn mean_pairwise_distance<I>(&self, asns: I, scratch: &mut PairScratch) -> f64
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Asn>,
+        I::IntoIter: Clone,
+    {
+        let asns = asns.into_iter().map(|a| *a.borrow());
+        let node = |a: Asn| Some(self.dense.node_id(a)?.0);
+        if asns.clone().is_sorted_by(|a, b| a < b) {
+            scratch.nodes.clear();
+            scratch.nodes.extend(asns.filter_map(node));
+            self.batch_mean(&scratch.nodes, &mut scratch.slots)
         } else {
-            let mut sorted = asns.to_vec();
-            sorted.sort_unstable();
-            sorted.chunk_by(|a, b| a == b).filter_map(|run| node(run[0], run.len())).collect()
-        };
+            scratch.sorted.clear();
+            scratch.sorted.extend(asns);
+            scratch.sorted.sort_unstable();
+            let runs = scratch.sorted.chunk_by(|a, b| a == b);
+            scratch.counted_nodes.clear();
+            scratch
+                .counted_nodes
+                .extend(runs.filter_map(|run| Some((node(run[0])?, run.len() as u64))));
+            self.batch_mean(&scratch.counted_nodes, &mut scratch.counted_slots)
+        }
+    }
+
+    /// The batch query over distinct endpoints (dense node ids with their
+    /// multiplicities), `slotted` being the walk's slot buffer.
+    fn batch_mean<E: Endpoint>(&self, nodes: &[E], slotted: &mut Vec<E>) -> f64 {
         if nodes.len() < 2 {
             return 0.0;
         }
-        let mut sums = self.pairs.read().unwrap_or_else(PoisonError::into_inner).sums(&nodes);
+        let mut sums =
+            self.pairs.read().unwrap_or_else(PoisonError::into_inner).sums(nodes, slotted);
         let (total, count) = loop {
             match sums {
                 Ok(sums) => break sums,
@@ -373,7 +486,7 @@ impl PathOracle {
                     for (&n, cone) in missing.iter().zip(cones) {
                         table.insert(n, cone, self.dense.len());
                     }
-                    sums = table.sums(&nodes);
+                    sums = table.sums(nodes, slotted);
                 }
             }
         };
@@ -411,6 +524,11 @@ mod tests {
         g.add_edge(Asn(3), Asn(5), Relationship::Customer).unwrap();
         g.add_edge(Asn(4), Asn(6), Relationship::Customer).unwrap();
         g
+    }
+
+    /// The batch query with a fresh scratch.
+    fn mean(o: &PathOracle, asns: &[Asn]) -> f64 {
+        o.mean_pairwise_distance(asns, &mut PairScratch::default())
     }
 
     /// The mean of `hop_distance` over every `i < j` pair of distinct
@@ -595,10 +713,7 @@ mod tests {
             }
         }
         let cold = PathOracle::new(g);
-        assert_eq!(
-            cold.mean_pairwise_distance(&asns).to_bits(),
-            per_pair_mean(&o, &asns).to_bits()
-        );
+        assert_eq!(mean(&cold, &asns).to_bits(), per_pair_mean(&o, &asns).to_bits());
     }
 
     #[test]
@@ -637,13 +752,10 @@ mod tests {
             for a in &sample {
                 warmed.hop_distance(*a, sample[0]);
             }
-            warmed.mean_pairwise_distance(&warm_set);
+            mean(&warmed, &warm_set);
         }
 
-        assert_eq!(
-            cold.mean_pairwise_distance(&sample).to_bits(),
-            warmed.mean_pairwise_distance(&sample).to_bits()
-        );
+        assert_eq!(mean(&cold, &sample).to_bits(), mean(&warmed, &sample).to_bits());
         for (i, a) in sample.iter().enumerate() {
             for b in sample.iter().skip(i + 1) {
                 assert_eq!(cold.hop_distance(*a, *b), warmed.hop_distance(*a, *b));
@@ -656,13 +768,13 @@ mod tests {
         let g = diamond();
         let o = PathOracle::new(&g);
         // {5, 7-like same-side}: single pair distance.
-        let d = o.mean_pairwise_distance(&[Asn(5), Asn(6)]);
+        let d = mean(&o, &[Asn(5), Asn(6)]);
         assert!((d - 5.0).abs() < 1e-12);
         // Degenerate inputs.
-        assert_eq!(o.mean_pairwise_distance(&[Asn(5)]), 0.0);
-        assert_eq!(o.mean_pairwise_distance(&[]), 0.0);
+        assert_eq!(mean(&o, &[Asn(5)]), 0.0);
+        assert_eq!(mean(&o, &[]), 0.0);
         // Duplicates are skipped.
-        assert_eq!(o.mean_pairwise_distance(&[Asn(5), Asn(5)]), 0.0);
+        assert_eq!(mean(&o, &[Asn(5), Asn(5)]), 0.0);
     }
 
     #[test]
@@ -699,12 +811,12 @@ mod tests {
         // cached reads, fresh BFS inserts, and the batch query.
         assert_eq!(o.hop_distance(Asn(5), Asn(6)), before);
         assert_eq!(o.hop_distance(Asn(1), Asn(4)), Some(2));
-        assert!(o.mean_pairwise_distance(&[Asn(5), Asn(6)]) > 0.0);
+        assert!(mean(&o, &[Asn(5), Asn(6)]) > 0.0);
 
         // Poison the pair table the same way, once it holds entries.
         let batch = [Asn(1), Asn(3), Asn(5), Asn(6)];
-        let mean = o.mean_pairwise_distance(&batch);
-        assert_eq!(mean.to_bits(), per_pair_mean(&o, &batch).to_bits());
+        let batch_mean = mean(&o, &batch);
+        assert_eq!(batch_mean.to_bits(), per_pair_mean(&o, &batch).to_bits());
         let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = o.pairs.write().unwrap();
             panic!("simulated pair-table panic");
@@ -712,10 +824,10 @@ mod tests {
         assert!(poison.is_err());
         assert!(o.pairs.is_poisoned());
         // Cached pairs, new endpoints (slot assignment) and fresh fills.
-        assert_eq!(o.mean_pairwise_distance(&batch).to_bits(), mean.to_bits());
+        assert_eq!(mean(&o, &batch).to_bits(), batch_mean.to_bits());
         let fresh = [Asn(2), Asn(4), Asn(6)];
-        assert_eq!(o.mean_pairwise_distance(&fresh).to_bits(), per_pair_mean(&o, &fresh).to_bits());
-        assert_eq!(o.mean_pairwise_distance(&[Asn(4), Asn(5)]), 4.0);
+        assert_eq!(mean(&o, &fresh).to_bits(), per_pair_mean(&o, &fresh).to_bits());
+        assert_eq!(mean(&o, &[Asn(4), Asn(5)]), 4.0);
         let table = o.pairs.read().unwrap_or_else(PoisonError::into_inner);
         let slot = |a: Asn| table.slot_of(g.dense().node_id(a).unwrap()).unwrap();
         assert_eq!(byte(&table, slot(Asn(2)), slot(Asn(6))), 2);
@@ -739,27 +851,50 @@ mod tests {
         g
     }
 
+    /// The batch query on a reused `scratch`, checking which walk it took:
+    /// a strictly ascending input must fill only the count-free walk's
+    /// slot buffer, any other input only the counted walk's.
+    fn walked_mean(o: &PathOracle, asns: &[Asn], scratch: &mut PairScratch) -> f64 {
+        scratch.slots.clear();
+        scratch.counted_slots.clear();
+        let mean = o.mean_pairwise_distance(asns, scratch);
+        if asns.is_sorted_by(|a, b| a < b) {
+            assert!(scratch.counted_slots.is_empty(), "{asns:?} took the counted walk");
+        } else {
+            assert!(scratch.slots.is_empty(), "{asns:?} took the count-free walk");
+        }
+        mean
+    }
+
     #[test]
     fn long_distances_come_back_exact_not_truncated() {
         let g = twin_chains(130);
         let o = PathOracle::new(&g);
         let (a126, a127, a130) = (Asn(1126), Asn(1127), Asn(1130));
         let (b127, b130) = (Asn(2127), Asn(2130));
+        // The sorted batch takes the count-free walk, the shuffled one,
+        // which repeats an AS, the counted walk.
         let batch = [a126, a127, a130, b127, b130];
+        let shuffled = [b130, a126, a130, b127, a127, a126];
         assert_eq!(o.hop_distance(a126, b127), Some(253));
         assert_eq!(o.hop_distance(a127, b127), Some(254));
         assert_eq!(o.hop_distance(a130, b130), Some(260));
         // A cold table and a table that has seen the batch agree with the
-        // per-pair reference, over the batch and over each pair.
+        // per-pair reference, over the batch and over each pair in either
+        // order.
+        let mut scratch = PairScratch::default();
         for _ in 0..2 {
-            assert_eq!(
-                o.mean_pairwise_distance(&batch).to_bits(),
-                per_pair_mean(&o, &batch).to_bits()
-            );
+            for asns in [&batch[..], &shuffled] {
+                assert_eq!(
+                    walked_mean(&o, asns, &mut scratch).to_bits(),
+                    per_pair_mean(&o, asns).to_bits()
+                );
+            }
             for (i, a) in batch.iter().enumerate() {
                 for b in &batch[i + 1..] {
-                    let d = o.hop_distance(*a, *b).unwrap();
-                    assert_eq!(o.mean_pairwise_distance(&[*a, *b]), f64::from(d));
+                    let d = f64::from(o.hop_distance(*a, *b).unwrap());
+                    assert_eq!(walked_mean(&o, &[*a, *b], &mut scratch), d);
+                    assert_eq!(walked_mean(&o, &[*b, *a], &mut scratch), d);
                 }
             }
         }
@@ -781,6 +916,7 @@ mod tests {
         g.add_edge(Asn(9), Asn(10), Relationship::Customer).unwrap();
         let o = PathOracle::new(&g);
         let batch = [Asn(1002), Asn(10), Asn(2002)];
+        let sorted = [Asn(10), Asn(1002), Asn(2002)];
         assert_eq!(
             (
                 o.hop_distance(batch[0], batch[1]),
@@ -789,9 +925,14 @@ mod tests {
             ),
             (None, Some(4), None)
         );
+        // Both walks, on a cold table and then on a filled one.
+        let mut scratch = PairScratch::default();
         for _ in 0..2 {
-            assert_eq!(o.mean_pairwise_distance(&batch), 4.0);
-            assert_eq!(o.mean_pairwise_distance(&batch[..2]), 0.0);
+            for asns in [batch, sorted] {
+                assert_eq!(walked_mean(&o, &asns, &mut scratch), 4.0);
+            }
+            assert_eq!(walked_mean(&o, &batch[..2], &mut scratch), 0.0);
+            assert_eq!(walked_mean(&o, &sorted[..2], &mut scratch), 0.0);
         }
         let table = o.pairs.read().unwrap();
         let slot = |a: Asn| table.slot_of(g.dense().node_id(a).unwrap()).unwrap();
@@ -851,10 +992,7 @@ mod tests {
         ];
         let mut queried = Vec::new();
         for batch in batches {
-            assert_eq!(
-                o.mean_pairwise_distance(batch).to_bits(),
-                per_pair_mean(&o, batch).to_bits()
-            );
+            assert_eq!(mean(&o, batch).to_bits(), per_pair_mean(&o, batch).to_bits());
             queried.extend_from_slice(batch);
             assert_table_complete(&g, &o, &queried);
         }
@@ -881,7 +1019,7 @@ mod tests {
                     .map(|&p| known[p * known.len() / 80])
                     .chain((picks.len() % 3 == 0).then_some(Asn(u32::MAX - 1)))
                     .collect();
-                o.mean_pairwise_distance(&batch);
+                mean(&o, &batch);
                 let distinct: std::collections::BTreeSet<Asn> =
                     batch.iter().copied().filter(|a| g.contains(*a)).collect();
                 if distinct.len() >= 2 {
@@ -901,8 +1039,8 @@ mod tests {
         let region0: Vec<Asn> =
             stubs.iter().copied().filter(|s| g.info(*s).unwrap().region == 0).take(6).collect();
         let mixed: Vec<Asn> = stubs.iter().copied().take(6).collect();
-        let d_same = o.mean_pairwise_distance(&region0);
-        let d_mixed = o.mean_pairwise_distance(&mixed);
+        let d_same = mean(&o, &region0);
+        let d_mixed = mean(&o, &mixed);
         assert!(
             d_same <= d_mixed + 0.5,
             "same-region {d_same} should not exceed mixed {d_mixed} by much"

@@ -5,7 +5,7 @@
 use ddos_astopo::gen::{TopologyConfig, TopologyGenerator};
 use ddos_astopo::graph::{AsGraph, Relationship, Tier};
 use ddos_astopo::ipmap::{IpAsnMap, Prefix, PrefixAllocator};
-use ddos_astopo::paths::PathOracle;
+use ddos_astopo::paths::{PairScratch, PathOracle};
 use ddos_astopo::Asn;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -125,7 +125,9 @@ proptest! {
         let batches: Vec<Vec<Asn>> = (0..8)
             .map(|k| stubs.iter().skip(k).step_by(2).copied().take(8).collect())
             .collect();
-        let query = |oracle: &PathOracle, b: &[Asn]| oracle.mean_pairwise_distance(b).to_bits();
+        let query = |oracle: &PathOracle, b: &[Asn]| {
+            oracle.mean_pairwise_distance(b, &mut PairScratch::default()).to_bits()
+        };
 
         // Serial reference on a fresh oracle (cold caches).
         let serial_oracle = PathOracle::new(&topo);
@@ -144,9 +146,11 @@ proptest! {
 
     /// The table-backed Eq. 4 mean equals, bit for bit, the brute-force
     /// mean of per-pair `hop_distance` over every `i < j` pair of distinct
-    /// ASNs, on random multisets with repeats and unknown ASNs — whether
-    /// the oracle is cold, holds every cone but no pair, or already holds
-    /// the answer.
+    /// ASNs, on random multisets with repeats and unknown ASNs and on
+    /// their strictly ascending distinct form (the one an attack's ASN
+    /// histogram passes, which takes the count-free walk) — whether the
+    /// oracle is cold, holds every cone but no pair, or already holds the
+    /// answer, and whether the scratch is fresh or reused across queries.
     #[test]
     fn mean_pairwise_distance_matches_brute_force(
         config in arb_config(),
@@ -156,39 +160,51 @@ proptest! {
         let topo = TopologyGenerator::new(config, seed).generate().unwrap();
         let known: Vec<Asn> = topo.asns().collect();
         // Picks past the topology's size stand for ASNs it has never seen.
-        let asns: Vec<Asn> = picks
+        let multiset: Vec<Asn> = picks
             .iter()
             .map(|&p| known.get(p).copied().unwrap_or(Asn(u32::MAX - p as u32)))
             .collect();
+        let mut distinct = multiset.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
         let reference = PathOracle::new(&topo);
-        let (mut total, mut count) = (0u64, 0u64);
-        for (i, a) in asns.iter().enumerate() {
-            for b in &asns[i + 1..] {
-                if a != b {
-                    if let Some(d) = reference.hop_distance(*a, *b) {
-                        total += u64::from(d);
-                        count += 1;
+        let mut reused_scratch = PairScratch::default();
+        for asns in [multiset, distinct] {
+            let (mut total, mut count) = (0u64, 0u64);
+            for (i, a) in asns.iter().enumerate() {
+                for b in &asns[i + 1..] {
+                    if a != b {
+                        if let Some(d) = reference.hop_distance(*a, *b) {
+                            total += u64::from(d);
+                            count += 1;
+                        }
                     }
                 }
             }
-        }
-        let brute = if count == 0 { 0.0 } else { total as f64 / count as f64 };
+            let brute = if count == 0 { 0.0 } else { total as f64 / count as f64 };
+            let mut mean = |oracle: &PathOracle, asns: &[Asn]| {
+                let fresh = oracle.mean_pairwise_distance(asns, &mut PairScratch::default());
+                let reused = oracle.mean_pairwise_distance(asns, &mut reused_scratch);
+                assert_eq!(fresh.to_bits(), reused.to_bits(), "fresh and reused scratch");
+                fresh
+            };
 
-        let cold = PathOracle::new(&topo);
-        prop_assert_eq!(cold.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
-        // Warmed: single-pair queries cache every known AS's cone but
-        // leave the pair table empty.
-        let warmed = PathOracle::new(&topo);
-        for a in &asns {
-            warmed.hop_distance(*a, known[0]);
+            let cold = PathOracle::new(&topo);
+            prop_assert_eq!(mean(&cold, &asns).to_bits(), brute.to_bits());
+            // Warmed: single-pair queries cache every known AS's cone but
+            // leave the pair table empty.
+            let warmed = PathOracle::new(&topo);
+            for a in &asns {
+                warmed.hop_distance(*a, known[0]);
+            }
+            prop_assert_eq!(mean(&warmed, &asns).to_bits(), brute.to_bits());
+            // Reused: the table already holds every pair, some of them
+            // filled by an earlier query over part of the input.
+            let reused = PathOracle::new(&topo);
+            mean(&reused, &asns[..asns.len() / 2]);
+            mean(&reused, &asns);
+            prop_assert_eq!(mean(&reused, &asns).to_bits(), brute.to_bits());
         }
-        prop_assert_eq!(warmed.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
-        // Reused: the table already holds every pair, some of them filled
-        // by an earlier query over part of the multiset.
-        let reused = PathOracle::new(&topo);
-        reused.mean_pairwise_distance(&asns[..asns.len() / 2]);
-        reused.mean_pairwise_distance(&asns);
-        prop_assert_eq!(reused.mean_pairwise_distance(&asns).to_bits(), brute.to_bits());
     }
 
     /// LPM ignores addresses outside every allocation.

@@ -438,8 +438,9 @@ fn bench_flat_hot_paths(c: &mut Criterion) {
     g.bench_function("source_distribution_series_100", |b| {
         b.iter(|| fx.source_distribution_series(black_box(&attacks)).unwrap())
     });
+    let mut scratch = ddos_astopo::paths::PairScratch::default();
     g.bench_function("mean_pairwise_distance_32asns", |b| {
-        b.iter(|| oracle.mean_pairwise_distance(black_box(&stubs)))
+        b.iter(|| oracle.mean_pairwise_distance(black_box(&stubs), &mut scratch))
     });
     g.bench_function("hop_distance_pair_loop_32asns", |b| {
         b.iter(|| {
@@ -1006,13 +1007,14 @@ fn bench_topo_100k(c: &mut Criterion) {
     g.sample_size(10);
     let stubs: Vec<ddos_astopo::Asn> =
         g100k.tier_members(Tier::Stub).into_iter().step_by(1531).take(64).collect();
+    let mut scratch = ddos_astopo::paths::PairScratch::default();
     g.bench_function("mean_pairwise_distance_64stubs_cold", |b| {
-        b.iter(|| PathOracle::new(&g100k).mean_pairwise_distance(black_box(&stubs)))
+        b.iter(|| PathOracle::new(&g100k).mean_pairwise_distance(black_box(&stubs), &mut scratch))
     });
     let oracle = PathOracle::new(&g100k);
-    oracle.mean_pairwise_distance(&stubs);
+    oracle.mean_pairwise_distance(&stubs, &mut scratch);
     g.bench_function("mean_pairwise_distance_64stubs_warm", |b| {
-        b.iter(|| oracle.mean_pairwise_distance(black_box(&stubs)))
+        b.iter(|| oracle.mean_pairwise_distance(black_box(&stubs), &mut scratch))
     });
     g.finish();
 }

@@ -194,7 +194,7 @@ fn run(report: &mut Report) {
     let stubs: Vec<ddos_astopo::Asn> =
         c.topology().tier_members(ddos_astopo::Tier::Stub).into_iter().take(24).collect();
     let mut h = Fnv::new(report);
-    h.f64(oracle.mean_pairwise_distance(&stubs));
+    h.f64(oracle.mean_pairwise_distance(&stubs, &mut ddos_astopo::paths::PairScratch::default()));
     for (i, a) in stubs.iter().enumerate() {
         for b in stubs.iter().skip(i + 1) {
             h.word(oracle.hop_distance(*a, *b).map(u64::from).unwrap_or(u64::MAX));
@@ -203,7 +203,7 @@ fn run(report: &mut Report) {
     h.done("pairwise_hop_distances");
 
     // Per-AS share series (Fig. 2 input).
-    let (asns, series) = FeatureExtractor::as_share_series(&attacks, 8);
+    let (asns, series) = fx.as_share_series(&attacks, 8);
     let mut h = Fnv::new(report);
     for a in &asns {
         h.word(a.0 as u64);

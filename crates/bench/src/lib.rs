@@ -17,6 +17,7 @@
 //! | E9 | scenario drift — degradation & refit recovery | [`drift`] |
 
 use ddos_core::evaluate::RmseTable;
+use ddos_core::features::FeatureExtractor;
 use ddos_core::pipeline::{Pipeline, PipelineConfig, SpatioTemporalReport};
 use ddos_core::spatial::{SourceDistributionModel, SpatialConfig};
 use ddos_core::usecases::{AsFilteringSimulator, MiddleboxSimulator};
@@ -392,8 +393,13 @@ pub fn usecases(corpus: &Corpus, seed: u64) -> String {
     let attacks = corpus.family_attacks(family);
     let cut = (attacks.len() as f64 * 0.8) as usize;
     let (train, test) = (attacks[..cut].to_vec(), attacks[cut..].to_vec());
-    let model = SourceDistributionModel::fit(&train, &SpatialConfig::fast(), seed)
-        .expect("distribution model fits");
+    let model = SourceDistributionModel::fit(
+        &FeatureExtractor::new(corpus),
+        &train,
+        &SpatialConfig::fast(),
+        seed,
+    )
+    .expect("distribution model fits");
     let preds = model.predict_distribution(&test).expect("distribution predicts");
     let sim = AsFilteringSimulator::new();
     let universe: Vec<_> = corpus.topology().asns().collect();

@@ -7,11 +7,12 @@
 //! are chronological (the corpus guarantees attack ordering).
 
 use crate::{ModelError, Result};
-use ddos_astopo::paths::PathOracle;
-use ddos_astopo::Asn;
+use ddos_astopo::paths::{PairScratch, PathOracle};
+use ddos_astopo::{Asn, DenseTopology, NodeId};
 use ddos_trace::dataset::AddressSpace;
 use ddos_trace::{AttackRecord, Corpus};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Feature extractor over one corpus.
 ///
@@ -19,8 +20,11 @@ use std::collections::BTreeMap;
 /// table, so every extractor built on one corpus (and the stages that
 /// build them) shares one cone cache, one complete pair table and one
 /// `N_{AS_j}` table: a second extractor starts warm and costs nothing to
-/// build. The table is indexed by dense node id, so Eq. 4 finds each
-/// `N_{AS_j}` in O(1).
+/// build. The first extractor on a corpus fills every record's ASN
+/// histogram in one counting pass ([`Corpus::warm_asn_histograms`]).
+/// The tables are indexed by the topology's dense node ids, so Eq. 4
+/// finds each `N_{AS_j}` in O(1) and Fig. 2 ranks source ASes by a
+/// dense per-AS sum.
 ///
 /// # Example
 ///
@@ -37,19 +41,28 @@ use std::collections::BTreeMap;
 /// assert_eq!(mags.len(), attacks.len());
 /// let a_s = fx.source_distribution(attacks[0])?;
 /// assert!(a_s >= 0.0);
+/// let (asns, shares) = fx.as_share_series(&attacks, 3);
+/// assert_eq!(shares.len(), asns.len());
 /// # Ok(())
 /// # }
 /// ```
 pub struct FeatureExtractor<'c> {
     oracle: &'c PathOracle,
     space: &'c AddressSpace,
+    dense: Arc<DenseTopology>,
 }
 
 impl<'c> FeatureExtractor<'c> {
-    /// Builds an extractor over the corpus's memoized distance oracle and
-    /// address-space table.
+    /// Builds an extractor over the corpus's memoized distance oracle,
+    /// address-space table and ASN histograms (filling the histograms
+    /// first when no extractor has).
     pub fn new(corpus: &'c Corpus) -> Self {
-        FeatureExtractor { oracle: corpus.path_oracle(), space: corpus.address_space() }
+        corpus.warm_asn_histograms();
+        FeatureExtractor {
+            oracle: corpus.path_oracle(),
+            space: corpus.address_space(),
+            dense: corpus.topology().dense(),
+        }
     }
 
     /// Per-attack magnitudes (distinct bot counts) — the series behind
@@ -70,6 +83,16 @@ impl<'c> FeatureExtractor<'c> {
     /// Returns [`ModelError::NotEnoughHistory`] when the attack has no bots
     /// (cannot happen for generated corpora).
     pub fn source_distribution(&self, attack: &AttackRecord) -> Result<f64> {
+        self.source_distribution_in(attack, &mut PairScratch::default())
+    }
+
+    /// [`FeatureExtractor::source_distribution`] with the pair walk's
+    /// buffers in `scratch`.
+    fn source_distribution_in(
+        &self,
+        attack: &AttackRecord,
+        scratch: &mut PairScratch,
+    ) -> Result<f64> {
         let hist = attack.asn_histogram();
         if hist.is_empty() {
             return Err(ModelError::NotEnoughHistory {
@@ -79,19 +102,25 @@ impl<'c> FeatureExtractor<'c> {
             });
         }
         let intra: f64 = hist.iter().map(|&(asn, n)| n as f64 / self.space.of(asn) as f64).sum();
-        let asns: Vec<Asn> = hist.iter().map(|(a, _)| *a).collect();
-        let dt =
-            if asns.len() < 2 { 1.0 } else { self.oracle.mean_pairwise_distance(&asns).max(1.0) };
+        // The histogram's keys ascend strictly: the count-free pair walk.
+        let asns = hist.iter().map(|(asn, _)| asn);
+        let dt = if hist.len() < 2 {
+            1.0
+        } else {
+            self.oracle.mean_pairwise_distance(asns, scratch).max(1.0)
+        };
         Ok(intra / dt)
     }
 
-    /// `A^s` over a chronological attack slice.
+    /// `A^s` over a chronological attack slice, with one pair-walk scratch
+    /// for the whole slice.
     ///
     /// # Errors
     ///
     /// Propagates per-attack errors.
     pub fn source_distribution_series(&self, attacks: &[&AttackRecord]) -> Result<Vec<f64>> {
-        attacks.iter().map(|a| self.source_distribution(a)).collect()
+        let mut scratch = PairScratch::default();
+        attacks.iter().map(|a| self.source_distribution_in(a, &mut scratch)).collect()
     }
 
     /// Per-AS bot-share series for a family: for the family's `top_k` most
@@ -99,18 +128,32 @@ impl<'c> FeatureExtractor<'c> {
     /// that AS. Returns `(asns, series)` where `series[k]` is chronological
     /// over `attacks`. This is the distribution Fig. 2 predicts.
     ///
-    /// One pass per attack: each attack's (memoized) histogram is fetched
-    /// once and every tracked AS is looked up by binary search, instead of
-    /// rescanning the histogram per `(AS, attack)` pair.
-    pub fn as_share_series(attacks: &[&AttackRecord], top_k: usize) -> (Vec<Asn>, Vec<Vec<f64>>) {
-        // Rank source ASes by total bot count.
-        let mut totals: BTreeMap<Asn, u64> = BTreeMap::new();
+    /// The ranking sums each source AS's bots in a table indexed by dense
+    /// node id (an AS outside the topology, which only a hand-built record
+    /// can hold, in a side map), then orders by total, most first, ties by
+    /// ascending ASN. The series take one pass per attack: each attack's
+    /// (memoized) histogram is fetched once and every tracked AS is looked
+    /// up by binary search.
+    pub fn as_share_series(
+        &self,
+        attacks: &[&AttackRecord],
+        top_k: usize,
+    ) -> (Vec<Asn>, Vec<Vec<f64>>) {
+        let mut by_node = vec![0u64; self.dense.len()];
+        let mut off_topology: BTreeMap<Asn, u64> = BTreeMap::new();
         for a in attacks {
             for &(asn, n) in a.asn_histogram() {
-                *totals.entry(asn).or_insert(0) += u64::from(n);
+                match self.dense.node_id(asn) {
+                    Some(node) => by_node[node.index()] += u64::from(n),
+                    None => *off_topology.entry(asn).or_insert(0) += u64::from(n),
+                }
             }
         }
-        let mut ranked: Vec<(Asn, u64)> = totals.into_iter().collect();
+        let on_topology = by_node.iter().enumerate().filter(|&(_, &total)| total > 0);
+        let mut ranked: Vec<(Asn, u64)> = on_topology
+            .map(|(node, &total)| (self.dense.asn(NodeId(node as u32)), total))
+            .chain(off_topology)
+            .collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let asns: Vec<Asn> = ranked.into_iter().take(top_k).map(|(a, _)| a).collect();
         let series = Self::share_series(attacks, &asns);
@@ -168,7 +211,12 @@ mod tests {
             .sum();
         let asns = attack.source_asns();
         let oracle = PathOracle::new(c.topology());
-        let dt = if asns.len() < 2 { 1.0 } else { oracle.mean_pairwise_distance(&asns).max(1.0) };
+        let scratch = &mut PairScratch::default();
+        let dt = if asns.len() < 2 {
+            1.0
+        } else {
+            oracle.mean_pairwise_distance(&asns, scratch).max(1.0)
+        };
         (intra / dt).to_bits()
     }
 
@@ -309,7 +357,7 @@ mod tests {
         let c = corpus();
         let fam = c.catalog().most_active(1)[0];
         let attacks = c.family_attacks(fam);
-        let (asns, series) = FeatureExtractor::as_share_series(&attacks, 5);
+        let (asns, series) = FeatureExtractor::new(&c).as_share_series(&attacks, 5);
         assert!(asns.len() <= 5);
         assert_eq!(series.len(), asns.len());
         for s in &series {
@@ -321,24 +369,76 @@ mod tests {
         assert!(avg > 0.02, "top AS share {avg}");
     }
 
+    /// The Fig. 2 ranking by its definition: a `BTreeMap` sum of bots per
+    /// source AS, ordered by total (most first), ties by ascending ASN.
+    fn btree_ranking(attacks: &[&AttackRecord], top_k: usize) -> Vec<Asn> {
+        let mut totals: BTreeMap<Asn, u64> = BTreeMap::new();
+        for a in attacks {
+            for &(asn, n) in a.asn_histogram() {
+                *totals.entry(asn).or_insert(0) += u64::from(n);
+            }
+        }
+        let mut ranked: Vec<(Asn, u64)> = totals.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.into_iter().take(top_k).map(|(a, _)| a).collect()
+    }
+
+    /// The dense-table ranking picks the ASes the `BTreeMap` ranking
+    /// picks, in its order, and the one-histogram-per-attack pass
+    /// reproduces the naive per-(AS, attack) linear rescan bit for bit:
+    /// on a family's attacks, and on hand-built attacks whose source ASes
+    /// tie on their totals, an AS outside the topology among them, so
+    /// the ASN tie-break decides the order.
     #[test]
     fn as_share_series_matches_naive_per_pair_scan() {
-        // The one-histogram-per-attack pass must reproduce the naive
-        // per-(AS, attack) linear rescan bit for bit.
         let c = corpus();
+        let fx = FeatureExtractor::new(&c);
         let fam = c.catalog().most_active(1)[0];
-        let attacks: Vec<&AttackRecord> = c.family_attacks(fam).into_iter().take(40).collect();
-        let (asns, series) = FeatureExtractor::as_share_series(&attacks, 7);
-        for (k, target_asn) in asns.iter().enumerate() {
-            for (i, a) in attacks.iter().enumerate() {
-                let total = a.magnitude() as f64;
-                let here = a
-                    .asn_histogram()
-                    .iter()
-                    .find(|(asn, _)| asn == target_asn)
-                    .map_or(0.0, |(_, n)| f64::from(*n));
-                let expected = if total > 0.0 { here / total } else { 0.0 };
-                assert_eq!(series[k][i].to_bits(), expected.to_bits());
+        let family: Vec<&AttackRecord> = c.family_attacks(fam).into_iter().take(40).collect();
+        let mut stubs = c.topology().tier_members(Tier::Stub);
+        stubs.sort_unstable();
+        // The topology numbers its ASes from 1, so ASN 0 is off it, and
+        // below every AS it ties with: the tie-break, not the table's
+        // order (topology ids first, the side map after), must rank it.
+        let off = Asn(0);
+        assert!(!c.topology().contains(off));
+        // Bots per AS in every tied attack: stubs 3 and `off` tie, and so
+        // do stubs 0, 1 and 5, listed out of ASN order.
+        let placement = [(stubs[5], 2), (stubs[1], 2), (off, 3), (stubs[3], 3), (stubs[0], 2)]
+            .into_iter()
+            .chain([(stubs[2], 1)]);
+        let bots: Vec<BotObservation> = placement
+            .flat_map(|(asn, n)| std::iter::repeat_n(asn, n))
+            .enumerate()
+            .map(|(i, asn)| BotObservation { ip: i as u32, asn })
+            .collect();
+        let tied: Vec<AttackRecord> = c.attacks()[..3]
+            .iter()
+            .map(|template| {
+                let mut attack = template.clone();
+                *attack.bots_mut() = bots.clone();
+                attack
+            })
+            .collect();
+        let tied: Vec<&AttackRecord> = tied.iter().collect();
+        let mixed: Vec<&AttackRecord> = family.iter().chain(&tied).copied().collect();
+        let (tied_asns, _) = fx.as_share_series(&tied, 5);
+        assert_eq!(tied_asns, [off, stubs[3], stubs[0], stubs[1], stubs[5]]);
+
+        for (attacks, top_k) in [(&family, 7), (&tied, 6), (&tied, 3), (&mixed, 9)] {
+            let (asns, series) = fx.as_share_series(attacks, top_k);
+            assert_eq!(asns, btree_ranking(attacks, top_k));
+            for (k, target_asn) in asns.iter().enumerate() {
+                for (i, a) in attacks.iter().enumerate() {
+                    let total = a.magnitude() as f64;
+                    let here = a
+                        .asn_histogram()
+                        .iter()
+                        .find(|(asn, _)| asn == target_asn)
+                        .map_or(0.0, |(_, n)| f64::from(*n));
+                    let expected = if total > 0.0 { here / total } else { 0.0 };
+                    assert_eq!(series[k][i].to_bits(), expected.to_bits());
+                }
             }
         }
     }

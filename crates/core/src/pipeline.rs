@@ -407,9 +407,9 @@ impl Pipeline {
         &self,
         corpus: &Corpus,
     ) -> Result<Vec<(FamilyId, SourceDistributionModel)>> {
-        let spatial = self.spatial_config();
+        let (fx, spatial) = (FeatureExtractor::new(corpus), self.spatial_config());
         self.fit_per_family(corpus, |family, train| {
-            SourceDistributionModel::fit(train, &spatial, self.seed).ok().map(|m| (family, m))
+            SourceDistributionModel::fit(&fx, train, &spatial, self.seed).ok().map(|m| (family, m))
         })
     }
 

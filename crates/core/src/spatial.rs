@@ -285,14 +285,20 @@ pub struct SourceDistributionModel {
 
 impl SourceDistributionModel {
     /// Fits the distribution model on a family's chronological training
-    /// attacks.
+    /// attacks, ranking their source ASes with `fx`
+    /// ([`FeatureExtractor::as_share_series`]).
     ///
     /// # Errors
     ///
     /// * [`ModelError::NotEnoughHistory`] when there are too few attacks
     ///   or no source ASes.
     /// * Propagates NAR errors.
-    pub fn fit(train: &[&AttackRecord], config: &SpatialConfig, seed: u64) -> Result<Self> {
+    pub fn fit(
+        fx: &FeatureExtractor<'_>,
+        train: &[&AttackRecord],
+        config: &SpatialConfig,
+        seed: u64,
+    ) -> Result<Self> {
         if train.len() < config.min_attacks {
             return Err(ModelError::NotEnoughHistory {
                 context: "source-distribution model".to_string(),
@@ -300,7 +306,7 @@ impl SourceDistributionModel {
                 actual: train.len(),
             });
         }
-        let (asns, series) = FeatureExtractor::as_share_series(train, config.top_k_ases);
+        let (asns, series) = fx.as_share_series(train, config.top_k_ases);
         if asns.is_empty() {
             return Err(ModelError::NotEnoughHistory {
                 context: "source-distribution model: no source ASes".to_string(),
@@ -495,7 +501,13 @@ mod tests {
         let attacks = c.family_attacks(fam);
         let cut = (attacks.len() as f64 * 0.8) as usize;
         let (train, test) = (attacks[..cut].to_vec(), attacks[cut..cut + 30].to_vec());
-        let model = SourceDistributionModel::fit(&train, &SpatialConfig::fast(), 4).unwrap();
+        let model = SourceDistributionModel::fit(
+            &FeatureExtractor::new(&c),
+            &train,
+            &SpatialConfig::fast(),
+            4,
+        )
+        .unwrap();
         assert!(!model.asns().is_empty());
         let preds = model.predict_distribution(&test).unwrap();
         assert_eq!(preds.len(), test.len());
@@ -541,7 +553,13 @@ mod tests {
         let attacks = c.family_attacks(fam);
         let cut = (attacks.len() as f64 * 0.8) as usize;
         let (train, test) = (attacks[..cut].to_vec(), attacks[cut..].to_vec());
-        let model = SourceDistributionModel::fit(&train, &SpatialConfig::fast(), 5).unwrap();
+        let model = SourceDistributionModel::fit(
+            &FeatureExtractor::new(&c),
+            &train,
+            &SpatialConfig::fast(),
+            5,
+        )
+        .unwrap();
         let preds = model.predict_distribution(&test).unwrap();
         let truth = model.truth_distribution(&test);
         // Mean absolute share error over all (attack, AS) cells should be

@@ -194,10 +194,13 @@ impl AttackRecord {
         self.asn_histogram().iter().map(|&(asn, _)| asn).collect()
     }
 
-    /// Histogram of bots per source AS, ascending by ASN. Computed once
-    /// per record, by sorting the bots' ASNs and run-length counting
-    /// them, and memoized at exact capacity; lookups can `binary_search`
-    /// by ASN.
+    /// Histogram of bots per source AS, ascending by ASN, memoized at
+    /// exact capacity; lookups can `binary_search` by ASN. A corpus fills
+    /// the memos of its records in one counting pass
+    /// ([`crate::Corpus::warm_asn_histograms`]); a record it has not
+    /// filled computes its own, once, by sorting the bots' ASNs and
+    /// run-length counting them. That sort is the definition the pass
+    /// must match.
     pub fn asn_histogram(&self) -> &[(Asn, u32)] {
         self.hist.get_or_init(|| {
             let mut asns: Vec<Asn> = self.bots.iter().map(|b| b.asn).collect();
@@ -207,6 +210,20 @@ impl AttackRecord {
             hist.extend(runs.map(|run| (run[0], run.len() as u32)));
             hist
         })
+    }
+
+    /// Memoizes `hist` as this record's histogram unless one is memoized
+    /// already. The corpus's counting pass
+    /// ([`crate::Corpus::warm_asn_histograms`]) fills records this way;
+    /// `hist` must equal what [`AttackRecord::asn_histogram`] computes.
+    pub(crate) fn memoize_histogram(&self, hist: Vec<(Asn, u32)>) {
+        // A memo some other reader set first holds the same histogram.
+        let _ = self.hist.set(hist);
+    }
+
+    /// The memoized histogram, if any.
+    pub(crate) fn memoized_histogram(&self) -> Option<&Vec<(Asn, u32)>> {
+        self.hist.get()
     }
 
     /// Internal consistency check used by generator tests and property

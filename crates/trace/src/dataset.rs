@@ -8,7 +8,7 @@ use crate::{Result, TraceError};
 use ddos_astopo::graph::AsGraph;
 use ddos_astopo::ipmap::IpAsnMap;
 use ddos_astopo::paths::PathOracle;
-use ddos_astopo::{Asn, DenseTopology};
+use ddos_astopo::{Asn, DenseTopology, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -41,6 +41,10 @@ pub struct Corpus {
     /// (Eq. 4's `N_{AS_j}`). Derived data like `by_target_asn`.
     #[serde(skip)]
     address_space: OnceLock<Arc<AddressSpace>>,
+    /// Set once [`Corpus::warm_asn_histograms`] has run. Derived data
+    /// like `by_target_asn`; a clone of a warmed corpus has warm records.
+    #[serde(skip)]
+    histograms: OnceLock<()>,
 }
 
 /// Eq. 4's `N_{AS_j}` for every AS: the IPv4 addresses allocated to the
@@ -125,6 +129,7 @@ impl Corpus {
             by_target_asn: OnceLock::new(),
             oracle: OnceLock::new(),
             address_space: OnceLock::new(),
+            histograms: OnceLock::new(),
         })
     }
 
@@ -166,6 +171,56 @@ impl Corpus {
     pub fn address_space(&self) -> &AddressSpace {
         self.address_space
             .get_or_init(|| Arc::new(AddressSpace::build(&self.topology, &self.ipmap)))
+    }
+
+    /// Fills every record's memoized [`AttackRecord::asn_histogram`] in
+    /// one counting pass over the corpus: each bot's ASN is counted into
+    /// one buffer indexed by dense node id ([`DenseTopology::node_id`]),
+    /// and a record's touched ids, sorted (ids ascend with ASN), give its
+    /// histogram without sorting its bots. Runs once per corpus; later
+    /// calls return at once. Records whose memo is already filled keep
+    /// it, and a record with a bot outside the topology is left to
+    /// compute its own. Every extractor of source-AS features calls it
+    /// before reading histograms.
+    pub fn warm_asn_histograms(&self) {
+        self.histograms.get_or_init(|| {
+            let dense = self.topology.dense();
+            let mut counts = vec![0u32; dense.len()];
+            let mut touched: Vec<NodeId> = Vec::new();
+            'records: for attack in &self.attacks {
+                if attack.memoized_histogram().is_some() {
+                    continue;
+                }
+                let bots = attack.bots();
+                if touched.len() < bots.len() {
+                    touched.resize(bots.len(), NodeId(0));
+                }
+                // Every id is written to the next free place, which only a
+                // first sighting claims: no branch on the count.
+                let mut distinct = 0;
+                for bot in bots {
+                    let Some(node) = dense.node_id(bot.asn) else {
+                        for node in &touched[..distinct] {
+                            counts[node.index()] = 0;
+                        }
+                        continue 'records;
+                    };
+                    let count = counts[node.index()];
+                    counts[node.index()] = count + 1;
+                    touched[distinct] = node;
+                    distinct += usize::from(count == 0);
+                }
+                let touched = &mut touched[..distinct];
+                touched.sort_unstable();
+                let mut hist = Vec::with_capacity(distinct);
+                hist.extend(
+                    touched
+                        .iter()
+                        .map(|node| (dense.asn(*node), std::mem::take(&mut counts[node.index()]))),
+                );
+                attack.memoize_histogram(hist);
+            }
+        });
     }
 
     /// The IP→ASN mapping.
@@ -317,10 +372,86 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::BotObservation;
     use crate::generator::{CorpusConfig, TraceGenerator};
 
     fn corpus() -> Corpus {
         TraceGenerator::new(CorpusConfig::small(), 71).generate().unwrap()
+    }
+
+    /// `warmed`'s records hold the memos that `cold`'s compute for
+    /// themselves by the per-record sort, as equal `Vec`s without spare
+    /// capacity.
+    fn assert_memos_match_the_sort(warmed: &Corpus, cold: &Corpus) {
+        for (warm, cold) in warmed.attacks().iter().zip(cold.attacks()) {
+            assert!(cold.memoized_histogram().is_none(), "{} was warm", cold.id);
+            cold.asn_histogram();
+            let (memo, sorted) = (warm.memoized_histogram(), cold.memoized_histogram());
+            let memo = memo.unwrap_or_else(|| panic!("{} has no memo", warm.id));
+            assert_eq!(Some(memo), sorted, "{}", warm.id);
+            assert_eq!(memo.capacity(), memo.len(), "{}", warm.id);
+        }
+    }
+
+    /// The counting pass gives every record of the small corpus and of
+    /// the 30-day medium one the memo the per-record sort gives it. It
+    /// does not run during generation, a clone of a warmed corpus holds
+    /// the same memos, and `bots_mut` after the pass drops a record's
+    /// memo so the record sorts its new bots.
+    #[test]
+    fn counting_pass_matches_the_per_record_sort() {
+        let medium = CorpusConfig { days: 30, ..CorpusConfig::medium() };
+        for config in [CorpusConfig::small(), medium] {
+            let warmed = TraceGenerator::new(config, 42).generate().unwrap();
+            let (cold, cold_for_clone) = (warmed.clone(), warmed.clone());
+            assert!(warmed.attacks().iter().all(|a| a.memoized_histogram().is_none()));
+            warmed.warm_asn_histograms();
+            assert_memos_match_the_sort(&warmed, &cold);
+            let clone = warmed.clone();
+            clone.warm_asn_histograms();
+            assert_memos_match_the_sort(&clone, &cold_for_clone);
+
+            let mut record = warmed.attacks()[0].clone();
+            let extra = BotObservation { ip: u32::MAX, asn: record.bots()[0].asn };
+            record.bots_mut().push(extra);
+            assert!(record.memoized_histogram().is_none());
+            let mut expected = warmed.attacks()[0].asn_histogram().to_vec();
+            let at = expected.binary_search_by_key(&extra.asn, |&(a, _)| a).unwrap();
+            expected[at].1 += 1;
+            assert_eq!(record.asn_histogram(), &expected[..]);
+        }
+    }
+
+    /// The pass leaves alone a record with a bot outside the topology
+    /// (the record sorts its own histogram) and a record whose memo is
+    /// already filled, and fills every other.
+    #[test]
+    fn counting_pass_skips_off_topology_bots_and_filled_memos() {
+        let template = corpus();
+        let off = Asn(4_000_000_000);
+        assert!(!template.topology().contains(off));
+        let mut attacks = template.attacks()[..3].to_vec();
+        attacks[1].bots_mut().push(BotObservation { ip: u32::MAX, asn: off });
+        attacks[2].asn_histogram();
+        let corpus = Corpus::new(
+            attacks.clone(),
+            template.catalog().clone(),
+            template.topology().clone(),
+            template.ip_map().clone(),
+            template.targets().clone(),
+            template.days(),
+        )
+        .unwrap();
+        let filled = corpus.attacks()[2].memoized_histogram().expect("memo cloned in").as_ptr();
+        corpus.warm_asn_histograms();
+        let [first, off_topology, memoized] = corpus.attacks() else { panic!("three records") };
+        assert!(first.memoized_histogram().is_some());
+        assert!(off_topology.memoized_histogram().is_none());
+        assert_eq!(memoized.asn_histogram().as_ptr(), filled);
+        for (record, reference) in corpus.attacks().iter().zip(&attacks) {
+            assert_eq!(record.asn_histogram(), reference.asn_histogram());
+        }
+        assert_eq!(off_topology.asn_histogram().last(), Some(&(off, 1)));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! cargo run --release --example defense_planning
 //! ```
 
+use ddos_adversary::model::features::FeatureExtractor;
 use ddos_adversary::model::spatial::{SourceDistributionModel, SpatialConfig};
 use ddos_adversary::model::usecases::AsFilteringSimulator;
 use ddos_adversary::trace::{CorpusConfig, TraceGenerator};
@@ -31,7 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fit the per-AS share model and predict each test attack's source
     // distribution one step ahead.
-    let model = SourceDistributionModel::fit(&train, &SpatialConfig::fast(), 11)?;
+    let model = SourceDistributionModel::fit(
+        &FeatureExtractor::new(&corpus),
+        &train,
+        &SpatialConfig::fast(),
+        11,
+    )?;
     let predictions = model.predict_distribution(&test)?;
     println!("tracking the family's top {} source ASes", model.asns().len());
 
